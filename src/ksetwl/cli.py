@@ -241,21 +241,22 @@ def _run_compute(args) -> int:
             features, extra = _compute_features(ds.graphs, args, h, pool)
             t_compute = time.perf_counter() - t1
             out = _output_path(args.output, h, sweeping)
+            timings = {"load": t_load, "compute": t_compute}
             t2 = time.perf_counter()
             if args.command == "features":
                 write_features_sparse(features, ds.class_labels, out)
             else:
-                K = gram_matrix(features, pool=pool)
+                K = gram_matrix(features)
                 if args.gram_normalize:
                     K = cosine_normalize_gram(K)
+                timings["gram"] = time.perf_counter() - t2
+                t2 = time.perf_counter()
                 if args.format == "libsvm":
                     write_gram_libsvm(K, ds.class_labels, out)
                 else:
                     write_gram_csv(K, out)
-            t_write = time.perf_counter() - t2
-            _manifest(args, out,
-                      {"load": t_load, "compute": t_compute, "write": t_write},
-                      {**extra, "h": h})
+            timings["write"] = time.perf_counter() - t2
+            _manifest(args, out, timings, {**extra, "h": h})
     return 0
 
 

@@ -10,10 +10,15 @@ linear-algebra run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import ParameterError
+
+# Entries of one dense column chunk of the gram's feature matrix.  A chunk
+# has at least n columns, so it never holds less work or more memory than K.
+_GRAM_CHUNK = 1 << 16
 
 
 @dataclass
@@ -31,10 +36,6 @@ class FeatureVector:
 
     def copy(self) -> "FeatureVector":
         return FeatureVector([dict(b) for b in self.blocks])
-
-
-def from_colorings(colorings) -> FeatureVector:
-    return FeatureVector([c.histogram() for c in colorings])
 
 
 def l1_normalize(v: FeatureVector, scope: str = "per-block") -> FeatureVector:
@@ -75,27 +76,41 @@ def dot(u: FeatureVector, v: FeatureVector) -> float:
     return total
 
 
-def gram_matrix(features, pool=None) -> np.ndarray:
-    """Symmetric matrix of all pairwise inner products.
+def gram_matrix(features) -> np.ndarray:
+    """Symmetric matrix of all pairwise inner products, K = X X^T.
 
-    Each unordered pair is computed once and mirrored.  Row order follows
-    the input order, which callers keep aligned with their Dataset.
+    Per block, a label held by one graph only adds its squared weight to
+    that graph's diagonal; labels held by several graphs are the columns of
+    X, filled densely in bounded chunks.  Integer features give exactly the
+    sums of :func:`dot`, float features may differ in the last bits.  Row
+    order follows the input order.
     """
     n = len(features)
     K = np.zeros((n, n), dtype=np.float64)
-
-    def fill_row(i):
-        row = np.zeros(n - i, dtype=np.float64)
-        for off, j in enumerate(range(i, n)):
-            row[off] = dot(features[i], features[j])
-        return row
-
-    rows = pool.map_ordered(fill_row, range(n)) if pool is not None \
-        else [fill_row(i) for i in range(n)]
-    for i, row in enumerate(rows):
-        K[i, i:] = row
-        K[i:, i] = row
-    return K
+    if any(f.h != features[0].h for f in features):
+        raise ParameterError("feature vectors span different iteration counts")
+    width = max(1, n, _GRAM_CHUNK // max(n, 1))
+    buf = np.empty(n * width, dtype=np.float64)
+    for b in range(features[0].h + 1 if n else 0):
+        blocks = [f.blocks[b] for f in features]
+        rows = np.repeat(np.arange(n), [len(block) for block in blocks])
+        labels = np.fromiter(chain.from_iterable(blocks), np.int64)
+        weights = np.fromiter(chain.from_iterable(
+            block.values() for block in blocks), np.float64)
+        _, column, holders = np.unique(labels, return_inverse=True,
+                                       return_counts=True)
+        single = holders[column] == 1
+        np.add.at(K, (rows[single], rows[single]), weights[single] ** 2)
+        shared = np.cumsum(holders > 1)[column[~single]] - 1
+        rows, weights = rows[~single], weights[~single]
+        columns = int(shared.max(initial=-1)) + 1
+        for lo in range(0, columns, width):
+            X = buf[:n * min(width, columns - lo)].reshape(n, -1)
+            X.fill(0.0)
+            part = (shared >= lo) & (shared < lo + X.shape[1])
+            X[rows[part], shared[part] - lo] = weights[part]
+            K += X @ X.T
+    return np.triu(K) + np.triu(K, 1).T   # exactly symmetric
 
 
 def cosine_normalize_gram(K: np.ndarray) -> np.ndarray:

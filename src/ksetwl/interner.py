@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -72,18 +73,21 @@ class LabelInterner:
             self._depths.append(depth)
         return label
 
-    def intern_window(self, keys, depth: int) -> None:
-        """Two-phase window: intern all fresh keys in ascending byte order.
+    def intern_window(self, keys, depth: int) -> np.ndarray:
+        """Two-phase window: intern all fresh keys in ascending byte order,
+        then return the ids of ``keys`` in input order.
 
         Computing keys is embarrassingly parallel; calling this once per
         iteration with the collected keys makes id assignment independent of
         scheduling and worker count.
         """
+        keys = list(keys)
         ids = self._ids
-        fresh = {k for k in keys if k not in ids}
-        for k in sorted(fresh):
-            ids[k] = len(self._depths)
+        for key in sorted(set(keys).difference(ids)):
+            ids[key] = len(self._depths)
             self._depths.append(depth)
+        return np.fromiter(map(ids.__getitem__, keys), dtype=np.int64,
+                           count=len(keys))
 
     def lookup(self, key: bytes) -> int:
         return self._ids[key]
@@ -115,28 +119,46 @@ class Coloring:
         return {int(v): float(c) for v, c in zip(values, counts)}
 
 
+def _ragged_keys(tag: bytes, words: np.ndarray,
+                 starts: np.ndarray) -> list[bytes]:
+    """Keys ``tag + big-endian 64-bit words`` for the rows of a flat word
+    array that row i occupies from ``starts[i]`` up to the next start."""
+    raw = np.asarray(words).astype(">u8").view(np.uint8)
+    # after inserting one tag byte per row, row i starts i bytes further on
+    buf = np.insert(raw, 8 * starts, tag[0]).tobytes()
+    bounds = (8 * starts + np.arange(len(starts))).tolist() + [len(buf)]
+    return [buf[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
+
+
+def iso_key_batch(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
+    """:func:`iso_key` of many codes given as flat words cut at ``starts``."""
+    return _ragged_keys(_TAG_ISO, words, starts)
+
+
 def refinement_key_batch(indptr: np.ndarray, indices: np.ndarray,
                          labels: np.ndarray) -> list[bytes]:
     """Refinement keys for every row of a CSR adjacency structure.
 
     Row i's key combines its own label with the ascending multiset of labels
-    over its (out-)neighbors, byte-compatible with :func:`refine_key`.  The
-    gather and the within-row sort are vectorized; only the final slicing
-    loop is per-row.
+    over its (out-)neighbors, byte-compatible with :func:`refine_key`.  Own
+    labels and sorted neighbor labels are laid out as one flat word array
+    and cut into keys in a single pass.
     """
     n = len(indptr) - 1
     if len(labels) != n:
         raise ParameterError("label vector length does not match adjacency")
-    own = np.asarray(labels, dtype=">u8").tobytes()
-    neigh = labels[indices]
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    order = np.lexsort((neigh, rows))
-    buf = neigh[order].astype(">u8").tobytes()
-    keys = []
-    for i in range(n):
-        s, e = 8 * int(indptr[i]), 8 * int(indptr[i + 1])
-        keys.append(_TAG_REFINE + own[8 * i:8 * i + 8] + buf[s:e])
-    return keys
+    neigh = labels[indices]
+    span = int(labels.max()) + 1 if n else 1
+    if n * span <= np.iinfo(np.int64).max:   # sort rows by one combined key
+        neigh = np.sort(rows * span + neigh) - rows * span
+    else:
+        neigh = neigh[np.lexsort((neigh, rows))]
+    starts = np.arange(n, dtype=np.int64) + indptr[:-1]
+    words = np.empty(n + len(indices), dtype=np.int64)
+    words[starts] = labels
+    words[np.arange(len(indices)) + rows + 1] = neigh
+    return _ragged_keys(_TAG_REFINE, words, starts)
 
 
 def refine_coloring_window(batches, interner: LabelInterner, depth: int,
@@ -155,11 +177,11 @@ def refine_coloring_window(batches, interner: LabelInterner, depth: int,
 
     all_keys = (pool.map_ordered(keys_of, batches) if pool is not None
                 else [keys_of(b) for b in batches])
-    flat = [k for keys in all_keys for k in keys]
-    interner.intern_window(flat, depth)
-    out = []
-    for (indptr, indices, col), keys in zip(batches, all_keys):
-        new_labels = np.fromiter((interner.lookup(k) for k in keys),
-                                 dtype=np.int64, count=len(keys))
-        out.append(Coloring(col.iteration + 1, new_labels))
-    return out
+    ids = interner.intern_window(chain.from_iterable(all_keys), depth)
+    return [Coloring(col.iteration + 1, labels) for (_, _, col), labels
+            in zip(batches, split_rows(ids, [len(k) for k in all_keys]))]
+
+
+def split_rows(values: np.ndarray, counts) -> list[np.ndarray]:
+    """Cut a flat array into consecutive pieces of the given lengths."""
+    return np.split(values, np.cumsum(counts)[:-1]) if len(counts) else []

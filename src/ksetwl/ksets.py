@@ -12,7 +12,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class KSetIndex:
@@ -23,14 +25,15 @@ class KSetIndex:
             raise ParameterError(f"k must be at least 2, got {k}")
         self.n = int(n)
         self.k = int(k)
-        self.size = comb(self.n, self.k) if self.n >= self.k else 0
-        # chooses[v, j] = C(v, j) for 0 <= v <= n, 0 <= j <= k
-        v = np.arange(self.n + 1)
-        self._chooses = np.zeros((self.n + 1, self.k + 1), dtype=np.int64)
-        self._chooses[:, 0] = 1
-        for j in range(1, self.k + 1):
-            col = np.array([comb(int(x), j) for x in v], dtype=np.int64)
-            self._chooses[:, j] = col
+        self.size = comb(self.n, self.k)
+        if self.size > _INT64_MAX:
+            raise ResourceLimitError(
+                f"C({self.n}, {self.k}) k-sets do not fit 64-bit ranks")
+        # chooses[v, j] = C(v, j) for 0 <= v <= n, 0 <= j <= k, saturated at
+        # the int64 maximum; the terms of a valid rank never exceed size - 1
+        self._chooses = np.array(
+            [[min(comb(v, j), _INT64_MAX) for j in range(self.k + 1)]
+             for v in range(self.n + 1)], dtype=np.int64)
 
     def rank(self, t) -> int:
         r = 0
@@ -45,39 +48,42 @@ class KSetIndex:
             r += self._chooses[sets[:, i], i + 1]
         return r
 
+    def unrank_rows(self, ranks) -> np.ndarray:
+        """Vectorized inverse of :meth:`rank_rows` for in-range ranks."""
+        r = np.array(ranks, dtype=np.int64)
+        out = np.empty((len(r), self.k), dtype=np.int64)
+        for i in range(self.k, 0, -1):
+            # largest v with C(v, i) <= r
+            v = np.searchsorted(self._chooses[:, i], r, side="right") - 1
+            out[:, i - 1] = v
+            r -= self._chooses[v, i]
+        return out
+
     def unrank(self, r: int) -> tuple:
         if not 0 <= r < self.size:
             raise ParameterError(f"rank {r} out of range [0, {self.size})")
-        out = [0] * self.k
-        for i in range(self.k, 0, -1):
-            # largest v with C(v, i) <= r
-            v = int(np.searchsorted(self._chooses[:, i], r, side="right")) - 1
-            out[i - 1] = v
-            r -= int(self._chooses[v, i])
-        return tuple(out)
+        return tuple(self.unrank_rows([r])[0].tolist())
 
     def all_sets(self) -> np.ndarray:
         """All k-sets as an (size, k) matrix, row r holding the set of rank r."""
-        if self.size == 0:
-            return np.empty((0, self.k), dtype=np.int64)
-        out = np.empty((self.size, self.k), dtype=np.int64)
-        idx = list(range(self.k))
-        for r in range(self.size):
-            out[r] = idx
-            i = 0
-            while i < self.k:
-                nxt = idx[i + 1] if i + 1 < self.k else self.n
-                if idx[i] + 1 < nxt:
-                    break
-                i += 1
-            if i == self.k:
-                break
-            idx[i] += 1
-            for j in range(i):
-                idx[j] = j
-        return out
+        return self.unrank_rows(np.arange(self.size, dtype=np.int64))
 
 
-def enumerate_ksets(g, k: int) -> KSetIndex:
-    """Index over all C(n, k) vertex subsets of ``g``; empty when n < k."""
+def check_budget(n: int, k: int, max_sets: int) -> None:
+    """Refuse C(n, k) > ``max_sets`` before any per-set table is built
+    (k < 2 is left to :class:`KSetIndex` to reject)."""
+    size = comb(n, k) if k >= 2 else 0
+    if size > max_sets:
+        raise ResourceLimitError(
+            f"C({n}, {k}) = {size} k-sets exceeds the cap of {max_sets}; "
+            f"use a sampled mode for graphs this large")
+
+
+def enumerate_ksets(g, k: int, max_sets: int | None = None) -> KSetIndex:
+    """Index over all C(n, k) vertex subsets of ``g``; empty when n < k.
+
+    With ``max_sets``, graphs with more k-sets are refused up front.
+    """
+    if max_sets is not None:
+        check_budget(g.num_vertices, k, max_sets)
     return KSetIndex(g.num_vertices, k)

@@ -5,84 +5,105 @@ A k-set's neighbors arise by swapping one member for an outside vertex.  The
 global variant admits every outside vertex; the local variant only vertices
 adjacent to at least one member of the original set, which is what ties the
 refinement to the graph's sparsity.
+
+The per-graph front end works on all k-sets at once with array operations:
+:func:`iso_keys` gathers node labels, adjacency bits and edge labels of every
+set and takes the lexicographic minimum over the k! member orderings, and
+:func:`_neighbor_csr` builds the swap neighborhoods from a ragged gather of
+member adjacency rows.  Both are processed in bounded blocks of sets.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError
 from .graph import Graph
-from .interner import Coloring, LabelInterner, iso_key, refine_coloring_window
+from .interner import Coloring, LabelInterner, iso_key, iso_key_batch
+from .interner import refine_coloring_window  # noqa: F401 (perfbench wraps it here)
 from .ksets import KSetIndex, enumerate_ksets
 
 # Exact modes refuse graphs with more k-sets than this unless overridden;
 # the sampling estimators have no such limit.
 DEFAULT_MAX_SETS = 50_000_000
 
-_BIAS = 1 << 63
+# Upper bound on the rows of one block's per-set working arrays (sets times
+# orderings for iso types, candidate swaps for neighborhoods).
+_BLOCK_ITEMS = 1 << 18
+
+_SIGN = np.uint64(1 << 63)   # int64 -> order-preserving unsigned
+
+
+def _edges_between(g: Graph, u: np.ndarray, v: np.ndarray):
+    """Presence and label (0 when unlabeled) of the pairs (u[i], v[i])."""
+    n = g.num_vertices
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
+    present = np.isin(u * n + v, rows * n + g.indices)
+    labels = np.zeros(len(u), dtype=np.int64)
+    if g.edge_labels is not None and present.any():
+        labels[present] = [g.edge_labels.get(pair) or 0 for pair in
+                           zip(u[present].tolist(), v[present].tolist())]
+    return present, labels
+
+
+def _iso_words(g: Graph, sets: np.ndarray):
+    """Canonical codes of the rows of ``sets`` as flat unsigned words, plus
+    each row's start.  A code is the minimum, over all orderings of the set,
+    of (node labels, upper-triangle adjacency bits, labels of the present
+    edges).  All orderings share one edge count, so comparing codes padded
+    with zero labels at absent edges picks the same minimum."""
+    m, k = sets.shape
+    a, b = np.triu_indices(k, 1)
+    present, elabs = _edges_between(g, sets[:, a].ravel(), sets[:, b].ravel())
+    pair = np.zeros((k, k), dtype=np.int64)
+    pair[a, b] = pair[b, a] = np.arange(len(a))
+    perms = np.array(list(permutations(range(k))), dtype=np.int64)
+    slots = pair[perms[:, a], perms[:, b]]    # pair index of each (a, b)
+    nodes = (np.asarray(g.node_labels, dtype=np.int64)[sets]
+             if g.node_labels is not None else np.zeros((m, k), np.int64))
+    codes = np.concatenate([nodes[:, perms], present.reshape(m, -1)[:, slots],
+                            elabs.reshape(m, -1)[:, slots]], axis=2)
+    alive = np.ones(codes.shape[:2], dtype=bool)
+    for c in range(codes.shape[2]):
+        col = np.where(alive, codes[:, :, c], np.iinfo(np.int64).max)
+        alive &= col == col.min(axis=1, keepdims=True)
+    best = codes[np.arange(m), alive.argmax(axis=1)]
+    keep = np.ones(best.shape, dtype=bool)
+    keep[:, k + len(a):] = best[:, k:k + len(a)] == 1
+    lengths = keep.sum(axis=1)
+    return best[keep].view(np.uint64) ^ _SIGN, np.cumsum(lengths) - lengths
+
+
+def iso_keys(g: Graph, sets: np.ndarray) -> list[bytes]:
+    """``iso_key(iso_code(g, t))`` for every row ``t`` of ``sets``."""
+    sets = np.asarray(sets, dtype=np.int64)
+    step = max(1, _BLOCK_ITEMS // factorial(sets.shape[1]))
+    keys = []
+    for lo in range(0, len(sets), step):
+        keys += iso_key_batch(*_iso_words(g, sets[lo:lo + step]))
+    return keys
 
 
 def iso_code(g: Graph, t) -> bytes:
     """Canonical code of the labeled subgraph induced by the k-set ``t``.
 
-    Minimizes, over all k! orderings of the set, the tuple of raw node
-    labels, upper-triangle adjacency bits, and edge labels of present edges.
-    Two sets (in any graphs) get equal codes iff their induced subgraphs are
-    isomorphic respecting node and edge labels.  Factorial in k, which is
-    acceptable for the small k this kernel family targets.
+    A one-row call of the bulk path: the minimum, over all k! orderings of
+    the set, of the tuple of raw node labels, upper-triangle adjacency bits,
+    and edge labels of present edges, each as a sign-biased big-endian
+    64-bit word.  Two sets (in any graphs) get equal codes iff their induced
+    subgraphs are isomorphic respecting node and edge labels.
     """
-    k = len(t)
-    labels = (tuple(int(g.node_labels[v]) for v in t)
-              if g.node_labels is not None else (0,) * k)
-    adj = {}
-    for a in range(k):
-        for b in range(a + 1, k):
-            if g.has_edge(t[a], t[b]):
-                lab = g.edge_label(t[a], t[b])
-                adj[(a, b)] = 0 if lab is None else int(lab)
-                adj[(b, a)] = adj[(a, b)]
-
-    best = None
-    for perm in permutations(range(k)):
-        code = list(labels[p] for p in perm)
-        elabs = []
-        for a in range(k):
-            for b in range(a + 1, k):
-                pair = (perm[a], perm[b])
-                if pair in adj:
-                    code.append(1)
-                    elabs.append(adj[pair])
-                else:
-                    code.append(0)
-        code.extend(elabs)
-        tup = tuple(code)
-        if best is None or tup < best:
-            best = tup
-    return b"".join(int(x + _BIAS).to_bytes(8, "big") for x in best)
+    words, _ = _iso_words(g, np.asarray([t], dtype=np.int64))
+    return words.astype(">u8").tobytes()
 
 
 def iso_type(g: Graph, t, interner: LabelInterner) -> int:
     """Intern the isomorphism type of one k-set (iteration-0 color)."""
     return interner.intern(iso_key(iso_code(g, t)), depth=0)
-
-
-def replacement_candidates(g: Graph, t) -> np.ndarray:
-    """Vertices outside ``t`` adjacent to at least one of its members."""
-    rows = [g.indices[g.indptr[v]:g.indptr[v + 1]] for v in t]
-    joined = np.unique(np.concatenate(rows)) if rows else np.empty(0, np.int64)
-    return np.setdiff1d(joined, np.asarray(sorted(t), dtype=np.int64),
-                        assume_unique=True)
-
-
-def _swap(t: tuple, j: int, r: int) -> tuple:
-    rest = t[:j] + t[j + 1:]
-    pos = bisect_left(rest, r)
-    return rest[:pos] + (r,) + rest[pos:]
 
 
 def global_neighbors(g: Graph, t) -> list[tuple]:
@@ -91,16 +112,8 @@ def global_neighbors(g: Graph, t) -> list[tuple]:
     Always exactly k * (n - k) sets: each of the k positions can take any
     of the n - k outside vertices, and distinct swaps give distinct sets.
     """
-    t = tuple(t)
-    k = len(t)
-    members = set(t)
-    out = []
-    for r in range(g.num_vertices):
-        if r in members:
-            continue
-        for j in range(k):
-            out.append(_swap(t, j, r))
-    return out
+    _, rows = _swaps(g, np.asarray([t], dtype=np.int64), local=False)
+    return list(map(tuple, rows.tolist()))
 
 
 def local_neighbors(g: Graph, t) -> list[tuple]:
@@ -109,14 +122,8 @@ def local_neighbors(g: Graph, t) -> list[tuple]:
     The adjacency requirement ranges over the whole original set, including
     the member being replaced, so the result is k swaps per candidate.
     """
-    t = tuple(t)
-    k = len(t)
-    out = []
-    for r in replacement_candidates(g, t):
-        r = int(r)
-        for j in range(k):
-            out.append(_swap(t, j, r))
-    return out
+    _, rows = _swaps(g, np.asarray([t], dtype=np.int64), local=True)
+    return list(map(tuple, rows.tolist()))
 
 
 @dataclass
@@ -143,41 +150,52 @@ def build_kset_graph(g: Graph, k: int, max_sets: int = DEFAULT_MAX_SETS) -> KSet
     Raises ResourceLimitError when C(n, k) exceeds ``max_sets``; at that
     point the sampling estimators are the intended path.
     """
-    index = enumerate_ksets(g, k)
-    _check_budget(index, max_sets)
+    index = enumerate_ksets(g, k, max_sets)
     return KSetGraph(index, *_neighbor_csr(g, index, local=True))
 
 
-def global_kset_csr(g: Graph, index: KSetIndex,
-                    max_sets: int = DEFAULT_MAX_SETS):
-    """CSR of global swap neighborhoods over ranks (for the global kernel)."""
-    _check_budget(index, max_sets)
-    return _neighbor_csr(g, index, local=False)
-
-
-def _check_budget(index: KSetIndex, max_sets: int) -> None:
-    if index.size > max_sets:
-        raise ResourceLimitError(
-            f"C({index.n}, {index.k}) = {index.size} k-sets exceeds the cap of "
-            f"{max_sets}; use a sampled mode for graphs this large")
+def _swaps(g: Graph, sets: np.ndarray, local: bool):
+    """Every admissible swap of every row of ``sets``: the owner row and the
+    new set (ascending), ordered by owner, then incoming vertex, then the
+    replaced position.  Local swaps take in only vertices adjacent to a
+    member; the candidates come from a ragged gather of member rows."""
+    n, k = g.num_vertices, sets.shape[1]
+    if local:
+        members = sets.ravel()
+        deg = g.indptr[members + 1] - g.indptr[members]
+        owner = np.repeat(np.arange(len(sets)).repeat(k), deg)
+        ends = np.cumsum(deg)
+        gather = np.arange(ends[-1] if len(ends) else 0)
+        gather += np.repeat(g.indptr[members] - (ends - deg), deg)
+        owner, vertex = np.divmod(np.unique(owner * n + g.indices[gather]), n)
+    else:
+        owner = np.repeat(np.arange(len(sets)), n)
+        vertex = np.tile(np.arange(n), len(sets))
+    outside = ~(sets[owner] == vertex[:, None]).any(axis=1)
+    owner, vertex = owner[outside], vertex[outside]
+    swapped = np.empty((len(owner), k, k), dtype=np.int64)
+    for j in range(k):
+        swapped[:, j, :k - 1] = np.delete(sets, j, axis=1)[owner]
+        swapped[:, j, k - 1] = vertex
+    swapped.sort(axis=2)
+    return np.repeat(owner, k), swapped.reshape(-1, k)
 
 
 def _neighbor_csr(g: Graph, index: KSetIndex, local: bool):
+    """Rank-space CSR of every k-set's local (or global) swap neighbors, in
+    the order of :func:`local_neighbors` and :func:`global_neighbors`."""
     k = index.k
     sets = index.all_sets()
-    counts = np.empty(index.size, dtype=np.int64)
-    blocks = []
-    for rank in range(index.size):
-        t = tuple(int(v) for v in sets[rank])
-        nbrs = local_neighbors(g, t) if local else global_neighbors(g, t)
-        counts[rank] = len(nbrs)
-        if nbrs:
-            blocks.append(index.rank_rows(np.asarray(nbrs, dtype=np.int64)))
+    per_set = k * (k * g.max_degree() if local else g.num_vertices)
+    step = max(1, _BLOCK_ITEMS // max(per_set, 1))
+    counts, blocks = [], []
+    for block in np.split(sets, range(step, len(sets), step)):
+        owner, rows = _swaps(g, block, local)
+        counts.append(np.bincount(owner, minlength=len(block)))
+        blocks.append(index.rank_rows(rows))
     indptr = np.zeros(index.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = (np.concatenate(blocks) if blocks
-               else np.empty(0, dtype=np.int64))
-    return indptr, indices
+    np.cumsum(np.concatenate([indptr[:0]] + counts), out=indptr[1:])
+    return indptr, np.concatenate([indptr[:0]] + blocks)
 
 
 def c_neighborhood(g: Graph, t, radius: int) -> set:
@@ -190,15 +208,14 @@ def c_neighborhood(g: Graph, t, radius: int) -> set:
     seen = {t}
     frontier = [t]
     for _ in range(radius):
-        nxt = []
-        for s in frontier:
-            for u in local_neighbors(g, s):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        if not nxt:
+        if not frontier:
             break
-        frontier = nxt
+        _, rows = _swaps(g, np.asarray(frontier, dtype=np.int64), local=True)
+        frontier = []
+        for s in map(tuple, rows.tolist()):
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
     return seen
 
 
@@ -209,33 +226,12 @@ def kset_colorings(g: Graph, k: int, h: int, interner: LabelInterner,
 
     Iteration 0 interns isomorphism types; each later iteration refines by
     the sorted multiset of neighbor labels over the chosen neighborhood.
-    Returns one Coloring per iteration, 0..h.  For dataset runs prefer the
-    pipeline module, which interleaves windows across graphs so label ids
-    are independent of scheduling.
+    Returns one Coloring per iteration, 0..h: the one-graph case of
+    :func:`ksetwl.pipeline.exact_kset_run`.
     """
-    if h < 0:
-        raise ParameterError("iteration count h must be nonnegative")
-    index = enumerate_ksets(g, k)
-    _check_budget(index, max_sets)
-    codes = [iso_code(g, tuple(int(v) for v in row)) for row in index.all_sets()]
-    keys = [iso_key(c) for c in codes]
-    interner.intern_window(keys, depth=0)
-    labels = np.fromiter((interner.lookup(kb) for kb in keys),
-                         dtype=np.int64, count=len(keys))
-    colorings = [Coloring(0, labels)]
-    if index.size == 0:
-        for it in range(1, h + 1):
-            colorings.append(Coloring(it, labels.copy()))
-        return colorings
-    if h == 0:
-        return colorings
-
-    indptr, indices = _neighbor_csr(g, index, local=local)
-    for it in range(1, h + 1):
-        new = refine_coloring_window([(indptr, indices, colorings[-1])],
-                                     interner, depth=it)
-        colorings.append(new[0])
-    return colorings
+    from .pipeline import exact_kset_run   # pipeline imports this module
+    return exact_kset_run([g], k, h, interner, local=local,
+                          max_sets=max_sets)[0]
 
 
 def kset_histograms(g: Graph, k: int, h: int, interner: LabelInterner,

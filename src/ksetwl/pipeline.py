@@ -9,13 +9,17 @@ graphs without an interner.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import ParameterError
 from .features import FeatureVector
-from .interner import Coloring, LabelInterner, iso_key, refine_coloring_window
+from .interner import (Coloring, LabelInterner, refine_coloring_window,
+                       split_rows)
 from .ksets import enumerate_ksets
-from .kwl import DEFAULT_MAX_SETS, _check_budget, _neighbor_csr, iso_code
+from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys
+from .kwl import iso_code  # noqa: F401 (perfbench wraps it here)
 from .linalg import DEFAULT_TOLERANCE, la_refinement
 from .sampling import estimate_features_adaptive, estimate_features_fixed
 from .wl1 import initial_colorings
@@ -39,6 +43,24 @@ def exact_wl1_run(graphs, h: int, interner: LabelInterner,
     return runs
 
 
+def _kset_structures(graphs, k: int, local: bool, csr: bool, max_sets: int,
+                     pool=None):
+    """The k-set front end of a dataset run, one graph at a time: the
+    iso-type keys of all k-sets in rank order and, when ``csr``, their swap
+    neighborhoods.  Every graph passes the k-set cap before any is built."""
+    indexes = [enumerate_ksets(g, k, max_sets) for g in graphs]
+
+    def build(pair):
+        g, index = pair
+        keys = iso_keys(g, index.all_sets())
+        return keys, (_neighbor_csr(g, index, local=local) if csr else None)
+
+    work = list(zip(graphs, indexes))
+    built = (pool.map_ordered(build, work) if pool is not None
+             else [build(p) for p in work])
+    return [b[0] for b in built], [b[1] for b in built]
+
+
 def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
                    local: bool = True, pool=None,
                    max_sets: int = DEFAULT_MAX_SETS) -> list[list[Coloring]]:
@@ -50,35 +72,12 @@ def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
     """
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
-    indexes = [enumerate_ksets(g, k) for g in graphs]
-    for index in indexes:
-        _check_budget(index, max_sets)
-
-    def codes_of(pair):
-        g, index = pair
-        return [iso_code(g, tuple(int(v) for v in row))
-                for row in index.all_sets()]
-
-    work = list(zip(graphs, indexes))
-    all_codes = (pool.map_ordered(codes_of, work) if pool is not None
-                 else [codes_of(p) for p in work])
-    all_keys = [[iso_key(c) for c in codes] for codes in all_codes]
-    interner.intern_window((kb for keys in all_keys for kb in keys), depth=0)
-    current = [
-        Coloring(0, np.fromiter((interner.lookup(kb) for kb in keys),
-                                dtype=np.int64, count=len(keys)))
-        for keys in all_keys
-    ]
+    all_keys, csrs = _kset_structures(graphs, k, local, h > 0, max_sets, pool)
+    ids = interner.intern_window(chain.from_iterable(all_keys), depth=0)
+    current = [Coloring(0, labels) for labels in
+               split_rows(ids, [len(keys) for keys in all_keys])]
+    del all_keys   # refinement keys replace the iso keys from here on
     runs = [[c] for c in current]
-    if h == 0:
-        return runs
-
-    def csr_of(pair):
-        g, index = pair
-        return _neighbor_csr(g, index, local=local)
-
-    csrs = (pool.map_ordered(csr_of, work) if pool is not None
-            else [csr_of(p) for p in work])
     for it in range(1, h + 1):
         stepped = refine_coloring_window(
             [(ip, ix, col) for (ip, ix), col in zip(csrs, current)],
@@ -109,15 +108,6 @@ def _block_diag(csrs, item_counts):
     return indptr, indices
 
 
-def _split(labels: np.ndarray, item_counts) -> list[np.ndarray]:
-    out = []
-    pos = 0
-    for count in item_counts:
-        out.append(labels[pos:pos + count])
-        pos += count
-    return out
-
-
 def la_wl1_run(graphs, h: int, mode: str = "paired",
                tolerance: float = DEFAULT_TOLERANCE) -> list[list[np.ndarray]]:
     """Linear-algebra vertex refinement, regrouped jointly across graphs.
@@ -132,7 +122,7 @@ def la_wl1_run(graphs, h: int, mode: str = "paired",
             if sum(counts) else np.empty(0, dtype=np.int64))
     iters = la_refinement(indptr, indices, init, h, mode=mode,
                           tolerance=tolerance)
-    per_graph = [_split(labels, counts) for labels in iters]
+    per_graph = [split_rows(labels, counts) for labels in iters]
     return [[per_graph[it][gi] for it in range(h + 1)]
             for gi in range(len(graphs))]
 
@@ -147,43 +137,16 @@ def la_kset_run(graphs, k: int, h: int, local: bool = True,
     the dataset; refinement steps run on the block-diagonal stack of all
     k-set adjacency structures.
     """
-    indexes = [enumerate_ksets(g, k) for g in graphs]
-    for index in indexes:
-        _check_budget(index, max_sets)
-    work = list(zip(graphs, indexes))
-
-    def codes_of(pair):
-        g, index = pair
-        return [iso_code(g, tuple(int(v) for v in row))
-                for row in index.all_sets()]
-
-    all_codes = (pool.map_ordered(codes_of, work) if pool is not None
-                 else [codes_of(p) for p in work])
-    order = {code: i for i, code in
-             enumerate(sorted(set().union(*map(set, all_codes)) if all_codes else set()))}
-    init = (np.concatenate([
-        np.array([order[c] for c in codes], dtype=np.int64)
-        if codes else np.empty(0, dtype=np.int64)
-        for codes in all_codes]) if all_codes else np.empty(0, dtype=np.int64))
-
-    def csr_of(pair):
-        g, index = pair
-        return _neighbor_csr(g, index, local=local)
-
-    csrs = (pool.map_ordered(csr_of, work) if pool is not None
-            else [csr_of(p) for p in work])
-    counts = [index.size for index in indexes]
+    all_keys, csrs = _kset_structures(graphs, k, local, True, max_sets, pool)
+    # a fresh interner numbers the distinct types in ascending key order
+    init = LabelInterner().intern_window(chain.from_iterable(all_keys), 0)
+    counts = [len(keys) for keys in all_keys]
     indptr, indices = _block_diag(csrs, counts)
     iters = la_refinement(indptr, indices, init, h, mode=mode,
                           tolerance=tolerance)
-    per_graph = [_split(labels, counts) for labels in iters]
+    per_graph = [split_rows(labels, counts) for labels in iters]
     return [[per_graph[it][gi] for it in range(h + 1)]
             for gi in range(len(graphs))]
-
-
-def _histogram(labels: np.ndarray) -> dict:
-    values, counts = np.unique(labels, return_counts=True)
-    return {int(v): float(c) for v, c in zip(values, counts)}
 
 
 def features_from_colorings(runs) -> list[FeatureVector]:
@@ -191,7 +154,7 @@ def features_from_colorings(runs) -> list[FeatureVector]:
 
 
 def features_from_label_arrays(runs) -> list[FeatureVector]:
-    return [FeatureVector([_histogram(labels) for labels in run])
+    return [FeatureVector([Coloring(0, labels).histogram() for labels in run])
             for run in runs]
 
 

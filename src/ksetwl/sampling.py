@@ -21,9 +21,11 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .graph import Graph, induced_subgraph
-from .interner import LabelInterner, iso_key, refine_coloring_window, Coloring
+from .interner import (Coloring, LabelInterner, refine_coloring_window,
+                       split_rows)
 from .ksets import enumerate_ksets
-from .kwl import c_neighborhood, iso_code, _neighbor_csr
+from .kwl import c_neighborhood, _neighbor_csr, iso_keys
+from .kwl import iso_code  # noqa: F401 (perfbench wraps it here)
 
 DEFAULT_MAX_TOTAL_SAMPLES = 10_000_000
 
@@ -102,29 +104,25 @@ def _draw_batch(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarr
 
 def _prepare_local_context(g: Graph, s: tuple, k: int, h: int):
     """Interner-free part of labeling one sample: radius-h ball, induced
-    subgraph, iso codes, and the subgraph's local-neighbor CSR."""
+    subgraph, iso-type keys, and the subgraph's local-neighbor CSR."""
     ball = c_neighborhood(g, s, h)
     verts = sorted({v for t in ball for v in t})
     sub, mapping = induced_subgraph(g, verts)
     index = enumerate_ksets(sub, k)
-    codes = [iso_code(sub, tuple(int(x) for x in row))
-             for row in index.all_sets()]
+    keys = iso_keys(sub, index.all_sets())
     indptr, indices = _neighbor_csr(sub, index, local=True)
     image_rank = index.rank(tuple(sorted(mapping[v] for v in s)))
-    return codes, indptr, indices, image_rank
+    return keys, indptr, indices, image_rank
 
 
 def _label_contexts(contexts, h: int, interner: LabelInterner) -> list[tuple]:
     """Run h local refinement iterations over a batch of prepared contexts
     under shared intern windows; returns each context's per-iteration labels
     of its sampled set."""
-    all_keys = [[iso_key(c) for c in codes] for codes, _, _, _ in contexts]
-    interner.intern_window((kb for keys in all_keys for kb in keys), depth=0)
-    colorings = []
-    for keys in all_keys:
-        labels = np.fromiter((interner.lookup(kb) for kb in keys),
-                             dtype=np.int64, count=len(keys))
-        colorings.append(Coloring(0, labels))
+    ids = interner.intern_window(
+        (kb for keys, _, _, _ in contexts for kb in keys), depth=0)
+    colorings = [Coloring(0, labels) for labels in
+                 split_rows(ids, [len(ctx[0]) for ctx in contexts])]
     results = [[int(col.labels[ctx[3]])] for col, ctx in zip(colorings, contexts)]
     for it in range(1, h + 1):
         batches = [(ctx[1], ctx[2], col) for ctx, col in zip(contexts, colorings)]
@@ -221,7 +219,7 @@ def _zero_estimate(h: int) -> SampledEstimate:
 
 
 class _SampleLabeler:
-    """Draws sample batches and maintains the per-rank label cache."""
+    """Draws sample batches and memoizes labels per sampled vertex tuple."""
 
     def __init__(self, g: Graph, k: int, h: int, interner: LabelInterner,
                  cache: dict | None = None, pool=None):
@@ -231,27 +229,34 @@ class _SampleLabeler:
         self.interner = interner
         self.cache = cache if cache is not None else {}
         self.pool = pool
-        self.index = enumerate_ksets(g, k)
 
-    def draw_counts(self, size: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    def draw_counts(self, size: int, rng) -> tuple[list, list]:
+        """Distinct drawn k-sets as vertex tuples in colex order (ascending
+        colex rank) and how often each was drawn."""
         sets = _draw_batch(self.g.num_vertices, self.k, size, rng)
-        ranks = self.index.rank_rows(sets)
-        return np.unique(ranks, return_counts=True)
+        uniq, counts = np.unique(sets, axis=0, return_counts=True)
+        order = np.lexsort(uniq.T)
+        return list(map(tuple, uniq[order].tolist())), counts[order].tolist()
 
-    def labels_for(self, ranks: np.ndarray) -> None:
-        """Ensure every rank is labeled; new ranks are processed in
-        ascending order so interning is independent of draw order."""
-        new = [int(r) for r in ranks if int(r) not in self.cache]
+    def labels_for(self, sets: list) -> None:
+        """Ensure every set is labeled; new sets are processed in the given
+        (colex) order, so interning is independent of draw order."""
+        new = [s for s in sets if s not in self.cache]
         if not new:
             return
-        new.sort()
-        sets = [self.index.unrank(r) for r in new]
         prepare = lambda s: _prepare_local_context(self.g, s, self.k, self.h)
-        contexts = (self.pool.map_ordered(prepare, sets) if self.pool is not None
-                    else [prepare(s) for s in sets])
+        contexts = (self.pool.map_ordered(prepare, new) if self.pool is not None
+                    else [prepare(s) for s in new])
         labeled = _label_contexts(contexts, self.h, self.interner)
-        for r, labs in zip(new, labeled):
-            self.cache[r] = labs
+        for s, labs in zip(new, labeled):
+            self.cache[s] = labs
+
+    def observe(self, size: int, rng, state: RademacherState) -> None:
+        """Draw ``size`` samples, label them and add them to ``state``."""
+        sets, counts = self.draw_counts(size, rng)
+        self.labels_for(sets)
+        for s, c in zip(sets, counts):
+            state.observe(self.cache[s], c)
 
 
 def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
@@ -272,12 +277,9 @@ def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
         raise ParameterError("iteration count h must be nonnegative")
     if g.num_vertices < k:
         return _zero_estimate(h)
-    labeler = _SampleLabeler(g, k, h, interner, cache, pool)
     state = RademacherState(iterations=h)
-    uniq, counts = labeler.draw_counts(sample_count, rng)
-    labeler.labels_for(uniq)
-    for r, c in zip(uniq, counts):
-        state.observe(labeler.cache[int(r)], int(c))
+    _SampleLabeler(g, k, h, interner, cache, pool).observe(sample_count, rng,
+                                                           state)
     blocks = [{lab: cnt / state.m for lab, cnt in per_iter.items()}
               for per_iter in state.counts]
     return SampledEstimate(blocks=blocks, sample_count=state.m)
@@ -328,10 +330,7 @@ def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
                 f"(drawn {state.m}, last bound "
                 f"{rounds[-1]['bound'] if rounds else float('inf'):.6g}, "
                 f"target epsilon {epsilon}); raise the cap or epsilon")
-        uniq, counts = labeler.draw_counts(batch, rng)
-        labeler.labels_for(uniq)
-        for r, c in zip(uniq, counts):
-            state.observe(labeler.cache[int(r)], int(c))
+        labeler.observe(batch, rng, state)
         round_delta = delta * 2.0 ** -(round_idx + 1) if strict_delta else delta
         bound = massart_deviation_bound(state, round_delta)
         rounds.append({"round": round_idx, "batch": batch,

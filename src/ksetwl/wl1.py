@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ParameterError
 from .graph import Graph
 from .interner import (Coloring, LabelInterner, initial_key,
-                       refine_coloring_window)
+                       refine_coloring_window, split_rows)
 
 
 def initial_values(g: Graph) -> np.ndarray:
@@ -25,13 +25,10 @@ def initial_values(g: Graph) -> np.ndarray:
 def initial_colorings(graphs, interner: LabelInterner) -> list[Coloring]:
     """Iteration-0 colorings for a batch of graphs under one intern window."""
     values = [initial_values(g) for g in graphs]
-    keys = [[initial_key(int(v)) for v in vals] for vals in values]
-    interner.intern_window((k for ks in keys for k in ks), depth=0)
-    return [
-        Coloring(0, np.fromiter((interner.lookup(k) for k in ks),
-                                dtype=np.int64, count=len(ks)))
-        for ks in keys
-    ]
+    ids = interner.intern_window(
+        (initial_key(int(v)) for vals in values for v in vals), depth=0)
+    return [Coloring(0, labels)
+            for labels in split_rows(ids, [len(vals) for vals in values])]
 
 
 def initial_coloring(g: Graph, interner: LabelInterner) -> Coloring:

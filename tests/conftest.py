@@ -49,6 +49,13 @@ def random_graph(rng, n, p, labeled=False):
 
 
 @pytest.fixture(scope="session")
+def long_path():
+    """A 200k-vertex path: C(n, 4) exceeds the 64-bit rank range."""
+    n = 200_000
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+@pytest.fixture(scope="session")
 def mutag():
     return parse_tu_dataset(MUTAG_DIR, "MUTAG")
 

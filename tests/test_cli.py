@@ -163,3 +163,25 @@ def test_sampled_mode_derives_count_from_gamma(two_triangle_dir, tmp_path, capsy
     manifest = json.load(open(path + ".manifest.json"))
     assert manifest["derived_sample_count"] == 1
     assert manifest["sample_counts"] == [1, 1]
+
+
+def test_manifest_times_gram_apart_from_write(two_triangle_dir, tmp_path,
+                                              capsys, monkeypatch):
+    import time
+    from ksetwl import cli
+    real_gram = cli.gram_matrix
+
+    def slow_gram(features):
+        time.sleep(0.3)
+        return real_gram(features)
+
+    monkeypatch.setattr(cli, "gram_matrix", slow_gram)
+    out_path = str(tmp_path / "gram.txt")
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel", "wl1",
+        "--h", "1", "--output", out_path)
+    assert code == 0, err
+    times = json.load(open(out_path + ".manifest.json"))["wall_times_sec"]
+    assert set(times) == {"load", "compute", "gram", "write"}
+    assert times["gram"] >= 0.3
+    assert times["write"] < 0.3

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ksetwl import LabelInterner, ParameterError, build_graph, dot
+from ksetwl import (LabelInterner, ParameterError, ResourceLimitError,
+                    build_graph, dot)
 from ksetwl.parallel import DeterministicPool
 from ksetwl.pipeline import (exact_kset_run, exact_wl1_run,
                              features_from_colorings,
@@ -81,3 +82,11 @@ def test_wl1_dataset_lockstep_handles_mixed_sizes():
     for it in range(3):
         assert (label_groups(la_runs[1][it].tolist())
                 == label_groups(runs[1][it].labels.tolist()))
+
+
+def test_exact_runs_refuse_huge_graphs_before_building(long_path):
+    # C(200000, 4) does not even fit a 64-bit rank; the cap check comes first
+    with pytest.raises(ResourceLimitError):
+        exact_kset_run([long_path], 4, 1, LabelInterner())
+    with pytest.raises(ResourceLimitError):
+        la_kset_run([long_path], 4, 1)

@@ -313,3 +313,23 @@ def test_seed_controls_the_run(tri):
     c = estimate_features_fixed(tri, 2, 1, 50, make_rng(2), LabelInterner())
     assert a.blocks == b.blocks
     assert a.sample_count == c.sample_count == 50
+
+
+def test_fixed_estimate_beyond_64_bit_ranks(long_path):
+    # the memo is keyed by vertex tuple, so no rank table is ever built
+    est = estimate_features_fixed(long_path, 4, 1, 30, make_rng(0),
+                                  LabelInterner())
+    assert est.sample_count == 30
+    for blk in est.blocks:
+        assert abs(sum(blk.values()) - 1.0) <= 1e-9
+
+
+def test_memo_holds_drawn_sets_as_sorted_tuples(p4):
+    cache = {}
+    interner = LabelInterner()
+    est = estimate_features_fixed(p4, 2, 2, 200, make_rng(8), interner,
+                                  cache=cache)
+    assert sorted(cache) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for s, labs in cache.items():
+        assert labs == local_labels(p4, s, 2, 2, interner)
+    assert sum(est.blocks[0].values()) == pytest.approx(1.0)
