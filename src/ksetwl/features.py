@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Entries of one dense column chunk of the gram's feature matrix.  A chunk
-# has at least n columns, so it never holds less work or more memory than K.
-_GRAM_CHUNK = 1 << 16
+# Bound on the entries of each scratch array of the gram (a dense column
+# chunk of the feature matrix, one row block of its product): at most
+# max(_GRAM_CHUNK, n) floats, so K is the only array of size n^2.
+_GRAM_CHUNK = 1 << 18
 
 
 @dataclass
@@ -81,16 +82,16 @@ def gram_matrix(features) -> np.ndarray:
 
     Per block, a label held by one graph only adds its squared weight to
     that graph's diagonal; labels held by several graphs are the columns of
-    X, filled densely in bounded chunks.  Integer features give exactly the
-    sums of :func:`dot`, float features may differ in the last bits.  Row
-    order follows the input order.
+    X, filled densely in bounded chunks.  Each chunk adds its products to
+    the upper triangle of K in bounded row blocks, which is then mirrored in
+    place.  Integer features give exactly the sums of :func:`dot`, float
+    features may differ in the last bits.  Row order follows the input order.
     """
     n = len(features)
     K = np.zeros((n, n), dtype=np.float64)
     if any(f.h != features[0].h for f in features):
         raise ParameterError("feature vectors span different iteration counts")
-    width = max(1, n, _GRAM_CHUNK // max(n, 1))
-    buf = np.empty(n * width, dtype=np.float64)
+    step = max(1, _GRAM_CHUNK // max(n, 1))   # chunk columns and block rows
     for b in range(features[0].h + 1 if n else 0):
         blocks = [f.blocks[b] for f in features]
         rows = np.repeat(np.arange(n), [len(block) for block in blocks])
@@ -102,15 +103,24 @@ def gram_matrix(features) -> np.ndarray:
         single = holders[column] == 1
         np.add.at(K, (rows[single], rows[single]), weights[single] ** 2)
         shared = np.cumsum(holders > 1)[column[~single]] - 1
-        rows, weights = rows[~single], weights[~single]
+        order = np.argsort(shared, kind="stable")
+        rows, shared = rows[~single][order], shared[order]
+        weights = weights[~single][order]
         columns = int(shared.max(initial=-1)) + 1
-        for lo in range(0, columns, width):
-            X = buf[:n * min(width, columns - lo)].reshape(n, -1)
+        cuts = np.searchsorted(shared, np.arange(0, columns + step, step))
+        buf = np.empty(n * min(step, columns), dtype=np.float64)
+        for lo, a, z in zip(range(0, columns, step), cuts[:-1], cuts[1:]):
+            X = buf[:n * min(step, columns - lo)].reshape(n, -1)
             X.fill(0.0)
-            part = (shared >= lo) & (shared < lo + X.shape[1])
-            X[rows[part], shared[part] - lo] = weights[part]
-            K += X @ X.T
-    return np.triu(K) + np.triu(K, 1).T   # exactly symmetric
+            X[rows[a:z], shared[a:z] - lo] = weights[a:z]
+            for r in range(0, n, step):
+                K[r:r + step, r:] += X[r:r + step] @ X[r:].T
+    for r in range(0, n, step):                # exactly symmetric
+        diagonal = K[r:r + step, r:r + step]
+        lower = np.tril_indices(len(diagonal), -1)
+        diagonal[lower] = diagonal.T[lower]
+        K[r + step:, r:r + step] = K[r:r + step, r + step:].T
+    return K
 
 
 def cosine_normalize_gram(K: np.ndarray) -> np.ndarray:

@@ -54,8 +54,7 @@ class LabelInterner:
 
     Ids are issued in interning order; the same key always returns the same
     id within a run.  Each id remembers its refinement depth (0 for initial
-    values and isomorphism types, previous depth + 1 for refinement keys),
-    which later drives per-iteration feature-block offsets.
+    values and isomorphism types, previous depth + 1 for refinement keys).
     """
 
     def __init__(self):
@@ -95,13 +94,6 @@ class LabelInterner:
     def depth_of(self, label: int) -> int:
         return self._depths[label]
 
-    def ids_by_depth(self) -> dict[int, list[int]]:
-        """Sorted label ids per refinement depth (feature-block registries)."""
-        out: dict[int, list[int]] = {}
-        for label, depth in enumerate(self._depths):
-            out.setdefault(depth, []).append(label)
-        return out
-
 
 @dataclass
 class Coloring:
@@ -140,20 +132,19 @@ def refinement_key_batch(indptr: np.ndarray, indices: np.ndarray,
     """Refinement keys for every row of a CSR adjacency structure.
 
     Row i's key combines its own label with the ascending multiset of labels
-    over its (out-)neighbors, byte-compatible with :func:`refine_key`.  Own
+    over its (out-)neighbors, byte-compatible with :func:`refine_key`.  Rows
+    are sorted at once by the combined key ``row * span + label``; own
     labels and sorted neighbor labels are laid out as one flat word array
     and cut into keys in a single pass.
     """
     n = len(indptr) - 1
     if len(labels) != n:
         raise ParameterError("label vector length does not match adjacency")
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    neigh = labels[indices]
     span = int(labels.max()) + 1 if n else 1
-    if n * span <= np.iinfo(np.int64).max:   # sort rows by one combined key
-        neigh = np.sort(rows * span + neigh) - rows * span
-    else:
-        neigh = neigh[np.lexsort((neigh, rows))]
+    if n * span > np.iinfo(np.int64).max:
+        raise ParameterError("labels too large for combined sort keys")
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    neigh = np.sort(rows * span + labels[indices]) - rows * span
     starts = np.arange(n, dtype=np.int64) + indptr[:-1]
     words = np.empty(n + len(indices), dtype=np.int64)
     words[starts] = labels

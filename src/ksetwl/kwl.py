@@ -24,7 +24,6 @@ import numpy as np
 from .errors import ParameterError
 from .graph import Graph
 from .interner import Coloring, LabelInterner, iso_key, iso_key_batch
-from .interner import refine_coloring_window  # noqa: F401 (perfbench wraps it here)
 from .ksets import KSetIndex, enumerate_ksets
 
 # Exact modes refuse graphs with more k-sets than this unless overridden;

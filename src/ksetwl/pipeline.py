@@ -19,7 +19,6 @@ from .interner import (Coloring, LabelInterner, refine_coloring_window,
                        split_rows)
 from .ksets import enumerate_ksets
 from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys
-from .kwl import iso_code  # noqa: F401 (perfbench wraps it here)
 from .linalg import DEFAULT_TOLERANCE, la_refinement
 from .sampling import estimate_features_adaptive, estimate_features_fixed
 from .wl1 import initial_colorings

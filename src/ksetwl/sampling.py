@@ -25,7 +25,6 @@ from .interner import (Coloring, LabelInterner, refine_coloring_window,
                        split_rows)
 from .ksets import enumerate_ksets
 from .kwl import c_neighborhood, _neighbor_csr, iso_keys
-from .kwl import iso_code  # noqa: F401 (perfbench wraps it here)
 
 DEFAULT_MAX_TOTAL_SAMPLES = 10_000_000
 

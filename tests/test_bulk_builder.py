@@ -6,9 +6,11 @@ same quantity over random labeled graphs, including graphs with fewer than
 k vertices and graphs without edges.
 """
 
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksetwl import FeatureVector, build_graph, dot, enumerate_ksets, gram_matrix
@@ -153,16 +155,43 @@ def test_gram_matches_pairwise_dots_for_masses(per_graph):
     assert np.max(np.abs(K - pairwise_dots(features))) <= 1e-12
 
 
-def test_gram_chunks_agree_with_one_pass(monkeypatch):
+@pytest.mark.parametrize("chunk", [9 * 7, 9 * 2, 1])
+def test_gram_chunks_agree_with_one_pass(monkeypatch, chunk):
     from ksetwl import features as features_mod
     rng = np.random.default_rng(3)
     features = features_of([[{int(lab): float(rng.integers(1, 9))
                               for lab in rng.choice(300, 40, replace=False)}]
                             for _ in range(9)])
     whole = gram_matrix(features)
-    monkeypatch.setattr(features_mod, "_GRAM_CHUNK", 9 * 7)
+    monkeypatch.setattr(features_mod, "_GRAM_CHUNK", chunk)
     assert np.array_equal(gram_matrix(features), whole)
     assert np.array_equal(whole, pairwise_dots(features))
+
+
+def test_gram_scratch_memory_is_bounded():
+    # Past K itself (n^2 floats), the gram's scratch arrays stay within a
+    # few chunks and the per-block entry arrays; n is large enough that a
+    # second n x n array would exceed the bound.
+    from ksetwl.features import _GRAM_CHUNK
+    n, universe = 1500, 120
+    rng = np.random.default_rng(11)
+    dense = np.zeros((n, 2 * universe))
+    for i in range(n):
+        dense[i, rng.choice(2 * universe, 6, replace=False)] = \
+            rng.integers(1, 5, 6)
+    features = features_of([[{int(j): float(row[j]) for j in
+                              np.flatnonzero(row[b * universe:
+                                                 (b + 1) * universe])
+                              + b * universe} for b in range(2)]
+                            for row in dense])
+    tracemalloc.start()
+    try:
+        K = gram_matrix(features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(K, dense @ dense.T)
+    assert peak - K.nbytes <= 8 * (4 * max(_GRAM_CHUNK, n) + 20 * 6 * n)
 
 
 def test_small_blocks_build_the_same_structures(monkeypatch):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ksetwl import LabelInterner, build_graph, distinguishable, wl1_step
-from ksetwl.interner import initial_key, refine_key
+from ksetwl.errors import ParameterError
+from ksetwl.interner import initial_key, refinement_key_batch, refine_key
 from ksetwl.wl1 import initial_coloring, wl1_colorings, wl1_histograms
 
 from conftest import label_groups, random_graph
@@ -26,6 +27,20 @@ def test_fresh_keys_get_consecutive_ids():
 def test_unsorted_neighbor_labels_caught():
     with pytest.raises(AssertionError):
         refine_key(3, (2, 1))
+
+
+def test_key_batch_matches_per_row_keys():
+    indptr = np.array([0, 2, 2, 5])
+    indices = np.array([2, 1, 0, 2, 1])
+    labels = np.array([7, 3, 9])
+    assert refinement_key_batch(indptr, indices, labels) == [
+        refine_key(7, (3, 9)), refine_key(3, ()), refine_key(9, (3, 7, 9))]
+
+
+def test_key_batch_rejects_labels_past_the_sort_key_range():
+    with pytest.raises(ParameterError):
+        refinement_key_batch(np.array([0, 1, 2]), np.array([1, 0]),
+                             np.array([0, 1 << 62]))
 
 
 def test_window_order_independent_of_input_order():
