@@ -11,7 +11,7 @@ from .errors import (FormatError, GraphError, KsetwlError, ParameterError,
                      ResourceLimitError)
 from .features import (FeatureVector, cosine_normalize_gram, dot, gram_matrix,
                        l1_normalize, psd_check)
-from .graph import Dataset, Graph, build_graph, induced_subgraph
+from .graph import Dataset, Graph, build_graph
 from .interner import Coloring, LabelInterner
 from .ksets import KSetIndex, enumerate_ksets
 from .kwl import (KSetGraph, build_kset_graph, c_neighborhood,

@@ -170,7 +170,7 @@ def _compute_features(graphs, args, h: int, pool):
             mode=args.mode, sample_count=sample_count, epsilon=args.epsilon,
             delta=args.delta, initial_size=args.initial_samples,
             growth=args.growth, strict_delta=args.strict_delta,
-            max_total_samples=args.max_samples, pool=pool)
+            max_total_samples=args.max_samples)
         features = [est.to_feature_vector() for est in estimates]
         extra["label_space"] = len(interner)
         extra["sample_counts"] = [est.sample_count for est in estimates]

@@ -2,7 +2,9 @@
 
 Vertex ids are dense 0-based integers; 1-based ids from benchmark files are
 converted at the I/O boundary.  Graphs are frozen after construction and can
-be shared freely across worker threads.
+be shared freely across worker threads.  Rows are sorted, so an edge lookup
+is a binary search of one row: the sampling path labels k-sets on the full
+graph and reads only the rows of the vertices it touches.
 """
 
 from __future__ import annotations
@@ -147,40 +149,6 @@ def build_graph(num_vertices, edges, node_labels=None, edge_labels=None,
             label_map[(v, u)] = lab
 
     return Graph(n, indptr, indices, labels_arr, label_map, class_label)
-
-
-def induced_subgraph(g: Graph, vertices):
-    """Subgraph induced by ``vertices`` plus the old-id -> new-id bijection.
-
-    New ids follow ascending old-id order, mapping onto [0, |vertices|).
-    Node and edge labels are carried over.  Cost is proportional to the
-    selected vertices and their incident edges, never to |V(g)| -- the
-    sampling path depends on that.
-    """
-    verts = sorted(set(int(v) for v in vertices))
-    if verts and not (0 <= verts[0] and verts[-1] < g.num_vertices):
-        bad = verts[0] if verts[0] < 0 else verts[-1]
-        raise GraphError(f"vertex {bad} out of range [0, {g.num_vertices})")
-    mapping = {old: new for new, old in enumerate(verts)}
-
-    edges = []
-    edge_labs = [] if g.edge_labels is not None else None
-    for old_u in verts:
-        row = g.indices[g.indptr[old_u]:g.indptr[old_u + 1]]
-        for old_v in row:
-            old_v = int(old_v)
-            if old_u < old_v and old_v in mapping:
-                edges.append((mapping[old_u], mapping[old_v]))
-                if edge_labs is not None:
-                    edge_labs.append(g.edge_labels[(old_u, old_v)])
-
-    node_labs = None
-    if g.node_labels is not None:
-        node_labs = [int(g.node_labels[old]) for old in verts]
-
-    sub = build_graph(len(verts), edges, node_labels=node_labs,
-                      edge_labels=edge_labs)
-    return sub, mapping
 
 
 @dataclass

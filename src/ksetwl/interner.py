@@ -128,26 +128,29 @@ def iso_key_batch(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
 
 
 def refinement_key_batch(indptr: np.ndarray, indices: np.ndarray,
-                         labels: np.ndarray) -> list[bytes]:
+                         labels: np.ndarray,
+                         own: np.ndarray | None = None) -> list[bytes]:
     """Refinement keys for every row of a CSR adjacency structure.
 
     Row i's key combines its own label with the ascending multiset of labels
-    over its (out-)neighbors, byte-compatible with :func:`refine_key`.  Rows
-    are sorted at once by the combined key ``row * span + label``; own
-    labels and sorted neighbor labels are laid out as one flat word array
-    and cut into keys in a single pass.
+    over its (out-)neighbors, byte-compatible with :func:`refine_key`.  Own
+    labels are ``labels`` itself, or ``labels[own]`` when rows and columns
+    index different item lists.  Rows are sorted at once by the combined key
+    ``row * span + label``; own labels and sorted neighbor labels are laid
+    out as one flat word array and cut into keys in a single pass.
     """
     n = len(indptr) - 1
-    if len(labels) != n:
+    own_labels = labels if own is None else labels[own]
+    if len(own_labels) != n:
         raise ParameterError("label vector length does not match adjacency")
-    span = int(labels.max()) + 1 if n else 1
+    span = int(labels.max()) + 1 if len(labels) else 1
     if n * span > np.iinfo(np.int64).max:
         raise ParameterError("labels too large for combined sort keys")
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     neigh = np.sort(rows * span + labels[indices]) - rows * span
     starts = np.arange(n, dtype=np.int64) + indptr[:-1]
     words = np.empty(n + len(indices), dtype=np.int64)
-    words[starts] = labels
+    words[starts] = own_labels
     words[np.arange(len(indices)) + rows + 1] = neigh
     return _ragged_keys(_TAG_REFINE, words, starts)
 

@@ -11,6 +11,8 @@ The per-graph front end works on all k-sets at once with array operations:
 set and takes the lexicographic minimum over the k! member orderings, and
 :func:`_neighbor_csr` builds the swap neighborhoods from a ragged gather of
 member adjacency rows.  Both are processed in bounded blocks of sets.
+:func:`swap_levels` expands a few sets into their radius-h swap levels on
+the full graph, which is all the sampling path needs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .graph import Graph
-from .interner import Coloring, LabelInterner, iso_key, iso_key_batch
+from .interner import _BIAS, Coloring, LabelInterner, iso_key, iso_key_batch
 from .ksets import KSetIndex, enumerate_ksets
 
 # Exact modes refuse graphs with more k-sets than this unless overridden;
@@ -34,14 +36,21 @@ DEFAULT_MAX_SETS = 50_000_000
 # orderings for iso types, candidate swaps for neighborhoods).
 _BLOCK_ITEMS = 1 << 18
 
-_SIGN = np.uint64(1 << 63)   # int64 -> order-preserving unsigned
+_SIGN = np.uint64(_BIAS)
 
 
 def _edges_between(g: Graph, u: np.ndarray, v: np.ndarray):
-    """Presence and label (0 when unlabeled) of the pairs (u[i], v[i])."""
-    n = g.num_vertices
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    present = np.isin(u * n + v, rows * n + g.indices)
+    """Presence and label (0 when unlabeled) of the pairs (u[i], v[i]),
+    found by a binary search of each u[i]'s sorted row, so the cost follows
+    the queried rows and never the size of ``g``."""
+    lo, end = g.indptr[u], g.indptr[u + 1]
+    hi = end.copy()
+    for _ in range(int(np.max(end - lo, initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        less = (g.indices[np.minimum(mid, len(g.indices) - 1)] < v) & (lo < hi)
+        lo, hi = np.where(less, mid + 1, lo), np.where(less, hi, mid)
+    present = lo < end
+    present[present] = g.indices[lo[present]] == v[present]
     labels = np.zeros(len(u), dtype=np.int64)
     if g.edge_labels is not None and present.any():
         labels[present] = [g.edge_labels.get(pair) or 0 for pair in
@@ -150,7 +159,7 @@ def build_kset_graph(g: Graph, k: int, max_sets: int = DEFAULT_MAX_SETS) -> KSet
     point the sampling estimators are the intended path.
     """
     index = enumerate_ksets(g, k, max_sets)
-    return KSetGraph(index, *_neighbor_csr(g, index, local=True))
+    return KSetGraph(index, *_neighbor_csr(g, index, True, index.all_sets()))
 
 
 def _swaps(g: Graph, sets: np.ndarray, local: bool):
@@ -180,11 +189,11 @@ def _swaps(g: Graph, sets: np.ndarray, local: bool):
     return np.repeat(owner, k), swapped.reshape(-1, k)
 
 
-def _neighbor_csr(g: Graph, index: KSetIndex, local: bool):
+def _neighbor_csr(g: Graph, index: KSetIndex, local: bool, sets: np.ndarray):
     """Rank-space CSR of every k-set's local (or global) swap neighbors, in
-    the order of :func:`local_neighbors` and :func:`global_neighbors`."""
+    the order of :func:`local_neighbors` and :func:`global_neighbors`;
+    ``sets`` is ``index.all_sets()``."""
     k = index.k
-    sets = index.all_sets()
     per_set = k * (k * g.max_degree() if local else g.num_vertices)
     step = max(1, _BLOCK_ITEMS // max(per_set, 1))
     counts, blocks = [], []
@@ -197,25 +206,36 @@ def _neighbor_csr(g: Graph, index: KSetIndex, local: bool):
     return indptr, np.concatenate([indptr[:0]] + blocks)
 
 
+def swap_levels(g: Graph, sets: np.ndarray, radius: int):
+    """Breadth-first expansion of ``sets`` over local swaps.
+
+    Level 0 is ``sets``; level j+1 holds level j and every local swap of its
+    rows, deduplicated into ascending row order.  Returns the levels and,
+    for each level j < ``radius``, a triple locating its rows in level j+1:
+    each row's own position, and a CSR (indptr, positions) of its swaps in
+    :func:`_swaps` order.  The k-set graph is never materialized.
+    """
+    levels, links = [np.asarray(sets, dtype=np.int64)], []
+    for _ in range(radius):
+        level = levels[-1]
+        owner, rows = _swaps(g, level, local=True)
+        wider, where = np.unique(np.concatenate([level, rows]), axis=0,
+                                 return_inverse=True)
+        where = where.reshape(-1)
+        indptr = np.zeros(len(level) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=len(level)), out=indptr[1:])
+        links.append((where[:len(level)], indptr, where[len(level):]))
+        levels.append(wider)
+    return levels, links
+
+
 def c_neighborhood(g: Graph, t, radius: int) -> set:
     """All k-sets within directed distance ``radius`` of ``t`` in the k-set
-    graph, found by breadth-first expansion of local neighborhoods without
-    materializing the k-set graph.  Always contains ``t``."""
+    graph: the widest of its :func:`swap_levels`.  Always contains ``t``."""
     if radius < 0:
         raise ParameterError("radius must be nonnegative")
-    t = tuple(int(v) for v in t)
-    seen = {t}
-    frontier = [t]
-    for _ in range(radius):
-        if not frontier:
-            break
-        _, rows = _swaps(g, np.asarray(frontier, dtype=np.int64), local=True)
-        frontier = []
-        for s in map(tuple, rows.tolist()):
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-    return seen
+    levels, _ = swap_levels(g, [tuple(int(v) for v in t)], radius)
+    return set(map(tuple, levels[-1].tolist()))
 
 
 def kset_colorings(g: Graph, k: int, h: int, interner: LabelInterner,

@@ -63,7 +63,8 @@ def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def la_step(indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray,
-            primes: np.ndarray, mode: str = "paired"):
+            primes: np.ndarray, mode: str = "paired",
+            tolerance: float = DEFAULT_TOLERANCE):
     """One refinement step: value_i = log p(c_i) + sum of neighbor log p(c_j).
 
     ``labels`` must be dense ids indexing ``primes``.  Returns the raw value
@@ -73,7 +74,8 @@ def la_step(indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray,
         raise ParameterError("label vector length does not match adjacency")
     logp = np.log(primes.astype(np.float64))[labels]
     values = logp + _row_sums(indptr, logp[indices])
-    return values, discretize(values, own_labels=labels if mode == "paired" else None)
+    own = labels if mode == "paired" else None
+    return values, discretize(values, tolerance, own_labels=own)
 
 
 def discretize(values: np.ndarray, tolerance: float = DEFAULT_TOLERANCE,
@@ -128,8 +130,6 @@ def la_refinement(indptr: np.ndarray, indices: np.ndarray,
             out.append(current.copy())
             continue
         primes = prime_table(int(current.max()) + 1)
-        logp = np.log(primes.astype(np.float64))[current]
-        values = logp + _row_sums(indptr, logp[indices])
-        own = current if mode == "paired" else None
-        out.append(discretize(values, tolerance, own_labels=own))
+        out.append(la_step(indptr, indices, current, primes, mode,
+                           tolerance)[1])
     return out

@@ -51,8 +51,9 @@ def _kset_structures(graphs, k: int, local: bool, csr: bool, max_sets: int,
 
     def build(pair):
         g, index = pair
-        keys = iso_keys(g, index.all_sets())
-        return keys, (_neighbor_csr(g, index, local=local) if csr else None)
+        sets = index.all_sets()
+        keys = iso_keys(g, sets)
+        return keys, (_neighbor_csr(g, index, local, sets) if csr else None)
 
     work = list(zip(graphs, indexes))
     built = (pool.map_ordered(build, work) if pool is not None
@@ -163,8 +164,7 @@ def sampled_dataset_run(graphs, k: int, h: int, seed: int,
                         epsilon: float = 0.1, delta: float = 0.1,
                         initial_size: int = 100, growth: float = 2.0,
                         strict_delta: bool = False,
-                        max_total_samples: int = 10_000_000,
-                        pool=None):
+                        max_total_samples: int = 10_000_000):
     """Sampled estimates for every graph of a dataset.
 
     Each graph gets its own generator derived from (seed, graph position),
@@ -179,14 +179,13 @@ def sampled_dataset_run(graphs, k: int, h: int, seed: int,
         if mode == "sampled":
             if sample_count is None:
                 raise ParameterError("fixed-size sampling needs a sample count")
-            est = estimate_features_fixed(g, k, h, sample_count, rng, interner,
-                                          pool=pool)
+            est = estimate_features_fixed(g, k, h, sample_count, rng, interner)
         elif mode == "adaptive":
             est = estimate_features_adaptive(
                 g, k, h, epsilon, delta, rng, interner,
                 initial_size=initial_size, growth=growth,
                 strict_delta=strict_delta,
-                max_total_samples=max_total_samples, pool=pool)
+                max_total_samples=max_total_samples)
         else:
             raise ParameterError(f"unknown sampling mode: {mode!r}")
         estimates.append(est)

@@ -5,11 +5,14 @@ a Hoeffding-style bound, and an adaptive one that keeps doubling the sample
 until a data-dependent deviation bound (conditional Rademacher average via
 Massart's lemma) drops below the requested error.
 
-Both rely on locality: the label a k-set receives after h iterations on the
-full graph equals its label after h iterations on the subgraph induced by
-the vertices of its radius-h ball in the k-set graph.  Labeling one sample
-therefore costs a function of degree bound, k, and h only, independent of
-graph size.
+Both rely on locality: the label a k-set receives after i iterations
+depends only on the sets within i local swaps of it.  A batch of samples is
+labeled on the full graph from its radius-h swap levels (see
+:func:`ksetwl.kwl.swap_levels`): iso types over the widest level, then one
+refinement step per narrower level, each under one intern window.  Every key
+is one the exact run of the same graph also makes, so a shared interner
+gives samples the exact run's label ids.  Labeling one sample costs a
+function of degree bound, k, and h only, independent of graph size.
 """
 
 from __future__ import annotations
@@ -20,11 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .graph import Graph, induced_subgraph
-from .interner import (Coloring, LabelInterner, refine_coloring_window,
-                       split_rows)
-from .ksets import enumerate_ksets
-from .kwl import c_neighborhood, _neighbor_csr, iso_keys
+from .graph import Graph
+from .interner import LabelInterner, refinement_key_batch
+from .kwl import iso_keys, swap_levels
 
 DEFAULT_MAX_TOTAL_SAMPLES = 10_000_000
 
@@ -75,16 +76,12 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def sample_kset_uniform(g: Graph, k: int, rng: np.random.Generator) -> tuple:
-    """One k-set drawn uniformly from all C(n, k): k sequential vertex draws
-    with replacement-on-collision, then sorted.  Constant expected time for
-    n much larger than k."""
+    """One k-set drawn uniformly from all C(n, k): a one-row
+    :func:`_draw_batch`.  Constant expected time for n much larger than k."""
     n = g.num_vertices
     if n < k:
         raise ParameterError(f"cannot draw a {k}-set from {n} vertices")
-    chosen: set[int] = set()
-    while len(chosen) < k:
-        chosen.add(int(rng.integers(0, n)))
-    return tuple(sorted(chosen))
+    return tuple(_draw_batch(n, k, 1, rng)[0].tolist())
 
 
 def _draw_batch(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,52 +98,42 @@ def _draw_batch(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarr
     return out
 
 
-def _prepare_local_context(g: Graph, s: tuple, k: int, h: int):
-    """Interner-free part of labeling one sample: radius-h ball, induced
-    subgraph, iso-type keys, and the subgraph's local-neighbor CSR."""
-    ball = c_neighborhood(g, s, h)
-    verts = sorted({v for t in ball for v in t})
-    sub, mapping = induced_subgraph(g, verts)
-    index = enumerate_ksets(sub, k)
-    keys = iso_keys(sub, index.all_sets())
-    indptr, indices = _neighbor_csr(sub, index, local=True)
-    image_rank = index.rank(tuple(sorted(mapping[v] for v in s)))
-    return keys, indptr, indices, image_rank
+def _label_sets(g: Graph, sets: np.ndarray, h: int,
+                interner: LabelInterner) -> np.ndarray:
+    """Labels of the rows of ``sets`` for iterations 0..h, one row each.
 
-
-def _label_contexts(contexts, h: int, interner: LabelInterner) -> list[tuple]:
-    """Run h local refinement iterations over a batch of prepared contexts
-    under shared intern windows; returns each context's per-iteration labels
-    of its sampled set."""
-    ids = interner.intern_window(
-        (kb for keys, _, _, _ in contexts for kb in keys), depth=0)
-    colorings = [Coloring(0, labels) for labels in
-                 split_rows(ids, [len(ctx[0]) for ctx in contexts])]
-    results = [[int(col.labels[ctx[3]])] for col, ctx in zip(colorings, contexts)]
-    for it in range(1, h + 1):
-        batches = [(ctx[1], ctx[2], col) for ctx, col in zip(contexts, colorings)]
-        colorings = refine_coloring_window(batches, interner, depth=it)
-        for out, col, ctx in zip(results, colorings, contexts):
-            out.append(int(col.labels[ctx[3]]))
-    return [tuple(r) for r in results]
+    Depth 0 interns the iso types of the widest swap level; depth d refines
+    level h - d by its rows' own and swap positions in level h - d + 1.
+    """
+    levels, links = swap_levels(g, sets, h)
+    where = [np.arange(len(sets))]   # each row's position in every level
+    for own, _, _ in links:
+        where.append(own[where[-1]])
+    labels = interner.intern_window(iso_keys(g, levels[h]), depth=0)
+    out = [labels[where[h]]]
+    for depth in range(1, h + 1):
+        own, indptr, neighbors = links[h - depth]
+        labels = interner.intern_window(
+            refinement_key_batch(indptr, neighbors, labels, own), depth)
+        out.append(labels[where[h - depth]])
+    return np.stack(out, axis=1)
 
 
 def local_labels(g: Graph, s, k: int, h: int,
                  interner: LabelInterner) -> tuple:
-    """Labels of the k-set ``s`` for iterations 0..h, computed only from the
-    subgraph induced by its radius-h ball in the k-set graph.
+    """Labels of the k-set ``s`` for iterations 0..h, computed on the full
+    graph from its radius-h swap levels only.
 
-    Equal to the labels the full-graph refinement assigns (with a shared
-    interner, equal as raw ids for any sets whose refinement keys match the
-    full-graph run; across separate runs, equal at the partition level).
+    The keys are the ones the full-graph refinement makes for ``s``, so
+    with a shared interner the labels equal the full run's ids; across
+    separate interners they agree at the partition level.
     """
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
     s = tuple(sorted(int(v) for v in s))
-    if len(s) != k:
-        raise ParameterError(f"expected a {k}-set, got {s}")
-    ctx = _prepare_local_context(g, s, k, h)
-    return _label_contexts([ctx], h, interner)[0]
+    if len(set(s)) != k or not 0 <= s[0] <= s[-1] < g.num_vertices:
+        raise ParameterError(f"expected a {k}-set of vertices, got {s}")
+    return tuple(_label_sets(g, np.asarray([s]), h, interner)[0].tolist())
 
 
 @dataclass
@@ -221,13 +208,12 @@ class _SampleLabeler:
     """Draws sample batches and memoizes labels per sampled vertex tuple."""
 
     def __init__(self, g: Graph, k: int, h: int, interner: LabelInterner,
-                 cache: dict | None = None, pool=None):
+                 cache: dict | None = None):
         self.g = g
         self.k = k
         self.h = h
         self.interner = interner
         self.cache = cache if cache is not None else {}
-        self.pool = pool
 
     def draw_counts(self, size: int, rng) -> tuple[list, list]:
         """Distinct drawn k-sets as vertex tuples in colex order (ascending
@@ -238,17 +224,14 @@ class _SampleLabeler:
         return list(map(tuple, uniq[order].tolist())), counts[order].tolist()
 
     def labels_for(self, sets: list) -> None:
-        """Ensure every set is labeled; new sets are processed in the given
-        (colex) order, so interning is independent of draw order."""
+        """Ensure every set is labeled.  The new sets are labeled as one
+        batch, whose intern windows depend only on which sets are new, not
+        on their order."""
         new = [s for s in sets if s not in self.cache]
         if not new:
             return
-        prepare = lambda s: _prepare_local_context(self.g, s, self.k, self.h)
-        contexts = (self.pool.map_ordered(prepare, new) if self.pool is not None
-                    else [prepare(s) for s in new])
-        labeled = _label_contexts(contexts, self.h, self.interner)
-        for s, labs in zip(new, labeled):
-            self.cache[s] = labs
+        labeled = _label_sets(self.g, np.asarray(new), self.h, self.interner)
+        self.cache.update(zip(new, map(tuple, labeled.tolist())))
 
     def observe(self, size: int, rng, state: RademacherState) -> None:
         """Draw ``size`` samples, label them and add them to ``state``."""
@@ -261,8 +244,7 @@ class _SampleLabeler:
 def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
                             rng: np.random.Generator,
                             interner: LabelInterner,
-                            cache: dict | None = None,
-                            pool=None) -> SampledEstimate:
+                            cache: dict | None = None) -> SampledEstimate:
     """Uniform fixed-size estimator of the per-iteration normalized features.
 
     Each sample adds 1/sample_count to the bucket of its label at every
@@ -277,8 +259,7 @@ def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
     if g.num_vertices < k:
         return _zero_estimate(h)
     state = RademacherState(iterations=h)
-    _SampleLabeler(g, k, h, interner, cache, pool).observe(sample_count, rng,
-                                                           state)
+    _SampleLabeler(g, k, h, interner, cache).observe(sample_count, rng, state)
     blocks = [{lab: cnt / state.m for lab, cnt in per_iter.items()}
               for per_iter in state.counts]
     return SampledEstimate(blocks=blocks, sample_count=state.m)
@@ -291,8 +272,7 @@ def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
                                growth: float = 2.0,
                                max_total_samples: int = DEFAULT_MAX_TOTAL_SAMPLES,
                                strict_delta: bool = False,
-                               cache: dict | None = None,
-                               pool=None) -> SampledEstimate:
+                               cache: dict | None = None) -> SampledEstimate:
     """Adaptive estimator: sample in growing rounds until the Massart-based
     deviation bound drops to ``epsilon``.
 
@@ -317,7 +297,7 @@ def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
     if g.num_vertices < k:
         return _zero_estimate(h)
 
-    labeler = _SampleLabeler(g, k, h, interner, cache, pool)
+    labeler = _SampleLabeler(g, k, h, interner, cache)
     state = RademacherState(iterations=h)
     rounds = []
     round_idx = 0

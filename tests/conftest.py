@@ -41,11 +41,13 @@ def two_k3():
     return build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
-def random_graph(rng, n, p, labeled=False):
+def random_graph(rng, n, p, labeled=False, edge_labeled=False):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
     labels = rng.integers(0, 3, size=n).tolist() if labeled else None
-    return build_graph(n, edges, node_labels=labels)
+    edge_labels = (rng.integers(0, 3, size=len(edges)).tolist()
+                   if edge_labeled else None)
+    return build_graph(n, edges, node_labels=labels, edge_labels=edge_labels)
 
 
 @pytest.fixture(scope="session")

@@ -109,7 +109,7 @@ def test_bulk_iso_keys_partition_like_naive_classes(g, k):
 @given(labeled_graphs(), st.integers(2, 4), st.booleans())
 def test_bulk_csr_equals_per_set_neighbors(g, k, local):
     index = enumerate_ksets(g, k)
-    indptr, indices = _neighbor_csr(g, index, local)
+    indptr, indices = _neighbor_csr(g, index, local, index.all_sets())
     expected_ptr, expected_idx = per_set_csr(g, index, local)
     assert np.array_equal(indptr, expected_ptr)
     assert np.array_equal(indices, expected_idx)
@@ -203,11 +203,11 @@ def test_small_blocks_build_the_same_structures(monkeypatch):
                     edge_labels=rng.integers(0, 2, len(edges)).tolist())
     index = enumerate_ksets(g, 3)
     sets = index.all_sets()
-    whole = (iso_keys(g, sets), _neighbor_csr(g, index, True),
-             _neighbor_csr(g, index, False))
+    whole = (iso_keys(g, sets), _neighbor_csr(g, index, True, sets),
+             _neighbor_csr(g, index, False, sets))
     monkeypatch.setattr(kwl, "_BLOCK_ITEMS", 13)
-    blocked = (iso_keys(g, sets), _neighbor_csr(g, index, True),
-               _neighbor_csr(g, index, False))
+    blocked = (iso_keys(g, sets), _neighbor_csr(g, index, True, sets),
+               _neighbor_csr(g, index, False, sets))
     assert blocked[0] == whole[0]
     for a, b in zip(blocked[1:], whole[1:]):
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])

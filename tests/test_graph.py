@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import GraphError, build_graph, induced_subgraph
+from ksetwl import GraphError, build_graph
 
 from conftest import random_graph
 
@@ -59,36 +59,6 @@ def test_conflicting_edge_labels_rejected():
         build_graph(3, [(0, 1), (1, 0)], edge_labels=[1, 2])
 
 
-def test_induced_subgraph_of_path(p4):
-    sub, mapping = induced_subgraph(p4, {0, 1, 3})
-    assert sub.num_vertices == 3
-    assert sorted(mapping.values()) == [0, 1, 2]
-    assert sub.has_edge(mapping[0], mapping[1])
-    assert sub.degree(mapping[3]) == 0
-    assert sub.num_edges == 1
-
-
-def test_induced_subgraph_full_and_singleton(tri):
-    full, mapping = induced_subgraph(tri, range(3))
-    assert full.num_edges == tri.num_edges
-    assert mapping == {0: 0, 1: 1, 2: 2}
-    single, _ = induced_subgraph(tri, {0})
-    assert single.num_vertices == 1 and single.num_edges == 0
-
-
-def test_induced_subgraph_unknown_vertex(tri):
-    with pytest.raises(GraphError):
-        induced_subgraph(tri, {0, 9})
-
-
-def test_induced_subgraph_carries_labels():
-    g = build_graph(3, [(0, 1), (1, 2)], node_labels=[7, 8, 9],
-                    edge_labels=[4, 5])
-    sub, mapping = induced_subgraph(g, {1, 2})
-    assert sub.node_labels.tolist() == [8, 9]
-    assert sub.edge_labels[(mapping[1], mapping[2])] == 5
-
-
 @given(st.integers(2, 12), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_rebuild_roundtrip(n, p, seed):
@@ -104,16 +74,3 @@ def test_rebuild_roundtrip(n, p, seed):
 def test_handshake(n, p, seed):
     g = random_graph(np.random.default_rng(seed), n, p)
     assert sum(g.degree(v) for v in range(n)) == 2 * g.num_edges
-
-
-def test_induced_composition():
-    rng = np.random.default_rng(3)
-    g = random_graph(rng, 10, 0.5)
-    s = {0, 2, 3, 5, 8, 9}
-    t = {2, 5, 9}
-    via_s, map_s = induced_subgraph(g, s)
-    nested, map_nested = induced_subgraph(via_s, {map_s[v] for v in t})
-    direct, map_direct = induced_subgraph(g, t)
-    composed = {v: map_nested[map_s[v]] for v in t}
-    assert composed == map_direct
-    assert sorted(nested.edge_list()) == sorted(direct.edge_list())

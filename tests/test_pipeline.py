@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ksetwl import (LabelInterner, ParameterError, ResourceLimitError,
-                    build_graph, dot)
+from ksetwl import (KSetIndex, LabelInterner, ParameterError,
+                    ResourceLimitError, build_graph, dot)
 from ksetwl.parallel import DeterministicPool
 from ksetwl.pipeline import (exact_kset_run, exact_wl1_run,
                              features_from_colorings,
@@ -49,6 +49,20 @@ def test_fixed_mode_requires_sample_count():
     with pytest.raises(ParameterError):
         sampled_dataset_run(tiny_and_regular(), 2, 1, seed=0,
                             interner=LabelInterner(), mode="sampled")
+
+
+def test_exact_run_enumerates_each_graph_once(monkeypatch, c6, two_k3, p4):
+    # the neighbor CSR reuses the sets matrix built for the iso-type keys
+    sizes = []
+    all_sets = KSetIndex.all_sets
+
+    def counted(index):
+        sizes.append(index.n)
+        return all_sets(index)
+
+    monkeypatch.setattr(KSetIndex, "all_sets", counted)
+    exact_kset_run([c6, two_k3, p4], 2, 2, LabelInterner())
+    assert sizes == [6, 6, 4]
 
 
 def test_exact_runs_pooled_and_serial_agree(c6, two_k3, p4):

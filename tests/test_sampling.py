@@ -7,7 +7,7 @@ from ksetwl import (LabelInterner, ParameterError, RademacherState,
                     hoeffding_sample_size, hoeffding_sample_size_dataset,
                     kset_colorings, local_labels, make_rng,
                     massart_deviation_bound, sample_kset_uniform)
-from ksetwl.parallel import DeterministicPool
+from ksetwl.pipeline import exact_kset_run
 
 from conftest import random_graph
 
@@ -92,6 +92,12 @@ def test_local_labels_radius_zero_is_iso_type(p4):
     assert labs[0] == int(full[0].labels[enumerate_ksets(p4, 2).rank((0, 1))])
 
 
+def test_local_labels_reject_non_sets(p4):
+    for s in [(0, 4), (-1, 2), (1, 1), (0, 1, 2)]:
+        with pytest.raises(ParameterError):
+            local_labels(p4, s, 2, 1, LabelInterner())
+
+
 def test_local_labels_on_detached_edge(e1i):
     # the ball of {0,1} is just itself; every iteration refines against the
     # empty multiset on the 2-vertex induced subgraph
@@ -103,11 +109,15 @@ def test_local_labels_on_detached_edge(e1i):
 
 def test_local_labels_match_full_run_ids_with_shared_interner():
     rng = np.random.default_rng(41)
-    for _ in range(15):
+    # (k, edge labels): k = None draws k from {2, 3}
+    cases = [(None, False)] * 15 + [(None, True)] * 6 + [(4, False)] * 4 \
+        + [(4, True)] * 6
+    for fixed_k, edge_labeled in cases:
         n = int(rng.integers(4, 11))
         g = random_graph(rng, n, float(rng.choice([0.3, 0.6])),
-                         labeled=bool(rng.integers(2)))
-        k = int(rng.integers(2, 4))
+                         labeled=bool(rng.integers(2)),
+                         edge_labeled=edge_labeled)
+        k = int(rng.integers(2, 4)) if fixed_k is None else fixed_k
         if n < k:
             continue
         h = int(rng.integers(0, 4))
@@ -119,6 +129,19 @@ def test_local_labels_match_full_run_ids_with_shared_interner():
             labs = local_labels(g, s, k, h, interner)
             expected = [int(full[j].labels[index.rank(s)]) for j in range(h + 1)]
             assert list(labs) == expected
+
+
+def test_sampling_adds_no_label_to_an_exact_run(mutag):
+    # every key the sampler interns is one the exact run of the same graph
+    # made, so a shared interner does not grow
+    graphs = mutag.graphs[::25]
+    interner = LabelInterner()
+    exact_kset_run(graphs, 2, 3, interner)
+    labels = len(interner)
+    for gi, g in enumerate(graphs):
+        estimate_features_fixed(g, 2, 3, 300, make_rng(gi), interner)
+        estimate_features_adaptive(g, 2, 3, 0.1, 0.1, make_rng(gi), interner)
+    assert len(interner) == labels
 
 
 def test_local_labels_partition_agreement_with_fresh_interner():
@@ -292,19 +315,6 @@ def test_adaptive_undersized_graph():
     est = estimate_features_adaptive(g, 3, 1, 0.1, 0.1, make_rng(0),
                                      LabelInterner())
     assert est.undersized and est.sample_count == 0
-
-
-def test_estimates_identical_across_thread_counts():
-    rng = np.random.default_rng(55)
-    g = random_graph(rng, 12, 0.4)
-    results = []
-    for threads in (1, 4):
-        with DeterministicPool(threads) as pool:
-            interner = LabelInterner()
-            est = estimate_features_adaptive(g, 2, 2, 0.2, 0.1, make_rng(77),
-                                             interner, pool=pool)
-            results.append((est.blocks, est.sample_count, est.rounds))
-    assert results[0] == results[1]
 
 
 def test_seed_controls_the_run(tri):
