@@ -234,6 +234,8 @@ def _run_compute(args) -> int:
     t0 = time.perf_counter()
     ds = parse_tu_dataset(args.dataset, args.name)
     t_load = time.perf_counter() - t0
+    stats = ds.stats()
+    totals = {key: stats[key] for key in ("graphs", "vertices", "edges")}
     sweeping = len(h_values) > 1
     with DeterministicPool(args.threads) as pool:
         for h in h_values:
@@ -256,7 +258,8 @@ def _run_compute(args) -> int:
                 else:
                     write_gram_csv(K, out)
             timings["write"] = time.perf_counter() - t2
-            _manifest(args, out, timings, {**extra, "h": h})
+            _manifest(args, out, timings,
+                      {"dataset": totals, **extra, "h": h})
     return 0
 
 

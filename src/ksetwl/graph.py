@@ -93,62 +93,112 @@ def build_graph(num_vertices, edges, node_labels=None, edge_labels=None,
     Duplicate edges are collapsed and the adjacency is symmetrized, so the
     pairs (u, v) and (v, u) describe the same single edge.  ``edge_labels``,
     when given, runs parallel to ``edges``; conflicting labels for the same
-    undirected edge are an error.
+    undirected edge are an error.  Labels are signed 64-bit integers.
 
-    Raises GraphError for out-of-range endpoints or self-loops.
+    Raises GraphError for out-of-range endpoints or self-loops; of several
+    bad edges, the first one in ``edges`` is reported.
     """
     n = int(num_vertices)
     if n < 0:
         raise GraphError("num_vertices must be nonnegative")
     if edge_labels is not None and len(edge_labels) != len(edges):
         raise GraphError("edge_labels must run parallel to edges")
-
-    seen = {}
-    for idx, (u, v) in enumerate(edges):
-        u, v = int(u), int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) references a vertex outside [0, {n})")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        lab = int(edge_labels[idx]) if edge_labels is not None else None
-        if key in seen:
-            if seen[key] != lab:
-                raise GraphError(f"conflicting labels for edge {key}")
-        else:
-            seen[key] = lab
-
-    deg = np.zeros(n, dtype=np.int64)
-    for u, v in seen:
-        deg[u] += 1
-        deg[v] += 1
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    fill = indptr[:-1].copy()
-    for u, v in seen:
-        indices[fill[u]] = v
-        fill[u] += 1
-        indices[fill[v]] = u
-        fill[v] += 1
-    for u in range(n):
-        seg = indices[indptr[u]:indptr[u + 1]]
-        seg.sort()
-
+    rows = _int64(edges, "edge endpoints")
+    if rows.size == 0:
+        rows = rows.reshape(0, 2)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise GraphError("edges must be (u, v) pairs")
+    u, v = rows[:, 0], rows[:, 1]
+    labels = None if edge_labels is None else _int64(edge_labels, "edge labels")
+    offsets = np.array([0, n], dtype=np.int64)
+    bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
+    if bad.size:
+        r = int(bad[0])
+        if labels is not None:      # a label conflict in an earlier row wins
+            _first_rows(offsets, u[:r], v[:r], labels[:r], max(n, 1))
+        a, b = int(u[r]), int(v[r])
+        if not (0 <= a < n and 0 <= b < n):
+            raise GraphError(f"edge ({a}, {b}) references a vertex outside [0, {n})")
+        raise GraphError(f"self-loop at vertex {a}")
     labels_arr = None
     if node_labels is not None:
-        labels_arr = np.asarray(node_labels, dtype=np.int64)
+        labels_arr = _int64(node_labels, "node labels")
         if labels_arr.shape != (n,):
             raise GraphError(f"node_labels must have length {n}")
+    return build_graphs(offsets, u, v, labels_arr, labels, [class_label])[0]
 
-    label_map = None
+
+def build_graphs(offsets, u, v, node_labels, edge_labels,
+                 class_labels) -> list:
+    """One Graph per vertex range ``offsets[g] <= x < offsets[g + 1]``.
+
+    Rows (u[i], v[i]) hold global ids and must join two distinct vertices
+    of one graph.  All graphs share one deduplication and one sort; each
+    Graph then takes its slice of the dataset-wide CSR, renumbered from 0.
+    ``node_labels`` (or None) runs over the global ids, ``edge_labels`` (or
+    None) over the rows and ``class_labels`` over the graphs.  An
+    edge-labeled graph maps each edge both ways to its label, in the order
+    of the edges' first rows.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = int(offsets[-1])
+    span = max(n, 1)
+    arcs = np.sort(np.concatenate([u * span + v, v * span + u]))
+    distinct = np.ones(len(arcs), dtype=bool)
+    distinct[1:] = arcs[1:] != arcs[:-1]
+    src, indices = np.divmod(arcs[distinct], span)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+
     if edge_labels is not None:
-        label_map = {}
-        for (u, v), lab in seen.items():
-            label_map[(u, v)] = lab
-            label_map[(v, u)] = lab
+        pairs, first = _first_rows(offsets, u, v, edge_labels, span)
+        lo, hi = np.divmod(pairs, span)
+        graph = np.searchsorted(offsets, lo, side="right") - 1
+        order = np.lexsort((first, graph))
+        graph, labels = graph[order], edge_labels[first[order]]
+        lo, hi = lo[order] - offsets[graph], hi[order] - offsets[graph]
+        # each edge as (lo, hi) followed by (hi, lo)
+        tails = np.stack([lo, hi], axis=1).ravel().tolist()
+        heads = np.stack([hi, lo], axis=1).ravel().tolist()
+        labels = np.repeat(labels, 2).tolist()
+        cuts = (2 * np.searchsorted(graph, np.arange(len(offsets)))).tolist()
 
-    return Graph(n, indptr, indices, labels_arr, label_map, class_label)
+    graphs = []
+    bounds = offsets.tolist()
+    for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        label_map = None
+        if edge_labels is not None:
+            c, d = cuts[g], cuts[g + 1]
+            label_map = dict(zip(zip(tails[c:d], heads[c:d]), labels[c:d]))
+        graphs.append(Graph(
+            b - a, indptr[a:b + 1] - indptr[a],
+            indices[indptr[a]:indptr[b]] - a,
+            None if node_labels is None else node_labels[a:b], label_map,
+            class_labels[g]))
+    return graphs
+
+
+def _first_rows(offsets, u, v, labels, span):
+    """Sorted keys ``min * span + max`` of the distinct undirected rows and
+    each key's first row.  Raises GraphError for the first row, in the first
+    graph that has one, whose label differs from its pair's first label."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    pairs, first, inverse = np.unique(lo * span + hi, return_index=True,
+                                      return_inverse=True)
+    clash = np.flatnonzero(labels != labels[first][inverse])
+    if clash.size:
+        graph = np.searchsorted(offsets, lo[clash], side="right") - 1
+        g, row = graph.min(), clash[np.argmin(graph)]
+        key = (int(lo[row] - offsets[g]), int(hi[row] - offsets[g]))
+        raise GraphError(f"conflicting labels for edge {key}")
+    return pairs, first
+
+
+def _int64(values, what) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise GraphError(f"{what} must be signed 64-bit integers") from exc
 
 
 @dataclass
@@ -174,6 +224,8 @@ class Dataset:
         return {
             "name": self.name,
             "graphs": n,
+            "vertices": total_nodes,
+            "edges": total_edges,
             "classes": len(set(self.class_labels)),
             "avg_nodes": total_nodes / n if n else 0.0,
             "avg_edges": total_edges / n if n else 0.0,

@@ -4,34 +4,112 @@ matrices / feature vectors for external SVM tools.
 The TU layout is a directory of line-oriented files sharing a dataset-name
 prefix: DS_A.txt (global 1-based edge rows "i, j"), DS_graph_indicator.txt
 (graph id per node), DS_graph_labels.txt, and optionally DS_node_labels.txt
-and DS_edge_labels.txt.  Edge rows may list each undirected edge once or in
-both directions; the parser symmetrizes either way.
+and DS_edge_labels.txt.  Edge rows may list each undirected edge once, in
+both directions or repeatedly; the parser symmetrizes and deduplicates.
+Blank lines and CRLF line ends are skipped; labels are signed 64-bit.
+
+Each file is read once and parsed in bulk; only when that fails is it read
+line by line, to name the first offending line.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import islice, repeat
 
 import numpy as np
 
 from .errors import FormatError
-from .graph import Dataset, build_graph
+from .graph import Dataset, build_graphs
+
+_INT64 = np.iinfo(np.int64)
 
 
-def _read_int_lines(path: str, what: str) -> list[int]:
-    out = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(int(line))
-            except ValueError as exc:
-                raise FormatError(
-                    f"{path}:{lineno}: expected an integer {what}, got {line!r}"
-                ) from exc
-    return out
+def _lines(path: str) -> list[bytes]:
+    """The file's lines, ended by LF, CRLF or CR as text mode ends them."""
+    with open(path, "rb") as f:
+        return f.read().splitlines()
+
+
+def _numbered(lines):
+    """(1-based line number, stripped line) of every non-blank line."""
+    return ((lineno, line) for lineno, line in
+            enumerate(map(bytes.strip, lines), start=1) if line)
+
+
+def _shown(line: bytes) -> str:
+    return repr(line.decode("utf-8", "backslashreplace"))
+
+
+def _read_ints(path: str, what: str, ids: bool = False) -> np.ndarray:
+    """One signed 64-bit integer per non-blank line.  Values beyond that
+    range are an error, except for ``ids``, where they are clipped to it so
+    that the caller's range check names them."""
+    lines = _lines(path)
+    rows = list(filter(None, map(bytes.strip, lines)))
+    try:
+        return np.fromiter(map(int, rows), dtype=np.int64, count=len(rows))
+    except (ValueError, OverflowError):
+        pass
+    values = []
+    for lineno, line in _numbered(lines):
+        try:
+            value = int(line)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: expected an integer {what}, "
+                              f"got {_shown(line)}") from exc
+        if not (ids or _INT64.min <= value <= _INT64.max):
+            raise FormatError(f"{path}:{lineno}: {what} {value} is outside "
+                              f"the signed 64-bit range")
+        values.append(min(max(value, _INT64.min), _INT64.max))
+    return np.array(values, dtype=np.int64)
+
+
+def _bulk_edges(rows: list[bytes], indicator: np.ndarray):
+    """The rows as an (m, 2) array of 1-based ids if every row is one pair
+    of integers in [1, n] inside one graph, else None."""
+    commas = np.fromiter(map(bytes.count, rows, repeat(b",")),
+                         dtype=np.int64, count=len(rows))
+    if (commas != 1).any():
+        return None
+    try:
+        ends = np.fromiter(map(int, b",".join(rows).split(b",")),
+                           dtype=np.int64, count=2 * len(rows)).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        return None
+    if not ((ends >= 1) & (ends <= len(indicator))).all():
+        return None
+    graph = indicator[ends - 1]
+    return ends if (graph[:, 0] == graph[:, 1]).all() else None
+
+
+def _read_edges(path: str, indicator: np.ndarray) -> np.ndarray:
+    """The (rows, 2) 1-based endpoints of the edge file, every row checked
+    for its format, its 1-based range and a shared graph."""
+    lines = _lines(path)
+    ends = _bulk_edges(list(filter(None, map(bytes.strip, lines))), indicator)
+    if ends is not None:
+        return ends
+    n = len(indicator)
+    # Some row is bad: check line by line to name the first one.
+    for lineno, line in _numbered(lines):
+        parts = line.split(b",")
+        if len(parts) != 2:
+            raise FormatError(
+                f"{path}:{lineno}: expected 'i, j', got {_shown(line)}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-integer node id in "
+                              f"{_shown(line)}") from exc
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise FormatError(f"{path}:{lineno}: node id outside [1, {n}] "
+                              f"(ids are 1-based)")
+        if indicator[u - 1] != indicator[v - 1]:
+            raise FormatError(
+                f"{path}:{lineno}: edge joins graph {indicator[u - 1]} and "
+                f"graph {indicator[v - 1]}")
+    raise AssertionError(f"{path}: the bulk and the line checks disagree")
 
 
 def parse_tu_dataset(path: str, name: str | None = None) -> Dataset:
@@ -40,7 +118,9 @@ def parse_tu_dataset(path: str, name: str | None = None) -> Dataset:
     Mandatory files: edges, graph indicator, graph labels.  Node and edge
     label files are attached when present and silently skipped otherwise.
     Raises FormatError (naming the offending line where applicable) for
-    cross-graph edges, 0-based node ids, or mutually inconsistent counts.
+    cross-graph edges, 0-based node ids, self-loops, values outside the
+    signed 64-bit range, or mutually inconsistent counts.  Vertices keep
+    their global order within their graph.
     """
     name = name if name is not None else os.path.basename(os.path.normpath(path))
     prefix = os.path.join(path, name)
@@ -50,90 +130,58 @@ def parse_tu_dataset(path: str, name: str | None = None) -> Dataset:
         if not os.path.exists(required):
             raise FormatError(f"missing mandatory dataset file: {required}")
 
-    indicator = _read_int_lines(f"{prefix}_graph_indicator.txt", "graph id")
-    graph_labels = _read_int_lines(f"{prefix}_graph_labels.txt", "class label")
+    indicator = _read_ints(f"{prefix}_graph_indicator.txt", "graph id",
+                           ids=True)
+    graph_labels = _read_ints(f"{prefix}_graph_labels.txt",
+                              "class label").tolist()
     num_nodes = len(indicator)
     num_graphs = len(graph_labels)
-    if indicator and not (1 <= min(indicator) and max(indicator) <= num_graphs):
+    if num_nodes and not (1 <= indicator.min() and
+                          indicator.max() <= num_graphs):
         raise FormatError(
             f"graph indicator references graph ids outside [1, {num_graphs}]")
 
     node_labels = None
     node_labels_path = f"{prefix}_node_labels.txt"
     if os.path.exists(node_labels_path):
-        node_labels = _read_int_lines(node_labels_path, "node label")
+        node_labels = _read_ints(node_labels_path, "node label")
         if len(node_labels) != num_nodes:
             raise FormatError(
                 f"{node_labels_path}: {len(node_labels)} labels for "
                 f"{num_nodes} nodes")
 
-    # local vertex ids per graph, by global id order
-    local_id = [0] * num_nodes
-    graph_size = [0] * num_graphs
-    for node, gid in enumerate(indicator):
-        local_id[node] = graph_size[gid - 1]
-        graph_size[gid - 1] += 1
+    ends = _read_edges(edges_path, indicator)
 
-    edge_rows = []
-    with open(edges_path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(
-                    f"{edges_path}:{lineno}: expected 'i, j', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise FormatError(
-                    f"{edges_path}:{lineno}: non-integer node id in {line!r}"
-                ) from exc
-            if not (1 <= u <= num_nodes and 1 <= v <= num_nodes):
-                raise FormatError(
-                    f"{edges_path}:{lineno}: node id outside [1, {num_nodes}] "
-                    f"(ids are 1-based)")
-            if indicator[u - 1] != indicator[v - 1]:
-                raise FormatError(
-                    f"{edges_path}:{lineno}: edge joins graph "
-                    f"{indicator[u - 1]} and graph {indicator[v - 1]}")
-            edge_rows.append((lineno, u, v))
-
-    edge_label_values = None
+    edge_labels = None
     edge_labels_path = f"{prefix}_edge_labels.txt"
     if os.path.exists(edge_labels_path):
-        edge_label_values = _read_int_lines(edge_labels_path, "edge label")
-        if len(edge_label_values) != len(edge_rows):
+        edge_labels = _read_ints(edge_labels_path, "edge label")
+        if len(edge_labels) != len(ends):
             raise FormatError(
-                f"{edge_labels_path}: {len(edge_label_values)} labels for "
-                f"{len(edge_rows)} edge rows")
+                f"{edge_labels_path}: {len(edge_labels)} labels for "
+                f"{len(ends)} edge rows")
+        if not edge_labels.size:    # an empty label file labels nothing
+            edge_labels = None
 
-    per_graph_edges = [[] for _ in range(num_graphs)]
-    per_graph_elabs = [[] for _ in range(num_graphs)] if edge_label_values else None
-    for row_idx, (lineno, u, v) in enumerate(edge_rows):
-        gid = indicator[u - 1] - 1
-        pair = (local_id[u - 1], local_id[v - 1])
-        if pair[0] == pair[1]:
-            raise FormatError(f"{edges_path}:{lineno}: self-loop on node {u}")
-        per_graph_edges[gid].append(pair)
-        if per_graph_elabs is not None:
-            per_graph_elabs[gid].append(edge_label_values[row_idx])
+    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+    if loops.size:
+        row = int(loops[0])
+        lineno = next(islice(_numbered(_lines(edges_path)), row, None))[0]
+        raise FormatError(
+            f"{edges_path}:{lineno}: self-loop on node {ends[row, 0]}")
 
-    per_graph_nlabs = None
-    if node_labels is not None:
-        per_graph_nlabs = [[] for _ in range(num_graphs)]
-        for node, gid in enumerate(indicator):
-            per_graph_nlabs[gid - 1].append(node_labels[node])
-
-    graphs = []
-    for gid in range(num_graphs):
-        graphs.append(build_graph(
-            graph_size[gid], per_graph_edges[gid],
-            node_labels=per_graph_nlabs[gid] if per_graph_nlabs else None,
-            edge_labels=per_graph_elabs[gid] if per_graph_elabs else None,
-            class_label=graph_labels[gid]))
-
+    # Renumber so that each graph is a contiguous id range that keeps the
+    # global order of its vertices.
+    order = np.argsort(indicator, kind="stable")
+    new_id = np.empty(num_nodes, dtype=np.int64)
+    new_id[order] = np.arange(num_nodes)
+    offsets = np.zeros(num_graphs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indicator - 1, minlength=num_graphs),
+              out=offsets[1:])
+    graphs = build_graphs(
+        offsets, new_id[ends[:, 0] - 1], new_id[ends[:, 1] - 1],
+        None if node_labels is None else node_labels[order], edge_labels,
+        graph_labels)
     return Dataset(graphs=graphs, class_labels=list(graph_labels), name=name)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .graph import Graph
+from ksetwl.graph import Graph
 
 
 def edge_pairs(g: Graph) -> set:

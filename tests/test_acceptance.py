@@ -15,13 +15,13 @@ from ksetwl import (LabelInterner, build_graph, enumerate_ksets,
                     estimate_features_adaptive, estimate_features_fixed,
                     hoeffding_sample_size, hoeffding_sample_size_dataset,
                     kset_colorings, local_labels, make_rng, psd_check)
-from ksetwl import reference as ref
 from ksetwl.cli import main as cli_main
 from ksetwl.features import cosine_normalize_gram, gram_matrix, l1_normalize
 from ksetwl.pipeline import (exact_kset_run, exact_wl1_run,
                              features_from_colorings, la_kset_run, la_wl1_run)
 
 from conftest import MUTAG_DIR, label_groups, random_graph
+import reference as ref
 
 
 def report(criterion, ok, detail):

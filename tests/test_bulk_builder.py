@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksetwl import FeatureVector, build_graph, dot, enumerate_ksets, gram_matrix
-from ksetwl import reference as ref
 from ksetwl.interner import iso_key
 from ksetwl.kwl import (_neighbor_csr, global_neighbors, iso_code, iso_keys,
                         local_neighbors)
 
 from conftest import label_groups
+import reference as ref
 
 _BIAS = 1 << 63
 

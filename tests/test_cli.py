@@ -185,3 +185,41 @@ def test_manifest_times_gram_apart_from_write(two_triangle_dir, tmp_path,
     assert set(times) == {"load", "compute", "gram", "write"}
     assert times["gram"] >= 0.3
     assert times["write"] < 0.3
+
+
+def test_manifest_records_dataset_totals(two_triangle_dir, tmp_path, capsys):
+    out_path = str(tmp_path / "gram.txt")
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel", "wl1",
+        "--h", "1", "--output", out_path)
+    assert code == 0, err
+    manifest = json.load(open(out_path + ".manifest.json"))
+    assert manifest["dataset"] == {"graphs": 2, "vertices": 6, "edges": 6}
+    assert "load" in manifest["wall_times_sec"]
+
+
+BIG = "99999999999999999999"    # beyond 2^63
+
+
+def test_info_rejects_a_node_label_beyond_64_bits(two_triangle_dir, capsys):
+    path = os.path.join(two_triangle_dir, "TWOTRI_node_labels.txt")
+    with open(path, "w") as f:
+        f.write(f"1\n{BIG}\n3\n4\n5\n6")
+    code, _, err = run_cli(capsys, "info", "--dataset", two_triangle_dir)
+    assert code == 2
+    assert f"TWOTRI_node_labels.txt:2: node label {BIG} is outside" in err
+
+
+def test_gram_rejects_an_edge_label_beyond_64_bits(two_triangle_dir, tmp_path,
+                                                   capsys):
+    labels = ["1"] * 12
+    labels[2] = labels[3] = BIG     # edge 2-3, listed both ways
+    with open(os.path.join(two_triangle_dir, "TWOTRI_edge_labels.txt"),
+              "w") as f:
+        f.write("\n".join(labels) + "\n")
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel",
+        "kwl-local", "--k", "2", "--h", "1", "--mode", "exact",
+        "--output", str(tmp_path / "gram.txt"))
+    assert code == 2
+    assert f"TWOTRI_edge_labels.txt:3: edge label {BIG} is outside" in err
