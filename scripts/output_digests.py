@@ -1,0 +1,96 @@
+"""Print the SHA-256 of a standard set of ksetwl outputs on the bundled MUTAG.
+
+Usage: python scripts/output_digests.py
+
+Runs the CLI of the checkout this script belongs to (its ``src/``) on
+exact, linalg, feature, normalized, sampled and adaptive configurations
+and prints one ``<digest>  <name>`` line per output file.  Everything is
+written under a temporary directory that is removed afterwards.  Running
+the script on two checkouts and diffing the lines tells whether a change
+keeps every output byte-identical.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from ksetwl.cli import main  # noqa: E402
+
+MUTAG = os.path.join(ROOT, "data", "MUTAG")
+PARTS = ("A", "graph_indicator", "graph_labels", "node_labels", "edge_labels")
+SUBSET_STRIDE = 25   # every 25th graph, as in the adaptive benchmark input
+
+KWL2 = ("--kernel", "kwl-local", "--k", "2", "--h", "3")
+RUNS = (
+    ("k3-exact.gram", "MUTAG",
+     ("gram", "--kernel", "kwl-local", "--k", "3", "--h", "3")),
+    ("k2-linalg.gram", "MUTAG", ("gram", *KWL2, "--mode", "linalg")),
+    ("wl1-h5.gram", "MUTAG", ("gram", "--kernel", "wl1", "--h", "5")),
+    ("k2-exact.features", "MUTAG", ("features", *KWL2)),
+    ("k2-l1-block.gram", "MUTAG", ("gram", *KWL2, "--normalize", "l1-block")),
+    ("subset-adaptive-seed5.gram", "MUTAGSUB",
+     ("gram", *KWL2, "--mode", "adaptive", "--epsilon", "0.1",
+      "--delta", "0.1", "--seed", "5")),
+    ("k2-sampled-seed9.gram", "MUTAG",
+     ("gram", *KWL2, "--mode", "sampled", "--samples", "300",
+      "--seed", "9")),
+)
+
+
+def _lines(path):
+    with open(path) as f:
+        return [line.strip() for line in f if line.strip()]
+
+
+def write_subset(out_dir, stride=SUBSET_STRIDE):
+    """Every ``stride``-th MUTAG graph, starting with the first, with its
+    node and edge labels, as the TU dataset ``MUTAGSUB`` in ``out_dir``."""
+    cols = {p: _lines(os.path.join(MUTAG, f"MUTAG_{p}.txt")) for p in PARTS}
+    indicator = [int(x) for x in cols["graph_indicator"]]
+    keep = {gid: i + 1 for i, gid in
+            enumerate(range(1, len(cols["graph_labels"]) + 1, stride))}
+    node_id, kept = {}, []
+    for v, gid in enumerate(indicator, start=1):
+        if gid in keep:
+            node_id[v] = len(kept) + 1
+            kept.append(v)
+    edges = [(row, lab) for row, lab in zip(cols["A"], cols["edge_labels"])
+             if int(row.split(",")[0]) in node_id]
+    files = {
+        "A": [", ".join(str(node_id[int(x)]) for x in row.split(","))
+              for row, _ in edges],
+        "edge_labels": [lab for _, lab in edges],
+        "graph_indicator": [str(keep[indicator[v - 1]]) for v in kept],
+        "node_labels": [cols["node_labels"][v - 1] for v in kept],
+        "graph_labels": [cols["graph_labels"][gid - 1] for gid in keep],
+    }
+    os.makedirs(out_dir)
+    for part, lines in files.items():
+        with open(os.path.join(out_dir, f"MUTAGSUB_{part}.txt"), "w") as f:
+            f.write("".join(line + "\n" for line in lines))
+    return out_dir
+
+
+def main_digests() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        datasets = {"MUTAG": MUTAG,
+                    "MUTAGSUB": write_subset(os.path.join(tmp, "MUTAGSUB"))}
+        for name, dataset, argv in RUNS:
+            out = os.path.join(tmp, name)
+            command, *rest = argv
+            code = main([command, "--dataset", datasets[dataset], *rest,
+                         "--output", out])
+            if code != 0:
+                print(f"{name}: ksetwl exited {code}", file=sys.stderr)
+                return code
+            with open(out, "rb") as f:
+                print(f"{hashlib.sha256(f.read()).hexdigest()}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digests())

@@ -14,9 +14,8 @@ from .features import (FeatureVector, cosine_normalize_gram, dot, gram_matrix,
 from .graph import Dataset, Graph, build_graph
 from .interner import Coloring, LabelInterner
 from .ksets import KSetIndex, enumerate_ksets
-from .kwl import (KSetGraph, build_kset_graph, c_neighborhood,
-                  global_neighbors, iso_type, kset_colorings, kset_histograms,
-                  local_neighbors)
+from .kwl import (c_neighborhood, global_neighbors, iso_type, kset_colorings,
+                  kset_histograms, local_neighbors)
 from .linalg import discretize, la_refinement, la_step, prime_table
 from .sampling import (SampledEstimate, estimate_features_adaptive,
                        estimate_features_fixed, hoeffding_sample_size,

@@ -15,10 +15,13 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .errors import (FormatError, GraphError, KsetwlError, ParameterError,
                      ResourceLimitError)
-from .features import cosine_normalize_gram, gram_matrix, l1_normalize
+from .features import (FeatureVector, cosine_normalize_gram, gram_matrix,
+                       l1_normalize)
 from .interner import LabelInterner
 from .kwl import DEFAULT_MAX_SETS
 from .parallel import DeterministicPool
@@ -137,55 +140,62 @@ def _validate_mode(args) -> None:
             "--mode sampled needs --samples, or --gamma to derive one")
 
 
-def _compute_features(graphs, args, h: int, pool):
-    """Feature vectors for one h, plus manifest extras."""
-    extra: dict = {}
-    if args.mode == "exact":
-        interner = LabelInterner()
-        if args.kernel == "wl1":
-            runs = exact_wl1_run(graphs, h, interner, pool=pool)
-        else:
-            runs = exact_kset_run(graphs, args.k, h, interner,
-                                  local=args.kernel == "kwl-local",
-                                  pool=pool, max_sets=args.max_sets)
-        features = features_from_colorings(runs)
-        extra["label_space"] = len(interner)
-    elif args.mode == "linalg":
-        if args.kernel == "wl1":
-            runs = la_wl1_run(graphs, h)
-        else:
-            runs = la_kset_run(graphs, args.k, h,
-                               local=args.kernel == "kwl-local",
-                               pool=pool, max_sets=args.max_sets)
-        features = features_from_label_arrays(runs)
-    else:
-        interner = LabelInterner()
-        sample_count = args.samples
-        if args.mode == "sampled" and sample_count is None:
-            sample_count = hoeffding_sample_size(args.epsilon, args.delta,
-                                                 args.gamma)
-            extra["derived_sample_count"] = sample_count
-        estimates = sampled_dataset_run(
-            graphs, args.k, h, seed=args.seed, interner=interner,
-            mode=args.mode, sample_count=sample_count, epsilon=args.epsilon,
-            delta=args.delta, initial_size=args.initial_samples,
-            growth=args.growth, strict_delta=args.strict_delta,
-            max_total_samples=args.max_samples)
-        features = [est.to_feature_vector() for est in estimates]
-        extra["label_space"] = len(interner)
-        extra["sample_counts"] = [est.sample_count for est in estimates]
-        undersized = [i for i, est in enumerate(estimates) if est.undersized]
-        if undersized:
-            extra["undersized_graphs"] = undersized
-        if args.mode == "adaptive":
-            extra["rounds"] = {str(i): est.rounds
-                               for i, est in enumerate(estimates)}
+def _compute_features(graphs, args, h_values, pool):
+    """Yield (h, feature vectors, manifest extras) for each h of ``h_values``.
 
-    if args.normalize == "l1-block":
-        features = [l1_normalize(fv, "per-block") for fv in features]
-    elif args.normalize == "l1-full":
-        features = [l1_normalize(fv, "whole-vector") for fv in features]
-    return features, extra
+    Exact and linalg labels of depths 0..h do not depend on later depths, so
+    those modes run once at the largest h and cut each output from the first
+    h + 1 feature blocks.  Sampling stops by a rule that depends on h, so
+    sampled and adaptive modes run once per h.
+    """
+    if args.mode in ("sampled", "adaptive"):
+        for h in h_values:
+            yield (h, *_sampled_features(graphs, args, h))
+        return
+    top = h_values[-1]
+    wl1, local = args.kernel == "wl1", args.kernel == "kwl-local"
+    if args.mode == "exact":
+        features = features_from_colorings(
+            exact_wl1_run(graphs, top, LabelInterner(), pool=pool) if wl1 else
+            exact_kset_run(graphs, args.k, top, LabelInterner(), local=local,
+                           pool=pool, max_sets=args.max_sets))
+        # every id is issued at one depth: a run stopped at h has the ids
+        # of blocks 0..h
+        extras = [{"label_space": int(n)} for n in np.cumsum([
+            len(set().union(*(fv.blocks[d] for fv in features)))
+            for d in range(top + 1)])]
+    else:
+        features = features_from_label_arrays(
+            la_wl1_run(graphs, top) if wl1 else
+            la_kset_run(graphs, args.k, top, local=local, pool=pool,
+                        max_sets=args.max_sets))
+        extras = [{}] * (top + 1)
+    for h in h_values:
+        cut = [FeatureVector(fv.blocks[:h + 1]) for fv in features]
+        yield h, cut, extras[h]
+
+
+def _sampled_features(graphs, args, h: int):
+    """Sampled or adaptive estimates for one h, plus manifest extras."""
+    interner, extra, sample_count = LabelInterner(), {}, args.samples
+    if args.mode == "sampled" and sample_count is None:
+        sample_count = extra["derived_sample_count"] = hoeffding_sample_size(
+            args.epsilon, args.delta, args.gamma)
+    estimates = sampled_dataset_run(
+        graphs, args.k, h, seed=args.seed, interner=interner,
+        mode=args.mode, sample_count=sample_count, epsilon=args.epsilon,
+        delta=args.delta, initial_size=args.initial_samples,
+        growth=args.growth, strict_delta=args.strict_delta,
+        max_total_samples=args.max_samples)
+    extra["label_space"] = len(interner)
+    extra["sample_counts"] = [est.sample_count for est in estimates]
+    undersized = [i for i, est in enumerate(estimates) if est.undersized]
+    if undersized:
+        extra["undersized_graphs"] = undersized
+    if args.mode == "adaptive":
+        extra["rounds"] = {str(i): est.rounds
+                           for i, est in enumerate(estimates)}
+    return [est.to_feature_vector() for est in estimates], extra
 
 
 def _manifest(args, path: str, timings: dict, extra: dict) -> None:
@@ -200,10 +210,6 @@ def _manifest(args, path: str, timings: dict, extra: dict) -> None:
     with open(path + ".manifest.json", "w") as f:
         json.dump(payload, f, indent=2, default=str)
         f.write("\n")
-
-
-def _output_path(base: str, h: int, sweeping: bool) -> str:
-    return f"{base}.h{h}" if sweeping else base
 
 
 def _run_info(args) -> int:
@@ -238,11 +244,15 @@ def _run_compute(args) -> int:
     totals = {key: stats[key] for key in ("graphs", "vertices", "edges")}
     sweeping = len(h_values) > 1
     with DeterministicPool(args.threads) as pool:
-        for h in h_values:
-            t1 = time.perf_counter()
-            features, extra = _compute_features(ds.graphs, args, h, pool)
+        t1 = time.perf_counter()
+        for h, features, extra in _compute_features(ds.graphs, args,
+                                                    h_values, pool):
+            if args.normalize != "none":
+                scope = ("per-block" if args.normalize == "l1-block"
+                         else "whole-vector")
+                features = [l1_normalize(fv, scope) for fv in features]
             t_compute = time.perf_counter() - t1
-            out = _output_path(args.output, h, sweeping)
+            out = f"{args.output}.h{h}" if sweeping else args.output
             timings = {"load": t_load, "compute": t_compute}
             t2 = time.perf_counter()
             if args.command == "features":
@@ -260,6 +270,7 @@ def _run_compute(args) -> int:
             timings["write"] = time.perf_counter() - t2
             _manifest(args, out, timings,
                       {"dataset": totals, **extra, "h": h})
+            t1 = time.perf_counter()
     return 0
 
 

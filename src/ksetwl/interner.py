@@ -108,7 +108,7 @@ class Coloring:
 
     def histogram(self) -> dict[int, float]:
         values, counts = np.unique(self.labels, return_counts=True)
-        return {int(v): float(c) for v, c in zip(values, counts)}
+        return dict(zip(values.tolist(), counts.astype(np.float64).tolist()))
 
 
 def _ragged_keys(tag: bytes, words: np.ndarray,

@@ -17,7 +17,6 @@ the full graph, which is all the sampling path needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import ParameterError
 from .graph import Graph
 from .interner import _BIAS, Coloring, LabelInterner, iso_key, iso_key_batch
-from .ksets import KSetIndex, enumerate_ksets
+from .ksets import KSetIndex
 
 # Exact modes refuse graphs with more k-sets than this unless overridden;
 # the sampling estimators have no such limit.
@@ -134,34 +133,6 @@ def local_neighbors(g: Graph, t) -> list[tuple]:
     return list(map(tuple, rows.tolist()))
 
 
-@dataclass
-class KSetGraph:
-    """Directed adjacency over k-set ranks: rank(s) -> ranks of its local
-    neighbors.  Asymmetric in general (s may reach t but not vice versa)."""
-
-    index: KSetIndex
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    @property
-    def num_sets(self) -> int:
-        return self.index.size
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.indices.size)
-
-
-def build_kset_graph(g: Graph, k: int, max_sets: int = DEFAULT_MAX_SETS) -> KSetGraph:
-    """Materialize the directed k-set graph of ``g``.
-
-    Raises ResourceLimitError when C(n, k) exceeds ``max_sets``; at that
-    point the sampling estimators are the intended path.
-    """
-    index = enumerate_ksets(g, k, max_sets)
-    return KSetGraph(index, *_neighbor_csr(g, index, True, index.all_sets()))
-
-
 def _swaps(g: Graph, sets: np.ndarray, local: bool):
     """Every admissible swap of every row of ``sets``: the owner row and the
     new set (ascending), ordered by owner, then incoming vertex, then the
@@ -175,7 +146,8 @@ def _swaps(g: Graph, sets: np.ndarray, local: bool):
         ends = np.cumsum(deg)
         gather = np.arange(ends[-1] if len(ends) else 0)
         gather += np.repeat(g.indptr[members] - (ends - deg), deg)
-        owner, vertex = np.divmod(np.unique(owner * n + g.indices[gather]), n)
+        cand = np.sort(owner * n + g.indices[gather])
+        owner, vertex = np.divmod(cand[np.diff(cand, prepend=-1) != 0], n)
     else:
         owner = np.repeat(np.arange(len(sets)), n)
         vertex = np.tile(np.arange(n), len(sets))
@@ -185,7 +157,11 @@ def _swaps(g: Graph, sets: np.ndarray, local: bool):
     for j in range(k):
         swapped[:, j, :k - 1] = np.delete(sets, j, axis=1)[owner]
         swapped[:, j, k - 1] = vertex
-    swapped.sort(axis=2)
+    # the first k - 1 columns ascend: bubble the incoming vertex into place
+    for c in range(k - 2, -1, -1):
+        left, right = swapped[:, :, c], swapped[:, :, c + 1]
+        swapped[:, :, c], swapped[:, :, c + 1] = (np.minimum(left, right),
+                                                  np.maximum(left, right))
     return np.repeat(owner, k), swapped.reshape(-1, k)
 
 
@@ -206,6 +182,21 @@ def _neighbor_csr(g: Graph, index: KSetIndex, local: bool, sets: np.ndarray):
     return indptr, np.concatenate([indptr[:0]] + blocks)
 
 
+def _unique_rows(a: np.ndarray):
+    """``np.unique(a, axis=0, return_inverse=True, return_counts=True)`` for
+    a 2-D integer array: distinct rows ascending, inverse, counts."""
+    # np.unique(axis=0) sorts rows as opaque void records, several times
+    # slower than one lexsort over the columns
+    order = np.lexsort(a.T[::-1])
+    rows = a[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    return rows[starts], inverse, np.diff(starts, append=len(a))
+
+
 def swap_levels(g: Graph, sets: np.ndarray, radius: int):
     """Breadth-first expansion of ``sets`` over local swaps.
 
@@ -219,9 +210,7 @@ def swap_levels(g: Graph, sets: np.ndarray, radius: int):
     for _ in range(radius):
         level = levels[-1]
         owner, rows = _swaps(g, level, local=True)
-        wider, where = np.unique(np.concatenate([level, rows]), axis=0,
-                                 return_inverse=True)
-        where = where.reshape(-1)
+        wider, where, _ = _unique_rows(np.concatenate([level, rows]))
         indptr = np.zeros(len(level) + 1, dtype=np.int64)
         np.cumsum(np.bincount(owner, minlength=len(level)), out=indptr[1:])
         links.append((where[:len(level)], indptr, where[len(level):]))

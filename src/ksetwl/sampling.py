@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParameterError, ResourceLimitError
 from .graph import Graph
 from .interner import LabelInterner, refinement_key_batch
-from .kwl import iso_keys, swap_levels
+from .kwl import _unique_rows, iso_keys, swap_levels
 
 DEFAULT_MAX_TOTAL_SAMPLES = 10_000_000
 
@@ -219,7 +219,7 @@ class _SampleLabeler:
         """Distinct drawn k-sets as vertex tuples in colex order (ascending
         colex rank) and how often each was drawn."""
         sets = _draw_batch(self.g.num_vertices, self.k, size, rng)
-        uniq, counts = np.unique(sets, axis=0, return_counts=True)
+        uniq, _, counts = _unique_rows(sets)
         order = np.lexsort(uniq.T)
         return list(map(tuple, uniq[order].tolist())), counts[order].tolist()
 

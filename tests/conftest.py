@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from ksetwl import build_graph, parse_tu_dataset
+from ksetwl import build_graph, enumerate_ksets, parse_tu_dataset
+from ksetwl.kwl import DEFAULT_MAX_SETS, _neighbor_csr
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 MUTAG_DIR = os.path.join(DATA_DIR, "MUTAG")
@@ -48,6 +49,12 @@ def random_graph(rng, n, p, labeled=False, edge_labeled=False):
     edge_labels = (rng.integers(0, 3, size=len(edges)).tolist()
                    if edge_labeled else None)
     return build_graph(n, edges, node_labels=labels, edge_labels=edge_labels)
+
+
+def local_kset_csr(g, k, max_sets=DEFAULT_MAX_SETS):
+    """The k-set index of ``g`` and the rank-space CSR of its local swaps."""
+    index = enumerate_ksets(g, k, max_sets)
+    return (index, *_neighbor_csr(g, index, True, index.all_sets()))
 
 
 @pytest.fixture(scope="session")

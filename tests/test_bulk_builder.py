@@ -3,7 +3,8 @@
 The bulk iso-type keys, the bulk neighbor CSR and the matrix-product gram
 are each compared with a plain per-set (or per-pair) computation of the
 same quantity over random labeled graphs, including graphs with fewer than
-k vertices and graphs without edges.
+k vertices and graphs without edges.  The lexsort row dedupe is compared
+with ``np.unique(axis=0)``.
 """
 
 import tracemalloc
@@ -15,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from ksetwl import FeatureVector, build_graph, dot, enumerate_ksets, gram_matrix
 from ksetwl.interner import iso_key
-from ksetwl.kwl import (_neighbor_csr, global_neighbors, iso_code, iso_keys,
-                        local_neighbors)
+from ksetwl.kwl import (_neighbor_csr, _unique_rows, global_neighbors,
+                        iso_code, iso_keys, local_neighbors)
 
 from conftest import label_groups
 import reference as ref
@@ -211,3 +212,45 @@ def test_small_blocks_build_the_same_structures(monkeypatch):
     assert blocked[0] == whole[0]
     for a, b in zip(blocked[1:], whole[1:]):
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+# ------------------------------------------------------------- row dedupe
+
+I64 = np.iinfo(np.int64)
+ROW_VALUES = (st.integers(-3, 3) | st.integers(I64.min, I64.min + 2)
+              | st.integers(I64.max - 2, I64.max))
+
+
+def assert_unique_rows_like_numpy(a):
+    rows, inverse, counts = _unique_rows(a)
+    want_rows, want_inverse, want_counts = np.unique(
+        a, axis=0, return_inverse=True, return_counts=True)
+    assert rows.dtype == a.dtype and rows.shape == want_rows.shape
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+    assert np.array_equal(counts, want_counts)
+
+
+@st.composite
+def row_matrices(draw):
+    """Integer matrices with k = 2..4 columns whose entries come from a few
+    values, so that rows repeat; values reach both int64 limits."""
+    k = draw(st.integers(2, 4))
+    pool = draw(st.lists(ROW_VALUES, min_size=1, max_size=3, unique=True))
+    m = draw(st.integers(0, 60))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=m * k,
+                          max_size=m * k))
+    return np.array(cells, dtype=np.int64).reshape(m, k)
+
+
+@given(row_matrices())
+@settings(max_examples=200, deadline=None)
+def test_unique_rows_match_numpy(a):
+    assert_unique_rows_like_numpy(a)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_unique_rows_of_empty_single_and_equal_rows(k, m):
+    for value in (0, I64.min, I64.max):
+        assert_unique_rows_like_numpy(np.full((m, k), value, dtype=np.int64))

@@ -1,6 +1,7 @@
 import json
 import os
 
+import pytest
 
 from ksetwl.cli import main
 
@@ -71,6 +72,33 @@ def test_h_sweep_writes_one_output_per_h(two_triangle_dir, tmp_path, capsys):
     for h in range(3):
         assert os.path.exists(f"{out_path}.h{h}")
         assert os.path.exists(f"{out_path}.h{h}.manifest.json")
+
+
+@pytest.mark.parametrize("command, config, sweep", [
+    ("gram", ("--kernel", "wl1", "--mode", "exact"), (0, 3)),
+    ("gram", ("--kernel", "kwl-local", "--k", "2", "--mode", "exact"), (0, 2)),
+    ("features", ("--kernel", "kwl-local", "--k", "2", "--mode", "exact",
+                  "--normalize", "l1-block"), (1, 2)),
+    ("gram", ("--kernel", "kwl-local", "--k", "2", "--mode", "linalg"), (0, 2)),
+])
+def test_h_sweep_equals_separate_runs(tmp_path, capsys, command, config,
+                                      sweep):
+    lo, hi = sweep
+    base = [command, "--dataset", MUTAG_DIR, *config]
+    code, _, err = run_cli(capsys, *base, "--h-sweep", f"{lo}..{hi}",
+                           "--output", str(tmp_path / "sweep"))
+    assert code == 0, err
+    for h in range(lo, hi + 1):
+        single = str(tmp_path / f"single{h}")
+        code, _, err = run_cli(capsys, *base, "--h", str(h), "--output", single)
+        assert code == 0, err
+        swept = str(tmp_path / f"sweep.h{h}")
+        assert open(swept, "rb").read() == open(single, "rb").read()
+        got = json.load(open(swept + ".manifest.json"))
+        want = json.load(open(single + ".manifest.json"))
+        assert got["h"] == h
+        assert ("label_space" in got) == ("exact" in config)
+        assert got.get("label_space") == want.get("label_space")
 
 
 def test_usage_error_exit_code(two_triangle_dir, tmp_path, capsys):

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from ksetwl import (LabelInterner, ResourceLimitError, build_graph,
-                    build_kset_graph, c_neighborhood, enumerate_ksets,
-                    global_neighbors, iso_type, kset_colorings,
-                    local_neighbors)
+                    c_neighborhood, enumerate_ksets, global_neighbors,
+                    iso_type, kset_colorings, local_neighbors)
 from ksetwl.kwl import iso_code
 
-from conftest import label_groups, random_graph
+from conftest import label_groups, local_kset_csr, random_graph
 
 
 def test_iso_type_symmetric_triangle(tri):
@@ -89,15 +88,14 @@ def test_local_subset_of_global():
 
 
 def test_kset_graph_triangle(tri):
-    sg = build_kset_graph(tri, 2)
-    assert sg.num_sets == 3
-    assert np.all(np.diff(sg.indptr) == 2)
+    index, indptr, _ = local_kset_csr(tri, 2)
+    assert index.size == 3
+    assert np.all(np.diff(indptr) == 2)
 
 
 def test_kset_graph_is_directed(e1i):
-    sg = build_kset_graph(e1i, 2)
-    index = sg.index
-    out_deg = np.diff(sg.indptr)
+    index, indptr, _ = local_kset_csr(e1i, 2)
+    out_deg = np.diff(indptr)
     assert out_deg[index.rank((0, 1))] == 0
     assert out_deg[index.rank((0, 2))] >= 1
     assert out_deg[index.rank((1, 2))] >= 1
@@ -105,20 +103,20 @@ def test_kset_graph_is_directed(e1i):
 
 def test_kset_graph_empty_when_too_few_vertices():
     g = build_graph(2, [(0, 1)])
-    assert build_kset_graph(g, 3).num_sets == 0
+    assert local_kset_csr(g, 3)[0].size == 0
 
 
 def test_kset_graph_edge_count_matches_neighbor_sum(tri, e1i, p4):
     for g in (tri, e1i, p4):
-        sg = build_kset_graph(g, 2)
+        index, _, indices = local_kset_csr(g, 2)
         expected = sum(len(local_neighbors(g, tuple(int(v) for v in row)))
-                       for row in sg.index.all_sets())
-        assert sg.num_edges == expected
+                       for row in index.all_sets())
+        assert indices.size == expected
 
 
 def test_budget_guard(p4):
     with pytest.raises(ResourceLimitError):
-        build_kset_graph(p4, 2, max_sets=3)
+        local_kset_csr(p4, 2, max_sets=3)
 
 
 def test_ball_radius_zero(tri):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from ksetwl import (LabelInterner, build_graph, build_kset_graph, discretize,
-                    kset_colorings, la_refinement, la_step, prime_table)
+from ksetwl import (LabelInterner, build_graph, discretize, kset_colorings,
+                    la_refinement, la_step, prime_table)
 from ksetwl.kwl import local_neighbors
 from ksetwl.pipeline import la_kset_run, la_wl1_run
 from ksetwl.wl1 import wl1_colorings
 
-from conftest import label_groups, random_graph
+from conftest import label_groups, local_kset_csr, random_graph
 
 LOG2 = 0.6931471805599453
 
@@ -66,8 +66,8 @@ def test_discretize_tolerance_merges_near_values():
 
 
 def test_la_refinement_symmetric_cases(tri, c6):
-    sg = build_kset_graph(tri, 2)
-    iters = la_refinement(sg.indptr, sg.indices, np.zeros(3, dtype=np.int64), 3)
+    _, indptr, indices = local_kset_csr(tri, 2)
+    iters = la_refinement(indptr, indices, np.zeros(3, dtype=np.int64), 3)
     assert all(len(set(lab.tolist())) == 1 for lab in iters)
     iters = la_refinement(c6.indptr, c6.indices, np.zeros(6, dtype=np.int64), 4)
     assert all(len(set(lab.tolist())) == 1 for lab in iters)
@@ -109,10 +109,10 @@ def test_paper_mode_never_finer_than_paired():
 
 
 def test_kset_operand_sparsity(p4):
-    sg = build_kset_graph(p4, 2)
+    index, _, indices = local_kset_csr(p4, 2)
     expected = sum(len(local_neighbors(p4, tuple(int(v) for v in row)))
-                   for row in sg.index.all_sets())
-    assert sg.num_edges == expected
+                   for row in index.all_sets())
+    assert indices.size == expected
 
 
 def test_joint_la_labels_are_cross_graph_consistent(c6, two_k3):

@@ -4,8 +4,8 @@ totality.
 Error messages are pinned word for word, with the file and line they name.
 A hypothesis test writes random valid TU directories in every accepted
 layout and compares each parsed Graph field with a per-edge dict oracle,
-and a fuzz test mutates the bytes of a small dataset and checks that
-``ksetwl info`` exits 0 or 2.
+and fuzz tests mutate the bytes of a small dataset and check that
+``ksetwl info`` exits 0 or 2 and ``ksetwl gram``/``features`` exit 0-3.
 """
 
 import os
@@ -318,15 +318,15 @@ def test_empty_edge_label_file_means_unlabeled(tmp_path):
 # ------------------------------------------------------------- totality fuzz
 
 SMALL = {part: text.encode() for part, text in BASE.items()}
-
-
-@given(st.sampled_from(sorted(SMALL)), st.lists(st.tuples(
+EDITS = st.lists(st.tuples(
     st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 40),
     st.sampled_from(list(b"0123456789,-+ \t\n\r_x") + [0, 0xff, 0xe3]))
     | st.tuples(st.just("replace"), st.integers(0, 40), st.integers(0, 255)),
-    min_size=1, max_size=4))
-@settings(max_examples=300, deadline=None)
-def test_info_exits_0_or_2_on_mutated_bytes(part, edits):
+    min_size=1, max_size=4)
+
+
+def mutated(part, edits) -> dict:
+    """SMALL with the bytes of ``part`` edited."""
     data = bytearray(SMALL[part])
     for op, at, byte in edits:
         at = min(at, len(data))
@@ -337,6 +337,23 @@ def test_info_exits_0_or_2_on_mutated_bytes(part, edits):
                 data[at] = byte
             else:
                 del data[at]
+    return {**SMALL, part: bytes(data)}
+
+
+@given(st.sampled_from(sorted(SMALL)), EDITS)
+@settings(max_examples=300, deadline=None)
+def test_info_exits_0_or_2_on_mutated_bytes(part, edits):
     with tempfile.TemporaryDirectory() as root:
-        d = write_tu(root, {**SMALL, part: bytes(data)})
+        d = write_tu(root, mutated(part, edits))
         assert main(["info", "--dataset", d]) in (0, 2)
+
+
+@given(st.sampled_from(sorted(SMALL)), EDITS,
+       st.sampled_from(["gram", "features"]))
+@settings(max_examples=200, deadline=None)
+def test_compute_exits_0_to_3_on_mutated_bytes(part, edits, command):
+    with tempfile.TemporaryDirectory() as root:
+        d = write_tu(root, mutated(part, edits))
+        assert main([command, "--dataset", d, "--kernel", "kwl-local",
+                     "--k", "2", "--h", "1", "--mode", "exact",
+                     "--output", os.path.join(root, "out")]) in (0, 1, 2, 3)

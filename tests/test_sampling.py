@@ -8,6 +8,7 @@ from ksetwl import (LabelInterner, ParameterError, RademacherState,
                     kset_colorings, local_labels, make_rng,
                     massart_deviation_bound, sample_kset_uniform)
 from ksetwl.pipeline import exact_kset_run
+from ksetwl.sampling import _draw_batch, _SampleLabeler
 
 from conftest import random_graph
 
@@ -21,6 +22,20 @@ def test_sample_size_frozen_values():
     assert hoeffding_sample_size(0.1, 0.1, 10) == SIZE_SINGLE
     assert hoeffding_sample_size(1.0, 0.5, 1) == 1
     assert hoeffding_sample_size_dataset(0.1, 0.1, 10, 100) == SIZE_DATASET
+
+
+@pytest.mark.parametrize("n, k, size, seed",
+                         [(8, 2, 500, 1), (1000, 3, 300, 2), (6, 4, 200, 3),
+                          (50, 2, 1, 4)])
+def test_draw_counts_match_the_np_unique_formula(n, k, size, seed):
+    g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    got = _SampleLabeler(g, k, 1, LabelInterner()).draw_counts(
+        size, make_rng(seed))
+    uniq, counts = np.unique(_draw_batch(n, k, size, make_rng(seed)), axis=0,
+                             return_counts=True)
+    order = np.lexsort(uniq.T)
+    assert got == (list(map(tuple, uniq[order].tolist())),
+                   counts[order].tolist())
 
 
 def test_sample_size_monotone_in_gamma():
