@@ -3,8 +3,10 @@
 Usage: python scripts/output_digests.py
 
 Runs the CLI of the checkout this script belongs to (its ``src/``) on
-exact, linalg, feature, normalized, sampled and adaptive configurations
-and prints one ``<digest>  <name>`` line per output file.  Everything is
+exact, linalg, feature, normalized, sampled and adaptive configurations of
+every kernel, and on a copy of MUTAG without node labels (where 1-WL starts
+from vertex degrees), and prints one ``<digest>  <name>`` line per output
+file.  Everything is
 written under a temporary directory that is removed afterwards.  Running
 the script on two checkouts and diffing the lines tells whether a change
 keeps every output byte-identical.
@@ -12,6 +14,7 @@ keeps every output byte-identical.
 
 import hashlib
 import os
+import shutil
 import sys
 import tempfile
 
@@ -25,11 +28,17 @@ PARTS = ("A", "graph_indicator", "graph_labels", "node_labels", "edge_labels")
 SUBSET_STRIDE = 25   # every 25th graph, as in the adaptive benchmark input
 
 KWL2 = ("--kernel", "kwl-local", "--k", "2", "--h", "3")
+WL1 = ("--kernel", "wl1", "--h", "5")
 RUNS = (
     ("k3-exact.gram", "MUTAG",
      ("gram", "--kernel", "kwl-local", "--k", "3", "--h", "3")),
     ("k2-linalg.gram", "MUTAG", ("gram", *KWL2, "--mode", "linalg")),
-    ("wl1-h5.gram", "MUTAG", ("gram", "--kernel", "wl1", "--h", "5")),
+    ("wl1-h5.gram", "MUTAG", ("gram", *WL1)),
+    ("wl1-h5.features", "MUTAG", ("features", *WL1)),
+    ("wl1-h5-linalg.gram", "MUTAG", ("gram", *WL1, "--mode", "linalg")),
+    ("wl1-h5-unlabeled.features", "MUTAGNOLAB", ("features", *WL1)),
+    ("k2-global.gram", "MUTAG",
+     ("gram", "--kernel", "kwl-global", "--k", "2", "--h", "3")),
     ("k2-exact.features", "MUTAG", ("features", *KWL2)),
     ("k2-l1-block.gram", "MUTAG", ("gram", *KWL2, "--normalize", "l1-block")),
     ("subset-adaptive-seed5.gram", "MUTAGSUB",
@@ -75,10 +84,22 @@ def write_subset(out_dir, stride=SUBSET_STRIDE):
     return out_dir
 
 
+def write_unlabeled(out_dir):
+    """MUTAG without its node labels, as the TU dataset ``MUTAGNOLAB``."""
+    os.makedirs(out_dir)
+    for part in PARTS:
+        if part != "node_labels":
+            shutil.copyfile(os.path.join(MUTAG, f"MUTAG_{part}.txt"),
+                            os.path.join(out_dir, f"MUTAGNOLAB_{part}.txt"))
+    return out_dir
+
+
 def main_digests() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         datasets = {"MUTAG": MUTAG,
-                    "MUTAGSUB": write_subset(os.path.join(tmp, "MUTAGSUB"))}
+                    "MUTAGSUB": write_subset(os.path.join(tmp, "MUTAGSUB")),
+                    "MUTAGNOLAB": write_unlabeled(
+                        os.path.join(tmp, "MUTAGNOLAB"))}
         for name, dataset, argv in RUNS:
             out = os.path.join(tmp, name)
             command, *rest = argv

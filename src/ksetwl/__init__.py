@@ -24,6 +24,6 @@ from .sampling import (SampledEstimate, estimate_features_adaptive,
                        sample_kset_uniform, RademacherState)
 from .tu_io import (parse_tu_dataset, write_features_sparse, write_gram_csv,
                     write_gram_libsvm)
-from .wl1 import distinguishable, initial_coloring, wl1_colorings, wl1_step
+from .wl1 import distinguishable, wl1_colorings, wl1_histograms
 
 __all__ = [name for name in dir() if not name.startswith("_")]

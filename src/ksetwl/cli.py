@@ -5,7 +5,8 @@ Subcommands: info | features | gram | sample-size.  Exit codes: 0 success,
 1 usage error, 2 data/format error, 3 resource-cap error.  Every output file
 gets a sibling ``<output>.manifest.json`` recording the full configuration,
 seed, and wall times; identical config + seed + dataset bytes reproduce the
-output files byte for byte, for any --threads value.
+output files byte for byte.  Every kernel runs as k-set refinement: wl1 is
+the local k-set kernel at k = 1.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .features import (FeatureVector, cosine_normalize_gram, gram_matrix,
                        l1_normalize)
 from .interner import LabelInterner
 from .kwl import DEFAULT_MAX_SETS
-from .parallel import DeterministicPool
-from .pipeline import (exact_kset_run, exact_wl1_run,
-                       features_from_colorings, features_from_label_arrays,
-                       la_kset_run, la_wl1_run, sampled_dataset_run)
+from .pipeline import (exact_kset_run, features_from_colorings,
+                       features_from_label_arrays, la_kset_run,
+                       sampled_dataset_run)
 from .sampling import hoeffding_sample_size, hoeffding_sample_size_dataset
 from .tu_io import (parse_tu_dataset, write_features_sparse, write_gram_csv,
                     write_gram_libsvm)
@@ -68,7 +68,6 @@ def _add_compute_args(p):
     p.add_argument("--strict-delta", action="store_true",
                    help="split delta geometrically across adaptive rounds")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--normalize", choices=("none", "l1-block", "l1-full"),
                    default="none")
     p.add_argument("--max-sets", type=int, default=DEFAULT_MAX_SETS,
@@ -140,12 +139,12 @@ def _validate_mode(args) -> None:
             "--mode sampled needs --samples, or --gamma to derive one")
 
 
-def _compute_features(graphs, args, h_values, pool):
+def _compute_features(graphs, args, h_values):
     """Yield (h, feature vectors, manifest extras) for each h of ``h_values``.
 
-    Exact and linalg labels of depths 0..h do not depend on later depths, so
-    those modes run once at the largest h and cut each output from the first
-    h + 1 feature blocks.  Sampling stops by a rule that depends on h, so
+    Exact and linalg labels of iterations 0..h do not depend on later
+    iterations, so those modes run once at the largest h and cut each output
+    from the first h + 1 feature blocks.  Sampling stops by a rule that depends on h, so
     sampled and adaptive modes run once per h.
     """
     if args.mode in ("sampled", "adaptive"):
@@ -153,22 +152,20 @@ def _compute_features(graphs, args, h_values, pool):
             yield (h, *_sampled_features(graphs, args, h))
         return
     top = h_values[-1]
-    wl1, local = args.kernel == "wl1", args.kernel == "kwl-local"
+    k = 1 if args.kernel == "wl1" else args.k
+    local = args.kernel != "kwl-global"
     if args.mode == "exact":
-        features = features_from_colorings(
-            exact_wl1_run(graphs, top, LabelInterner(), pool=pool) if wl1 else
-            exact_kset_run(graphs, args.k, top, LabelInterner(), local=local,
-                           pool=pool, max_sets=args.max_sets))
-        # every id is issued at one depth: a run stopped at h has the ids
-        # of blocks 0..h
+        features = features_from_colorings(exact_kset_run(
+            graphs, k, top, LabelInterner(), local=local,
+            max_sets=args.max_sets))
+        # every id is issued in one iteration: a run stopped at h has the
+        # ids of blocks 0..h
         extras = [{"label_space": int(n)} for n in np.cumsum([
             len(set().union(*(fv.blocks[d] for fv in features)))
             for d in range(top + 1)])]
     else:
-        features = features_from_label_arrays(
-            la_wl1_run(graphs, top) if wl1 else
-            la_kset_run(graphs, args.k, top, local=local, pool=pool,
-                        max_sets=args.max_sets))
+        features = features_from_label_arrays(la_kset_run(
+            graphs, k, top, local=local, max_sets=args.max_sets))
         extras = [{}] * (top + 1)
     for h in h_values:
         cut = [FeatureVector(fv.blocks[:h + 1]) for fv in features]
@@ -243,34 +240,32 @@ def _run_compute(args) -> int:
     stats = ds.stats()
     totals = {key: stats[key] for key in ("graphs", "vertices", "edges")}
     sweeping = len(h_values) > 1
-    with DeterministicPool(args.threads) as pool:
-        t1 = time.perf_counter()
-        for h, features, extra in _compute_features(ds.graphs, args,
-                                                    h_values, pool):
-            if args.normalize != "none":
-                scope = ("per-block" if args.normalize == "l1-block"
-                         else "whole-vector")
-                features = [l1_normalize(fv, scope) for fv in features]
-            t_compute = time.perf_counter() - t1
-            out = f"{args.output}.h{h}" if sweeping else args.output
-            timings = {"load": t_load, "compute": t_compute}
+    t1 = time.perf_counter()
+    for h, features, extra in _compute_features(ds.graphs, args, h_values):
+        if args.normalize != "none":
+            scope = ("per-block" if args.normalize == "l1-block"
+                     else "whole-vector")
+            features = [l1_normalize(fv, scope) for fv in features]
+        t_compute = time.perf_counter() - t1
+        out = f"{args.output}.h{h}" if sweeping else args.output
+        timings = {"load": t_load, "compute": t_compute}
+        t2 = time.perf_counter()
+        if args.command == "features":
+            write_features_sparse(features, ds.class_labels, out)
+        else:
+            K = gram_matrix(features)
+            if args.gram_normalize:
+                K = cosine_normalize_gram(K)
+            timings["gram"] = time.perf_counter() - t2
             t2 = time.perf_counter()
-            if args.command == "features":
-                write_features_sparse(features, ds.class_labels, out)
+            if args.format == "libsvm":
+                write_gram_libsvm(K, ds.class_labels, out)
             else:
-                K = gram_matrix(features)
-                if args.gram_normalize:
-                    K = cosine_normalize_gram(K)
-                timings["gram"] = time.perf_counter() - t2
-                t2 = time.perf_counter()
-                if args.format == "libsvm":
-                    write_gram_libsvm(K, ds.class_labels, out)
-                else:
-                    write_gram_csv(K, out)
-            timings["write"] = time.perf_counter() - t2
-            _manifest(args, out, timings,
-                      {"dataset": totals, **extra, "h": h})
-            t1 = time.perf_counter()
+                write_gram_csv(K, out)
+        timings["write"] = time.perf_counter() - t2
+        _manifest(args, out, timings,
+                  {"dataset": totals, **extra, "h": h})
+        t1 = time.perf_counter()
     return 0
 
 

@@ -1,10 +1,10 @@
 """Immutable undirected labeled graphs in compressed sparse adjacency form.
 
 Vertex ids are dense 0-based integers; 1-based ids from benchmark files are
-converted at the I/O boundary.  Graphs are frozen after construction and can
-be shared freely across worker threads.  Rows are sorted, so an edge lookup
-is a binary search of one row: the sampling path labels k-sets on the full
-graph and reads only the rows of the vertices it touches.
+converted at the I/O boundary.  Graphs are frozen after construction.  Rows
+are sorted, so an edge lookup is a binary search of one row: the sampling
+path labels k-sets on the full graph and reads only the rows of the
+vertices it touches.
 """
 
 from __future__ import annotations

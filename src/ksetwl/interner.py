@@ -1,10 +1,10 @@
 """Injective relabeling of structured refinement keys to compact integer ids.
 
 One LabelInterner instance spans an entire dataset run so that feature
-vectors of different graphs index the same label space.  Three key kinds
-exist: initial node values (raw label or degree), canonical codes of k-set
-isomorphism types, and refinement keys (previous label, ascending tuple of
-neighbor labels).  Keys are encoded to bytes whose lexicographic order
+vectors of different graphs index the same label space.  Two key kinds
+exist: canonical codes of k-set isomorphism types (at k = 1, a vertex's
+node label or degree) and refinement keys (previous label, ascending tuple
+of neighbor labels).  Keys are encoded to bytes whose lexicographic order
 matches the natural order of the underlying tuples, which makes the
 two-phase deterministic interning protocol a plain sort.
 """
@@ -19,16 +19,10 @@ import numpy as np
 
 from .errors import ParameterError
 
-_TAG_INITIAL = b"I"
 _TAG_ISO = b"T"
 _TAG_REFINE = b"R"
 
 _BIAS = 1 << 63  # maps signed 64-bit values onto order-preserving unsigned
-
-
-def initial_key(value: int) -> bytes:
-    """Key for a raw node label or degree used as the iteration-0 color."""
-    return _TAG_INITIAL + struct.pack(">Q", int(value) + _BIAS)
 
 
 def iso_key(code: bytes) -> bytes:
@@ -53,46 +47,34 @@ class LabelInterner:
     """Global injective map from key bytes to dense label ids.
 
     Ids are issued in interning order; the same key always returns the same
-    id within a run.  Each id remembers its refinement depth (0 for initial
-    values and isomorphism types, previous depth + 1 for refinement keys).
+    id within a run.
     """
 
     def __init__(self):
         self._ids: dict[bytes, int] = {}
-        self._depths: list[int] = []
 
     def __len__(self) -> int:
         return len(self._ids)
 
-    def intern(self, key: bytes, depth: int) -> int:
-        label = self._ids.get(key)
-        if label is None:
-            label = len(self._depths)
-            self._ids[key] = label
-            self._depths.append(depth)
-        return label
+    def intern(self, key: bytes) -> int:
+        return self._ids.setdefault(key, len(self._ids))
 
-    def intern_window(self, keys, depth: int) -> np.ndarray:
+    def intern_window(self, keys) -> np.ndarray:
         """Two-phase window: intern all fresh keys in ascending byte order,
         then return the ids of ``keys`` in input order.
 
-        Computing keys is embarrassingly parallel; calling this once per
-        iteration with the collected keys makes id assignment independent of
-        scheduling and worker count.
+        Calling this once per iteration with the collected keys makes id
+        assignment independent of the order the keys were computed in.
         """
         keys = list(keys)
         ids = self._ids
         for key in sorted(set(keys).difference(ids)):
-            ids[key] = len(self._depths)
-            self._depths.append(depth)
+            ids[key] = len(ids)
         return np.fromiter(map(ids.__getitem__, keys), dtype=np.int64,
                            count=len(keys))
 
     def lookup(self, key: bytes) -> int:
         return self._ids[key]
-
-    def depth_of(self, label: int) -> int:
-        return self._depths[label]
 
 
 @dataclass
@@ -155,23 +137,16 @@ def refinement_key_batch(indptr: np.ndarray, indices: np.ndarray,
     return _ragged_keys(_TAG_REFINE, words, starts)
 
 
-def refine_coloring_window(batches, interner: LabelInterner, depth: int,
-                           pool=None):
+def refine_coloring_window(batches, interner: LabelInterner):
     """Advance several graphs one refinement step under one intern window.
 
     ``batches`` is a list of (indptr, indices, Coloring); returns the new
-    Colorings in the same order.  All key computation happens before any id
-    is issued, so the result is bit-identical for any execution order of the
-    per-graph key passes (the pool, when given, parallelizes exactly that
-    phase).
+    Colorings in the same order.  All keys are computed, one graph at a
+    time, before any id is issued.
     """
-    def keys_of(batch):
-        indptr, indices, col = batch
-        return refinement_key_batch(indptr, indices, col.labels)
-
-    all_keys = (pool.map_ordered(keys_of, batches) if pool is not None
-                else [keys_of(b) for b in batches])
-    ids = interner.intern_window(chain.from_iterable(all_keys), depth)
+    all_keys = [refinement_key_batch(indptr, indices, col.labels)
+                for indptr, indices, col in batches]
+    ids = interner.intern_window(chain.from_iterable(all_keys))
     return [Coloring(col.iteration + 1, labels) for (_, _, col), labels
             in zip(batches, split_rows(ids, [len(k) for k in all_keys]))]
 

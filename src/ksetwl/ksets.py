@@ -17,23 +17,31 @@ from .errors import ParameterError, ResourceLimitError
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def _choose_table(n: int, k: int) -> np.ndarray:
+    """chooses[v, j] = C(v, j) for 0 <= v <= n, 0 <= j <= k, saturated at
+    the int64 maximum; the terms of a valid rank never exceed size - 1."""
+    # exact Python integers by the hockey-stick identity
+    # C(v, j) = C(0, j - 1) + ... + C(v - 1, j - 1), then saturated
+    table = np.zeros((n + 1, k + 1), dtype=object)
+    table[:, 0] = 1
+    for j in range(1, k + 1):
+        table[1:, j] = np.cumsum(table[:-1, j - 1])
+    return np.minimum(table, _INT64_MAX).astype(np.int64)
+
+
 class KSetIndex:
     """Rank/unrank between ascending k-tuples and [0, C(n, k))."""
 
     def __init__(self, n: int, k: int):
-        if k < 2:
-            raise ParameterError(f"k must be at least 2, got {k}")
+        if k < 1:
+            raise ParameterError(f"k must be at least 1, got {k}")
         self.n = int(n)
         self.k = int(k)
         self.size = comb(self.n, self.k)
         if self.size > _INT64_MAX:
             raise ResourceLimitError(
                 f"C({self.n}, {self.k}) k-sets do not fit 64-bit ranks")
-        # chooses[v, j] = C(v, j) for 0 <= v <= n, 0 <= j <= k, saturated at
-        # the int64 maximum; the terms of a valid rank never exceed size - 1
-        self._chooses = np.array(
-            [[min(comb(v, j), _INT64_MAX) for j in range(self.k + 1)]
-             for v in range(self.n + 1)], dtype=np.int64)
+        self._chooses = _choose_table(self.n, self.k)
 
     def rank(self, t) -> int:
         r = 0
@@ -71,8 +79,8 @@ class KSetIndex:
 
 def check_budget(n: int, k: int, max_sets: int) -> None:
     """Refuse C(n, k) > ``max_sets`` before any per-set table is built
-    (k < 2 is left to :class:`KSetIndex` to reject)."""
-    size = comb(n, k) if k >= 2 else 0
+    (k < 1 is left to :class:`KSetIndex` to reject)."""
+    size = comb(n, k) if k >= 1 else 0
     if size > max_sets:
         raise ResourceLimitError(
             f"C({n}, {k}) = {size} k-sets exceeds the cap of {max_sets}; "

@@ -6,11 +6,16 @@ global variant admits every outside vertex; the local variant only vertices
 adjacent to at least one member of the original set, which is what ties the
 refinement to the graph's sparsity.
 
-The per-graph front end works on all k-sets at once with array operations:
+At k = 1 a set is a vertex, its local swaps are the vertex's neighbors and
+its isomorphism type is its node label (its degree when the graph is
+unlabeled), so k-set refinement at k = 1 is 1-WL.
+
+The front end works on all k-sets at once with array operations:
 :func:`iso_keys` gathers node labels, adjacency bits and edge labels of every
 set and takes the lexicographic minimum over the k! member orderings, and
 :func:`_neighbor_csr` builds the swap neighborhoods from a ragged gather of
-member adjacency rows.  Both are processed in bounded blocks of sets.
+member adjacency rows.  Both are processed in bounded blocks of sets, and
+both run once over a whole dataset stacked by :func:`stack_graphs`.
 :func:`swap_levels` expands a few sets into their radius-h swap levels on
 the full graph, which is all the sampling path needs.
 """
@@ -32,8 +37,10 @@ from .ksets import KSetIndex
 DEFAULT_MAX_SETS = 50_000_000
 
 # Upper bound on the rows of one block's per-set working arrays (sets times
-# orderings for iso types, candidate swaps for neighborhoods).
-_BLOCK_ITEMS = 1 << 18
+# orderings for iso types, candidate swaps for neighborhoods).  A stacked
+# dataset fills every block, so this bounds the front end's scratch memory:
+# 1 << 18 raised the peak RSS of k = 3 on MUTAG by about 15 MB.
+_BLOCK_ITEMS = 1 << 16
 
 _SIGN = np.uint64(_BIAS)
 
@@ -57,6 +64,39 @@ def _edges_between(g: Graph, u: np.ndarray, v: np.ndarray):
     return present, labels
 
 
+def node_words(g: Graph, k: int) -> np.ndarray:
+    """Each vertex's word in the iso types of k-sets: its node label, or in
+    an unlabeled graph its degree at k = 1 (where 1-WL starts) and 0 for
+    larger k."""
+    if g.node_labels is not None:
+        return np.asarray(g.node_labels, dtype=np.int64)
+    if k == 1:
+        return np.diff(g.indptr)
+    return np.zeros(g.num_vertices, dtype=np.int64)
+
+
+def stack_graphs(graphs, k: int):
+    """The block-diagonal union of ``graphs`` as one Graph, and the vertex
+    offset of each graph followed by the total.  Its node labels are the
+    graphs' :func:`node_words` for ``k``, so the iso keys of its k-sets are
+    the keys each k-set has in its own graph."""
+    offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
+    np.cumsum([g.num_vertices for g in graphs], out=offsets[1:])
+    arcs = np.cumsum([0] + [len(g.indices) for g in graphs])
+    empty = np.empty(0, dtype=np.int64)
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64)] + [
+        g.indptr[1:] + a for g, a in zip(graphs, arcs)])
+    indices = np.concatenate(
+        [empty] + [g.indices + o for g, o in zip(graphs, offsets)])
+    words = np.concatenate([empty] + [node_words(g, k) for g in graphs])
+    edge_labels = None   # a 1-set holds no pair, so k = 1 reads no edge
+    if k > 1 and any(g.edge_labels is not None for g in graphs):
+        edge_labels = {(u + o, v + o): label
+                       for g, o in zip(graphs, offsets.tolist())
+                       for (u, v), label in (g.edge_labels or {}).items()}
+    return Graph(offsets[-1], indptr, indices, words, edge_labels), offsets
+
+
 def _iso_words(g: Graph, sets: np.ndarray):
     """Canonical codes of the rows of ``sets`` as flat unsigned words, plus
     each row's start.  A code is the minimum, over all orderings of the set,
@@ -70,8 +110,7 @@ def _iso_words(g: Graph, sets: np.ndarray):
     pair[a, b] = pair[b, a] = np.arange(len(a))
     perms = np.array(list(permutations(range(k))), dtype=np.int64)
     slots = pair[perms[:, a], perms[:, b]]    # pair index of each (a, b)
-    nodes = (np.asarray(g.node_labels, dtype=np.int64)[sets]
-             if g.node_labels is not None else np.zeros((m, k), np.int64))
+    nodes = node_words(g, k)[sets]
     codes = np.concatenate([nodes[:, perms], present.reshape(m, -1)[:, slots],
                             elabs.reshape(m, -1)[:, slots]], axis=2)
     alive = np.ones(codes.shape[:2], dtype=bool)
@@ -110,7 +149,7 @@ def iso_code(g: Graph, t) -> bytes:
 
 def iso_type(g: Graph, t, interner: LabelInterner) -> int:
     """Intern the isomorphism type of one k-set (iteration-0 color)."""
-    return interner.intern(iso_key(iso_code(g, t)), depth=0)
+    return interner.intern(iso_key(iso_code(g, t)))
 
 
 def global_neighbors(g: Graph, t) -> list[tuple]:
@@ -133,11 +172,13 @@ def local_neighbors(g: Graph, t) -> list[tuple]:
     return list(map(tuple, rows.tolist()))
 
 
-def _swaps(g: Graph, sets: np.ndarray, local: bool):
+def _swaps(g: Graph, sets: np.ndarray, local: bool, ranges=None):
     """Every admissible swap of every row of ``sets``: the owner row and the
     new set (ascending), ordered by owner, then incoming vertex, then the
     replaced position.  Local swaps take in only vertices adjacent to a
-    member; the candidates come from a ragged gather of member rows."""
+    member; the candidates come from a ragged gather of member rows.  Global
+    swaps take in every vertex of [lo, hi) for ``ranges`` = (lo, hi), one
+    pair of arrays over the rows, and of the whole graph by default."""
     n, k = g.num_vertices, sets.shape[1]
     if local:
         members = sets.ravel()
@@ -149,8 +190,11 @@ def _swaps(g: Graph, sets: np.ndarray, local: bool):
         cand = np.sort(owner * n + g.indices[gather])
         owner, vertex = np.divmod(cand[np.diff(cand, prepend=-1) != 0], n)
     else:
-        owner = np.repeat(np.arange(len(sets)), n)
-        vertex = np.tile(np.arange(n), len(sets))
+        lo, hi = ranges if ranges is not None else (0, n)
+        size = np.broadcast_to(hi - lo, len(sets))
+        owner = np.repeat(np.arange(len(sets)), size)
+        vertex = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size
+                                                   - lo, size)
     outside = ~(sets[owner] == vertex[:, None]).any(axis=1)
     owner, vertex = owner[outside], vertex[outside]
     swapped = np.empty((len(owner), k, k), dtype=np.int64)
@@ -165,21 +209,35 @@ def _swaps(g: Graph, sets: np.ndarray, local: bool):
     return np.repeat(owner, k), swapped.reshape(-1, k)
 
 
-def _neighbor_csr(g: Graph, index: KSetIndex, local: bool, sets: np.ndarray):
+def _neighbor_csr(g: Graph, index: KSetIndex, local: bool, sets: np.ndarray,
+                  offsets=None):
     """Rank-space CSR of every k-set's local (or global) swap neighbors, in
     the order of :func:`local_neighbors` and :func:`global_neighbors`;
-    ``sets`` is ``index.all_sets()``."""
+    ``sets`` is ``index.all_sets()``.
+
+    Given the vertex ``offsets`` of :func:`stack_graphs`, ``g`` is a stack of
+    graphs and ``sets`` their k-sets, stacked: every row's swaps stay in its
+    own graph, whose ranks number its neighbors, and ``index`` is the index
+    of the largest graph (colex ranks do not depend on n).
+    """
     k = index.k
-    per_set = k * (k * g.max_degree() if local else g.num_vertices)
+    if offsets is None:
+        offsets = np.array([0, g.num_vertices])
+    widest = int(np.max(np.diff(offsets), initial=0))
+    per_set = k * (k * g.max_degree() if local else widest)
     step = max(1, _BLOCK_ITEMS // max(per_set, 1))
+    # ranks within one graph mostly fit 32 bits, which halves the CSR
+    dtype = np.int32 if index.size <= np.iinfo(np.int32).max else np.int64
     counts, blocks = [], []
     for block in np.split(sets, range(step, len(sets), step)):
-        owner, rows = _swaps(g, block, local)
+        graph = np.searchsorted(offsets, block[:, 0], side="right") - 1
+        lo = offsets[graph]
+        owner, rows = _swaps(g, block, local, (lo, offsets[graph + 1]))
         counts.append(np.bincount(owner, minlength=len(block)))
-        blocks.append(index.rank_rows(rows))
-    indptr = np.zeros(index.size + 1, dtype=np.int64)
+        blocks.append(index.rank_rows(rows - lo[owner, None]).astype(dtype))
+    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
     np.cumsum(np.concatenate([indptr[:0]] + counts), out=indptr[1:])
-    return indptr, np.concatenate([indptr[:0]] + blocks)
+    return indptr, np.concatenate([np.empty(0, dtype)] + blocks)
 
 
 def _unique_rows(a: np.ndarray):

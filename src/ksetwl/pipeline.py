@@ -1,15 +1,15 @@
 """Dataset-level runs: exact, linear-algebra, and sampled feature pipelines.
 
-Exact runs advance all graphs in lockstep, one intern window per iteration,
-so label ids depend only on the dataset and parameters, never on thread
-scheduling.  Linear-algebra runs stack all graphs into one block-diagonal
-operator and regroup values jointly, which keeps labels comparable across
-graphs without an interner.
+Both exact and linear-algebra runs build their k-sets, iso types and swap
+neighborhoods once over the block-diagonal stack of all graphs.  1-WL is
+the local k-set refinement at k = 1.  Exact runs advance all graphs in
+lockstep, one intern window per iteration, so label ids depend only on the
+dataset and parameters.  Linear-algebra runs refine the stacked k-set graph
+and regroup values jointly, which keeps labels comparable across graphs
+without an interner.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -17,131 +17,82 @@ from .errors import ParameterError
 from .features import FeatureVector
 from .interner import (Coloring, LabelInterner, refine_coloring_window,
                        split_rows)
-from .ksets import enumerate_ksets
-from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys
+from .ksets import KSetIndex, enumerate_ksets
+from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs
 from .linalg import DEFAULT_TOLERANCE, la_refinement
 from .sampling import estimate_features_adaptive, estimate_features_fixed
-from .wl1 import initial_colorings
 
 
-def exact_wl1_run(graphs, h: int, interner: LabelInterner,
-                  pool=None) -> list[list[Coloring]]:
-    """Vertex refinement for all graphs, iterations 0..h, shared interner."""
-    if h < 0:
-        raise ParameterError("iteration count h must be nonnegative")
-    current = initial_colorings(graphs, interner)
-    runs = [[c] for c in current]
-    batches = [(g.indptr, g.indices, None) for g in graphs]
-    for it in range(1, h + 1):
-        stepped = refine_coloring_window(
-            [(ip, ix, col) for (ip, ix, _), col in zip(batches, current)],
-            interner, depth=it, pool=pool)
-        for run, col in zip(runs, stepped):
-            run.append(col)
-        current = stepped
-    return runs
+def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int):
+    """The k-set front end of a dataset run, built once over the stack of
+    all graphs (:func:`ksetwl.kwl.stack_graphs`).
 
-
-def _kset_structures(graphs, k: int, local: bool, csr: bool, max_sets: int,
-                     pool=None):
-    """The k-set front end of a dataset run, one graph at a time: the
-    iso-type keys of all k-sets in rank order and, when ``csr``, their swap
-    neighborhoods.  Every graph passes the k-set cap before any is built."""
+    Returns the iso-type keys of all k-sets, graph by graph in rank order,
+    the number of k-sets of each graph and, when ``csr``, one CSR of their
+    swap neighborhoods whose rows follow the keys and whose columns are
+    ranks within the row's own graph.  Every graph passes the k-set cap
+    before anything is built.
+    """
     indexes = [enumerate_ksets(g, k, max_sets) for g in graphs]
-
-    def build(pair):
-        g, index = pair
-        sets = index.all_sets()
-        keys = iso_keys(g, sets)
-        return keys, (_neighbor_csr(g, index, local, sets) if csr else None)
-
-    work = list(zip(graphs, indexes))
-    built = (pool.map_ordered(build, work) if pool is not None
-             else [build(p) for p in work])
-    return [b[0] for b in built], [b[1] for b in built]
+    stack, offsets = stack_graphs(graphs, k)
+    sets = np.concatenate([np.empty((0, k), dtype=np.int64)] + [
+        index.all_sets() + offset for index, offset in zip(indexes, offsets)])
+    keys = iso_keys(stack, sets)
+    counts = [index.size for index in indexes]
+    if not csr:
+        return keys, counts, None
+    widest = max(indexes, key=lambda index: index.n, default=KSetIndex(0, k))
+    return keys, counts, _neighbor_csr(stack, widest, local, sets, offsets)
 
 
 def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
-                   local: bool = True, pool=None,
+                   local: bool = True,
                    max_sets: int = DEFAULT_MAX_SETS) -> list[list[Coloring]]:
     """k-set refinement for all graphs in lockstep.
 
     Iteration 0 interns isomorphism-type codes of every k-set; later
-    iterations refine over local or global swap neighborhoods.  Graphs with
-    fewer than k vertices contribute empty colorings throughout.
+    iterations refine over local or global swap neighborhoods, one intern
+    window per iteration over the graphs' key passes.  Graphs with fewer
+    than k vertices contribute empty colorings throughout.  At k = 1 with
+    local swaps this is 1-WL.
     """
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
-    all_keys, csrs = _kset_structures(graphs, k, local, h > 0, max_sets, pool)
-    ids = interner.intern_window(chain.from_iterable(all_keys), depth=0)
-    current = [Coloring(0, labels) for labels in
-               split_rows(ids, [len(keys) for keys in all_keys])]
-    del all_keys   # refinement keys replace the iso keys from here on
+    keys, counts, csr = kset_front_end(graphs, k, local, h > 0, max_sets)
+    ids = interner.intern_window(keys)
+    del keys   # refinement keys replace the iso keys from here on
+    current = [Coloring(0, labels) for labels in split_rows(ids, counts)]
     runs = [[c] for c in current]
-    for it in range(1, h + 1):
-        stepped = refine_coloring_window(
-            [(ip, ix, col) for (ip, ix), col in zip(csrs, current)],
-            interner, depth=it, pool=pool)
-        for run, col in zip(runs, stepped):
+    if h:
+        indptr, indices = csr
+        rows = np.cumsum([0] + counts).tolist()
+        csrs = [(indptr[a:b + 1] - indptr[a], indices[indptr[a]:indptr[b]])
+                for a, b in zip(rows, rows[1:])]
+    for _ in range(h):
+        current = refine_coloring_window(
+            [(ip, ix, col) for (ip, ix), col in zip(csrs, current)], interner)
+        for run, col in zip(runs, current):
             run.append(col)
-        current = stepped
     return runs
-
-
-def _block_diag(csrs, item_counts):
-    """Stack per-graph CSRs into one block-diagonal CSR."""
-    total = int(sum(item_counts))
-    indptr = np.zeros(total + 1, dtype=np.int64)
-    chunks = []
-    row = 0
-    nnz = 0
-    offset = 0
-    for (ip, ix), count in zip(csrs, item_counts):
-        if count:
-            indptr[row + 1: row + count + 1] = ip[1:] + nnz
-        chunks.append(ix + offset)
-        nnz += int(ip[-1])
-        row += count
-        offset += count
-    indices = (np.concatenate(chunks) if chunks
-               else np.empty(0, dtype=np.int64))
-    return indptr, indices
-
-
-def la_wl1_run(graphs, h: int, mode: str = "paired",
-               tolerance: float = DEFAULT_TOLERANCE) -> list[list[np.ndarray]]:
-    """Linear-algebra vertex refinement, regrouped jointly across graphs.
-
-    Returns per graph a list of dense label vectors for iterations 0..h;
-    labels are comparable across graphs of this run.
-    """
-    from .wl1 import initial_values
-    counts = [g.num_vertices for g in graphs]
-    indptr, indices = _block_diag([(g.indptr, g.indices) for g in graphs], counts)
-    init = (np.concatenate([initial_values(g) for g in graphs])
-            if sum(counts) else np.empty(0, dtype=np.int64))
-    iters = la_refinement(indptr, indices, init, h, mode=mode,
-                          tolerance=tolerance)
-    per_graph = [split_rows(labels, counts) for labels in iters]
-    return [[per_graph[it][gi] for it in range(h + 1)]
-            for gi in range(len(graphs))]
 
 
 def la_kset_run(graphs, k: int, h: int, local: bool = True,
                 mode: str = "paired", tolerance: float = DEFAULT_TOLERANCE,
-                pool=None,
                 max_sets: int = DEFAULT_MAX_SETS) -> list[list[np.ndarray]]:
     """Linear-algebra k-set refinement over the (directed) k-set graphs.
 
     Iteration 0 labels are isomorphism-type codes compressed jointly across
-    the dataset; refinement steps run on the block-diagonal stack of all
-    k-set adjacency structures.
+    the dataset; refinement steps run on the stacked k-set graph of all
+    graphs.  At k = 1 with local swaps this is 1-WL.
     """
-    all_keys, csrs = _kset_structures(graphs, k, local, True, max_sets, pool)
+    keys, counts, (indptr, indices) = kset_front_end(graphs, k, local, True,
+                                                     max_sets)
     # a fresh interner numbers the distinct types in ascending key order
-    init = LabelInterner().intern_window(chain.from_iterable(all_keys), 0)
-    counts = [len(keys) for keys in all_keys]
-    indptr, indices = _block_diag(csrs, counts)
+    init = LabelInterner().intern_window(keys)
+    del keys
+    # columns rank within their graph; shift them to the graph's stack rows
+    rows = np.cumsum([0] + counts)
+    indices = indices + np.repeat(rows[:-1], np.diff(indptr[rows]))
     iters = la_refinement(indptr, indices, init, h, mode=mode,
                           tolerance=tolerance)
     per_graph = [split_rows(labels, counts) for labels in iters]
@@ -179,7 +130,9 @@ def sampled_dataset_run(graphs, k: int, h: int, seed: int,
         if mode == "sampled":
             if sample_count is None:
                 raise ParameterError("fixed-size sampling needs a sample count")
-            est = estimate_features_fixed(g, k, h, sample_count, rng, interner)
+            est = estimate_features_fixed(
+                g, k, h, sample_count, rng, interner,
+                max_total_samples=max_total_samples)
         elif mode == "adaptive":
             est = estimate_features_adaptive(
                 g, k, h, epsilon, delta, rng, interner,

@@ -50,7 +50,7 @@ def hoeffding_sample_size(epsilon: float, delta: float, gamma: int) -> int:
     _check_probability("delta", delta, upper_inclusive=False)
     if gamma < 1:
         raise ParameterError(f"gamma must be a positive integer, got {gamma}")
-    return math.ceil(math.log(2.0 * gamma / delta) / (2.0 * (epsilon / gamma) ** 2))
+    return _hoeffding_count(epsilon, delta, gamma, 1)
 
 
 def hoeffding_sample_size_dataset(lam: float, delta: float, gamma: int,
@@ -66,8 +66,21 @@ def hoeffding_sample_size_dataset(lam: float, delta: float, gamma: int,
         raise ParameterError(f"gamma must be a positive integer, got {gamma}")
     if dataset_size is None or dataset_size < 1:
         raise ParameterError("dataset_size must be a positive integer")
-    return math.ceil(math.log(2.0 * gamma * dataset_size / delta)
-                     / (2.0 * (lam / gamma) ** 2))
+    return _hoeffding_count(lam, delta, gamma, dataset_size)
+
+
+def _hoeffding_count(epsilon: float, delta: float, gamma: int,
+                     union: int) -> int:
+    """ceil( ln(2 * gamma * union / delta) / (2 * (epsilon / gamma)^2) ),
+    refused when it is no finite count of 64-bit floats."""
+    try:
+        return math.ceil(math.log(2.0 * gamma * union / delta)
+                         / (2.0 * (epsilon / gamma) ** 2))
+    except (OverflowError, ZeroDivisionError):
+        raise ParameterError(
+            f"the sample count for epsilon {epsilon}, delta {delta} and "
+            f"gamma {gamma} overflows; use a larger epsilon or a smaller "
+            f"gamma") from None
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -102,20 +115,21 @@ def _label_sets(g: Graph, sets: np.ndarray, h: int,
                 interner: LabelInterner) -> np.ndarray:
     """Labels of the rows of ``sets`` for iterations 0..h, one row each.
 
-    Depth 0 interns the iso types of the widest swap level; depth d refines
-    level h - d by its rows' own and swap positions in level h - d + 1.
+    Iteration 0 interns the iso types of the widest swap level; iteration i
+    refines level h - i by its rows' own and swap positions in level
+    h - i + 1.
     """
     levels, links = swap_levels(g, sets, h)
     where = [np.arange(len(sets))]   # each row's position in every level
     for own, _, _ in links:
         where.append(own[where[-1]])
-    labels = interner.intern_window(iso_keys(g, levels[h]), depth=0)
+    labels = interner.intern_window(iso_keys(g, levels[h]))
     out = [labels[where[h]]]
-    for depth in range(1, h + 1):
-        own, indptr, neighbors = links[h - depth]
+    for i in range(1, h + 1):
+        own, indptr, neighbors = links[h - i]
         labels = interner.intern_window(
-            refinement_key_batch(indptr, neighbors, labels, own), depth)
-        out.append(labels[where[h - depth]])
+            refinement_key_batch(indptr, neighbors, labels, own))
+        out.append(labels[where[h - i]])
     return np.stack(out, axis=1)
 
 
@@ -244,16 +258,24 @@ class _SampleLabeler:
 def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
                             rng: np.random.Generator,
                             interner: LabelInterner,
-                            cache: dict | None = None) -> SampledEstimate:
+                            cache: dict | None = None,
+                            max_total_samples: int = DEFAULT_MAX_TOTAL_SAMPLES
+                            ) -> SampledEstimate:
     """Uniform fixed-size estimator of the per-iteration normalized features.
 
     Each sample adds 1/sample_count to the bucket of its label at every
     iteration 0..h, so every block's masses sum to one.  Graphs with fewer
     than k vertices yield the all-zero estimate flagged ``undersized``
-    rather than failing, so dataset runs survive tiny graphs.
+    rather than failing, so dataset runs survive tiny graphs.  A sample
+    count above ``max_total_samples`` is refused before anything is drawn.
     """
     if sample_count < 1:
         raise ParameterError("sample_count must be at least 1")
+    if sample_count > max_total_samples:
+        raise ResourceLimitError(
+            f"fixed-size sampling would draw {sample_count} samples, above "
+            f"the cap of {max_total_samples}; raise the cap or lower the "
+            f"sample count")
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
     if g.num_vertices < k:
@@ -290,8 +312,9 @@ def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
     _check_probability("delta", delta, upper_inclusive=False)
     if initial_size < 1:
         raise ParameterError("initial_size must be at least 1")
-    if growth <= 1.0:
-        raise ParameterError("growth factor must exceed 1")
+    if not (math.isfinite(growth) and growth > 1.0):
+        raise ParameterError(f"growth factor must be finite and exceed 1, "
+                             f"got {growth}")
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
     if g.num_vertices < k:
@@ -302,7 +325,10 @@ def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
     rounds = []
     round_idx = 0
     while True:
-        batch = int(round(initial_size * growth ** round_idx))
+        try:
+            batch = round(initial_size * growth ** round_idx)
+        except OverflowError:   # a batch beyond every float is beyond the cap
+            batch = math.inf
         if state.m + batch > max_total_samples:
             raise ResourceLimitError(
                 f"adaptive sampling would exceed {max_total_samples} samples "

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import pytest
@@ -5,8 +6,19 @@ import pytest
 from ksetwl import build_graph, enumerate_ksets, parse_tu_dataset
 from ksetwl.kwl import DEFAULT_MAX_SETS, _neighbor_csr
 
-DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA_DIR = os.path.join(ROOT, "data")
 MUTAG_DIR = os.path.join(DATA_DIR, "MUTAG")
+SRC_DIR = os.path.join(ROOT, "src")
+
+
+def scripts(name):
+    """The module ``scripts/<name>.py`` of this checkout."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 The bulk iso-type keys, the bulk neighbor CSR and the matrix-product gram
 are each compared with a plain per-set (or per-pair) computation of the
 same quantity over random labeled graphs, including graphs with fewer than
-k vertices and graphs without edges.  The lexsort row dedupe is compared
-with ``np.unique(axis=0)``.
+k vertices and graphs without edges.  The front end built once over a
+stack of graphs is compared with per-graph builds.  The lexsort row dedupe
+is compared with ``np.unique(axis=0)``.
 """
 
 import tracemalloc
@@ -16,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from ksetwl import FeatureVector, build_graph, dot, enumerate_ksets, gram_matrix
 from ksetwl.interner import iso_key
-from ksetwl.kwl import (_neighbor_csr, _unique_rows, global_neighbors,
-                        iso_code, iso_keys, local_neighbors)
+from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swaps,
+                        _unique_rows, global_neighbors, iso_code, iso_keys,
+                        local_neighbors)
+from ksetwl.pipeline import kset_front_end
 
 from conftest import label_groups
 import reference as ref
@@ -27,10 +30,13 @@ _BIAS = 1 << 63
 
 def per_set_iso_code(g, t) -> bytes:
     """Canonical code of one k-set by direct minimization over orderings:
-    node labels, upper-triangle adjacency bits, labels of present edges."""
+    node labels (degrees for a vertex of an unlabeled graph), upper-triangle
+    adjacency bits, labels of present edges."""
     k = len(t)
-    labels = (tuple(int(g.node_labels[v]) for v in t)
-              if g.node_labels is not None else (0,) * k)
+    if g.node_labels is not None:
+        labels = tuple(int(g.node_labels[v]) for v in t)
+    else:
+        labels = tuple(g.degree(v) for v in t) if k == 1 else (0,) * k
     adj = {}
     for a in range(k):
         for b in range(a + 1, k):
@@ -89,7 +95,7 @@ def labeled_graphs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(labeled_graphs(), st.integers(2, 4))
+@given(labeled_graphs(), st.integers(1, 4))
 def test_bulk_iso_keys_equal_per_set_codes(g, k):
     sets = enumerate_ksets(g, k).all_sets()
     expected = [per_set_iso_code(g, tuple(int(v) for v in t)) for t in sets]
@@ -107,7 +113,7 @@ def test_bulk_iso_keys_partition_like_naive_classes(g, k):
 
 
 @settings(max_examples=80, deadline=None)
-@given(labeled_graphs(), st.integers(2, 4), st.booleans())
+@given(labeled_graphs(), st.integers(1, 4), st.booleans())
 def test_bulk_csr_equals_per_set_neighbors(g, k, local):
     index = enumerate_ksets(g, k)
     indptr, indices = _neighbor_csr(g, index, local, index.all_sets())
@@ -117,6 +123,27 @@ def test_bulk_csr_equals_per_set_neighbors(g, k, local):
     neighbors = local_neighbors if local else global_neighbors
     for t in index.all_sets()[:4].tolist():
         assert neighbors(g, tuple(t)) == per_set_neighbors(g, tuple(t), local)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(labeled_graphs(), max_size=4), st.integers(1, 4),
+       st.booleans())
+def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
+    keys, counts, (indptr, indices) = kset_front_end(
+        graphs, k, local, True, DEFAULT_MAX_SETS)
+    rows = np.cumsum([0] + counts).tolist()
+    assert len(keys) == rows[-1] == len(indptr) - 1
+    assert indptr[-1] == len(indices)
+    for g, a, b in zip(graphs, rows, rows[1:]):
+        index = enumerate_ksets(g, k)
+        sets = index.all_sets()
+        assert keys[a:b] == iso_keys(g, sets)
+        owner, swapped = _swaps(g, sets, local)
+        assert np.array_equal(np.diff(indptr[a:b + 1]),
+                              np.bincount(owner, minlength=len(sets)))
+        assert np.array_equal(indices[indptr[a]:indptr[b]],
+                              index.rank_rows(swapped))
+    assert kset_front_end(graphs, k, local, False, DEFAULT_MAX_SETS)[2] is None
 
 
 def features_of(blocks_per_graph):

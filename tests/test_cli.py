@@ -155,30 +155,50 @@ def test_adaptive_gram_runs(two_triangle_dir, tmp_path, capsys):
     assert "rounds" in manifest and "0" in manifest["rounds"]
 
 
-def test_thread_count_does_not_change_bytes(two_triangle_dir, tmp_path, capsys):
-    outputs = []
-    for threads in ("1", "4"):
-        path = str(tmp_path / f"t{threads}.txt")
-        code, _, _ = run_cli(
-            capsys, "gram", "--dataset", two_triangle_dir, "--kernel",
-            "kwl-local", "--h", "3", "--mode", "exact", "--seed", "11",
-            "--threads", threads, "--output", path)
-        assert code == 0
-        outputs.append(open(path, "rb").read())
-    assert outputs[0] == outputs[1]
+@pytest.mark.parametrize("growth", ["nan", "inf", "1"])
+def test_adaptive_rejects_a_growth_that_is_not_finite_above_one(
+        two_triangle_dir, tmp_path, capsys, growth):
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel",
+        "kwl-local", "--h", "1", "--mode", "adaptive", "--epsilon", "0.01",
+        "--growth", growth, "--output", str(tmp_path / "g.txt"))
+    assert code == 1 and "growth factor" in err
 
 
-def test_feature_export_thread_independent(two_triangle_dir, tmp_path, capsys):
-    outputs = []
-    for threads in ("1", "4"):
-        path = str(tmp_path / f"f{threads}.txt")
-        code, _, _ = run_cli(
-            capsys, "features", "--dataset", two_triangle_dir, "--kernel",
-            "kwl-local", "--h", "2", "--mode", "sampled", "--samples", "200",
-            "--seed", "4", "--threads", threads, "--output", path)
-        assert code == 0
-        outputs.append(open(path, "rb").read())
-    assert outputs[0] == outputs[1]
+@pytest.mark.parametrize("growth", ["1e308", "1e200"])
+def test_adaptive_batch_beyond_the_cap_exits_3(two_triangle_dir, tmp_path,
+                                               capsys, growth):
+    # the second round's batch is inf (or beyond int64) before it is drawn
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel",
+        "kwl-local", "--h", "1", "--mode", "adaptive", "--epsilon", "0.01",
+        "--growth", growth, "--output", str(tmp_path / "g.txt"))
+    assert code == 3 and "adaptive sampling would exceed" in err
+
+
+@pytest.mark.parametrize("count", [["--gamma", "100000000000000000000"],
+                                   ["--samples", "10000001"]])
+def test_fixed_sampling_beyond_the_cap_exits_3(two_triangle_dir, tmp_path,
+                                               capsys, count):
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel",
+        "kwl-local", "--h", "1", "--mode", "sampled", *count,
+        "--output", str(tmp_path / "g.txt"))
+    assert code == 3 and "fixed-size sampling would draw" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--dataset-size", "10"]])
+def test_sample_size_overflow_is_a_usage_error(capsys, extra):
+    code, _, err = run_cli(capsys, "sample-size", "--gamma", "10",
+                           "--delta", "0.1", "--epsilon", "1e-300", *extra)
+    assert code == 1 and "overflows" in err
+
+
+def test_threads_option_is_gone(two_triangle_dir, tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel", "wl1",
+        "--h", "1", "--threads", "2", "--output", str(tmp_path / "g.txt"))
+    assert code == 1 and "--threads" in err
 
 
 def test_sampled_mode_derives_count_from_gamma(two_triangle_dir, tmp_path, capsys):

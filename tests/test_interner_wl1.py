@@ -1,26 +1,32 @@
 import numpy as np
 import pytest
 
-from ksetwl import LabelInterner, build_graph, distinguishable, wl1_step
+from ksetwl import LabelInterner, build_graph, distinguishable
 from ksetwl.errors import ParameterError
-from ksetwl.interner import initial_key, refinement_key_batch, refine_key
-from ksetwl.wl1 import initial_coloring, wl1_colorings, wl1_histograms
+from ksetwl.interner import iso_key, refinement_key_batch, refine_key
+from ksetwl.pipeline import exact_kset_run, la_kset_run
+from ksetwl.wl1 import wl1_colorings, wl1_histograms
 
 from conftest import label_groups, random_graph
+import reference as ref
+
+
+def initial_coloring(g, interner):
+    return wl1_colorings(g, 0, interner)[0]
 
 
 def test_intern_idempotent():
     it = LabelInterner()
-    a = it.intern(refine_key(3, (1, 2)), depth=1)
-    b = it.intern(refine_key(3, (1, 2)), depth=1)
+    a = it.intern(refine_key(3, (1, 2)))
+    b = it.intern(refine_key(3, (1, 2)))
     assert a == b
     assert len(it) == 1
 
 
 def test_fresh_keys_get_consecutive_ids():
     it = LabelInterner()
-    a = it.intern(initial_key(5), depth=0)
-    b = it.intern(initial_key(6), depth=0)
+    a = it.intern(iso_key(b"\x05"))
+    b = it.intern(iso_key(b"\x06"))
     assert b == a + 1
 
 
@@ -45,9 +51,9 @@ def test_key_batch_rejects_labels_past_the_sort_key_range():
 
 def test_window_order_independent_of_input_order():
     left, right = LabelInterner(), LabelInterner()
-    keys = [initial_key(v) for v in (9, 1, 5)]
-    left.intern_window(keys, depth=0)
-    right.intern_window(reversed(keys), depth=0)
+    keys = [refine_key(v, ()) for v in (9, 1, 5)]
+    left.intern_window(keys)
+    right.intern_window(reversed(keys))
     assert all(left.lookup(k) == right.lookup(k) for k in keys)
 
 
@@ -68,9 +74,7 @@ def test_initial_coloring_raw_labels():
 
 
 def test_one_step_on_path(p3):
-    it = LabelInterner()
-    col = initial_coloring(p3, it)
-    nxt = wl1_step(p3, col, it)
+    col, nxt = wl1_colorings(p3, 1, LabelInterner())
     assert nxt.iteration == 1
     assert sorted(nxt.histogram().values()) == [1.0, 2.0]
 
@@ -101,8 +105,7 @@ def test_path_histograms(p3):
 
 def test_regular_pair_indistinguishable(c6, two_k3):
     # both 2-regular and unlabeled: every iteration keeps one joint class
-    from ksetwl.pipeline import exact_wl1_run
-    runs = exact_wl1_run([c6, two_k3], 5, LabelInterner())
+    runs = exact_kset_run([c6, two_k3], 1, 5, LabelInterner())
     for ca, cb in zip(*runs):
         assert ca.histogram() == cb.histogram()
 
@@ -140,3 +143,30 @@ def test_label_ids_reproducible():
 def test_distinguishable_stops_on_stable_partition(c6, two_k3, p3, tri):
     assert not distinguishable(c6, two_k3, 10)
     assert distinguishable(p3, tri, 0)  # degree histograms already differ
+
+
+def test_distinguishable_caps_h_at_the_vertex_count(p3, p4):
+    # P3 and P4 differ at h = 0 already; a huge h must not run that long
+    assert distinguishable(p3, p4, 10 ** 12)
+    assert not distinguishable(p4, p4, 10 ** 12)
+
+
+def test_unlabeled_wl1_partitions_agree_with_reference():
+    # 1-WL as local k-set refinement at k = 1 starts unlabeled graphs from
+    # their degrees; joint partitions over several graphs, hash and linalg
+    rng = np.random.default_rng(31)
+    for _ in range(15):
+        graphs = [random_graph(rng, int(rng.integers(1, 10)),
+                               float(rng.choice([0.2, 0.5, 0.8])))
+                  for _ in range(int(rng.integers(1, 4)))]
+        naive = ref.naive_wl1_partitions(graphs, 4)
+        hashed = exact_kset_run(graphs, 1, 4, LabelInterner())
+        linalg = la_kset_run(graphs, 1, 4)
+        for it in range(5):
+            want = label_groups(naive[it])
+            assert label_groups({(gi, v): lab for gi, run in enumerate(hashed)
+                                 for v, lab in enumerate(
+                                     run[it].labels.tolist())}) == want
+            assert label_groups({(gi, v): lab for gi, run in enumerate(linalg)
+                                 for v, lab in enumerate(
+                                     run[it].tolist())}) == want

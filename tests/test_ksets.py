@@ -13,9 +13,13 @@ def test_counts():
     assert KSetIndex(2, 3).size == 0
 
 
-def test_k_below_two_rejected():
+def test_k_below_one_rejected():
     with pytest.raises(ParameterError):
-        KSetIndex(5, 1)
+        KSetIndex(5, 0)
+
+
+def test_one_sets_are_the_vertices():
+    assert KSetIndex(5, 1).all_sets().ravel().tolist() == [0, 1, 2, 3, 4]
 
 
 def test_enumerate_from_graph(e1i):

@@ -4,7 +4,7 @@ import pytest
 from ksetwl import (LabelInterner, build_graph, discretize, kset_colorings,
                     la_refinement, la_step, prime_table)
 from ksetwl.kwl import local_neighbors
-from ksetwl.pipeline import la_kset_run, la_wl1_run
+from ksetwl.pipeline import la_kset_run
 from ksetwl.wl1 import wl1_colorings
 
 from conftest import label_groups, local_kset_csr, random_graph
@@ -78,7 +78,7 @@ def test_la_matches_hash_refinement_on_random_graphs():
     for _ in range(15):
         g = random_graph(rng, int(rng.integers(2, 12)), 0.4,
                          labeled=bool(rng.integers(2)))
-        la_run = la_wl1_run([g], 4)[0]
+        la_run = la_kset_run([g], 1, 4)[0]
         hash_run = wl1_colorings(g, 4, LabelInterner())
         for la_labels, coloring in zip(la_run, hash_run):
             assert (label_groups(la_labels.tolist())
@@ -101,8 +101,8 @@ def test_paper_mode_never_finer_than_paired():
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(3, 11)), 0.4,
                          labeled=bool(rng.integers(2)))
-        paired = la_wl1_run([g], 3, mode="paired")[0]
-        summed = la_wl1_run([g], 3, mode="paper_sum")[0]
+        paired = la_kset_run([g], 1, 3, mode="paired")[0]
+        summed = la_kset_run([g], 1, 3, mode="paper_sum")[0]
         for fine, coarse in zip(paired, summed):
             for cls in label_groups(fine.tolist()):
                 assert any(cls <= sup for sup in label_groups(coarse.tolist()))
@@ -116,7 +116,7 @@ def test_kset_operand_sparsity(p4):
 
 
 def test_joint_la_labels_are_cross_graph_consistent(c6, two_k3):
-    runs = la_wl1_run([c6, two_k3], 3)
+    runs = la_kset_run([c6, two_k3], 1, 3)
     for it in range(4):
         # both graphs are 2-regular: one joint class across all 12 vertices
         joint = set(runs[0][it].tolist()) | set(runs[1][it].tolist())

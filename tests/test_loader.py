@@ -348,12 +348,22 @@ def test_info_exits_0_or_2_on_mutated_bytes(part, edits):
         assert main(["info", "--dataset", d]) in (0, 2)
 
 
+KWL2 = ("--kernel", "kwl-local", "--k", "2")
+RUNS = [
+    (*KWL2, "--mode", "exact"),
+    (*KWL2, "--mode", "linalg"),
+    (*KWL2, "--mode", "sampled", "--samples", "20"),
+    (*KWL2, "--mode", "adaptive", "--epsilon", "0.5"),
+    ("--kernel", "wl1", "--mode", "exact"),
+    ("--kernel", "wl1", "--mode", "linalg"),
+]
+
+
 @given(st.sampled_from(sorted(SMALL)), EDITS,
-       st.sampled_from(["gram", "features"]))
+       st.sampled_from(["gram", "features"]), st.sampled_from(RUNS))
 @settings(max_examples=200, deadline=None)
-def test_compute_exits_0_to_3_on_mutated_bytes(part, edits, command):
+def test_compute_exits_0_to_3_on_mutated_bytes(part, edits, command, run):
     with tempfile.TemporaryDirectory() as root:
         d = write_tu(root, mutated(part, edits))
-        assert main([command, "--dataset", d, "--kernel", "kwl-local",
-                     "--k", "2", "--h", "1", "--mode", "exact",
+        assert main([command, "--dataset", d, *run, "--h", "1",
                      "--output", os.path.join(root, "out")]) in (0, 1, 2, 3)

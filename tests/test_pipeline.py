@@ -1,13 +1,10 @@
-import numpy as np
 import pytest
 
 from ksetwl import (KSetIndex, LabelInterner, ParameterError,
                     ResourceLimitError, build_graph, dot)
-from ksetwl.parallel import DeterministicPool
-from ksetwl.pipeline import (exact_kset_run, exact_wl1_run,
-                             features_from_colorings,
+from ksetwl.pipeline import (exact_kset_run, features_from_colorings,
                              features_from_label_arrays, la_kset_run,
-                             la_wl1_run, sampled_dataset_run)
+                             sampled_dataset_run)
 
 from conftest import label_groups
 
@@ -65,14 +62,17 @@ def test_exact_run_enumerates_each_graph_once(monkeypatch, c6, two_k3, p4):
     assert sizes == [6, 6, 4]
 
 
-def test_exact_runs_pooled_and_serial_agree(c6, two_k3, p4):
-    graphs = [c6, two_k3, p4]
-    serial = exact_kset_run(graphs, 2, 3, LabelInterner())
-    with DeterministicPool(4) as pool:
-        pooled = exact_kset_run(graphs, 2, 3, LabelInterner(), pool=pool)
-    for left, right in zip(serial, pooled):
-        for ca, cb in zip(left, right):
-            assert np.array_equal(ca.labels, cb.labels)
+def test_dataset_run_partitions_match_single_graph_runs(c6, two_k3, p4):
+    # the stacked front end labels each graph as a run on it alone would
+    graphs = [c6, two_k3, build_graph(2, [(0, 1)]), p4]
+    for local in (True, False):
+        stacked = exact_kset_run(graphs, 2, 3, LabelInterner(), local=local)
+        for g, run in zip(graphs, stacked):
+            alone = exact_kset_run([g], 2, 3, LabelInterner(),
+                                   local=local)[0]
+            for ca, cb in zip(run, alone):
+                assert (label_groups(ca.labels.tolist())
+                        == label_groups(cb.labels.tolist()))
 
 
 def test_feature_paths_agree_on_kernel_values(c6, two_k3):
@@ -90,9 +90,9 @@ def test_feature_paths_agree_on_kernel_values(c6, two_k3):
 
 def test_wl1_dataset_lockstep_handles_mixed_sizes():
     graphs = [build_graph(1, []), build_graph(3, [(0, 1), (1, 2)])]
-    runs = exact_wl1_run(graphs, 2, LabelInterner())
+    runs = exact_kset_run(graphs, 1, 2, LabelInterner())
     assert [len(c.labels) for c in runs[0]] == [1, 1, 1]
-    la_runs = la_wl1_run(graphs, 2)
+    la_runs = la_kset_run(graphs, 1, 2)
     for it in range(3):
         assert (label_groups(la_runs[1][it].tolist())
                 == label_groups(runs[1][it].labels.tolist()))
