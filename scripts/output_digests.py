@@ -28,10 +28,11 @@ PARTS = ("A", "graph_indicator", "graph_labels", "node_labels", "edge_labels")
 SUBSET_STRIDE = 25   # every 25th graph, as in the adaptive benchmark input
 
 KWL2 = ("--kernel", "kwl-local", "--k", "2", "--h", "3")
+KWL3 = ("--kernel", "kwl-local", "--k", "3", "--h", "3")
 WL1 = ("--kernel", "wl1", "--h", "5")
 RUNS = (
-    ("k3-exact.gram", "MUTAG",
-     ("gram", "--kernel", "kwl-local", "--k", "3", "--h", "3")),
+    ("k3-exact.gram", "MUTAG", ("gram", *KWL3)),
+    ("k3-exact.features", "MUTAG", ("features", *KWL3)),
     ("k2-linalg.gram", "MUTAG", ("gram", *KWL2, "--mode", "linalg")),
     ("wl1-h5.gram", "MUTAG", ("gram", *WL1)),
     ("wl1-h5.features", "MUTAG", ("features", *WL1)),

@@ -21,26 +21,26 @@ class Graph:
 
     Adjacency is stored CSR-style: ``indptr`` (length n+1) offsets into the
     flat ``indices`` array, each row strictly ascending with no duplicates
-    and no self-loops.  ``node_labels`` and ``edge_labels`` are optional
-    categorical annotations; ``class_label`` is a classification target and
-    never participates in refinement.
+    and no self-loops.  ``node_labels`` (one per vertex) and ``arc_labels``
+    (one per entry of ``indices``, so each edge's label appears once in each
+    endpoint's row) are optional categorical annotations; ``class_label`` is
+    a classification target and never participates in refinement.
     """
 
     __slots__ = ("num_vertices", "indptr", "indices", "node_labels",
-                 "edge_labels", "class_label")
+                 "arc_labels", "class_label")
 
     def __init__(self, num_vertices, indptr, indices, node_labels=None,
-                 edge_labels=None, class_label=None):
+                 arc_labels=None, class_label=None):
         self.num_vertices = int(num_vertices)
         self.indptr = indptr
         self.indices = indices
         self.node_labels = node_labels
-        self.edge_labels = edge_labels
+        self.arc_labels = arc_labels
         self.class_label = class_label
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
-        if self.node_labels is not None:
-            self.node_labels.setflags(write=False)
+        for array in (indptr, indices, node_labels, arc_labels):
+            if array is not None:
+                array.setflags(write=False)
 
     @property
     def num_edges(self) -> int:
@@ -77,9 +77,22 @@ class Graph:
         return out
 
     def edge_label(self, u: int, v: int):
-        if self.edge_labels is None:
+        """The label of the edge {u, v}; None when there is no such edge or
+        the graph has no edge labels."""
+        if self.arc_labels is None or not self.has_edge(u, v):
             return None
-        return self.edge_labels.get((u, v))
+        pos = self.indptr[u] + np.searchsorted(self.neighbors(u), v)
+        return int(self.arc_labels[pos])
+
+    @property
+    def edge_labels(self):
+        """Every arc's label as a dict {(u, v): label}, built on each call
+        (None when the graph has no edge labels)."""
+        if self.arc_labels is None:
+            return None
+        tails = np.repeat(np.arange(self.num_vertices), np.diff(self.indptr))
+        return dict(zip(zip(tails.tolist(), self.indices.tolist()),
+                        self.arc_labels.tolist()))
 
     def __repr__(self):
         lab = "labeled" if self.node_labels is not None else "unlabeled"
@@ -137,8 +150,8 @@ def build_graphs(offsets, u, v, node_labels, edge_labels,
     Graph then takes its slice of the dataset-wide CSR, renumbered from 0.
     ``node_labels`` (or None) runs over the global ids, ``edge_labels`` (or
     None) over the rows and ``class_labels`` over the graphs.  An
-    edge-labeled graph maps each edge both ways to its label, in the order
-    of the edges' first rows.
+    edge-labeled graph gets its edges' labels as ``arc_labels``, parallel
+    to its ``indices``.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n = int(offsets[-1])
@@ -150,31 +163,20 @@ def build_graphs(offsets, u, v, node_labels, edge_labels,
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
 
+    arc_labels = None
     if edge_labels is not None:
         pairs, first = _first_rows(offsets, u, v, edge_labels, span)
-        lo, hi = np.divmod(pairs, span)
-        graph = np.searchsorted(offsets, lo, side="right") - 1
-        order = np.lexsort((first, graph))
-        graph, labels = graph[order], edge_labels[first[order]]
-        lo, hi = lo[order] - offsets[graph], hi[order] - offsets[graph]
-        # each edge as (lo, hi) followed by (hi, lo)
-        tails = np.stack([lo, hi], axis=1).ravel().tolist()
-        heads = np.stack([hi, lo], axis=1).ravel().tolist()
-        labels = np.repeat(labels, 2).tolist()
-        cuts = (2 * np.searchsorted(graph, np.arange(len(offsets)))).tolist()
+        lo, hi = np.minimum(src, indices), np.maximum(src, indices)
+        arc_labels = edge_labels[first[np.searchsorted(pairs, lo * span + hi)]]
 
     graphs = []
     bounds = offsets.tolist()
     for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        label_map = None
-        if edge_labels is not None:
-            c, d = cuts[g], cuts[g + 1]
-            label_map = dict(zip(zip(tails[c:d], heads[c:d]), labels[c:d]))
+        c, d = indptr[a], indptr[b]
         graphs.append(Graph(
-            b - a, indptr[a:b + 1] - indptr[a],
-            indices[indptr[a]:indptr[b]] - a,
-            None if node_labels is None else node_labels[a:b], label_map,
-            class_labels[g]))
+            b - a, indptr[a:b + 1] - c, indices[c:d] - a,
+            None if node_labels is None else node_labels[a:b],
+            None if arc_labels is None else arc_labels[c:d], class_labels[g]))
     return graphs
 
 
@@ -230,5 +232,5 @@ class Dataset:
             "avg_nodes": total_nodes / n if n else 0.0,
             "avg_edges": total_edges / n if n else 0.0,
             "node_labels": any(g.node_labels is not None for g in self.graphs),
-            "edge_labels": any(g.edge_labels is not None for g in self.graphs),
+            "edge_labels": any(g.arc_labels is not None for g in self.graphs),
         }

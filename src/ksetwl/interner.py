@@ -2,25 +2,31 @@
 
 One LabelInterner instance spans an entire dataset run so that feature
 vectors of different graphs index the same label space.  Two key kinds
-exist: canonical codes of k-set isomorphism types (at k = 1, a vertex's
-node label or degree) and refinement keys (previous label, ascending tuple
-of neighbor labels).  Keys are encoded to bytes whose lexicographic order
-matches the natural order of the underlying tuples, which makes the
-two-phase deterministic interning protocol a plain sort.
+exist, both bytes whose lexicographic order matches the natural order of
+the underlying tuples, which makes the two-phase deterministic interning
+protocol a plain sort:
+
+* an iso key is the tag byte 0x80 followed by the canonical code of a k-set
+  isomorphism type (at k = 1, a vertex's node label or degree) as
+  sign-biased big-endian 64-bit words;
+* a refinement key is the big-endian 64-bit words of (previous label,
+  ascending neighbor labels), untagged.
+
+Labels are ids below 2^63, so a refinement key's first byte is below 0x80
+and an iso key's is 0x80: no key of one kind equals a key of the other,
+and every refinement key sorts before every iso key.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import ParameterError
 
-_TAG_ISO = b"T"
-_TAG_REFINE = b"R"
+_TAG_ISO = b"\x80"
 
 _BIAS = 1 << 63  # maps signed 64-bit values onto order-preserving unsigned
 
@@ -39,8 +45,9 @@ def refine_key(prev: int, neighbor_labels) -> bytes:
     arr = np.asarray(neighbor_labels, dtype=np.int64)
     assert arr.size == 0 or bool(np.all(np.diff(arr) >= 0)), \
         "neighbor labels must arrive sorted"
-    return (_TAG_REFINE + struct.pack(">Q", int(prev))
-            + arr.astype(">u8").tobytes())
+    if not 0 <= prev < _BIAS or arr.size and arr[0] < 0:
+        raise ParameterError("labels must be ids in [0, 2^63)")
+    return struct.pack(">Q", int(prev)) + arr.astype(">u8").tobytes()
 
 
 class LabelInterner:
@@ -66,10 +73,11 @@ class LabelInterner:
         Calling this once per iteration with the collected keys makes id
         assignment independent of the order the keys were computed in.
         """
-        keys = list(keys)
+        if not isinstance(keys, list):
+            keys = list(keys)
         ids = self._ids
-        for key in sorted(set(keys).difference(ids)):
-            ids[key] = len(ids)
+        fresh = sorted(set(keys).difference(ids))
+        ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
         return np.fromiter(map(ids.__getitem__, keys), dtype=np.int64,
                            count=len(keys))
 
@@ -93,20 +101,17 @@ class Coloring:
         return dict(zip(values.tolist(), counts.astype(np.float64).tolist()))
 
 
-def _ragged_keys(tag: bytes, words: np.ndarray,
-                 starts: np.ndarray) -> list[bytes]:
-    """Keys ``tag + big-endian 64-bit words`` for the rows of a flat word
-    array that row i occupies from ``starts[i]`` up to the next start."""
-    raw = np.asarray(words).astype(">u8").view(np.uint8)
-    # after inserting one tag byte per row, row i starts i bytes further on
-    buf = np.insert(raw, 8 * starts, tag[0]).tobytes()
-    bounds = (8 * starts + np.arange(len(starts))).tolist() + [len(buf)]
+def _ragged_words(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
+    """The big-endian 64-bit words of the rows of a flat word array, as
+    bytes, where row i runs from ``starts[i]`` up to the next start."""
+    buf = np.asarray(words).astype(">u8").tobytes()
+    bounds = (8 * np.asarray(starts)).tolist() + [len(buf)]
     return [buf[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 def iso_key_batch(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
     """:func:`iso_key` of many codes given as flat words cut at ``starts``."""
-    return _ragged_keys(_TAG_ISO, words, starts)
+    return [_TAG_ISO + code for code in _ragged_words(words, starts)]
 
 
 def refinement_key_batch(indptr: np.ndarray, indices: np.ndarray,
@@ -125,6 +130,8 @@ def refinement_key_batch(indptr: np.ndarray, indices: np.ndarray,
     own_labels = labels if own is None else labels[own]
     if len(own_labels) != n:
         raise ParameterError("label vector length does not match adjacency")
+    if len(labels) and labels.min() < 0:
+        raise ParameterError("labels must be ids in [0, 2^63)")
     span = int(labels.max()) + 1 if len(labels) else 1
     if n * span > np.iinfo(np.int64).max:
         raise ParameterError("labels too large for combined sort keys")
@@ -134,7 +141,7 @@ def refinement_key_batch(indptr: np.ndarray, indices: np.ndarray,
     words = np.empty(n + len(indices), dtype=np.int64)
     words[starts] = own_labels
     words[np.arange(len(indices)) + rows + 1] = neigh
-    return _ragged_keys(_TAG_REFINE, words, starts)
+    return _ragged_words(words, starts)
 
 
 def refine_coloring_window(batches, interner: LabelInterner):
@@ -144,11 +151,13 @@ def refine_coloring_window(batches, interner: LabelInterner):
     Colorings in the same order.  All keys are computed, one graph at a
     time, before any id is issued.
     """
-    all_keys = [refinement_key_batch(indptr, indices, col.labels)
-                for indptr, indices, col in batches]
-    ids = interner.intern_window(chain.from_iterable(all_keys))
+    keys = []
+    for indptr, indices, col in batches:
+        keys += refinement_key_batch(indptr, indices, col.labels)
+    ids = interner.intern_window(keys)
+    counts = [len(indptr) - 1 for indptr, _, _ in batches]
     return [Coloring(col.iteration + 1, labels) for (_, _, col), labels
-            in zip(batches, split_rows(ids, [len(k) for k in all_keys]))]
+            in zip(batches, split_rows(ids, counts))]
 
 
 def split_rows(values: np.ndarray, counts) -> list[np.ndarray]:

@@ -11,11 +11,14 @@ its isomorphism type is its node label (its degree when the graph is
 unlabeled), so k-set refinement at k = 1 is 1-WL.
 
 The front end works on all k-sets at once with array operations:
-:func:`iso_keys` gathers node labels, adjacency bits and edge labels of every
-set and takes the lexicographic minimum over the k! member orderings, and
-:func:`_neighbor_csr` builds the swap neighborhoods from a ragged gather of
-member adjacency rows.  Both are processed in bounded blocks of sets, and
-both run once over a whole dataset stacked by :func:`stack_graphs`.
+:func:`iso_keys` gathers the raw row of every set (node labels, adjacency
+bits and edge labels in set order), deduplicates the rows exactly, and takes
+the lexicographic minimum over the k! member orderings of each distinct raw
+row only, so it makes one bytes key per iso type and an index from sets to
+keys.  :func:`_neighbor_csr` builds the swap neighborhoods from a ragged
+gather of member adjacency rows.  Both are processed in bounded blocks of
+sets, and both run once over a whole dataset stacked by
+:func:`stack_graphs`.
 :func:`swap_levels` expands a few sets into their radius-h swap levels on
 the full graph, which is all the sampling path needs.
 """
@@ -48,7 +51,8 @@ _SIGN = np.uint64(_BIAS)
 def _edges_between(g: Graph, u: np.ndarray, v: np.ndarray):
     """Presence and label (0 when unlabeled) of the pairs (u[i], v[i]),
     found by a binary search of each u[i]'s sorted row, so the cost follows
-    the queried rows and never the size of ``g``."""
+    the queried rows and never the size of ``g``; a label is read from
+    ``arc_labels`` at the position the search ends on."""
     lo, end = g.indptr[u], g.indptr[u + 1]
     hi = end.copy()
     for _ in range(int(np.max(end - lo, initial=0)).bit_length()):
@@ -58,9 +62,8 @@ def _edges_between(g: Graph, u: np.ndarray, v: np.ndarray):
     present = lo < end
     present[present] = g.indices[lo[present]] == v[present]
     labels = np.zeros(len(u), dtype=np.int64)
-    if g.edge_labels is not None and present.any():
-        labels[present] = [g.edge_labels.get(pair) or 0 for pair in
-                           zip(u[present].tolist(), v[present].tolist())]
+    if g.arc_labels is not None:
+        labels[present] = g.arc_labels[lo[present]]
     return present, labels
 
 
@@ -89,49 +92,80 @@ def stack_graphs(graphs, k: int):
     indices = np.concatenate(
         [empty] + [g.indices + o for g, o in zip(graphs, offsets)])
     words = np.concatenate([empty] + [node_words(g, k) for g in graphs])
-    edge_labels = None   # a 1-set holds no pair, so k = 1 reads no edge
-    if k > 1 and any(g.edge_labels is not None for g in graphs):
-        edge_labels = {(u + o, v + o): label
-                       for g, o in zip(graphs, offsets.tolist())
-                       for (u, v), label in (g.edge_labels or {}).items()}
-    return Graph(offsets[-1], indptr, indices, words, edge_labels), offsets
+    arc_labels = None
+    if any(g.arc_labels is not None for g in graphs):
+        arc_labels = np.concatenate([empty] + [
+            np.zeros(len(g.indices), dtype=np.int64) if g.arc_labels is None
+            else g.arc_labels for g in graphs])
+    return Graph(offsets[-1], indptr, indices, words, arc_labels), offsets
 
 
-def _iso_words(g: Graph, sets: np.ndarray):
-    """Canonical codes of the rows of ``sets`` as flat unsigned words, plus
-    each row's start.  A code is the minimum, over all orderings of the set,
-    of (node labels, upper-triangle adjacency bits, labels of the present
-    edges).  All orderings share one edge count, so comparing codes padded
-    with zero labels at absent edges picks the same minimum."""
+def _raw_rows(g: Graph, sets: np.ndarray) -> np.ndarray:
+    """One row per row of ``sets``: its members' node words in set order,
+    then the adjacency bits of the upper-triangle member pairs, then those
+    pairs' edge labels (0 where absent).  Equal raw rows have equal iso
+    types."""
     m, k = sets.shape
     a, b = np.triu_indices(k, 1)
     present, elabs = _edges_between(g, sets[:, a].ravel(), sets[:, b].ravel())
+    return np.concatenate([node_words(g, k)[sets], present.reshape(m, len(a)),
+                           elabs.reshape(m, len(a))], axis=1)
+
+
+def _canonical_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """Canonical form of each raw row: the lexicographic minimum, over all
+    k! orderings of the set, of (node words, adjacency bits, edge labels).
+    All orderings share one edge count, so comparing with zero labels at
+    absent edges picks the same minimum as comparing present labels only."""
+    a, b = np.triu_indices(k, 1)
     pair = np.zeros((k, k), dtype=np.int64)
     pair[a, b] = pair[b, a] = np.arange(len(a))
     perms = np.array(list(permutations(range(k))), dtype=np.int64)
     slots = pair[perms[:, a], perms[:, b]]    # pair index of each (a, b)
-    nodes = node_words(g, k)[sets]
-    codes = np.concatenate([nodes[:, perms], present.reshape(m, -1)[:, slots],
-                            elabs.reshape(m, -1)[:, slots]], axis=2)
+    bits, elabs = rows[:, k:k + len(a)], rows[:, k + len(a):]
+    codes = np.concatenate([rows[:, perms], bits[:, slots], elabs[:, slots]],
+                           axis=2)
     alive = np.ones(codes.shape[:2], dtype=bool)
     for c in range(codes.shape[2]):
         col = np.where(alive, codes[:, :, c], np.iinfo(np.int64).max)
         alive &= col == col.min(axis=1, keepdims=True)
-    best = codes[np.arange(m), alive.argmax(axis=1)]
+    return codes[np.arange(len(rows)), alive.argmax(axis=1)]
+
+
+def _code_words(best: np.ndarray, k: int):
+    """The codes of canonical rows as flat sign-biased unsigned words, plus
+    each code's start: a code drops the edge labels of absent edges."""
     keep = np.ones(best.shape, dtype=bool)
-    keep[:, k + len(a):] = best[:, k:k + len(a)] == 1
+    pairs = k * (k - 1) // 2
+    keep[:, k + pairs:] = best[:, k:k + pairs] == 1
     lengths = keep.sum(axis=1)
     return best[keep].view(np.uint64) ^ _SIGN, np.cumsum(lengths) - lengths
 
 
-def iso_keys(g: Graph, sets: np.ndarray) -> list[bytes]:
-    """``iso_key(iso_code(g, t))`` for every row ``t`` of ``sets``."""
+def iso_keys(g: Graph, sets: np.ndarray):
+    """The distinct keys ``iso_key(iso_code(g, t))`` over the rows ``t`` of
+    ``sets``, and each row's index into them.
+
+    Only distinct raw rows (:func:`_raw_rows`) are canonicalized: rows are
+    deduplicated within each block of sets, then across the blocks'
+    distinct rows, and canonical rows once more, so one bytes key is made
+    per iso type.
+    """
     sets = np.asarray(sets, dtype=np.int64)
-    step = max(1, _BLOCK_ITEMS // factorial(sets.shape[1]))
-    keys = []
-    for lo in range(0, len(sets), step):
-        keys += iso_key_batch(*_iso_words(g, sets[lo:lo + step]))
-    return keys
+    k = sets.shape[1]
+    step = max(1, _BLOCK_ITEMS // factorial(k))
+    distinct, inverses, seen = [], [], 0
+    for block in np.split(sets, range(step, len(sets), step)):
+        rows, inverse, _ = _unique_rows(_raw_rows(g, block))
+        distinct.append(rows)
+        inverses.append(inverse + seen)
+        seen += len(rows)
+    rows, where, _ = _unique_rows(np.concatenate(distinct))
+    best = np.concatenate([_canonical_rows(block, k) for block in
+                           np.split(rows, range(step, len(rows), step))])
+    codes, types, _ = _unique_rows(best)
+    index = types[where[np.concatenate(inverses)]]
+    return iso_key_batch(*_code_words(codes, k)), index
 
 
 def iso_code(g: Graph, t) -> bytes:
@@ -143,8 +177,9 @@ def iso_code(g: Graph, t) -> bytes:
     64-bit word.  Two sets (in any graphs) get equal codes iff their induced
     subgraphs are isomorphic respecting node and edge labels.
     """
-    words, _ = _iso_words(g, np.asarray([t], dtype=np.int64))
-    return words.astype(">u8").tobytes()
+    t = np.asarray([t], dtype=np.int64)
+    best = _canonical_rows(_raw_rows(g, t), t.shape[1])
+    return _code_words(best, t.shape[1])[0].astype(">u8").tobytes()
 
 
 def iso_type(g: Graph, t, interner: LabelInterner) -> int:

@@ -23,26 +23,29 @@ from .linalg import DEFAULT_TOLERANCE, la_refinement
 from .sampling import estimate_features_adaptive, estimate_features_fixed
 
 
-def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int):
+def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int,
+                   interner: LabelInterner):
     """The k-set front end of a dataset run, built once over the stack of
     all graphs (:func:`ksetwl.kwl.stack_graphs`).
 
-    Returns the iso-type keys of all k-sets, graph by graph in rank order,
-    the number of k-sets of each graph and, when ``csr``, one CSR of their
-    swap neighborhoods whose rows follow the keys and whose columns are
-    ranks within the row's own graph.  Every graph passes the k-set cap
-    before anything is built.
+    Returns the iso types of all k-sets, graph by graph in rank order, as
+    ids of ``interner`` issued in one window, the number of k-sets of each
+    graph and, when ``csr``, one CSR of their swap neighborhoods whose rows
+    follow the ids and whose columns are ranks within the row's own graph.
+    Every graph passes the k-set cap before anything is built.
     """
     indexes = [enumerate_ksets(g, k, max_sets) for g in graphs]
     stack, offsets = stack_graphs(graphs, k)
     sets = np.concatenate([np.empty((0, k), dtype=np.int64)] + [
         index.all_sets() + offset for index, offset in zip(indexes, offsets)])
-    keys = iso_keys(stack, sets)
+    keys, types = iso_keys(stack, sets)
+    # a window numbers fresh keys in byte order whatever their multiplicity
+    ids = interner.intern_window(keys)[types]
     counts = [index.size for index in indexes]
     if not csr:
-        return keys, counts, None
+        return ids, counts, None
     widest = max(indexes, key=lambda index: index.n, default=KSetIndex(0, k))
-    return keys, counts, _neighbor_csr(stack, widest, local, sets, offsets)
+    return ids, counts, _neighbor_csr(stack, widest, local, sets, offsets)
 
 
 def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
@@ -58,9 +61,8 @@ def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
     """
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
-    keys, counts, csr = kset_front_end(graphs, k, local, h > 0, max_sets)
-    ids = interner.intern_window(keys)
-    del keys   # refinement keys replace the iso keys from here on
+    ids, counts, csr = kset_front_end(graphs, k, local, h > 0, max_sets,
+                                      interner)
     current = [Coloring(0, labels) for labels in split_rows(ids, counts)]
     runs = [[c] for c in current]
     if h:
@@ -85,11 +87,9 @@ def la_kset_run(graphs, k: int, h: int, local: bool = True,
     the dataset; refinement steps run on the stacked k-set graph of all
     graphs.  At k = 1 with local swaps this is 1-WL.
     """
-    keys, counts, (indptr, indices) = kset_front_end(graphs, k, local, True,
-                                                     max_sets)
     # a fresh interner numbers the distinct types in ascending key order
-    init = LabelInterner().intern_window(keys)
-    del keys
+    init, counts, (indptr, indices) = kset_front_end(
+        graphs, k, local, True, max_sets, LabelInterner())
     # columns rank within their graph; shift them to the graph's stack rows
     rows = np.cumsum([0] + counts)
     indices = indices + np.repeat(rows[:-1], np.diff(indptr[rows]))

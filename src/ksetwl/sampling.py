@@ -123,7 +123,8 @@ def _label_sets(g: Graph, sets: np.ndarray, h: int,
     where = [np.arange(len(sets))]   # each row's position in every level
     for own, _, _ in links:
         where.append(own[where[-1]])
-    labels = interner.intern_window(iso_keys(g, levels[h]))
+    keys, types = iso_keys(g, levels[h])
+    labels = interner.intern_window(keys)[types]
     out = [labels[where[h]]]
     for i in range(1, h + 1):
         own, indptr, neighbors = links[h - i]

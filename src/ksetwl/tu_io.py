@@ -185,9 +185,10 @@ def parse_tu_dataset(path: str, name: str | None = None) -> Dataset:
     return Dataset(graphs=graphs, class_labels=list(graph_labels), name=name)
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits: enough to round-trip any 64-bit float."""
-    return format(float(x), ".17g")
+# "%.17g" % x == format(x, ".17g"): 17 significant digits, enough to
+# round-trip any 64-bit float.  Each writer formats a whole row with one
+# %-format string built once.
+_FLOAT = "%.17g"
 
 
 def write_gram_libsvm(K: np.ndarray, classes, path: str) -> None:
@@ -197,19 +198,20 @@ def write_gram_libsvm(K: np.ndarray, classes, path: str) -> None:
         raise FormatError("gram matrix must be square")
     if len(classes) != K.shape[0]:
         raise FormatError("one class label per gram row is required")
+    row = " ".join(["%s 0:%d"] + [f"{j + 1}:{_FLOAT}"
+                                  for j in range(K.shape[1])]) + "\n"
     with open(path, "w") as f:
-        for i in range(K.shape[0]):
-            cells = [str(classes[i]), f"0:{i + 1}"]
-            cells.extend(f"{j + 1}:{_fmt(K[i, j])}" for j in range(K.shape[1]))
-            f.write(" ".join(cells) + "\n")
+        for i, values in enumerate(K.tolist()):
+            f.write(row % (classes[i], i + 1, *values))
 
 
 def write_gram_csv(K: np.ndarray, path: str) -> None:
     """Plain comma-separated rows, no header."""
     K = np.asarray(K)
+    row = ",".join([_FLOAT] * (K.shape[1] if K.ndim == 2 else 0)) + "\n"
     with open(path, "w") as f:
-        for row in K:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+        for values in K.tolist():
+            f.write(row % tuple(values))
 
 
 def write_features_sparse(features, classes, path: str) -> None:
@@ -234,10 +236,14 @@ def write_features_sparse(features, classes, path: str) -> None:
             observed = sorted({lab for fv in features for lab in fv.blocks[j]})
             label_maps.append({lab: offset + r for r, lab in enumerate(observed)})
             offset += len(observed)
+    cell = f" %d:{_FLOAT}"
     with open(path, "w") as f:
         for fv, cls in zip(features, classes):
-            cells = [str(cls)]
-            for j, block in enumerate(fv.blocks):
-                for lab in sorted(block):
-                    cells.append(f"{label_maps[j][lab]}:{_fmt(block[lab])}")
-            f.write(" ".join(cells) + "\n")
+            indices, values = [], []
+            for label_map, block in zip(label_maps, fv.blocks):
+                labs = sorted(block)
+                indices += map(label_map.__getitem__, labs)
+                values += map(block.__getitem__, labs)
+            cells = indices + values
+            cells[::2], cells[1::2] = indices, values
+            f.write(str(cls) + (cell * len(indices) + "\n") % tuple(cells))

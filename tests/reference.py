@@ -43,7 +43,7 @@ def naive_iso_class(g: Graph, t, edges: set | None = None) -> tuple:
             for b in range(a + 1, len(order)):
                 u, v = order[a], order[b]
                 if (u, v) in edges:
-                    lab = g.edge_labels.get((u, v), 0) if g.edge_labels else 0
+                    lab = g.edge_label(u, v) or 0
                     cells.append((1, lab))
                 else:
                     cells.append((0, 0))

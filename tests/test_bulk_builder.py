@@ -4,18 +4,21 @@ The bulk iso-type keys, the bulk neighbor CSR and the matrix-product gram
 are each compared with a plain per-set (or per-pair) computation of the
 same quantity over random labeled graphs, including graphs with fewer than
 k vertices and graphs without edges.  The front end built once over a
-stack of graphs is compared with per-graph builds.  The lexsort row dedupe
-is compared with ``np.unique(axis=0)``.
+stack of graphs is compared with per-graph builds, and its iso-type ids
+with interning one per-set key per k-set.  The lexsort row dedupe is
+compared with ``np.unique(axis=0)``.
 """
 
 import tracemalloc
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import FeatureVector, build_graph, dot, enumerate_ksets, gram_matrix
+from ksetwl import (FeatureVector, LabelInterner, build_graph, dot,
+                    enumerate_ksets, gram_matrix)
 from ksetwl.interner import iso_key
 from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swaps,
                         _unique_rows, global_neighbors, iso_code, iso_keys,
@@ -59,6 +62,15 @@ def per_set_iso_code(g, t) -> bytes:
     return b"".join(int(x + _BIAS).to_bytes(8, "big") for x in best)
 
 
+def row_keys(g, sets) -> list[bytes]:
+    """:func:`iso_keys` expanded to one key per row of ``sets``, after
+    checking that its keys are distinct and every row has an index."""
+    keys, index = iso_keys(g, sets)
+    assert len(set(keys)) == len(keys)
+    assert index.shape == (len(sets),)
+    return [keys[i] for i in index.tolist()]
+
+
 def per_set_neighbors(g, t, local):
     """Swaps of one set: incoming vertices ascending, then the replaced
     position; local swaps need an incoming vertex adjacent to a member."""
@@ -99,7 +111,7 @@ def labeled_graphs(draw):
 def test_bulk_iso_keys_equal_per_set_codes(g, k):
     sets = enumerate_ksets(g, k).all_sets()
     expected = [per_set_iso_code(g, tuple(int(v) for v in t)) for t in sets]
-    assert iso_keys(g, sets) == [iso_key(code) for code in expected]
+    assert row_keys(g, sets) == [iso_key(code) for code in expected]
     assert [iso_code(g, t) for t in sets] == expected
 
 
@@ -109,7 +121,7 @@ def test_bulk_iso_keys_partition_like_naive_classes(g, k):
     sets = enumerate_ksets(g, k).all_sets()
     edges = ref.edge_pairs(g)
     naive = [ref.naive_iso_class(g, t.tolist(), edges) for t in sets]
-    assert label_groups(iso_keys(g, sets)) == label_groups(naive)
+    assert label_groups(row_keys(g, sets)) == label_groups(naive)
 
 
 @settings(max_examples=80, deadline=None)
@@ -129,21 +141,45 @@ def test_bulk_csr_equals_per_set_neighbors(g, k, local):
 @given(st.lists(labeled_graphs(), max_size=4), st.integers(1, 4),
        st.booleans())
 def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
-    keys, counts, (indptr, indices) = kset_front_end(
-        graphs, k, local, True, DEFAULT_MAX_SETS)
+    interner = LabelInterner()
+    ids, counts, (indptr, indices) = kset_front_end(
+        graphs, k, local, True, DEFAULT_MAX_SETS, interner)
     rows = np.cumsum([0] + counts).tolist()
-    assert len(keys) == rows[-1] == len(indptr) - 1
+    assert len(ids) == rows[-1] == len(indptr) - 1
     assert indptr[-1] == len(indices)
     for g, a, b in zip(graphs, rows, rows[1:]):
         index = enumerate_ksets(g, k)
         sets = index.all_sets()
-        assert keys[a:b] == iso_keys(g, sets)
+        assert ids[a:b].tolist() == list(map(interner.lookup,
+                                             row_keys(g, sets)))
         owner, swapped = _swaps(g, sets, local)
         assert np.array_equal(np.diff(indptr[a:b + 1]),
                               np.bincount(owner, minlength=len(sets)))
         assert np.array_equal(indices[indptr[a]:indptr[b]],
                               index.rank_rows(swapped))
-    assert kset_front_end(graphs, k, local, False, DEFAULT_MAX_SETS)[2] is None
+    assert kset_front_end(graphs, k, local, False, DEFAULT_MAX_SETS,
+                          LabelInterner())[2] is None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(labeled_graphs(), min_size=1, max_size=3), st.integers(1, 4),
+       st.sampled_from([1, 2, None]))
+def test_distinct_row_iso_ids_equal_per_set_interning(graphs, k, block_rows):
+    # blocks of 1 or 2 sets (None: the default size) split repeated raw
+    # rows across blocks, so the cross-block dedupe carries the grouping
+    from ksetwl import kwl
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows is not None:
+            patch.setattr(kwl, "_BLOCK_ITEMS", block_rows * factorial(k))
+        bulk = LabelInterner()
+        ids, _, _ = kset_front_end(graphs, k, True, False,
+                                   DEFAULT_MAX_SETS, bulk)
+    per_set = LabelInterner()
+    want = per_set.intern_window(
+        [iso_key(per_set_iso_code(g, tuple(t))) for g in graphs
+         for t in enumerate_ksets(g, k).all_sets().tolist()])
+    assert ids.dtype == np.int64 and np.array_equal(ids, want)
+    assert len(bulk) == len(per_set)
 
 
 def features_of(blocks_per_graph):
@@ -222,6 +258,27 @@ def test_gram_scratch_memory_is_bounded():
     assert peak - K.nbytes <= 8 * (4 * max(_GRAM_CHUNK, n) + 20 * 6 * n)
 
 
+def test_iso_key_scratch_memory_is_bounded(monkeypatch):
+    # Past a few int arrays with one entry per set (the index and its
+    # parts), iso_keys holds one block's orderings at a time; in one block,
+    # the 34,220 3-sets of this graph would take about 6.7 MB.
+    from ksetwl import kwl
+    rng = np.random.default_rng(1)
+    edges = [(u, v) for u in range(60) for v in range(u + 1, 60)
+             if rng.random() < 0.1]
+    g = build_graph(60, edges)
+    sets = enumerate_ksets(g, 3).all_sets()
+    monkeypatch.setattr(kwl, "_BLOCK_ITEMS", 1 << 10)
+    tracemalloc.start()
+    try:
+        keys, index = iso_keys(g, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(index) == len(sets) and len(keys) < 10
+    assert peak <= 8 * (5 * len(sets) + 64 * kwl._BLOCK_ITEMS)
+
+
 def test_small_blocks_build_the_same_structures(monkeypatch):
     from ksetwl import kwl
     rng = np.random.default_rng(5)
@@ -236,7 +293,8 @@ def test_small_blocks_build_the_same_structures(monkeypatch):
     monkeypatch.setattr(kwl, "_BLOCK_ITEMS", 13)
     blocked = (iso_keys(g, sets), _neighbor_csr(g, index, True, sets),
                _neighbor_csr(g, index, False, sets))
-    assert blocked[0] == whole[0]
+    assert blocked[0][0] == whole[0][0]
+    assert np.array_equal(blocked[0][1], whole[0][1])
     for a, b in zip(blocked[1:], whole[1:]):
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 

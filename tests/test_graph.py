@@ -54,6 +54,18 @@ def test_node_label_length_checked():
         build_graph(3, [(0, 1)], node_labels=[1, 2])
 
 
+def test_edge_labels_run_parallel_to_indices():
+    g = build_graph(4, [(2, 0), (0, 1), (3, 2)], edge_labels=[5, -7, 2 ** 63 - 1])
+    assert g.indices.tolist() == [1, 2, 0, 0, 3, 2]
+    assert g.arc_labels.tolist() == [-7, 5, -7, 5, 2 ** 63 - 1, 2 ** 63 - 1]
+    assert [g.edge_label(0, 2), g.edge_label(2, 0), g.edge_label(3, 2)] == [
+        5, 5, 2 ** 63 - 1]
+    assert g.edge_label(0, 3) is None and build_graph(2, [(0, 1)]).edge_label(
+        0, 1) is None
+    assert g.edge_labels == {(0, 1): -7, (0, 2): 5, (1, 0): -7, (2, 0): 5,
+                             (2, 3): 2 ** 63 - 1, (3, 2): 2 ** 63 - 1}
+
+
 def test_conflicting_edge_labels_rejected():
     with pytest.raises(GraphError):
         build_graph(3, [(0, 1), (1, 0)], edge_labels=[1, 2])

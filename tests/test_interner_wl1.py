@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksetwl import LabelInterner, build_graph, distinguishable
 from ksetwl.errors import ParameterError
@@ -47,6 +48,51 @@ def test_key_batch_rejects_labels_past_the_sort_key_range():
     with pytest.raises(ParameterError):
         refinement_key_batch(np.array([0, 1, 2]), np.array([1, 0]),
                              np.array([0, 1 << 62]))
+
+
+# ids span [0, 2^63); iso-code words span the signed 64-bit range
+LABELS = (st.integers(0, 3) | st.integers(2 ** 63 - 3, 2 ** 63 - 1)
+          | st.integers(0, 2 ** 63 - 1))
+WORDS = (st.integers(-3, 3) | st.integers(-2 ** 63, -2 ** 63 + 2)
+         | st.integers(2 ** 63 - 3, 2 ** 63 - 1))
+REFINEMENTS = st.tuples(LABELS, st.lists(LABELS, max_size=4).map(sorted))
+
+
+def code_bytes(words) -> bytes:
+    """An iso code: sign-biased big-endian 64-bit words."""
+    return b"".join((w + 2 ** 63).to_bytes(8, "big") for w in words)
+
+
+@given(st.lists(REFINEMENTS, min_size=1, max_size=8),
+       st.lists(st.lists(WORDS, min_size=1, max_size=10), min_size=1,
+                max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_key_kinds_are_disjoint_and_ordered(refinements, codes):
+    refine = [refine_key(prev, nbrs) for prev, nbrs in refinements]
+    tuples = [(prev, *nbrs) for prev, nbrs in refinements]
+    for a, ta in zip(refine, tuples):
+        for b, tb in zip(refine, tuples):
+            assert (a < b) == (ta < tb) and (a == b) == (ta == tb)
+    iso = [iso_key(code_bytes(words)) for words in codes]
+    for a, wa in zip(iso, codes):
+        for b, wb in zip(iso, codes):
+            assert (a < b) == (wa < wb) and (a == b) == (wa == wb)
+    # every refinement key sorts before, and so differs from, every iso key
+    assert max(refine) < min(iso)
+    window = LabelInterner().intern_window(iso + refine)
+    assert window[len(iso):].max() < window[:len(iso)].min()
+
+
+@pytest.mark.parametrize("prev, nbrs", [(-1, ()), (2 ** 63, ()), (0, (-1,))])
+def test_refine_key_rejects_labels_outside_the_id_range(prev, nbrs):
+    with pytest.raises(ParameterError):
+        refine_key(prev, nbrs)
+
+
+def test_key_batch_rejects_negative_labels():
+    with pytest.raises(ParameterError):
+        refinement_key_batch(np.array([0, 1, 2]), np.array([1, 0]),
+                             np.array([0, -1]))
 
 
 def test_window_order_independent_of_input_order():

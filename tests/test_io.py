@@ -73,7 +73,7 @@ def test_optional_labels_attached(two_triangle_dir):
     ds = parse_tu_dataset(two_triangle_dir)
     assert ds.graphs[0].node_labels.tolist() == [1, 2, 3]
     assert ds.graphs[1].node_labels.tolist() == [4, 5, 6]
-    assert ds.graphs[0].edge_labels[(0, 1)] == 7
+    assert ds.graphs[0].edge_label(0, 1) == 7
 
 
 def test_gram_libsvm_single_entry(tmp_path):

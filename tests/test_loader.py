@@ -205,7 +205,10 @@ def oracle(indicator, rows, classes, node_labels, row_labels):
             "indices": [x for r in rows_g for x in r],
             "node_labels": (None if node_labels is None else
                             [node_labels[x] for x in members[g]]),
-            "edge_labels": None if labels is None else list(labels[g].items()),
+            "edge_labels": None if labels is None else labels[g],
+            "arc_labels": (None if labels is None else
+                           [labels[g][(i, x)] for i, r in enumerate(rows_g)
+                            for x in r]),
             "class_label": classes[g],
         })
     return out
@@ -283,8 +286,9 @@ def test_parsed_graphs_match_a_per_edge_oracle(case):
             "indices": g.indices.tolist(),
             "node_labels": (None if g.node_labels is None
                             else g.node_labels.tolist()),
-            "edge_labels": (None if g.edge_labels is None
-                            else list(g.edge_labels.items())),
+            "edge_labels": g.edge_labels,
+            "arc_labels": (None if g.arc_labels is None
+                           else g.arc_labels.tolist()),
             "class_label": g.class_label,
         }
         assert got == want
@@ -302,11 +306,12 @@ def test_build_graph_matches_the_oracle(n, pairs, labeled):
     want = oracle([1] * n, [(u + 1, v + 1) for u, v in edges], [3], None,
                   labels)[0]
     if labeled and not edges:
-        want["edge_labels"] = []
+        want["edge_labels"], want["arc_labels"] = {}, []
     assert (g.num_vertices, g.indptr.tolist(), g.indices.tolist()) == (
         want["num_vertices"], want["indptr"], want["indices"])
-    assert (None if g.edge_labels is None
-            else list(g.edge_labels.items())) == want["edge_labels"]
+    assert g.edge_labels == want["edge_labels"]
+    assert (None if g.arc_labels is None
+            else g.arc_labels.tolist()) == want["arc_labels"]
 
 
 def test_empty_edge_label_file_means_unlabeled(tmp_path):
