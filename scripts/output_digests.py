@@ -6,13 +6,15 @@ Runs the CLI of the checkout this script belongs to (its ``src/``) on
 exact, linalg, feature, normalized, sampled and adaptive configurations of
 every kernel, and on a copy of MUTAG without node labels (where 1-WL starts
 from vertex degrees), and prints one ``<digest>  <name>`` line per output
-file.  Everything is
-written under a temporary directory that is removed afterwards.  Running
-the script on two checkouts and diffing the lines tells whether a change
-keeps every output byte-identical.
+file.  Sampled runs add the total sample count over all graphs from their
+manifests, and adaptive runs the most rounds any graph took.  Everything
+is written under a temporary directory that is removed afterwards.
+Running the script on two checkouts and diffing the lines tells whether a
+change keeps every output byte-identical, and what sampling cost.
 """
 
 import hashlib
+import json
 import os
 import shutil
 import sys
@@ -111,6 +113,13 @@ def main_digests() -> int:
                 return code
             with open(out, "rb") as f:
                 print(f"{hashlib.sha256(f.read()).hexdigest()}  {name}")
+            with open(out + ".manifest.json") as f:
+                manifest = json.load(f)
+            if "sample_counts" in manifest:
+                print(f"{sum(manifest['sample_counts'])}  {name}.samples")
+            if "rounds" in manifest:
+                rounds = max(map(len, manifest["rounds"].values()))
+                print(f"{rounds}  {name}.rounds")
     return 0
 
 

@@ -65,8 +65,6 @@ def _add_compute_args(p):
                    help="explicit sample count for --mode sampled")
     p.add_argument("--initial-samples", type=int, default=100)
     p.add_argument("--growth", type=float, default=2.0)
-    p.add_argument("--strict-delta", action="store_true",
-                   help="split delta geometrically across adaptive rounds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--normalize", choices=("none", "l1-block", "l1-full"),
                    default="none")
@@ -134,6 +132,9 @@ def _validate_mode(args) -> None:
         raise ParameterError(
             f"--mode {args.mode} estimates the local k-set kernel; "
             "use --kernel kwl-local")
+    if args.max_samples < 1 or args.max_sets < 0:
+        raise ParameterError("--max-samples must be at least 1 and --max-sets "
+                             "at least 0")
     if args.mode == "sampled" and args.samples is None and args.gamma is None:
         raise ParameterError(
             "--mode sampled needs --samples, or --gamma to derive one")
@@ -182,8 +183,7 @@ def _sampled_features(graphs, args, h: int):
         graphs, args.k, h, seed=args.seed, interner=interner,
         mode=args.mode, sample_count=sample_count, epsilon=args.epsilon,
         delta=args.delta, initial_size=args.initial_samples,
-        growth=args.growth, strict_delta=args.strict_delta,
-        max_total_samples=args.max_samples)
+        growth=args.growth, max_total_samples=args.max_samples)
     extra["label_space"] = len(interner)
     extra["sample_counts"] = [est.sample_count for est in estimates]
     undersized = [i for i, est in enumerate(estimates) if est.undersized]
@@ -192,7 +192,7 @@ def _sampled_features(graphs, args, h: int):
     if args.mode == "adaptive":
         extra["rounds"] = {str(i): est.rounds
                            for i, est in enumerate(estimates)}
-    return [est.to_feature_vector() for est in estimates], extra
+    return [FeatureVector(est.blocks) for est in estimates], extra
 
 
 def _manifest(args, path: str, timings: dict, extra: dict) -> None:

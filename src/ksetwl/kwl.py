@@ -33,17 +33,11 @@ import numpy as np
 from .errors import ParameterError
 from .graph import Graph
 from .interner import _BIAS, Coloring, LabelInterner, iso_key, iso_key_batch
-from .ksets import KSetIndex
+from .ksets import _BLOCK_ITEMS, KSetIndex
 
 # Exact modes refuse graphs with more k-sets than this unless overridden;
 # the sampling estimators have no such limit.
 DEFAULT_MAX_SETS = 50_000_000
-
-# Upper bound on the rows of one block's per-set working arrays (sets times
-# orderings for iso types, candidate swaps for neighborhoods).  A stacked
-# dataset fills every block, so this bounds the front end's scratch memory:
-# 1 << 18 raised the peak RSS of k = 3 on MUTAG by about 15 MB.
-_BLOCK_ITEMS = 1 << 16
 
 _SIGN = np.uint64(_BIAS)
 

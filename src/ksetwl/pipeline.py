@@ -17,7 +17,7 @@ from .errors import ParameterError
 from .features import FeatureVector
 from .interner import (Coloring, LabelInterner, refine_coloring_window,
                        split_rows)
-from .ksets import KSetIndex, enumerate_ksets
+from .ksets import KSetIndex, check_order, enumerate_ksets
 from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs
 from .linalg import DEFAULT_TOLERANCE, la_refinement
 from .sampling import estimate_features_adaptive, estimate_features_fixed
@@ -32,8 +32,9 @@ def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int,
     ids of ``interner`` issued in one window, the number of k-sets of each
     graph and, when ``csr``, one CSR of their swap neighborhoods whose rows
     follow the ids and whose columns are ranks within the row's own graph.
-    Every graph passes the k-set cap before anything is built.
+    k and every graph pass their caps before anything is built.
     """
+    check_order(k)
     indexes = [enumerate_ksets(g, k, max_sets) for g in graphs]
     stack, offsets = stack_graphs(graphs, k)
     sets = np.concatenate([np.empty((0, k), dtype=np.int64)] + [
@@ -114,7 +115,6 @@ def sampled_dataset_run(graphs, k: int, h: int, seed: int,
                         sample_count: int | None = None,
                         epsilon: float = 0.1, delta: float = 0.1,
                         initial_size: int = 100, growth: float = 2.0,
-                        strict_delta: bool = False,
                         max_total_samples: int = 10_000_000):
     """Sampled estimates for every graph of a dataset.
 
@@ -137,7 +137,6 @@ def sampled_dataset_run(graphs, k: int, h: int, seed: int,
             est = estimate_features_adaptive(
                 g, k, h, epsilon, delta, rng, interner,
                 initial_size=initial_size, growth=growth,
-                strict_delta=strict_delta,
                 max_total_samples=max_total_samples)
         else:
             raise ParameterError(f"unknown sampling mode: {mode!r}")

@@ -2,8 +2,9 @@
 
 Two estimators are provided: a fixed-size one whose sample count comes from
 a Hoeffding-style bound, and an adaptive one that keeps doubling the sample
-until a data-dependent deviation bound (conditional Rademacher average via
-Massart's lemma) drops below the requested error.
+until a data-dependent deviation bound (a conditional Rademacher average
+bounded as in Massart's lemma), tested at delta / 2^(i+1) in round i, drops
+below the requested error.  Both fill one label-count array per iteration.
 
 Both rely on locality: the label a k-set receives after i iterations
 depends only on the sets within i local swaps of it.  A batch of samples is
@@ -17,6 +18,7 @@ function of degree bound, k, and h only, independent of graph size.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,14 +27,14 @@ import numpy as np
 from .errors import ParameterError, ResourceLimitError
 from .graph import Graph
 from .interner import LabelInterner, refinement_key_batch
+from .ksets import _INT64_MAX, check_order
 from .kwl import _unique_rows, iso_keys, swap_levels
 
 DEFAULT_MAX_TOTAL_SAMPLES = 10_000_000
 
 
 def _check_probability(name: str, value: float, upper_inclusive: bool) -> None:
-    ok = 0 < value <= 1 if upper_inclusive else 0 < value < 1
-    if not ok:
+    if not (0 < value <= 1 if upper_inclusive else 0 < value < 1):
         rng = "(0, 1]" if upper_inclusive else "(0, 1)"
         raise ParameterError(f"{name} must lie in {rng}, got {value}")
 
@@ -40,46 +42,38 @@ def _check_probability(name: str, value: float, upper_inclusive: bool) -> None:
 def hoeffding_sample_size(epsilon: float, delta: float, gamma: int) -> int:
     """Samples sufficient for L1 error <= epsilon with probability 1 - delta.
 
-    ceil( ln(2 * gamma / delta) / (2 * (epsilon / gamma)^2) ), natural log,
-    where gamma upper-bounds the number of distinct labels the refinement
-    can produce.  No closed form for gamma is provided anywhere; callers
-    supply it (or a sample count directly) and can consult
-    :func:`observed_label_count` for an empirical lower-bound reference.
+    ceil( ln(2 * gamma / delta) / (2 * (epsilon / gamma)^2) ), where gamma
+    upper-bounds the number of distinct labels the refinement can produce;
+    :func:`observed_label_count` gives an empirical lower-bound reference.
     """
-    _check_probability("epsilon", epsilon, upper_inclusive=True)
-    _check_probability("delta", delta, upper_inclusive=False)
-    if gamma < 1:
-        raise ParameterError(f"gamma must be a positive integer, got {gamma}")
-    return _hoeffding_count(epsilon, delta, gamma, 1)
+    return _hoeffding_count("epsilon", epsilon, delta, gamma, 1)
 
 
 def hoeffding_sample_size_dataset(lam: float, delta: float, gamma: int,
                                   dataset_size: int) -> int:
-    """Dataset-wide variant: sup kernel error <= 3*lam over all graph pairs.
-
-    ceil( ln(2 * gamma * dataset_size / delta) / (2 * (lam / gamma)^2) );
-    the extra log factor union-bounds over the dataset.
-    """
-    _check_probability("lambda", lam, upper_inclusive=True)
-    _check_probability("delta", delta, upper_inclusive=False)
-    if gamma < 1:
-        raise ParameterError(f"gamma must be a positive integer, got {gamma}")
+    """Dataset-wide variant: sup kernel error <= 3*lam over all graph pairs,
+    from ceil( ln(2 * gamma * dataset_size / delta) / (2 * (lam / gamma)^2) ):
+    the extra log factor union-bounds over the dataset."""
     if dataset_size is None or dataset_size < 1:
         raise ParameterError("dataset_size must be a positive integer")
-    return _hoeffding_count(lam, delta, gamma, dataset_size)
+    return _hoeffding_count("lambda", lam, delta, gamma, dataset_size)
 
 
-def _hoeffding_count(epsilon: float, delta: float, gamma: int,
+def _hoeffding_count(name: str, epsilon: float, delta: float, gamma: int,
                      union: int) -> int:
     """ceil( ln(2 * gamma * union / delta) / (2 * (epsilon / gamma)^2) ),
     refused when it is no finite count of 64-bit floats."""
+    _check_probability(name, epsilon, upper_inclusive=True)
+    _check_probability("delta", delta, upper_inclusive=False)
+    if gamma < 1:
+        raise ParameterError(f"gamma must be a positive integer, got {gamma}")
     try:
         return math.ceil(math.log(2.0 * gamma * union / delta)
                          / (2.0 * (epsilon / gamma) ** 2))
     except (OverflowError, ZeroDivisionError):
         raise ParameterError(
-            f"the sample count for epsilon {epsilon}, delta {delta} and "
-            f"gamma {gamma} overflows; use a larger epsilon or a smaller "
+            f"the sample count for {name} {epsilon}, delta {delta} and "
+            f"gamma {gamma} overflows; use a larger {name} or a smaller "
             f"gamma") from None
 
 
@@ -113,11 +107,9 @@ def _draw_batch(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarr
 
 def _label_sets(g: Graph, sets: np.ndarray, h: int,
                 interner: LabelInterner) -> np.ndarray:
-    """Labels of the rows of ``sets`` for iterations 0..h, one row each.
-
-    Iteration 0 interns the iso types of the widest swap level; iteration i
-    refines level h - i by its rows' own and swap positions in level
-    h - i + 1.
+    """Labels of the rows of ``sets`` for iterations 0..h, one row each:
+    iteration 0 interns the iso types of the widest swap level, iteration i
+    refines level h - i by its rows' own and swap positions in level h-i+1.
     """
     levels, links = swap_levels(g, sets, h)
     where = [np.arange(len(sets))]   # each row's position in every level
@@ -136,13 +128,9 @@ def _label_sets(g: Graph, sets: np.ndarray, h: int,
 
 def local_labels(g: Graph, s, k: int, h: int,
                  interner: LabelInterner) -> tuple:
-    """Labels of the k-set ``s`` for iterations 0..h, computed on the full
-    graph from its radius-h swap levels only.
-
-    The keys are the ones the full-graph refinement makes for ``s``, so
-    with a shared interner the labels equal the full run's ids; across
-    separate interners they agree at the partition level.
-    """
+    """Labels of the k-set ``s`` for iterations 0..h from its radius-h swap
+    levels on the full graph: the full run's keys, so its ids under a
+    shared interner and its partition under any other."""
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
     s = tuple(sorted(int(v) for v in s))
@@ -151,53 +139,66 @@ def local_labels(g: Graph, s, k: int, h: int,
     return tuple(_label_sets(g, np.asarray([s]), h, interner)[0].tolist())
 
 
-@dataclass
 class RademacherState:
-    """Label counts over the sample so far, per refinement iteration.
+    """Label counts of the sample so far: ``counts[i][f]`` of the ``m``
+    samples carry label id f at iteration i."""
 
-    Tracks the two quantities the Massart bound needs incrementally: the
-    count of the most frequent (iteration, label) pair and the number of
-    distinct pairs observed.
+    def __init__(self, iterations: int):
+        self.m = 0
+        self.counts = [np.zeros(0)] * (iterations + 1)
+
+    def observe(self, labels, multiplicity) -> None:
+        """Add multiplicity[j] samples labeled like row j of ``labels`` (one
+        column per iteration): one bincount per iteration."""
+        weights = np.asarray(multiplicity, dtype=np.float64)
+        self.m += int(weights.sum())
+        for it, old in enumerate(self.counts):
+            new = np.bincount(labels[:, it], weights, minlength=len(old))
+            new[:len(old)] += old
+            self.counts[it] = new
+
+    def blocks(self) -> list[dict]:
+        """Each iteration's label -> mass map, in ascending label order."""
+        return [dict(zip(np.flatnonzero(c).tolist(),
+                         (c[c > 0] / self.m).tolist())) for c in self.counts]
+
+
+def _rademacher_bound(counts: np.ndarray, m: int) -> float:
+    """Bound on the Rademacher average over ``m`` samples of the zero vector
+    and the indicator vectors with squared norms ``counts``.
+
+    Every s > 0 gives R <= (1/s) ln(1 + sum_f exp(s^2 c_f / (2 m^2))),
+    Massart's lemma before it raises each c_f to the largest.  Returns the
+    least value on 25 points of ln s evenly spaced within a factor 2 of
+    Massart's s (which holds the minimizer), Massart's s among them, and on
+    25 around the best: never above sqrt(max c) * sqrt(2 ln(|c| + 1)) / m.
     """
+    values, mult = np.unique(np.append(counts, 0.0), return_counts=True)
+    top = values[-1]
 
-    iterations: int
-    m: int = 0
-    counts: list = field(default_factory=list)
-    max_count: int = 0
-    distinct_pairs: int = 0
+    def at(log_t):   # the bound at each s = m * exp(log_t), a log-sum-exp
+        t = np.exp(log_t)
+        half = 0.5 * t * t
+        terms = np.exp(np.multiply.outer(half, values - top)) @ mult
+        return (half * top + np.log(terms)) / (m * t)
 
-    def __post_init__(self):
-        if not self.counts:
-            self.counts = [{} for _ in range(self.iterations + 1)]
-
-    def observe(self, labels: tuple, multiplicity: int = 1) -> None:
-        self.m += multiplicity
-        for it, lab in enumerate(labels):
-            c = self.counts[it].get(lab, 0)
-            if c == 0:
-                self.distinct_pairs += 1
-            c += multiplicity
-            self.counts[it][lab] = c
-            if c > self.max_count:
-                self.max_count = c
+    mid = 0.5 * math.log(2.0 * math.log(len(counts) + 1) / top)
+    steps = np.arange(-12, 13) * (math.log(2.0) / 12)
+    coarse = at(mid + steps)
+    fine = at(mid + steps[coarse.argmin()] + steps / 12)
+    return float(min(coarse.min(), fine.min()))
 
 
 def massart_deviation_bound(state: RademacherState, delta: float) -> float:
-    """Data-dependent bound on the sup deviation of sample averages.
-
-    2 * R + 3 * sqrt(ln(2/delta) / (2m)), with the Rademacher average R
-    bounded via Massart's lemma by max_f ||v_f|| * sqrt(2 ln |V|) / m.  Here
-    ||v_f|| = sqrt(count of the most frequent observed (iteration, label)
-    pair) and |V| = distinct observed pairs + 1, the +1 covering the zero
-    vector of all never-observed indicator functions.
-    """
+    """Data-dependent bound on the sup deviation of sample averages:
+    2 * R + 3 * sqrt(ln(2/delta) / (2m)), with R the
+    :func:`_rademacher_bound` of the observed (iteration, label) counts."""
     _check_probability("delta", delta, upper_inclusive=False)
     if state.m < 1:
         raise ParameterError("the deviation bound needs at least one sample")
-    m = state.m
-    vset = state.distinct_pairs + 1
-    rademacher = math.sqrt(state.max_count) * math.sqrt(2.0 * math.log(vset)) / m
-    return 2.0 * rademacher + 3.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * m))
+    counts = np.concatenate([c[c > 0] for c in state.counts])
+    return (2.0 * _rademacher_bound(counts, state.m)
+            + 3.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * state.m)))
 
 
 @dataclass
@@ -209,51 +210,77 @@ class SampledEstimate:
     rounds: list = field(default_factory=list)
     undersized: bool = False
 
-    def to_feature_vector(self):
-        from .features import FeatureVector
-        return FeatureVector([dict(b) for b in self.blocks])
 
-
-def _zero_estimate(h: int) -> SampledEstimate:
-    return SampledEstimate(blocks=[{} for _ in range(h + 1)], sample_count=0,
-                           rounds=[], undersized=True)
-
-
+@dataclass
 class _SampleLabeler:
     """Draws sample batches and memoizes labels per sampled vertex tuple."""
 
-    def __init__(self, g: Graph, k: int, h: int, interner: LabelInterner,
-                 cache: dict | None = None):
-        self.g = g
-        self.k = k
-        self.h = h
-        self.interner = interner
-        self.cache = cache if cache is not None else {}
+    g: Graph
+    k: int
+    h: int
+    interner: LabelInterner
+    cache: dict = field(default_factory=dict)
 
     def draw_counts(self, size: int, rng) -> tuple[list, list]:
         """Distinct drawn k-sets as vertex tuples in colex order (ascending
         colex rank) and how often each was drawn."""
-        sets = _draw_batch(self.g.num_vertices, self.k, size, rng)
-        uniq, _, counts = _unique_rows(sets)
-        order = np.lexsort(uniq.T)
-        return list(map(tuple, uniq[order].tolist())), counts[order].tolist()
+        n = self.g.num_vertices
+        sets = _draw_batch(n, self.k, size, rng)
+        if n ** self.k <= _INT64_MAX:   # base-n keys sort in colex order
+            powers = n ** np.arange(self.k, dtype=np.int64)
+            keys, counts = np.unique(sets @ powers, return_counts=True)
+            uniq = keys[:, None] // powers % n
+        else:   # colex order is the lexicographic order of reversed rows
+            uniq, _, counts = _unique_rows(sets[:, ::-1])
+            uniq = uniq[:, ::-1]
+        return list(map(tuple, uniq.tolist())), counts.tolist()
 
-    def labels_for(self, sets: list) -> None:
-        """Ensure every set is labeled.  The new sets are labeled as one
-        batch, whose intern windows depend only on which sets are new, not
-        on their order."""
+    def labels_for(self, sets: list) -> np.ndarray:
+        """The labels of every set, one row each.  New sets are labeled as
+        one batch, whose intern windows depend only on which sets are new."""
         new = [s for s in sets if s not in self.cache]
-        if not new:
-            return
-        labeled = _label_sets(self.g, np.asarray(new), self.h, self.interner)
-        self.cache.update(zip(new, map(tuple, labeled.tolist())))
+        if new:
+            labeled = _label_sets(self.g, np.asarray(new), self.h,
+                                  self.interner)
+            self.cache.update(zip(new, map(tuple, labeled.tolist())))
+        rows = itertools.chain.from_iterable(self.cache[s] for s in sets)
+        return np.fromiter(rows, np.int64).reshape(len(sets), self.h + 1)
 
-    def observe(self, size: int, rng, state: RademacherState) -> None:
-        """Draw ``size`` samples, label them and add them to ``state``."""
-        sets, counts = self.draw_counts(size, rng)
-        self.labels_for(sets)
-        for s, c in zip(sets, counts):
-            state.observe(self.cache[s], c)
+
+def _sample(g: Graph, k: int, h: int, rng, interner: LabelInterner, cache,
+            batches, max_total_samples: int, epsilon: float | None = None,
+            delta: float = 0.0) -> SampledEstimate:
+    """Draw ``batches`` in turn into one :class:`RademacherState`: only the
+    first without ``epsilon``; with it, until the deviation bound at
+    delta * 2^-(i+1) after round i is at most ``epsilon``.  A batch beyond
+    ``max_total_samples`` in total is refused before it is drawn."""
+    if h < 0:
+        raise ParameterError("iteration count h must be nonnegative")
+    check_order(k)
+    if g.num_vertices < k:
+        return SampledEstimate([{} for _ in range(h + 1)], 0, undersized=True)
+    labeler = _SampleLabeler(g, k, h, interner,
+                             {} if cache is None else cache)
+    state = RademacherState(iterations=h)
+    rounds = []
+    for i, batch in enumerate(batches):
+        if state.m + batch > max_total_samples:   # fixed counts pass here
+            raise ResourceLimitError(
+                f"adaptive sampling would exceed {max_total_samples} samples "
+                f"(drawn {state.m}, last bound "
+                f"{rounds[-1]['bound'] if rounds else float('inf'):.6g}, "
+                f"target epsilon {epsilon}); raise the cap or epsilon")
+        sets, counts = labeler.draw_counts(batch, rng)
+        state.observe(labeler.labels_for(sets), counts)
+        if epsilon is None:
+            break
+        round_delta = delta * 2.0 ** -(i + 1)
+        bound = massart_deviation_bound(state, round_delta)
+        rounds.append({"round": i, "batch": batch, "total": state.m,
+                       "delta": round_delta, "bound": bound})
+        if bound <= epsilon:
+            break
+    return SampledEstimate(state.blocks(), state.m, rounds)
 
 
 def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
@@ -266,8 +293,7 @@ def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
 
     Each sample adds 1/sample_count to the bucket of its label at every
     iteration 0..h, so every block's masses sum to one.  Graphs with fewer
-    than k vertices yield the all-zero estimate flagged ``undersized``
-    rather than failing, so dataset runs survive tiny graphs.  A sample
+    than k vertices yield the all-zero estimate flagged ``undersized``.  A
     count above ``max_total_samples`` is refused before anything is drawn.
     """
     if sample_count < 1:
@@ -277,15 +303,8 @@ def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
             f"fixed-size sampling would draw {sample_count} samples, above "
             f"the cap of {max_total_samples}; raise the cap or lower the "
             f"sample count")
-    if h < 0:
-        raise ParameterError("iteration count h must be nonnegative")
-    if g.num_vertices < k:
-        return _zero_estimate(h)
-    state = RademacherState(iterations=h)
-    _SampleLabeler(g, k, h, interner, cache).observe(sample_count, rng, state)
-    blocks = [{lab: cnt / state.m for lab, cnt in per_iter.items()}
-              for per_iter in state.counts]
-    return SampledEstimate(blocks=blocks, sample_count=state.m)
+    return _sample(g, k, h, rng, interner, cache, [sample_count],
+                   max_total_samples)
 
 
 def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
@@ -294,20 +313,15 @@ def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
                                initial_size: int = 100,
                                growth: float = 2.0,
                                max_total_samples: int = DEFAULT_MAX_TOTAL_SAMPLES,
-                               strict_delta: bool = False,
                                cache: dict | None = None) -> SampledEstimate:
-    """Adaptive estimator: sample in growing rounds until the Massart-based
-    deviation bound drops to ``epsilon``.
+    """Adaptive estimator: sample in growing rounds until the deviation
+    bound (:func:`massart_deviation_bound`) drops to ``epsilon``.
 
     Round i draws initial_size * growth^i fresh samples (doubling by
-    default).  The bound is evaluated with the full ``delta`` every round,
-    reproducing the plain doubling schedule; that reuses delta across
-    adaptive looks, so ``strict_delta=True`` optionally splits it
-    geometrically (delta / 2^(i+1)) to restore a sound union bound.
-
-    The final estimate divides the accumulated counts by the total sample
-    count.  A hard cap on total samples aborts with a diagnostic instead of
-    looping unboundedly when epsilon is unreachably small.
+    default) and tests the bound at delta / 2^(i+1).  These deltas sum to
+    less than ``delta``, so by a union bound over the rounds the estimate's
+    sup deviation is at most ``epsilon`` with probability at least
+    1 - delta.  The sample cap stops an unreachably small epsilon.
     """
     _check_probability("epsilon", epsilon, upper_inclusive=True)
     _check_probability("delta", delta, upper_inclusive=False)
@@ -316,44 +330,19 @@ def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
     if not (math.isfinite(growth) and growth > 1.0):
         raise ParameterError(f"growth factor must be finite and exceed 1, "
                              f"got {growth}")
-    if h < 0:
-        raise ParameterError("iteration count h must be nonnegative")
-    if g.num_vertices < k:
-        return _zero_estimate(h)
 
-    labeler = _SampleLabeler(g, k, h, interner, cache)
-    state = RademacherState(iterations=h)
-    rounds = []
-    round_idx = 0
-    while True:
-        try:
-            batch = round(initial_size * growth ** round_idx)
-        except OverflowError:   # a batch beyond every float is beyond the cap
-            batch = math.inf
-        if state.m + batch > max_total_samples:
-            raise ResourceLimitError(
-                f"adaptive sampling would exceed {max_total_samples} samples "
-                f"(drawn {state.m}, last bound "
-                f"{rounds[-1]['bound'] if rounds else float('inf'):.6g}, "
-                f"target epsilon {epsilon}); raise the cap or epsilon")
-        labeler.observe(batch, rng, state)
-        round_delta = delta * 2.0 ** -(round_idx + 1) if strict_delta else delta
-        bound = massart_deviation_bound(state, round_delta)
-        rounds.append({"round": round_idx, "batch": batch,
-                       "total": state.m, "bound": bound})
-        if bound <= epsilon:
-            break
-        round_idx += 1
+    def batches():
+        for i in itertools.count():
+            try:
+                yield round(initial_size * growth ** i)
+            except OverflowError:   # beyond every float, so beyond the cap
+                yield math.inf
 
-    blocks = [{lab: cnt / state.m for lab, cnt in per_iter.items()}
-              for per_iter in state.counts]
-    return SampledEstimate(blocks=blocks, sample_count=state.m, rounds=rounds)
+    return _sample(g, k, h, rng, interner, cache, batches(),
+                   max_total_samples, epsilon, delta)
 
 
 def observed_label_count(colorings) -> int:
     """Distinct (iteration, label) pairs of an exact run: an empirical
     lower-bound reference when choosing the label-count parameter gamma."""
-    total = 0
-    for c in colorings:
-        total += len(np.unique(c.labels))
-    return total
+    return sum(len(np.unique(c.labels)) for c in colorings)

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -130,6 +131,41 @@ def test_resource_error_exit_code(two_triangle_dir, tmp_path, capsys):
     assert "sampled" in err
 
 
+@pytest.mark.parametrize("mode", [
+    ["--mode", "exact"], ["--mode", "linalg"],
+    ["--mode", "sampled", "--samples", "100"], ["--mode", "adaptive"]],
+    ids=["exact", "linalg", "sampled", "adaptive"])
+def test_k_ten_on_mutag_exits_3_before_building_sets(tmp_path, capsys, mode):
+    # 10! orderings per set exceed a block; the exact front end would also
+    # hold C(28, 10) = 13M rows for MUTAG's largest graph
+    t0 = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local",
+        "--k", "10", "--h", "1", *mode, "--output", str(tmp_path / "g.txt"))
+    assert code == 3 and "largest supported k is 8" in err
+    assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("cap", [["--max-samples", "0"],
+                                 ["--max-samples", "-5"]])
+def test_max_samples_below_one_is_a_usage_error(two_triangle_dir, tmp_path,
+                                                capsys, cap):
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel",
+        "kwl-local", "--h", "1", "--mode", "adaptive", *cap,
+        "--output", str(tmp_path / "g.txt"))
+    assert code == 1 and "--max-samples must be at least 1" in err
+
+
+def test_negative_max_sets_is_a_usage_error(two_triangle_dir, tmp_path,
+                                            capsys):
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel",
+        "kwl-local", "--h", "1", "--max-sets", "-1",
+        "--output", str(tmp_path / "g.txt"))
+    assert code == 1 and "--max-sets" in err
+
+
 def test_linalg_mode_matches_exact_gram(two_triangle_dir, tmp_path, capsys):
     paths = {}
     for mode in ("exact", "linalg"):
@@ -153,6 +189,9 @@ def test_adaptive_gram_runs(two_triangle_dir, tmp_path, capsys):
     assert code == 0, err
     manifest = json.load(open(out_path + ".manifest.json"))
     assert "rounds" in manifest and "0" in manifest["rounds"]
+    for rounds in manifest["rounds"].values():
+        assert [r["delta"] for r in rounds] == [
+            0.1 * 2.0 ** -(i + 1) for i in range(len(rounds))]
 
 
 @pytest.mark.parametrize("growth", ["nan", "inf", "1"])

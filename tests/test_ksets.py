@@ -3,14 +3,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from math import comb
 
-from ksetwl import ParameterError, enumerate_ksets
-from ksetwl.ksets import KSetIndex
+from ksetwl import (LabelInterner, ParameterError, ResourceLimitError,
+                    build_graph, enumerate_ksets)
+from ksetwl.ksets import KSetIndex, check_order
+from ksetwl.pipeline import exact_kset_run, la_kset_run
 
 
 def test_counts():
     assert KSetIndex(4, 2).size == 6
     assert KSetIndex(3, 3).size == 1
     assert KSetIndex(2, 3).size == 0
+
+
+def test_order_cap_admits_k_up_to_eight():
+    # 8! = 40,320 orderings fit a block of 2^16 rows, 9! = 362,880 do not
+    for k in range(1, 9):
+        check_order(k)
+    for k in (9, 10, 10 ** 9):
+        with pytest.raises(ResourceLimitError,
+                           match="largest supported k is 8"):
+            check_order(k)
+
+
+def test_exact_runs_refuse_k_nine_before_enumerating():
+    g = build_graph(12, [(i, i + 1) for i in range(11)])
+    with pytest.raises(ResourceLimitError, match="orderings"):
+        exact_kset_run([g], 9, 1, LabelInterner())
+    with pytest.raises(ResourceLimitError, match="orderings"):
+        la_kset_run([g], 9, 1)
 
 
 def test_k_below_one_rejected():

@@ -1,0 +1,27 @@
+"""The README's code examples run as written."""
+
+import os
+import re
+
+from conftest import ROOT
+
+
+def readme_block(heading):
+    """The first fenced python block under the README's ``heading``."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = f.read()
+    section = text[text.index(f"## {heading}\n"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_quick_start_runs():
+    scope = {}
+    exec(readme_block("Library quick start"), scope)
+    blocks, estimate = scope["blocks"], scope["estimate"]
+    # two triangles: 15 2-sets, and every block of the estimate is a
+    # probability vector over labels of the exact run
+    assert [sum(b.values()) for b in blocks] == [15] * 4
+    assert estimate.sample_count > 0 and len(estimate.rounds) >= 1
+    for exact, sampled in zip(blocks, estimate.blocks):
+        assert abs(sum(sampled.values()) - 1) < 1e-12
+        assert set(sampled) <= set(exact)

@@ -1,5 +1,9 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksetwl import (LabelInterner, ParameterError, RademacherState,
                     ResourceLimitError, build_graph, enumerate_ksets,
@@ -8,14 +12,53 @@ from ksetwl import (LabelInterner, ParameterError, RademacherState,
                     kset_colorings, local_labels, make_rng,
                     massart_deviation_bound, sample_kset_uniform)
 from ksetwl.pipeline import exact_kset_run
-from ksetwl.sampling import _draw_batch, _SampleLabeler
+from ksetwl.sampling import _draw_batch, _rademacher_bound, _SampleLabeler
 
 from conftest import random_graph
 
 # frozen by independent high-precision evaluation of the bound formulas
 SIZE_SINGLE = 26492
 SIZE_DATASET = 49518
+# Massart's closed form for the counts (2, 1, 1) over m = 4 at delta 0.5
 MASSART_EXAMPLE = 2.426241939252021
+
+
+def state_of(rows, multiplicity):
+    """A RademacherState holding ``multiplicity[j]`` samples labeled like
+    ``rows[j]`` (one label per iteration)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    state = RademacherState(iterations=rows.shape[1] - 1)
+    state.observe(rows, multiplicity)
+    return state
+
+
+def pair_counts(state):
+    return np.concatenate([c[c > 0] for c in state.counts])
+
+
+def hoeffding_term(m, delta):
+    return 3 * math.sqrt(math.log(2 / delta) / (2 * m))
+
+
+def massart_closed_form(state, delta):
+    """2 R + 3 sqrt(ln(2/delta) / (2m)) with Massart's lemma in its relaxed
+    form: R <= sqrt(max count) * sqrt(2 ln(distinct pairs + 1)) / m."""
+    counts = pair_counts(state)
+    r = math.sqrt(counts.max()) * math.sqrt(2 * math.log(len(counts) + 1))
+    return 2 * r / state.m + hoeffding_term(state.m, delta)
+
+
+def dense_grid_rademacher(counts, m, points=200_001):
+    """min of (1/s) ln(1 + sum exp(s^2 c / (2m^2))) over ``points``
+    log-spaced s within a factor e^6 of Massart's s either way."""
+    counts = np.asarray(counts, dtype=np.float64)
+    t0 = math.sqrt(2 * math.log(len(counts) + 1) / counts.max())
+    best = math.inf
+    for t in np.array_split(t0 * np.exp(np.linspace(-6, 6, points)), 20):
+        x = np.multiply.outer(0.5 * t * t, counts)
+        lse = np.logaddexp(0.0, np.logaddexp.reduce(x, axis=1))
+        best = min(best, float((lse / (m * t)).min()))
+    return best
 
 
 def test_sample_size_frozen_values():
@@ -26,8 +69,9 @@ def test_sample_size_frozen_values():
 
 @pytest.mark.parametrize("n, k, size, seed",
                          [(8, 2, 500, 1), (1000, 3, 300, 2), (6, 4, 200, 3),
-                          (50, 2, 1, 4)])
+                          (50, 2, 1, 4), (200_000, 4, 300, 5)])
 def test_draw_counts_match_the_np_unique_formula(n, k, size, seed):
+    # n^k beyond int64 (the last case) takes the row-sort path
     g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
     got = _SampleLabeler(g, k, 1, LabelInterner()).draw_counts(
         size, make_rng(seed))
@@ -188,6 +232,38 @@ def test_fixed_estimate_on_triangle(tri):
         assert list(blk.values()) == [1.0]
 
 
+def test_fixed_estimate_equals_the_per_set_count_oracle(mutag):
+    # the same seed draws the same sets; every block holds their labels'
+    # counts over the sample size, in ascending label order
+    g = mutag.graphs[3]
+    interner = LabelInterner()
+    est = estimate_features_fixed(g, 2, 3, 700, make_rng(11), interner)
+    sets, counts = _SampleLabeler(g, 2, 3, interner).draw_counts(
+        700, make_rng(11))
+    want = [{} for _ in range(4)]
+    for s, c in zip(sets, counts):
+        for it, lab in enumerate(local_labels(g, s, 2, 3, interner)):
+            want[it][lab] = want[it].get(lab, 0) + c
+    assert est.sample_count == 700 and est.rounds == []
+    assert est.blocks == [{lab: c / 700 for lab, c in blk.items()}
+                          for blk in want]
+    assert all(list(blk) == sorted(blk) for blk in est.blocks)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda g, rng: estimate_features_fixed(g, 9, 1, 10, rng, LabelInterner()),
+    lambda g, rng: estimate_features_adaptive(g, 9, 1, 0.1, 0.1, rng,
+                                              LabelInterner())],
+    ids=["fixed", "adaptive"])
+def test_estimators_refuse_k_nine_before_drawing(estimate):
+    class NoDraws:
+        def integers(self, *args, **kwargs):
+            raise AssertionError("a set was drawn")
+    g = build_graph(12, [(i, i + 1) for i in range(11)])
+    with pytest.raises(ResourceLimitError, match="largest supported k is 8"):
+        estimate(g, NoDraws())
+
+
 def test_fixed_estimate_single_sample(p4):
     est = estimate_features_fixed(p4, 2, 1, 1, make_rng(3), LabelInterner())
     for blk in est.blocks:
@@ -253,29 +329,39 @@ def test_fixed_estimate_l1_accuracy_on_benchmark_graph(mutag):
 
 
 def test_massart_bound_frozen_example():
-    state = RademacherState(iterations=0)
-    for lab, count in ((10, 2), (11, 1), (12, 1)):
-        state.observe((lab,), count)
-    assert state.m == 4 and state.max_count == 2 and state.distinct_pairs == 3
+    state = state_of([[10], [11], [12]], [2, 1, 1])
+    assert state.m == 4 and state.counts[0][10:].tolist() == [2, 1, 1]
+    assert pair_counts(state).tolist() == [2, 1, 1]
     bound = massart_deviation_bound(state, 0.5)
-    assert bound == pytest.approx(MASSART_EXAMPLE, abs=1e-12)
+    expected = (2 * dense_grid_rademacher([2, 1, 1], 4)
+                + hoeffding_term(4, 0.5))
+    assert bound == pytest.approx(expected, rel=1e-5)
+    assert massart_closed_form(state, 0.5) == pytest.approx(MASSART_EXAMPLE,
+                                                             abs=1e-12)
+    assert bound < MASSART_EXAMPLE
 
 
 def test_massart_single_label_closed_form():
+    # one pair of count m: R = K / sqrt(m) with K = min_u ln(1 + e^(u^2/2)) / u
+    # (s = u sqrt(m)), below Massart's sqrt(2 ln 2) / sqrt(m)
+    K = dense_grid_rademacher([1], 1)
+    assert K < math.sqrt(2 * math.log(2))
     for m in (1, 4, 16, 100):
-        state = RademacherState(iterations=0)
-        state.observe((7,), m)
+        state = state_of([[7]], [m])
         bound = massart_deviation_bound(state, 0.5)
-        expected = 2 * np.sqrt(2 * np.log(2) / m) + 3 * np.sqrt(np.log(4) / (2 * m))
-        assert bound == pytest.approx(expected, rel=1e-12)
+        expected = 2 * K / np.sqrt(m) + 3 * np.sqrt(np.log(4) / (2 * m))
+        assert bound == pytest.approx(expected, rel=1e-5)
+        closed = (2 * np.sqrt(2 * np.log(2) / m)
+                  + 3 * np.sqrt(np.log(4) / (2 * m)))
+        assert massart_closed_form(state, 0.5) == pytest.approx(closed,
+                                                                rel=1e-12)
+        assert bound < closed
 
 
 def test_massart_decreasing_under_proportional_growth():
     previous = np.inf
     for scale in (1, 2, 4, 8):
-        state = RademacherState(iterations=0)
-        for lab, count in ((0, 2 * scale), (1, 1 * scale), (2, 1 * scale)):
-            state.observe((lab,), count)
+        state = state_of([[0], [1], [2]], [2 * scale, scale, scale])
         bound = massart_deviation_bound(state, 0.1)
         assert bound < previous
         previous = bound
@@ -284,6 +370,67 @@ def test_massart_decreasing_under_proportional_growth():
 def test_massart_needs_samples():
     with pytest.raises(ParameterError):
         massart_deviation_bound(RademacherState(iterations=1), 0.5)
+
+
+@st.composite
+def count_states(draw):
+    """Distinct label rows (one label per iteration, h <= 3) with sample
+    multiplicities, observed in two batches."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, 60), min_size=width, max_size=width),
+        st.integers(1, 500)), min_size=1, max_size=60))
+    cut = draw(st.integers(0, len(rows) - 1))
+    state = RademacherState(iterations=width - 1)
+    for part in (rows[:cut], rows[cut:]):
+        if part:
+            state.observe(np.array([r for r, _ in part]),
+                          [c for _, c in part])
+    return state
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_states(), st.floats(0.001, 0.999))
+def test_bound_never_exceeds_massarts_closed_form(state, delta):
+    assert all(c.sum() == state.m for c in state.counts)
+    bound = massart_deviation_bound(state, delta)
+    assert hoeffding_term(state.m, delta) < bound <= massart_closed_form(
+        state, delta)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rademacher_term_is_near_the_dense_grid_minimum(seed):
+    # within 2e-5 of the best s on a grid 1,000 times finer and 6 times
+    # wider, and not below it beyond that grid's own error
+    rng = np.random.default_rng(seed)
+    pairs = int(rng.integers(1, 200))
+    m = int(rng.integers(pairs, 20_000))
+    counts = rng.integers(1, max(2, m // 3), pairs).astype(np.float64)
+    dense = dense_grid_rademacher(counts, m, points=40_001)
+    assert dense * (1 - 1e-6) <= _rademacher_bound(counts, m) <= dense * (
+        1 + 2e-5)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rademacher_term_bounds_the_exact_average(seed):
+    # all 2^m sign vectors: E sup over the observed indicator vectors and
+    # the zero vector of (1/m) sum_i sigma_i v_i, against the R the bound uses
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 13))
+    width = int(rng.integers(1, 4))
+    labels = rng.integers(0, int(rng.integers(1, 6)), size=(m, width))
+    state = state_of(labels, [1] * m)
+    vectors = [np.zeros(m)] + [
+        (labels[:, it] == lab).astype(float)
+        for it in range(width) for lab in np.unique(labels[:, it])]
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+    exact = float(np.max(signs @ np.array(vectors).T, axis=1).mean()) / m
+    delta = 0.1
+    used = (massart_deviation_bound(state, delta)
+            - hoeffding_term(m, delta)) / 2
+    assert used == pytest.approx(_rademacher_bound(pair_counts(state), m),
+                                 rel=1e-12)
+    assert exact <= used + 1e-12
 
 
 def test_adaptive_on_triangle_terminates_quickly(tri):
@@ -317,12 +464,18 @@ def test_adaptive_sample_cap(tri):
                                    LabelInterner(), max_total_samples=1000)
 
 
-def test_adaptive_strict_delta_needs_more_samples(tri):
-    relaxed = estimate_features_adaptive(tri, 2, 1, 0.3, 0.1, make_rng(4),
-                                         LabelInterner())
-    strict = estimate_features_adaptive(tri, 2, 1, 0.3, 0.1, make_rng(4),
-                                        LabelInterner(), strict_delta=True)
-    assert strict.sample_count >= relaxed.sample_count
+def test_adaptive_rounds_split_delta_geometrically(tri):
+    est = estimate_features_adaptive(tri, 2, 1, 0.1, 0.2, make_rng(4),
+                                     LabelInterner())
+    deltas = [entry["delta"] for entry in est.rounds]
+    assert len(deltas) > 3
+    assert deltas == [0.2 * 2.0 ** -(i + 1) for i in range(len(deltas))]
+    assert sum(deltas) < 0.2
+    for entry in est.rounds:
+        state = RademacherState(iterations=1)
+        state.observe(np.zeros((1, 2), dtype=np.int64), [entry["total"]])
+        assert entry["bound"] == massart_deviation_bound(state,
+                                                         entry["delta"])
 
 
 def test_adaptive_undersized_graph():
