@@ -4,15 +4,16 @@ sample-size calculators.
 Subcommands: info | features | gram | sample-size.  Exit codes: 0 success,
 1 usage error, 2 data/format error, 3 resource-cap error.  Every output file
 gets a sibling ``<output>.manifest.json`` recording the full configuration,
-seed, and wall times; identical config + seed + dataset bytes reproduce the
-output files byte for byte.  Every kernel runs as k-set refinement: wl1 is
-the local k-set kernel at k = 1.
+seed, wall times and peak resident memory; identical config + seed +
+dataset bytes reproduce the output files byte for byte.  Every kernel runs
+as k-set refinement: wl1 is the local k-set kernel at k = 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 
@@ -69,7 +70,8 @@ def _add_compute_args(p):
     p.add_argument("--normalize", choices=("none", "l1-block", "l1-full"),
                    default="none")
     p.add_argument("--max-sets", type=int, default=DEFAULT_MAX_SETS,
-                   help="refuse exact k-set runs beyond this many k-sets")
+                   help="refuse exact and linalg runs whose graphs have "
+                   "more k-sets than this in total")
     p.add_argument("--max-samples", type=int, default=10_000_000)
     p.add_argument("--output", required=True)
 
@@ -202,6 +204,8 @@ def _manifest(args, path: str, timings: dict, extra: dict) -> None:
                    if key != "command"},
         "command": args.command,
         "wall_times_sec": timings,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / 1024,
         **extra,
     }
     with open(path + ".manifest.json", "w") as f:

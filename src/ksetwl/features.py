@@ -17,9 +17,13 @@ import numpy as np
 from .errors import ParameterError
 
 # Bound on the entries of each scratch array of the gram (a dense column
-# chunk of the feature matrix, one row block of its product): at most
-# max(_GRAM_CHUNK, n) floats, so K is the only array of size n^2.
+# chunk of the feature matrix, one row block of its product, one chunk of
+# holder pairs): at most max(_GRAM_CHUNK, n), so K is the only array of
+# size n^2.
 _GRAM_CHUNK = 1 << 18
+# A label held by at most n / _GRAM_LIGHT of the n graphs adds its holder
+# pairs one by one; a label held by more is a dense column.
+_GRAM_LIGHT = 6
 
 
 @dataclass
@@ -80,12 +84,15 @@ def dot(u: FeatureVector, v: FeatureVector) -> float:
 def gram_matrix(features) -> np.ndarray:
     """Symmetric matrix of all pairwise inner products, K = X X^T.
 
-    Per block, a label held by one graph only adds its squared weight to
-    that graph's diagonal; labels held by several graphs are the columns of
-    X, filled densely in bounded chunks.  Each chunk adds its products to
-    the upper triangle of K in bounded row blocks, which is then mirrored in
-    place.  Integer features give exactly the sums of :func:`dot`, float
-    features may differ in the last bits.  Row order follows the input order.
+    Per block, entries are sorted by (label, graph).  A label held by few
+    graphs adds w_i w_j to K[i, j] for each pair of its holders i <= j, in
+    chunks of pairs (:func:`_add_pairs`).  Labels held by many graphs are
+    the columns of X, filled densely in bounded chunks; each chunk adds its
+    products to the upper triangle of K in bounded row blocks.  K is then
+    mirrored in place.  No step calls BLAS or depends on a thread count:
+    integer features give exactly the sums of :func:`dot`, float features
+    may differ from them in the last bits.  Row order follows the input
+    order.
     """
     n = len(features)
     K = np.zeros((n, n), dtype=np.float64)
@@ -95,32 +102,65 @@ def gram_matrix(features) -> np.ndarray:
     for b in range(features[0].h + 1 if n else 0):
         blocks = [f.blocks[b] for f in features]
         rows = np.repeat(np.arange(n), [len(block) for block in blocks])
-        labels = np.fromiter(chain.from_iterable(blocks), np.int64)
+        labels = np.fromiter(chain.from_iterable(blocks), np.int64,
+                             count=len(rows))
         weights = np.fromiter(chain.from_iterable(
-            block.values() for block in blocks), np.float64)
-        _, column, holders = np.unique(labels, return_inverse=True,
-                                       return_counts=True)
-        single = holders[column] == 1
-        np.add.at(K, (rows[single], rows[single]), weights[single] ** 2)
-        shared = np.cumsum(holders > 1)[column[~single]] - 1
-        order = np.argsort(shared, kind="stable")
-        rows, shared = rows[~single][order], shared[order]
-        weights = weights[~single][order]
-        columns = int(shared.max(initial=-1)) + 1
-        cuts = np.searchsorted(shared, np.arange(0, columns + step, step))
+            block.values() for block in blocks), np.float64, count=len(rows))
+        order = np.argsort(labels, kind="stable")
+        rows, labels, weights = rows[order], labels[order], weights[order]
+        new = np.ones(len(labels), dtype=bool)
+        new[1:] = labels[1:] != labels[:-1]
+        starts = np.flatnonzero(new)
+        holders = np.diff(starts, append=len(labels))
+        light = np.repeat(holders * _GRAM_LIGHT <= n, holders)
+        # an entry pairs with itself and its label's later holders
+        later = np.repeat(starts + holders, holders) - np.arange(len(labels))
+        _add_pairs(K.reshape(-1), n, rows[light], weights[light],
+                   later[light])
+        column = np.cumsum(new[~light]) - 1
+        rows, weights = rows[~light], weights[~light]
+        columns = int(column[-1]) + 1 if len(column) else 0
+        cuts = np.searchsorted(column, np.arange(0, columns + step, step))
         buf = np.empty(n * min(step, columns), dtype=np.float64)
         for lo, a, z in zip(range(0, columns, step), cuts[:-1], cuts[1:]):
             X = buf[:n * min(step, columns - lo)].reshape(n, -1)
             X.fill(0.0)
-            X[rows[a:z], shared[a:z] - lo] = weights[a:z]
+            X[rows[a:z], column[a:z] - lo] = weights[a:z]
             for r in range(0, n, step):
-                K[r:r + step, r:] += X[r:r + step] @ X[r:].T
+                K[r:r + step, r:] += np.einsum(
+                    "ik,jk->ij", X[r:r + step], X[r:], optimize=False)
     for r in range(0, n, step):                # exactly symmetric
         diagonal = K[r:r + step, r:r + step]
         lower = np.tril_indices(len(diagonal), -1)
         diagonal[lower] = diagonal.T[lower]
         K[r + step:, r:r + step] = K[r:r + step, r + step:].T
     return K
+
+
+def _add_pairs(flat: np.ndarray, n: int, rows: np.ndarray,
+               weights: np.ndarray, later: np.ndarray) -> None:
+    """Add weights[e] * weights[p] to entry (rows[e], rows[p]) of the n x n
+    matrix whose flat view is ``flat``, for every entry e and every p in
+    e, e + 1, ..., e + later[e] - 1.
+
+    Pairs are numbered entry by entry and added in that order, at most
+    ``_GRAM_CHUNK`` at a time.
+    """
+    first = np.cumsum(later) - later           # each entry's first pair
+    total = int(first[-1] + later[-1]) if len(later) else 0
+    shift = first - np.arange(len(later))      # pair - shift = partner
+    for lo in range(0, total, _GRAM_CHUNK):
+        hi = min(lo + _GRAM_CHUNK, total)
+        a = int(np.searchsorted(first, lo, side="right")) - 1
+        z = int(np.searchsorted(first, hi))
+        entry = np.repeat(np.arange(a, z), np.minimum(
+            first[a:z] + later[a:z], hi) - np.maximum(first[a:z], lo))
+        partner = np.arange(lo, hi) - shift[entry]
+        index = rows[entry] * n
+        index += rows[partner]
+        values = weights[entry]
+        values *= weights[partner]
+        np.add.at(flat, index, values)
 
 
 def cosine_normalize_gram(K: np.ndarray) -> np.ndarray:

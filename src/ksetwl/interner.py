@@ -9,12 +9,19 @@ protocol a plain sort:
 * an iso key is the tag byte 0x80 followed by the canonical code of a k-set
   isomorphism type (at k = 1, a vertex's node label or degree) as
   sign-biased big-endian 64-bit words;
-* a refinement key is the big-endian 64-bit words of (previous label,
+* a refinement key is the big-endian 32-bit words of (previous label,
   ascending neighbor labels), untagged.
 
-Labels are ids below 2^63, so a refinement key's first byte is below 0x80
-and an iso key's is 0x80: no key of one kind equals a key of the other,
-and every refinement key sorts before every iso key.
+An interner issues ids below 2^31 and refuses to go further, so a
+refinement key's first byte is below 0x80 and an iso key's is 0x80: no key
+of one kind equals a key of the other, and every refinement key sorts
+before every iso key.
+
+An interner keeps the keys of every window.  One exact run never meets a
+refinement key of an earlier iteration again, but a sampled run does (its
+labels of one graph are keys the exact run of that graph also makes), and
+so does an interner shared across single-graph runs
+(:func:`ksetwl.kwl.kset_histograms`): their graphs' ids must agree.
 """
 
 from __future__ import annotations
@@ -24,11 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 
 _TAG_ISO = b"\x80"
 
 _BIAS = 1 << 63  # maps signed 64-bit values onto order-preserving unsigned
+
+_ID_CAP = 1 << 31  # label ids stay below this: 32-bit words, top bit clear
 
 
 def iso_key(code: bytes) -> bytes:
@@ -45,16 +54,17 @@ def refine_key(prev: int, neighbor_labels) -> bytes:
     arr = np.asarray(neighbor_labels, dtype=np.int64)
     assert arr.size == 0 or bool(np.all(np.diff(arr) >= 0)), \
         "neighbor labels must arrive sorted"
-    if not 0 <= prev < _BIAS or arr.size and arr[0] < 0:
-        raise ParameterError("labels must be ids in [0, 2^63)")
-    return struct.pack(">Q", int(prev)) + arr.astype(">u8").tobytes()
+    if not all(0 <= x < _ID_CAP for x in (prev, *arr[:1], *arr[-1:])):
+        raise ParameterError("labels must be ids in [0, 2^31)")
+    return struct.pack(">I", int(prev)) + arr.astype(">u4").tobytes()
 
 
 class LabelInterner:
     """Global injective map from key bytes to dense label ids.
 
     Ids are issued in interning order; the same key always returns the same
-    id within a run.
+    id within a run.  Issuing an id of ``_ID_CAP`` or above raises
+    :class:`ResourceLimitError`.
     """
 
     def __init__(self):
@@ -64,6 +74,8 @@ class LabelInterner:
         return len(self._ids)
 
     def intern(self, key: bytes) -> int:
+        if key not in self._ids:
+            _check_ids(len(self._ids) + 1)
         return self._ids.setdefault(key, len(self._ids))
 
     def intern_window(self, keys) -> np.ndarray:
@@ -77,12 +89,20 @@ class LabelInterner:
             keys = list(keys)
         ids = self._ids
         fresh = sorted(set(keys).difference(ids))
+        _check_ids(len(ids) + len(fresh))
         ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
         return np.fromiter(map(ids.__getitem__, keys), dtype=np.int64,
                            count=len(keys))
 
     def lookup(self, key: bytes) -> int:
         return self._ids[key]
+
+
+def _check_ids(count: int) -> None:
+    if count > _ID_CAP:
+        raise ResourceLimitError(
+            f"the run needs {count} distinct labels; label ids stop at "
+            f"{_ID_CAP}")
 
 
 @dataclass
@@ -102,16 +122,18 @@ class Coloring:
 
 
 def _ragged_words(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
-    """The big-endian 64-bit words of the rows of a flat word array, as
-    bytes, where row i runs from ``starts[i]`` up to the next start."""
-    buf = np.asarray(words).astype(">u8").tobytes()
-    bounds = (8 * np.asarray(starts)).tolist() + [len(buf)]
+    """The rows of a flat array of big-endian words, as bytes, where row i
+    runs from ``starts[i]`` up to the next start."""
+    buf = words.tobytes()
+    bounds = (words.itemsize * np.asarray(starts)).tolist() + [len(buf)]
     return [buf[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 def iso_key_batch(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
-    """:func:`iso_key` of many codes given as flat words cut at ``starts``."""
-    return [_TAG_ISO + code for code in _ragged_words(words, starts)]
+    """:func:`iso_key` of many codes given as flat unsigned 64-bit words cut
+    at ``starts``."""
+    return [_TAG_ISO + code
+            for code in _ragged_words(words.astype(">u8"), starts)]
 
 
 def refinement_key_batch(indptr: np.ndarray, indices: np.ndarray,
@@ -122,7 +144,8 @@ def refinement_key_batch(indptr: np.ndarray, indices: np.ndarray,
     Row i's key combines its own label with the ascending multiset of labels
     over its (out-)neighbors, byte-compatible with :func:`refine_key`.  Own
     labels are ``labels`` itself, or ``labels[own]`` when rows and columns
-    index different item lists.  Rows are sorted at once by the combined key
+    index different item lists.  Labels must be ids below ``_ID_CAP``.  Rows
+    are sorted at once by the combined key
     ``row * span + label``; own labels and sorted neighbor labels are laid
     out as one flat word array and cut into keys in a single pass.
     """
@@ -130,15 +153,15 @@ def refinement_key_batch(indptr: np.ndarray, indices: np.ndarray,
     own_labels = labels if own is None else labels[own]
     if len(own_labels) != n:
         raise ParameterError("label vector length does not match adjacency")
-    if len(labels) and labels.min() < 0:
-        raise ParameterError("labels must be ids in [0, 2^63)")
+    if len(labels) and not 0 <= labels.min() <= labels.max() < _ID_CAP:
+        raise ParameterError("labels must be ids in [0, 2^31)")
     span = int(labels.max()) + 1 if len(labels) else 1
     if n * span > np.iinfo(np.int64).max:
         raise ParameterError("labels too large for combined sort keys")
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     neigh = np.sort(rows * span + labels[indices]) - rows * span
     starts = np.arange(n, dtype=np.int64) + indptr[:-1]
-    words = np.empty(n + len(indices), dtype=np.int64)
+    words = np.empty(n + len(indices), dtype=">u4")
     words[starts] = own_labels
     words[np.arange(len(indices)) + rows + 1] = neigh
     return _ragged_words(words, starts)

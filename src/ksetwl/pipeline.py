@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .features import FeatureVector
 from .interner import (Coloring, LabelInterner, refine_coloring_window,
                        split_rows)
@@ -32,10 +32,16 @@ def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int,
     ids of ``interner`` issued in one window, the number of k-sets of each
     graph and, when ``csr``, one CSR of their swap neighborhoods whose rows
     follow the ids and whose columns are ranks within the row's own graph.
-    k and every graph pass their caps before anything is built.
+    k and the k-sets of all graphs together pass their caps before
+    anything is built.
     """
     check_order(k)
     indexes = [enumerate_ksets(g, k, max_sets) for g in graphs]
+    total = sum(index.size for index in indexes)
+    if total > max_sets:
+        raise ResourceLimitError(
+            f"the graphs have {total} {k}-sets in total, above the cap of "
+            f"{max_sets}; use a sampled mode for datasets this large")
     stack, offsets = stack_graphs(graphs, k)
     sets = np.concatenate([np.empty((0, k), dtype=np.int64)] + [
         index.all_sets() + offset for index, offset in zip(indexes, offsets)])

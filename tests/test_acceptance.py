@@ -243,7 +243,7 @@ def test_c09_dataset_ingestion(mutag):
 
 def blas_gram(tmp_path, threads, dataset, args):
     """Gram bytes of ``ksetwl gram`` in a fresh process whose OpenBLAS runs
-    ``threads`` threads; BLAS is the only parallel code left in a run."""
+    ``threads`` threads; no step of a run should depend on them."""
     path = str(tmp_path / f"gram-{threads}.txt")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH":
            os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")])}
@@ -271,9 +271,6 @@ def test_c10_thread_count_determinism(tmp_path):
            f"{same}")
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the dense float gram product sums in an order that depends on the "
-    "BLAS thread count (ROADMAP item 4)"))
 @pytest.mark.parametrize("args", [
     KWL2_H3 + ["--mode", "sampled", "--samples", "300", "--seed", "9"],
     KWL2_H3 + ["--normalize", "l1-block"]], ids=["sampled", "l1-block"])

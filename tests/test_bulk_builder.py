@@ -1,12 +1,12 @@
 """Property tests of the bulk k-set front end against per-set loops.
 
-The bulk iso-type keys, the bulk neighbor CSR and the matrix-product gram
-are each compared with a plain per-set (or per-pair) computation of the
-same quantity over random labeled graphs, including graphs with fewer than
-k vertices and graphs without edges.  The front end built once over a
-stack of graphs is compared with per-graph builds, and its iso-type ids
-with interning one per-set key per k-set.  The lexsort row dedupe is
-compared with ``np.unique(axis=0)``.
+The bulk iso-type keys, the bulk neighbor CSR and the gram (holder pairs
+and dense columns) are each compared with a plain per-set (or per-pair)
+computation of the same quantity over random labeled graphs, including
+graphs with fewer than k vertices and graphs without edges.  The front end
+built once over a stack of graphs is compared with per-graph builds, and
+its iso-type ids with interning one per-set key per k-set.  The lexsort
+row dedupe is compared with ``np.unique(axis=0)``.
 """
 
 import tracemalloc
@@ -217,6 +217,33 @@ def test_gram_matches_pairwise_dots_for_masses(per_graph):
     K = gram_matrix(features)
     assert np.array_equal(K, K.T)
     assert np.max(np.abs(K - pairwise_dots(features))) <= 1e-12
+
+
+# a few labels most graphs hold, and many that few graphs hold
+mixed_counts = st.dictionaries(
+    st.integers(0, 2) | st.integers(100, 400), st.integers(1, 40),
+    max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda blocks: st.lists(
+    st.lists(mixed_counts, min_size=blocks, max_size=blocks),
+    min_size=1, max_size=14)),
+    st.sampled_from([None, 0, 2, 1 << 40]), st.sampled_from([None, 1, 5]))
+def test_light_and_heavy_labels_sum_like_pairwise_dots(per_graph, light,
+                                                       chunk):
+    # the split sends every label to the holder pairs (0), to dense columns
+    # (2^40), or mixes the two; one-pair or five-entry chunks cut both
+    from ksetwl import features as features_mod
+    features = features_of([[{lab: float(c) for lab, c in b.items()}
+                             for b in blocks] for blocks in per_graph])
+    with pytest.MonkeyPatch.context() as patch:
+        if light is not None:
+            patch.setattr(features_mod, "_GRAM_LIGHT", light)
+        if chunk is not None:
+            patch.setattr(features_mod, "_GRAM_CHUNK", chunk)
+        K = gram_matrix(features)
+    assert np.array_equal(K, pairwise_dots(features))
 
 
 @pytest.mark.parametrize("chunk", [9 * 7, 9 * 2, 1])

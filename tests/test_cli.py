@@ -285,6 +285,28 @@ def test_manifest_records_dataset_totals(two_triangle_dir, tmp_path, capsys):
     assert "load" in manifest["wall_times_sec"]
 
 
+def test_manifest_records_peak_rss(two_triangle_dir, tmp_path, capsys):
+    out_path = str(tmp_path / "gram.txt")
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel", "wl1",
+        "--h", "1", "--output", out_path)
+    assert code == 0, err
+    manifest = json.load(open(out_path + ".manifest.json"))
+    assert manifest["peak_rss_mb"] > 0
+
+
+def test_max_sets_caps_the_dataset_total(tmp_path, capsys):
+    # MUTAG has 185,200 3-sets, and 3,276 in its largest graph
+    base = ["gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local", "--k",
+            "3", "--h", "0", "--output", str(tmp_path / "gram.txt")]
+    code, _, err = run_cli(capsys, *base, "--max-sets", "100000")
+    assert code == 3
+    assert "185200 3-sets in total" in err
+    assert not os.path.exists(tmp_path / "gram.txt")
+    code, _, err = run_cli(capsys, *base, "--max-sets", "185200")
+    assert code == 0, err
+
+
 BIG = "99999999999999999999"    # beyond 2^63
 
 

@@ -1,14 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksetwl import LabelInterner, build_graph, distinguishable
-from ksetwl.errors import ParameterError
+from ksetwl.cli import main
+from ksetwl.errors import ParameterError, ResourceLimitError
 from ksetwl.interner import iso_key, refinement_key_batch, refine_key
 from ksetwl.pipeline import exact_kset_run, la_kset_run
 from ksetwl.wl1 import wl1_colorings, wl1_histograms
 
-from conftest import label_groups, random_graph
+from conftest import MUTAG_DIR, label_groups, random_graph
 import reference as ref
 
 
@@ -50,9 +53,9 @@ def test_key_batch_rejects_labels_past_the_sort_key_range():
                              np.array([0, 1 << 62]))
 
 
-# ids span [0, 2^63); iso-code words span the signed 64-bit range
-LABELS = (st.integers(0, 3) | st.integers(2 ** 63 - 3, 2 ** 63 - 1)
-          | st.integers(0, 2 ** 63 - 1))
+# ids span [0, 2^31); iso-code words span the signed 64-bit range
+LABELS = (st.integers(0, 3) | st.integers(2 ** 31 - 3, 2 ** 31 - 1)
+          | st.integers(0, 2 ** 31 - 1))
 WORDS = (st.integers(-3, 3) | st.integers(-2 ** 63, -2 ** 63 + 2)
          | st.integers(2 ** 63 - 3, 2 ** 63 - 1))
 REFINEMENTS = st.tuples(LABELS, st.lists(LABELS, max_size=4).map(sorted))
@@ -83,7 +86,8 @@ def test_key_kinds_are_disjoint_and_ordered(refinements, codes):
     assert window[len(iso):].max() < window[:len(iso)].min()
 
 
-@pytest.mark.parametrize("prev, nbrs", [(-1, ()), (2 ** 63, ()), (0, (-1,))])
+@pytest.mark.parametrize("prev, nbrs", [(-1, ()), (2 ** 63, ()), (0, (-1,)),
+                                        (2 ** 31, ()), (0, (2 ** 31,))])
 def test_refine_key_rejects_labels_outside_the_id_range(prev, nbrs):
     with pytest.raises(ParameterError):
         refine_key(prev, nbrs)
@@ -93,6 +97,70 @@ def test_key_batch_rejects_negative_labels():
     with pytest.raises(ParameterError):
         refinement_key_batch(np.array([0, 1, 2]), np.array([1, 0]),
                              np.array([0, -1]))
+
+
+def test_key_batch_rejects_labels_past_the_id_cap():
+    with pytest.raises(ParameterError):
+        refinement_key_batch(np.array([0, 1, 2]), np.array([1, 0]),
+                             np.array([0, 2 ** 31]))
+
+
+def key_64(prev, nbrs) -> bytes:
+    """A refinement key in the earlier layout: big-endian 64-bit words."""
+    return struct.pack(f">{1 + len(nbrs)}Q", prev, *nbrs)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_windows_issue_the_ids_of_the_64_bit_layout(data):
+    # a few refinement windows over random CSRs, each taking the labels the
+    # window before issued, against a reference fed the 64-bit layout
+    n = data.draw(st.integers(1, 12))
+    new, old = LabelInterner(), LabelInterner()
+    iso = [iso_key(bytes([w])) for w in
+           data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    labels = new.intern_window(iso)
+    assert np.array_equal(labels, old.intern_window(iso))
+    for _ in range(data.draw(st.integers(1, 4))):
+        degrees = data.draw(st.lists(st.integers(0, 4), min_size=n,
+                                     max_size=n))
+        indptr = np.cumsum([0] + degrees)
+        indices = np.array(data.draw(st.lists(
+            st.integers(0, n - 1), min_size=sum(degrees),
+            max_size=sum(degrees))), dtype=np.int64)
+        # spread the ids over the word so every byte of it takes part
+        words = labels * data.draw(st.sampled_from([1, 257, 65_537, 2 ** 24]))
+        reference = [key_64(int(words[i]), sorted(
+            words[indices[indptr[i]:indptr[i + 1]]].tolist()))
+            for i in range(n)]
+        ids = new.intern_window(refinement_key_batch(indptr, indices, words))
+        assert np.array_equal(ids, old.intern_window(reference))
+        labels = ids
+    assert len(new) == len(old)
+
+
+def test_interner_refuses_ids_past_the_cap(monkeypatch):
+    from ksetwl import interner
+    monkeypatch.setattr(interner, "_ID_CAP", 3)
+    it = LabelInterner()
+    it.intern_window([refine_key(1, ()), refine_key(0, ())])
+    assert it.intern(refine_key(2, ())) == 2     # the last id below the cap
+    assert it.intern_window([refine_key(0, ())]).tolist() == [0]
+    with pytest.raises(ResourceLimitError):
+        it.intern(iso_key(b"\x01"))
+    with pytest.raises(ResourceLimitError):
+        it.intern_window([refine_key(0, ()), iso_key(b"\x01")])
+    assert len(it) == 3
+
+
+def test_label_ids_past_the_cap_exit_3(monkeypatch, tmp_path, capsys):
+    # MUTAG's 7 node labels fit a cap of 10; its first refinement does not
+    from ksetwl import interner
+    monkeypatch.setattr(interner, "_ID_CAP", 10)
+    code = main(["gram", "--dataset", MUTAG_DIR, "--kernel", "wl1", "--h",
+                 "2", "--output", str(tmp_path / "gram.txt")])
+    assert code == 3
+    assert "label ids stop at 10" in capsys.readouterr().err
 
 
 def test_window_order_independent_of_input_order():

@@ -104,3 +104,13 @@ def test_exact_runs_refuse_huge_graphs_before_building(long_path):
         exact_kset_run([long_path], 4, 1, LabelInterner())
     with pytest.raises(ResourceLimitError):
         la_kset_run([long_path], 4, 1)
+
+
+def test_exact_runs_cap_the_dataset_total(p4):
+    # each P4 has C(4, 2) = 6 pairs: two fit a cap of 12 but not one of 11
+    graphs = [p4, p4]
+    assert len(exact_kset_run(graphs, 2, 1, LabelInterner(), max_sets=12)) == 2
+    with pytest.raises(ResourceLimitError, match="12 2-sets in total"):
+        exact_kset_run(graphs, 2, 1, LabelInterner(), max_sets=11)
+    with pytest.raises(ResourceLimitError, match="12 2-sets in total"):
+        la_kset_run(graphs, 2, 1, max_sets=11)
