@@ -4,13 +4,15 @@ Usage: python scripts/output_digests.py
 
 Runs the CLI of the checkout this script belongs to (its ``src/``) on
 exact, linalg, feature, normalized, sampled and adaptive configurations of
-every kernel, and on a copy of MUTAG without node labels (where 1-WL starts
-from vertex degrees), and prints one ``<digest>  <name>`` line per output
-file.  Sampled runs add the total sample count over all graphs from their
-manifests, and adaptive runs the most rounds any graph took.  Everything
+every kernel, on a copy of MUTAG without node labels (where 1-WL starts
+from vertex degrees) and on a copy in a messy but valid layout, and prints
+one ``<digest>  <name>`` line per output file.  Sampled runs add the total
+sample count over all graphs from their manifests, and adaptive runs the
+most rounds any graph took.  Everything
 is written under a temporary directory that is removed afterwards.
 Running the script on two checkouts and diffing the lines tells whether a
-change keeps every output byte-identical, and what sampling cost.
+change keeps every output byte-identical, and what sampling cost.  The
+messy copy's features must have the digest of ``k2-exact.features``.
 """
 
 import hashlib
@@ -50,6 +52,7 @@ RUNS = (
     ("k2-sampled-seed9.gram", "MUTAG",
      ("gram", *KWL2, "--mode", "sampled", "--samples", "300",
       "--seed", "9")),
+    ("k2-exact-messy.features", "MUTAGMESSY", ("features", *KWL2)),
 )
 
 
@@ -97,12 +100,34 @@ def write_unlabeled(out_dir):
     return out_dir
 
 
+def write_messy(out_dir):
+    """MUTAG as the TU dataset ``MUTAGMESSY``: CRLF line ends and no final
+    newline, edge rows spaced alternately ``i,j`` and `` i ,\tj `` and each
+    followed by its reverse, and one whitespace-only line among the node
+    labels, so that one file takes the line-by-line reader."""
+    cols = {p: _lines(os.path.join(MUTAG, f"MUTAG_{p}.txt")) for p in PARTS}
+    pairs = [[x.strip() for x in row.split(",")] for row in cols["A"]]
+    cols["A"] = [(" {} ,\t{} " if i % 2 else "{},{}").format(*ends)
+                 for i, (u, v) in enumerate(pairs)
+                 for ends in ((u, v), (v, u))]
+    cols["edge_labels"] = [lab for lab in cols["edge_labels"]
+                           for _ in range(2)]
+    cols["node_labels"].insert(len(cols["node_labels"]) // 2, " \t ")
+    os.makedirs(out_dir)
+    for part, lines in cols.items():
+        with open(os.path.join(out_dir, f"MUTAGMESSY_{part}.txt"), "wb") as f:
+            f.write("\r\n".join(lines).encode())
+    return out_dir
+
+
 def main_digests() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         datasets = {"MUTAG": MUTAG,
                     "MUTAGSUB": write_subset(os.path.join(tmp, "MUTAGSUB")),
                     "MUTAGNOLAB": write_unlabeled(
-                        os.path.join(tmp, "MUTAGNOLAB"))}
+                        os.path.join(tmp, "MUTAGNOLAB")),
+                    "MUTAGMESSY": write_messy(
+                        os.path.join(tmp, "MUTAGMESSY"))}
         for name, dataset, argv in RUNS:
             out = os.path.join(tmp, name)
             command, *rest = argv

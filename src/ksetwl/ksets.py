@@ -21,6 +21,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # dataset fills every block, so this bounds the front end's scratch memory:
 # 1 << 18 raised the peak RSS of k = 3 on MUTAG by about 15 MB.
 _BLOCK_ITEMS = 1 << 16
+# The fewest sets one block of iso-type orderings must hold (check_order).
+_MIN_BLOCK_SETS = 8
 
 
 def _choose_table(n: int, k: int) -> np.ndarray:
@@ -94,13 +96,20 @@ def check_budget(n: int, k: int, max_sets: int) -> None:
 
 
 def check_order(k: int) -> None:
-    """Refuse a k whose k! member orderings of one set exceed a block of
-    ``_BLOCK_ITEMS`` rows (k >= 9), before any set is enumerated or drawn."""
-    largest = max(j for j in range(1, 21) if factorial(j) <= _BLOCK_ITEMS)
+    """Refuse a k above 7 before any set is enumerated or drawn.
+
+    Iso types take a minimum over the k! member orderings of each set, a
+    block of ``_BLOCK_ITEMS`` rows at a time.  k = 7 is the largest k with
+    k! * 8 <= ``_BLOCK_ITEMS``, so that a block holds at least 8 sets; at
+    k = 8 a block holds one set, and iso types of the 3,003 8-sets of one
+    14-vertex MUTAG graph took 114 s, one Python iteration per set."""
+    largest = max(j for j in range(1, 21)
+                  if factorial(j) * _MIN_BLOCK_SETS <= _BLOCK_ITEMS)
     if k > largest:
         raise ResourceLimitError(
-            f"k = {k} needs {k}! orderings per set, above the block of "
-            f"{_BLOCK_ITEMS} rows; the largest supported k is {largest}")
+            f"k = {k} needs {k}! orderings per set, too many for "
+            f"{_MIN_BLOCK_SETS} sets in a block of {_BLOCK_ITEMS} rows; "
+            f"the largest supported k is {largest}")
 
 
 def enumerate_ksets(g, k: int, max_sets: int | None = None) -> KSetIndex:

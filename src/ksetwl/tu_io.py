@@ -8,14 +8,17 @@ and DS_edge_labels.txt.  Edge rows may list each undirected edge once, in
 both directions or repeatedly; the parser symmetrizes and deduplicates.
 Blank lines and CRLF line ends are skipped; labels are signed 64-bit.
 
-Each file is read once and parsed in bulk; only when that fails is it read
-line by line, to name the first offending line.
+Each file goes through numpy's C text reader.  A file it refuses is read
+line by line under the same rules, and that reader names the first bad
+line; so the C reader only makes reading faster, never changes what is
+accepted or the values read.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import islice, repeat
+import warnings
+from itertools import islice
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .errors import FormatError
 from .graph import Dataset, build_graphs
 
 _INT64 = np.iinfo(np.int64)
+_C_ONLY_SPACE = range(0x1c, 0x20)
 
 
 def _lines(path: str) -> list[bytes]:
@@ -41,18 +45,37 @@ def _shown(line: bytes) -> str:
     return repr(line.decode("utf-8", "backslashreplace"))
 
 
+def _c_read(path: str, columns: int) -> np.ndarray | None:
+    """The file as a (rows, ``columns``) int64 array read by numpy's C
+    reader, or None where it refuses the file or might read it otherwise
+    than the line reader: the line reader then decides."""
+    with open(path, "rb") as f:
+        data = f.read()
+    # numpy skips these around a value as whitespace, int() does not
+    if any(byte in data for byte in _C_ONLY_SPACE):
+        return None
+    del data
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # an empty file only warns
+            # not latin-1, whose 0x85 and 0xa0 numpy skips as whitespace;
+            # no comment character, or "1, 2#c" would read as "1, 2"
+            values = np.loadtxt(path, dtype=np.int64, delimiter=",",
+                                comments=None, ndmin=2, encoding="ascii")
+    except (ValueError, Warning):
+        return None
+    return values if values.shape[1] == columns else None
+
+
 def _read_ints(path: str, what: str, ids: bool = False) -> np.ndarray:
     """One signed 64-bit integer per non-blank line.  Values beyond that
     range are an error, except for ``ids``, where they are clipped to it so
     that the caller's range check names them."""
-    lines = _lines(path)
-    rows = list(filter(None, map(bytes.strip, lines)))
-    try:
-        return np.fromiter(map(int, rows), dtype=np.int64, count=len(rows))
-    except (ValueError, OverflowError):
-        pass
+    values = _c_read(path, 1)
+    if values is not None:
+        return values[:, 0]
     values = []
-    for lineno, line in _numbered(lines):
+    for lineno, line in _numbered(_lines(path)):
         try:
             value = int(line)
         except ValueError as exc:
@@ -65,34 +88,18 @@ def _read_ints(path: str, what: str, ids: bool = False) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def _bulk_edges(rows: list[bytes], indicator: np.ndarray):
-    """The rows as an (m, 2) array of 1-based ids if every row is one pair
-    of integers in [1, n] inside one graph, else None."""
-    commas = np.fromiter(map(bytes.count, rows, repeat(b",")),
-                         dtype=np.int64, count=len(rows))
-    if (commas != 1).any():
-        return None
-    try:
-        ends = np.fromiter(map(int, b",".join(rows).split(b",")),
-                           dtype=np.int64, count=2 * len(rows)).reshape(-1, 2)
-    except (ValueError, OverflowError):
-        return None
-    if not ((ends >= 1) & (ends <= len(indicator))).all():
-        return None
-    graph = indicator[ends - 1]
-    return ends if (graph[:, 0] == graph[:, 1]).all() else None
-
-
 def _read_edges(path: str, indicator: np.ndarray) -> np.ndarray:
     """The (rows, 2) 1-based endpoints of the edge file, every row checked
     for its format, its 1-based range and a shared graph."""
-    lines = _lines(path)
-    ends = _bulk_edges(list(filter(None, map(bytes.strip, lines))), indicator)
-    if ends is not None:
-        return ends
     n = len(indicator)
-    # Some row is bad: check line by line to name the first one.
-    for lineno, line in _numbered(lines):
+    ends = _c_read(path, 2)
+    if ends is not None and ((ends >= 1) & (ends <= n)).all():
+        graph = indicator[ends - 1]
+        if (graph[:, 0] == graph[:, 1]).all():
+            return ends
+    # Read line by line, naming the first bad line if there is one.
+    pairs = []
+    for lineno, line in _numbered(_lines(path)):
         parts = line.split(b",")
         if len(parts) != 2:
             raise FormatError(
@@ -109,7 +116,8 @@ def _read_edges(path: str, indicator: np.ndarray) -> np.ndarray:
             raise FormatError(
                 f"{path}:{lineno}: edge joins graph {indicator[u - 1]} and "
                 f"graph {indicator[v - 1]}")
-    raise AssertionError(f"{path}: the bulk and the line checks disagree")
+        pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def parse_tu_dataset(path: str, name: str | None = None) -> Dataset:

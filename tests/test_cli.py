@@ -142,8 +142,25 @@ def test_k_ten_on_mutag_exits_3_before_building_sets(tmp_path, capsys, mode):
     code, _, err = run_cli(
         capsys, "gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local",
         "--k", "10", "--h", "1", *mode, "--output", str(tmp_path / "g.txt"))
-    assert code == 3 and "largest supported k is 8" in err
+    assert code == 3 and "largest supported k is 7" in err
     assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("mode", [
+    ["--mode", "exact"], ["--mode", "linalg"],
+    ["--mode", "sampled", "--samples", "100"], ["--mode", "adaptive"]],
+    ids=["exact", "linalg", "sampled", "adaptive"])
+def test_k_eight_exits_3_before_any_set_is_built(tmp_path, capsys,
+                                                 monkeypatch, mode):
+    # a block of orderings would hold one 8-set
+    def built(*args, **kwargs):
+        raise AssertionError("a k-set was built")
+    monkeypatch.setattr("ksetwl.ksets.KSetIndex.__init__", built)
+    monkeypatch.setattr("ksetwl.sampling._draw_batch", built)
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local",
+        "--k", "8", "--h", "1", *mode, "--output", str(tmp_path / "g.txt"))
+    assert code == 3 and "largest supported k is 7" in err
 
 
 @pytest.mark.parametrize("cap", [["--max-samples", "0"],

@@ -15,13 +15,13 @@ def test_counts():
     assert KSetIndex(2, 3).size == 0
 
 
-def test_order_cap_admits_k_up_to_eight():
-    # 8! = 40,320 orderings fit a block of 2^16 rows, 9! = 362,880 do not
-    for k in range(1, 9):
+def test_order_cap_admits_k_up_to_seven():
+    # 8 sets of 7! = 5,040 orderings fit a block of 2^16 rows, 8 of 8! do not
+    for k in range(1, 8):
         check_order(k)
-    for k in (9, 10, 10 ** 9):
+    for k in (8, 9, 10, 10 ** 9):
         with pytest.raises(ResourceLimitError,
-                           match="largest supported k is 8"):
+                           match="largest supported k is 7"):
             check_order(k)
 
 

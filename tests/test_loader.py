@@ -5,17 +5,20 @@ Error messages are pinned word for word, with the file and line they name.
 A hypothesis test writes random valid TU directories in every accepted
 layout and compares each parsed Graph field with a per-edge dict oracle,
 and fuzz tests mutate the bytes of a small dataset and check that
-``ksetwl info`` exits 0 or 2 and ``ksetwl gram``/``features`` exit 0-3.
+``ksetwl info`` exits 0 or 2, that ``ksetwl gram``/``features`` exit 0-3,
+and that numpy's C reader and the line reader agree on every file.
 """
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ksetwl import FormatError, GraphError, build_graph, parse_tu_dataset
+from ksetwl import (FormatError, GraphError, build_graph, parse_tu_dataset,
+                    tu_io)
 from ksetwl.cli import main
 
 # Two triangles, each edge listed once: vertices 1-3 form graph 1, 4-6 graph 2.
@@ -176,6 +179,74 @@ def test_build_graph_rejects_oversized_node_labels():
         build_graph(2, [(0, 1)], node_labels=[0, 2 ** 63])
 
 
+# ------------------------------------- where numpy's C reader and int() differ
+
+def outcome(d):
+    """(indptr, indices, node labels, arc labels) per graph and the classes
+    of the dataset in ``d``, or the type and message of its error."""
+    try:
+        ds = parse_tu_dataset(d)
+    except (FormatError, GraphError) as exc:
+        return type(exc), str(exc).replace(os.path.join(d, "DS_"), "")
+    return [tuple(None if a is None else a.tolist() for a in
+                  (g.indptr, g.indices, g.node_labels, g.arc_labels))
+            for g in ds.graphs], ds.class_labels
+
+
+@pytest.mark.parametrize("files, message", [
+    (with_line("node_labels", 2, "\x1c1"),
+     "node_labels.txt:2: expected an integer node label, got '\\x1c1'"),
+    (with_line("A", 3, "1,\x1f3"),
+     "A.txt:3: non-integer node id in '1,\\x1f3'"),
+    ({**BASE, "graph_labels": b"\xa01\n-1\n"},
+     "graph_labels.txt:1: expected an integer class label, got '\\\\xa01'"),
+    ({**BASE, "A": b"1, 2\x85\n" + BASE["A"][5:].encode()},
+     "A.txt:1: non-integer node id in '1, 2\\\\x85'"),
+    ({**BASE, "A": "1,2,3\n4,5,6\n", "edge_labels": None},
+     "A.txt:1: expected 'i, j', got '1,2,3'"),
+    ({**BASE, "graph_labels": "1,1\n-1,1\n"},
+     "graph_labels.txt:1: expected an integer class label, got '1,1'"),
+    (with_line("A", 2, "2, 3#c"), "A.txt:2: non-integer node id in '2, 3#c'"),
+    (with_line("node_labels", 4, "1#c"),
+     "node_labels.txt:4: expected an integer node label, got '1#c'"),
+    (with_line("node_labels", 1, "1.0"),
+     "node_labels.txt:1: expected an integer node label, got '1.0'"),
+    (with_line("A", 6, "4, 6.0"), "A.txt:6: non-integer node id in '4, 6.0'"),
+], ids=["x1c-label", "x1f-edge", "xa0-class", "x85-edge", "three-columns",
+        "two-column-labels", "comment-edge", "comment-label", "float-label",
+        "float-edge"])
+def test_what_int_refuses_numpy_does_not_accept(tmp_path, files, message):
+    assert outcome(write_tu(tmp_path, files)) == (FormatError, message)
+
+
+@pytest.mark.parametrize("files, same_as", [
+    ({**BASE, "A": "1, 2\n \t \n2, 3\n\x0b\n1, 3\n4, 5\n5, 6\n4, 6\n"},
+     BASE),
+    (with_line("graph_indicator", 2, "\x0c1\x0b"), BASE),
+    ({**with_line("A", 1, "0_1, 2"), "node_labels": "1_0\n1\n0\n1\n0\n1\n"},
+     {**BASE, "node_labels": "10\n1\n0\n1\n0\n1\n"}),
+], ids=["whitespace-only-lines", "vertical-space", "underscore"])
+def test_what_int_accepts_reads_as_plain_digits(tmp_path, files, same_as):
+    assert (outcome(write_tu(tmp_path / "case", files)) ==
+            outcome(write_tu(tmp_path / "plain", same_as)))
+
+
+@pytest.mark.parametrize("edges", ["", "\n", " \r\n\t"],
+                         ids=["empty", "blank", "whitespace"])
+def test_an_edge_file_without_rows_means_no_edges(tmp_path, edges):
+    files = {**BASE, "A": edges, "edge_labels": None}
+    assert outcome(write_tu(tmp_path, files)) == (
+        [([0, 0, 0, 0], [], [0, 1, 0], None),
+         ([0, 0, 0, 0], [], [1, 0, 1], None)], [1, -1])
+
+
+def test_one_point_zero_exits_2(tmp_path, capsys):
+    d = write_tu(tmp_path, with_line("graph_labels", 2, "-1.0"))
+    assert main(["info", "--dataset", d]) == 2
+    assert "expected an integer class label, got '-1.0'" in (
+        capsys.readouterr().err)
+
+
 # ------------------------------------------------ differential property test
 
 def oracle(indicator, rows, classes, node_labels, row_labels):
@@ -323,11 +394,21 @@ def test_empty_edge_label_file_means_unlabeled(tmp_path):
 # ------------------------------------------------------------- totality fuzz
 
 SMALL = {part: text.encode() for part, text in BASE.items()}
-EDITS = st.lists(st.tuples(
-    st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 40),
-    st.sampled_from(list(b"0123456789,-+ \t\n\r_x") + [0, 0xff, 0xe3]))
-    | st.tuples(st.just("replace"), st.integers(0, 40), st.integers(0, 255)),
-    min_size=1, max_size=4)
+POOL = b"0123456789,-+ \t\n\r_x\x00\xff\xe3"
+
+
+def edits(pool):
+    """One to four byte edits, each with a byte from ``pool`` or any byte."""
+    return st.lists(st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 40),
+        st.sampled_from(list(pool)))
+        | st.tuples(st.just("replace"), st.integers(0, 40),
+                    st.integers(0, 255)), min_size=1, max_size=4)
+
+
+EDITS = edits(POOL)
+# plus bytes that numpy's C reader or a latin-1 decoder skip as whitespace
+SPACES = edits(POOL + b"\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0")
 
 
 def mutated(part, edits) -> dict:
@@ -351,6 +432,16 @@ def test_info_exits_0_or_2_on_mutated_bytes(part, edits):
     with tempfile.TemporaryDirectory() as root:
         d = write_tu(root, mutated(part, edits))
         assert main(["info", "--dataset", d]) in (0, 2)
+
+
+@given(st.sampled_from(sorted(SMALL)), SPACES)
+@settings(max_examples=300, deadline=None)
+def test_c_reader_and_line_reader_agree_on_mutated_bytes(part, edits):
+    with tempfile.TemporaryDirectory() as root:
+        d = write_tu(root, mutated(part, edits))
+        shipped = outcome(d)
+        with mock.patch.object(tu_io, "_c_read", lambda path, columns: None):
+            assert outcome(d) == shipped
 
 
 KWL2 = ("--kernel", "kwl-local", "--k", "2")

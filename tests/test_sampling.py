@@ -260,7 +260,7 @@ def test_estimators_refuse_k_nine_before_drawing(estimate):
         def integers(self, *args, **kwargs):
             raise AssertionError("a set was drawn")
     g = build_graph(12, [(i, i + 1) for i in range(11)])
-    with pytest.raises(ResourceLimitError, match="largest supported k is 8"):
+    with pytest.raises(ResourceLimitError, match="largest supported k is 7"):
         estimate(g, NoDraws())
 
 
