@@ -9,21 +9,19 @@ __version__ = "0.1.0"
 
 from .errors import (FormatError, GraphError, KsetwlError, ParameterError,
                      ResourceLimitError)
-from .features import (FeatureVector, cosine_normalize_gram, dot, gram_matrix,
+from .features import (Features, cosine_normalize_gram, gram_matrix,
                        l1_normalize, psd_check)
 from .graph import Dataset, Graph, build_graph
 from .interner import Coloring, LabelInterner
 from .ksets import KSetIndex, enumerate_ksets
-from .kwl import (c_neighborhood, global_neighbors, iso_type, kset_colorings,
-                  kset_histograms, local_neighbors)
+from .kwl import kset_colorings, kset_histograms
 from .linalg import discretize, la_refinement, la_step, prime_table
 from .sampling import (SampledEstimate, estimate_features_adaptive,
                        estimate_features_fixed, hoeffding_sample_size,
                        hoeffding_sample_size_dataset, local_labels, make_rng,
                        massart_deviation_bound, observed_label_count,
-                       sample_kset_uniform, RademacherState)
+                       RademacherState)
 from .tu_io import (parse_tu_dataset, write_features_sparse, write_gram_csv,
                     write_gram_libsvm)
-from .wl1 import distinguishable, wl1_colorings, wl1_histograms
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,13 +22,13 @@ import numpy as np
 from . import __version__
 from .errors import (FormatError, GraphError, KsetwlError, ParameterError,
                      ResourceLimitError)
-from .features import (FeatureVector, cosine_normalize_gram, gram_matrix,
+from .features import (Features, cosine_normalize_gram, gram_matrix,
                        l1_normalize)
 from .interner import LabelInterner
 from .kwl import DEFAULT_MAX_SETS
 from .pipeline import (exact_kset_run, features_from_colorings,
-                       features_from_label_arrays, la_kset_run,
-                       sampled_dataset_run)
+                       features_from_estimates, features_from_label_arrays,
+                       la_kset_run, sampled_dataset_run)
 from .sampling import hoeffding_sample_size, hoeffding_sample_size_dataset
 from .tu_io import (parse_tu_dataset, write_features_sparse, write_gram_csv,
                     write_gram_libsvm)
@@ -143,12 +143,12 @@ def _validate_mode(args) -> None:
 
 
 def _compute_features(graphs, args, h_values):
-    """Yield (h, feature vectors, manifest extras) for each h of ``h_values``.
+    """Yield (h, features, manifest extras) for each h of ``h_values``.
 
     Exact and linalg labels of iterations 0..h do not depend on later
     iterations, so those modes run once at the largest h and cut each output
-    from the first h + 1 feature blocks.  Sampling stops by a rule that depends on h, so
-    sampled and adaptive modes run once per h.
+    from the first h + 1 feature blocks.  Sampling stops by a rule that
+    depends on h, so sampled and adaptive modes run once per h.
     """
     if args.mode in ("sampled", "adaptive"):
         for h in h_values:
@@ -163,16 +163,15 @@ def _compute_features(graphs, args, h_values):
             max_sets=args.max_sets))
         # every id is issued in one iteration: a run stopped at h has the
         # ids of blocks 0..h
-        extras = [{"label_space": int(n)} for n in np.cumsum([
-            len(set().union(*(fv.blocks[d] for fv in features)))
-            for d in range(top + 1)])]
+        distinct = [len(np.unique(label)) for _, label, _ in features.blocks]
+        extras = [{"label_space": sum(distinct[:h + 1])}
+                  for h in range(top + 1)]
     else:
         features = features_from_label_arrays(la_kset_run(
             graphs, k, top, local=local, max_sets=args.max_sets))
         extras = [{}] * (top + 1)
     for h in h_values:
-        cut = [FeatureVector(fv.blocks[:h + 1]) for fv in features]
-        yield h, cut, extras[h]
+        yield h, Features(features.n, features.blocks[:h + 1]), extras[h]
 
 
 def _sampled_features(graphs, args, h: int):
@@ -194,7 +193,7 @@ def _sampled_features(graphs, args, h: int):
     if args.mode == "adaptive":
         extra["rounds"] = {str(i): est.rounds
                            for i, est in enumerate(estimates)}
-    return [FeatureVector(est.blocks) for est in estimates], extra
+    return features_from_estimates(estimates), extra
 
 
 def _manifest(args, path: str, timings: dict, extra: dict) -> None:
@@ -249,7 +248,7 @@ def _run_compute(args) -> int:
         if args.normalize != "none":
             scope = ("per-block" if args.normalize == "l1-block"
                      else "whole-vector")
-            features = [l1_normalize(fv, scope) for fv in features]
+            features = l1_normalize(features, scope)
         t_compute = time.perf_counter() - t1
         out = f"{args.output}.h{h}" if sweeping else args.output
         timings = {"load": t_load, "compute": t_compute}

@@ -1,16 +1,16 @@
-"""Feature vectors, inner products, gram matrices, and their normalizations.
+"""Feature blocks of a dataset, their gram matrix, and normalizations.
 
-A feature vector is a list of per-iteration sparse blocks mapping label id
-to weight (integer counts for exact runs, probability masses for sampled
-runs).  Kernel values are inner products over matching (block, label) pairs,
-so all vectors entering one gram matrix must come from a single interner or
-linear-algebra run.
+The features of n graphs are one :class:`Features`: for each refinement
+iteration 0..h, a block of three parallel arrays (graph, label, weight)
+sorted by (graph, label), one entry per label a graph holds (integer
+counts for exact runs, probability masses for sampled runs).  Kernel values
+are inner products over matching (block, label) pairs, so all graphs of one
+gram matrix must come from a single interner or linear-algebra run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -27,87 +27,62 @@ _GRAM_LIGHT = 6
 
 
 @dataclass
-class FeatureVector:
-    """Per-iteration sparse label histograms phi^0 .. phi^h."""
+class Features:
+    """Per-iteration label weights phi^0 .. phi^h of ``n`` graphs.
 
+    ``blocks[i]`` is the (graph, label, weight) triple of iteration i:
+    int64 graph positions and label ids and float64 weights, sorted by
+    (graph, label).
+    """
+
+    n: int
     blocks: list
 
-    @property
-    def h(self) -> int:
-        return len(self.blocks) - 1
 
-    def total_mass(self) -> float:
-        return float(sum(sum(b.values()) for b in self.blocks))
-
-    def copy(self) -> "FeatureVector":
-        return FeatureVector([dict(b) for b in self.blocks])
-
-
-def l1_normalize(v: FeatureVector, scope: str = "per-block") -> FeatureVector:
-    """Divide by L1 mass, per block or over the whole concatenation.
+def l1_normalize(features: Features, scope: str = "per-block") -> Features:
+    """Divide each graph's weights by its L1 mass, per block or over the
+    whole concatenation.
 
     Per-block is the form the sampling estimators target (each iteration's
-    histogram becomes a probability vector).  Blocks with zero mass are left
-    unchanged, which keeps graphs with fewer than k vertices representable
-    as all-zero vectors.
+    histogram becomes a probability vector).  A graph's mass adds its
+    weights in ascending label order, block by block.  Weights of zero mass
+    are left unchanged, which keeps graphs with fewer than k vertices
+    representable as all-zero vectors.
     """
     if scope not in ("per-block", "whole-vector"):
         raise ParameterError(f"unknown normalization scope: {scope!r}")
-    if scope == "per-block":
-        out = []
-        for b in v.blocks:
-            mass = sum(b.values())
-            out.append({k: w / mass for k, w in b.items()} if mass > 0 else dict(b))
-        return FeatureVector(out)
-    mass = v.total_mass()
-    if mass <= 0:
-        return v.copy()
-    return FeatureVector([{k: w / mass for k, w in b.items()} for b in v.blocks])
+    # bincount adds each bin's weights in input order, as sum() would
+    masses = [np.bincount(graph, weight, minlength=features.n)
+              for graph, _, weight in features.blocks]
+    if scope == "whole-vector":     # block masses, added in block order
+        masses = [sum(masses, np.zeros(features.n))] * len(masses)
+    blocks = []
+    for (graph, label, weight), mass in zip(features.blocks, masses):
+        scale = mass[graph]
+        blocks.append((graph, label, np.divide(
+            weight, scale, out=weight.copy(), where=scale > 0)))
+    return Features(features.n, blocks)
 
 
-def dot(u: FeatureVector, v: FeatureVector) -> float:
-    """Inner product over matching (block, label) pairs."""
-    if u.h != v.h:
-        raise ParameterError(
-            f"feature vectors span different iteration counts: {u.h} vs {v.h}")
-    total = 0.0
-    for bu, bv in zip(u.blocks, v.blocks):
-        if len(bv) < len(bu):
-            bu, bv = bv, bu
-        for label, w in bu.items():
-            other = bv.get(label)
-            if other is not None:
-                total += w * other
-    return total
-
-
-def gram_matrix(features) -> np.ndarray:
+def gram_matrix(features: Features) -> np.ndarray:
     """Symmetric matrix of all pairwise inner products, K = X X^T.
 
-    Per block, entries are sorted by (label, graph).  A label held by few
-    graphs adds w_i w_j to K[i, j] for each pair of its holders i <= j, in
-    chunks of pairs (:func:`_add_pairs`).  Labels held by many graphs are
-    the columns of X, filled densely in bounded chunks; each chunk adds its
-    products to the upper triangle of K in bounded row blocks.  K is then
-    mirrored in place.  No step calls BLAS or depends on a thread count:
-    integer features give exactly the sums of :func:`dot`, float features
-    may differ from them in the last bits.  Row order follows the input
-    order.
+    Each block is sorted stably by label, so by (label, graph).  A label
+    held by few graphs adds w_i w_j to K[i, j] for each pair of its holders
+    i <= j, in chunks of pairs (:func:`_add_pairs`).  Labels held by many
+    graphs are the columns of X, filled densely in bounded chunks; each
+    chunk adds its products to the upper triangle of K in bounded row
+    blocks.  K is then mirrored in place.  No step calls BLAS or depends on
+    a thread count: integer features give exact sums, float features may
+    differ from a plain pairwise sum in the last bits.  Rows follow the
+    graph positions.
     """
-    n = len(features)
+    n = features.n
     K = np.zeros((n, n), dtype=np.float64)
-    if any(f.h != features[0].h for f in features):
-        raise ParameterError("feature vectors span different iteration counts")
     step = max(1, _GRAM_CHUNK // max(n, 1))   # chunk columns and block rows
-    for b in range(features[0].h + 1 if n else 0):
-        blocks = [f.blocks[b] for f in features]
-        rows = np.repeat(np.arange(n), [len(block) for block in blocks])
-        labels = np.fromiter(chain.from_iterable(blocks), np.int64,
-                             count=len(rows))
-        weights = np.fromiter(chain.from_iterable(
-            block.values() for block in blocks), np.float64, count=len(rows))
-        order = np.argsort(labels, kind="stable")
-        rows, labels, weights = rows[order], labels[order], weights[order]
+    for graph, label, weight in features.blocks:
+        order = np.argsort(label, kind="stable")
+        rows, labels, weights = graph[order], label[order], weight[order]
         new = np.ones(len(labels), dtype=bool)
         new[1:] = labels[1:] != labels[:-1]
         starts = np.flatnonzero(new)

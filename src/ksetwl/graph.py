@@ -156,25 +156,35 @@ def build_graphs(offsets, u, v, node_labels, edge_labels,
     offsets = np.asarray(offsets, dtype=np.int64)
     n = int(offsets[-1])
     span = max(n, 1)
-    arcs = np.sort(np.concatenate([u * span + v, v * span + u]))
-    distinct = np.ones(len(arcs), dtype=bool)
-    distinct[1:] = arcs[1:] != arcs[:-1]
-    src, indices = np.divmod(arcs[distinct], span)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    # one array of arc keys x * span + y, filled and sorted in place, then
+    # deduplicated into a copy that becomes ``indices`` in place: without
+    # edge labels, at most two arc-length int64 arrays are alive at once
+    keys = np.concatenate([u, v])
+    keys *= span
+    keys[:len(u)] += v
+    keys[len(u):] += u
+    keys.sort()
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    keys = keys[distinct]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * span)
 
     arc_labels = None
     if edge_labels is not None:
         pairs, first = _first_rows(offsets, u, v, edge_labels, span)
-        lo, hi = np.minimum(src, indices), np.maximum(src, indices)
+        src, dst = np.divmod(keys, span)
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
         arc_labels = edge_labels[first[np.searchsorted(pairs, lo * span + hi)]]
+    indices = keys
+    indices %= span
 
     graphs = []
     bounds = offsets.tolist()
     for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
         c, d = indptr[a], indptr[b]
+        indices[c:d] -= a          # each graph's slice, renumbered in place
         graphs.append(Graph(
-            b - a, indptr[a:b + 1] - c, indices[c:d] - a,
+            b - a, indptr[a:b + 1] - c, indices[c:d],
             None if node_labels is None else node_labels[a:b],
             None if arc_labels is None else arc_labels[c:d], class_labels[g]))
     return graphs

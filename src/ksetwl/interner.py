@@ -1,10 +1,12 @@
 """Injective relabeling of structured refinement keys to compact integer ids.
 
-One LabelInterner instance spans an entire dataset run so that feature
-vectors of different graphs index the same label space.  Two key kinds
-exist, both bytes whose lexicographic order matches the natural order of
-the underlying tuples, which makes the two-phase deterministic interning
-protocol a plain sort:
+One LabelInterner instance spans an entire dataset run so that the label
+counts of different graphs index the same label space.  Keys are made in
+bulk, a whole window of them at once (:func:`iso_key_batch`,
+:func:`refinement_key_batch`), and interned by
+:meth:`LabelInterner.intern_window`.  Two key kinds exist, both bytes whose
+lexicographic order matches the natural order of the underlying tuples,
+which makes the two-phase deterministic interning protocol a plain sort:
 
 * an iso key is the tag byte 0x80 followed by the canonical code of a k-set
   isomorphism type (at k = 1, a vertex's node label or degree) as
@@ -26,7 +28,6 @@ so does an interner shared across single-graph runs
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,25 +39,6 @@ _TAG_ISO = b"\x80"
 _BIAS = 1 << 63  # maps signed 64-bit values onto order-preserving unsigned
 
 _ID_CAP = 1 << 31  # label ids stay below this: 32-bit words, top bit clear
-
-
-def iso_key(code: bytes) -> bytes:
-    """Key wrapping a canonical k-set isomorphism-type code."""
-    return _TAG_ISO + code
-
-
-def refine_key(prev: int, neighbor_labels) -> bytes:
-    """Key for one refinement step: own previous label + sorted neighbor labels.
-
-    Callers must pass ``neighbor_labels`` already ascending; this is checked
-    only under ``__debug__`` since hot paths build the same layout in bulk.
-    """
-    arr = np.asarray(neighbor_labels, dtype=np.int64)
-    assert arr.size == 0 or bool(np.all(np.diff(arr) >= 0)), \
-        "neighbor labels must arrive sorted"
-    if not all(0 <= x < _ID_CAP for x in (prev, *arr[:1], *arr[-1:])):
-        raise ParameterError("labels must be ids in [0, 2^31)")
-    return struct.pack(">I", int(prev)) + arr.astype(">u4").tobytes()
 
 
 class LabelInterner:
@@ -73,11 +55,6 @@ class LabelInterner:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def intern(self, key: bytes) -> int:
-        if key not in self._ids:
-            _check_ids(len(self._ids) + 1)
-        return self._ids.setdefault(key, len(self._ids))
-
     def intern_window(self, keys) -> np.ndarray:
         """Two-phase window: intern all fresh keys in ascending byte order,
         then return the ids of ``keys`` in input order.
@@ -89,20 +66,13 @@ class LabelInterner:
             keys = list(keys)
         ids = self._ids
         fresh = sorted(set(keys).difference(ids))
-        _check_ids(len(ids) + len(fresh))
+        if len(ids) + len(fresh) > _ID_CAP:
+            raise ResourceLimitError(
+                f"the run needs {len(ids) + len(fresh)} distinct labels; "
+                f"label ids stop at {_ID_CAP}")
         ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
         return np.fromiter(map(ids.__getitem__, keys), dtype=np.int64,
                            count=len(keys))
-
-    def lookup(self, key: bytes) -> int:
-        return self._ids[key]
-
-
-def _check_ids(count: int) -> None:
-    if count > _ID_CAP:
-        raise ResourceLimitError(
-            f"the run needs {count} distinct labels; label ids stop at "
-            f"{_ID_CAP}")
 
 
 @dataclass
@@ -130,8 +100,8 @@ def _ragged_words(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
 
 
 def iso_key_batch(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
-    """:func:`iso_key` of many codes given as flat unsigned 64-bit words cut
-    at ``starts``."""
+    """The iso keys of many codes given as flat unsigned 64-bit words cut at
+    ``starts``."""
     return [_TAG_ISO + code
             for code in _ragged_words(words.astype(">u8"), starts)]
 
@@ -141,8 +111,8 @@ def refinement_key_batch(indptr: np.ndarray, indices: np.ndarray,
                          own: np.ndarray | None = None) -> list[bytes]:
     """Refinement keys for every row of a CSR adjacency structure.
 
-    Row i's key combines its own label with the ascending multiset of labels
-    over its (out-)neighbors, byte-compatible with :func:`refine_key`.  Own
+    Row i's key is the big-endian 32-bit words of its own label and the
+    ascending multiset of labels over its (out-)neighbors.  Own
     labels are ``labels`` itself, or ``labels[own]`` when rows and columns
     index different item lists.  Labels must be ids below ``_ID_CAP``.  Rows
     are sorted at once by the combined key

@@ -30,9 +30,8 @@ from math import factorial
 
 import numpy as np
 
-from .errors import ParameterError
 from .graph import Graph
-from .interner import _BIAS, Coloring, LabelInterner, iso_key, iso_key_batch
+from .interner import _BIAS, Coloring, LabelInterner, iso_key_batch
 from .ksets import _BLOCK_ITEMS, KSetIndex
 
 # Exact modes refuse graphs with more k-sets than this unless overridden;
@@ -137,8 +136,8 @@ def _code_words(best: np.ndarray, k: int):
 
 
 def iso_keys(g: Graph, sets: np.ndarray):
-    """The distinct keys ``iso_key(iso_code(g, t))`` over the rows ``t`` of
-    ``sets``, and each row's index into them.
+    """The distinct iso keys over the rows ``t`` of ``sets`` (the iso tag
+    byte, then ``iso_code(g, t)``), and each row's index into them.
 
     Only distinct raw rows (:func:`_raw_rows`) are canonicalized: rows are
     deduplicated within each block of sets, then across the blocks'
@@ -174,31 +173,6 @@ def iso_code(g: Graph, t) -> bytes:
     t = np.asarray([t], dtype=np.int64)
     best = _canonical_rows(_raw_rows(g, t), t.shape[1])
     return _code_words(best, t.shape[1])[0].astype(">u8").tobytes()
-
-
-def iso_type(g: Graph, t, interner: LabelInterner) -> int:
-    """Intern the isomorphism type of one k-set (iteration-0 color)."""
-    return interner.intern(iso_key(iso_code(g, t)))
-
-
-def global_neighbors(g: Graph, t) -> list[tuple]:
-    """All k-sets reachable by swapping one member for any outside vertex.
-
-    Always exactly k * (n - k) sets: each of the k positions can take any
-    of the n - k outside vertices, and distinct swaps give distinct sets.
-    """
-    _, rows = _swaps(g, np.asarray([t], dtype=np.int64), local=False)
-    return list(map(tuple, rows.tolist()))
-
-
-def local_neighbors(g: Graph, t) -> list[tuple]:
-    """The subset of global neighbors whose incoming vertex touches ``t``.
-
-    The adjacency requirement ranges over the whole original set, including
-    the member being replaced, so the result is k swaps per candidate.
-    """
-    _, rows = _swaps(g, np.asarray([t], dtype=np.int64), local=True)
-    return list(map(tuple, rows.tolist()))
 
 
 def _swaps(g: Graph, sets: np.ndarray, local: bool, ranges=None):
@@ -241,8 +215,7 @@ def _swaps(g: Graph, sets: np.ndarray, local: bool, ranges=None):
 def _neighbor_csr(g: Graph, index: KSetIndex, local: bool, sets: np.ndarray,
                   offsets=None):
     """Rank-space CSR of every k-set's local (or global) swap neighbors, in
-    the order of :func:`local_neighbors` and :func:`global_neighbors`;
-    ``sets`` is ``index.all_sets()``.
+    :func:`_swaps` order; ``sets`` is ``index.all_sets()``.
 
     Given the vertex ``offsets`` of :func:`stack_graphs`, ``g`` is a stack of
     graphs and ``sets`` their k-sets, stacked: every row's swaps stay in its
@@ -303,15 +276,6 @@ def swap_levels(g: Graph, sets: np.ndarray, radius: int):
         links.append((where[:len(level)], indptr, where[len(level):]))
         levels.append(wider)
     return levels, links
-
-
-def c_neighborhood(g: Graph, t, radius: int) -> set:
-    """All k-sets within directed distance ``radius`` of ``t`` in the k-set
-    graph: the widest of its :func:`swap_levels`.  Always contains ``t``."""
-    if radius < 0:
-        raise ParameterError("radius must be nonnegative")
-    levels, _ = swap_levels(g, [tuple(int(v) for v in t)], radius)
-    return set(map(tuple, levels[-1].tolist()))
 
 
 def kset_colorings(g: Graph, k: int, h: int, interner: LabelInterner,

@@ -7,10 +7,9 @@ adjacency (1-WL) and to the directed k-set graph (local k-set refinement).
 
 Because own and neighbor contributions commute inside the sum, regrouping on
 the value alone can merge classes that multiset refinement keeps apart (a
-labeled edge x--y gives both endpoints the value log x + log y).  The default
-``paired`` mode therefore regroups on (own label, value), which restores
-exact equivalence; ``paper_sum`` keeps the bare formula for fidelity
-experiments.
+labeled edge x--y gives both endpoints the value log x + log y).  Values
+are therefore regrouped on (own label, value), which restores exact
+equivalence.
 """
 
 from __future__ import annotations
@@ -63,28 +62,26 @@ def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def la_step(indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray,
-            primes: np.ndarray, mode: str = "paired",
-            tolerance: float = DEFAULT_TOLERANCE):
+            primes: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     """One refinement step: value_i = log p(c_i) + sum of neighbor log p(c_j).
 
     ``labels`` must be dense ids indexing ``primes``.  Returns the raw value
-    vector and the regrouped dense labels (ascending group order).
+    vector and the dense labels regrouped on (own label, value), ascending.
     """
     if len(labels) != len(indptr) - 1:
         raise ParameterError("label vector length does not match adjacency")
     logp = np.log(primes.astype(np.float64))[labels]
     values = logp + _row_sums(indptr, logp[indices])
-    own = labels if mode == "paired" else None
-    return values, discretize(values, tolerance, own_labels=own)
+    return values, discretize(values, labels, tolerance)
 
 
-def discretize(values: np.ndarray, tolerance: float = DEFAULT_TOLERANCE,
-               own_labels: np.ndarray | None = None) -> np.ndarray:
+def discretize(values: np.ndarray, own_labels: np.ndarray,
+               tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
     """Group near-equal values into dense ids, ascending by sort order.
 
-    Consecutive sorted values within ``tolerance`` of each other share a
-    group.  With ``own_labels`` (paired mode) the sort key is (own label,
-    value) and a group never crosses an own-label boundary.
+    The sort key is (own label, value); consecutive sorted values within
+    ``tolerance`` of each other share a group, and a group never crosses
+    an own-label boundary.
     """
     if tolerance <= 0:
         raise ParameterError("tolerance must be positive")
@@ -92,22 +89,16 @@ def discretize(values: np.ndarray, tolerance: float = DEFAULT_TOLERANCE,
     out = np.zeros(n, dtype=np.int64)
     if n == 0:
         return out
-    if own_labels is None:
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        breaks = np.diff(sv) > tolerance
-    else:
-        order = np.lexsort((values, own_labels))
-        sv = values[order]
-        so = own_labels[order]
-        breaks = (np.diff(sv) > tolerance) | (np.diff(so) != 0)
+    order = np.lexsort((values, own_labels))
+    breaks = ((np.diff(values[order]) > tolerance)
+              | (np.diff(own_labels[order]) != 0))
     group_ids = np.concatenate([[0], np.cumsum(breaks)])
     out[order] = group_ids
     return out
 
 
 def la_refinement(indptr: np.ndarray, indices: np.ndarray,
-                  initial_labels: np.ndarray, h: int, mode: str = "paired",
+                  initial_labels: np.ndarray, h: int,
                   tolerance: float = DEFAULT_TOLERANCE) -> list[np.ndarray]:
     """h refinement steps over one adjacency structure.
 
@@ -116,8 +107,6 @@ def la_refinement(indptr: np.ndarray, indices: np.ndarray,
     la_step and regrouping.  For the k-set variant, pass the directed k-set
     graph's CSR so each row sums over that set's local neighbors.
     """
-    if mode not in ("paired", "paper_sum"):
-        raise ParameterError(f"unknown refinement mode: {mode!r}")
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
     _uniq, dense = np.unique(np.asarray(initial_labels, dtype=np.int64),
@@ -130,6 +119,5 @@ def la_refinement(indptr: np.ndarray, indices: np.ndarray,
             out.append(current.copy())
             continue
         primes = prime_table(int(current.max()) + 1)
-        out.append(la_step(indptr, indices, current, primes, mode,
-                           tolerance)[1])
+        out.append(la_step(indptr, indices, current, primes, tolerance)[1])
     return out

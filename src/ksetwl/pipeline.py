@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .features import FeatureVector
+from .features import Features
 from .interner import (Coloring, LabelInterner, refine_coloring_window,
                        split_rows)
 from .ksets import KSetIndex, check_order, enumerate_ksets
@@ -77,6 +77,7 @@ def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
         rows = np.cumsum([0] + counts).tolist()
         csrs = [(indptr[a:b + 1] - indptr[a], indices[indptr[a]:indptr[b]])
                 for a, b in zip(rows, rows[1:])]
+        del csr, indptr           # each graph holds its own row offsets
     for _ in range(h):
         current = refine_coloring_window(
             [(ip, ix, col) for (ip, ix), col in zip(csrs, current)], interner)
@@ -86,7 +87,7 @@ def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
 
 
 def la_kset_run(graphs, k: int, h: int, local: bool = True,
-                mode: str = "paired", tolerance: float = DEFAULT_TOLERANCE,
+                tolerance: float = DEFAULT_TOLERANCE,
                 max_sets: int = DEFAULT_MAX_SETS) -> list[list[np.ndarray]]:
     """Linear-algebra k-set refinement over the (directed) k-set graphs.
 
@@ -100,20 +101,42 @@ def la_kset_run(graphs, k: int, h: int, local: bool = True,
     # columns rank within their graph; shift them to the graph's stack rows
     rows = np.cumsum([0] + counts)
     indices = indices + np.repeat(rows[:-1], np.diff(indptr[rows]))
-    iters = la_refinement(indptr, indices, init, h, mode=mode,
-                          tolerance=tolerance)
+    iters = la_refinement(indptr, indices, init, h, tolerance=tolerance)
     per_graph = [split_rows(labels, counts) for labels in iters]
     return [[per_graph[it][gi] for it in range(h + 1)]
             for gi in range(len(graphs))]
 
 
-def features_from_colorings(runs) -> list[FeatureVector]:
-    return [FeatureVector([c.histogram() for c in run]) for run in runs]
+def features_from_colorings(runs) -> Features:
+    """The label counts of exact runs, one per graph."""
+    return features_from_label_arrays([[c.labels for c in run]
+                                       for run in runs])
 
 
-def features_from_label_arrays(runs) -> list[FeatureVector]:
-    return [FeatureVector([Coloring(0, labels).histogram() for labels in run])
-            for run in runs]
+def features_from_label_arrays(runs) -> Features:
+    """The label counts of runs given as one label array per graph and
+    iteration: per iteration, one ``np.unique`` of graph * span + label
+    over the stacked labels of all graphs."""
+    n = len(runs)
+    blocks = []
+    for labels in zip(*runs):
+        stacked = np.concatenate(labels)
+        span = int(stacked.max()) + 1 if len(stacked) else 1
+        graph = np.repeat(np.arange(n, dtype=np.int64), list(map(len, labels)))
+        keys, counts = np.unique(graph * span + stacked, return_counts=True)
+        blocks.append((*np.divmod(keys, span), counts.astype(np.float64)))
+    return Features(n, blocks)
+
+
+def features_from_estimates(estimates) -> Features:
+    """The estimated masses of sampled runs, one per graph."""
+    n = len(estimates)
+    blocks = []
+    for masses in zip(*(est.masses for est in estimates)):
+        labels, weights = zip(*masses)
+        graph = np.repeat(np.arange(n, dtype=np.int64), list(map(len, labels)))
+        blocks.append((graph, np.concatenate(labels), np.concatenate(weights)))
+    return Features(n, blocks)
 
 
 def sampled_dataset_run(graphs, k: int, h: int, seed: int,

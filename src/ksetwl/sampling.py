@@ -82,15 +82,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def sample_kset_uniform(g: Graph, k: int, rng: np.random.Generator) -> tuple:
-    """One k-set drawn uniformly from all C(n, k): a one-row
-    :func:`_draw_batch`.  Constant expected time for n much larger than k."""
-    n = g.num_vertices
-    if n < k:
-        raise ParameterError(f"cannot draw a {k}-set from {n} vertices")
-    return tuple(_draw_batch(n, k, 1, rng)[0].tolist())
-
-
 def _draw_batch(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """(size, k) matrix of ascending uniform k-sets; rows with duplicate
     vertices are redrawn wholesale, preserving uniformity."""
@@ -157,10 +148,9 @@ class RademacherState:
             new[:len(old)] += old
             self.counts[it] = new
 
-    def blocks(self) -> list[dict]:
-        """Each iteration's label -> mass map, in ascending label order."""
-        return [dict(zip(np.flatnonzero(c).tolist(),
-                         (c[c > 0] / self.m).tolist())) for c in self.counts]
+    def masses(self) -> list[tuple]:
+        """Each iteration's observed labels, ascending, and their masses."""
+        return [(np.flatnonzero(c), c[c > 0] / self.m) for c in self.counts]
 
 
 def _rademacher_bound(counts: np.ndarray, m: int) -> float:
@@ -203,12 +193,19 @@ def massart_deviation_bound(state: RademacherState, delta: float) -> float:
 
 @dataclass
 class SampledEstimate:
-    """Estimated per-iteration mass vectors plus the run's provenance."""
+    """Estimated per-iteration mass vectors plus the run's provenance:
+    ``masses[i]`` holds iteration i's labels, ascending, and their masses."""
 
-    blocks: list
+    masses: list
     sample_count: int
     rounds: list = field(default_factory=list)
     undersized: bool = False
+
+    @property
+    def blocks(self) -> list[dict]:
+        """Each iteration's label -> mass map, in ascending label order."""
+        return [dict(zip(labels.tolist(), mass.tolist()))
+                for labels, mass in self.masses]
 
 
 @dataclass
@@ -258,7 +255,8 @@ def _sample(g: Graph, k: int, h: int, rng, interner: LabelInterner, cache,
         raise ParameterError("iteration count h must be nonnegative")
     check_order(k)
     if g.num_vertices < k:
-        return SampledEstimate([{} for _ in range(h + 1)], 0, undersized=True)
+        return SampledEstimate(RademacherState(h).masses(), 0,
+                               undersized=True)
     labeler = _SampleLabeler(g, k, h, interner,
                              {} if cache is None else cache)
     state = RademacherState(iterations=h)
@@ -280,7 +278,7 @@ def _sample(g: Graph, k: int, h: int, rng, interner: LabelInterner, cache,
                        "delta": round_delta, "bound": bound})
         if bound <= epsilon:
             break
-    return SampledEstimate(state.blocks(), state.m, rounds)
+    return SampledEstimate(state.masses(), state.m, rounds)
 
 
 def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,

@@ -227,31 +227,30 @@ def write_features_sparse(features, classes, path: str) -> None:
 
     Global indices pack the per-iteration blocks contiguously: block j's
     offset is the total number of distinct labels observed in earlier
-    blocks across the whole feature list, and a label's index within its
-    block is its rank among that block's observed labels.  Indices are
-    strictly ascending within each line.
+    blocks across all graphs, and a label's index within its block is its
+    rank among that block's observed labels.  Indices are strictly
+    ascending within each line.
     """
-    if len(classes) != len(features):
+    if len(classes) != features.n:
         raise FormatError("one class label per feature vector is required")
-    if features:
-        spans = {fv.h for fv in features}
-        if len(spans) != 1:
-            raise FormatError("feature vectors span different iteration counts")
-        blocks = features[0].h + 1
-        label_maps = []
-        offset = 0
-        for j in range(blocks):
-            observed = sorted({lab for fv in features for lab in fv.blocks[j]})
-            label_maps.append({lab: offset + r for r, lab in enumerate(observed)})
-            offset += len(observed)
+    empty = np.empty(0, dtype=np.int64)
+    graphs, indices, values = [empty], [empty], [np.empty(0)]
+    offset = 0
+    for graph, label, weight in features.blocks:
+        observed, rank = np.unique(label, return_inverse=True)
+        graphs.append(graph)
+        indices.append(rank + offset)
+        values.append(weight)
+        offset += len(observed)
+    graph = np.concatenate(graphs)
+    # blocks in turn, labels ascending within each: indices ascend
+    order = np.argsort(graph, kind="stable")
+    cuts = np.searchsorted(graph[order], np.arange(features.n + 1)).tolist()
+    indices = np.concatenate(indices)[order].tolist()
+    values = np.concatenate(values)[order].tolist()
     cell = f" %d:{_FLOAT}"
     with open(path, "w") as f:
-        for fv, cls in zip(features, classes):
-            indices, values = [], []
-            for label_map, block in zip(label_maps, fv.blocks):
-                labs = sorted(block)
-                indices += map(label_map.__getitem__, labs)
-                values += map(block.__getitem__, labs)
-            cells = indices + values
-            cells[::2], cells[1::2] = indices, values
-            f.write(str(cls) + (cell * len(indices) + "\n") % tuple(cells))
+        for cls, a, b in zip(classes, cuts, cuts[1:]):
+            cells = indices[a:b] + values[a:b]
+            cells[::2], cells[1::2] = indices[a:b], values[a:b]
+            f.write(str(cls) + (cell * (b - a) + "\n") % tuple(cells))

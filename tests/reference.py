@@ -1,18 +1,34 @@
 """Naive reference implementations used as independent oracles in tests.
 
-Everything here favors obviousness over speed: k-sets are explicit
-frozensets enumerated with itertools, adjacency is a plain set of ordered
-pairs scanned over the full vertex range, and relabeling compresses
+Everything in the first part favors obviousness over speed: k-sets are
+explicit frozensets enumerated with itertools, adjacency is a plain set of
+ordered pairs scanned over the full vertex range, and relabeling compresses
 structural keys to dense ints by sorted first appearance.  None of the CSR,
 ranking, or interning machinery of the optimized modules is used, so
 agreement between the two paths is meaningful evidence.
+
+The second part holds one-item forms that tests state their expectations
+in: feature vectors as per-graph lists of {label: weight} blocks and their
+inner product, one-key interning keys, one-set calls of the bulk k-set
+paths, 1-WL on one graph, and linear-algebra refinement by the bare value
+sum.
 """
 
 from __future__ import annotations
 
+import struct
 from itertools import combinations, permutations
 
+import numpy as np
+
+from ksetwl.errors import ParameterError
+from ksetwl.features import Features
 from ksetwl.graph import Graph
+from ksetwl.interner import LabelInterner
+from ksetwl.kwl import _swaps, iso_keys, swap_levels
+from ksetwl.linalg import discretize, la_step, prime_table
+from ksetwl.pipeline import exact_kset_run
+from ksetwl.sampling import _draw_batch
 
 
 def edge_pairs(g: Graph) -> set:
@@ -165,3 +181,125 @@ def partition_classes(labels_by_item) -> set:
     for item, lab in items:
         groups.setdefault(lab, []).append(item)
     return {frozenset(members) for members in groups.values()}
+
+
+# ------------------------------------------------------ one-item forms
+
+def features_of(per_graph) -> Features:
+    """The :class:`Features` of graphs given as lists of {label: weight}
+    blocks, one list per graph, all of one length."""
+    blocks = []
+    for b in range(len(per_graph[0]) if per_graph else 0):
+        rows = [(gi, label, weight) for gi, vector in enumerate(per_graph)
+                for label, weight in sorted(vector[b].items())]
+        blocks.append((np.array([r[0] for r in rows], dtype=np.int64),
+                       np.array([r[1] for r in rows], dtype=np.int64),
+                       np.array([r[2] for r in rows], dtype=np.float64)))
+    return Features(len(per_graph), blocks)
+
+
+def blocks_of(features: Features) -> list:
+    """Per graph, its list of {label: weight} blocks, labels ascending."""
+    out = [[{} for _ in features.blocks] for _ in range(features.n)]
+    for b, (graph, label, weight) in enumerate(features.blocks):
+        for gi, lab, w in zip(graph.tolist(), label.tolist(), weight.tolist()):
+            out[gi][b][lab] = w
+    return out
+
+
+def dot(u, v) -> float:
+    """Inner product of two lists of {label: weight} blocks over matching
+    (block, label) pairs."""
+    if len(u) != len(v):
+        raise ParameterError(f"feature vectors span different iteration "
+                             f"counts: {len(u) - 1} vs {len(v) - 1}")
+    total = 0.0
+    for bu, bv in zip(u, v):
+        for label, w in bu.items():
+            if label in bv:
+                total += w * bv[label]
+    return total
+
+
+def iso_key(code: bytes) -> bytes:
+    """The interning key of an iso code: the tag byte 0x80, then the code."""
+    return b"\x80" + code
+
+
+def refine_key(prev: int, neighbor_labels) -> bytes:
+    """The refinement key of one item: the big-endian 32-bit words of its
+    own label and its ascending neighbor labels, all ids in [0, 2^31)."""
+    arr = np.asarray(neighbor_labels, dtype=np.int64)
+    assert arr.size == 0 or bool(np.all(np.diff(arr) >= 0)), \
+        "neighbor labels must arrive sorted"
+    if not all(0 <= x < 1 << 31 for x in (prev, *arr.tolist())):
+        raise ParameterError("labels must be ids in [0, 2^31)")
+    return struct.pack(f">{1 + arr.size}I", prev, *arr.tolist())
+
+
+def iso_type(g: Graph, t, interner: LabelInterner) -> int:
+    """The iteration-0 label of one k-set, through the bulk key path."""
+    keys, index = iso_keys(g, np.asarray([t], dtype=np.int64))
+    return int(interner.intern_window(keys)[index[0]])
+
+
+def global_neighbors(g: Graph, t) -> list:
+    """The swaps of one k-set for any outside vertex, in bulk order."""
+    _, rows = _swaps(g, np.asarray([t]), local=False)
+    return list(map(tuple, rows.tolist()))
+
+
+def local_neighbors(g: Graph, t) -> list:
+    """The swaps of one k-set for a vertex adjacent to a member, in bulk
+    order."""
+    _, rows = _swaps(g, np.asarray([t]), local=True)
+    return list(map(tuple, rows.tolist()))
+
+
+def c_neighborhood(g: Graph, t, radius: int) -> set:
+    """The k-sets within ``radius`` local swaps of ``t``: the widest of its
+    swap levels."""
+    return set(map(tuple, swap_levels(g, np.asarray([t]), radius)[0][-1]
+                   .tolist()))
+
+
+def sample_kset_uniform(g: Graph, k: int, rng) -> tuple:
+    """One k-set drawn uniformly: a one-row draw of the sampler."""
+    if g.num_vertices < k:
+        raise ParameterError(f"cannot draw a {k}-set from {g.num_vertices} "
+                             f"vertices")
+    return tuple(_draw_batch(g.num_vertices, k, 1, rng)[0].tolist())
+
+
+def wl1_colorings(g: Graph, h: int, interner: LabelInterner) -> list:
+    """1-WL colorings of one graph: local k-set refinement at k = 1."""
+    return exact_kset_run([g], 1, h, interner)[0]
+
+
+def wl1_histograms(g: Graph, h: int) -> list:
+    """Per-iteration 1-WL label histograms of one graph."""
+    return [c.histogram() for c in wl1_colorings(g, h, LabelInterner())]
+
+
+def distinguishable(g1: Graph, g2: Graph, h: int) -> bool:
+    """Do the 1-WL histograms of two graphs differ within h steps?  The
+    joint partition is stable after n1 + n2 steps, so h is capped there."""
+    h = min(h, g1.num_vertices + g2.num_vertices)
+    first, second = exact_kset_run([g1, g2], 1, h, LabelInterner())
+    return any(a.histogram() != b.histogram() for a, b in zip(first, second))
+
+
+def paper_sum_step(indptr, indices, labels, primes):
+    """One linear-algebra step regrouped on the bare value sum, without the
+    own label: the value vector and its groups."""
+    values, _ = la_step(indptr, indices, labels, primes)
+    return values, discretize(values, np.zeros(len(values), dtype=np.int64))
+
+
+def paper_sum_refinement(indptr, indices, initial_labels, h: int) -> list:
+    """h bare-sum steps from the dense form of ``initial_labels``."""
+    out = [np.unique(initial_labels, return_inverse=True)[1].reshape(-1)]
+    for _ in range(h):
+        primes = prime_table(int(out[-1].max()) + 1)
+        out.append(paper_sum_step(indptr, indices, out[-1], primes)[1])
+    return out

@@ -136,8 +136,8 @@ def test_c04_adaptive_estimates_on_mutag(mutag):
     graphs = mutag.graphs
     k, h, eps, delta, seeds = 2, 2, 0.1, 0.1, 10
     interner = LabelInterner()
-    exact = [l1_normalize(fv) for fv in features_from_colorings(
-        exact_kset_run(graphs, k, h, interner, local=True))]
+    exact = ref.blocks_of(l1_normalize(features_from_colorings(
+        exact_kset_run(graphs, k, h, interner, local=True))))
     caches = [dict() for _ in graphs]
     total = 0
     failures = 0
@@ -148,7 +148,7 @@ def test_c04_adaptive_estimates_on_mutag(mutag):
             est = estimate_features_adaptive(
                 g, k, h, eps, delta, rng, interner,
                 initial_size=100, growth=2.0, cache=caches[gi])
-            exact_block = exact[gi].blocks[h]
+            exact_block = exact[gi][h]
             est_block = est.blocks[h]
             sup = max(abs(exact_block.get(lab, 0.0) - est_block.get(lab, 0.0))
                       for lab in set(exact_block) | set(est_block))
@@ -192,14 +192,14 @@ def test_c07_linear_algebra_equivalence(mutag):
     graphs = mutag.graphs
     mismatches = 0
     hash_wl1 = exact_kset_run(graphs, 1, 5, LabelInterner())
-    la_wl1 = la_kset_run(graphs, 1, 5, mode="paired")
+    la_wl1 = la_kset_run(graphs, 1, 5)
     for gi in range(len(graphs)):
         for it in range(6):
             if (label_groups(la_wl1[gi][it].tolist())
                     != label_groups(hash_wl1[gi][it].labels.tolist())):
                 mismatches += 1
     hash_k = exact_kset_run(graphs, 2, 3, LabelInterner(), local=True)
-    la_k = la_kset_run(graphs, 2, 3, local=True, mode="paired")
+    la_k = la_kset_run(graphs, 2, 3, local=True)
     for gi in range(len(graphs)):
         for it in range(4):
             if (label_groups(la_k[gi][it].tolist())

@@ -17,16 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import (FeatureVector, LabelInterner, build_graph, dot,
-                    enumerate_ksets, gram_matrix)
-from ksetwl.interner import iso_key
+from ksetwl import LabelInterner, build_graph, enumerate_ksets, gram_matrix
 from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swaps,
-                        _unique_rows, global_neighbors, iso_code, iso_keys,
-                        local_neighbors)
+                        _unique_rows, iso_code, iso_keys)
 from ksetwl.pipeline import kset_front_end
 
 from conftest import label_groups
 import reference as ref
+from reference import dot, features_of, iso_key
 
 _BIAS = 1 << 63
 
@@ -132,7 +130,7 @@ def test_bulk_csr_equals_per_set_neighbors(g, k, local):
     expected_ptr, expected_idx = per_set_csr(g, index, local)
     assert np.array_equal(indptr, expected_ptr)
     assert np.array_equal(indices, expected_idx)
-    neighbors = local_neighbors if local else global_neighbors
+    neighbors = ref.local_neighbors if local else ref.global_neighbors
     for t in index.all_sets()[:4].tolist():
         assert neighbors(g, tuple(t)) == per_set_neighbors(g, tuple(t), local)
 
@@ -150,8 +148,9 @@ def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
     for g, a, b in zip(graphs, rows, rows[1:]):
         index = enumerate_ksets(g, k)
         sets = index.all_sets()
-        assert ids[a:b].tolist() == list(map(interner.lookup,
-                                             row_keys(g, sets)))
+        # every key is interned already, so this window issues no id
+        assert ids[a:b].tolist() == interner.intern_window(
+            row_keys(g, sets)).tolist()
         owner, swapped = _swaps(g, sets, local)
         assert np.array_equal(np.diff(indptr[a:b + 1]),
                               np.bincount(owner, minlength=len(sets)))
@@ -182,13 +181,9 @@ def test_distinct_row_iso_ids_equal_per_set_interning(graphs, k, block_rows):
     assert len(bulk) == len(per_set)
 
 
-def features_of(blocks_per_graph):
-    return [FeatureVector(blocks) for blocks in blocks_per_graph]
-
-
-def pairwise_dots(features):
-    n = len(features)
-    return np.array([[dot(u, v) for v in features] for u in features],
+def pairwise_dots(per_graph):
+    n = len(per_graph)
+    return np.array([[dot(u, v) for v in per_graph] for u in per_graph],
                     dtype=np.float64).reshape(n, n)
 
 
@@ -203,9 +198,10 @@ sparse_masses = st.dictionaries(st.integers(0, 12), st.floats(0.0, 1.0),
     st.lists(sparse_counts, min_size=blocks, max_size=blocks),
     min_size=0, max_size=7)))
 def test_gram_equals_pairwise_dots_exactly_for_counts(per_graph):
-    features = features_of([[{lab: float(c) for lab, c in b.items()}
-                             for b in blocks] for blocks in per_graph])
-    assert np.array_equal(gram_matrix(features), pairwise_dots(features))
+    per_graph = [[{lab: float(c) for lab, c in b.items()} for b in blocks]
+                 for blocks in per_graph]
+    assert np.array_equal(gram_matrix(features_of(per_graph)),
+                          pairwise_dots(per_graph))
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,10 +209,9 @@ def test_gram_equals_pairwise_dots_exactly_for_counts(per_graph):
     st.lists(sparse_masses, min_size=blocks, max_size=blocks),
     min_size=1, max_size=7)))
 def test_gram_matches_pairwise_dots_for_masses(per_graph):
-    features = features_of(per_graph)
-    K = gram_matrix(features)
+    K = gram_matrix(features_of(per_graph))
     assert np.array_equal(K, K.T)
-    assert np.max(np.abs(K - pairwise_dots(features))) <= 1e-12
+    assert np.max(np.abs(K - pairwise_dots(per_graph))) <= 1e-12
 
 
 # a few labels most graphs hold, and many that few graphs hold
@@ -235,28 +230,29 @@ def test_light_and_heavy_labels_sum_like_pairwise_dots(per_graph, light,
     # the split sends every label to the holder pairs (0), to dense columns
     # (2^40), or mixes the two; one-pair or five-entry chunks cut both
     from ksetwl import features as features_mod
-    features = features_of([[{lab: float(c) for lab, c in b.items()}
-                             for b in blocks] for blocks in per_graph])
+    per_graph = [[{lab: float(c) for lab, c in b.items()} for b in blocks]
+                 for blocks in per_graph]
     with pytest.MonkeyPatch.context() as patch:
         if light is not None:
             patch.setattr(features_mod, "_GRAM_LIGHT", light)
         if chunk is not None:
             patch.setattr(features_mod, "_GRAM_CHUNK", chunk)
-        K = gram_matrix(features)
-    assert np.array_equal(K, pairwise_dots(features))
+        K = gram_matrix(features_of(per_graph))
+    assert np.array_equal(K, pairwise_dots(per_graph))
 
 
 @pytest.mark.parametrize("chunk", [9 * 7, 9 * 2, 1])
 def test_gram_chunks_agree_with_one_pass(monkeypatch, chunk):
     from ksetwl import features as features_mod
     rng = np.random.default_rng(3)
-    features = features_of([[{int(lab): float(rng.integers(1, 9))
-                              for lab in rng.choice(300, 40, replace=False)}]
-                            for _ in range(9)])
+    per_graph = [[{int(lab): float(rng.integers(1, 9))
+                   for lab in rng.choice(300, 40, replace=False)}]
+                 for _ in range(9)]
+    features = features_of(per_graph)
     whole = gram_matrix(features)
     monkeypatch.setattr(features_mod, "_GRAM_CHUNK", chunk)
     assert np.array_equal(gram_matrix(features), whole)
-    assert np.array_equal(whole, pairwise_dots(features))
+    assert np.array_equal(whole, pairwise_dots(per_graph))
 
 
 def test_gram_scratch_memory_is_bounded():

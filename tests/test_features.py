@@ -2,61 +2,90 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import (FeatureVector, LabelInterner, ParameterError,
-                    cosine_normalize_gram, dot, gram_matrix, l1_normalize,
-                    psd_check)
+from ksetwl import (LabelInterner, ParameterError, cosine_normalize_gram,
+                    gram_matrix, l1_normalize, psd_check)
 from ksetwl.pipeline import exact_kset_run, features_from_colorings
+
+from reference import blocks_of, dot, features_of
 
 block = st.dictionaries(st.integers(0, 40), st.floats(0.0, 50.0), max_size=6)
 
 
+def normalized(blocks, scope="per-block"):
+    """The l1-normalized blocks of one graph."""
+    return blocks_of(l1_normalize(features_of([blocks]), scope))[0]
+
+
 def test_l1_single_label():
-    v = l1_normalize(FeatureVector([{7: 3.0}]))
-    assert v.blocks == [{7: 1.0}]
+    v = normalized([{7: 3.0}])
+    assert v == [{7: 1.0}]
 
 
 def test_l1_per_block():
-    v = l1_normalize(FeatureVector([{1: 2.0, 2: 1.0}]))
-    assert v.blocks[0][1] == pytest.approx(2 / 3)
-    assert v.blocks[0][2] == pytest.approx(1 / 3)
+    v = normalized([{1: 2.0, 2: 1.0}])
+    assert v[0][1] == pytest.approx(2 / 3)
+    assert v[0][2] == pytest.approx(1 / 3)
 
 
 def test_l1_zero_mass_block_unchanged():
-    v = l1_normalize(FeatureVector([{}, {3: 4.0}]))
-    assert v.blocks[0] == {}
-    assert v.blocks[1] == {3: 1.0}
+    v = normalized([{}, {3: 4.0}])
+    assert v[0] == {}
+    assert v[1] == {3: 1.0}
 
 
 def test_l1_whole_vector():
-    v = l1_normalize(FeatureVector([{1: 3.0}, {2: 1.0}]), "whole-vector")
-    assert v.blocks[0][1] == pytest.approx(0.75)
-    assert v.blocks[1][2] == pytest.approx(0.25)
+    v = normalized([{1: 3.0}, {2: 1.0}], "whole-vector")
+    assert v[0][1] == pytest.approx(0.75)
+    assert v[1][2] == pytest.approx(0.25)
 
 
 def test_l1_scope_validated():
     with pytest.raises(ParameterError):
-        l1_normalize(FeatureVector([{}]), "l2")
+        l1_normalize(features_of([[{}]]), "l2")
 
 
 @given(st.lists(block, min_size=1, max_size=4))
 @settings(max_examples=50, deadline=None)
 def test_l1_idempotent(blocks):
-    v = FeatureVector(blocks)
-    once = l1_normalize(v)
+    once = l1_normalize(features_of([blocks]))
     twice = l1_normalize(once)
-    for a, b in zip(once.blocks, twice.blocks):
+    for a, b in zip(blocks_of(once)[0], blocks_of(twice)[0]):
         assert set(a) == set(b)
         for lab in a:
             assert a[lab] == pytest.approx(b[lab], abs=1e-12)
 
 
+wide_block = st.dictionaries(st.integers(0, 40), st.floats(0.0, 50.0),
+                             max_size=20)
+
+
+@given(st.lists(st.lists(wide_block, min_size=2, max_size=2), min_size=1,
+                max_size=4), st.sampled_from(["per-block", "whole-vector"]))
+@settings(max_examples=100, deadline=None)
+def test_l1_masses_add_like_python_sum(per_graph, scope):
+    # a graph's mass adds its weights left to right in ascending label
+    # order, block by block, as sum() over per-graph dicts does, so the
+    # normalized weights are equal floats, not merely close ones
+    want = []
+    for blocks in per_graph:
+        ordered = [dict(sorted(b.items())) for b in blocks]
+        masses = [sum(b.values()) for b in ordered]
+        if scope == "whole-vector":
+            masses = [sum(masses)] * len(masses)
+        want.append([{lab: w / mass for lab, w in b.items()} if mass > 0
+                     else b for b, mass in zip(ordered, masses)])
+    assert blocks_of(l1_normalize(features_of(per_graph), scope)) == want
+
+
 def test_dot_is_squared_norm():
-    v = FeatureVector([{1: 2.0, 2: 1.0}, {5: 3.0}])
+    v = [{1: 2.0, 2: 1.0}, {5: 3.0}]
+    assert gram_matrix(features_of([v]))[0, 0] == pytest.approx(4 + 1 + 9)
     assert dot(v, v) == pytest.approx(4 + 1 + 9)
 
 
 def test_dot_disjoint_supports():
-    assert dot(FeatureVector([{1: 2.0}]), FeatureVector([{2: 5.0}])) == 0.0
+    assert gram_matrix(features_of([[{1: 2.0}], [{2: 5.0}]]))[0, 1] == 0.0
+    assert dot([{1: 2.0}], [{2: 5.0}]) == 0.0
 
 
 def test_dot_two_triangles():
@@ -66,32 +95,33 @@ def test_dot_two_triangles():
     tri = lambda: build_graph(3, [(0, 1), (1, 2), (0, 2)])
     feats = features_from_colorings(
         exact_kset_run([tri(), tri()], 2, 1, LabelInterner()))
-    assert dot(feats[0], feats[1]) == pytest.approx(18.0)
+    assert gram_matrix(feats)[0, 1] == pytest.approx(18.0)
+    assert dot(*blocks_of(feats)) == pytest.approx(18.0)
 
 
 def test_dot_span_mismatch():
     with pytest.raises(ParameterError):
-        dot(FeatureVector([{}]), FeatureVector([{}, {}]))
+        dot([{}], [{}, {}])
 
 
 def test_gram_single_vector():
-    K = gram_matrix([FeatureVector([{1: 2.0}])])
+    K = gram_matrix(features_of([[{1: 2.0}]]))
     assert K.shape == (1, 1) and K[0, 0] == 4.0
 
 
 def test_gram_duplicate_vectors_constant():
-    v = FeatureVector([{1: 1.0, 2: 2.0}])
-    K = gram_matrix([v, v.copy()])
+    v = [{1: 1.0, 2: 2.0}]
+    K = gram_matrix(features_of([v, [dict(v[0])]]))
     assert np.all(K == K[0, 0])
 
 
 def test_gram_symmetric_and_psd_on_random_features():
     rng = np.random.default_rng(3)
-    feats = [
-        FeatureVector([{int(l): float(rng.integers(1, 5))
-                        for l in rng.choice(30, size=5, replace=False)}])
+    feats = features_of([
+        [{int(l): float(rng.integers(1, 5))
+          for l in rng.choice(30, size=5, replace=False)}]
         for _ in range(12)
-    ]
+    ])
     K = gram_matrix(feats)
     assert np.array_equal(K, K.T)
     assert psd_check(K, jitter=1e-8)
@@ -100,17 +130,18 @@ def test_gram_symmetric_and_psd_on_random_features():
 def test_cosine_unit_diagonal_and_range():
     rng = np.random.default_rng(4)
     K = None
-    feats = [FeatureVector([{int(l): float(rng.integers(1, 9))
-                             for l in rng.choice(10, size=4, replace=False)}])
-             for _ in range(8)]
+    feats = features_of([[{int(l): float(rng.integers(1, 9))
+                           for l in rng.choice(10, size=4, replace=False)}]
+                         for _ in range(8)])
     K = cosine_normalize_gram(gram_matrix(feats))
     assert np.allclose(np.diag(K), 1.0)
     assert K.min() >= 0.0 and K.max() <= 1.0
 
 
 def test_cosine_rank_one_all_ones():
-    v = FeatureVector([{1: 2.0}])
-    K = cosine_normalize_gram(gram_matrix([v, l1_normalize(v)]))
+    v = [{1: 2.0}]
+    K = cosine_normalize_gram(gram_matrix(features_of(
+        [v] + blocks_of(l1_normalize(features_of([v]))))))
     assert np.allclose(K, 1.0)
 
 

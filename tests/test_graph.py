@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksetwl import GraphError, build_graph
+from ksetwl.graph import build_graphs
 
 from conftest import random_graph
 
@@ -86,3 +89,26 @@ def test_rebuild_roundtrip(n, p, seed):
 def test_handshake(n, p, seed):
     g = random_graph(np.random.default_rng(seed), n, p)
     assert sum(g.degree(v) for v in range(n)) == 2 * g.num_edges
+
+
+def test_build_graphs_holds_at_most_two_arc_arrays():
+    # three 20,000-vertex graphs, each vertex joined to the next two on its
+    # graph's cycle: m = 120,000 rows and 2m arcs, listed once each
+    n, size = 60_000, 20_000
+    vertex = np.arange(n)
+    start = vertex - vertex % size
+    u = np.concatenate([vertex, vertex])
+    v = np.concatenate([start + (vertex + 1) % size,
+                        start + (vertex + 2) % size])
+    tracemalloc.start()
+    try:
+        graphs = build_graphs([0, size, 2 * size, n], u, v, None, None,
+                              [0, 1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two int64 arrays of 2m arcs and three of n + 1 vertex offsets
+    assert peak <= 8 * (2 * 2 * len(u) + 3 * (n + 1))
+    for g in graphs:
+        assert g.num_vertices == size and g.num_edges == 2 * size
+        assert np.array_equal(g.neighbors(0), [1, 2, size - 2, size - 1])

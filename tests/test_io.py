@@ -3,8 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from ksetwl import (FeatureVector, FormatError, parse_tu_dataset,
-                    write_features_sparse, write_gram_csv, write_gram_libsvm)
+from ksetwl import (FormatError, parse_tu_dataset, write_features_sparse,
+                    write_gram_csv, write_gram_libsvm)
+
+from reference import features_of
 
 
 def test_two_triangle_fixture(two_triangle_dir):
@@ -114,14 +116,14 @@ def test_gram_csv_shape(tmp_path):
 
 def test_sparse_features_empty_vector(tmp_path):
     path = str(tmp_path / "f.txt")
-    write_features_sparse([FeatureVector([{}, {}])], [5], path)
+    write_features_sparse(features_of([[{}, {}]]), [5], path)
     assert open(path).read() == "5\n"
 
 
 def test_sparse_features_block_offsets(tmp_path):
     path = str(tmp_path / "f.txt")
-    feats = [FeatureVector([{4: 2.0}, {0: 1.0}]),
-             FeatureVector([{2: 1.0, 4: 1.0}, {}])]
+    feats = features_of([[{4: 2.0}, {0: 1.0}],
+                         [{2: 1.0, 4: 1.0}, {}]])
     write_features_sparse(feats, [1, -1], path)
     lines = open(path).read().splitlines()
     # block 0 observed labels {2, 4} -> indices 0, 1; block 1 {0} -> index 2
@@ -131,7 +133,7 @@ def test_sparse_features_block_offsets(tmp_path):
 
 def test_sparse_features_indices_ascend(tmp_path):
     path = str(tmp_path / "f.txt")
-    feats = [FeatureVector([{9: 1.0, 1: 2.0}, {3: 4.0}, {2: 1.0}])]
+    feats = features_of([[{9: 1.0, 1: 2.0}, {3: 4.0}, {2: 1.0}]])
     write_features_sparse(feats, [0], path)
     cells = open(path).read().split()
     indices = [int(c.split(":")[0]) for c in cells[1:]]

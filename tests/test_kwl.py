@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from ksetwl import (LabelInterner, ResourceLimitError, build_graph,
-                    c_neighborhood, enumerate_ksets, global_neighbors,
-                    iso_type, kset_colorings, local_neighbors)
+                    enumerate_ksets, kset_colorings)
 from ksetwl.kwl import iso_code
 
 from conftest import label_groups, local_kset_csr, random_graph
+from reference import (c_neighborhood, global_neighbors, iso_type,
+                       local_neighbors)
 
 
 def test_iso_type_symmetric_triangle(tri):

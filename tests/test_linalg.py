@@ -3,11 +3,12 @@ import pytest
 
 from ksetwl import (LabelInterner, build_graph, discretize, kset_colorings,
                     la_refinement, la_step, prime_table)
-from ksetwl.kwl import local_neighbors
+from ksetwl.kwl import node_words
 from ksetwl.pipeline import la_kset_run
-from ksetwl.wl1 import wl1_colorings
 
 from conftest import label_groups, local_kset_csr, random_graph
+from reference import (local_neighbors, paper_sum_refinement, paper_sum_step,
+                       wl1_colorings)
 
 LOG2 = 0.6931471805599453
 
@@ -44,24 +45,25 @@ def test_paper_mode_merges_symmetric_sum():
     g = build_graph(2, [(0, 1)])
     labels = np.array([0, 1], dtype=np.int64)
     primes = prime_table(2)
-    values, merged = la_step(g.indptr, g.indices, labels, primes, mode="paper_sum")
+    values, merged = paper_sum_step(g.indptr, g.indices, labels, primes)
     assert values[0] == pytest.approx(values[1])
     assert merged[0] == merged[1]
-    _, kept = la_step(g.indptr, g.indices, labels, primes, mode="paired")
+    _, kept = la_step(g.indptr, g.indices, labels, primes)
     assert kept[0] != kept[1]
 
 
 def test_discretize_example():
-    ids = discretize(np.array([1.38629, 2.07944, 1.38629]))
+    ids = discretize(np.array([1.38629, 2.07944, 1.38629]), np.zeros(3, int))
     assert ids.tolist() == [0, 1, 0]
 
 
 def test_discretize_constant_vector():
-    assert discretize(np.full(4, 3.25)).tolist() == [0, 0, 0, 0]
+    assert discretize(np.full(4, 3.25), np.zeros(4, int)).tolist() == [0] * 4
 
 
 def test_discretize_tolerance_merges_near_values():
-    ids = discretize(np.array([1.0, 1.0 + 1e-12, 2.0]), tolerance=1e-9)
+    ids = discretize(np.array([1.0, 1.0 + 1e-12, 2.0]), np.zeros(3, int),
+                     tolerance=1e-9)
     assert ids[0] == ids[1] != ids[2]
 
 
@@ -101,8 +103,8 @@ def test_paper_mode_never_finer_than_paired():
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(3, 11)), 0.4,
                          labeled=bool(rng.integers(2)))
-        paired = la_kset_run([g], 1, 3, mode="paired")[0]
-        summed = la_kset_run([g], 1, 3, mode="paper_sum")[0]
+        paired = la_kset_run([g], 1, 3)[0]
+        summed = paper_sum_refinement(g.indptr, g.indices, node_words(g, 1), 3)
         for fine, coarse in zip(paired, summed):
             for cls in label_groups(fine.tolist()):
                 assert any(cls <= sup for sup in label_groups(coarse.tolist()))

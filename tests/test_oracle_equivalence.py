@@ -8,11 +8,10 @@ sorted order.  Partitions (not label values) are compared.
 import numpy as np
 
 from ksetwl import LabelInterner, enumerate_ksets, kset_colorings
-from ksetwl.kwl import global_neighbors, local_neighbors
-from ksetwl.wl1 import wl1_colorings
 
 from conftest import label_groups, random_graph
 import reference as ref
+from reference import global_neighbors, local_neighbors, wl1_colorings
 
 
 def optimized_kset_partition(g, k, coloring):

@@ -1,0 +1,55 @@
+"""Every output of ``scripts/output_digests.py`` keeps its pinned bytes.
+
+The script runs the CLI on exact, linalg, wl1, global, normalized, sampled
+and adaptive configurations of the bundled MUTAG and of three copies made
+from it, and prints each output's SHA-256 plus the sample and round counts
+of the sampled runs.  A change to any of these lines is a change to the
+program's outputs, and belongs in CHANGES.md with its reason.
+"""
+
+from conftest import scripts
+
+# (SHA-256 or count, name) of every line the script prints
+PINNED = [
+    ("190ce76eafbce48d2657e63944a874e93b2b9ae5614344d7761dd7178c0daabf",
+     "k3-exact.gram"),
+    ("cf3528e7f8af2757c59ae06a25ce4eade27a24ad928d0c6bc5666cd8dd3ef387",
+     "k3-exact.features"),
+    ("c48bc45438ae9b292f43d5fabaabb95d0964d38c3f1f6870f8592952f0d76234",
+     "k2-linalg.gram"),
+    ("417fe5db360ba127cf68f8feb01c70003b082969a578d2d67ec150fe7962cfc8",
+     "wl1-h5.gram"),
+    ("82737ff9f37903ad260838aaef8197c0609665e7230d50912e1e0d85a1126c36",
+     "wl1-h5.features"),
+    ("417fe5db360ba127cf68f8feb01c70003b082969a578d2d67ec150fe7962cfc8",
+     "wl1-h5-linalg.gram"),
+    ("6afcd175da172cce603abde7ee73a9c0df8f44f78806daef8b11a341b5ec75c2",
+     "wl1-h5-unlabeled.features"),
+    ("13ca91ec385ae75d90a6fe642f965a367c8226f27865b1869471cb6bc9462670",
+     "k2-global.gram"),
+    ("9bd951c969d9cf427d4ec59f28b8c9300438b135011fe1b52a7c4b07ce088b23",
+     "k2-exact.features"),
+    ("7c95c7ddb6a8018ed549310092016b835bcac56ca6a1d332a8c1d65574cb8d6d",
+     "k2-l1-block.gram"),
+    ("12e1dc18aea8b6b012b4dcf413ad130c36da7fd56b4e5b683aeafe6db969599e",
+     "subset-adaptive-seed5.gram"),
+    ("76000", "subset-adaptive-seed5.gram.samples"),
+    ("7", "subset-adaptive-seed5.gram.rounds"),
+    ("33e6efbcecda2458c1619ea427084670060beaddd0fccb55b5c930effd3b77fd",
+     "k2-sampled-seed9.gram"),
+    ("56400", "k2-sampled-seed9.gram.samples"),
+    ("86fa5c2924d5d8e46c210a75af19ff80e01e1b8697990f1f1b21e0a43611187b",
+     "k2-sampled-seed9-l1-block.features"),
+    ("56400", "k2-sampled-seed9-l1-block.features.samples"),
+    ("1f06f509690347ab98e79f0842b0c5a89be4aa044c7a615f74600cdfed431913",
+     "k2-sampled-seed9-l1-full.gram"),
+    ("56400", "k2-sampled-seed9-l1-full.gram.samples"),
+    ("9bd951c969d9cf427d4ec59f28b8c9300438b135011fe1b52a7c4b07ce088b23",
+     "k2-exact-messy.features"),
+]
+
+
+def test_standard_outputs_keep_their_digests(capsys):
+    assert scripts("output_digests").main_digests() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [tuple(line.split("  ")) for line in lines] == PINNED

@@ -1,12 +1,13 @@
 import pytest
 
 from ksetwl import (KSetIndex, LabelInterner, ParameterError,
-                    ResourceLimitError, build_graph, dot)
+                    ResourceLimitError, build_graph, gram_matrix)
 from ksetwl.pipeline import (exact_kset_run, features_from_colorings,
                              features_from_label_arrays, la_kset_run,
                              sampled_dataset_run)
 
 from conftest import label_groups
+from reference import blocks_of
 
 
 def tiny_and_regular():
@@ -18,9 +19,10 @@ def tiny_and_regular():
 def test_dataset_run_tolerates_undersized_graphs():
     runs = exact_kset_run(tiny_and_regular(), 3, 2, LabelInterner())
     feats = features_from_colorings(runs)
-    assert all(b == {} for b in feats[0].blocks)
-    assert all(sum(b.values()) == 4 for b in feats[1].blocks)  # C(4,3)
-    assert dot(feats[0], feats[1]) == 0.0
+    small, regular = blocks_of(feats)
+    assert all(b == {} for b in small)
+    assert all(sum(b.values()) == 4 for b in regular)  # C(4,3)
+    assert gram_matrix(feats)[0, 1] == 0.0
 
 
 def test_la_dataset_run_tolerates_undersized_graphs():
@@ -82,10 +84,10 @@ def test_feature_paths_agree_on_kernel_values(c6, two_k3):
     hash_feats = features_from_colorings(
         exact_kset_run(graphs, 2, 2, LabelInterner()))
     la_feats = features_from_label_arrays(la_kset_run(graphs, 2, 2))
+    hash_gram, la_gram = gram_matrix(hash_feats), gram_matrix(la_feats)
     for i in range(2):
         for j in range(2):
-            assert dot(hash_feats[i], hash_feats[j]) == pytest.approx(
-                dot(la_feats[i], la_feats[j]))
+            assert hash_gram[i, j] == pytest.approx(la_gram[i, j])
 
 
 def test_wl1_dataset_lockstep_handles_mixed_sizes():

@@ -10,11 +10,12 @@ from ksetwl import (LabelInterner, ParameterError, RademacherState,
                     estimate_features_adaptive, estimate_features_fixed,
                     hoeffding_sample_size, hoeffding_sample_size_dataset,
                     kset_colorings, local_labels, make_rng,
-                    massart_deviation_bound, sample_kset_uniform)
+                    massart_deviation_bound)
 from ksetwl.pipeline import exact_kset_run
 from ksetwl.sampling import _draw_batch, _rademacher_bound, _SampleLabeler
 
 from conftest import random_graph
+from reference import sample_kset_uniform
 
 # frozen by independent high-precision evaluation of the bound formulas
 SIZE_SINGLE = 26492
