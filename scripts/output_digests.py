@@ -41,12 +41,16 @@ RUNS = (
     ("k3-exact.gram", "MUTAG", ("gram", *KWL3)),
     ("k3-exact.features", "MUTAG", ("features", *KWL3)),
     ("k2-linalg.gram", "MUTAG", ("gram", *KWL2, "--mode", "linalg")),
+    ("k3-linalg.gram", "MUTAG", ("gram", *KWL3, "--mode", "linalg")),
     ("wl1-h5.gram", "MUTAG", ("gram", *WL1)),
     ("wl1-h5.features", "MUTAG", ("features", *WL1)),
     ("wl1-h5-linalg.gram", "MUTAG", ("gram", *WL1, "--mode", "linalg")),
     ("wl1-h5-unlabeled.features", "MUTAGNOLAB", ("features", *WL1)),
     ("k2-global.gram", "MUTAG",
      ("gram", "--kernel", "kwl-global", "--k", "2", "--h", "3")),
+    ("k2-global-linalg.gram", "MUTAG",
+     ("gram", "--kernel", "kwl-global", "--k", "2", "--h", "3",
+      "--mode", "linalg")),
     ("k2-exact.features", "MUTAG", ("features", *KWL2)),
     ("k2-l1-block.gram", "MUTAG", ("gram", *KWL2, "--normalize", "l1-block")),
     ("subset-adaptive-seed5.gram", "MUTAGSUB",

@@ -12,7 +12,7 @@ from .errors import (FormatError, GraphError, KsetwlError, ParameterError,
 from .features import (Features, cosine_normalize_gram, gram_matrix,
                        l1_normalize, psd_check)
 from .graph import Dataset, Graph, build_graph
-from .interner import Coloring, LabelInterner
+from .interner import LabelInterner
 from .ksets import KSetIndex, enumerate_ksets
 from .kwl import kset_colorings, kset_histograms
 from .linalg import discretize, la_refinement, la_step, prime_table

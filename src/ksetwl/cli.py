@@ -26,9 +26,9 @@ from .features import (Features, cosine_normalize_gram, gram_matrix,
                        l1_normalize)
 from .interner import LabelInterner
 from .kwl import DEFAULT_MAX_SETS
-from .pipeline import (exact_kset_run, features_from_colorings,
-                       features_from_estimates, features_from_label_arrays,
-                       la_kset_run, sampled_dataset_run)
+from .pipeline import (exact_kset_run, features_from_estimates,
+                       features_from_label_arrays, la_kset_run,
+                       sampled_dataset_run)
 from .sampling import hoeffding_sample_size, hoeffding_sample_size_dataset
 from .tu_io import (parse_tu_dataset, write_features_sparse, write_gram_csv,
                     write_gram_libsvm)
@@ -158,18 +158,18 @@ def _compute_features(graphs, args, h_values):
     k = 1 if args.kernel == "wl1" else args.k
     local = args.kernel != "kwl-global"
     if args.mode == "exact":
-        features = features_from_colorings(exact_kset_run(
-            graphs, k, top, LabelInterner(), local=local,
-            max_sets=args.max_sets))
+        labels, counts = exact_kset_run(graphs, k, top, LabelInterner(),
+                                        local=local, max_sets=args.max_sets)
         # every id is issued in one iteration: a run stopped at h has the
-        # ids of blocks 0..h
-        distinct = [len(np.unique(label)) for _, label, _ in features.blocks]
-        extras = [{"label_space": sum(distinct[:h + 1])}
-                  for h in range(top + 1)]
+        # ids of iterations 0..h
+        totals = np.cumsum([len(np.unique(it)) for it in labels]).tolist()
+        extras = [{"label_space": total} for total in totals]
     else:
-        features = features_from_label_arrays(la_kset_run(
-            graphs, k, top, local=local, max_sets=args.max_sets))
+        labels, counts = la_kset_run(graphs, k, top, local=local,
+                                     max_sets=args.max_sets)
         extras = [{}] * (top + 1)
+    features = features_from_label_arrays(labels, counts)
+    del labels   # the caller's gram runs while this generator waits
     for h in h_values:
         yield h, Features(features.n, features.blocks[:h + 1]), extras[h]
 

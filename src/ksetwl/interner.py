@@ -2,11 +2,12 @@
 
 One LabelInterner instance spans an entire dataset run so that the label
 counts of different graphs index the same label space.  Keys are made in
-bulk, a whole window of them at once (:func:`iso_key_batch`,
-:func:`refinement_key_batch`), and interned by
-:meth:`LabelInterner.intern_window`.  Two key kinds exist, both bytes whose
-lexicographic order matches the natural order of the underlying tuples,
-which makes the two-phase deterministic interning protocol a plain sort:
+bulk (:func:`iso_key_batch`, :func:`refine_coloring_window`) and interned a
+window at a time by :meth:`LabelInterner.intern_window`, which reads them
+as a stream and holds only the window's distinct keys.  Two key kinds
+exist, both bytes whose lexicographic order matches the natural order of
+the underlying tuples, which makes the two-phase deterministic interning
+protocol a plain sort:
 
 * an iso key is the tag byte 0x80 followed by the canonical code of a k-set
   isomorphism type (at k = 1, a vertex's node label or degree) as
@@ -28,7 +29,8 @@ so does an interner shared across single-graph runs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from collections import defaultdict
 
 import numpy as np
 
@@ -39,6 +41,10 @@ _TAG_ISO = b"\x80"
 _BIAS = 1 << 63  # maps signed 64-bit values onto order-preserving unsigned
 
 _ID_CAP = 1 << 31  # label ids stay below this: 32-bit words, top bit clear
+
+# Bound on the neighbor entries of one block of refinement keys.  One pass
+# over a whole dataset's entries was measured slower than blocks.
+_KEY_BLOCK_ENTRIES = 1 << 16
 
 
 class LabelInterner:
@@ -59,36 +65,23 @@ class LabelInterner:
         """Two-phase window: intern all fresh keys in ascending byte order,
         then return the ids of ``keys`` in input order.
 
-        Calling this once per iteration with the collected keys makes id
-        assignment independent of the order the keys were computed in.
+        ``keys`` may be any iterable, such as a lazy stream of key blocks;
+        the window holds only its distinct keys.  Calling this once per
+        iteration with the collected keys makes id assignment independent
+        of the order the keys were computed in.
         """
-        if not isinstance(keys, list):
-            keys = list(keys)
+        # a key new to the window gets the number of distinct keys before it
+        local = defaultdict(itertools.count().__next__)
+        order = np.fromiter(map(local.__getitem__, keys), dtype=np.int64)
         ids = self._ids
-        fresh = sorted(set(keys).difference(ids))
+        fresh = sorted([key for key in local if key not in ids])
         if len(ids) + len(fresh) > _ID_CAP:
             raise ResourceLimitError(
                 f"the run needs {len(ids) + len(fresh)} distinct labels; "
                 f"label ids stop at {_ID_CAP}")
         ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
-        return np.fromiter(map(ids.__getitem__, keys), dtype=np.int64,
-                           count=len(keys))
-
-
-@dataclass
-class Coloring:
-    """Labels for all colored items of one graph after some iteration.
-
-    Items are vertices for vertex refinement and k-set ranks for k-set
-    refinement; ``labels`` has one entry per item.
-    """
-
-    iteration: int
-    labels: np.ndarray
-
-    def histogram(self) -> dict[int, float]:
-        values, counts = np.unique(self.labels, return_counts=True)
-        return dict(zip(values.tolist(), counts.astype(np.float64).tolist()))
+        return np.fromiter(map(ids.__getitem__, local), dtype=np.int64,
+                           count=len(local))[order]
 
 
 def _ragged_words(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
@@ -106,53 +99,44 @@ def iso_key_batch(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
             for code in _ragged_words(words.astype(">u8"), starts)]
 
 
-def refinement_key_batch(indptr: np.ndarray, indices: np.ndarray,
-                         labels: np.ndarray,
-                         own: np.ndarray | None = None) -> list[bytes]:
-    """Refinement keys for every row of a CSR adjacency structure.
+def refine_coloring_window(indptr: np.ndarray, indices: np.ndarray,
+                           labels: np.ndarray, interner: LabelInterner,
+                           own: np.ndarray | None = None) -> np.ndarray:
+    """One refinement step over every row of a CSR adjacency structure,
+    under one intern window: the new label of each row.
 
     Row i's key is the big-endian 32-bit words of its own label and the
-    ascending multiset of labels over its (out-)neighbors.  Own
-    labels are ``labels`` itself, or ``labels[own]`` when rows and columns
-    index different item lists.  Labels must be ids below ``_ID_CAP``.  Rows
-    are sorted at once by the combined key
-    ``row * span + label``; own labels and sorted neighbor labels are laid
-    out as one flat word array and cut into keys in a single pass.
+    ascending multiset of labels over its (out-)neighbors.  Own labels are
+    ``labels`` itself, or ``labels[own]`` when rows and columns index
+    different item lists.  Labels must be ids below ``_ID_CAP``.  Keys are
+    built in row blocks of at most ``_KEY_BLOCK_ENTRIES`` neighbor entries
+    (or one row) and streamed to the interner.
     """
     n = len(indptr) - 1
-    own_labels = labels if own is None else labels[own]
-    if len(own_labels) != n:
+    if len(labels if own is None else own) != n:
         raise ParameterError("label vector length does not match adjacency")
     if len(labels) and not 0 <= labels.min() <= labels.max() < _ID_CAP:
         raise ParameterError("labels must be ids in [0, 2^31)")
     span = int(labels.max()) + 1 if len(labels) else 1
     if n * span > np.iinfo(np.int64).max:
         raise ParameterError("labels too large for combined sort keys")
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    neigh = np.sort(rows * span + labels[indices]) - rows * span
-    starts = np.arange(n, dtype=np.int64) + indptr[:-1]
-    words = np.empty(n + len(indices), dtype=">u4")
-    words[starts] = own_labels
-    words[np.arange(len(indices)) + rows + 1] = neigh
-    return _ragged_words(words, starts)
 
+    def blocks():
+        a = 0
+        while a < n:
+            b = max(a + 1, int(np.searchsorted(
+                indptr, indptr[a] + _KEY_BLOCK_ENTRIES, side="right")) - 1)
+            lo, hi = int(indptr[a]), int(indptr[b])
+            # sort each row's neighbor labels at once by row * span + label,
+            # then lay out own and neighbor labels as one flat word array
+            rows = np.repeat(np.arange(b - a, dtype=np.int64),
+                             np.diff(indptr[a:b + 1]))
+            neigh = np.sort(rows * span + labels[indices[lo:hi]]) - rows * span
+            starts = np.arange(b - a, dtype=np.int64) + (indptr[a:b] - lo)
+            words = np.empty(b - a + hi - lo, dtype=">u4")
+            words[starts] = labels[a:b] if own is None else labels[own[a:b]]
+            words[np.arange(hi - lo) + rows + 1] = neigh
+            yield from _ragged_words(words, starts)
+            a = b
 
-def refine_coloring_window(batches, interner: LabelInterner):
-    """Advance several graphs one refinement step under one intern window.
-
-    ``batches`` is a list of (indptr, indices, Coloring); returns the new
-    Colorings in the same order.  All keys are computed, one graph at a
-    time, before any id is issued.
-    """
-    keys = []
-    for indptr, indices, col in batches:
-        keys += refinement_key_batch(indptr, indices, col.labels)
-    ids = interner.intern_window(keys)
-    counts = [len(indptr) - 1 for indptr, _, _ in batches]
-    return [Coloring(col.iteration + 1, labels) for (_, _, col), labels
-            in zip(batches, split_rows(ids, counts))]
-
-
-def split_rows(values: np.ndarray, counts) -> list[np.ndarray]:
-    """Cut a flat array into consecutive pieces of the given lengths."""
-    return np.split(values, np.cumsum(counts)[:-1]) if len(counts) else []
+    return interner.intern_window(blocks())

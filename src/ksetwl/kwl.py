@@ -26,12 +26,12 @@ the full graph, which is all the sampling path needs.
 from __future__ import annotations
 
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
 from .graph import Graph
-from .interner import _BIAS, Coloring, LabelInterner, iso_key_batch
+from .interner import _BIAS, LabelInterner, iso_key_batch
 from .ksets import _BLOCK_ITEMS, KSetIndex
 
 # Exact modes refuse graphs with more k-sets than this unless overridden;
@@ -214,29 +214,34 @@ def _swaps(g: Graph, sets: np.ndarray, local: bool, ranges=None):
 
 def _neighbor_csr(g: Graph, index: KSetIndex, local: bool, sets: np.ndarray,
                   offsets=None):
-    """Rank-space CSR of every k-set's local (or global) swap neighbors, in
-    :func:`_swaps` order; ``sets`` is ``index.all_sets()``.
+    """CSR of every k-set's local (or global) swap neighbors, in
+    :func:`_swaps` order, whose columns are positions in ``sets``
+    (``index.all_sets()``, so colex ranks).
 
     Given the vertex ``offsets`` of :func:`stack_graphs`, ``g`` is a stack of
-    graphs and ``sets`` their k-sets, stacked: every row's swaps stay in its
-    own graph, whose ranks number its neighbors, and ``index`` is the index
-    of the largest graph (colex ranks do not depend on n).
+    graphs and ``sets`` their k-sets, stacked graph by graph in rank order:
+    every row's swaps stay in its own graph, and a neighbor's column is the
+    first row of its graph plus its colex rank there.  ``index`` is the
+    index of the largest graph (colex ranks do not depend on n).  Columns
+    are int32 when the stack's size fits.
     """
     k = index.k
     if offsets is None:
         offsets = np.array([0, g.num_vertices])
-    widest = int(np.max(np.diff(offsets), initial=0))
-    per_set = k * (k * g.max_degree() if local else widest)
+    sizes = np.diff(offsets)
+    first = np.cumsum([0] + [comb(int(n), k) for n in sizes], dtype=np.int64)
+    per_set = k * (k * g.max_degree() if local else int(sizes.max(initial=0)))
     step = max(1, _BLOCK_ITEMS // max(per_set, 1))
-    # ranks within one graph mostly fit 32 bits, which halves the CSR
-    dtype = np.int32 if index.size <= np.iinfo(np.int32).max else np.int64
+    # stack positions mostly fit 32 bits, which halves the CSR
+    dtype = np.int32 if len(sets) <= np.iinfo(np.int32).max else np.int64
     counts, blocks = [], []
     for block in np.split(sets, range(step, len(sets), step)):
         graph = np.searchsorted(offsets, block[:, 0], side="right") - 1
         lo = offsets[graph]
         owner, rows = _swaps(g, block, local, (lo, offsets[graph + 1]))
         counts.append(np.bincount(owner, minlength=len(block)))
-        blocks.append(index.rank_rows(rows - lo[owner, None]).astype(dtype))
+        blocks.append((first[graph[owner]] + index.rank_rows(
+            rows - lo[owner, None])).astype(dtype))
     indptr = np.zeros(len(sets) + 1, dtype=np.int64)
     np.cumsum(np.concatenate([indptr[:0]] + counts), out=indptr[1:])
     return indptr, np.concatenate([np.empty(0, dtype)] + blocks)
@@ -280,13 +285,13 @@ def swap_levels(g: Graph, sets: np.ndarray, radius: int):
 
 def kset_colorings(g: Graph, k: int, h: int, interner: LabelInterner,
                    local: bool = True,
-                   max_sets: int = DEFAULT_MAX_SETS) -> list[Coloring]:
+                   max_sets: int = DEFAULT_MAX_SETS) -> list[np.ndarray]:
     """Exact k-set refinement of a single graph for h iterations.
 
     Iteration 0 interns isomorphism types; each later iteration refines by
     the sorted multiset of neighbor labels over the chosen neighborhood.
-    Returns one Coloring per iteration, 0..h: the one-graph case of
-    :func:`ksetwl.pipeline.exact_kset_run`.
+    Returns one label array per iteration, 0..h, indexed by colex rank: the
+    one-graph case of :func:`ksetwl.pipeline.exact_kset_run`.
     """
     from .pipeline import exact_kset_run   # pipeline imports this module
     return exact_kset_run([g], k, h, interner, local=local,
@@ -301,5 +306,8 @@ def kset_histograms(g: Graph, k: int, h: int, interner: LabelInterner,
     Every block sums to C(n, k); all blocks are empty when n < k.  Pass one
     interner across all graphs whose histograms will be compared or dotted.
     """
-    return [c.histogram()
-            for c in kset_colorings(g, k, h, interner, local, max_sets)]
+    from .pipeline import exact_kset_run, features_from_label_arrays
+    features = features_from_label_arrays(*exact_kset_run(
+        [g], k, h, interner, local=local, max_sets=max_sets))
+    return [dict(zip(label.tolist(), weight.tolist()))
+            for _, label, weight in features.blocks]

@@ -1,12 +1,14 @@
 """Dataset-level runs: exact, linear-algebra, and sampled feature pipelines.
 
 Both exact and linear-algebra runs build their k-sets, iso types and swap
-neighborhoods once over the block-diagonal stack of all graphs.  1-WL is
-the local k-set refinement at k = 1.  Exact runs advance all graphs in
-lockstep, one intern window per iteration, so label ids depend only on the
-dataset and parameters.  Linear-algebra runs refine the stacked k-set graph
-and regroup values jointly, which keeps labels comparable across graphs
-without an interner.
+neighborhoods once over the block-diagonal stack of all graphs, and return
+one label array per iteration over the stacked k-sets together with each
+graph's k-set count.  1-WL is the local k-set refinement at k = 1.  Exact
+runs advance all graphs in lockstep, one intern window per iteration
+(:func:`ksetwl.interner.refine_coloring_window`), so label ids depend only
+on the dataset and parameters.  Linear-algebra runs refine the stacked
+k-set graph and regroup values jointly, which keeps labels comparable
+across graphs without an interner.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .features import Features
-from .interner import (Coloring, LabelInterner, refine_coloring_window,
-                       split_rows)
+from .interner import LabelInterner, refine_coloring_window
 from .ksets import KSetIndex, check_order, enumerate_ksets
 from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs
 from .linalg import DEFAULT_TOLERANCE, la_refinement
@@ -31,9 +32,9 @@ def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int,
     Returns the iso types of all k-sets, graph by graph in rank order, as
     ids of ``interner`` issued in one window, the number of k-sets of each
     graph and, when ``csr``, one CSR of their swap neighborhoods whose rows
-    follow the ids and whose columns are ranks within the row's own graph.
-    k and the k-sets of all graphs together pass their caps before
-    anything is built.
+    follow the ids and whose columns are positions in the stack.  k and
+    the k-sets of all graphs together pass their caps before anything is
+    built.
     """
     check_order(k)
     indexes = [enumerate_ksets(g, k, max_sets) for g in graphs]
@@ -56,75 +57,53 @@ def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int,
 
 
 def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
-                   local: bool = True,
-                   max_sets: int = DEFAULT_MAX_SETS) -> list[list[Coloring]]:
+                   local: bool = True, max_sets: int = DEFAULT_MAX_SETS):
     """k-set refinement for all graphs in lockstep.
 
     Iteration 0 interns isomorphism-type codes of every k-set; later
     iterations refine over local or global swap neighborhoods, one intern
-    window per iteration over the graphs' key passes.  Graphs with fewer
-    than k vertices contribute empty colorings throughout.  At k = 1 with
-    local swaps this is 1-WL.
+    window per iteration over the stacked k-sets of all graphs.  Returns
+    one label array per iteration 0..h over the stacked k-sets, and the
+    number of k-sets of each graph; graphs with fewer than k vertices have
+    none.  At k = 1 with local swaps this is 1-WL.
     """
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
     ids, counts, csr = kset_front_end(graphs, k, local, h > 0, max_sets,
                                       interner)
-    current = [Coloring(0, labels) for labels in split_rows(ids, counts)]
-    runs = [[c] for c in current]
-    if h:
-        indptr, indices = csr
-        rows = np.cumsum([0] + counts).tolist()
-        csrs = [(indptr[a:b + 1] - indptr[a], indices[indptr[a]:indptr[b]])
-                for a, b in zip(rows, rows[1:])]
-        del csr, indptr           # each graph holds its own row offsets
+    labels = [ids]
     for _ in range(h):
-        current = refine_coloring_window(
-            [(ip, ix, col) for (ip, ix), col in zip(csrs, current)], interner)
-        for run, col in zip(runs, current):
-            run.append(col)
-    return runs
+        labels.append(refine_coloring_window(*csr, labels[-1], interner))
+    return labels, counts
 
 
 def la_kset_run(graphs, k: int, h: int, local: bool = True,
                 tolerance: float = DEFAULT_TOLERANCE,
-                max_sets: int = DEFAULT_MAX_SETS) -> list[list[np.ndarray]]:
+                max_sets: int = DEFAULT_MAX_SETS):
     """Linear-algebra k-set refinement over the (directed) k-set graphs.
 
     Iteration 0 labels are isomorphism-type codes compressed jointly across
     the dataset; refinement steps run on the stacked k-set graph of all
-    graphs.  At k = 1 with local swaps this is 1-WL.
+    graphs.  Returns what :func:`exact_kset_run` returns.  At k = 1 with
+    local swaps this is 1-WL.
     """
     # a fresh interner numbers the distinct types in ascending key order
     init, counts, (indptr, indices) = kset_front_end(
         graphs, k, local, True, max_sets, LabelInterner())
-    # columns rank within their graph; shift them to the graph's stack rows
-    rows = np.cumsum([0] + counts)
-    indices = indices + np.repeat(rows[:-1], np.diff(indptr[rows]))
-    iters = la_refinement(indptr, indices, init, h, tolerance=tolerance)
-    per_graph = [split_rows(labels, counts) for labels in iters]
-    return [[per_graph[it][gi] for it in range(h + 1)]
-            for gi in range(len(graphs))]
+    return la_refinement(indptr, indices, init, h, tolerance=tolerance), counts
 
 
-def features_from_colorings(runs) -> Features:
-    """The label counts of exact runs, one per graph."""
-    return features_from_label_arrays([[c.labels for c in run]
-                                       for run in runs])
-
-
-def features_from_label_arrays(runs) -> Features:
-    """The label counts of runs given as one label array per graph and
-    iteration: per iteration, one ``np.unique`` of graph * span + label
-    over the stacked labels of all graphs."""
-    n = len(runs)
+def features_from_label_arrays(labels, counts) -> Features:
+    """The label counts of a run given as one label array per iteration
+    over the stacked k-sets of all graphs and the k-set count of each
+    graph: per iteration, one ``np.unique`` of graph * span + label."""
+    n = len(counts)
+    graph = np.repeat(np.arange(n, dtype=np.int64), counts)
     blocks = []
-    for labels in zip(*runs):
-        stacked = np.concatenate(labels)
+    for stacked in labels:
         span = int(stacked.max()) + 1 if len(stacked) else 1
-        graph = np.repeat(np.arange(n, dtype=np.int64), list(map(len, labels)))
-        keys, counts = np.unique(graph * span + stacked, return_counts=True)
-        blocks.append((*np.divmod(keys, span), counts.astype(np.float64)))
+        keys, weights = np.unique(graph * span + stacked, return_counts=True)
+        blocks.append((*np.divmod(keys, span), weights.astype(np.float64)))
     return Features(n, blocks)
 
 

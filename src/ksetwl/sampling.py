@@ -10,9 +10,10 @@ Both rely on locality: the label a k-set receives after i iterations
 depends only on the sets within i local swaps of it.  A batch of samples is
 labeled on the full graph from its radius-h swap levels (see
 :func:`ksetwl.kwl.swap_levels`): iso types over the widest level, then one
-refinement step per narrower level, each under one intern window.  Every key
-is one the exact run of the same graph also makes, so a shared interner
-gives samples the exact run's label ids.  Labeling one sample costs a
+refinement step per narrower level, the step exact runs take
+(:func:`ksetwl.interner.refine_coloring_window`).  Every key is one the
+exact run of the same graph also makes, so a shared interner gives samples
+the exact run's label ids.  Labeling one sample costs a
 function of degree bound, k, and h only, independent of graph size.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .graph import Graph
-from .interner import LabelInterner, refinement_key_batch
+from .interner import LabelInterner, refine_coloring_window
 from .ksets import _INT64_MAX, check_order
 from .kwl import _unique_rows, iso_keys, swap_levels
 
@@ -111,8 +112,8 @@ def _label_sets(g: Graph, sets: np.ndarray, h: int,
     out = [labels[where[h]]]
     for i in range(1, h + 1):
         own, indptr, neighbors = links[h - i]
-        labels = interner.intern_window(
-            refinement_key_batch(indptr, neighbors, labels, own))
+        labels = refine_coloring_window(indptr, neighbors, labels, interner,
+                                        own)
         out.append(labels[where[h - i]])
     return np.stack(out, axis=1)
 
@@ -340,7 +341,8 @@ def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
                    max_total_samples, epsilon, delta)
 
 
-def observed_label_count(colorings) -> int:
-    """Distinct (iteration, label) pairs of an exact run: an empirical
+def observed_label_count(labels) -> int:
+    """Distinct (iteration, label) pairs of an exact run given as one label
+    array per iteration (:func:`ksetwl.kwl.kset_colorings`): an empirical
     lower-bound reference when choosing the label-count parameter gamma."""
-    return sum(len(np.unique(c.labels)) for c in colorings)
+    return sum(len(np.unique(it)) for it in labels)

@@ -271,22 +271,39 @@ def sample_kset_uniform(g: Graph, k: int, rng) -> tuple:
     return tuple(_draw_batch(g.num_vertices, k, 1, rng)[0].tolist())
 
 
+def histogram(labels) -> dict:
+    """The label -> count map of a label array, counts as floats."""
+    values, counts = np.unique(labels, return_counts=True)
+    return dict(zip(values.tolist(), counts.astype(np.float64).tolist()))
+
+
+def graph_slices(counts) -> list:
+    """The slice of each graph's k-sets in the stacked label arrays of a
+    run with these per-graph k-set ``counts``."""
+    rows = np.cumsum([0] + list(counts)).tolist()
+    return [slice(a, b) for a, b in zip(rows, rows[1:])]
+
+
 def wl1_colorings(g: Graph, h: int, interner: LabelInterner) -> list:
-    """1-WL colorings of one graph: local k-set refinement at k = 1."""
+    """1-WL label arrays of one graph, one per iteration: local k-set
+    refinement at k = 1."""
     return exact_kset_run([g], 1, h, interner)[0]
 
 
 def wl1_histograms(g: Graph, h: int) -> list:
     """Per-iteration 1-WL label histograms of one graph."""
-    return [c.histogram() for c in wl1_colorings(g, h, LabelInterner())]
+    return [histogram(labels)
+            for labels in wl1_colorings(g, h, LabelInterner())]
 
 
 def distinguishable(g1: Graph, g2: Graph, h: int) -> bool:
     """Do the 1-WL histograms of two graphs differ within h steps?  The
     joint partition is stable after n1 + n2 steps, so h is capped there."""
     h = min(h, g1.num_vertices + g2.num_vertices)
-    first, second = exact_kset_run([g1, g2], 1, h, LabelInterner())
-    return any(a.histogram() != b.histogram() for a, b in zip(first, second))
+    labels, counts = exact_kset_run([g1, g2], 1, h, LabelInterner())
+    first, second = graph_slices(counts)
+    return any(histogram(it[first]) != histogram(it[second])
+               for it in labels)
 
 
 def paper_sum_step(indptr, indices, labels, primes):

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from ksetwl import LabelInterner, build_graph, enumerate_ksets, gram_matrix
 from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swaps,
                         _unique_rows, iso_code, iso_keys)
-from ksetwl.pipeline import kset_front_end
+from ksetwl.pipeline import exact_kset_run, kset_front_end
 
 from conftest import label_groups
 import reference as ref
@@ -154,8 +154,10 @@ def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
         owner, swapped = _swaps(g, sets, local)
         assert np.array_equal(np.diff(indptr[a:b + 1]),
                               np.bincount(owner, minlength=len(sets)))
-        assert np.array_equal(indices[indptr[a]:indptr[b]],
-                              index.rank_rows(swapped))
+        # columns are stack positions: the graph's first row plus a rank
+        columns = indices[indptr[a]:indptr[b]]
+        assert np.array_equal(columns, a + index.rank_rows(swapped))
+        assert np.all((a <= columns) & (columns < b))
     assert kset_front_end(graphs, k, local, False, DEFAULT_MAX_SETS,
                           LabelInterner())[2] is None
 
@@ -179,6 +181,26 @@ def test_distinct_row_iso_ids_equal_per_set_interning(graphs, k, block_rows):
          for t in enumerate_ksets(g, k).all_sets().tolist()])
     assert ids.dtype == np.int64 and np.array_equal(ids, want)
     assert len(bulk) == len(per_set)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(labeled_graphs(), min_size=1, max_size=3), st.integers(1, 3),
+       st.booleans())
+def test_refinement_blocks_do_not_change_labels(graphs, k, local):
+    # a block of one neighbor entry puts each row with neighbors in a block
+    # of its own; 2^30 entries put every row of these graphs in one block
+    from ksetwl import interner
+    runs = []
+    for entries in (1, 1 << 30, None):
+        with pytest.MonkeyPatch.context() as patch:
+            if entries is not None:
+                patch.setattr(interner, "_KEY_BLOCK_ENTRIES", entries)
+            runs.append(exact_kset_run(graphs, k, 3, LabelInterner(),
+                                       local=local))
+    (one, counts), (whole, _), (default, _) = runs
+    assert counts == [enumerate_ksets(g, k).size for g in graphs]
+    for a, b, c in zip(one, whole, default):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def pairwise_dots(per_graph):

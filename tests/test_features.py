@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksetwl import (LabelInterner, ParameterError, cosine_normalize_gram,
                     gram_matrix, l1_normalize, psd_check)
-from ksetwl.pipeline import exact_kset_run, features_from_colorings
+from ksetwl.pipeline import exact_kset_run, features_from_label_arrays
 
 from reference import blocks_of, dot, features_of
 
@@ -93,8 +93,8 @@ def test_dot_two_triangles():
     # a single shared label of count 3, contributing 9 per block
     from ksetwl import build_graph
     tri = lambda: build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    feats = features_from_colorings(
-        exact_kset_run([tri(), tri()], 2, 1, LabelInterner()))
+    feats = features_from_label_arrays(
+        *exact_kset_run([tri(), tri()], 2, 1, LabelInterner()))
     assert gram_matrix(feats)[0, 1] == pytest.approx(18.0)
     assert dot(*blocks_of(feats)) == pytest.approx(18.0)
 

@@ -1,4 +1,5 @@
 import struct
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -7,16 +8,32 @@ from hypothesis import given, settings, strategies as st
 from ksetwl import LabelInterner, build_graph
 from ksetwl.cli import main
 from ksetwl.errors import ParameterError, ResourceLimitError
-from ksetwl.interner import refinement_key_batch
+from ksetwl.interner import refine_coloring_window
 from ksetwl.pipeline import exact_kset_run, la_kset_run
 
 from conftest import MUTAG_DIR, label_groups, random_graph
 import reference as ref
-from reference import iso_key, refine_key, wl1_colorings, wl1_histograms
+from reference import (graph_slices, histogram, iso_key, refine_key,
+                       wl1_colorings, wl1_histograms)
 
 
 def initial_coloring(g, interner):
     return wl1_colorings(g, 0, interner)[0]
+
+
+class RecordingInterner(LabelInterner):
+    """An interner that keeps the keys of its last window, in order."""
+
+    def intern_window(self, keys):
+        self.keys = list(keys)
+        return super().intern_window(self.keys)
+
+
+def refinement_keys(indptr, indices, labels):
+    """The keys one refinement window hands to its interner."""
+    interner = RecordingInterner()
+    refine_coloring_window(indptr, indices, labels, interner)
+    return interner.keys
 
 
 def test_intern_idempotent():
@@ -43,14 +60,14 @@ def test_key_batch_matches_per_row_keys():
     indptr = np.array([0, 2, 2, 5])
     indices = np.array([2, 1, 0, 2, 1])
     labels = np.array([7, 3, 9])
-    assert refinement_key_batch(indptr, indices, labels) == [
+    assert refinement_keys(indptr, indices, labels) == [
         refine_key(7, (3, 9)), refine_key(3, ()), refine_key(9, (3, 7, 9))]
 
 
 def test_key_batch_rejects_labels_past_the_sort_key_range():
     with pytest.raises(ParameterError):
-        refinement_key_batch(np.array([0, 1, 2]), np.array([1, 0]),
-                             np.array([0, 1 << 62]))
+        refine_coloring_window(np.array([0, 1, 2]), np.array([1, 0]),
+                               np.array([0, 1 << 62]), LabelInterner())
 
 
 # ids span [0, 2^31); iso-code words span the signed 64-bit range
@@ -95,14 +112,14 @@ def test_refine_key_rejects_labels_outside_the_id_range(prev, nbrs):
 
 def test_key_batch_rejects_negative_labels():
     with pytest.raises(ParameterError):
-        refinement_key_batch(np.array([0, 1, 2]), np.array([1, 0]),
-                             np.array([0, -1]))
+        refine_coloring_window(np.array([0, 1, 2]), np.array([1, 0]),
+                               np.array([0, -1]), LabelInterner())
 
 
 def test_key_batch_rejects_labels_past_the_id_cap():
     with pytest.raises(ParameterError):
-        refinement_key_batch(np.array([0, 1, 2]), np.array([1, 0]),
-                             np.array([0, 2 ** 31]))
+        refine_coloring_window(np.array([0, 1, 2]), np.array([1, 0]),
+                               np.array([0, 2 ** 31]), LabelInterner())
 
 
 def key_64(prev, nbrs) -> bytes:
@@ -133,7 +150,7 @@ def test_windows_issue_the_ids_of_the_64_bit_layout(data):
         reference = [key_64(int(words[i]), sorted(
             words[indices[indptr[i]:indptr[i + 1]]].tolist()))
             for i in range(n)]
-        ids = new.intern_window(refinement_key_batch(indptr, indices, words))
+        ids = refine_coloring_window(indptr, indices, words, new)
         assert np.array_equal(ids, old.intern_window(reference))
         labels = ids
     assert len(new) == len(old)
@@ -175,39 +192,67 @@ def test_window_order_independent_of_input_order():
     assert len(left) == len(right) == 3
 
 
+WINDOW_KEYS = st.sampled_from([refine_key(v, ()) for v in range(5)]
+                              + [iso_key(bytes([w])) for w in range(3)])
+
+
+@given(st.lists(st.lists(st.lists(WINDOW_KEYS, max_size=5), max_size=4),
+                max_size=4), st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_streamed_window_equals_the_concatenated_list(windows, cap):
+    # each window's keys arrive as a generator over chunks, duplicated
+    # within and across chunks, or not at all; ids past the cap are refused
+    from ksetwl import interner
+    streamed, listed = LabelInterner(), LabelInterner()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interner, "_ID_CAP", cap)
+        for chunks in windows:
+            stream = (key for chunk in chunks for key in chunk)
+            try:
+                want = listed.intern_window(list(chain.from_iterable(chunks)))
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    streamed.intern_window(stream)
+            else:
+                got = streamed.intern_window(stream)
+                assert got.dtype == want.dtype == np.int64
+                assert got.tolist() == want.tolist()
+            assert streamed._ids == listed._ids
+
+
 def test_initial_coloring_regular_graph(tri):
     col = initial_coloring(tri, LabelInterner())
-    assert len(set(col.labels.tolist())) == 1
+    assert len(set(col.tolist())) == 1
 
 
 def test_initial_coloring_by_degree(p3):
     col = initial_coloring(p3, LabelInterner())
-    assert col.labels[0] == col.labels[2] != col.labels[1]
+    assert col[0] == col[2] != col[1]
 
 
 def test_initial_coloring_raw_labels():
     g = build_graph(2, [(0, 1)], node_labels=[10, 20])
     col = initial_coloring(g, LabelInterner())
-    assert col.labels[0] != col.labels[1]
+    assert col[0] != col[1]
 
 
 def test_one_step_on_path(p3):
     col, nxt = wl1_colorings(p3, 1, LabelInterner())
-    assert nxt.iteration == 1
-    assert sorted(nxt.histogram().values()) == [1.0, 2.0]
+    assert len(col) == len(nxt) == 3
+    assert sorted(histogram(nxt).values()) == [1.0, 2.0]
 
 
 def test_cycle_never_splits(c6):
     it = LabelInterner()
     cols = wl1_colorings(c6, 4, it)
-    assert all(len(set(c.labels.tolist())) == 1 for c in cols)
+    assert all(len(set(c.tolist())) == 1 for c in cols)
 
 
 def test_isolated_vertex_refines_with_empty_multiset():
     g = build_graph(1, [])
     it = LabelInterner()
     cols = wl1_colorings(g, 2, it)
-    assert all(len(c.labels) == 1 for c in cols)
+    assert all(len(c) == 1 for c in cols)
 
 
 def test_triangle_histograms():
@@ -223,9 +268,10 @@ def test_path_histograms(p3):
 
 def test_regular_pair_indistinguishable(c6, two_k3):
     # both 2-regular and unlabeled: every iteration keeps one joint class
-    runs = exact_kset_run([c6, two_k3], 1, 5, LabelInterner())
-    for ca, cb in zip(*runs):
-        assert ca.histogram() == cb.histogram()
+    labels, counts = exact_kset_run([c6, two_k3], 1, 5, LabelInterner())
+    first, second = graph_slices(counts)
+    for it in labels:
+        assert histogram(it[first]) == histogram(it[second])
 
 
 def test_refinement_only_splits():
@@ -234,8 +280,8 @@ def test_refinement_only_splits():
         g = random_graph(rng, int(rng.integers(2, 12)), 0.4, labeled=bool(rng.integers(2)))
         cols = wl1_colorings(g, 3, LabelInterner())
         for prev, cur in zip(cols, cols[1:]):
-            coarse = label_groups(prev.labels.tolist())
-            fine = label_groups(cur.labels.tolist())
+            coarse = label_groups(prev.tolist())
+            fine = label_groups(cur.tolist())
             for cls in fine:
                 assert any(cls <= sup for sup in coarse)
             assert len(fine) >= len(coarse)
@@ -255,7 +301,7 @@ def test_label_ids_reproducible():
     g = random_graph(rng, 9, 0.5, labeled=True)
     runs = [wl1_colorings(g, 4, LabelInterner()) for _ in range(2)]
     for a, b in zip(*runs):
-        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a, b)
 
 
 def test_distinguishable_stops_on_stable_partition(c6, two_k3, p3, tri):
@@ -278,13 +324,13 @@ def test_unlabeled_wl1_partitions_agree_with_reference():
                                float(rng.choice([0.2, 0.5, 0.8])))
                   for _ in range(int(rng.integers(1, 4)))]
         naive = ref.naive_wl1_partitions(graphs, 4)
-        hashed = exact_kset_run(graphs, 1, 4, LabelInterner())
-        linalg = la_kset_run(graphs, 1, 4)
+        hashed, counts = exact_kset_run(graphs, 1, 4, LabelInterner())
+        linalg, la_counts = la_kset_run(graphs, 1, 4)
+        assert la_counts == counts
         for it in range(5):
             want = label_groups(naive[it])
-            assert label_groups({(gi, v): lab for gi, run in enumerate(hashed)
-                                 for v, lab in enumerate(
-                                     run[it].labels.tolist())}) == want
-            assert label_groups({(gi, v): lab for gi, run in enumerate(linalg)
-                                 for v, lab in enumerate(
-                                     run[it].tolist())}) == want
+            for run in (hashed, linalg):
+                assert label_groups({
+                    (gi, v): lab
+                    for gi, rows in enumerate(graph_slices(counts))
+                    for v, lab in enumerate(run[it][rows].tolist())}) == want

@@ -11,13 +11,14 @@ from ksetwl import LabelInterner, enumerate_ksets, kset_colorings
 
 from conftest import label_groups, random_graph
 import reference as ref
-from reference import global_neighbors, local_neighbors, wl1_colorings
+from reference import (global_neighbors, graph_slices, histogram,
+                       local_neighbors, wl1_colorings)
 
 
 def optimized_kset_partition(g, k, coloring):
     index = enumerate_ksets(g, k)
     return label_groups({
-        tuple(int(v) for v in index.unrank(r)): int(coloring.labels[r])
+        tuple(int(v) for v in index.unrank(r)): int(coloring[r])
         for r in range(index.size)
     })
 
@@ -50,7 +51,7 @@ def test_wl1_partitions_agree_with_reference():
         optimized = wl1_colorings(g, 3, LabelInterner())
         naive = ref.naive_wl1_partitions([g], 3)
         for it in range(4):
-            left = label_groups(optimized[it].labels.tolist())
+            left = label_groups(optimized[it].tolist())
             right = label_groups({v: lab for (gi, v), lab in naive[it].items()})
             assert left == right
 
@@ -76,9 +77,10 @@ def test_cross_graph_consistency_matches_reference(c6, two_k3):
     # graph pairs at the same iterations
     from ksetwl.pipeline import exact_kset_run
     interner = LabelInterner()
-    optimized = exact_kset_run([c6, two_k3], 2, 2, interner)
+    optimized, counts = exact_kset_run([c6, two_k3], 2, 2, interner)
     naive = ref.naive_kset_partitions([c6, two_k3], 2, 2, local=True)
     for it in range(3):
-        opt_hists = [c.histogram() for c in (optimized[0][it], optimized[1][it])]
+        opt_hists = [histogram(optimized[it][rows])
+                     for rows in graph_slices(counts)]
         nav_hists = [ref.naive_histograms(naive[it], gi) for gi in (0, 1)]
         assert (opt_hists[0] == opt_hists[1]) == (nav_hists[0] == nav_hists[1])

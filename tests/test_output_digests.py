@@ -17,6 +17,8 @@ PINNED = [
      "k3-exact.features"),
     ("c48bc45438ae9b292f43d5fabaabb95d0964d38c3f1f6870f8592952f0d76234",
      "k2-linalg.gram"),
+    ("190ce76eafbce48d2657e63944a874e93b2b9ae5614344d7761dd7178c0daabf",
+     "k3-linalg.gram"),
     ("417fe5db360ba127cf68f8feb01c70003b082969a578d2d67ec150fe7962cfc8",
      "wl1-h5.gram"),
     ("82737ff9f37903ad260838aaef8197c0609665e7230d50912e1e0d85a1126c36",
@@ -27,6 +29,8 @@ PINNED = [
      "wl1-h5-unlabeled.features"),
     ("13ca91ec385ae75d90a6fe642f965a367c8226f27865b1869471cb6bc9462670",
      "k2-global.gram"),
+    ("13ca91ec385ae75d90a6fe642f965a367c8226f27865b1869471cb6bc9462670",
+     "k2-global-linalg.gram"),
     ("9bd951c969d9cf427d4ec59f28b8c9300438b135011fe1b52a7c4b07ce088b23",
      "k2-exact.features"),
     ("7c95c7ddb6a8018ed549310092016b835bcac56ca6a1d332a8c1d65574cb8d6d",

@@ -2,12 +2,11 @@ import pytest
 
 from ksetwl import (KSetIndex, LabelInterner, ParameterError,
                     ResourceLimitError, build_graph, gram_matrix)
-from ksetwl.pipeline import (exact_kset_run, features_from_colorings,
-                             features_from_label_arrays, la_kset_run,
-                             sampled_dataset_run)
+from ksetwl.pipeline import (exact_kset_run, features_from_label_arrays,
+                             la_kset_run, sampled_dataset_run)
 
 from conftest import label_groups
-from reference import blocks_of
+from reference import blocks_of, graph_slices
 
 
 def tiny_and_regular():
@@ -17,8 +16,8 @@ def tiny_and_regular():
 
 
 def test_dataset_run_tolerates_undersized_graphs():
-    runs = exact_kset_run(tiny_and_regular(), 3, 2, LabelInterner())
-    feats = features_from_colorings(runs)
+    feats = features_from_label_arrays(
+        *exact_kset_run(tiny_and_regular(), 3, 2, LabelInterner()))
     small, regular = blocks_of(feats)
     assert all(b == {} for b in small)
     assert all(sum(b.values()) == 4 for b in regular)  # C(4,3)
@@ -26,9 +25,10 @@ def test_dataset_run_tolerates_undersized_graphs():
 
 
 def test_la_dataset_run_tolerates_undersized_graphs():
-    runs = la_kset_run(tiny_and_regular(), 3, 2)
-    assert all(len(labels) == 0 for labels in runs[0])
-    assert all(len(labels) == 4 for labels in runs[1])
+    labels, counts = la_kset_run(tiny_and_regular(), 3, 2)
+    small, regular = graph_slices(counts)
+    assert all(len(it[small]) == 0 for it in labels)
+    assert all(len(it[regular]) == 4 for it in labels)
 
 
 def test_sampled_dataset_run_flags_undersized():
@@ -68,22 +68,23 @@ def test_dataset_run_partitions_match_single_graph_runs(c6, two_k3, p4):
     # the stacked front end labels each graph as a run on it alone would
     graphs = [c6, two_k3, build_graph(2, [(0, 1)]), p4]
     for local in (True, False):
-        stacked = exact_kset_run(graphs, 2, 3, LabelInterner(), local=local)
-        for g, run in zip(graphs, stacked):
+        labels, counts = exact_kset_run(graphs, 2, 3, LabelInterner(),
+                                        local=local)
+        for g, rows in zip(graphs, graph_slices(counts)):
             alone = exact_kset_run([g], 2, 3, LabelInterner(),
                                    local=local)[0]
-            for ca, cb in zip(run, alone):
-                assert (label_groups(ca.labels.tolist())
-                        == label_groups(cb.labels.tolist()))
+            for ca, cb in zip(labels, alone):
+                assert (label_groups(ca[rows].tolist())
+                        == label_groups(cb.tolist()))
 
 
 def test_feature_paths_agree_on_kernel_values(c6, two_k3):
     # hash-path and la-path features use different label spaces but must
     # yield identical gram values
     graphs = [c6, two_k3]
-    hash_feats = features_from_colorings(
-        exact_kset_run(graphs, 2, 2, LabelInterner()))
-    la_feats = features_from_label_arrays(la_kset_run(graphs, 2, 2))
+    hash_feats = features_from_label_arrays(
+        *exact_kset_run(graphs, 2, 2, LabelInterner()))
+    la_feats = features_from_label_arrays(*la_kset_run(graphs, 2, 2))
     hash_gram, la_gram = gram_matrix(hash_feats), gram_matrix(la_feats)
     for i in range(2):
         for j in range(2):
@@ -92,12 +93,14 @@ def test_feature_paths_agree_on_kernel_values(c6, two_k3):
 
 def test_wl1_dataset_lockstep_handles_mixed_sizes():
     graphs = [build_graph(1, []), build_graph(3, [(0, 1), (1, 2)])]
-    runs = exact_kset_run(graphs, 1, 2, LabelInterner())
-    assert [len(c.labels) for c in runs[0]] == [1, 1, 1]
-    la_runs = la_kset_run(graphs, 1, 2)
+    labels, counts = exact_kset_run(graphs, 1, 2, LabelInterner())
+    first, second = graph_slices(counts)
+    assert [len(it[first]) for it in labels] == [1, 1, 1]
+    la_labels, la_counts = la_kset_run(graphs, 1, 2)
+    assert la_counts == counts
     for it in range(3):
-        assert (label_groups(la_runs[1][it].tolist())
-                == label_groups(runs[1][it].labels.tolist()))
+        assert (label_groups(la_labels[it][second].tolist())
+                == label_groups(labels[it][second].tolist()))
 
 
 def test_exact_runs_refuse_huge_graphs_before_building(long_path):
@@ -111,7 +114,8 @@ def test_exact_runs_refuse_huge_graphs_before_building(long_path):
 def test_exact_runs_cap_the_dataset_total(p4):
     # each P4 has C(4, 2) = 6 pairs: two fit a cap of 12 but not one of 11
     graphs = [p4, p4]
-    assert len(exact_kset_run(graphs, 2, 1, LabelInterner(), max_sets=12)) == 2
+    assert exact_kset_run(graphs, 2, 1, LabelInterner(),
+                          max_sets=12)[1] == [6, 6]
     with pytest.raises(ResourceLimitError, match="12 2-sets in total"):
         exact_kset_run(graphs, 2, 1, LabelInterner(), max_sets=11)
     with pytest.raises(ResourceLimitError, match="12 2-sets in total"):

@@ -15,7 +15,7 @@ from ksetwl.pipeline import exact_kset_run
 from ksetwl.sampling import _draw_batch, _rademacher_bound, _SampleLabeler
 
 from conftest import random_graph
-from reference import sample_kset_uniform
+from reference import histogram, sample_kset_uniform
 
 # frozen by independent high-precision evaluation of the bound formulas
 SIZE_SINGLE = 26492
@@ -149,7 +149,7 @@ def test_local_labels_radius_zero_is_iso_type(p4):
     labs = local_labels(p4, (0, 1), 2, 0, it)
     assert len(labs) == 1
     full = kset_colorings(p4, 2, 0, it)
-    assert labs[0] == int(full[0].labels[enumerate_ksets(p4, 2).rank((0, 1))])
+    assert labs[0] == int(full[0][enumerate_ksets(p4, 2).rank((0, 1))])
 
 
 def test_local_labels_reject_non_sets(p4):
@@ -187,7 +187,7 @@ def test_local_labels_match_full_run_ids_with_shared_interner():
         for _ in range(4):
             s = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
             labs = local_labels(g, s, k, h, interner)
-            expected = [int(full[j].labels[index.rank(s)]) for j in range(h + 1)]
+            expected = [int(full[j][index.rank(s)]) for j in range(h + 1)]
             assert list(labs) == expected
 
 
@@ -221,8 +221,8 @@ def test_local_labels_partition_agreement_with_fresh_interner():
             for b in samples:
                 for j in range(3):
                     locally_equal = local[a][j] == local[b][j]
-                    globally_equal = (full[j].labels[index.rank(a)]
-                                      == full[j].labels[index.rank(b)])
+                    globally_equal = (full[j][index.rank(a)]
+                                      == full[j][index.rank(b)])
                     assert locally_equal == globally_equal
 
 
@@ -297,7 +297,7 @@ def test_estimator_is_unbiased():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
     interner = LabelInterner()
     exact = kset_colorings(g, 2, 1, interner)
-    hist = exact[1].histogram()
+    hist = histogram(exact[1])
     total = sum(hist.values())
     runs, samples = 60, 40
     sums = {}
@@ -320,7 +320,7 @@ def test_fixed_estimate_l1_accuracy_on_benchmark_graph(mutag):
     g = mutag.graphs[0]
     interner = LabelInterner()
     exact = kset_colorings(g, 2, 1, interner)
-    hist = exact[1].histogram()
+    hist = histogram(exact[1])
     total = sum(hist.values())
     est = estimate_features_fixed(g, 2, 1, 2000, make_rng(70), interner)
     labels = set(hist) | set(est.blocks[1])
