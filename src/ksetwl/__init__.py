@@ -13,9 +13,9 @@ from .features import (Features, cosine_normalize_gram, gram_matrix,
                        l1_normalize, psd_check)
 from .graph import Dataset, Graph, build_graph
 from .interner import LabelInterner
-from .ksets import KSetIndex, enumerate_ksets
-from .kwl import kset_colorings, kset_histograms
-from .linalg import discretize, la_refinement, la_step, prime_table
+from .ksets import KSetIndex
+from .linalg import discretize, la_step, prime_table
+from .pipeline import exact_kset_run, la_kset_run
 from .sampling import (SampledEstimate, estimate_features_adaptive,
                        estimate_features_fixed, hoeffding_sample_size,
                        hoeffding_sample_size_dataset, local_labels, make_rng,

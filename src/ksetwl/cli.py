@@ -17,8 +17,6 @@ import resource
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .errors import (FormatError, GraphError, KsetwlError, ParameterError,
                      ResourceLimitError)
@@ -29,7 +27,8 @@ from .kwl import DEFAULT_MAX_SETS
 from .pipeline import (exact_kset_run, features_from_estimates,
                        features_from_label_arrays, la_kset_run,
                        sampled_dataset_run)
-from .sampling import hoeffding_sample_size, hoeffding_sample_size_dataset
+from .sampling import (DEFAULT_MAX_TOTAL_SAMPLES, hoeffding_sample_size,
+                       hoeffding_sample_size_dataset)
 from .tu_io import (parse_tu_dataset, write_features_sparse, write_gram_csv,
                     write_gram_libsvm)
 
@@ -72,7 +71,8 @@ def _add_compute_args(p):
     p.add_argument("--max-sets", type=int, default=DEFAULT_MAX_SETS,
                    help="refuse exact and linalg runs whose graphs have "
                    "more k-sets than this in total")
-    p.add_argument("--max-samples", type=int, default=10_000_000)
+    p.add_argument("--max-samples", type=int,
+                   default=DEFAULT_MAX_TOTAL_SAMPLES)
     p.add_argument("--output", required=True)
 
 
@@ -160,10 +160,10 @@ def _compute_features(graphs, args, h_values):
     if args.mode == "exact":
         labels, counts = exact_kset_run(graphs, k, top, LabelInterner(),
                                         local=local, max_sets=args.max_sets)
-        # every id is issued in one iteration: a run stopped at h has the
-        # ids of iterations 0..h
-        totals = np.cumsum([len(np.unique(it)) for it in labels]).tolist()
-        extras = [{"label_space": total} for total in totals]
+        # a fresh interner's windows issue only fresh, consecutive ids and
+        # use all of them: a run stopped at h has issued max + 1 ids
+        extras = [{"label_space": int(it.max()) + 1 if len(it) else 0}
+                  for it in labels]
     else:
         labels, counts = la_kset_run(graphs, k, top, local=local,
                                      max_sets=args.max_sets)

@@ -23,8 +23,8 @@ before every iso key.
 An interner keeps the keys of every window.  One exact run never meets a
 refinement key of an earlier iteration again, but a sampled run does (its
 labels of one graph are keys the exact run of that graph also makes), and
-so does an interner shared across single-graph runs
-(:func:`ksetwl.kwl.kset_histograms`): their graphs' ids must agree.
+so does an interner shared across several runs of
+:func:`ksetwl.pipeline.exact_kset_run`: their graphs' ids must agree.
 """
 
 from __future__ import annotations

@@ -85,24 +85,17 @@ class KSetIndex:
         return self.unrank_rows(np.arange(self.size, dtype=np.int64))
 
 
-def check_budget(n: int, k: int, max_sets: int) -> None:
-    """Refuse C(n, k) > ``max_sets`` before any per-set table is built
-    (k < 1 is left to :class:`KSetIndex` to reject)."""
-    size = comb(n, k) if k >= 1 else 0
-    if size > max_sets:
-        raise ResourceLimitError(
-            f"C({n}, {k}) = {size} k-sets exceeds the cap of {max_sets}; "
-            f"use a sampled mode for graphs this large")
-
-
 def check_order(k: int) -> None:
-    """Refuse a k above 7 before any set is enumerated or drawn.
+    """Refuse a k outside 1..7 before any set is counted, enumerated or
+    drawn.
 
     Iso types take a minimum over the k! member orderings of each set, a
     block of ``_BLOCK_ITEMS`` rows at a time.  k = 7 is the largest k with
     k! * 8 <= ``_BLOCK_ITEMS``, so that a block holds at least 8 sets; at
     k = 8 a block holds one set, and iso types of the 3,003 8-sets of one
     14-vertex MUTAG graph took 114 s, one Python iteration per set."""
+    if k < 1:
+        raise ParameterError(f"k must be at least 1, got {k}")
     largest = max(j for j in range(1, 21)
                   if factorial(j) * _MIN_BLOCK_SETS <= _BLOCK_ITEMS)
     if k > largest:
@@ -110,13 +103,3 @@ def check_order(k: int) -> None:
             f"k = {k} needs {k}! orderings per set, too many for "
             f"{_MIN_BLOCK_SETS} sets in a block of {_BLOCK_ITEMS} rows; "
             f"the largest supported k is {largest}")
-
-
-def enumerate_ksets(g, k: int, max_sets: int | None = None) -> KSetIndex:
-    """Index over all C(n, k) vertex subsets of ``g``; empty when n < k.
-
-    With ``max_sets``, graphs with more k-sets are refused up front.
-    """
-    if max_sets is not None:
-        check_budget(g.num_vertices, k, max_sets)
-    return KSetIndex(g.num_vertices, k)

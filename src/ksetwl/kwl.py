@@ -1,5 +1,5 @@
-"""k-set machinery: isomorphism types, swap neighborhoods, the directed
-k-set graph, and exact refinement over k-sets.
+"""k-set machinery: isomorphism types, swap neighborhoods and the directed
+k-set graph; :mod:`ksetwl.pipeline` refines over them.
 
 A k-set's neighbors arise by swapping one member for an outside vertex.  The
 global variant admits every outside vertex; the local variant only vertices
@@ -31,11 +31,11 @@ from math import comb, factorial
 import numpy as np
 
 from .graph import Graph
-from .interner import _BIAS, LabelInterner, iso_key_batch
+from .interner import _BIAS, iso_key_batch
 from .ksets import _BLOCK_ITEMS, KSetIndex
 
-# Exact modes refuse graphs with more k-sets than this unless overridden;
-# the sampling estimators have no such limit.
+# Exact and linalg runs refuse graphs with more k-sets than this in total
+# unless overridden; the sampling estimators have no such limit.
 DEFAULT_MAX_SETS = 50_000_000
 
 _SIGN = np.uint64(_BIAS)
@@ -281,33 +281,3 @@ def swap_levels(g: Graph, sets: np.ndarray, radius: int):
         links.append((where[:len(level)], indptr, where[len(level):]))
         levels.append(wider)
     return levels, links
-
-
-def kset_colorings(g: Graph, k: int, h: int, interner: LabelInterner,
-                   local: bool = True,
-                   max_sets: int = DEFAULT_MAX_SETS) -> list[np.ndarray]:
-    """Exact k-set refinement of a single graph for h iterations.
-
-    Iteration 0 interns isomorphism types; each later iteration refines by
-    the sorted multiset of neighbor labels over the chosen neighborhood.
-    Returns one label array per iteration, 0..h, indexed by colex rank: the
-    one-graph case of :func:`ksetwl.pipeline.exact_kset_run`.
-    """
-    from .pipeline import exact_kset_run   # pipeline imports this module
-    return exact_kset_run([g], k, h, interner, local=local,
-                          max_sets=max_sets)[0]
-
-
-def kset_histograms(g: Graph, k: int, h: int, interner: LabelInterner,
-                    local: bool = True,
-                    max_sets: int = DEFAULT_MAX_SETS) -> list[dict]:
-    """Per-iteration label histograms of one graph's k-set refinement.
-
-    Every block sums to C(n, k); all blocks are empty when n < k.  Pass one
-    interner across all graphs whose histograms will be compared or dotted.
-    """
-    from .pipeline import exact_kset_run, features_from_label_arrays
-    features = features_from_label_arrays(*exact_kset_run(
-        [g], k, h, interner, local=local, max_sets=max_sets))
-    return [dict(zip(label.tolist(), weight.tolist()))
-            for _, label, weight in features.blocks]

@@ -95,29 +95,3 @@ def discretize(values: np.ndarray, own_labels: np.ndarray,
     group_ids = np.concatenate([[0], np.cumsum(breaks)])
     out[order] = group_ids
     return out
-
-
-def la_refinement(indptr: np.ndarray, indices: np.ndarray,
-                  initial_labels: np.ndarray, h: int,
-                  tolerance: float = DEFAULT_TOLERANCE) -> list[np.ndarray]:
-    """h refinement steps over one adjacency structure.
-
-    Returns dense label vectors for iterations 0..h.  Iteration 0 is the
-    compressed form of ``initial_labels``; later iterations alternate
-    la_step and regrouping.  For the k-set variant, pass the directed k-set
-    graph's CSR so each row sums over that set's local neighbors.
-    """
-    if h < 0:
-        raise ParameterError("iteration count h must be nonnegative")
-    _uniq, dense = np.unique(np.asarray(initial_labels, dtype=np.int64),
-                             return_inverse=True)
-    dense = dense.astype(np.int64)
-    out = [dense]
-    for _ in range(h):
-        current = out[-1]
-        if len(current) == 0:
-            out.append(current.copy())
-            continue
-        primes = prime_table(int(current.max()) + 1)
-        out.append(la_step(indptr, indices, current, primes, tolerance)[1])
-    return out

@@ -13,15 +13,18 @@ across graphs without an interner.
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .features import Features
 from .interner import LabelInterner, refine_coloring_window
-from .ksets import KSetIndex, check_order, enumerate_ksets
+from .ksets import KSetIndex, check_order
 from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs
-from .linalg import DEFAULT_TOLERANCE, la_refinement
-from .sampling import estimate_features_adaptive, estimate_features_fixed
+from .linalg import la_step, prime_table
+from .sampling import (DEFAULT_MAX_TOTAL_SAMPLES, estimate_features_adaptive,
+                       estimate_features_fixed)
 
 
 def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int,
@@ -34,26 +37,28 @@ def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int,
     graph and, when ``csr``, one CSR of their swap neighborhoods whose rows
     follow the ids and whose columns are positions in the stack.  k and
     the k-sets of all graphs together pass their caps before anything is
-    built.
+    built.  Colex ranks do not depend on n, so one index over the widest
+    graph serves every graph: graph g's k-sets are the first C(n_g, k) rows
+    of its ``all_sets()``, shifted by g's vertex offset.
     """
     check_order(k)
-    indexes = [enumerate_ksets(g, k, max_sets) for g in graphs]
-    total = sum(index.size for index in indexes)
+    counts = [comb(g.num_vertices, k) for g in graphs]
+    total = sum(counts)
     if total > max_sets:
         raise ResourceLimitError(
             f"the graphs have {total} {k}-sets in total, above the cap of "
             f"{max_sets}; use a sampled mode for datasets this large")
     stack, offsets = stack_graphs(graphs, k)
-    sets = np.concatenate([np.empty((0, k), dtype=np.int64)] + [
-        index.all_sets() + offset for index, offset in zip(indexes, offsets)])
+    index = KSetIndex(max((g.num_vertices for g in graphs), default=0), k)
+    widest = index.all_sets()
+    sets = np.concatenate([widest[:0]] + [
+        widest[:count] + offset for count, offset in zip(counts, offsets)])
     keys, types = iso_keys(stack, sets)
     # a window numbers fresh keys in byte order whatever their multiplicity
     ids = interner.intern_window(keys)[types]
-    counts = [index.size for index in indexes]
     if not csr:
         return ids, counts, None
-    widest = max(indexes, key=lambda index: index.n, default=KSetIndex(0, k))
-    return ids, counts, _neighbor_csr(stack, widest, local, sets, offsets)
+    return ids, counts, _neighbor_csr(stack, index, local, sets, offsets)
 
 
 def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
@@ -78,19 +83,26 @@ def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
 
 
 def la_kset_run(graphs, k: int, h: int, local: bool = True,
-                tolerance: float = DEFAULT_TOLERANCE,
                 max_sets: int = DEFAULT_MAX_SETS):
     """Linear-algebra k-set refinement over the (directed) k-set graphs.
 
     Iteration 0 labels are isomorphism-type codes compressed jointly across
-    the dataset; refinement steps run on the stacked k-set graph of all
-    graphs.  Returns what :func:`exact_kset_run` returns.  At k = 1 with
+    the dataset; each later iteration is one :func:`ksetwl.linalg.la_step`
+    over the stacked k-set graph of all graphs, whose regrouped labels are
+    dense.  Returns what :func:`exact_kset_run` returns.  At k = 1 with
     local swaps this is 1-WL.
     """
-    # a fresh interner numbers the distinct types in ascending key order
-    init, counts, (indptr, indices) = kset_front_end(
-        graphs, k, local, True, max_sets, LabelInterner())
-    return la_refinement(indptr, indices, init, h, tolerance=tolerance), counts
+    if h < 0:
+        raise ParameterError("iteration count h must be nonnegative")
+    # a fresh interner numbers the distinct types 0..t-1 in ascending key
+    # order, so iteration 0 is dense already
+    ids, counts, csr = kset_front_end(graphs, k, local, h > 0, max_sets,
+                                      LabelInterner())
+    labels = [ids]
+    for _ in range(h):
+        primes = prime_table(int(labels[-1].max(initial=0)) + 1)
+        labels.append(la_step(*csr, labels[-1], primes)[1])
+    return labels, counts
 
 
 def features_from_label_arrays(labels, counts) -> Features:
@@ -123,7 +135,7 @@ def sampled_dataset_run(graphs, k: int, h: int, seed: int,
                         sample_count: int | None = None,
                         epsilon: float = 0.1, delta: float = 0.1,
                         initial_size: int = 100, growth: float = 2.0,
-                        max_total_samples: int = 10_000_000):
+                        max_total_samples: int = DEFAULT_MAX_TOTAL_SAMPLES):
     """Sampled estimates for every graph of a dataset.
 
     Each graph gets its own generator derived from (seed, graph position),
@@ -131,6 +143,8 @@ def sampled_dataset_run(graphs, k: int, h: int, seed: int,
     their mass vectors serve directly as (normalized) feature vectors, and
     the sampled kernel is their plain inner product.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     estimates = []
     for gi, g in enumerate(graphs):
         rng = np.random.Generator(

@@ -79,7 +79,10 @@ def _hoeffding_count(name: str, epsilon: float, delta: float, gamma: int,
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """The package's deterministic generator (PCG64 behind the numpy API)."""
+    """The package's deterministic generator (PCG64 behind the numpy API)
+    from a nonnegative seed."""
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
@@ -343,6 +346,7 @@ def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
 
 def observed_label_count(labels) -> int:
     """Distinct (iteration, label) pairs of an exact run given as one label
-    array per iteration (:func:`ksetwl.kwl.kset_colorings`): an empirical
-    lower-bound reference when choosing the label-count parameter gamma."""
+    array per iteration (the labels of
+    :func:`ksetwl.pipeline.exact_kset_run`): an empirical lower-bound
+    reference when choosing the label-count parameter gamma."""
     return sum(len(np.unique(it)) for it in labels)

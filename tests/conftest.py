@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from ksetwl import build_graph, enumerate_ksets, parse_tu_dataset
-from ksetwl.kwl import DEFAULT_MAX_SETS, _neighbor_csr
+from ksetwl import KSetIndex, build_graph, parse_tu_dataset
+from ksetwl.kwl import _neighbor_csr
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_DIR = os.path.join(ROOT, "data")
@@ -63,9 +63,9 @@ def random_graph(rng, n, p, labeled=False, edge_labeled=False):
     return build_graph(n, edges, node_labels=labels, edge_labels=edge_labels)
 
 
-def local_kset_csr(g, k, max_sets=DEFAULT_MAX_SETS):
+def local_kset_csr(g, k):
     """The k-set index of ``g`` and the rank-space CSR of its local swaps."""
-    index = enumerate_ksets(g, k, max_sets)
+    index = KSetIndex(g.num_vertices, k)
     return (index, *_neighbor_csr(g, index, True, index.all_sets()))
 
 

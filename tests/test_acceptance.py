@@ -14,13 +14,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ksetwl import (LabelInterner, build_graph, enumerate_ksets,
+from ksetwl import (KSetIndex, LabelInterner, build_graph,
                     estimate_features_adaptive, estimate_features_fixed,
-                    hoeffding_sample_size, hoeffding_sample_size_dataset,
-                    kset_colorings, local_labels, make_rng, psd_check)
+                    exact_kset_run, hoeffding_sample_size,
+                    hoeffding_sample_size_dataset, la_kset_run, local_labels,
+                    make_rng, psd_check)
 from ksetwl.features import cosine_normalize_gram, gram_matrix, l1_normalize
-from ksetwl.pipeline import (exact_kset_run, features_from_label_arrays,
-                             la_kset_run)
+from ksetwl.pipeline import features_from_label_arrays
 
 from conftest import MUTAG_DIR, SRC_DIR, label_groups, random_graph, scripts
 import reference as ref
@@ -34,7 +34,7 @@ def report(criterion, ok, detail):
 
 
 def optimized_partition(g, k, coloring):
-    index = enumerate_ksets(g, k)
+    index = KSetIndex(g.num_vertices, k)
     return label_groups({
         tuple(int(v) for v in index.unrank(r)): int(coloring[r])
         for r in range(index.size)})
@@ -57,7 +57,8 @@ def test_c01_oracle_equivalence():
         graphs_checked += 1
         for k in (2, 3):
             for local in (True, False):
-                optimized = kset_colorings(g, k, 3, LabelInterner(), local=local)
+                optimized = exact_kset_run([g], k, 3, LabelInterner(),
+                                           local=local)[0]
                 naive = ref.naive_kset_partitions([g], k, 3, local=local)
                 for it in range(4):
                     if (optimized_partition(g, k, optimized[it])
@@ -81,8 +82,8 @@ def test_c02_local_labeling_agreement():
         h = int(rng.integers(0, 4))
         g = random_graph(rng, n, float(rng.choice([0.3, 0.5, 0.7])),
                          labeled=bool(rng.integers(2)))
-        full = kset_colorings(g, k, h, LabelInterner())
-        index = enumerate_ksets(g, k)
+        full = exact_kset_run([g], k, h, LabelInterner())[0]
+        index = KSetIndex(g.num_vertices, k)
         fresh = LabelInterner()
         drawn = []
         for _ in range(4):
@@ -219,6 +220,23 @@ def test_c07_linear_algebra_equivalence(mutag):
     report("C07", mismatches == 0,
            f"paired-mode linear algebra vs hash partitions on 188 graphs "
            f"(1-WL h=5, local 2-set h=3): {mismatches} mismatches")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "linalg regroups log-prime sums under an absolute tolerance of 1e-9, "
+    "and on MUTAG distinct global 3-set multisets sum within 9.2e-10 to "
+    "9.9e-10 of each other"))
+def test_c07_linalg_global_k3_partitions_on_mutag(mutag):
+    # the partitions of all 185,200 stacked 3-sets agree at an iteration iff
+    # each labeling has as many classes as the pairs of both labels
+    exact, counts = exact_kset_run(mutag.graphs, 3, 3, LabelInterner(),
+                                   local=False)
+    la, la_counts = la_kset_run(mutag.graphs, 3, 3, local=False)
+    assert la_counts == counts
+    for it, (hashed, summed) in enumerate(zip(exact, la)):
+        pairs = np.unique(hashed * (int(summed.max()) + 1) + summed)
+        assert (len(np.unique(hashed)) == len(pairs)
+                == len(np.unique(summed))), f"iteration {it}"
 
 
 def test_c08_psd_and_normalization(mutag):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import LabelInterner, build_graph, enumerate_ksets, gram_matrix
+from ksetwl import KSetIndex, LabelInterner, build_graph, gram_matrix
 from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swaps,
                         _unique_rows, iso_code, iso_keys)
 from ksetwl.pipeline import exact_kset_run, kset_front_end
@@ -107,7 +107,7 @@ def labeled_graphs(draw):
 @settings(max_examples=80, deadline=None)
 @given(labeled_graphs(), st.integers(1, 4))
 def test_bulk_iso_keys_equal_per_set_codes(g, k):
-    sets = enumerate_ksets(g, k).all_sets()
+    sets = KSetIndex(g.num_vertices, k).all_sets()
     expected = [per_set_iso_code(g, tuple(int(v) for v in t)) for t in sets]
     assert row_keys(g, sets) == [iso_key(code) for code in expected]
     assert [iso_code(g, t) for t in sets] == expected
@@ -116,7 +116,7 @@ def test_bulk_iso_keys_equal_per_set_codes(g, k):
 @settings(max_examples=80, deadline=None)
 @given(labeled_graphs(), st.integers(2, 4))
 def test_bulk_iso_keys_partition_like_naive_classes(g, k):
-    sets = enumerate_ksets(g, k).all_sets()
+    sets = KSetIndex(g.num_vertices, k).all_sets()
     edges = ref.edge_pairs(g)
     naive = [ref.naive_iso_class(g, t.tolist(), edges) for t in sets]
     assert label_groups(row_keys(g, sets)) == label_groups(naive)
@@ -125,7 +125,7 @@ def test_bulk_iso_keys_partition_like_naive_classes(g, k):
 @settings(max_examples=80, deadline=None)
 @given(labeled_graphs(), st.integers(1, 4), st.booleans())
 def test_bulk_csr_equals_per_set_neighbors(g, k, local):
-    index = enumerate_ksets(g, k)
+    index = KSetIndex(g.num_vertices, k)
     indptr, indices = _neighbor_csr(g, index, local, index.all_sets())
     expected_ptr, expected_idx = per_set_csr(g, index, local)
     assert np.array_equal(indptr, expected_ptr)
@@ -146,7 +146,7 @@ def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
     assert len(ids) == rows[-1] == len(indptr) - 1
     assert indptr[-1] == len(indices)
     for g, a, b in zip(graphs, rows, rows[1:]):
-        index = enumerate_ksets(g, k)
+        index = KSetIndex(g.num_vertices, k)
         sets = index.all_sets()
         # every key is interned already, so this window issues no id
         assert ids[a:b].tolist() == interner.intern_window(
@@ -178,7 +178,7 @@ def test_distinct_row_iso_ids_equal_per_set_interning(graphs, k, block_rows):
     per_set = LabelInterner()
     want = per_set.intern_window(
         [iso_key(per_set_iso_code(g, tuple(t))) for g in graphs
-         for t in enumerate_ksets(g, k).all_sets().tolist()])
+         for t in KSetIndex(g.num_vertices, k).all_sets().tolist()])
     assert ids.dtype == np.int64 and np.array_equal(ids, want)
     assert len(bulk) == len(per_set)
 
@@ -198,7 +198,7 @@ def test_refinement_blocks_do_not_change_labels(graphs, k, local):
             runs.append(exact_kset_run(graphs, k, 3, LabelInterner(),
                                        local=local))
     (one, counts), (whole, _), (default, _) = runs
-    assert counts == [enumerate_ksets(g, k).size for g in graphs]
+    assert counts == [KSetIndex(g.num_vertices, k).size for g in graphs]
     for a, b, c in zip(one, whole, default):
         assert np.array_equal(a, b) and np.array_equal(a, c)
 
@@ -312,7 +312,7 @@ def test_iso_key_scratch_memory_is_bounded(monkeypatch):
     edges = [(u, v) for u in range(60) for v in range(u + 1, 60)
              if rng.random() < 0.1]
     g = build_graph(60, edges)
-    sets = enumerate_ksets(g, 3).all_sets()
+    sets = KSetIndex(g.num_vertices, 3).all_sets()
     monkeypatch.setattr(kwl, "_BLOCK_ITEMS", 1 << 10)
     tracemalloc.start()
     try:
@@ -331,7 +331,7 @@ def test_small_blocks_build_the_same_structures(monkeypatch):
              if rng.random() < 0.4]
     g = build_graph(9, edges, node_labels=rng.integers(0, 3, 9).tolist(),
                     edge_labels=rng.integers(0, 2, len(edges)).tolist())
-    index = enumerate_ksets(g, 3)
+    index = KSetIndex(g.num_vertices, 3)
     sets = index.all_sets()
     whole = (iso_keys(g, sets), _neighbor_csr(g, index, True, sets),
              _neighbor_csr(g, index, False, sets))

@@ -1,12 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+from ksetwl import LabelInterner, exact_kset_run, parse_tu_dataset
 from ksetwl.cli import main
 
-from conftest import MUTAG_DIR
+from conftest import MUTAG_DIR, SRC_DIR
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +103,20 @@ def test_h_sweep_equals_separate_runs(tmp_path, capsys, command, config,
         assert got["h"] == h
         assert ("label_space" in got) == ("exact" in config)
         assert got.get("label_space") == want.get("label_space")
+
+
+def test_h_sweep_label_space_is_the_interner_size(tmp_path, capsys):
+    # the manifest counts the ids a run stopped at h has issued
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local",
+        "--k", "2", "--h-sweep", "0..3", "--output", str(tmp_path / "g"))
+    assert code == 0, err
+    graphs = parse_tu_dataset(MUTAG_DIR).graphs
+    for h in range(4):
+        interner = LabelInterner()
+        exact_kset_run(graphs, 2, h, interner)
+        manifest = json.load(open(tmp_path / f"g.h{h}.manifest.json"))
+        assert manifest["label_space"] == len(interner)
 
 
 def test_usage_error_exit_code(two_triangle_dir, tmp_path, capsys):
@@ -241,6 +258,22 @@ def test_fixed_sampling_beyond_the_cap_exits_3(two_triangle_dir, tmp_path,
         "kwl-local", "--h", "1", "--mode", "sampled", *count,
         "--output", str(tmp_path / "g.txt"))
     assert code == 3 and "fixed-size sampling would draw" in err
+
+
+@pytest.mark.parametrize("mode", [["sampled", "--samples", "20"],
+                                  ["adaptive"]])
+def test_negative_seed_is_a_usage_error(two_triangle_dir, tmp_path, mode):
+    # numpy's seed sequences refuse negative entropy with a ValueError
+    env = {**os.environ, "PYTHONPATH":
+           os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-m", "ksetwl.cli", "gram", "--dataset",
+         two_triangle_dir, "--kernel", "kwl-local", "--h", "1", "--mode",
+         *mode, "--seed", "-1", "--output", str(tmp_path / "g.txt")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert "seed must be nonnegative, got -1" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 @pytest.mark.parametrize("extra", [[], ["--dataset-size", "10"]])

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from math import comb
 
-from ksetwl import (LabelInterner, ParameterError, ResourceLimitError,
-                    build_graph, enumerate_ksets)
-from ksetwl.ksets import KSetIndex, check_order
+from ksetwl import (KSetIndex, LabelInterner, ParameterError,
+                    ResourceLimitError, build_graph)
+from ksetwl.ksets import check_order
 from ksetwl.pipeline import exact_kset_run, la_kset_run
 
 
@@ -43,7 +43,7 @@ def test_one_sets_are_the_vertices():
 
 
 def test_enumerate_from_graph(e1i):
-    assert enumerate_ksets(e1i, 2).size == 3
+    assert KSetIndex(e1i.num_vertices, 2).size == 3
 
 
 def test_all_sets_rows_are_their_own_ranks():

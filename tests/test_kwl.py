@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ksetwl import (LabelInterner, ResourceLimitError, build_graph,
-                    enumerate_ksets, kset_colorings)
+from ksetwl import (KSetIndex, LabelInterner, ResourceLimitError,
+                    build_graph, exact_kset_run)
 from ksetwl.kwl import iso_code
 
 from conftest import label_groups, local_kset_csr, random_graph
@@ -117,7 +117,7 @@ def test_kset_graph_edge_count_matches_neighbor_sum(tri, e1i, p4):
 
 def test_budget_guard(p4):
     with pytest.raises(ResourceLimitError):
-        local_kset_csr(p4, 2, max_sets=3)
+        exact_kset_run([p4], 2, 1, LabelInterner(), max_sets=3)
 
 
 def test_ball_radius_zero(tri):
@@ -133,26 +133,26 @@ def test_ball_covers_triangle(tri):
 
 
 def test_local_refinement_fully_symmetric(tri):
-    cols = kset_colorings(tri, 2, 3, LabelInterner(), local=True)
+    cols = exact_kset_run([tri], 2, 3, LabelInterner(), local=True)[0]
     assert all(list(histogram(c).values()) == [3.0] for c in cols)
 
 
 def test_refinement_blocks_empty_below_k():
     g = build_graph(2, [(0, 1)])
-    cols = kset_colorings(g, 3, 2, LabelInterner())
+    cols = exact_kset_run([g], 3, 2, LabelInterner())[0]
     assert len(cols) == 3
     assert all(len(c) == 0 for c in cols)
 
 
 def test_global_refinement_splits_edge_graph(e1i):
-    cols = kset_colorings(e1i, 2, 1, LabelInterner(), local=False)
+    cols = exact_kset_run([e1i], 2, 1, LabelInterner(), local=False)[0]
     assert sorted(histogram(cols[1]).values()) == [1.0, 2.0]
 
 
 def test_global_equals_local_on_complete_graphs():
     g = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    a = kset_colorings(g, 2, 3, LabelInterner(), local=True)
-    b = kset_colorings(g, 2, 3, LabelInterner(), local=False)
+    a = exact_kset_run([g], 2, 3, LabelInterner(), local=True)[0]
+    b = exact_kset_run([g], 2, 3, LabelInterner(), local=False)[0]
     for ca, cb in zip(a, b):
         assert label_groups(ca.tolist()) == label_groups(cb.tolist())
 
@@ -163,8 +163,8 @@ def test_histogram_mass_is_set_count():
         n = int(rng.integers(2, 10))
         g = random_graph(rng, n, 0.5)
         for k in (2, 3):
-            size = enumerate_ksets(g, k).size
-            for c in kset_colorings(g, k, 2, LabelInterner()):
+            size = KSetIndex(g.num_vertices, k).size
+            for c in exact_kset_run([g], k, 2, LabelInterner())[0]:
                 assert sum(histogram(c).values()) == size
 
 
@@ -173,7 +173,7 @@ def test_partition_refines_monotonically():
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(4, 9)), 0.5)
         for local in (True, False):
-            cols = kset_colorings(g, 2, 3, LabelInterner(), local=local)
+            cols = exact_kset_run([g], 2, 3, LabelInterner(), local=local)[0]
             for prev, cur in zip(cols, cols[1:]):
                 coarse = label_groups(prev.tolist())
                 fine = label_groups(cur.tolist())
@@ -192,7 +192,7 @@ def test_features_invariant_under_vertex_permutation():
             n, [(int(perm[u]), int(perm[v])) for u, v in g.edge_list()],
             node_labels=g.node_labels[inverse].tolist())
         it = LabelInterner()
-        left = kset_colorings(g, 2, 2, it)
-        right = kset_colorings(relabeled, 2, 2, it)
+        left = exact_kset_run([g], 2, 2, it)[0]
+        right = exact_kset_run([relabeled], 2, 2, it)[0]
         for ca, cb in zip(left, right):
             assert histogram(ca) == histogram(cb)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from ksetwl import (LabelInterner, build_graph, discretize, kset_colorings,
-                    la_refinement, la_step, prime_table)
+from ksetwl import (LabelInterner, build_graph, discretize, exact_kset_run,
+                    la_kset_run, la_step, prime_table)
 from ksetwl.kwl import node_words
-from ksetwl.pipeline import la_kset_run
 
 from conftest import label_groups, local_kset_csr, random_graph
 from reference import (local_neighbors, paper_sum_refinement, paper_sum_step,
@@ -68,10 +67,10 @@ def test_discretize_tolerance_merges_near_values():
 
 
 def test_la_refinement_symmetric_cases(tri, c6):
-    _, indptr, indices = local_kset_csr(tri, 2)
-    iters = la_refinement(indptr, indices, np.zeros(3, dtype=np.int64), 3)
+    # every 2-set of K3 has one iso type, every vertex of C6 degree 2
+    iters = la_kset_run([tri], 2, 3)[0]
     assert all(len(set(lab.tolist())) == 1 for lab in iters)
-    iters = la_refinement(c6.indptr, c6.indices, np.zeros(6, dtype=np.int64), 4)
+    iters = la_kset_run([c6], 1, 4)[0]
     assert all(len(set(lab.tolist())) == 1 for lab in iters)
 
 
@@ -92,7 +91,7 @@ def test_la_matches_hash_refinement_on_kset_graphs():
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(4, 10)), 0.5)
         la_run = la_kset_run([g], 2, 3)[0]
-        hash_run = kset_colorings(g, 2, 3, LabelInterner())
+        hash_run = exact_kset_run([g], 2, 3, LabelInterner())[0]
         for la_labels, coloring in zip(la_run, hash_run):
             assert (label_groups(la_labels.tolist())
                     == label_groups(coloring.tolist()))

@@ -7,7 +7,7 @@ sorted order.  Partitions (not label values) are compared.
 
 import numpy as np
 
-from ksetwl import LabelInterner, enumerate_ksets, kset_colorings
+from ksetwl import KSetIndex, LabelInterner, exact_kset_run
 
 from conftest import label_groups, random_graph
 import reference as ref
@@ -16,7 +16,7 @@ from reference import (global_neighbors, graph_slices, histogram,
 
 
 def optimized_kset_partition(g, k, coloring):
-    index = enumerate_ksets(g, k)
+    index = KSetIndex(g.num_vertices, k)
     return label_groups({
         tuple(int(v) for v in index.unrank(r)): int(coloring[r])
         for r in range(index.size)
@@ -64,7 +64,8 @@ def test_kset_partitions_agree_with_reference():
                          labeled=bool(rng.integers(2)))
         for k in (2, 3):
             for local in (True, False):
-                optimized = kset_colorings(g, k, 3, LabelInterner(), local=local)
+                optimized = exact_kset_run([g], k, 3, LabelInterner(),
+                                           local=local)[0]
                 naive = ref.naive_kset_partitions([g], k, 3, local=local)
                 for it in range(4):
                     assert (optimized_kset_partition(g, k, optimized[it])

@@ -17,11 +17,12 @@ def readme_block(heading):
 def test_library_quick_start_runs():
     scope = {}
     exec(readme_block("Library quick start"), scope)
-    blocks, estimate = scope["blocks"], scope["estimate"]
+    labels, counts = scope["labels"], scope["counts"]
+    estimate = scope["estimate"]
     # two triangles: 15 2-sets, and every block of the estimate is a
     # probability vector over labels of the exact run
-    assert [sum(b.values()) for b in blocks] == [15] * 4
+    assert counts == [15] and [len(it) for it in labels] == [15] * 4
     assert estimate.sample_count > 0 and len(estimate.rounds) >= 1
-    for exact, sampled in zip(blocks, estimate.blocks):
+    for exact, sampled in zip(labels, estimate.blocks):
         assert abs(sum(sampled.values()) - 1) < 1e-12
-        assert set(sampled) <= set(exact)
+        assert set(sampled) <= set(exact.tolist())

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import (LabelInterner, ParameterError, RademacherState,
-                    ResourceLimitError, build_graph, enumerate_ksets,
+from ksetwl import (KSetIndex, LabelInterner, ParameterError,
+                    RademacherState, ResourceLimitError, build_graph,
                     estimate_features_adaptive, estimate_features_fixed,
-                    hoeffding_sample_size, hoeffding_sample_size_dataset,
-                    kset_colorings, local_labels, make_rng,
+                    exact_kset_run, hoeffding_sample_size,
+                    hoeffding_sample_size_dataset, local_labels, make_rng,
                     massart_deviation_bound)
-from ksetwl.pipeline import exact_kset_run
 from ksetwl.sampling import _draw_batch, _rademacher_bound, _SampleLabeler
 
 from conftest import random_graph
@@ -119,6 +118,11 @@ def test_dataset_size_required():
         hoeffding_sample_size_dataset(0.1, 0.1, 10, None)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ParameterError, match="seed must be nonnegative"):
+        make_rng(-1)
+
+
 def test_uniform_draw_degenerate_cases(tri):
     assert sample_kset_uniform(tri, 3, make_rng(0)) == (0, 1, 2)
     with pytest.raises(ParameterError):
@@ -148,8 +152,8 @@ def test_local_labels_radius_zero_is_iso_type(p4):
     it = LabelInterner()
     labs = local_labels(p4, (0, 1), 2, 0, it)
     assert len(labs) == 1
-    full = kset_colorings(p4, 2, 0, it)
-    assert labs[0] == int(full[0][enumerate_ksets(p4, 2).rank((0, 1))])
+    full = exact_kset_run([p4], 2, 0, it)[0]
+    assert labs[0] == int(full[0][KSetIndex(4, 2).rank((0, 1))])
 
 
 def test_local_labels_reject_non_sets(p4):
@@ -182,8 +186,8 @@ def test_local_labels_match_full_run_ids_with_shared_interner():
             continue
         h = int(rng.integers(0, 4))
         interner = LabelInterner()
-        full = kset_colorings(g, k, h, interner)
-        index = enumerate_ksets(g, k)
+        full = exact_kset_run([g], k, h, interner)[0]
+        index = KSetIndex(g.num_vertices, k)
         for _ in range(4):
             s = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
             labs = local_labels(g, s, k, h, interner)
@@ -211,8 +215,8 @@ def test_local_labels_partition_agreement_with_fresh_interner():
     for _ in range(10):
         n = int(rng.integers(5, 12))
         g = random_graph(rng, n, 0.4)
-        full = kset_colorings(g, 2, 2, LabelInterner())
-        index = enumerate_ksets(g, 2)
+        full = exact_kset_run([g], 2, 2, LabelInterner())[0]
+        index = KSetIndex(g.num_vertices, 2)
         fresh = LabelInterner()
         samples = [tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
                    for _ in range(5)]
@@ -296,7 +300,7 @@ def test_estimator_is_unbiased():
     # normalized histogram within three standard errors
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
     interner = LabelInterner()
-    exact = kset_colorings(g, 2, 1, interner)
+    exact = exact_kset_run([g], 2, 1, interner)[0]
     hist = histogram(exact[1])
     total = sum(hist.values())
     runs, samples = 60, 40
@@ -319,7 +323,7 @@ def test_fixed_estimate_l1_accuracy_on_benchmark_graph(mutag):
     # for this guarantee; the check uses a fixed seed)
     g = mutag.graphs[0]
     interner = LabelInterner()
-    exact = kset_colorings(g, 2, 1, interner)
+    exact = exact_kset_run([g], 2, 1, interner)[0]
     hist = histogram(exact[1])
     total = sum(hist.values())
     est = estimate_features_fixed(g, 2, 1, 2000, make_rng(70), interner)
