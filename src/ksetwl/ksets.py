@@ -57,15 +57,8 @@ class KSetIndex:
             r += int(self._chooses[v, i + 1])
         return r
 
-    def rank_rows(self, sets: np.ndarray) -> np.ndarray:
-        """Vectorized rank of an (m, k) matrix of ascending rows."""
-        r = np.zeros(len(sets), dtype=np.int64)
-        for i in range(self.k):
-            r += self._chooses[sets[:, i], i + 1]
-        return r
-
     def unrank_rows(self, ranks) -> np.ndarray:
-        """Vectorized inverse of :meth:`rank_rows` for in-range ranks."""
+        """The ascending k-sets of the in-range ``ranks``, one row each."""
         r = np.array(ranks, dtype=np.int64)
         out = np.empty((len(r), self.k), dtype=np.int64)
         for i in range(self.k, 0, -1):

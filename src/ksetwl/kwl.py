@@ -15,10 +15,15 @@ The front end works on all k-sets at once with array operations:
 bits and edge labels in set order), deduplicates the rows exactly, and takes
 the lexicographic minimum over the k! member orderings of each distinct raw
 row only, so it makes one bytes key per iso type and an index from sets to
-keys.  :func:`_neighbor_csr` builds the swap neighborhoods from a ragged
-gather of member adjacency rows.  Both are processed in bounded blocks of
-sets, and both run once over a whole dataset stacked by
-:func:`stack_graphs`.
+keys.  :func:`_neighbor_csr` builds the swap neighborhoods: local
+candidates come from a ragged gather of member adjacency rows, and each
+neighbor's column is the first row of its graph plus one lookup in a swap
+table (:func:`_swap_table`), the colex rank of a (k-1)-set plus a vertex.
+The table has C(n_max, k - 1) * n_max entries for the widest graph's n_max
+vertices, about k * C(n_max, k), int32 while C(n_max, k) < 2^31, so the
+``--max-sets`` check that precedes every allocation bounds it too.  Both
+are processed in bounded blocks of sets, and both run once over a whole
+dataset stacked by :func:`stack_graphs`.
 :func:`swap_levels` expands a few sets into their radius-h swap levels on
 the full graph, which is all the sampling path needs.
 """
@@ -175,31 +180,41 @@ def iso_code(g: Graph, t) -> bytes:
     return _code_words(best, t.shape[1])[0].astype(">u8").tobytes()
 
 
-def _swaps(g: Graph, sets: np.ndarray, local: bool, ranges=None):
-    """Every admissible swap of every row of ``sets``: the owner row and the
-    new set (ascending), ordered by owner, then incoming vertex, then the
-    replaced position.  Local swaps take in only vertices adjacent to a
-    member; the candidates come from a ragged gather of member rows.  Global
-    swaps take in every vertex of [lo, hi) for ``ranges`` = (lo, hi), one
-    pair of arrays over the rows, and of the whole graph by default."""
+def _local_candidates(g: Graph, sets: np.ndarray):
+    """The local swap candidates of the rows of ``sets``: (owner row,
+    incoming vertex) pairs ordered by owner, then vertex, one for each
+    vertex that is adjacent to a member of its owner row and is not itself
+    a member.  They come from a ragged gather of member adjacency rows,
+    deduplicated per owner."""
     n, k = g.num_vertices, sets.shape[1]
-    if local:
-        members = sets.ravel()
-        deg = g.indptr[members + 1] - g.indptr[members]
-        owner = np.repeat(np.arange(len(sets)).repeat(k), deg)
-        ends = np.cumsum(deg)
-        gather = np.arange(ends[-1] if len(ends) else 0)
-        gather += np.repeat(g.indptr[members] - (ends - deg), deg)
-        cand = np.sort(owner * n + g.indices[gather])
-        owner, vertex = np.divmod(cand[np.diff(cand, prepend=-1) != 0], n)
-    else:
-        lo, hi = ranges if ranges is not None else (0, n)
-        size = np.broadcast_to(hi - lo, len(sets))
-        owner = np.repeat(np.arange(len(sets)), size)
-        vertex = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size
-                                                   - lo, size)
-    outside = ~(sets[owner] == vertex[:, None]).any(axis=1)
-    owner, vertex = owner[outside], vertex[outside]
+    members = sets.ravel()
+    deg = g.indptr[members + 1] - g.indptr[members]
+    owner = np.repeat(np.arange(len(sets)).repeat(k), deg)
+    ends = np.cumsum(deg)
+    gather = np.arange(ends[-1] if len(ends) else 0)
+    gather += np.repeat(g.indptr[members] - (ends - deg), deg)
+    cand = np.sort(owner * n + g.indices[gather])
+    owner, vertex = np.divmod(cand[np.diff(cand, prepend=-1) != 0], n)
+    outside = _outside(sets, owner, vertex)
+    return owner[outside], vertex[outside]
+
+
+def _outside(sets: np.ndarray, owner: np.ndarray, vertex: np.ndarray):
+    """Which pairs (owner row, vertex) have a vertex outside the row of
+    ``sets``, compared one member column at a time: gathering whole rows
+    took about 7x as long on MUTAG's 3-sets."""
+    outside = np.ones(len(owner), dtype=bool)
+    for column in sets.T:
+        outside &= column[owner] != vertex
+    return outside
+
+
+def _swaps(g: Graph, sets: np.ndarray):
+    """Every local swap of every row of ``sets``: the owner row and the new
+    set (ascending), ordered by owner, then incoming vertex, then the
+    replaced position."""
+    owner, vertex = _local_candidates(g, sets)
+    k = sets.shape[1]
     swapped = np.empty((len(owner), k, k), dtype=np.int64)
     for j in range(k):
         swapped[:, j, :k - 1] = np.delete(sets, j, axis=1)[owner]
@@ -212,38 +227,96 @@ def _swaps(g: Graph, sets: np.ndarray, local: bool, ranges=None):
     return np.repeat(owner, k), swapped.reshape(-1, k)
 
 
+def _drop_ranks(index: KSetIndex, sets: np.ndarray) -> np.ndarray:
+    """Entry [j, i]: the colex rank of the (k-1)-set that row i of ``sets``
+    leaves without its j-th member, the sum of C(s_l, l + 1) over l < j and
+    of C(s_l, l) over l > j."""
+    chooses = index._chooses.T.copy()    # row j: C(v, j) for every v
+    drops = np.zeros((index.k, len(sets)), dtype=np.int64)
+    for l, column in enumerate(sets.T):
+        drops[l + 1:] += chooses[l + 1][column]
+        drops[:l] += chooses[l][column]
+    return drops
+
+
+def _swap_table(index: KSetIndex, sets: np.ndarray) -> np.ndarray:
+    """Entry [t, v] is the colex rank of the (k-1)-set of rank t plus the
+    vertex v, for every v outside that set (the other entries are 0): a
+    swap of S at position j for v ranks table[drop(S, j), v]
+    (:func:`_drop_ranks`).
+
+    ``sets`` are the index's k-sets in rank order, and the set S of rank r
+    fills [drop(S, j), s_j] = r for each j, so nothing is enumerated
+    twice.  The table has C(n, k - 1) * n entries, about k * C(n, k),
+    int32 while C(n, k) < 2^31.
+    """
+    n, k = index.n, index.k
+    dtype = np.int32 if index.size <= np.iinfo(np.int32).max else np.int64
+    table = np.zeros((comb(n, k - 1), n), dtype=dtype)
+    step = max(1, _BLOCK_ITEMS // k)
+    for start in range(0, len(sets), step):
+        block = sets[start:start + step]
+        ranks = np.arange(start, start + len(block), dtype=dtype)
+        table[_drop_ranks(index, block), block.T] = ranks
+    return table
+
+
 def _neighbor_csr(g: Graph, index: KSetIndex, local: bool, sets: np.ndarray,
                   offsets=None):
-    """CSR of every k-set's local (or global) swap neighbors, in
-    :func:`_swaps` order, whose columns are positions in ``sets``
-    (``index.all_sets()``, so colex ranks).
+    """CSR of every k-set's local (or global) swap neighbors, ordered by
+    owner row, then incoming vertex, then replaced position, whose columns
+    are positions in ``sets`` (``index.all_sets()``, so colex ranks).
 
     Given the vertex ``offsets`` of :func:`stack_graphs`, ``g`` is a stack of
     graphs and ``sets`` their k-sets, stacked graph by graph in rank order:
     every row's swaps stay in its own graph, and a neighbor's column is the
-    first row of its graph plus its colex rank there.  ``index`` is the
-    index of the largest graph (colex ranks do not depend on n).  Columns
-    are int32 when the stack's size fits.
+    first row of its graph plus its colex rank there, one lookup in the
+    :func:`_swap_table` filled from the widest graph's rows.  ``index`` is
+    the index of the widest graph (colex ranks do not depend on n), so the
+    table has C(n_max, k - 1) * n_max entries, about k * C(n_max, k).
+    Local candidates come from :func:`_local_candidates`, global ones are
+    every vertex of the row's graph outside the row.  Columns are int32
+    when the stack's size fits.
     """
     k = index.k
     if offsets is None:
         offsets = np.array([0, g.num_vertices])
     sizes = np.diff(offsets)
     first = np.cumsum([0] + [comb(int(n), k) for n in sizes], dtype=np.int64)
+    widest = int(np.argmax(sizes)) if len(sizes) else 0
+    table = _swap_table(index, sets[first[widest]:first[widest] + index.size]
+                        - offsets[widest]).ravel()
     per_set = k * (k * g.max_degree() if local else int(sizes.max(initial=0)))
     step = max(1, _BLOCK_ITEMS // max(per_set, 1))
     # stack positions mostly fit 32 bits, which halves the CSR
     dtype = np.int32 if len(sets) <= np.iinfo(np.int32).max else np.int64
-    counts, blocks = [], []
-    for block in np.split(sets, range(step, len(sets), step)):
-        graph = np.searchsorted(offsets, block[:, 0], side="right") - 1
-        lo = offsets[graph]
-        owner, rows = _swaps(g, block, local, (lo, offsets[graph + 1]))
-        counts.append(np.bincount(owner, minlength=len(block)))
-        blocks.append((first[graph[owner]] + index.rank_rows(
-            rows - lo[owner, None])).astype(dtype))
+    first = first.astype(dtype)
     indptr = np.zeros(len(sets) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([indptr[:0]] + counts), out=indptr[1:])
+    blocks = []
+    for start in range(0, len(sets), step):
+        block = sets[start:start + step]
+        graph = np.searchsorted(offsets, block[:, 0], side="right") - 1
+        rows = block - offsets[graph, None]
+        if local:
+            owner, vertex = _local_candidates(g, block)
+            vertex -= offsets[graph[owner]]
+        else:
+            size = sizes[graph]
+            owner = np.repeat(np.arange(len(block)), size)
+            vertex = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size,
+                                                       size)
+            outside = _outside(rows, owner, vertex)
+            owner, vertex = owner[outside], vertex[outside]
+        indptr[start + 1:start + 1 + len(block)] = k * np.bincount(
+            owner, minlength=len(block))
+        # the flat table's rows are index.n entries wide
+        drops = _drop_ranks(index, rows) * index.n
+        base = first[graph][owner]
+        columns = np.empty((len(owner), k), dtype=dtype)
+        for j, drop in enumerate(drops):
+            columns[:, j] = table[drop[owner] + vertex] + base
+        blocks.append(columns.ravel())
+    np.cumsum(indptr, out=indptr)
     return indptr, np.concatenate([np.empty(0, dtype)] + blocks)
 
 
@@ -274,7 +347,7 @@ def swap_levels(g: Graph, sets: np.ndarray, radius: int):
     levels, links = [np.asarray(sets, dtype=np.int64)], []
     for _ in range(radius):
         level = levels[-1]
-        owner, rows = _swaps(g, level, local=True)
+        owner, rows = _swaps(g, level)
         wider, where, _ = _unique_rows(np.concatenate([level, rows]))
         indptr = np.zeros(len(level) + 1, dtype=np.int64)
         np.cumsum(np.bincount(owner, minlength=len(level)), out=indptr[1:])

@@ -25,7 +25,8 @@ from ksetwl.errors import ParameterError
 from ksetwl.features import Features
 from ksetwl.graph import Graph
 from ksetwl.interner import LabelInterner
-from ksetwl.kwl import _swaps, iso_keys, swap_levels
+from ksetwl.ksets import KSetIndex
+from ksetwl.kwl import _neighbor_csr, _swaps, iso_keys, swap_levels
 from ksetwl.linalg import discretize, la_step, prime_table
 from ksetwl.pipeline import exact_kset_run
 from ksetwl.sampling import _draw_batch
@@ -244,15 +245,18 @@ def iso_type(g: Graph, t, interner: LabelInterner) -> int:
 
 
 def global_neighbors(g: Graph, t) -> list:
-    """The swaps of one k-set for any outside vertex, in bulk order."""
-    _, rows = _swaps(g, np.asarray([t]), local=False)
-    return list(map(tuple, rows.tolist()))
+    """The swaps of one k-set for any outside vertex, in bulk order: its row
+    of the global neighbor CSR of ``g``."""
+    index = KSetIndex(g.num_vertices, len(t))
+    indptr, indices = _neighbor_csr(g, index, False, index.all_sets())
+    row = indices[indptr[index.rank(t)]:indptr[index.rank(t) + 1]]
+    return list(map(tuple, index.unrank_rows(row).tolist()))
 
 
 def local_neighbors(g: Graph, t) -> list:
     """The swaps of one k-set for a vertex adjacent to a member, in bulk
     order."""
-    _, rows = _swaps(g, np.asarray([t]), local=True)
+    _, rows = _swaps(g, np.asarray([t]))
     return list(map(tuple, rows.tolist()))
 
 

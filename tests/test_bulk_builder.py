@@ -6,19 +6,20 @@ computation of the same quantity over random labeled graphs, including
 graphs with fewer than k vertices and graphs without edges.  The front end
 built once over a stack of graphs is compared with per-graph builds, and
 its iso-type ids with interning one per-set key per k-set.  The lexsort
-row dedupe is compared with ``np.unique(axis=0)``.
+row dedupe is compared with ``np.unique(axis=0)``, and every entry of the
+swap table with the rank of its set.
 """
 
 import tracemalloc
-from itertools import permutations
-from math import factorial
+from itertools import combinations, permutations
+from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ksetwl import KSetIndex, LabelInterner, build_graph, gram_matrix
-from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swaps,
+from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swap_table,
                         _unique_rows, iso_code, iso_keys)
 from ksetwl.pipeline import exact_kset_run, kset_front_end
 
@@ -135,9 +136,34 @@ def test_bulk_csr_equals_per_set_neighbors(g, k, local):
         assert neighbors(g, tuple(t)) == per_set_neighbors(g, tuple(t), local)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(10))
+def test_swap_table_ranks_every_swap(n, k):
+    index = KSetIndex(n, k)
+    table = _swap_table(index, index.all_sets())
+    assert table.shape == (comb(n, k - 1), n) and table.dtype == np.int32
+    # (k-1)-sets in colex order: ascending by reversed tuple
+    smaller = sorted(combinations(range(n), k - 1), key=lambda t: t[::-1])
+    assert len(smaller) == comb(n, k - 1)
+    for t, row in zip(smaller, table.tolist()):
+        for v in range(n):
+            if v not in t:
+                assert row[v] == index.rank(sorted(t + (v,)))
+
+
+# a stack whose widest graph is neither first nor last
+MIDDLE_WIDEST = [build_graph(3, [(0, 1)]),
+                 build_graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)],
+                             node_labels=[0, 1, 0, 1, 2, 0, 1]),
+                 build_graph(5, [(0, 4), (1, 4), (2, 3)])]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(labeled_graphs(), max_size=4), st.integers(1, 4),
        st.booleans())
+@example([], 3, True)
+@example(MIDDLE_WIDEST, 3, True)
+@example(MIDDLE_WIDEST, 3, False)
 def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
     interner = LabelInterner()
     ids, counts, (indptr, indices) = kset_front_end(
@@ -151,13 +177,10 @@ def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
         # every key is interned already, so this window issues no id
         assert ids[a:b].tolist() == interner.intern_window(
             row_keys(g, sets)).tolist()
-        owner, swapped = _swaps(g, sets, local)
-        assert np.array_equal(np.diff(indptr[a:b + 1]),
-                              np.bincount(owner, minlength=len(sets)))
+        expected_ptr, expected_idx = per_set_csr(g, index, local)
+        assert np.array_equal(indptr[a:b + 1] - indptr[a], expected_ptr)
         # columns are stack positions: the graph's first row plus a rank
-        columns = indices[indptr[a]:indptr[b]]
-        assert np.array_equal(columns, a + index.rank_rows(swapped))
-        assert np.all((a <= columns) & (columns < b))
+        assert np.array_equal(indices[indptr[a]:indptr[b]], a + expected_idx)
     assert kset_front_end(graphs, k, local, False, DEFAULT_MAX_SETS,
                           LabelInterner())[2] is None
 
@@ -322,6 +345,32 @@ def test_iso_key_scratch_memory_is_bounded(monkeypatch):
         tracemalloc.stop()
     assert len(index) == len(sets) and len(keys) < 10
     assert peak <= 8 * (5 * len(sets) + 64 * kwl._BLOCK_ITEMS)
+
+
+@pytest.mark.parametrize("local", [True, False])
+def test_neighbor_csr_scratch_memory_is_bounded(monkeypatch, local):
+    # Past the output CSR (its columns twice while the blocks are joined)
+    # and the swap table, _neighbor_csr holds one block's candidates and
+    # columns at a time; one int64 array over the 34,220 3-sets of this
+    # graph would take 274 kB.
+    from ksetwl import kwl
+    rng = np.random.default_rng(1)
+    edges = [(u, v) for u in range(60) for v in range(u + 1, 60)
+             if rng.random() < 0.1]
+    g = build_graph(60, edges)
+    index = KSetIndex(g.num_vertices, 3)
+    sets = index.all_sets()
+    monkeypatch.setattr(kwl, "_BLOCK_ITEMS", 1 << 14)
+    tracemalloc.start()
+    try:
+        indptr, indices = _neighbor_csr(g, index, local, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(indptr) == len(sets) + 1 and indptr[-1] == len(indices)
+    table = comb(60, 2) * 60 * 4
+    assert peak <= (2 * indices.nbytes + indptr.nbytes + table
+                    + 16 * kwl._BLOCK_ITEMS)
 
 
 def test_small_blocks_build_the_same_structures(monkeypatch):

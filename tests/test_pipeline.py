@@ -2,10 +2,11 @@ import pytest
 
 from ksetwl import (KSetIndex, LabelInterner, ParameterError,
                     ResourceLimitError, build_graph, gram_matrix)
+from ksetwl import kwl, pipeline
 from ksetwl.pipeline import (exact_kset_run, features_from_label_arrays,
                              la_kset_run, sampled_dataset_run)
 
-from conftest import label_groups
+from conftest import label_groups, scripts
 from reference import blocks_of, graph_slices
 
 
@@ -121,3 +122,17 @@ def test_exact_runs_cap_the_dataset_total(p4):
         exact_kset_run(graphs, 2, 1, LabelInterner(), max_sets=11)
     with pytest.raises(ResourceLimitError, match="12 2-sets in total"):
         la_kset_run(graphs, 2, 1, max_sets=11)
+
+
+def test_front_end_times_script_times_every_layer(two_triangle_dir, capsys):
+    script = scripts("front_end_times")
+    assert script.main(["--dataset", two_triangle_dir, "--kernel",
+                        "kwl-global", "--k", "2", "--h", "2",
+                        "--repeats", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[1] for line in lines[1:]] == [
+        "iso_keys", "neighbor_csr", "window_1", "window_2", "features",
+        "gram", "total", "csr_entries", "peak_rss_mb"]
+    # three 2-sets per triangle, each with k * (n - k) = 2 global swaps
+    assert lines[-2] == "12  csr_entries"
+    assert pipeline._neighbor_csr is kwl._neighbor_csr
