@@ -36,7 +36,7 @@ SUBSET_STRIDE = 25   # every 25th graph, as in the adaptive benchmark input
 KWL2 = ("--kernel", "kwl-local", "--k", "2", "--h", "3")
 KWL3 = ("--kernel", "kwl-local", "--k", "3", "--h", "3")
 WL1 = ("--kernel", "wl1", "--h", "5")
-SAMPLED = (*KWL2, "--mode", "sampled", "--samples", "300", "--seed", "9")
+SAMPLED = ("--mode", "sampled", "--samples", "300", "--seed", "9")
 RUNS = (
     ("k3-exact.gram", "MUTAG", ("gram", *KWL3)),
     ("k3-exact.features", "MUTAG", ("features", *KWL3)),
@@ -58,11 +58,12 @@ RUNS = (
     ("subset-adaptive-seed5.gram", "MUTAGSUB",
      ("gram", *KWL2, "--mode", "adaptive", "--epsilon", "0.1",
       "--delta", "0.1", "--seed", "5")),
-    ("k2-sampled-seed9.gram", "MUTAG", ("gram", *SAMPLED)),
+    ("k2-sampled-seed9.gram", "MUTAG", ("gram", *KWL2, *SAMPLED)),
     ("k2-sampled-seed9-l1-block.features", "MUTAG",
-     ("features", *SAMPLED, "--normalize", "l1-block")),
+     ("features", *KWL2, *SAMPLED, "--normalize", "l1-block")),
     ("k2-sampled-seed9-l1-full.gram", "MUTAG",
-     ("gram", *SAMPLED, "--normalize", "l1-full")),
+     ("gram", *KWL2, *SAMPLED, "--normalize", "l1-full")),
+    ("k3-sampled-seed9.gram", "MUTAG", ("gram", *KWL3, *SAMPLED)),
     ("k2-exact-messy.features", "MUTAGMESSY", ("features", *KWL2)),
 )
 

@@ -50,6 +50,9 @@ PINNED = [
     ("1f06f509690347ab98e79f0842b0c5a89be4aa044c7a615f74600cdfed431913",
      "k2-sampled-seed9-l1-full.gram"),
     ("56400", "k2-sampled-seed9-l1-full.gram.samples"),
+    ("a61d8e9b0180edfb892d8bfeba6730bc087c9a5d0e95b1ab99d712359bfacd89",
+     "k3-sampled-seed9.gram"),
+    ("56400", "k3-sampled-seed9.gram.samples"),
     ("9bd951c969d9cf427d4ec59f28b8c9300438b135011fe1b52a7c4b07ce088b23",
      "k2-exact-messy.features"),
 ]
