@@ -100,21 +100,21 @@ def iso_key_batch(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
 
 
 def refine_coloring_window(indptr: np.ndarray, indices: np.ndarray,
-                           labels: np.ndarray, interner: LabelInterner,
-                           own: np.ndarray | None = None) -> np.ndarray:
+                           labels: np.ndarray,
+                           interner: LabelInterner) -> np.ndarray:
     """One refinement step over every row of a CSR adjacency structure,
     under one intern window: the new label of each row.
 
-    Row i's key is the big-endian 32-bit words of its own label and the
-    ascending multiset of labels over its (out-)neighbors.  Own labels are
-    ``labels`` itself, or ``labels[own]`` when rows and columns index
-    different item lists.  Labels must be ids below ``_ID_CAP``.  Keys are
-    built in row blocks of at most ``_KEY_BLOCK_ENTRIES`` neighbor entries
-    (or one row) and streamed to the interner.
+    Rows and columns index one item list labeled by ``labels``, whose
+    first items are the rows.  Row i's key is the big-endian 32-bit words
+    of its own label ``labels[i]`` and the ascending multiset of labels
+    over its (out-)neighbors.  Labels must be ids below ``_ID_CAP``.  Keys
+    are built in row blocks of at most ``_KEY_BLOCK_ENTRIES`` neighbor
+    entries (or one row) and streamed to the interner.
     """
     n = len(indptr) - 1
-    if len(labels if own is None else own) != n:
-        raise ParameterError("label vector length does not match adjacency")
+    if len(labels) < n:
+        raise ParameterError("label vector is shorter than the adjacency")
     if len(labels) and not 0 <= labels.min() <= labels.max() < _ID_CAP:
         raise ParameterError("labels must be ids in [0, 2^31)")
     span = int(labels.max()) + 1 if len(labels) else 1
@@ -134,7 +134,7 @@ def refine_coloring_window(indptr: np.ndarray, indices: np.ndarray,
             neigh = np.sort(rows * span + labels[indices[lo:hi]]) - rows * span
             starts = np.arange(b - a, dtype=np.int64) + (indptr[a:b] - lo)
             words = np.empty(b - a + hi - lo, dtype=">u4")
-            words[starts] = labels[a:b] if own is None else labels[own[a:b]]
+            words[starts] = labels[a:b]
             words[np.arange(hi - lo) + rows + 1] = neigh
             yield from _ragged_words(words, starts)
             a = b

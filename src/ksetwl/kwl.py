@@ -24,8 +24,8 @@ vertices, about k * C(n_max, k), int32 while C(n_max, k) < 2^31, so the
 ``--max-sets`` check that precedes every allocation bounds it too.  Both
 are processed in bounded blocks of sets, and both run once over a whole
 dataset stacked by :func:`stack_graphs`.
-:func:`swap_levels` expands a few sets into their radius-h swap levels on
-the full graph, which is all the sampling path needs.
+:func:`swap_levels` gives the sampling path the sets within h local swaps
+of a few sets, those within j swaps first, and the CSR of their swaps.
 """
 
 from __future__ import annotations
@@ -209,24 +209,6 @@ def _outside(sets: np.ndarray, owner: np.ndarray, vertex: np.ndarray):
     return outside
 
 
-def _swaps(g: Graph, sets: np.ndarray):
-    """Every local swap of every row of ``sets``: the owner row and the new
-    set (ascending), ordered by owner, then incoming vertex, then the
-    replaced position."""
-    owner, vertex = _local_candidates(g, sets)
-    k = sets.shape[1]
-    swapped = np.empty((len(owner), k, k), dtype=np.int64)
-    for j in range(k):
-        swapped[:, j, :k - 1] = np.delete(sets, j, axis=1)[owner]
-        swapped[:, j, k - 1] = vertex
-    # the first k - 1 columns ascend: bubble the incoming vertex into place
-    for c in range(k - 2, -1, -1):
-        left, right = swapped[:, :, c], swapped[:, :, c + 1]
-        swapped[:, :, c], swapped[:, :, c + 1] = (np.minimum(left, right),
-                                                  np.maximum(left, right))
-    return np.repeat(owner, k), swapped.reshape(-1, k)
-
-
 def _drop_ranks(index: KSetIndex, sets: np.ndarray) -> np.ndarray:
     """Entry [j, i]: the colex rank of the (k-1)-set that row i of ``sets``
     leaves without its j-th member, the sum of C(s_l, l + 1) over l < j and
@@ -336,21 +318,37 @@ def _unique_rows(a: np.ndarray):
 
 
 def swap_levels(g: Graph, sets: np.ndarray, radius: int):
-    """Breadth-first expansion of ``sets`` over local swaps.
-
-    Level 0 is ``sets``; level j+1 holds level j and every local swap of its
-    rows, deduplicated into ascending row order.  Returns the levels and,
-    for each level j < ``radius``, a triple locating its rows in level j+1:
-    each row's own position, and a CSR (indptr, positions) of its swaps in
-    :func:`_swaps` order.  The k-set graph is never materialized.
+    """Breadth-first expansion of the distinct rows of ``sets`` over local
+    swaps: the sets within ``radius`` swaps as one array ``rows``, whose
+    first ``sizes[j]`` are those within j swaps (``sets`` first, in order),
+    and the CSR (indptr, indices) of the swaps of its first
+    ``sizes[radius - 1]`` rows, each row ordered as in :func:`_neighbor_csr`
+    and with positions in ``rows`` as columns.  Each level swaps only its
+    new rows and appends the sets they reach anew, ascending.
     """
-    levels, links = [np.asarray(sets, dtype=np.int64)], []
+    rows = np.asarray(sets, dtype=np.int64)
+    k, sizes = rows.shape[1], [len(rows)]
+    indptr, indices = np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
     for _ in range(radius):
-        level = levels[-1]
-        owner, rows = _swaps(g, level)
-        wider, where, _ = _unique_rows(np.concatenate([level, rows]))
-        indptr = np.zeros(len(level) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=len(level)), out=indptr[1:])
-        links.append((where[:len(level)], indptr, where[len(level):]))
-        levels.append(wider)
-    return levels, links
+        new = rows[len(indptr) - 1:]   # the rows not yet expanded
+        owner, vertex = _local_candidates(g, new)
+        swapped = np.empty((k * len(owner), k), dtype=np.int64)
+        for j in range(k):   # row k * e + j: swap e replacing member j
+            swapped[j::k, :k - 1] = np.delete(new, j, axis=1)[owner]
+            swapped[j::k, k - 1] = vertex
+        # the first k - 1 columns ascend: bubble the incoming vertex into place
+        for c in range(k - 2, -1, -1):
+            left, right = swapped[:, c], swapped[:, c + 1]
+            swapped[:, c], swapped[:, c + 1] = (np.minimum(left, right),
+                                                np.maximum(left, right))
+        distinct, inverse, _ = _unique_rows(np.concatenate([rows, swapped]))
+        position = np.full(len(distinct), -1)
+        position[inverse[:len(rows)]] = np.arange(len(rows))
+        fresh = position < 0
+        position[fresh] = np.arange(len(rows), len(distinct))
+        degrees = k * np.bincount(owner, minlength=len(new))
+        indptr = np.concatenate([indptr, indptr[-1] + np.cumsum(degrees)])
+        indices = np.concatenate([indices, position[inverse[len(rows):]]])
+        rows = np.concatenate([rows, distinct[fresh]])
+        sizes.append(len(rows))
+    return rows, sizes, indptr, indices

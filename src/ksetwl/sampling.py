@@ -8,13 +8,13 @@ below the requested error.  Both fill one label-count array per iteration.
 
 Both rely on locality: the label a k-set receives after i iterations
 depends only on the sets within i local swaps of it.  A batch of samples is
-labeled on the full graph from its radius-h swap levels (see
-:func:`ksetwl.kwl.swap_levels`): iso types over the widest level, then one
-refinement step per narrower level, the step exact runs take
-(:func:`ksetwl.interner.refine_coloring_window`).  Every key is one the
-exact run of the same graph also makes, so a shared interner gives samples
-the exact run's label ids.  Labeling one sample costs a
-function of degree bound, k, and h only, independent of graph size.
+labeled on the full graph from the sets within h swaps of it, those within
+j swaps first, and their swap CSR (:func:`ksetwl.kwl.swap_levels`): iso
+types over all of them, then refinement steps over ever shorter prefixes,
+the step exact runs take (:func:`ksetwl.interner.refine_coloring_window`).
+Every key is one the exact run of the same graph also makes, so a shared
+interner gives samples the exact run's label ids.  Labeling one sample
+costs a function of degree bound, k, and h only, independent of graph size.
 """
 
 from __future__ import annotations
@@ -102,29 +102,25 @@ def _draw_batch(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarr
 
 def _label_sets(g: Graph, sets: np.ndarray, h: int,
                 interner: LabelInterner) -> np.ndarray:
-    """Labels of the rows of ``sets`` for iterations 0..h, one row each:
-    iteration 0 interns the iso types of the widest swap level, iteration i
-    refines level h - i by its rows' own and swap positions in level h-i+1.
-    """
-    levels, links = swap_levels(g, sets, h)
-    where = [np.arange(len(sets))]   # each row's position in every level
-    for own, _, _ in links:
-        where.append(own[where[-1]])
-    keys, types = iso_keys(g, levels[h])
+    """Labels of the distinct rows of ``sets`` for iterations 0..h, one row
+    each: iteration 0 interns the iso types of the sets within h swaps
+    (:func:`ksetwl.kwl.swap_levels`), iteration i refines the prefix of
+    them and of their swap CSR that holds the sets within h - i swaps."""
+    rows, sizes, indptr, indices = swap_levels(g, sets, h)
+    keys, types = iso_keys(g, rows)
     labels = interner.intern_window(keys)[types]
-    out = [labels[where[h]]]
-    for i in range(1, h + 1):
-        own, indptr, neighbors = links[h - i]
-        labels = refine_coloring_window(indptr, neighbors, labels, interner,
-                                        own)
-        out.append(labels[where[h - i]])
+    out = [labels[:len(sets)]]
+    for m in reversed(sizes[:-1]):
+        labels = refine_coloring_window(indptr[:m + 1], indices[:indptr[m]],
+                                        labels, interner)
+        out.append(labels[:len(sets)])
     return np.stack(out, axis=1)
 
 
 def local_labels(g: Graph, s, k: int, h: int,
                  interner: LabelInterner) -> tuple:
-    """Labels of the k-set ``s`` for iterations 0..h from its radius-h swap
-    levels on the full graph: the full run's keys, so its ids under a
+    """Labels of the k-set ``s`` for iterations 0..h from the sets within h
+    swaps of it on the full graph: the full run's keys, so its ids under a
     shared interner and its partition under any other."""
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
@@ -253,8 +249,8 @@ def _sample(g: Graph, k: int, h: int, rng, interner: LabelInterner, cache,
             delta: float = 0.0) -> SampledEstimate:
     """Draw ``batches`` in turn into one :class:`RademacherState`: only the
     first without ``epsilon``; with it, until the deviation bound at
-    delta * 2^-(i+1) after round i is at most ``epsilon``.  A batch beyond
-    ``max_total_samples`` in total is refused before it is drawn."""
+    delta * 2^-(i+1) after round i is at most ``epsilon``.  A round whose
+    delta is 0.0, or beyond ``max_total_samples`` in total, is refused."""
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
     check_order(k)
@@ -264,19 +260,24 @@ def _sample(g: Graph, k: int, h: int, rng, interner: LabelInterner, cache,
     labeler = _SampleLabeler(g, k, h, interner,
                              {} if cache is None else cache)
     state = RademacherState(iterations=h)
-    rounds = []
+    rounds, bound = [], math.inf
     for i, batch in enumerate(batches):
+        round_delta = delta * 2.0 ** -(i + 1)
+        if epsilon is not None and round_delta == 0.0:
+            raise ResourceLimitError(
+                f"adaptive sampling ran out of rounds: delta * 2^-{i + 1} is "
+                f"0.0 (drawn {state.m} samples in {i} rounds, last bound "
+                f"{bound:.6g}, target epsilon {epsilon}); raise the growth "
+                f"factor or epsilon")
         if state.m + batch > max_total_samples:   # fixed counts pass here
             raise ResourceLimitError(
                 f"adaptive sampling would exceed {max_total_samples} samples "
-                f"(drawn {state.m}, last bound "
-                f"{rounds[-1]['bound'] if rounds else float('inf'):.6g}, "
-                f"target epsilon {epsilon}); raise the cap or epsilon")
+                f"(drawn {state.m}, last bound {bound:.6g}, target epsilon "
+                f"{epsilon}); raise the cap or epsilon")
         sets, counts = labeler.draw_counts(batch, rng)
         state.observe(labeler.labels_for(sets), counts)
         if epsilon is None:
             break
-        round_delta = delta * 2.0 ** -(i + 1)
         bound = massart_deviation_bound(state, round_delta)
         rounds.append({"round": i, "batch": batch, "total": state.m,
                        "delta": round_delta, "bound": bound})

@@ -26,7 +26,7 @@ from ksetwl.features import Features
 from ksetwl.graph import Graph
 from ksetwl.interner import LabelInterner
 from ksetwl.ksets import KSetIndex
-from ksetwl.kwl import _neighbor_csr, _swaps, iso_keys, swap_levels
+from ksetwl.kwl import _neighbor_csr, iso_keys, swap_levels
 from ksetwl.linalg import discretize, la_step, prime_table
 from ksetwl.pipeline import exact_kset_run
 from ksetwl.sampling import _draw_batch
@@ -255,15 +255,15 @@ def global_neighbors(g: Graph, t) -> list:
 
 def local_neighbors(g: Graph, t) -> list:
     """The swaps of one k-set for a vertex adjacent to a member, in bulk
-    order."""
-    _, rows = _swaps(g, np.asarray([t]))
-    return list(map(tuple, rows.tolist()))
+    order: the one row of its radius-1 swap CSR."""
+    rows, _, _, indices = swap_levels(g, np.asarray([t]), 1)
+    return list(map(tuple, rows[indices].tolist()))
 
 
 def c_neighborhood(g: Graph, t, radius: int) -> set:
-    """The k-sets within ``radius`` local swaps of ``t``: the widest of its
+    """The k-sets within ``radius`` local swaps of ``t``: the rows of its
     swap levels."""
-    return set(map(tuple, swap_levels(g, np.asarray([t]), radius)[0][-1]
+    return set(map(tuple, swap_levels(g, np.asarray([t]), radius)[0]
                    .tolist()))
 
 

@@ -6,8 +6,9 @@ computation of the same quantity over random labeled graphs, including
 graphs with fewer than k vertices and graphs without edges.  The front end
 built once over a stack of graphs is compared with per-graph builds, and
 its iso-type ids with interning one per-set key per k-set.  The lexsort
-row dedupe is compared with ``np.unique(axis=0)``, and every entry of the
-swap table with the rank of its set.
+row dedupe is compared with ``np.unique(axis=0)``, every entry of the
+swap table with the rank of its set, and the sampler's swap levels with a
+breadth-first search over naive swaps and with rows of the front end's CSR.
 """
 
 import tracemalloc
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ksetwl import KSetIndex, LabelInterner, build_graph, gram_matrix
 from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swap_table,
-                        _unique_rows, iso_code, iso_keys)
+                        _unique_rows, iso_code, iso_keys, swap_levels)
 from ksetwl.pipeline import exact_kset_run, kset_front_end
 
 from conftest import label_groups
@@ -149,6 +150,34 @@ def test_swap_table_ranks_every_swap(n, k):
         for v in range(n):
             if v not in t:
                 assert row[v] == index.rank(sorted(t + (v,)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(labeled_graphs(), st.integers(1, 4), st.integers(0, 3), st.data())
+def test_swap_levels_are_breadth_first_closures(g, k, radius, data):
+    index = KSetIndex(g.num_vertices, k)
+    every = index.all_sets()
+    order = data.draw(st.permutations(range(len(every))))
+    sets = every[order[:data.draw(st.integers(0, min(4, len(every))))]]
+    rows, sizes, indptr, indices = swap_levels(g, sets, radius)
+    assert np.array_equal(rows[:len(sets)], sets)
+    assert len(sizes) == radius + 1 and sizes[-1] == len(rows)
+    edges = ref.edge_pairs(g)
+    closure = frontier = set(map(frozenset, sets.tolist()))
+    for size in sizes:
+        within = list(map(frozenset, rows[:size].tolist()))
+        assert len(set(within)) == size and set(within) == closure
+        frontier = {t for s in frontier
+                    for t in ref.naive_local_neighbors(g, s, edges)} - closure
+        closure = closure | frontier
+    # each expanded row's swaps, in the order of its front-end CSR row
+    expanded = sizes[-2] if radius else 0
+    assert len(indptr) == expanded + 1 and indptr[-1] == len(indices)
+    csr_ptr, csr_idx = _neighbor_csr(g, index, True, every)
+    for r, t in enumerate(rows[:expanded].tolist()):
+        rank = index.rank(t)
+        want = every[csr_idx[csr_ptr[rank]:csr_ptr[rank + 1]]]
+        assert np.array_equal(rows[indices[indptr[r]:indptr[r + 1]]], want)
 
 
 # a stack whose widest graph is neither first nor last

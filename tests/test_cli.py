@@ -249,6 +249,18 @@ def test_adaptive_batch_beyond_the_cap_exits_3(two_triangle_dir, tmp_path,
     assert code == 3 and "adaptive sampling would exceed" in err
 
 
+def test_adaptive_schedule_running_out_of_rounds_exits_3(tmp_path, capsys):
+    # round i tests its bound at 0.1 * 2^-(i+1), which is 0.0 from round 1071
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local",
+        "--k", "2", "--h", "1", "--mode", "adaptive", "--initial-samples",
+        "50", "--growth", "1.001", "--output", str(tmp_path / "g.txt"))
+    assert code == 3 and "got 0.0" not in err
+    assert ("adaptive sampling ran out of rounds: delta * 2^-1072 is 0.0 "
+            "(drawn 95837 samples in 1071 rounds, last bound " in err)
+    assert "raise the growth factor or epsilon" in err
+
+
 @pytest.mark.parametrize("count", [["--gamma", "100000000000000000000"],
                                    ["--samples", "10000001"]])
 def test_fixed_sampling_beyond_the_cap_exits_3(two_triangle_dir, tmp_path,

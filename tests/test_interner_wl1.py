@@ -64,6 +64,17 @@ def test_key_batch_matches_per_row_keys():
         refine_key(7, (3, 9)), refine_key(3, ()), refine_key(9, (3, 7, 9))]
 
 
+def test_key_batch_rows_are_a_prefix_of_the_labeled_items():
+    # two rows over three labeled items: own labels are labels[:2]
+    indptr = np.array([0, 2, 3])
+    indices = np.array([2, 1, 2])
+    labels = np.array([7, 3, 9])
+    assert refinement_keys(indptr, indices, labels) == [
+        refine_key(7, (3, 9)), refine_key(3, (9,))]
+    with pytest.raises(ParameterError, match="shorter than the adjacency"):
+        refine_coloring_window(indptr, indices, labels[:1], LabelInterner())
+
+
 def test_key_batch_rejects_labels_past_the_sort_key_range():
     with pytest.raises(ParameterError):
         refine_coloring_window(np.array([0, 1, 2]), np.array([1, 0]),

@@ -10,7 +10,7 @@ from ksetwl import (KSetIndex, LabelInterner, ParameterError,
                     estimate_features_adaptive, estimate_features_fixed,
                     exact_kset_run, hoeffding_sample_size,
                     hoeffding_sample_size_dataset, local_labels, make_rng,
-                    massart_deviation_bound)
+                    massart_deviation_bound, observed_label_count)
 from ksetwl.sampling import _draw_batch, _rademacher_bound, _SampleLabeler
 
 from conftest import random_graph
@@ -333,6 +333,17 @@ def test_fixed_estimate_l1_accuracy_on_benchmark_graph(mutag):
     assert l1 <= 0.1
 
 
+@pytest.mark.parametrize("h", [0, 3])
+def test_observed_label_count_is_an_exact_runs_label_space(mutag, h):
+    # a fresh interner issues consecutive ids and no id at two iterations,
+    # so the distinct (iteration, label) pairs are the manifest's
+    # label_space at h
+    interner = LabelInterner()
+    labels, _ = exact_kset_run(mutag.graphs, 2, h, interner)
+    count = observed_label_count(labels)
+    assert count == int(labels[-1].max()) + 1 == len(interner)
+
+
 def test_massart_bound_frozen_example():
     state = state_of([[10], [11], [12]], [2, 1, 1])
     assert state.m == 4 and state.counts[0][10:].tolist() == [2, 1, 1]
@@ -467,6 +478,20 @@ def test_adaptive_sample_cap(tri):
     with pytest.raises(ResourceLimitError):
         estimate_features_adaptive(tri, 2, 1, 0.001, 0.1, make_rng(0),
                                    LabelInterner(), max_total_samples=1000)
+
+
+def test_adaptive_rounds_stop_before_their_delta_underflows(tri):
+    # 1e-300 * 2^-(i+1) is 0.0 from round 78; epsilon is out of reach
+    with pytest.raises(ResourceLimitError) as info:
+        estimate_features_adaptive(tri, 2, 1, 0.01, 1e-300, make_rng(0),
+                                   LabelInterner(), initial_size=1,
+                                   growth=1.001)
+    message = str(info.value)
+    assert message.startswith("adaptive sampling ran out of rounds: delta * "
+                              "2^-79 is 0.0 (drawn 78 samples in 78 rounds, "
+                              "last bound ")
+    assert message.endswith("target epsilon 0.01); raise the growth factor "
+                            "or epsilon")
 
 
 def test_adaptive_rounds_split_delta_geometrically(tri):
