@@ -53,6 +53,9 @@ RUNS = (
       "--mode", "linalg")),
     ("k3-global.gram", "MUTAG",
      ("gram", "--kernel", "kwl-global", "--k", "3", "--h", "3")),
+    ("k3-global-linalg.gram", "MUTAG",
+     ("gram", "--kernel", "kwl-global", "--k", "3", "--h", "3",
+      "--mode", "linalg")),
     ("k2-exact.features", "MUTAG", ("features", *KWL2)),
     ("k2-l1-block.gram", "MUTAG", ("gram", *KWL2, "--normalize", "l1-block")),
     ("subset-adaptive-seed5.gram", "MUTAGSUB",

@@ -14,7 +14,7 @@ from .features import (Features, cosine_normalize_gram, gram_matrix,
 from .graph import Dataset, Graph, build_graph
 from .interner import LabelInterner
 from .ksets import KSetIndex
-from .linalg import discretize, la_step, prime_table
+from .linalg import la_step
 from .pipeline import exact_kset_run, la_kset_run
 from .sampling import (SampledEstimate, estimate_features_adaptive,
                        estimate_features_fixed, hoeffding_sample_size,

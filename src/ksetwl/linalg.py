@@ -1,15 +1,20 @@
-"""Refinement via sparse matrix-vector products over prime logarithms.
+"""Refinement via sparse sums of 64-bit label words.
 
-Each distinct label is mapped to a prime; an item's next value is the log of
-its own prime plus the summed logs over its (out-)neighbors.  Regrouping the
-real values recovers the refined partition.  The same step applies to vertex
-adjacency (1-WL) and to the directed k-set graph (local k-set refinement).
+Each label id i is mapped to a fixed word H(i) = splitmix64(i), and to a
+second word H'(i) = splitmix64(i + 2^32) for an item's own label.  An
+item's next value is H'(own) plus the sum of H over its (out-)neighbors in
+``uint64``, which wraps mod 2^64, so sums are exact and do not depend on
+the order of a row.  Regrouping equal values with one ``np.unique``
+recovers the refined partition.  The same step applies to vertex
+adjacency (1-WL) and to the directed k-set graph (local and global k-set
+refinement).
 
-Because own and neighbor contributions commute inside the sum, regrouping on
-the value alone can merge classes that multiset refinement keeps apart (a
-labeled edge x--y gives both endpoints the value log x + log y).  Values
-are therefore regrouped on (own label, value), which restores exact
-equivalence.
+Ids are below 2^31, so no id's own word is a neighbor word (splitmix64 is
+a bijection), and the own label needs no separate sort key: a labeled
+edge x--y gives its endpoints H'(x) + H(y) and H'(y) + H(x).  Two items
+with different own labels or neighbor multisets get the same value only
+when the difference of their words cancels mod 2^64; README states that
+heuristic rate.
 """
 
 from __future__ import annotations
@@ -17,81 +22,39 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-
-DEFAULT_TOLERANCE = 1e-9
-
-_prime_cache = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
+from .interner import _ID_CAP
 
 
-def prime_table(n: int) -> np.ndarray:
-    """The first n primes, ascending; the backing table only ever grows."""
-    global _prime_cache
-    if n < 1:
-        raise ParameterError("need at least one prime")
-    # n-th prime is below n (ln n + ln ln n) for n >= 6; double the sieve
-    # bound until it yields enough.
-    bound = max(32, int(n * (np.log(n) + np.log(max(np.log(n), 2))) * 1.2))
-    while len(_prime_cache) < n:
-        sieve = np.ones(bound + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, int(bound ** 0.5) + 1):
-            if sieve[p]:
-                sieve[p * p::p] = False
-        found = np.flatnonzero(sieve).astype(np.int64)
-        if len(found) >= n:
-            _prime_cache = found
-        bound *= 2
-    return _prime_cache[:n]
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of each entry of the nonnegative integer array ``x``:
+    its first output from state x, in wrapping ``uint64`` arithmetic."""
+    z = np.asarray(x, dtype=np.uint64) + 0x9E3779B97F4A7C15
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
 
 
 def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-row sums of an already-gathered value array (CSR layout).
-
-    Sums stay local to each row (reduceat over nonempty segments), keeping
-    rounding error at row scale: a prefix-sum/difference formulation would
-    accumulate error with the total entry count and could split value groups
-    that the tolerance must keep together.  Deterministic for fixed input.
-    """
-    out = np.zeros(len(indptr) - 1, dtype=np.float64)
-    if len(values) == 0:
-        return out
+    """Per-row sums of an already-gathered ``uint64`` array (CSR layout),
+    mod 2^64; an empty row sums to 0."""
+    out = np.zeros(len(indptr) - 1, dtype=np.uint64)
     nonempty = np.flatnonzero(np.diff(indptr) > 0)
     if len(nonempty):
         out[nonempty] = np.add.reduceat(values, indptr[nonempty])
     return out
 
 
-def la_step(indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray,
-            primes: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
-    """One refinement step: value_i = log p(c_i) + sum of neighbor log p(c_j).
+def la_step(indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray):
+    """One refinement step: value_i = H'(c_i) + sum of neighbor H(c_j).
 
-    ``labels`` must be dense ids indexing ``primes``.  Returns the raw value
-    vector and the dense labels regrouped on (own label, value), ascending.
+    ``labels`` are ids below 2^31.  Returns the ``uint64`` value vector and
+    the dense labels of its distinct values, ascending.
     """
     if len(labels) != len(indptr) - 1:
         raise ParameterError("label vector length does not match adjacency")
-    logp = np.log(primes.astype(np.float64))[labels]
-    values = logp + _row_sums(indptr, logp[indices])
-    return values, discretize(values, labels, tolerance)
-
-
-def discretize(values: np.ndarray, own_labels: np.ndarray,
-               tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Group near-equal values into dense ids, ascending by sort order.
-
-    The sort key is (own label, value); consecutive sorted values within
-    ``tolerance`` of each other share a group, and a group never crosses
-    an own-label boundary.
-    """
-    if tolerance <= 0:
-        raise ParameterError("tolerance must be positive")
-    n = len(values)
-    out = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return out
-    order = np.lexsort((values, own_labels))
-    breaks = ((np.diff(values[order]) > tolerance)
-              | (np.diff(own_labels[order]) != 0))
-    group_ids = np.concatenate([[0], np.cumsum(breaks)])
-    out[order] = group_ids
-    return out
+    if len(labels) and not 0 <= labels.min() <= labels.max() < _ID_CAP:
+        raise ParameterError(f"labels must be ids in [0, {_ID_CAP})")
+    own = np.asarray(labels, dtype=np.uint64) + (1 << 32)
+    values = (splitmix64(own)
+              + _row_sums(indptr, splitmix64(labels)[indices]))
+    return values, np.unique(values, return_inverse=True)[1]

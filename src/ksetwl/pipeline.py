@@ -22,7 +22,7 @@ from .features import Features
 from .interner import LabelInterner, refine_coloring_window
 from .ksets import KSetIndex, check_order
 from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs
-from .linalg import la_step, prime_table
+from .linalg import la_step
 from .sampling import (DEFAULT_MAX_TOTAL_SAMPLES, estimate_features_adaptive,
                        estimate_features_fixed)
 
@@ -88,9 +88,10 @@ def la_kset_run(graphs, k: int, h: int, local: bool = True,
 
     Iteration 0 labels are isomorphism-type codes compressed jointly across
     the dataset; each later iteration is one :func:`ksetwl.linalg.la_step`
-    over the stacked k-set graph of all graphs, whose regrouped labels are
-    dense.  Returns what :func:`exact_kset_run` returns.  At k = 1 with
-    local swaps this is 1-WL.
+    over the stacked k-set graph of all graphs: wrapping 64-bit sums of
+    label words, numbered densely in ascending value order by one
+    ``np.unique``.  Returns what :func:`exact_kset_run` returns.  At k = 1
+    with local swaps this is 1-WL.
     """
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
@@ -100,8 +101,7 @@ def la_kset_run(graphs, k: int, h: int, local: bool = True,
                                       LabelInterner())
     labels = [ids]
     for _ in range(h):
-        primes = prime_table(int(labels[-1].max(initial=0)) + 1)
-        labels.append(la_step(*csr, labels[-1], primes)[1])
+        labels.append(la_step(*csr, labels[-1])[1])
     return labels, counts
 
 

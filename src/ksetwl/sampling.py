@@ -187,8 +187,10 @@ def massart_deviation_bound(state: RademacherState, delta: float) -> float:
     if state.m < 1:
         raise ParameterError("the deviation bound needs at least one sample")
     counts = np.concatenate([c[c > 0] for c in state.counts])
+    # ln 2 - ln delta stays finite where 2 / delta overflows (delta < 1e-308)
     return (2.0 * _rademacher_bound(counts, state.m)
-            + 3.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * state.m)))
+            + 3.0 * math.sqrt((math.log(2.0) - math.log(delta))
+                              / (2.0 * state.m)))
 
 
 @dataclass

@@ -27,7 +27,7 @@ from ksetwl.graph import Graph
 from ksetwl.interner import LabelInterner
 from ksetwl.ksets import KSetIndex
 from ksetwl.kwl import _neighbor_csr, iso_keys, swap_levels
-from ksetwl.linalg import discretize, la_step, prime_table
+from ksetwl.linalg import _row_sums, splitmix64
 from ksetwl.pipeline import exact_kset_run
 from ksetwl.sampling import _draw_batch
 
@@ -310,17 +310,18 @@ def distinguishable(g1: Graph, g2: Graph, h: int) -> bool:
                for it in labels)
 
 
-def paper_sum_step(indptr, indices, labels, primes):
-    """One linear-algebra step regrouped on the bare value sum, without the
-    own label: the value vector and its groups."""
-    values, _ = la_step(indptr, indices, labels, primes)
-    return values, discretize(values, np.zeros(len(values), dtype=np.int64))
+def paper_sum_step(indptr, indices, labels):
+    """One linear-algebra step on the bare word sum H(own) + sum of
+    neighbor H, without the own label's separate word: the value vector
+    and the dense labels of its distinct values."""
+    words = splitmix64(labels)
+    values = words + _row_sums(indptr, words[indices])
+    return values, np.unique(values, return_inverse=True)[1]
 
 
 def paper_sum_refinement(indptr, indices, initial_labels, h: int) -> list:
     """h bare-sum steps from the dense form of ``initial_labels``."""
     out = [np.unique(initial_labels, return_inverse=True)[1].reshape(-1)]
     for _ in range(h):
-        primes = prime_table(int(out[-1].max()) + 1)
-        out.append(paper_sum_step(indptr, indices, out[-1], primes)[1])
+        out.append(paper_sum_step(indptr, indices, out[-1])[1])
     return out

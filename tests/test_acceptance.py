@@ -222,10 +222,6 @@ def test_c07_linear_algebra_equivalence(mutag):
            f"(1-WL h=5, local 2-set h=3): {mismatches} mismatches")
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "linalg regroups log-prime sums under an absolute tolerance of 1e-9, "
-    "and on MUTAG distinct global 3-set multisets sum within 9.2e-10 to "
-    "9.9e-10 of each other"))
 def test_c07_linalg_global_k3_partitions_on_mutag(mutag):
     # the partitions of all 185,200 stacked 3-sets agree at an iteration iff
     # each labeling has as many classes as the pairs of both labels

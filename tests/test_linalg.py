@@ -1,69 +1,101 @@
+"""Linear-algebra refinement: the splitmix64 label words, the wrapping
+word-sum step and its partitions against hash refinement."""
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ksetwl import (LabelInterner, build_graph, discretize, exact_kset_run,
-                    la_kset_run, la_step, prime_table)
+from ksetwl import (LabelInterner, ParameterError, build_graph,
+                    exact_kset_run, la_kset_run, la_step)
 from ksetwl.kwl import node_words
+from ksetwl.linalg import splitmix64
 
 from conftest import label_groups, local_kset_csr, random_graph
 from reference import (local_neighbors, paper_sum_refinement, paper_sum_step,
                        wl1_colorings)
 
-LOG2 = 0.6931471805599453
+MASK = (1 << 64) - 1
+OWN = 1 << 32
 
 
-def test_first_primes():
-    assert prime_table(5).tolist() == [2, 3, 5, 7, 11]
-    assert prime_table(1).tolist() == [2]
+def H(i: int) -> int:
+    """splitmix64 in Python integers, masked to 64 bits."""
+    z = (i + 0x9E3779B97F4A7C15) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
 
 
-def test_prime_prefix_stable_under_growth():
-    small = prime_table(10).copy()
-    big = prime_table(1000)
-    assert np.array_equal(big[:10], small)
-    assert len(big) == 1000
+def own_word(i: int) -> int:
+    return H(i + OWN)
+
+
+def test_label_words_known_answers():
+    # linalg label ids follow these words: pin H(0), H(1) and H'(0)
+    words = splitmix64(np.array([0, 1, OWN], dtype=np.int64))
+    assert words.dtype == np.uint64
+    assert [int(w) for w in words] == [
+        0xE220A8397B1DCDAF, 0x910A2DEC89025CC1, 0xC42C5A1AA3820138]
+    ids = [0, 1, 2, 1000, (1 << 31) - 1, OWN, OWN + 5]
+    assert [int(w) for w in splitmix64(np.array(ids))] == list(map(H, ids))
 
 
 def test_la_step_on_uniform_path(p3):
     labels = np.zeros(3, dtype=np.int64)
-    values, regrouped = la_step(p3.indptr, p3.indices, labels, prime_table(1))
-    assert values == pytest.approx([2 * LOG2, 3 * LOG2, 2 * LOG2])
+    values, regrouped = la_step(p3.indptr, p3.indices, labels)
+    assert [int(v) for v in values] == [
+        (own_word(0) + k * H(0)) & MASK for k in (1, 2, 1)]
     assert regrouped[0] == regrouped[2] != regrouped[1]
 
 
 def test_la_step_isolated_vertex():
     g = build_graph(2, [])
     labels = np.array([0, 1], dtype=np.int64)
-    values, _ = la_step(g.indptr, g.indices, labels, prime_table(2))
-    assert values == pytest.approx([np.log(2), np.log(3)])
+    values, _ = la_step(g.indptr, g.indices, labels)
+    assert [int(v) for v in values] == [own_word(0), own_word(1)]
 
 
 def test_paper_mode_merges_symmetric_sum():
-    # labeled edge x--y: both endpoints receive log x + log y; the bare sum
-    # cannot see which endpoint is which, the paired key can
+    # labeled edge x--y: the bare sum gives both endpoints H(x) + H(y) and
+    # cannot see which endpoint is which; the own label's word can
     g = build_graph(2, [(0, 1)])
     labels = np.array([0, 1], dtype=np.int64)
-    primes = prime_table(2)
-    values, merged = paper_sum_step(g.indptr, g.indices, labels, primes)
-    assert values[0] == pytest.approx(values[1])
+    values, merged = paper_sum_step(g.indptr, g.indices, labels)
+    assert values[0] == values[1]
     assert merged[0] == merged[1]
-    _, kept = la_step(g.indptr, g.indices, labels, primes)
+    _, kept = la_step(g.indptr, g.indices, labels)
     assert kept[0] != kept[1]
 
 
-def test_discretize_example():
-    ids = discretize(np.array([1.38629, 2.07944, 1.38629]), np.zeros(3, int))
-    assert ids.tolist() == [0, 1, 0]
+def test_la_step_rejects_labels_outside_the_id_range(p3):
+    for bad in ([0, -1, 0], [0, 1 << 31, 0]):
+        with pytest.raises(ParameterError):
+            la_step(p3.indptr, p3.indices, np.array(bad, dtype=np.int64))
 
 
-def test_discretize_constant_vector():
-    assert discretize(np.full(4, 3.25), np.zeros(4, int)).tolist() == [0] * 4
+@st.composite
+def csr_rows(draw):
+    """A CSR over n items with labels below 4, and a permutation of the
+    columns within each of its rows."""
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=8),
+                         min_size=n, max_size=n))
+    shuffled = [draw(st.permutations(row)) for row in rows]
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n,
+                                    max_size=n)), dtype=np.int64)
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.int64)
+    flat = [np.array(sum(r, []), dtype=np.int64) for r in (rows, shuffled)]
+    return indptr, *flat, labels
 
 
-def test_discretize_tolerance_merges_near_values():
-    ids = discretize(np.array([1.0, 1.0 + 1e-12, 2.0]), np.zeros(3, int),
-                     tolerance=1e-9)
-    assert ids[0] == ids[1] != ids[2]
+@settings(max_examples=100, deadline=None)
+@given(csr_rows())
+def test_la_step_ignores_column_order_within_rows(csr):
+    indptr, indices, shuffled, labels = csr
+    values, regrouped = la_step(indptr, indices, labels)
+    values_shuffled, regrouped_shuffled = la_step(indptr, shuffled, labels)
+    assert np.array_equal(values, values_shuffled)
+    assert np.array_equal(regrouped, regrouped_shuffled)
 
 
 def test_la_refinement_symmetric_cases(tri, c6):

@@ -33,6 +33,8 @@ PINNED = [
      "k2-global-linalg.gram"),
     ("b277f63bfbc4b16bbdb9dec29dead0eb7f990b66dfc3f6b525ee3c60e3272273",
      "k3-global.gram"),
+    ("b277f63bfbc4b16bbdb9dec29dead0eb7f990b66dfc3f6b525ee3c60e3272273",
+     "k3-global-linalg.gram"),
     ("9bd951c969d9cf427d4ec59f28b8c9300438b135011fe1b52a7c4b07ce088b23",
      "k2-exact.features"),
     ("7c95c7ddb6a8018ed549310092016b835bcac56ca6a1d332a8c1d65574cb8d6d",

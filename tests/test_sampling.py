@@ -383,6 +383,18 @@ def test_massart_decreasing_under_proportional_growth():
         previous = bound
 
 
+def test_massart_bound_finite_at_tiny_delta():
+    # 2 / 1e-308 overflows to inf, ln 2 - ln 1e-308 is about 709.9
+    state = state_of([[7]], [16])
+    K = dense_grid_rademacher([1], 1)
+    for delta in (1e-308, 5e-324):
+        bound = massart_deviation_bound(state, delta)
+        assert math.isfinite(bound)
+        expected = (2 * K / 4
+                    + 3 * math.sqrt((math.log(2) - math.log(delta)) / 32))
+        assert bound == pytest.approx(expected, rel=1e-5)
+
+
 def test_massart_needs_samples():
     with pytest.raises(ParameterError):
         massart_deviation_bound(RademacherState(iterations=1), 0.5)
@@ -492,6 +504,8 @@ def test_adaptive_rounds_stop_before_their_delta_underflows(tri):
                               "last bound ")
     assert message.endswith("target epsilon 0.01); raise the growth factor "
                             "or epsilon")
+    last_bound = message.split("last bound ")[1].split(",")[0]
+    assert math.isfinite(float(last_bound)), last_bound
 
 
 def test_adaptive_rounds_split_delta_geometrically(tri):
