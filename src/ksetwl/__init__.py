@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .errors import (FormatError, GraphError, KsetwlError, ParameterError,
                      ResourceLimitError)
 from .features import (Features, cosine_normalize_gram, gram_matrix,
-                       l1_normalize, psd_check)
+                       l1_normalize)
 from .graph import Dataset, Graph, build_graph
 from .interner import LabelInterner
 from .ksets import KSetIndex
@@ -18,7 +18,7 @@ from .linalg import la_step
 from .pipeline import exact_kset_run, la_kset_run
 from .sampling import (SampledEstimate, estimate_features_adaptive,
                        estimate_features_fixed, hoeffding_sample_size,
-                       hoeffding_sample_size_dataset, local_labels, make_rng,
+                       hoeffding_sample_size_dataset, make_rng,
                        massart_deviation_bound, observed_label_count,
                        RademacherState)
 from .tu_io import (parse_tu_dataset, write_features_sparse, write_gram_csv,

@@ -88,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat = sub.add_parser("features", help="write per-graph feature vectors")
     _add_dataset_args(p_feat)
     _add_compute_args(p_feat)
-    p_feat.add_argument("--format", choices=("sparse-features",),
-                        default="sparse-features")
 
     p_gram = sub.add_parser("gram", help="write the gram matrix")
     _add_dataset_args(p_gram)
@@ -187,9 +185,9 @@ def _sampled_features(graphs, args, h: int):
         growth=args.growth, max_total_samples=args.max_samples)
     extra["label_space"] = len(interner)
     extra["sample_counts"] = [est.sample_count for est in estimates]
-    undersized = [i for i, est in enumerate(estimates) if est.undersized]
-    if undersized:
-        extra["undersized_graphs"] = undersized
+    empty = [i for i, est in enumerate(estimates) if est.sample_count == 0]
+    if empty:
+        extra["undersized_graphs"] = empty
     if args.mode == "adaptive":
         extra["rounds"] = {str(i): est.rounds
                            for i, est in enumerate(estimates)}

@@ -159,14 +159,3 @@ def cosine_normalize_gram(K: np.ndarray) -> np.ndarray:
     out[idx, idx] = 1.0
     return out
 
-
-def psd_check(K: np.ndarray, jitter: float = 0.0) -> bool:
-    """Whether K + jitter*I admits a Cholesky factorization."""
-    if jitter < 0:
-        raise ParameterError("jitter must be nonnegative")
-    shifted = np.asarray(K, dtype=np.float64) + jitter * np.eye(len(K))
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True

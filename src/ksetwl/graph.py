@@ -23,21 +23,19 @@ class Graph:
     flat ``indices`` array, each row strictly ascending with no duplicates
     and no self-loops.  ``node_labels`` (one per vertex) and ``arc_labels``
     (one per entry of ``indices``, so each edge's label appears once in each
-    endpoint's row) are optional categorical annotations; ``class_label`` is
-    a classification target and never participates in refinement.
+    endpoint's row) are optional categorical annotations.
     """
 
     __slots__ = ("num_vertices", "indptr", "indices", "node_labels",
-                 "arc_labels", "class_label")
+                 "arc_labels")
 
     def __init__(self, num_vertices, indptr, indices, node_labels=None,
-                 arc_labels=None, class_label=None):
+                 arc_labels=None):
         self.num_vertices = int(num_vertices)
         self.indptr = indptr
         self.indices = indices
         self.node_labels = node_labels
         self.arc_labels = arc_labels
-        self.class_label = class_label
         for array in (indptr, indices, node_labels, arc_labels):
             if array is not None:
                 array.setflags(write=False)
@@ -46,43 +44,10 @@ class Graph:
     def num_edges(self) -> int:
         return self.indices.size // 2
 
-    def neighbors(self, v: int) -> np.ndarray:
-        if not 0 <= v < self.num_vertices:
-            raise GraphError(f"vertex {v} out of range [0, {self.num_vertices})")
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def max_degree(self) -> int:
         if self.num_vertices == 0:
             return 0
         return int(np.max(np.diff(self.indptr), initial=0))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Binary search over the sorted neighbor row; no quadratic memory."""
-        row = self.neighbors(u)
-        if not 0 <= v < self.num_vertices:
-            raise GraphError(f"vertex {v} out of range [0, {self.num_vertices})")
-        pos = int(np.searchsorted(row, v))
-        return pos < len(row) and row[pos] == v
-
-    def edge_list(self):
-        """All undirected edges as (u, v) with u < v, in row order."""
-        out = []
-        for u in range(self.num_vertices):
-            for v in self.neighbors(u):
-                if u < v:
-                    out.append((u, int(v)))
-        return out
-
-    def edge_label(self, u: int, v: int):
-        """The label of the edge {u, v}; None when there is no such edge or
-        the graph has no edge labels."""
-        if self.arc_labels is None or not self.has_edge(u, v):
-            return None
-        pos = self.indptr[u] + np.searchsorted(self.neighbors(u), v)
-        return int(self.arc_labels[pos])
 
     @property
     def edge_labels(self):
@@ -99,8 +64,8 @@ class Graph:
         return f"Graph(n={self.num_vertices}, m={self.num_edges}, {lab})"
 
 
-def build_graph(num_vertices, edges, node_labels=None, edge_labels=None,
-                class_label=None) -> Graph:
+def build_graph(num_vertices, edges, node_labels=None,
+                edge_labels=None) -> Graph:
     """Construct a validated Graph from an edge list.
 
     Duplicate edges are collapsed and the adjacency is symmetrized, so the
@@ -138,20 +103,18 @@ def build_graph(num_vertices, edges, node_labels=None, edge_labels=None,
         labels_arr = _int64(node_labels, "node labels")
         if labels_arr.shape != (n,):
             raise GraphError(f"node_labels must have length {n}")
-    return build_graphs(offsets, u, v, labels_arr, labels, [class_label])[0]
+    return build_graphs(offsets, u, v, labels_arr, labels)[0]
 
 
-def build_graphs(offsets, u, v, node_labels, edge_labels,
-                 class_labels) -> list:
+def build_graphs(offsets, u, v, node_labels, edge_labels) -> list:
     """One Graph per vertex range ``offsets[g] <= x < offsets[g + 1]``.
 
     Rows (u[i], v[i]) hold global ids and must join two distinct vertices
     of one graph.  All graphs share one deduplication and one sort; each
     Graph then takes its slice of the dataset-wide CSR, renumbered from 0.
-    ``node_labels`` (or None) runs over the global ids, ``edge_labels`` (or
-    None) over the rows and ``class_labels`` over the graphs.  An
-    edge-labeled graph gets its edges' labels as ``arc_labels``, parallel
-    to its ``indices``.
+    ``node_labels`` (or None) runs over the global ids and ``edge_labels``
+    (or None) over the rows.  An edge-labeled graph gets its edges' labels
+    as ``arc_labels``, parallel to its ``indices``.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n = int(offsets[-1])
@@ -180,13 +143,13 @@ def build_graphs(offsets, u, v, node_labels, edge_labels,
 
     graphs = []
     bounds = offsets.tolist()
-    for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+    for a, b in zip(bounds, bounds[1:]):
         c, d = indptr[a], indptr[b]
         indices[c:d] -= a          # each graph's slice, renumbered in place
         graphs.append(Graph(
             b - a, indptr[a:b + 1] - c, indices[c:d],
             None if node_labels is None else node_labels[a:b],
-            None if arc_labels is None else arc_labels[c:d], class_labels[g]))
+            None if arc_labels is None else arc_labels[c:d]))
     return graphs
 
 

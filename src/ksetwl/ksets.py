@@ -38,7 +38,8 @@ def _choose_table(n: int, k: int) -> np.ndarray:
 
 
 class KSetIndex:
-    """Rank/unrank between ascending k-tuples and [0, C(n, k))."""
+    """The k-subsets of n vertices as ascending tuples, numbered by colex
+    rank in [0, C(n, k))."""
 
     def __init__(self, n: int, k: int):
         if k < 1:
@@ -51,12 +52,6 @@ class KSetIndex:
                 f"C({self.n}, {self.k}) k-sets do not fit 64-bit ranks")
         self._chooses = _choose_table(self.n, self.k)
 
-    def rank(self, t) -> int:
-        r = 0
-        for i, v in enumerate(t):
-            r += int(self._chooses[v, i + 1])
-        return r
-
     def unrank_rows(self, ranks) -> np.ndarray:
         """The ascending k-sets of the in-range ``ranks``, one row each."""
         r = np.array(ranks, dtype=np.int64)
@@ -67,11 +62,6 @@ class KSetIndex:
             out[:, i - 1] = v
             r -= self._chooses[v, i]
         return out
-
-    def unrank(self, r: int) -> tuple:
-        if not 0 <= r < self.size:
-            raise ParameterError(f"rank {r} out of range [0, {self.size})")
-        return tuple(self.unrank_rows([r])[0].tolist())
 
     def all_sets(self) -> np.ndarray:
         """All k-sets as an (size, k) matrix, row r holding the set of rank r."""

@@ -244,25 +244,24 @@ def _swap_table(index: KSetIndex, sets: np.ndarray) -> np.ndarray:
 
 
 def _neighbor_csr(g: Graph, index: KSetIndex, local: bool, sets: np.ndarray,
-                  offsets=None):
+                  offsets: np.ndarray):
     """CSR of every k-set's local (or global) swap neighbors, ordered by
     owner row, then incoming vertex, then replaced position, whose columns
-    are positions in ``sets`` (``index.all_sets()``, so colex ranks).
+    are positions in ``sets``.
 
-    Given the vertex ``offsets`` of :func:`stack_graphs`, ``g`` is a stack of
-    graphs and ``sets`` their k-sets, stacked graph by graph in rank order:
-    every row's swaps stay in its own graph, and a neighbor's column is the
-    first row of its graph plus its colex rank there, one lookup in the
-    :func:`_swap_table` filled from the widest graph's rows.  ``index`` is
-    the index of the widest graph (colex ranks do not depend on n), so the
-    table has C(n_max, k - 1) * n_max entries, about k * C(n_max, k).
-    Local candidates come from :func:`_local_candidates`, global ones are
-    every vertex of the row's graph outside the row.  Columns are int32
-    when the stack's size fits.
+    ``g`` is a stack of graphs with the vertex ``offsets`` of
+    :func:`stack_graphs` (``[0, n]`` for one graph) and ``sets`` their
+    k-sets, stacked graph by graph in rank order: every row's swaps stay in
+    its own graph, and a neighbor's column is the first row of its graph
+    plus its colex rank there, one lookup in the :func:`_swap_table` filled
+    from the widest graph's rows.  ``index`` is the index of the widest
+    graph (colex ranks do not depend on n), so the table has
+    C(n_max, k - 1) * n_max entries, about k * C(n_max, k).  Local
+    candidates come from :func:`_local_candidates`, global ones are every
+    vertex of the row's graph outside the row.  Columns are int32 when the
+    stack's size fits.
     """
     k = index.k
-    if offsets is None:
-        offsets = np.array([0, g.num_vertices])
     sizes = np.diff(offsets)
     first = np.cumsum([0] + [comb(int(n), k) for n in sizes], dtype=np.int64)
     widest = int(np.argmax(sizes)) if len(sizes) else 0

@@ -117,19 +117,6 @@ def _label_sets(g: Graph, sets: np.ndarray, h: int,
     return np.stack(out, axis=1)
 
 
-def local_labels(g: Graph, s, k: int, h: int,
-                 interner: LabelInterner) -> tuple:
-    """Labels of the k-set ``s`` for iterations 0..h from the sets within h
-    swaps of it on the full graph: the full run's keys, so its ids under a
-    shared interner and its partition under any other."""
-    if h < 0:
-        raise ParameterError("iteration count h must be nonnegative")
-    s = tuple(sorted(int(v) for v in s))
-    if len(set(s)) != k or not 0 <= s[0] <= s[-1] < g.num_vertices:
-        raise ParameterError(f"expected a {k}-set of vertices, got {s}")
-    return tuple(_label_sets(g, np.asarray([s]), h, interner)[0].tolist())
-
-
 class RademacherState:
     """Label counts of the sample so far: ``counts[i][f]`` of the ``m``
     samples carry label id f at iteration i."""
@@ -201,13 +188,6 @@ class SampledEstimate:
     masses: list
     sample_count: int
     rounds: list = field(default_factory=list)
-    undersized: bool = False
-
-    @property
-    def blocks(self) -> list[dict]:
-        """Each iteration's label -> mass map, in ascending label order."""
-        return [dict(zip(labels.tolist(), mass.tolist()))
-                for labels, mass in self.masses]
 
 
 @dataclass
@@ -257,8 +237,7 @@ def _sample(g: Graph, k: int, h: int, rng, interner: LabelInterner, cache,
         raise ParameterError("iteration count h must be nonnegative")
     check_order(k)
     if g.num_vertices < k:
-        return SampledEstimate(RademacherState(h).masses(), 0,
-                               undersized=True)
+        return SampledEstimate(RademacherState(h).masses(), 0)
     labeler = _SampleLabeler(g, k, h, interner,
                              {} if cache is None else cache)
     state = RademacherState(iterations=h)
@@ -298,8 +277,9 @@ def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
 
     Each sample adds 1/sample_count to the bucket of its label at every
     iteration 0..h, so every block's masses sum to one.  Graphs with fewer
-    than k vertices yield the all-zero estimate flagged ``undersized``.  A
-    count above ``max_total_samples`` is refused before anything is drawn.
+    than k vertices yield the all-zero estimate of 0 samples; every other
+    run draws at least one.  A count above ``max_total_samples`` is refused
+    before anything is drawn.
     """
     if sample_count < 1:
         raise ParameterError("sample_count must be at least 1")

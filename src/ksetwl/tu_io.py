@@ -188,9 +188,8 @@ def parse_tu_dataset(path: str, name: str | None = None) -> Dataset:
               out=offsets[1:])
     graphs = build_graphs(
         offsets, new_id[ends[:, 0] - 1], new_id[ends[:, 1] - 1],
-        None if node_labels is None else node_labels[order], edge_labels,
-        graph_labels)
-    return Dataset(graphs=graphs, class_labels=list(graph_labels), name=name)
+        None if node_labels is None else node_labels[order], edge_labels)
+    return Dataset(graphs=graphs, class_labels=graph_labels, name=name)
 
 
 # "%.17g" % x == format(x, ".17g"): 17 significant digits, enough to

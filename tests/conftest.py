@@ -4,7 +4,8 @@ import os
 import pytest
 
 from ksetwl import KSetIndex, build_graph, parse_tu_dataset
-from ksetwl.kwl import _neighbor_csr
+
+from reference import neighbor_csr
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_DIR = os.path.join(ROOT, "data")
@@ -66,7 +67,7 @@ def random_graph(rng, n, p, labeled=False, edge_labeled=False):
 def local_kset_csr(g, k):
     """The k-set index of ``g`` and the rank-space CSR of its local swaps."""
     index = KSetIndex(g.num_vertices, k)
-    return (index, *_neighbor_csr(g, index, True, index.all_sets()))
+    return (index, *neighbor_csr(g, index, True, index.all_sets()))
 
 
 @pytest.fixture(scope="session")

@@ -8,20 +8,22 @@ ranking, or interning machinery of the optimized modules is used, so
 agreement between the two paths is meaningful evidence.
 
 The second part holds one-item forms that tests state their expectations
-in: feature vectors as per-graph lists of {label: weight} blocks and their
+in: vertex and edge queries on one graph, the colex rank of one k-set,
+feature vectors as per-graph lists of {label: weight} blocks and their
 inner product, one-key interning keys, one-set calls of the bulk k-set
-paths, 1-WL on one graph, and linear-algebra refinement by the bare value
-sum.
+paths, 1-WL on one graph, a Cholesky PSD check, and linear-algebra
+refinement by the bare value sum.
 """
 
 from __future__ import annotations
 
 import struct
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 
-from ksetwl.errors import ParameterError
+from ksetwl.errors import GraphError, ParameterError
 from ksetwl.features import Features
 from ksetwl.graph import Graph
 from ksetwl.interner import LabelInterner
@@ -29,7 +31,7 @@ from ksetwl.ksets import KSetIndex
 from ksetwl.kwl import _neighbor_csr, iso_keys, swap_levels
 from ksetwl.linalg import _row_sums, splitmix64
 from ksetwl.pipeline import exact_kset_run
-from ksetwl.sampling import _draw_batch
+from ksetwl.sampling import SampledEstimate, _draw_batch, _label_sets
 
 
 def edge_pairs(g: Graph) -> set:
@@ -60,7 +62,7 @@ def naive_iso_class(g: Graph, t, edges: set | None = None) -> tuple:
             for b in range(a + 1, len(order)):
                 u, v = order[a], order[b]
                 if (u, v) in edges:
-                    lab = g.edge_label(u, v) or 0
+                    lab = edge_label(g, u, v) or 0
                     cells.append((1, lab))
                 else:
                     cells.append((0, 0))
@@ -186,6 +188,52 @@ def partition_classes(labels_by_item) -> set:
 
 # ------------------------------------------------------ one-item forms
 
+def neighbors(g: Graph, v: int) -> np.ndarray:
+    """The sorted neighbor row of vertex ``v``."""
+    if not 0 <= v < g.num_vertices:
+        raise GraphError(f"vertex {v} out of range [0, {g.num_vertices})")
+    return g.indices[g.indptr[v]:g.indptr[v + 1]]
+
+
+def degree(g: Graph, v: int) -> int:
+    return len(neighbors(g, v))
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    """Binary search of ``u``'s sorted neighbor row."""
+    row = neighbors(g, u)
+    if not 0 <= v < g.num_vertices:
+        raise GraphError(f"vertex {v} out of range [0, {g.num_vertices})")
+    pos = int(np.searchsorted(row, v))
+    return pos < len(row) and row[pos] == v
+
+
+def edge_list(g: Graph) -> list:
+    """All undirected edges as (u, v) with u < v, in row order."""
+    return [(u, int(v)) for u in range(g.num_vertices)
+            for v in neighbors(g, u) if u < v]
+
+
+def edge_label(g: Graph, u: int, v: int):
+    """The label of the edge {u, v}; None when there is no such edge or
+    the graph has no edge labels."""
+    if g.arc_labels is None or not has_edge(g, u, v):
+        return None
+    return int(g.arc_labels[g.indptr[u] + np.searchsorted(neighbors(g, u), v)])
+
+
+def rank(t) -> int:
+    """The colex rank of the ascending k-tuple ``t``: sum_i C(t_i, i + 1)."""
+    return sum(comb(int(v), i + 1) for i, v in enumerate(t))
+
+
+def unrank(index: KSetIndex, r: int) -> tuple:
+    """The k-set of rank ``r``, through the bulk unranking."""
+    if not 0 <= r < index.size:
+        raise ParameterError(f"rank {r} out of range [0, {index.size})")
+    return tuple(index.unrank_rows([r])[0].tolist())
+
+
 def features_of(per_graph) -> Features:
     """The :class:`Features` of graphs given as lists of {label: weight}
     blocks, one list per graph, all of one length."""
@@ -222,6 +270,25 @@ def dot(u, v) -> float:
     return total
 
 
+def estimate_blocks(estimate: SampledEstimate) -> list:
+    """Each iteration's label -> mass map of a sampled estimate, in
+    ascending label order."""
+    return [dict(zip(labels.tolist(), mass.tolist()))
+            for labels, mass in estimate.masses]
+
+
+def psd_check(K: np.ndarray, jitter: float = 0.0) -> bool:
+    """Whether K + jitter*I admits a Cholesky factorization."""
+    if jitter < 0:
+        raise ParameterError("jitter must be nonnegative")
+    shifted = np.asarray(K, dtype=np.float64) + jitter * np.eye(len(K))
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def iso_key(code: bytes) -> bytes:
     """The interning key of an iso code: the tag byte 0x80, then the code."""
     return b"\x80" + code
@@ -244,12 +311,20 @@ def iso_type(g: Graph, t, interner: LabelInterner) -> int:
     return int(interner.intern_window(keys)[index[0]])
 
 
+def neighbor_csr(g: Graph, index: KSetIndex, local: bool,
+                 sets: np.ndarray) -> tuple:
+    """The swap CSR of the k-sets ``sets`` (``index.all_sets()``) of the one
+    graph ``g``, whose columns are colex ranks."""
+    return _neighbor_csr(g, index, local, sets,
+                         np.array([0, g.num_vertices]))
+
+
 def global_neighbors(g: Graph, t) -> list:
     """The swaps of one k-set for any outside vertex, in bulk order: its row
     of the global neighbor CSR of ``g``."""
     index = KSetIndex(g.num_vertices, len(t))
-    indptr, indices = _neighbor_csr(g, index, False, index.all_sets())
-    row = indices[indptr[index.rank(t)]:indptr[index.rank(t) + 1]]
+    indptr, indices = neighbor_csr(g, index, False, index.all_sets())
+    row = indices[indptr[rank(t)]:indptr[rank(t) + 1]]
     return list(map(tuple, index.unrank_rows(row).tolist()))
 
 
@@ -265,6 +340,19 @@ def c_neighborhood(g: Graph, t, radius: int) -> set:
     swap levels."""
     return set(map(tuple, swap_levels(g, np.asarray([t]), radius)[0]
                    .tolist()))
+
+
+def local_labels(g: Graph, s, k: int, h: int,
+                 interner: LabelInterner) -> tuple:
+    """Labels of the k-set ``s`` for iterations 0..h, a one-set batch of the
+    sampler: the full run's keys, so its ids under a shared interner and
+    its partition under any other."""
+    if h < 0:
+        raise ParameterError("iteration count h must be nonnegative")
+    s = tuple(sorted(int(v) for v in s))
+    if len(set(s)) != k or not 0 <= s[0] <= s[-1] < g.num_vertices:
+        raise ParameterError(f"expected a {k}-set of vertices, got {s}")
+    return tuple(_label_sets(g, np.asarray([s]), h, interner)[0].tolist())
 
 
 def sample_kset_uniform(g: Graph, k: int, rng) -> tuple:

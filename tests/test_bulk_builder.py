@@ -20,13 +20,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ksetwl import KSetIndex, LabelInterner, build_graph, gram_matrix
-from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swap_table,
-                        _unique_rows, iso_code, iso_keys, swap_levels)
+from ksetwl.kwl import (DEFAULT_MAX_SETS, _swap_table, _unique_rows,
+                        iso_code, iso_keys, swap_levels)
 from ksetwl.pipeline import exact_kset_run, kset_front_end
 
 from conftest import label_groups
 import reference as ref
-from reference import dot, features_of, iso_key
+from reference import (degree, dot, edge_label, features_of, has_edge,
+                       iso_key, neighbor_csr, rank)
 
 _BIAS = 1 << 63
 
@@ -39,12 +40,12 @@ def per_set_iso_code(g, t) -> bytes:
     if g.node_labels is not None:
         labels = tuple(int(g.node_labels[v]) for v in t)
     else:
-        labels = tuple(g.degree(v) for v in t) if k == 1 else (0,) * k
+        labels = tuple(degree(g, v) for v in t) if k == 1 else (0,) * k
     adj = {}
     for a in range(k):
         for b in range(a + 1, k):
-            if g.has_edge(t[a], t[b]):
-                lab = g.edge_label(t[a], t[b])
+            if has_edge(g, t[a], t[b]):
+                lab = edge_label(g, t[a], t[b])
                 adj[(a, b)] = adj[(b, a)] = 0 if lab is None else int(lab)
     best = None
     for perm in permutations(range(k)):
@@ -76,7 +77,7 @@ def per_set_neighbors(g, t, local):
     position; local swaps need an incoming vertex adjacent to a member."""
     out = []
     for r in range(g.num_vertices):
-        if r in t or (local and not any(g.has_edge(v, r) for v in t)):
+        if r in t or (local and not any(has_edge(g, v, r) for v in t)):
             continue
         for j in range(len(t)):
             out.append(tuple(sorted(t[:j] + t[j + 1:] + (r,))))
@@ -88,7 +89,7 @@ def per_set_csr(g, index, local):
             for t in index.all_sets()]
     indptr = np.zeros(index.size + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = [index.rank(s) for r in rows for s in r]
+    indices = [rank(s) for r in rows for s in r]
     return indptr, np.asarray(indices, dtype=np.int64)
 
 
@@ -128,7 +129,7 @@ def test_bulk_iso_keys_partition_like_naive_classes(g, k):
 @given(labeled_graphs(), st.integers(1, 4), st.booleans())
 def test_bulk_csr_equals_per_set_neighbors(g, k, local):
     index = KSetIndex(g.num_vertices, k)
-    indptr, indices = _neighbor_csr(g, index, local, index.all_sets())
+    indptr, indices = neighbor_csr(g, index, local, index.all_sets())
     expected_ptr, expected_idx = per_set_csr(g, index, local)
     assert np.array_equal(indptr, expected_ptr)
     assert np.array_equal(indices, expected_idx)
@@ -149,7 +150,7 @@ def test_swap_table_ranks_every_swap(n, k):
     for t, row in zip(smaller, table.tolist()):
         for v in range(n):
             if v not in t:
-                assert row[v] == index.rank(sorted(t + (v,)))
+                assert row[v] == rank(sorted(t + (v,)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -173,10 +174,10 @@ def test_swap_levels_are_breadth_first_closures(g, k, radius, data):
     # each expanded row's swaps, in the order of its front-end CSR row
     expanded = sizes[-2] if radius else 0
     assert len(indptr) == expanded + 1 and indptr[-1] == len(indices)
-    csr_ptr, csr_idx = _neighbor_csr(g, index, True, every)
+    csr_ptr, csr_idx = neighbor_csr(g, index, True, every)
     for r, t in enumerate(rows[:expanded].tolist()):
-        rank = index.rank(t)
-        want = every[csr_idx[csr_ptr[rank]:csr_ptr[rank + 1]]]
+        r_t = rank(t)
+        want = every[csr_idx[csr_ptr[r_t]:csr_ptr[r_t + 1]]]
         assert np.array_equal(rows[indices[indptr[r]:indptr[r + 1]]], want)
 
 
@@ -392,7 +393,7 @@ def test_neighbor_csr_scratch_memory_is_bounded(monkeypatch, local):
     monkeypatch.setattr(kwl, "_BLOCK_ITEMS", 1 << 14)
     tracemalloc.start()
     try:
-        indptr, indices = _neighbor_csr(g, index, local, sets)
+        indptr, indices = neighbor_csr(g, index, local, sets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -411,11 +412,11 @@ def test_small_blocks_build_the_same_structures(monkeypatch):
                     edge_labels=rng.integers(0, 2, len(edges)).tolist())
     index = KSetIndex(g.num_vertices, 3)
     sets = index.all_sets()
-    whole = (iso_keys(g, sets), _neighbor_csr(g, index, True, sets),
-             _neighbor_csr(g, index, False, sets))
+    whole = (iso_keys(g, sets), neighbor_csr(g, index, True, sets),
+             neighbor_csr(g, index, False, sets))
     monkeypatch.setattr(kwl, "_BLOCK_ITEMS", 13)
-    blocked = (iso_keys(g, sets), _neighbor_csr(g, index, True, sets),
-               _neighbor_csr(g, index, False, sets))
+    blocked = (iso_keys(g, sets), neighbor_csr(g, index, True, sets),
+               neighbor_csr(g, index, False, sets))
     assert blocked[0][0] == whole[0][0]
     assert np.array_equal(blocked[0][1], whole[0][1])
     for a, b in zip(blocked[1:], whole[1:]):

@@ -302,6 +302,20 @@ def test_threads_option_is_gone(two_triangle_dir, tmp_path, capsys):
     assert code == 1 and "--threads" in err
 
 
+def test_features_format_option_is_gone(two_triangle_dir, tmp_path, capsys):
+    out_path = str(tmp_path / "feat.txt")
+    code, _, err = run_cli(
+        capsys, "features", "--dataset", two_triangle_dir, "--kernel", "wl1",
+        "--h", "1", "--format", "sparse-features", "--output", out_path)
+    assert code == 1 and "--format" in err
+    code, _, err = run_cli(
+        capsys, "features", "--dataset", two_triangle_dir, "--kernel", "wl1",
+        "--h", "1", "--output", out_path)
+    assert code == 0, err
+    assert "format" not in json.load(open(out_path + ".manifest.json"))[
+        "config"]
+
+
 def test_sampled_mode_derives_count_from_gamma(two_triangle_dir, tmp_path, capsys):
     path = str(tmp_path / "g.txt")
     code, _, _ = run_cli(

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksetwl import (LabelInterner, ParameterError, cosine_normalize_gram,
-                    gram_matrix, l1_normalize, psd_check)
+                    gram_matrix, l1_normalize)
 from ksetwl.pipeline import exact_kset_run, features_from_label_arrays
 
-from reference import blocks_of, dot, features_of
+from reference import blocks_of, dot, features_of, psd_check
 
 block = st.dictionaries(st.integers(0, 40), st.floats(0.0, 50.0), max_size=6)
 

@@ -8,19 +8,20 @@ from ksetwl import GraphError, build_graph
 from ksetwl.graph import build_graphs
 
 from conftest import random_graph
+from reference import degree, edge_label, edge_list, has_edge, neighbors
 
 
 def test_triangle_degrees(tri):
     assert tri.num_vertices == 3
     assert tri.num_edges == 3
-    assert [tri.degree(v) for v in range(3)] == [2, 2, 2]
+    assert [degree(tri, v) for v in range(3)] == [2, 2, 2]
     assert tri.max_degree() == 2
 
 
 def test_edge_plus_isolated(e1i):
-    assert e1i.degree(2) == 0
-    assert not e1i.has_edge(0, 2)
-    assert e1i.has_edge(0, 1) and e1i.has_edge(1, 0)
+    assert degree(e1i, 2) == 0
+    assert not has_edge(e1i, 0, 2)
+    assert has_edge(e1i, 0, 1) and has_edge(e1i, 1, 0)
 
 
 def test_duplicate_edges_collapse():
@@ -30,8 +31,8 @@ def test_duplicate_edges_collapse():
 
 def test_path_queries(p4):
     assert p4.max_degree() == 2
-    assert p4.has_edge(1, 2)
-    assert not p4.has_edge(0, 3)
+    assert has_edge(p4, 1, 2)
+    assert not has_edge(p4, 0, 3)
 
 
 @pytest.mark.parametrize("edges", [[(0, 3)], [(-1, 1)]])
@@ -47,9 +48,9 @@ def test_self_loop_rejected():
 
 def test_vertex_query_out_of_range(tri):
     with pytest.raises(GraphError):
-        tri.degree(5)
+        degree(tri, 5)
     with pytest.raises(GraphError):
-        tri.has_edge(0, 7)
+        has_edge(tri, 0, 7)
 
 
 def test_node_label_length_checked():
@@ -61,10 +62,10 @@ def test_edge_labels_run_parallel_to_indices():
     g = build_graph(4, [(2, 0), (0, 1), (3, 2)], edge_labels=[5, -7, 2 ** 63 - 1])
     assert g.indices.tolist() == [1, 2, 0, 0, 3, 2]
     assert g.arc_labels.tolist() == [-7, 5, -7, 5, 2 ** 63 - 1, 2 ** 63 - 1]
-    assert [g.edge_label(0, 2), g.edge_label(2, 0), g.edge_label(3, 2)] == [
-        5, 5, 2 ** 63 - 1]
-    assert g.edge_label(0, 3) is None and build_graph(2, [(0, 1)]).edge_label(
-        0, 1) is None
+    assert [edge_label(g, 0, 2), edge_label(g, 2, 0),
+            edge_label(g, 3, 2)] == [5, 5, 2 ** 63 - 1]
+    assert edge_label(g, 0, 3) is None and edge_label(
+        build_graph(2, [(0, 1)]), 0, 1) is None
     assert g.edge_labels == {(0, 1): -7, (0, 2): 5, (1, 0): -7, (2, 0): 5,
                              (2, 3): 2 ** 63 - 1, (3, 2): 2 ** 63 - 1}
 
@@ -79,7 +80,7 @@ def test_conflicting_edge_labels_rejected():
 def test_rebuild_roundtrip(n, p, seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, p)
-    rebuilt = build_graph(n, g.edge_list())
+    rebuilt = build_graph(n, edge_list(g))
     assert np.array_equal(rebuilt.indptr, g.indptr)
     assert np.array_equal(rebuilt.indices, g.indices)
 
@@ -88,7 +89,7 @@ def test_rebuild_roundtrip(n, p, seed):
 @settings(max_examples=40, deadline=None)
 def test_handshake(n, p, seed):
     g = random_graph(np.random.default_rng(seed), n, p)
-    assert sum(g.degree(v) for v in range(n)) == 2 * g.num_edges
+    assert sum(degree(g, v) for v in range(n)) == 2 * g.num_edges
 
 
 def test_build_graphs_holds_at_most_two_arc_arrays():
@@ -102,8 +103,7 @@ def test_build_graphs_holds_at_most_two_arc_arrays():
                         start + (vertex + 2) % size])
     tracemalloc.start()
     try:
-        graphs = build_graphs([0, size, 2 * size, n], u, v, None, None,
-                              [0, 1, 2])
+        graphs = build_graphs([0, size, 2 * size, n], u, v, None, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -111,4 +111,4 @@ def test_build_graphs_holds_at_most_two_arc_arrays():
     assert peak <= 8 * (2 * 2 * len(u) + 3 * (n + 1))
     for g in graphs:
         assert g.num_vertices == size and g.num_edges == 2 * size
-        assert np.array_equal(g.neighbors(0), [1, 2, size - 2, size - 1])
+        assert np.array_equal(neighbors(g, 0), [1, 2, size - 2, size - 1])

@@ -6,7 +6,7 @@ import pytest
 from ksetwl import (FormatError, parse_tu_dataset, write_features_sparse,
                     write_gram_csv, write_gram_libsvm)
 
-from reference import features_of
+from reference import edge_label, features_of
 
 
 def test_two_triangle_fixture(two_triangle_dir):
@@ -75,7 +75,7 @@ def test_optional_labels_attached(two_triangle_dir):
     ds = parse_tu_dataset(two_triangle_dir)
     assert ds.graphs[0].node_labels.tolist() == [1, 2, 3]
     assert ds.graphs[1].node_labels.tolist() == [4, 5, 6]
-    assert ds.graphs[0].edge_label(0, 1) == 7
+    assert edge_label(ds.graphs[0], 0, 1) == 7
 
 
 def test_gram_libsvm_single_entry(tmp_path):

@@ -349,7 +349,7 @@ def test_parsed_graphs_match_a_per_edge_oracle(case):
                       case["node_labels"], case["row_labels"] or None)
     assert ds.class_labels == case["classes"]
     assert len(ds.graphs) == len(expected)
-    for g, want in zip(ds.graphs, expected):
+    for g, label, want in zip(ds.graphs, ds.class_labels, expected):
         assert g.indptr.dtype == g.indices.dtype == np.int64
         got = {
             "num_vertices": g.num_vertices,
@@ -360,10 +360,10 @@ def test_parsed_graphs_match_a_per_edge_oracle(case):
             "edge_labels": g.edge_labels,
             "arc_labels": (None if g.arc_labels is None
                            else g.arc_labels.tolist()),
-            "class_label": g.class_label,
+            "class_label": label,
         }
         assert got == want
-        assert type(g.class_label) is int
+        assert type(label) is int
 
 
 @given(st.integers(0, 6), st.lists(st.tuples(st.integers(0, 5),
@@ -373,7 +373,7 @@ def test_parsed_graphs_match_a_per_edge_oracle(case):
 def test_build_graph_matches_the_oracle(n, pairs, labeled):
     edges = [(u, v) for u, v in pairs if u != v and max(u, v) < n]
     labels = [min(u, v) * 7 + max(u, v) for u, v in edges] if labeled else None
-    g = build_graph(n, edges, edge_labels=labels, class_label=3)
+    g = build_graph(n, edges, edge_labels=labels)
     want = oracle([1] * n, [(u + 1, v + 1) for u, v in edges], [3], None,
                   labels)[0]
     if labeled and not edges:

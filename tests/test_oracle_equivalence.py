@@ -16,11 +16,9 @@ from reference import (global_neighbors, graph_slices, histogram,
 
 
 def optimized_kset_partition(g, k, coloring):
-    index = KSetIndex(g.num_vertices, k)
-    return label_groups({
-        tuple(int(v) for v in index.unrank(r)): int(coloring[r])
-        for r in range(index.size)
-    })
+    sets = KSetIndex(g.num_vertices, k).all_sets().tolist()
+    return label_groups({tuple(t): int(coloring[r])
+                         for r, t in enumerate(sets)})
 
 
 def naive_partition(joint, graph_idx):

@@ -36,7 +36,7 @@ def test_sampled_dataset_run_flags_undersized():
     estimates = sampled_dataset_run(tiny_and_regular(), 3, 1, seed=0,
                                     interner=LabelInterner(), mode="adaptive",
                                     epsilon=0.5, delta=0.2)
-    assert estimates[0].undersized and not estimates[1].undersized
+    assert estimates[0].sample_count == 0 and estimates[1].sample_count > 0
 
 
 def test_sampled_dataset_run_rejects_unknown_mode():

@@ -4,6 +4,7 @@ import os
 import re
 
 from conftest import ROOT
+from reference import estimate_blocks
 
 
 def readme_block(heading):
@@ -23,6 +24,6 @@ def test_library_quick_start_runs():
     # probability vector over labels of the exact run
     assert counts == [15] and [len(it) for it in labels] == [15] * 4
     assert estimate.sample_count > 0 and len(estimate.rounds) >= 1
-    for exact, sampled in zip(labels, estimate.blocks):
+    for exact, sampled in zip(labels, estimate_blocks(estimate)):
         assert abs(sum(sampled.values()) - 1) < 1e-12
         assert set(sampled) <= set(exact.tolist())

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import (KSetIndex, LabelInterner, ParameterError,
+from ksetwl import (LabelInterner, ParameterError,
                     RademacherState, ResourceLimitError, build_graph,
                     estimate_features_adaptive, estimate_features_fixed,
                     exact_kset_run, hoeffding_sample_size,
-                    hoeffding_sample_size_dataset, local_labels, make_rng,
+                    hoeffding_sample_size_dataset, make_rng,
                     massart_deviation_bound, observed_label_count)
 from ksetwl.sampling import _draw_batch, _rademacher_bound, _SampleLabeler
 
 from conftest import random_graph
-from reference import histogram, sample_kset_uniform
+from reference import (estimate_blocks, histogram, local_labels, rank,
+                       sample_kset_uniform)
 
 # frozen by independent high-precision evaluation of the bound formulas
 SIZE_SINGLE = 26492
@@ -153,7 +154,7 @@ def test_local_labels_radius_zero_is_iso_type(p4):
     labs = local_labels(p4, (0, 1), 2, 0, it)
     assert len(labs) == 1
     full = exact_kset_run([p4], 2, 0, it)[0]
-    assert labs[0] == int(full[0][KSetIndex(4, 2).rank((0, 1))])
+    assert labs[0] == int(full[0][rank((0, 1))])
 
 
 def test_local_labels_reject_non_sets(p4):
@@ -187,11 +188,10 @@ def test_local_labels_match_full_run_ids_with_shared_interner():
         h = int(rng.integers(0, 4))
         interner = LabelInterner()
         full = exact_kset_run([g], k, h, interner)[0]
-        index = KSetIndex(g.num_vertices, k)
         for _ in range(4):
             s = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
             labs = local_labels(g, s, k, h, interner)
-            expected = [int(full[j][index.rank(s)]) for j in range(h + 1)]
+            expected = [int(full[j][rank(s)]) for j in range(h + 1)]
             assert list(labs) == expected
 
 
@@ -216,7 +216,6 @@ def test_local_labels_partition_agreement_with_fresh_interner():
         n = int(rng.integers(5, 12))
         g = random_graph(rng, n, 0.4)
         full = exact_kset_run([g], 2, 2, LabelInterner())[0]
-        index = KSetIndex(g.num_vertices, 2)
         fresh = LabelInterner()
         samples = [tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
                    for _ in range(5)]
@@ -225,15 +224,14 @@ def test_local_labels_partition_agreement_with_fresh_interner():
             for b in samples:
                 for j in range(3):
                     locally_equal = local[a][j] == local[b][j]
-                    globally_equal = (full[j][index.rank(a)]
-                                      == full[j][index.rank(b)])
+                    globally_equal = full[j][rank(a)] == full[j][rank(b)]
                     assert locally_equal == globally_equal
 
 
 def test_fixed_estimate_on_triangle(tri):
     est = estimate_features_fixed(tri, 2, 2, 500, make_rng(1), LabelInterner())
     assert est.sample_count == 500
-    for blk in est.blocks:
+    for blk in estimate_blocks(est):
         assert list(blk.values()) == [1.0]
 
 
@@ -250,9 +248,9 @@ def test_fixed_estimate_equals_the_per_set_count_oracle(mutag):
         for it, lab in enumerate(local_labels(g, s, 2, 3, interner)):
             want[it][lab] = want[it].get(lab, 0) + c
     assert est.sample_count == 700 and est.rounds == []
-    assert est.blocks == [{lab: c / 700 for lab, c in blk.items()}
-                          for blk in want]
-    assert all(list(blk) == sorted(blk) for blk in est.blocks)
+    assert estimate_blocks(est) == [
+        {lab: c / 700 for lab, c in blk.items()} for blk in want]
+    assert all(list(blk) == sorted(blk) for blk in estimate_blocks(est))
 
 
 @pytest.mark.parametrize("estimate", [
@@ -271,7 +269,7 @@ def test_estimators_refuse_k_nine_before_drawing(estimate):
 
 def test_fixed_estimate_single_sample(p4):
     est = estimate_features_fixed(p4, 2, 1, 1, make_rng(3), LabelInterner())
-    for blk in est.blocks:
+    for blk in estimate_blocks(est):
         assert list(blk.values()) == [1.0]
 
 
@@ -279,15 +277,15 @@ def test_fixed_estimate_blocks_sum_to_one():
     rng = np.random.default_rng(44)
     g = random_graph(rng, 9, 0.5)
     est = estimate_features_fixed(g, 2, 2, 333, make_rng(5), LabelInterner())
-    for blk in est.blocks:
+    for blk in estimate_blocks(est):
         assert abs(sum(blk.values()) - 1.0) <= 1e-9
 
 
 def test_fixed_estimate_undersized_graph():
     g = build_graph(2, [(0, 1)])
     est = estimate_features_fixed(g, 3, 2, 100, make_rng(0), LabelInterner())
-    assert est.undersized
-    assert est.blocks == [{}, {}, {}]
+    assert est.sample_count == 0
+    assert estimate_blocks(est) == [{}, {}, {}]
 
 
 def test_fixed_estimate_rejects_zero_samples(tri):
@@ -308,7 +306,7 @@ def test_estimator_is_unbiased():
     for r in range(runs):
         est = estimate_features_fixed(g, 2, 1, samples, make_rng(1000 + r),
                                       interner)
-        for lab, mass in est.blocks[1].items():
+        for lab, mass in estimate_blocks(est)[1].items():
             sums[lab] = sums.get(lab, 0.0) + mass
     for lab, count in hist.items():
         p = count / total
@@ -327,8 +325,9 @@ def test_fixed_estimate_l1_accuracy_on_benchmark_graph(mutag):
     hist = histogram(exact[1])
     total = sum(hist.values())
     est = estimate_features_fixed(g, 2, 1, 2000, make_rng(70), interner)
-    labels = set(hist) | set(est.blocks[1])
-    l1 = sum(abs(hist.get(l, 0.0) / total - est.blocks[1].get(l, 0.0))
+    masses = estimate_blocks(est)[1]
+    labels = set(hist) | set(masses)
+    l1 = sum(abs(hist.get(l, 0.0) / total - masses.get(l, 0.0))
              for l in labels)
     assert l1 <= 0.1
 
@@ -465,7 +464,7 @@ def test_adaptive_on_triangle_terminates_quickly(tri):
     est = estimate_features_adaptive(tri, 2, 1, 0.5, 0.1, make_rng(2),
                                      LabelInterner())
     assert len(est.rounds) <= 4
-    for blk in est.blocks:
+    for blk in estimate_blocks(est):
         assert list(blk.values()) == [1.0]
 
 
@@ -526,14 +525,14 @@ def test_adaptive_undersized_graph():
     g = build_graph(2, [(0, 1)])
     est = estimate_features_adaptive(g, 3, 1, 0.1, 0.1, make_rng(0),
                                      LabelInterner())
-    assert est.undersized and est.sample_count == 0
+    assert est.sample_count == 0
 
 
 def test_seed_controls_the_run(tri):
     a = estimate_features_fixed(tri, 2, 1, 50, make_rng(1), LabelInterner())
     b = estimate_features_fixed(tri, 2, 1, 50, make_rng(1), LabelInterner())
     c = estimate_features_fixed(tri, 2, 1, 50, make_rng(2), LabelInterner())
-    assert a.blocks == b.blocks
+    assert estimate_blocks(a) == estimate_blocks(b)
     assert a.sample_count == c.sample_count == 50
 
 
@@ -542,7 +541,7 @@ def test_fixed_estimate_beyond_64_bit_ranks(long_path):
     est = estimate_features_fixed(long_path, 4, 1, 30, make_rng(0),
                                   LabelInterner())
     assert est.sample_count == 30
-    for blk in est.blocks:
+    for blk in estimate_blocks(est):
         assert abs(sum(blk.values()) - 1.0) <= 1e-9
 
 
@@ -554,4 +553,4 @@ def test_memo_holds_drawn_sets_as_sorted_tuples(p4):
     assert sorted(cache) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     for s, labs in cache.items():
         assert labs == local_labels(p4, s, 2, 2, interner)
-    assert sum(est.blocks[0].values()) == pytest.approx(1.0)
+    assert sum(estimate_blocks(est)[0].values()) == pytest.approx(1.0)
