@@ -68,6 +68,12 @@ RUNS = (
      ("gram", *KWL2, *SAMPLED, "--normalize", "l1-full")),
     ("k3-sampled-seed9.gram", "MUTAG", ("gram", *KWL3, *SAMPLED)),
     ("k2-exact-messy.features", "MUTAGMESSY", ("features", *KWL2)),
+    ("k3-linalg.features", "MUTAG", ("features", *KWL3, "--mode", "linalg")),
+    ("k3-global-linalg.features", "MUTAG",
+     ("features", "--kernel", "kwl-global", "--k", "3", "--h", "3",
+      "--mode", "linalg")),
+    ("wl1-h5-linalg.features", "MUTAG",
+     ("features", *WL1, "--mode", "linalg")),
 )
 
 
