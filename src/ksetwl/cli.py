@@ -285,8 +285,9 @@ def main(argv=None) -> int:
     except (FormatError, GraphError, OSError) as exc:
         print(f"ksetwl: data error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"ksetwl: resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"ksetwl: resource limit: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 3
     except KsetwlError as exc:
         print(f"ksetwl: error: {exc}", file=sys.stderr)

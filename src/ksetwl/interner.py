@@ -11,7 +11,8 @@ protocol a plain sort:
 
 * an iso key is the tag byte 0x80 followed by the canonical code of a k-set
   isomorphism type (at k = 1, a vertex's node label or degree) as
-  sign-biased big-endian 64-bit words;
+  sign-biased big-endian 64-bit words, fixed width: node words, adjacency
+  bits, then edge labels, edge label 0 where absent;
 * a refinement key is the big-endian 32-bit words of (previous label,
   ascending neighbor labels), untagged.
 
@@ -92,11 +93,12 @@ def _ragged_words(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
     return [buf[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
 
-def iso_key_batch(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
-    """The iso keys of many codes given as flat unsigned 64-bit words cut at
-    ``starts``."""
-    return [_TAG_ISO + code
-            for code in _ragged_words(words.astype(">u8"), starts)]
+def iso_key_batch(codes: np.ndarray) -> list[bytes]:
+    """The iso keys of the rows of a 2-D int64 array of codes, in row
+    order; ascending rows give ascending keys."""
+    words = (codes.view(np.uint64) ^ np.uint64(_BIAS)).astype(">u8")
+    return [_TAG_ISO + code for code in _ragged_words(
+        words.ravel(), np.arange(len(codes)) * codes.shape[1])]
 
 
 def refine_coloring_window(indptr: np.ndarray, indices: np.ndarray,

@@ -14,11 +14,12 @@ The front end works on all k-sets at once with array operations:
 :func:`iso_keys` gathers the raw row of every set (node labels, adjacency
 bits and edge labels in set order), deduplicates the rows exactly, and takes
 the lexicographic minimum over the k! member orderings of each distinct raw
-row only, so it makes one bytes key per iso type and an index from sets to
-keys.  :func:`_neighbor_csr` builds the swap neighborhoods: local
-candidates come from a ragged gather of member adjacency rows, and each
-neighbor's column is the first row of its graph plus one lookup in a swap
-table (:func:`_swap_table`), the colex rank of a (k-1)-set plus a vertex.
+row only, so it returns one canonical row per iso type and an index from
+sets to rows; :func:`ksetwl.interner.iso_key_batch` makes their keys.
+:func:`_neighbor_csr` builds the swap neighborhoods: local candidates come
+from a ragged gather of member adjacency rows, and each neighbor's column
+is the first row of its graph plus one lookup in a swap table
+(:func:`_swap_table`), the colex rank of a (k-1)-set plus a vertex.
 The table has C(n_max, k - 1) * n_max entries for the widest graph's n_max
 vertices, about k * C(n_max, k), int32 while C(n_max, k) < 2^31, so the
 ``--max-sets`` check that precedes every allocation bounds it too.  Both
@@ -36,14 +37,12 @@ from math import comb, factorial
 import numpy as np
 
 from .graph import Graph
-from .interner import _BIAS, iso_key_batch
+from .interner import iso_key_batch
 from .ksets import _BLOCK_ITEMS, KSetIndex
 
 # Exact and linalg runs refuse graphs with more k-sets than this in total
 # unless overridden; the sampling estimators have no such limit.
 DEFAULT_MAX_SETS = 50_000_000
-
-_SIGN = np.uint64(_BIAS)
 
 
 def _edges_between(g: Graph, u: np.ndarray, v: np.ndarray):
@@ -130,24 +129,15 @@ def _canonical_rows(rows: np.ndarray, k: int) -> np.ndarray:
     return codes[np.arange(len(rows)), alive.argmax(axis=1)]
 
 
-def _code_words(best: np.ndarray, k: int):
-    """The codes of canonical rows as flat sign-biased unsigned words, plus
-    each code's start: a code drops the edge labels of absent edges."""
-    keep = np.ones(best.shape, dtype=bool)
-    pairs = k * (k - 1) // 2
-    keep[:, k + pairs:] = best[:, k:k + pairs] == 1
-    lengths = keep.sum(axis=1)
-    return best[keep].view(np.uint64) ^ _SIGN, np.cumsum(lengths) - lengths
-
-
 def iso_keys(g: Graph, sets: np.ndarray):
-    """The distinct iso keys over the rows ``t`` of ``sets`` (the iso tag
-    byte, then ``iso_code(g, t)``), and each row's index into them.
+    """The distinct canonical rows over the rows ``t`` of ``sets``,
+    ascending, and each row's index into them.  A canonical row is
+    fixed width, with edge label 0 where an edge is absent, and
+    ``iso_key_batch`` of it is the iso tag byte, then ``iso_code(g, t)``.
 
     Only distinct raw rows (:func:`_raw_rows`) are canonicalized: rows are
     deduplicated within each block of sets, then across the blocks'
-    distinct rows, and canonical rows once more, so one bytes key is made
-    per iso type.
+    distinct rows, and canonical rows once more.
     """
     sets = np.asarray(sets, dtype=np.int64)
     k = sets.shape[1]
@@ -163,7 +153,7 @@ def iso_keys(g: Graph, sets: np.ndarray):
                            np.split(rows, range(step, len(rows), step))])
     codes, types, _ = _unique_rows(best)
     index = types[where[np.concatenate(inverses)]]
-    return iso_key_batch(*_code_words(codes, k)), index
+    return codes, index
 
 
 def iso_code(g: Graph, t) -> bytes:
@@ -171,13 +161,14 @@ def iso_code(g: Graph, t) -> bytes:
 
     A one-row call of the bulk path: the minimum, over all k! orderings of
     the set, of the tuple of raw node labels, upper-triangle adjacency bits,
-    and edge labels of present edges, each as a sign-biased big-endian
-    64-bit word.  Two sets (in any graphs) get equal codes iff their induced
-    subgraphs are isomorphic respecting node and edge labels.
+    and edge labels, fixed width with edge label 0 where absent, each as a
+    sign-biased big-endian 64-bit word.  Two sets (in any graphs) get equal
+    codes iff their induced subgraphs are isomorphic respecting node and
+    edge labels.
     """
     t = np.asarray([t], dtype=np.int64)
-    best = _canonical_rows(_raw_rows(g, t), t.shape[1])
-    return _code_words(best, t.shape[1])[0].astype(">u8").tobytes()
+    # the iso key without its tag byte
+    return iso_key_batch(_canonical_rows(_raw_rows(g, t), t.shape[1]))[0][1:]
 
 
 def _local_candidates(g: Graph, sets: np.ndarray):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .features import Features
-from .interner import LabelInterner, refine_coloring_window
+from .interner import LabelInterner, iso_key_batch, refine_coloring_window
 from .ksets import KSetIndex, check_order
 from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs
 from .linalg import la_step
@@ -27,19 +27,19 @@ from .sampling import (DEFAULT_MAX_TOTAL_SAMPLES, estimate_features_adaptive,
                        estimate_features_fixed)
 
 
-def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int,
-                   interner: LabelInterner):
+def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int):
     """The k-set front end of a dataset run, built once over the stack of
     all graphs (:func:`ksetwl.kwl.stack_graphs`).
 
-    Returns the iso types of all k-sets, graph by graph in rank order, as
-    ids of ``interner`` issued in one window, the number of k-sets of each
-    graph and, when ``csr``, one CSR of their swap neighborhoods whose rows
-    follow the ids and whose columns are positions in the stack.  k and
-    the k-sets of all graphs together pass their caps before anything is
-    built.  Colex ranks do not depend on n, so one index over the widest
-    graph serves every graph: graph g's k-sets are the first C(n_g, k) rows
-    of its ``all_sets()``, shifted by g's vertex offset.
+    Returns the distinct iso codes (:func:`ksetwl.kwl.iso_keys`), the iso
+    type of every k-set, graph by graph in rank order, as its index into
+    them, the number of k-sets of each graph and, when ``csr``, one CSR of
+    their swap neighborhoods whose rows follow the types and whose columns
+    are positions in the stack.  k and the k-sets of all graphs together
+    pass their caps before anything is built.  Colex ranks do not depend
+    on n, so one index over the widest graph serves every graph: graph g's
+    k-sets are the first C(n_g, k) rows of its ``all_sets()``, shifted by
+    g's vertex offset.
     """
     check_order(k)
     counts = [comb(g.num_vertices, k) for g in graphs]
@@ -53,12 +53,9 @@ def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int,
     widest = index.all_sets()
     sets = np.concatenate([widest[:0]] + [
         widest[:count] + offset for count, offset in zip(counts, offsets)])
-    keys, types = iso_keys(stack, sets)
-    # a window numbers fresh keys in byte order whatever their multiplicity
-    ids = interner.intern_window(keys)[types]
-    if not csr:
-        return ids, counts, None
-    return ids, counts, _neighbor_csr(stack, index, local, sets, offsets)
+    codes, types = iso_keys(stack, sets)
+    return codes, types, counts, (
+        _neighbor_csr(stack, index, local, sets, offsets) if csr else None)
 
 
 def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
@@ -74,9 +71,10 @@ def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
     """
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
-    ids, counts, csr = kset_front_end(graphs, k, local, h > 0, max_sets,
-                                      interner)
-    labels = [ids]
+    codes, types, counts, csr = kset_front_end(graphs, k, local, h > 0,
+                                               max_sets)
+    # a window numbers fresh keys in byte order whatever their multiplicity
+    labels = [interner.intern_window(iso_key_batch(codes))[types]]
     for _ in range(h):
         labels.append(refine_coloring_window(*csr, labels[-1], interner))
     return labels, counts
@@ -86,20 +84,17 @@ def la_kset_run(graphs, k: int, h: int, local: bool = True,
                 max_sets: int = DEFAULT_MAX_SETS):
     """Linear-algebra k-set refinement over the (directed) k-set graphs.
 
-    Iteration 0 labels are isomorphism-type codes compressed jointly across
-    the dataset; each later iteration is one :func:`ksetwl.linalg.la_step`
-    over the stacked k-set graph of all graphs: wrapping 64-bit sums of
-    label words, numbered densely in ascending value order by one
-    ``np.unique``.  Returns what :func:`exact_kset_run` returns.  At k = 1
-    with local swaps this is 1-WL.
+    Iteration 0 labels are the iso types of :func:`kset_front_end`, whose
+    codes ascend, so they are the ids a fresh interner issues; each later
+    iteration is one :func:`ksetwl.linalg.la_step` over the stacked k-set
+    graph of all graphs: wrapping 64-bit sums of label words, numbered
+    densely in ascending value order by one ``np.unique``.  Returns what
+    :func:`exact_kset_run` returns.  At k = 1 with local swaps this is 1-WL.
     """
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
-    # a fresh interner numbers the distinct types 0..t-1 in ascending key
-    # order, so iteration 0 is dense already
-    ids, counts, csr = kset_front_end(graphs, k, local, h > 0, max_sets,
-                                      LabelInterner())
-    labels = [ids]
+    _, types, counts, csr = kset_front_end(graphs, k, local, h > 0, max_sets)
+    labels = [types]
     for _ in range(h):
         labels.append(la_step(*csr, labels[-1])[1])
     return labels, counts

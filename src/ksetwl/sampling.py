@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .graph import Graph
-from .interner import LabelInterner, refine_coloring_window
+from .interner import LabelInterner, iso_key_batch, refine_coloring_window
 from .ksets import _INT64_MAX, check_order
 from .kwl import _unique_rows, iso_keys, swap_levels
 
@@ -107,8 +107,8 @@ def _label_sets(g: Graph, sets: np.ndarray, h: int,
     (:func:`ksetwl.kwl.swap_levels`), iteration i refines the prefix of
     them and of their swap CSR that holds the sets within h - i swaps."""
     rows, sizes, indptr, indices = swap_levels(g, sets, h)
-    keys, types = iso_keys(g, rows)
-    labels = interner.intern_window(keys)[types]
+    codes, types = iso_keys(g, rows)
+    labels = interner.intern_window(iso_key_batch(codes))[types]
     out = [labels[:len(sets)]]
     for m in reversed(sizes[:-1]):
         labels = refine_coloring_window(indptr[:m + 1], indices[:indptr[m]],

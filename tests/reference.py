@@ -26,7 +26,7 @@ import numpy as np
 from ksetwl.errors import GraphError, ParameterError
 from ksetwl.features import Features
 from ksetwl.graph import Graph
-from ksetwl.interner import LabelInterner
+from ksetwl.interner import LabelInterner, iso_key_batch
 from ksetwl.ksets import KSetIndex
 from ksetwl.kwl import _neighbor_csr, iso_keys, swap_levels
 from ksetwl.linalg import _row_sums, splitmix64
@@ -307,8 +307,8 @@ def refine_key(prev: int, neighbor_labels) -> bytes:
 
 def iso_type(g: Graph, t, interner: LabelInterner) -> int:
     """The iteration-0 label of one k-set, through the bulk key path."""
-    keys, index = iso_keys(g, np.asarray([t], dtype=np.int64))
-    return int(interner.intern_window(keys)[index[0]])
+    codes, index = iso_keys(g, np.asarray([t], dtype=np.int64))
+    return int(interner.intern_window(iso_key_batch(codes))[index[0]])
 
 
 def neighbor_csr(g: Graph, index: KSetIndex, local: bool,

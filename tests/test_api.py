@@ -13,13 +13,12 @@ EXPORTS = [
     "Dataset", "Features", "FormatError", "Graph", "GraphError", "KSetIndex",
     "KsetwlError", "LabelInterner", "ParameterError", "RademacherState",
     "ResourceLimitError", "SampledEstimate", "build_graph",
-    "cosine_normalize_gram", "errors", "estimate_features_adaptive",
-    "estimate_features_fixed", "exact_kset_run", "features", "gram_matrix",
-    "graph", "hoeffding_sample_size", "hoeffding_sample_size_dataset",
-    "interner", "ksets", "kwl", "l1_normalize", "la_kset_run", "la_step",
-    "linalg", "make_rng", "massart_deviation_bound", "observed_label_count",
-    "parse_tu_dataset", "pipeline", "sampling", "tu_io",
-    "write_features_sparse", "write_gram_csv", "write_gram_libsvm",
+    "cosine_normalize_gram", "estimate_features_adaptive",
+    "estimate_features_fixed", "exact_kset_run", "gram_matrix",
+    "hoeffding_sample_size", "hoeffding_sample_size_dataset", "l1_normalize",
+    "la_kset_run", "la_step", "make_rng", "massart_deviation_bound",
+    "observed_label_count", "parse_tu_dataset", "write_features_sparse",
+    "write_gram_csv", "write_gram_libsvm",
 ]
 
 

@@ -5,7 +5,9 @@ and dense columns) are each compared with a plain per-set (or per-pair)
 computation of the same quantity over random labeled graphs, including
 graphs with fewer than k vertices and graphs without edges.  The front end
 built once over a stack of graphs is compared with per-graph builds, and
-its iso-type ids with interning one per-set key per k-set.  The lexsort
+its iso-type ids with interning one per-set key per k-set.  Iso codes
+ascend, so a fresh window numbers them in order, which makes a linalg
+run's iteration 0 the exact run's on MUTAG.  The lexsort
 row dedupe is compared with ``np.unique(axis=0)``, every entry of the
 swap table with the rank of its set, and the sampler's swap levels with a
 breadth-first search over naive swaps and with rows of the front end's CSR.
@@ -19,7 +21,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ksetwl import KSetIndex, LabelInterner, build_graph, gram_matrix
+from ksetwl import (KSetIndex, LabelInterner, build_graph, gram_matrix,
+                    la_kset_run)
+from ksetwl.interner import iso_key_batch
 from ksetwl.kwl import (DEFAULT_MAX_SETS, _swap_table, _unique_rows,
                         iso_code, iso_keys, swap_levels)
 from ksetwl.pipeline import exact_kset_run, kset_front_end
@@ -35,7 +39,7 @@ _BIAS = 1 << 63
 def per_set_iso_code(g, t) -> bytes:
     """Canonical code of one k-set by direct minimization over orderings:
     node labels (degrees for a vertex of an unlabeled graph), upper-triangle
-    adjacency bits, labels of present edges."""
+    adjacency bits, edge labels (0 where absent)."""
     k = len(t)
     if g.node_labels is not None:
         labels = tuple(int(g.node_labels[v]) for v in t)
@@ -55,8 +59,7 @@ def per_set_iso_code(g, t) -> bytes:
             for b in range(a + 1, k):
                 pair = (perm[a], perm[b])
                 code.append(1 if pair in adj else 0)
-                if pair in adj:
-                    elabs.append(adj[pair])
+                elabs.append(adj.get(pair, 0))
         tup = tuple(code + elabs)
         if best is None or tup < best:
             best = tup
@@ -64,9 +67,10 @@ def per_set_iso_code(g, t) -> bytes:
 
 
 def row_keys(g, sets) -> list[bytes]:
-    """:func:`iso_keys` expanded to one key per row of ``sets``, after
-    checking that its keys are distinct and every row has an index."""
-    keys, index = iso_keys(g, sets)
+    """The keys of :func:`iso_keys` expanded to one per row of ``sets``,
+    after checking that its keys are distinct and every row has an index."""
+    codes, index = iso_keys(g, sets)
+    keys = iso_key_batch(codes)
     assert len(set(keys)) == len(keys)
     assert index.shape == (len(sets),)
     return [keys[i] for i in index.tolist()]
@@ -196,8 +200,9 @@ MIDDLE_WIDEST = [build_graph(3, [(0, 1)]),
 @example(MIDDLE_WIDEST, 3, False)
 def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
     interner = LabelInterner()
-    ids, counts, (indptr, indices) = kset_front_end(
-        graphs, k, local, True, DEFAULT_MAX_SETS, interner)
+    codes, types, counts, (indptr, indices) = kset_front_end(
+        graphs, k, local, True, DEFAULT_MAX_SETS)
+    ids = interner.intern_window(iso_key_batch(codes))[types]
     rows = np.cumsum([0] + counts).tolist()
     assert len(ids) == rows[-1] == len(indptr) - 1
     assert indptr[-1] == len(indices)
@@ -211,8 +216,7 @@ def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
         assert np.array_equal(indptr[a:b + 1] - indptr[a], expected_ptr)
         # columns are stack positions: the graph's first row plus a rank
         assert np.array_equal(indices[indptr[a]:indptr[b]], a + expected_idx)
-    assert kset_front_end(graphs, k, local, False, DEFAULT_MAX_SETS,
-                          LabelInterner())[2] is None
+    assert kset_front_end(graphs, k, local, False, DEFAULT_MAX_SETS)[3] is None
 
 
 @settings(max_examples=120, deadline=None)
@@ -226,14 +230,37 @@ def test_distinct_row_iso_ids_equal_per_set_interning(graphs, k, block_rows):
         if block_rows is not None:
             patch.setattr(kwl, "_BLOCK_ITEMS", block_rows * factorial(k))
         bulk = LabelInterner()
-        ids, _, _ = kset_front_end(graphs, k, True, False,
-                                   DEFAULT_MAX_SETS, bulk)
+        codes, types, _, _ = kset_front_end(graphs, k, True, False,
+                                            DEFAULT_MAX_SETS)
+        ids = bulk.intern_window(iso_key_batch(codes))[types]
     per_set = LabelInterner()
     want = per_set.intern_window(
         [iso_key(per_set_iso_code(g, tuple(t))) for g in graphs
          for t in KSetIndex(g.num_vertices, k).all_sets().tolist()])
     assert ids.dtype == np.int64 and np.array_equal(ids, want)
     assert len(bulk) == len(per_set)
+
+
+@settings(max_examples=80, deadline=None)
+@given(labeled_graphs(), st.integers(1, 4))
+@example(build_graph(4, [(0, 1), (2, 3)], node_labels=[-3, 2, -1, -3]), 2)
+def test_iso_codes_ascend_as_a_fresh_window_numbers_them(g, k):
+    # la_kset_run takes the iso types for iteration-0 ids without a window
+    codes, _ = iso_keys(g, KSetIndex(g.num_vertices, k).all_sets())
+    rows = codes.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert np.array_equal(LabelInterner().intern_window(iso_key_batch(codes)),
+                          np.arange(len(codes)))
+
+
+@pytest.mark.parametrize("local", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_linalg_iteration_zero_is_the_exact_one(mutag, k, local):
+    la, la_counts = la_kset_run(mutag.graphs, k, 0, local=local)
+    exact, counts = exact_kset_run(mutag.graphs, k, 0, LabelInterner(),
+                                   local=local)
+    assert la_counts == counts and len(la) == len(exact) == 1
+    assert np.array_equal(la[0], exact[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,7 +444,7 @@ def test_small_blocks_build_the_same_structures(monkeypatch):
     monkeypatch.setattr(kwl, "_BLOCK_ITEMS", 13)
     blocked = (iso_keys(g, sets), neighbor_csr(g, index, True, sets),
                neighbor_csr(g, index, False, sets))
-    assert blocked[0][0] == whole[0][0]
+    assert np.array_equal(blocked[0][0], whole[0][0])
     assert np.array_equal(blocked[0][1], whole[0][1])
     for a, b in zip(blocked[1:], whole[1:]):
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])

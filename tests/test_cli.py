@@ -148,6 +148,21 @@ def test_resource_error_exit_code(two_triangle_dir, tmp_path, capsys):
     assert "sampled" in err
 
 
+def test_memory_error_exits_3_with_one_line(two_triangle_dir, tmp_path,
+                                            capsys, monkeypatch):
+    from ksetwl import cli
+
+    def no_memory(features):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "gram_matrix", no_memory)
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel", "wl1",
+        "--h", "1", "--output", str(tmp_path / "g.txt"))
+    assert code == 3
+    assert err == "ksetwl: resource limit: out of memory\n"
+
+
 @pytest.mark.parametrize("mode", [
     ["--mode", "exact"], ["--mode", "linalg"],
     ["--mode", "sampled", "--samples", "100"], ["--mode", "adaptive"]],
