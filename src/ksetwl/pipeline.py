@@ -73,8 +73,10 @@ def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
         raise ParameterError("iteration count h must be nonnegative")
     codes, types, counts, csr = kset_front_end(graphs, k, local, h > 0,
                                                max_sets)
-    # a window numbers fresh keys in byte order whatever their multiplicity
-    labels = [interner.intern_window(iso_key_batch(codes))[types]]
+    # a window numbers fresh keys in byte order whatever their multiplicity;
+    # the ids replace the types, so the refinement windows hold only one
+    types = interner.intern_window(iso_key_batch(codes))[types]
+    labels = [types]
     for _ in range(h):
         labels.append(refine_coloring_window(*csr, labels[-1], interner))
     return labels, counts
