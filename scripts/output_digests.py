@@ -8,8 +8,9 @@ every kernel, on a copy of MUTAG without node labels (where 1-WL starts
 from vertex degrees) and on a copy in a messy but valid layout, and prints
 one ``<digest>  <name>`` line per output file.  Sampled runs add the total
 sample count over all graphs from their manifests, and adaptive runs the
-most rounds any graph took.  Everything
-is written under a temporary directory that is removed afterwards.
+most rounds any graph took and the SHA-256 of their whole round log (the
+manifest's ``rounds``, dumped as JSON with sorted keys).  Everything is
+written under a temporary directory that is removed afterwards.
 Running the script on two checkouts and diffing the lines tells whether a
 change keeps every output byte-identical, and what sampling cost.  The
 messy copy's features must have the digest of ``k2-exact.features``.  The
@@ -166,6 +167,9 @@ def main_digests() -> int:
             if "rounds" in manifest:
                 rounds = max(map(len, manifest["rounds"].values()))
                 print(f"{rounds}  {name}.rounds")
+                log = json.dumps(manifest["rounds"], sort_keys=True)
+                print(f"{hashlib.sha256(log.encode()).hexdigest()}  "
+                      f"{name}.round-log")
     return 0
 
 

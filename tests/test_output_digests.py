@@ -43,6 +43,8 @@ PINNED = [
      "subset-adaptive-seed5.gram"),
     ("76000", "subset-adaptive-seed5.gram.samples"),
     ("7", "subset-adaptive-seed5.gram.rounds"),
+    ("703bdae7f54c1f2668e3b801e840aff437f7773d743c52e4cc0ba84fbce0f700",
+     "subset-adaptive-seed5.gram.round-log"),
     ("33e6efbcecda2458c1619ea427084670060beaddd0fccb55b5c930effd3b77fd",
      "k2-sampled-seed9.gram"),
     ("56400", "k2-sampled-seed9.gram.samples"),
