@@ -63,8 +63,6 @@ def _add_compute_args(p):
                    help="label-count bound for --mode sampled sizing")
     p.add_argument("--samples", type=int, default=None,
                    help="explicit sample count for --mode sampled")
-    p.add_argument("--initial-samples", type=int, default=100)
-    p.add_argument("--growth", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--normalize", choices=("none", "l1-block", "l1-full"),
                    default="none")
@@ -181,8 +179,7 @@ def _sampled_features(graphs, args, h: int):
     estimates = sampled_dataset_run(
         graphs, args.k, h, seed=args.seed, interner=interner,
         mode=args.mode, sample_count=sample_count, epsilon=args.epsilon,
-        delta=args.delta, initial_size=args.initial_samples,
-        growth=args.growth, max_total_samples=args.max_samples)
+        delta=args.delta, max_total_samples=args.max_samples)
     extra["label_space"] = len(interner)
     extra["sample_counts"] = [est.sample_count for est in estimates]
     empty = [i for i, est in enumerate(estimates) if est.sample_count == 0]

@@ -170,10 +170,15 @@ def _first_rows(offsets, u, v, labels, span):
 
 
 def _int64(values, what) -> np.ndarray:
+    """``values`` as int64, refused unless the cast keeps every value:
+    fractions, strings and integers beyond int64 fail, 1.0 passes."""
     try:
-        return np.asarray(values, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise GraphError(f"{what} must be signed 64-bit integers") from exc
+        out = np.asarray(values, dtype=np.int64)
+        if np.array_equal(out, np.asarray(values)):
+            return out
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise GraphError(f"{what} must be signed 64-bit integers")
 
 
 @dataclass

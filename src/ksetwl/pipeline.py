@@ -131,14 +131,16 @@ def sampled_dataset_run(graphs, k: int, h: int, seed: int,
                         interner: LabelInterner, mode: str = "adaptive",
                         sample_count: int | None = None,
                         epsilon: float = 0.1, delta: float = 0.1,
-                        initial_size: int = 100, growth: float = 2.0,
                         max_total_samples: int = DEFAULT_MAX_TOTAL_SAMPLES):
     """Sampled estimates for every graph of a dataset.
 
     Each graph gets its own generator derived from (seed, graph position),
-    so results do not depend on evaluation order.  Returns the estimates;
-    their mass vectors serve directly as (normalized) feature vectors, and
-    the sampled kernel is their plain inner product.
+    so results do not depend on evaluation order.  Fixed-size runs draw
+    ``sample_count`` samples per graph, adaptive ones 100 * 2^i in round i
+    (:func:`ksetwl.sampling.estimate_features_adaptive`) until ``epsilon``
+    is certified.  Returns the estimates; their mass vectors serve directly
+    as (normalized) feature vectors, and the sampled kernel is their plain
+    inner product.
     """
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
@@ -155,7 +157,6 @@ def sampled_dataset_run(graphs, k: int, h: int, seed: int,
         elif mode == "adaptive":
             est = estimate_features_adaptive(
                 g, k, h, epsilon, delta, rng, interner,
-                initial_size=initial_size, growth=growth,
                 max_total_samples=max_total_samples)
         else:
             raise ParameterError(f"unknown sampling mode: {mode!r}")

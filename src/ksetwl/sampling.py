@@ -232,7 +232,8 @@ def _sample(g: Graph, k: int, h: int, rng, interner: LabelInterner, cache,
     """Draw ``batches`` in turn into one :class:`RademacherState`: only the
     first without ``epsilon``; with it, until the deviation bound at
     delta * 2^-(i+1) after round i is at most ``epsilon``.  A round whose
-    delta is 0.0, or beyond ``max_total_samples`` in total, is refused."""
+    delta is 0.0, beyond ``max_total_samples`` in total, or too large for
+    one numpy array is refused before it is drawn."""
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
     check_order(k)
@@ -248,13 +249,17 @@ def _sample(g: Graph, k: int, h: int, rng, interner: LabelInterner, cache,
             raise ResourceLimitError(
                 f"adaptive sampling ran out of rounds: delta * 2^-{i + 1} is "
                 f"0.0 (drawn {state.m} samples in {i} rounds, last bound "
-                f"{bound:.6g}, target epsilon {epsilon}); raise the growth "
-                f"factor or epsilon")
+                f"{bound:.6g}, target epsilon {epsilon}); raise delta or "
+                f"epsilon")
         if state.m + batch > max_total_samples:   # fixed counts pass here
             raise ResourceLimitError(
                 f"adaptive sampling would exceed {max_total_samples} samples "
                 f"(drawn {state.m}, last bound {bound:.6g}, target epsilon "
                 f"{epsilon}); raise the cap or epsilon")
+        if batch * k * 8 > np.iinfo(np.intp).max:
+            raise ResourceLimitError(
+                f"a batch of {batch} {k}-sets is beyond any array numpy can "
+                f"allocate; lower the sample count")
         sets, counts = labeler.draw_counts(batch, rng)
         state.observe(labeler.labels_for(sets), counts)
         if epsilon is None:
@@ -295,35 +300,21 @@ def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
 def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
                                delta: float, rng: np.random.Generator,
                                interner: LabelInterner,
-                               initial_size: int = 100,
-                               growth: float = 2.0,
                                max_total_samples: int = DEFAULT_MAX_TOTAL_SAMPLES,
                                cache: dict | None = None) -> SampledEstimate:
-    """Adaptive estimator: sample in growing rounds until the deviation
+    """Adaptive estimator: sample in doubling rounds until the deviation
     bound (:func:`massart_deviation_bound`) drops to ``epsilon``.
 
-    Round i draws initial_size * growth^i fresh samples (doubling by
-    default) and tests the bound at delta / 2^(i+1).  These deltas sum to
-    less than ``delta``, so by a union bound over the rounds the estimate's
-    sup deviation is at most ``epsilon`` with probability at least
-    1 - delta.  The sample cap stops an unreachably small epsilon.
+    Round i draws 100 * 2^i fresh samples and tests the bound at
+    delta / 2^(i+1).  These deltas sum to less than ``delta``, so by a
+    union bound over the rounds the estimate's sup deviation is at most
+    ``epsilon`` with probability at least 1 - delta.  The sample cap stops
+    an unreachably small epsilon.
     """
     _check_probability("epsilon", epsilon, upper_inclusive=True)
     _check_probability("delta", delta, upper_inclusive=False)
-    if initial_size < 1:
-        raise ParameterError("initial_size must be at least 1")
-    if not (math.isfinite(growth) and growth > 1.0):
-        raise ParameterError(f"growth factor must be finite and exceed 1, "
-                             f"got {growth}")
-
-    def batches():
-        for i in itertools.count():
-            try:
-                yield round(initial_size * growth ** i)
-            except OverflowError:   # beyond every float, so beyond the cap
-                yield math.inf
-
-    return _sample(g, k, h, rng, interner, cache, batches(),
+    return _sample(g, k, h, rng, interner, cache,
+                   (100 << i for i in itertools.count()),
                    max_total_samples, epsilon, delta)
 
 

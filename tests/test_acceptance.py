@@ -148,8 +148,7 @@ def test_c04_adaptive_estimates_on_mutag(mutag):
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([7700 + seed, gi])))
             est = estimate_features_adaptive(
-                g, k, h, eps, delta, rng, interner,
-                initial_size=100, growth=2.0, cache=caches[gi])
+                g, k, h, eps, delta, rng, interner, cache=caches[gi])
             exact_block = exact[gi][h]
             est_block = estimate_blocks(est)[h]
             sup = max(abs(exact_block.get(lab, 0.0) - est_block.get(lab, 0.0))

@@ -243,37 +243,58 @@ def test_adaptive_gram_runs(two_triangle_dir, tmp_path, capsys):
             0.1 * 2.0 ** -(i + 1) for i in range(len(rounds))]
 
 
-@pytest.mark.parametrize("growth", ["nan", "inf", "1"])
-def test_adaptive_rejects_a_growth_that_is_not_finite_above_one(
-        two_triangle_dir, tmp_path, capsys, growth):
+@pytest.mark.parametrize("option", [["--growth", "2"],
+                                    ["--initial-samples", "100"]],
+                         ids=["growth", "initial-samples"])
+def test_schedule_options_are_gone(two_triangle_dir, tmp_path, capsys,
+                                   option):
+    out_path = str(tmp_path / "g.txt")
     code, _, err = run_cli(
         capsys, "gram", "--dataset", two_triangle_dir, "--kernel",
-        "kwl-local", "--h", "1", "--mode", "adaptive", "--epsilon", "0.01",
-        "--growth", growth, "--output", str(tmp_path / "g.txt"))
-    assert code == 1 and "growth factor" in err
+        "kwl-local", "--h", "1", "--mode", "adaptive", *option,
+        "--output", out_path)
+    assert code == 1 and option[0] in err
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel",
+        "kwl-local", "--h", "1", "--mode", "adaptive", "--output", out_path)
+    assert code == 0, err
+    config = json.load(open(out_path + ".manifest.json"))["config"]
+    assert "growth" not in config and "initial_samples" not in config
 
 
-@pytest.mark.parametrize("growth", ["1e308", "1e200"])
 def test_adaptive_batch_beyond_the_cap_exits_3(two_triangle_dir, tmp_path,
-                                               capsys, growth):
-    # the second round's batch is inf (or beyond int64) before it is drawn
+                                               capsys):
+    # round 1 would bring the total from 100 to 300, above the cap of 150
     code, _, err = run_cli(
         capsys, "gram", "--dataset", two_triangle_dir, "--kernel",
         "kwl-local", "--h", "1", "--mode", "adaptive", "--epsilon", "0.01",
-        "--growth", growth, "--output", str(tmp_path / "g.txt"))
-    assert code == 3 and "adaptive sampling would exceed" in err
+        "--max-samples", "150", "--output", str(tmp_path / "g.txt"))
+    assert code == 3 and "adaptive sampling would exceed 150 samples" in err
 
 
 def test_adaptive_schedule_running_out_of_rounds_exits_3(tmp_path, capsys):
-    # round i tests its bound at 0.1 * 2^-(i+1), which is 0.0 from round 1071
+    # round i tests its bound at 2^-1070 * 2^-(i+1), which is 0.0 from round 4
     code, _, err = run_cli(
         capsys, "gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local",
-        "--k", "2", "--h", "1", "--mode", "adaptive", "--initial-samples",
-        "50", "--growth", "1.001", "--output", str(tmp_path / "g.txt"))
+        "--k", "2", "--h", "1", "--mode", "adaptive", "--delta", "8e-323",
+        "--output", str(tmp_path / "g.txt"))
     assert code == 3 and "got 0.0" not in err
-    assert ("adaptive sampling ran out of rounds: delta * 2^-1072 is 0.0 "
-            "(drawn 95837 samples in 1071 rounds, last bound " in err)
-    assert "raise the growth factor or epsilon" in err
+    assert ("adaptive sampling ran out of rounds: delta * 2^-5 is 0.0 "
+            "(drawn 1500 samples in 4 rounds, last bound " in err)
+    assert "raise delta or epsilon" in err
+
+
+@pytest.mark.parametrize("samples", ["4611686018427387904",
+                                     "10000000000000000000"])
+def test_sample_batch_numpy_cannot_allocate_exits_3(tmp_path, capsys,
+                                                    samples):
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local",
+        "--k", "2", "--h", "1", "--mode", "sampled", "--samples", samples,
+        "--max-samples", "100000000000000000000",
+        "--output", str(tmp_path / "g.txt"))
+    assert code == 3 and err.count("\n") == 1
+    assert f"a batch of {samples} 2-sets is beyond any array" in err
 
 
 @pytest.mark.parametrize("count", [["--gamma", "100000000000000000000"],

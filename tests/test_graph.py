@@ -58,6 +58,23 @@ def test_node_label_length_checked():
         build_graph(3, [(0, 1)], node_labels=[1, 2])
 
 
+@pytest.mark.parametrize("edges, kwargs", [
+    ([(0, 1.5), (1, 2)], {}),
+    ([(0, 1), (1, 2)], {"node_labels": [0.7, 1, 2]}),
+    ([(0, "1")], {}),
+    ([(0, 1)], {"edge_labels": np.array([2 ** 63], dtype=np.uint64)}),
+])
+def test_values_that_are_not_int64_rejected(edges, kwargs):
+    with pytest.raises(GraphError, match="signed 64-bit integers"):
+        build_graph(3, edges, **kwargs)
+
+
+def test_integral_floats_accepted():
+    g = build_graph(3, [(0, 1.0), (1, 2)], node_labels=[1.0, 2, 3])
+    assert g.indices.tolist() == [1, 0, 2, 1]
+    assert g.node_labels.tolist() == [1, 2, 3]
+
+
 def test_edge_labels_run_parallel_to_indices():
     g = build_graph(4, [(2, 0), (0, 1), (3, 2)], edge_labels=[5, -7, 2 ** 63 - 1])
     assert g.indices.tolist() == [1, 2, 0, 0, 3, 2]

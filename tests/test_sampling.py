@@ -470,7 +470,7 @@ def test_adaptive_on_triangle_terminates_quickly(tri):
 
 def test_adaptive_doubling_totals(tri):
     est = estimate_features_adaptive(tri, 2, 1, 0.05, 0.1, make_rng(2),
-                                     LabelInterner(), initial_size=100)
+                                     LabelInterner())
     for i, entry in enumerate(est.rounds):
         assert entry["batch"] == 100 * 2 ** i
         assert entry["total"] == 100 * (2 ** (i + 1) - 1)
@@ -492,17 +492,15 @@ def test_adaptive_sample_cap(tri):
 
 
 def test_adaptive_rounds_stop_before_their_delta_underflows(tri):
-    # 1e-300 * 2^-(i+1) is 0.0 from round 78; epsilon is out of reach
+    # 2^-1070 * 2^-(i+1) is 0.0 from round 4; epsilon is out of reach
     with pytest.raises(ResourceLimitError) as info:
-        estimate_features_adaptive(tri, 2, 1, 0.01, 1e-300, make_rng(0),
-                                   LabelInterner(), initial_size=1,
-                                   growth=1.001)
+        estimate_features_adaptive(tri, 2, 1, 0.01, 2.0 ** -1070, make_rng(0),
+                                   LabelInterner())
     message = str(info.value)
     assert message.startswith("adaptive sampling ran out of rounds: delta * "
-                              "2^-79 is 0.0 (drawn 78 samples in 78 rounds, "
+                              "2^-5 is 0.0 (drawn 1500 samples in 4 rounds, "
                               "last bound ")
-    assert message.endswith("target epsilon 0.01); raise the growth factor "
-                            "or epsilon")
+    assert message.endswith("target epsilon 0.01); raise delta or epsilon")
     last_bound = message.split("last bound ")[1].split(",")[0]
     assert math.isfinite(float(last_bound)), last_bound
 
