@@ -259,7 +259,7 @@ def _sample(g: Graph, k: int, h: int, rng, interner: LabelInterner, cache,
         if batch * k * 8 > np.iinfo(np.intp).max:
             raise ResourceLimitError(
                 f"a batch of {batch} {k}-sets is beyond any array numpy can "
-                f"allocate; lower the sample count")
+                f"allocate; lower the sample count or the cap")
         sets, counts = labeler.draw_counts(batch, rng)
         state.observe(labeler.labels_for(sets), counts)
         if epsilon is None:
