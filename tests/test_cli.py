@@ -262,12 +262,26 @@ def test_schedule_options_are_gone(two_triangle_dir, tmp_path, capsys,
     assert "growth" not in config and "initial_samples" not in config
 
 
-def test_adaptive_batch_beyond_the_cap_exits_3(two_triangle_dir, tmp_path,
-                                               capsys):
-    # round 1 would bring the total from 100 to 300, above the cap of 150
+@pytest.mark.parametrize("growth", ["nan", "inf", "1"])
+def test_adaptive_rejects_a_growth_that_is_not_finite_above_one(
+        two_triangle_dir, tmp_path, capsys, growth):
+    # the schedule is fixed at 100 << i, so --growth is refused at any value
     code, _, err = run_cli(
         capsys, "gram", "--dataset", two_triangle_dir, "--kernel",
         "kwl-local", "--h", "1", "--mode", "adaptive", "--epsilon", "0.01",
+        "--growth", growth, "--output", str(tmp_path / "g.txt"))
+    assert code == 1 and "--growth" in err
+
+
+@pytest.mark.parametrize("inverse_epsilon", ["100", "1e200", "1e308"])
+def test_adaptive_batch_beyond_the_cap_exits_3(two_triangle_dir, tmp_path,
+                                               capsys, inverse_epsilon):
+    # the bound after round 0 misses epsilon, and round 1 would bring the
+    # total from 100 to 300, above the cap of 150
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, "--kernel",
+        "kwl-local", "--h", "1", "--mode", "adaptive",
+        "--epsilon", str(1 / float(inverse_epsilon)),
         "--max-samples", "150", "--output", str(tmp_path / "g.txt"))
     assert code == 3 and "adaptive sampling would exceed 150 samples" in err
 
