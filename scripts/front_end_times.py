@@ -1,17 +1,24 @@
-"""Print in-process median times of the layers of an exact ksetwl run.
+"""Print in-process median times of the layers of an exact or linalg ksetwl
+run, and its memory figures.
 
 Usage: python scripts/front_end_times.py [--dataset DIR] [--name NAME]
-           [--kernel kwl-local] [--k 3] [--h 3] [--repeats 5]
+           [--kernel kwl-local] [--k 3] [--h 3] [--mode exact]
+           [--repeats 5]
 
-Runs ``pipeline.exact_kset_run``, the features and the gram of the checkout
-this script belongs to (its ``src/``) on a TU dataset, the bundled MUTAG by
-default, ``--repeats`` times in this process.  The front end's iso keys,
-its neighbor CSR and every refinement window are timed by wrapping the
-names ``pipeline`` calls them by; a missing name raises instead of going
-unmeasured.  Prints one ``<median seconds>  <layer>`` line per layer
-(``iso_keys``, ``neighbor_csr``, ``window_1`` .. ``window_h``,
-``features``, ``gram`` and ``total``, the run plus features plus gram),
-then the CSR's entry count and the process's peak RSS in MB.
+Runs ``pipeline.exact_kset_run`` (or ``pipeline.la_kset_run`` with
+``--mode linalg``), the features and the gram of the checkout this script
+belongs to (its ``src/``) on a TU dataset, the bundled MUTAG by default,
+``--repeats`` times in this process.  The front end's iso keys, its
+neighbor CSR and every refinement window (``la_step`` in linalg runs) are
+timed by wrapping the names ``pipeline`` calls them by; a missing name
+raises instead of going unmeasured.  Prints one ``<median seconds>
+<layer>`` line per layer (``iso_keys``, ``neighbor_csr``, ``window_1`` ..
+``window_h``, ``features``, ``gram`` and ``total``, the run plus features
+plus gram), then the CSR's entry count, its size in MB (row pointer plus
+offsets), the tracemalloc peak in MB of one more run, untimed, and the
+process's peak RSS in MB.  The tracemalloc peak counts what numpy and
+Python allocate, so unlike the peak RSS it does not move with heap layout
+or with what earlier runs left behind.
 """
 
 import argparse
@@ -21,6 +28,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -33,15 +41,16 @@ from ksetwl.tu_io import parse_tu_dataset  # noqa: E402
 
 MUTAG = os.path.join(ROOT, "data", "MUTAG")
 # layer name -> the name pipeline calls it by
-WRAPPED = {"iso_keys": "iso_keys", "neighbor_csr": "_neighbor_csr",
-           "window": "refine_coloring_window"}
+WRAPPED = {"iso_keys": "iso_keys", "neighbor_csr": "_neighbor_csr"}
+# mode -> the name pipeline calls its refinement window by
+WINDOWS = {"exact": "refine_coloring_window", "linalg": "la_step"}
+MB = 1 << 20
 
 
 @contextlib.contextmanager
-def _timed(layer, log):
+def _timed(layer, name, log):
     """Record (layer, seconds, result) in ``log`` for every call pipeline
-    makes to the function ``WRAPPED[layer]`` while the context is open."""
-    name = WRAPPED[layer]
+    makes to the function ``name`` while the context is open."""
     original = getattr(pipeline, name)
 
     def wrapper(*args, **kwargs):
@@ -57,32 +66,52 @@ def _timed(layer, log):
         setattr(pipeline, name, original)
 
 
-def layer_times(graphs, k: int, h: int, local: bool):
-    """One timed exact run: the seconds of each layer, the CSR's entry
-    count (0 when h = 0 builds no CSR) and the gram."""
+def run(graphs, k: int, h: int, local: bool, mode: str):
+    """The label arrays and k-set counts of one exact or linalg run."""
+    if mode == "exact":
+        return pipeline.exact_kset_run(graphs, k, h, LabelInterner(),
+                                       local=local)
+    return pipeline.la_kset_run(graphs, k, h, local=local)
+
+
+def layer_times(graphs, k: int, h: int, local: bool, mode: str):
+    """One timed run: the seconds of each layer, the CSR's entry count and
+    bytes (0 when h = 0 builds no CSR) and the gram."""
     log = []
     with contextlib.ExitStack() as stack:
-        for layer in WRAPPED:
-            stack.enter_context(_timed(layer, log))
+        for layer, name in [*WRAPPED.items(), ("window", WINDOWS[mode])]:
+            stack.enter_context(_timed(layer, name, log))
         start = time.perf_counter()
-        labels, counts = pipeline.exact_kset_run(graphs, k, h,
-                                                 LabelInterner(), local=local)
+        labels, counts = run(graphs, k, h, local, mode)
     ran = time.perf_counter()
     features = pipeline.features_from_label_arrays(labels, counts)
     featured = time.perf_counter()
     gram = gram_matrix(features)
     end = time.perf_counter()
-    times, windows, entries = {}, 0, 0
+    times, windows, entries, nbytes = {}, 0, 0, 0
     for layer, seconds, result in log:
         if layer == "window":
             windows += 1
             layer = f"window_{windows}"
         elif layer == "neighbor_csr":
             entries = len(result[1])
+            nbytes = result[0].nbytes + result[1].nbytes
         times[layer] = seconds
     times.update(features=featured - ran, gram=end - featured,
                  total=end - start)
-    return times, entries, gram
+    return times, entries, nbytes, gram
+
+
+def traced_peak(graphs, k: int, h: int, local: bool, mode: str) -> int:
+    """The tracemalloc peak in bytes of one unwrapped run, its features and
+    its gram."""
+    tracemalloc.start()
+    try:
+        gram_matrix(pipeline.features_from_label_arrays(
+            *run(graphs, k, h, local, mode)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main(argv=None) -> int:
@@ -93,19 +122,23 @@ def main(argv=None) -> int:
     p.add_argument("--kernel", choices=KERNELS, default="kwl-local")
     p.add_argument("--k", type=int, default=3, help="ignored for wl1")
     p.add_argument("--h", type=int, default=3)
+    p.add_argument("--mode", choices=WINDOWS, default="exact")
     p.add_argument("--repeats", type=int, default=5)
     args = p.parse_args(argv)
     graphs = parse_tu_dataset(args.dataset, args.name).graphs
     k = 1 if args.kernel == "wl1" else args.k
     local = args.kernel != "kwl-global"
-    runs = [layer_times(graphs, k, args.h, local)
+    runs = [layer_times(graphs, k, args.h, local, args.mode)
             for _ in range(args.repeats)]
-    print(f"{args.kernel} k={k} h={args.h}, {len(graphs)} graphs: median "
-          f"of {args.repeats} in-process runs")
+    traced = traced_peak(graphs, k, args.h, local, args.mode)
+    print(f"{args.kernel} {args.mode} k={k} h={args.h}, {len(graphs)} "
+          f"graphs: median of {args.repeats} in-process runs")
     for layer in runs[0][0]:
-        median = statistics.median(times[layer] for times, _, _ in runs)
+        median = statistics.median(times[layer] for times, *_ in runs)
         print(f"{median:.4f}  {layer}")
     print(f"{runs[0][1]}  csr_entries")
+    print(f"{runs[0][2] / MB:.3f}  csr_mb")
+    print(f"{traced / MB:.3f}  traced_peak_mb")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{peak:.1f}  peak_rss_mb")
     return 0

@@ -4,7 +4,8 @@ One LabelInterner instance spans an entire dataset run so that the label
 counts of different graphs index the same label space.  Keys are made in
 bulk (:func:`iso_key_batch`, :func:`refine_coloring_window`) and interned a
 window at a time by :meth:`LabelInterner.intern_window`, which reads them
-as a stream and holds only the window's distinct keys.  Two key kinds
+as a stream into the interner's own table, with no table of its own.  Two
+key kinds
 exist, both bytes whose lexicographic order matches the natural order of
 the underlying tuples, which makes the two-phase deterministic interning
 protocol a plain sort:
@@ -57,32 +58,54 @@ class LabelInterner:
     """
 
     def __init__(self):
-        self._ids: dict[bytes, int] = {}
+        # a key takes the next id when first seen; its window renumbers
+        # the keys it added in byte order when the stream ends
+        self._ids = defaultdict(itertools.count().__next__)
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def intern_window(self, keys) -> np.ndarray:
         """Two-phase window: intern all fresh keys in ascending byte order,
-        then return the ids of ``keys`` in input order.
+        then return the ids of ``keys`` in input order, as int32.
 
-        ``keys`` may be any iterable, such as a lazy stream of key blocks;
-        the window holds only its distinct keys.  Calling this once per
+        ``keys`` may be any iterable, such as a lazy stream of key blocks.
+        Each fresh key enters the interner's table when first seen, under
+        the next id, and the window's fresh keys are renumbered in
+        ascending byte order once the stream ends, so the window holds no
+        table of its own.  A window refused for its ids, or whose stream
+        raises, leaves the interner as it was.  Calling this once per
         iteration with the collected keys makes id assignment independent
         of the order the keys were computed in.
         """
-        # a key new to the window gets the number of distinct keys before it
-        local = defaultdict(itertools.count().__next__)
-        order = np.fromiter(map(local.__getitem__, keys), dtype=np.int64)
         ids = self._ids
-        fresh = sorted([key for key in local if key not in ids])
-        if len(ids) + len(fresh) > _ID_CAP:
-            raise ResourceLimitError(
-                f"the run needs {len(ids) + len(fresh)} distinct labels; "
-                f"label ids stop at {_ID_CAP}")
-        ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
-        return np.fromiter(map(ids.__getitem__, local), dtype=np.int64,
-                           count=len(local))[order]
+        issued = len(ids)
+        try:
+            order = np.fromiter(map(ids.__getitem__, keys), dtype=np.int32)
+            if len(ids) > _ID_CAP:
+                raise ResourceLimitError(
+                    f"the run needs {len(ids)} distinct labels; label ids "
+                    f"stop at {_ID_CAP}")
+        except BaseException:
+            for key in _last_keys(ids, len(ids) - issued):
+                del ids[key]
+            ids.default_factory = itertools.count(issued).__next__
+            raise
+        fresh = sorted(_last_keys(ids, len(ids) - issued))
+        first_seen = np.fromiter(map(ids.__getitem__, fresh), dtype=np.int64,
+                                 count=len(fresh))
+        renumber = np.empty(len(fresh), dtype=np.int32)
+        renumber[first_seen - issued] = np.arange(issued, len(ids))
+        ids.update(zip(fresh, range(issued, len(ids))))
+        later = order >= issued
+        order[later] = renumber[order[later] - issued]
+        return order
+
+
+def _last_keys(table: dict, count: int) -> list:
+    """The ``count`` keys last added to ``table``, read from its end: a
+    shared interner holds the keys of every earlier window before them."""
+    return list(itertools.islice(reversed(table), count))
 
 
 def _ragged_words(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
@@ -101,18 +124,38 @@ def iso_key_batch(codes: np.ndarray) -> list[bytes]:
         words.ravel(), np.arange(len(codes)) * codes.shape[1])]
 
 
-def refine_coloring_window(indptr: np.ndarray, indices: np.ndarray,
+def _row_blocks(indptr: np.ndarray, offsets: np.ndarray):
+    """Consecutive row ranges [a, b) of a CSR whose entries are offsets from
+    their own row, each holding at most ``_KEY_BLOCK_ENTRIES`` entries (or
+    one row).  Yields a, b, the row of each of the block's entries and its
+    column, row plus offset, both int64."""
+    n, a = len(indptr) - 1, 0
+    while a < n:
+        # a Python int would make searchsorted cast all of an int32 indptr
+        end = min(int(indptr[a]) + _KEY_BLOCK_ENTRIES, int(indptr[-1]))
+        b = max(a + 1, int(np.searchsorted(
+            indptr, indptr.dtype.type(end), side="right")) - 1)
+        rows = np.repeat(np.arange(a, b, dtype=np.int64),
+                         np.diff(indptr[a:b + 1]))
+        yield a, b, rows, rows + offsets[indptr[a]:indptr[b]]
+        a = b
+
+
+def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
                            labels: np.ndarray,
                            interner: LabelInterner) -> np.ndarray:
     """One refinement step over every row of a CSR adjacency structure,
-    under one intern window: the new label of each row.
+    under one intern window: the new label of each row, as int32.
 
     Rows and columns index one item list labeled by ``labels``, whose
-    first items are the rows.  Row i's key is the big-endian 32-bit words
-    of its own label ``labels[i]`` and the ascending multiset of labels
-    over its (out-)neighbors.  Labels must be ids below ``_ID_CAP``.  Keys
-    are built in row blocks of at most ``_KEY_BLOCK_ENTRIES`` neighbor
-    entries (or one row) and streamed to the interner.
+    first items are the rows.  Entry e of row i is the item
+    i + ``offsets[e]``, so offsets may be stored in any signed integer
+    type that holds them.  Row i's key is the big-endian 32-bit words of
+    its own label ``labels[i]`` and the ascending multiset of labels over
+    its (out-)neighbors.  Labels must be ids below ``_ID_CAP``.  Keys are
+    built in row blocks of at most ``_KEY_BLOCK_ENTRIES`` neighbor entries
+    (or one row), decoded block by block (:func:`_row_blocks`), and
+    streamed to the interner.
     """
     n = len(indptr) - 1
     if len(labels) < n:
@@ -124,21 +167,15 @@ def refine_coloring_window(indptr: np.ndarray, indices: np.ndarray,
         raise ParameterError("labels too large for combined sort keys")
 
     def blocks():
-        a = 0
-        while a < n:
-            b = max(a + 1, int(np.searchsorted(
-                indptr, indptr[a] + _KEY_BLOCK_ENTRIES, side="right")) - 1)
-            lo, hi = int(indptr[a]), int(indptr[b])
+        for a, b, rows, columns in _row_blocks(indptr, offsets):
             # sort each row's neighbor labels at once by row * span + label,
             # then lay out own and neighbor labels as one flat word array
-            rows = np.repeat(np.arange(b - a, dtype=np.int64),
-                             np.diff(indptr[a:b + 1]))
-            neigh = np.sort(rows * span + labels[indices[lo:hi]]) - rows * span
-            starts = np.arange(b - a, dtype=np.int64) + (indptr[a:b] - lo)
-            words = np.empty(b - a + hi - lo, dtype=">u4")
+            base = rows * span
+            neigh = np.sort(base + labels[columns]) - base
+            starts = np.arange(b - a, dtype=np.int64) + indptr[a:b] - indptr[a]
+            words = np.empty(b - a + len(rows), dtype=">u4")
             words[starts] = labels[a:b]
-            words[np.arange(hi - lo) + rows + 1] = neigh
+            words[np.arange(len(rows)) + (rows + 1 - a)] = neigh
             yield from _ragged_words(words, starts)
-            a = b
 
     return interner.intern_window(blocks())

@@ -17,16 +17,21 @@ the lexicographic minimum over the k! member orderings of each distinct raw
 row only, so it returns one canonical row per iso type and an index from
 sets to rows; :func:`ksetwl.interner.iso_key_batch` makes their keys.
 :func:`_neighbor_csr` builds the swap neighborhoods: local candidates come
-from a ragged gather of member adjacency rows, and each neighbor's column
-is the first row of its graph plus one lookup in a swap table
-(:func:`_swap_table`), the colex rank of a (k-1)-set plus a vertex.
+from a ragged gather of member adjacency rows, and each neighbor's colex
+rank in its graph is one lookup in a swap table (:func:`_swap_table`), the
+colex rank of a (k-1)-set plus a vertex.  Swaps stay inside their graph,
+so the CSR stores a neighbor as the offset of its position from its own
+row's, column = row + offset, in the narrowest signed type that holds
++-(C(n_max, k) - 1): int16 on MUTAG at k = 3, half of an int32 position.
 The table has C(n_max, k - 1) * n_max entries for the widest graph's n_max
 vertices, about k * C(n_max, k), int32 while C(n_max, k) < 2^31, so the
 ``--max-sets`` check that precedes every allocation bounds it too.  Both
 are processed in bounded blocks of sets, and both run once over a whole
 dataset stacked by :func:`stack_graphs`.
 :func:`swap_levels` gives the sampling path the sets within h local swaps
-of a few sets, those within j swaps first, and the CSR of their swaps.
+of a few sets, those within j swaps first, and the CSR of their swaps, in
+the same offset form.  Iso-type indices, like every label array, are
+int32: label ids stay below ``_ID_CAP`` = 2^31.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from math import comb, factorial
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .graph import Graph
-from .interner import iso_key_batch
+from .interner import _ID_CAP, iso_key_batch
 from .ksets import _BLOCK_ITEMS, KSetIndex
 
 # Exact and linalg runs refuse graphs with more k-sets than this in total
@@ -131,9 +137,11 @@ def _canonical_rows(rows: np.ndarray, k: int) -> np.ndarray:
 
 def iso_keys(g: Graph, sets: np.ndarray):
     """The distinct canonical rows over the rows ``t`` of ``sets``,
-    ascending, and each row's index into them.  A canonical row is
-    fixed width, with edge label 0 where an edge is absent, and
-    ``iso_key_batch`` of it is the iso tag byte, then ``iso_code(g, t)``.
+    ascending, and each row's index into them, int32 like every label
+    array.  A canonical row is fixed width, with edge label 0 where an
+    edge is absent, and ``iso_key_batch`` of it is the iso tag byte, then
+    ``iso_code(g, t)``.  More than ``_ID_CAP`` distinct rows are refused,
+    as an interner would refuse their ids.
 
     Only distinct raw rows (:func:`_raw_rows`) are canonicalized: rows are
     deduplicated within each block of sets, then across the blocks'
@@ -152,8 +160,11 @@ def iso_keys(g: Graph, sets: np.ndarray):
     best = np.concatenate([_canonical_rows(block, k) for block in
                            np.split(rows, range(step, len(rows), step))])
     codes, types, _ = _unique_rows(best)
-    index = types[where[np.concatenate(inverses)]]
-    return codes, index
+    if len(codes) > _ID_CAP:
+        raise ResourceLimitError(
+            f"the sets have {len(codes)} distinct iso types; label ids stop "
+            f"at {_ID_CAP}")
+    return codes, types.astype(np.int32)[where[np.concatenate(inverses)]]
 
 
 def iso_code(g: Graph, t) -> bytes:
@@ -234,36 +245,60 @@ def _swap_table(index: KSetIndex, sets: np.ndarray) -> np.ndarray:
     return table
 
 
+def _offset_dtype(span: int):
+    """The narrowest of int16, int32 and int64 that holds -span and span."""
+    for dtype in (np.int16, np.int32):
+        if span <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _csr_indptr(degrees: np.ndarray) -> np.ndarray:
+    """The CSR row pointer of rows with ``degrees`` entries, given after a
+    leading 0: their running sum, int32 while the entry count fits (in
+    place when ``degrees`` is int32), else int64."""
+    if int(degrees.sum(dtype=np.int64)) > np.iinfo(np.int32).max:
+        return np.cumsum(degrees, dtype=np.int64)
+    return np.cumsum(degrees, dtype=np.int32,
+                     out=degrees if degrees.dtype == np.int32 else None)
+
+
 def _neighbor_csr(g: Graph, index: KSetIndex, local: bool, sets: np.ndarray,
                   offsets: np.ndarray):
     """CSR of every k-set's local (or global) swap neighbors, ordered by
-    owner row, then incoming vertex, then replaced position, whose columns
-    are positions in ``sets``.
+    owner row, then incoming vertex, then replaced position.  A neighbor
+    is stored as the offset of its position in ``sets`` from its owner
+    row's: column = row + offset.
 
     ``g`` is a stack of graphs with the vertex ``offsets`` of
     :func:`stack_graphs` (``[0, n]`` for one graph) and ``sets`` their
     k-sets, stacked graph by graph in rank order: every row's swaps stay in
-    its own graph, and a neighbor's column is the first row of its graph
-    plus its colex rank there, one lookup in the :func:`_swap_table` filled
-    from the widest graph's rows.  ``index`` is the index of the widest
-    graph (colex ranks do not depend on n), so the table has
+    its own graph, so an offset is the neighbor's colex rank there, one
+    lookup in the :func:`_swap_table` filled from the widest graph's rows,
+    minus the row's own rank.  ``index`` is the index of the widest graph
+    (colex ranks do not depend on n), so the table has
     C(n_max, k - 1) * n_max entries, about k * C(n_max, k).  Local
     candidates come from :func:`_local_candidates`, global ones are every
-    vertex of the row's graph outside the row.  Columns are int32 when the
-    stack's size fits.
+    vertex of the row's graph outside the row.  Offsets lie within
+    +-(C(n_max, k) - 1), so they take the narrowest signed type that holds
+    that, picked before anything is allocated: int16 on MUTAG at k = 3,
+    where a row then costs 2 bytes per neighbor against 4 for an absolute
+    int32 position.  The row pointer is int32 while the entry count fits.
     """
     k = index.k
     sizes = np.diff(offsets)
-    first = np.cumsum([0] + [comb(int(n), k) for n in sizes], dtype=np.int64)
+    counts = [comb(int(n), k) for n in sizes]
+    first = np.cumsum([0] + counts, dtype=np.int64)
     widest = int(np.argmax(sizes)) if len(sizes) else 0
     table = _swap_table(index, sets[first[widest]:first[widest] + index.size]
                         - offsets[widest]).ravel()
     per_set = k * (k * g.max_degree() if local else int(sizes.max(initial=0)))
     step = max(1, _BLOCK_ITEMS // max(per_set, 1))
-    # stack positions mostly fit 32 bits, which halves the CSR
-    dtype = np.int32 if len(sets) <= np.iinfo(np.int32).max else np.int64
-    first = first.astype(dtype)
-    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+    dtype = _offset_dtype(max(counts, default=1) - 1)
+    # a row has at most per_set entries; int32 degrees become the row
+    # pointer in place
+    wide = per_set > np.iinfo(np.int32).max
+    degrees = np.zeros(len(sets) + 1, dtype=np.int64 if wide else np.int32)
     blocks = []
     for start in range(0, len(sets), step):
         block = sets[start:start + step]
@@ -279,17 +314,16 @@ def _neighbor_csr(g: Graph, index: KSetIndex, local: bool, sets: np.ndarray,
                                                        size)
             outside = _outside(rows, owner, vertex)
             owner, vertex = owner[outside], vertex[outside]
-        indptr[start + 1:start + 1 + len(block)] = k * np.bincount(
+        degrees[start + 1:start + 1 + len(block)] = k * np.bincount(
             owner, minlength=len(block))
         # the flat table's rows are index.n entries wide
         drops = _drop_ranks(index, rows) * index.n
-        base = first[graph][owner]
+        rank = (start + np.arange(len(block)) - first[graph])[owner]
         columns = np.empty((len(owner), k), dtype=dtype)
         for j, drop in enumerate(drops):
-            columns[:, j] = table[drop[owner] + vertex] + base
+            columns[:, j] = table[drop[owner] + vertex] - rank
         blocks.append(columns.ravel())
-    np.cumsum(indptr, out=indptr)
-    return indptr, np.concatenate([np.empty(0, dtype)] + blocks)
+    return _csr_indptr(degrees), np.concatenate([np.empty(0, dtype)] + blocks)
 
 
 def _unique_rows(a: np.ndarray):
@@ -311,16 +345,18 @@ def swap_levels(g: Graph, sets: np.ndarray, radius: int):
     """Breadth-first expansion of the distinct rows of ``sets`` over local
     swaps: the sets within ``radius`` swaps as one array ``rows``, whose
     first ``sizes[j]`` are those within j swaps (``sets`` first, in order),
-    and the CSR (indptr, indices) of the swaps of its first
-    ``sizes[radius - 1]`` rows, each row ordered as in :func:`_neighbor_csr`
-    and with positions in ``rows`` as columns.  Each level swaps only its
-    new rows and appends the sets they reach anew, ascending.
+    and the CSR (indptr, offsets) of the swaps of its first
+    ``sizes[radius - 1]`` rows, each row ordered as in :func:`_neighbor_csr`.
+    A swap of row i is stored as the offset of its position in ``rows``
+    from i, in the narrowest signed type that holds +-(len(rows) - 1), and
+    the row pointer is int32 while the entry count fits.  Each level swaps
+    only its new rows and appends the sets they reach anew, ascending.
     """
     rows = np.asarray(sets, dtype=np.int64)
-    k, sizes = rows.shape[1], [len(rows)]
-    indptr, indices = np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    k, sizes, expanded = rows.shape[1], [len(rows)], 0
+    degrees, shifts = [np.zeros(1, dtype=np.int64)], [np.empty(0, np.int64)]
     for _ in range(radius):
-        new = rows[len(indptr) - 1:]   # the rows not yet expanded
+        new = rows[expanded:]   # the rows not yet expanded
         owner, vertex = _local_candidates(g, new)
         swapped = np.empty((k * len(owner), k), dtype=np.int64)
         for j in range(k):   # row k * e + j: swap e replacing member j
@@ -336,9 +372,11 @@ def swap_levels(g: Graph, sets: np.ndarray, radius: int):
         position[inverse[:len(rows)]] = np.arange(len(rows))
         fresh = position < 0
         position[fresh] = np.arange(len(rows), len(distinct))
-        degrees = k * np.bincount(owner, minlength=len(new))
-        indptr = np.concatenate([indptr, indptr[-1] + np.cumsum(degrees)])
-        indices = np.concatenate([indices, position[inverse[len(rows):]]])
+        degrees.append(k * np.bincount(owner, minlength=len(new)))
+        shifts.append(position[inverse[len(rows):]]
+                      - np.repeat(expanded + owner, k))
+        expanded = len(rows)
         rows = np.concatenate([rows, distinct[fresh]])
         sizes.append(len(rows))
-    return rows, sizes, indptr, indices
+    return (rows, sizes, _csr_indptr(np.concatenate(degrees)),
+            np.concatenate(shifts).astype(_offset_dtype(len(rows) - 1)))

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
-from .interner import _ID_CAP
+from .errors import ParameterError, ResourceLimitError
+from .interner import _ID_CAP, _row_blocks
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
@@ -44,17 +44,26 @@ def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def la_step(indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray):
+def la_step(indptr: np.ndarray, offsets: np.ndarray, labels: np.ndarray):
     """One refinement step: value_i = H'(c_i) + sum of neighbor H(c_j).
 
-    ``labels`` are ids below 2^31.  Returns the ``uint64`` value vector and
-    the dense labels of its distinct values, ascending.
+    ``labels`` are ids below 2^31; entry e of row i is the item
+    i + ``offsets[e]``.  Neighbor words are gathered and summed in row
+    blocks of at most ``_KEY_BLOCK_ENTRIES`` entries, as a refinement
+    window builds its keys.  Returns the ``uint64`` value vector and the
+    dense int32 labels of its distinct values, ascending.
     """
     if len(labels) != len(indptr) - 1:
         raise ParameterError("label vector length does not match adjacency")
     if len(labels) and not 0 <= labels.min() <= labels.max() < _ID_CAP:
         raise ParameterError(f"labels must be ids in [0, {_ID_CAP})")
-    own = np.asarray(labels, dtype=np.uint64) + (1 << 32)
-    values = (splitmix64(own)
-              + _row_sums(indptr, splitmix64(labels)[indices]))
-    return values, np.unique(values, return_inverse=True)[1]
+    words = splitmix64(labels)
+    values = splitmix64(np.asarray(labels, dtype=np.uint64) + (1 << 32))
+    for a, b, _, columns in _row_blocks(indptr, offsets):
+        values[a:b] += _row_sums(indptr[a:b + 1] - indptr[a], words[columns])
+    distinct, dense = np.unique(values, return_inverse=True)
+    if len(distinct) > _ID_CAP:
+        raise ResourceLimitError(
+            f"the run needs {len(distinct)} distinct labels; label ids stop "
+            f"at {_ID_CAP}")
+    return values, dense.astype(np.int32)

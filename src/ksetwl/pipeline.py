@@ -34,12 +34,13 @@ def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int):
     Returns the distinct iso codes (:func:`ksetwl.kwl.iso_keys`), the iso
     type of every k-set, graph by graph in rank order, as its index into
     them, the number of k-sets of each graph and, when ``csr``, one CSR of
-    their swap neighborhoods whose rows follow the types and whose columns
-    are positions in the stack.  k and the k-sets of all graphs together
-    pass their caps before anything is built.  Colex ranks do not depend
-    on n, so one index over the widest graph serves every graph: graph g's
-    k-sets are the first C(n_g, k) rows of its ``all_sets()``, shifted by
-    g's vertex offset.
+    their swap neighborhoods whose rows follow the types and whose entries
+    are offsets from their row to positions in the stack
+    (:func:`ksetwl.kwl._neighbor_csr`).  k and the k-sets of all graphs
+    together pass their caps before anything is built.  Colex ranks do
+    not depend on n, so one index over the widest graph serves every
+    graph: graph g's k-sets are the first C(n_g, k) rows of its
+    ``all_sets()``, shifted by g's vertex offset.
     """
     check_order(k)
     counts = [comb(g.num_vertices, k) for g in graphs]
@@ -65,9 +66,9 @@ def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
     Iteration 0 interns isomorphism-type codes of every k-set; later
     iterations refine over local or global swap neighborhoods, one intern
     window per iteration over the stacked k-sets of all graphs.  Returns
-    one label array per iteration 0..h over the stacked k-sets, and the
-    number of k-sets of each graph; graphs with fewer than k vertices have
-    none.  At k = 1 with local swaps this is 1-WL.
+    one int32 label array per iteration 0..h over the stacked k-sets, and
+    the number of k-sets of each graph; graphs with fewer than k vertices
+    have none.  At k = 1 with local swaps this is 1-WL.
     """
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
@@ -91,7 +92,8 @@ def la_kset_run(graphs, k: int, h: int, local: bool = True,
     iteration is one :func:`ksetwl.linalg.la_step` over the stacked k-set
     graph of all graphs: wrapping 64-bit sums of label words, numbered
     densely in ascending value order by one ``np.unique``.  Returns what
-    :func:`exact_kset_run` returns.  At k = 1 with local swaps this is 1-WL.
+    :func:`exact_kset_run` returns, int32 label arrays too.  At k = 1 with
+    local swaps this is 1-WL.
     """
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")

@@ -102,16 +102,16 @@ def _draw_batch(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarr
 
 def _label_sets(g: Graph, sets: np.ndarray, h: int,
                 interner: LabelInterner) -> np.ndarray:
-    """Labels of the distinct rows of ``sets`` for iterations 0..h, one row
-    each: iteration 0 interns the iso types of the sets within h swaps
-    (:func:`ksetwl.kwl.swap_levels`), iteration i refines the prefix of
-    them and of their swap CSR that holds the sets within h - i swaps."""
-    rows, sizes, indptr, indices = swap_levels(g, sets, h)
+    """Int32 labels of the distinct rows of ``sets`` for iterations 0..h,
+    one row each: iteration 0 interns the iso types of the sets within h
+    swaps (:func:`ksetwl.kwl.swap_levels`), iteration i refines the prefix
+    of them and of their swap CSR that holds the sets within h - i swaps."""
+    rows, sizes, indptr, offsets = swap_levels(g, sets, h)
     codes, types = iso_keys(g, rows)
     labels = interner.intern_window(iso_key_batch(codes))[types]
     out = [labels[:len(sets)]]
     for m in reversed(sizes[:-1]):
-        labels = refine_coloring_window(indptr[:m + 1], indices[:indptr[m]],
+        labels = refine_coloring_window(indptr[:m + 1], offsets[:indptr[m]],
                                         labels, interner)
         out.append(labels[:len(sets)])
     return np.stack(out, axis=1)

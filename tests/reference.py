@@ -11,8 +11,9 @@ The second part holds one-item forms that tests state their expectations
 in: vertex and edge queries on one graph, the colex rank of one k-set,
 feature vectors as per-graph lists of {label: weight} blocks and their
 inner product, one-key interning keys, one-set calls of the bulk k-set
-paths, 1-WL on one graph, a Cholesky PSD check, and linear-algebra
-refinement by the bare value sum.
+paths, a per-set swap CSR, conversions between absolute CSR columns and
+offsets from their row, 1-WL on one graph, a Cholesky PSD check, and
+linear-algebra refinement by the bare value sum.
 """
 
 from __future__ import annotations
@@ -311,12 +312,54 @@ def iso_type(g: Graph, t, interner: LabelInterner) -> int:
     return int(interner.intern_window(iso_key_batch(codes))[index[0]])
 
 
+def row_offsets(indptr, columns) -> np.ndarray:
+    """A CSR's absolute ``columns`` as offsets from their own row, the form
+    ``refine_coloring_window`` and ``la_step`` take: column - row."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    return np.asarray(columns, dtype=np.int64) - rows
+
+
+def absolute_columns(indptr, offsets) -> np.ndarray:
+    """A CSR's ``offsets`` from their own row as absolute columns: row +
+    offset, int64."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    return rows + np.asarray(offsets, dtype=np.int64)
+
+
 def neighbor_csr(g: Graph, index: KSetIndex, local: bool,
                  sets: np.ndarray) -> tuple:
     """The swap CSR of the k-sets ``sets`` (``index.all_sets()``) of the one
     graph ``g``, whose columns are colex ranks."""
-    return _neighbor_csr(g, index, local, sets,
-                         np.array([0, g.num_vertices]))
+    indptr, offsets = _neighbor_csr(g, index, local, sets,
+                                    np.array([0, g.num_vertices]))
+    return indptr, absolute_columns(indptr, offsets)
+
+
+def per_set_neighbors(g: Graph, t, local: bool) -> list:
+    """Swaps of one ascending k-tuple, ascending tuples themselves: incoming
+    vertices ascending, then the replaced position; a local swap's incoming
+    vertex is adjacent to a member."""
+    incoming = (sorted({int(r) for v in t for r in neighbors(g, v)}) if local
+                else range(g.num_vertices))
+    return [tuple(sorted(t[:j] + t[j + 1:] + (r,)))
+            for r in incoming if r not in t for j in range(len(t))]
+
+
+def per_set_csr(graphs, k: int, local: bool) -> tuple:
+    """The swap CSR of the k-sets of ``graphs``, stacked graph by graph in
+    colex order, from one :func:`per_set_neighbors` call per set: its
+    columns are absolute, the first row of the set's graph plus the swap's
+    colex rank."""
+    degrees, columns, first = [0], [], 0
+    for g in graphs:
+        sets = sorted(combinations(range(g.num_vertices), k),
+                      key=lambda t: t[::-1])
+        for t in sets:
+            row = per_set_neighbors(g, t, local)
+            degrees.append(len(row))
+            columns.extend(first + rank(s) for s in row)
+        first += len(sets)
+    return np.cumsum(degrees), np.array(columns, dtype=np.int64)
 
 
 def global_neighbors(g: Graph, t) -> list:
@@ -331,8 +374,8 @@ def global_neighbors(g: Graph, t) -> list:
 def local_neighbors(g: Graph, t) -> list:
     """The swaps of one k-set for a vertex adjacent to a member, in bulk
     order: the one row of its radius-1 swap CSR."""
-    rows, _, _, indices = swap_levels(g, np.asarray([t]), 1)
-    return list(map(tuple, rows[indices].tolist()))
+    rows, _, indptr, offsets = swap_levels(g, np.asarray([t]), 1)
+    return list(map(tuple, rows[absolute_columns(indptr, offsets)].tolist()))
 
 
 def c_neighborhood(g: Graph, t, radius: int) -> set:

@@ -226,7 +226,9 @@ def test_c07_linalg_global_k3_partitions_on_mutag(mutag):
     la, la_counts = la_kset_run(mutag.graphs, 3, 3, local=False)
     assert la_counts == counts
     for it, (hashed, summed) in enumerate(zip(exact, la)):
-        pairs = np.unique(hashed * (int(summed.max()) + 1) + summed)
+        # labels are int32: pair them in int64
+        pairs = np.unique(hashed.astype(np.int64) * (int(summed.max()) + 1)
+                          + summed)
         assert (len(np.unique(hashed)) == len(pairs)
                 == len(np.unique(summed))), f"iteration {it}"
 

@@ -24,14 +24,15 @@ from hypothesis import example, given, settings, strategies as st
 from ksetwl import (KSetIndex, LabelInterner, build_graph, gram_matrix,
                     la_kset_run)
 from ksetwl.interner import iso_key_batch
-from ksetwl.kwl import (DEFAULT_MAX_SETS, _swap_table, _unique_rows,
-                        iso_code, iso_keys, swap_levels)
+from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swap_table,
+                        _unique_rows, iso_code, iso_keys, swap_levels)
 from ksetwl.pipeline import exact_kset_run, kset_front_end
 
 from conftest import label_groups
 import reference as ref
 from reference import (degree, dot, edge_label, features_of, has_edge,
-                       iso_key, neighbor_csr, rank)
+                       iso_key, neighbor_csr, per_set_csr, per_set_neighbors,
+                       rank)
 
 _BIAS = 1 << 63
 
@@ -76,27 +77,6 @@ def row_keys(g, sets) -> list[bytes]:
     return [keys[i] for i in index.tolist()]
 
 
-def per_set_neighbors(g, t, local):
-    """Swaps of one set: incoming vertices ascending, then the replaced
-    position; local swaps need an incoming vertex adjacent to a member."""
-    out = []
-    for r in range(g.num_vertices):
-        if r in t or (local and not any(has_edge(g, v, r) for v in t)):
-            continue
-        for j in range(len(t)):
-            out.append(tuple(sorted(t[:j] + t[j + 1:] + (r,))))
-    return out
-
-
-def per_set_csr(g, index, local):
-    rows = [per_set_neighbors(g, tuple(int(v) for v in t), local)
-            for t in index.all_sets()]
-    indptr = np.zeros(index.size + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = [rank(s) for r in rows for s in r]
-    return indptr, np.asarray(indices, dtype=np.int64)
-
-
 @st.composite
 def labeled_graphs(draw):
     n = draw(st.integers(0, 8))
@@ -134,7 +114,7 @@ def test_bulk_iso_keys_partition_like_naive_classes(g, k):
 def test_bulk_csr_equals_per_set_neighbors(g, k, local):
     index = KSetIndex(g.num_vertices, k)
     indptr, indices = neighbor_csr(g, index, local, index.all_sets())
-    expected_ptr, expected_idx = per_set_csr(g, index, local)
+    expected_ptr, expected_idx = per_set_csr([g], k, local)
     assert np.array_equal(indptr, expected_ptr)
     assert np.array_equal(indices, expected_idx)
     neighbors = ref.local_neighbors if local else ref.global_neighbors
@@ -164,7 +144,8 @@ def test_swap_levels_are_breadth_first_closures(g, k, radius, data):
     every = index.all_sets()
     order = data.draw(st.permutations(range(len(every))))
     sets = every[order[:data.draw(st.integers(0, min(4, len(every))))]]
-    rows, sizes, indptr, indices = swap_levels(g, sets, radius)
+    rows, sizes, indptr, offsets = swap_levels(g, sets, radius)
+    indices = ref.absolute_columns(indptr, offsets)
     assert np.array_equal(rows[:len(sets)], sets)
     assert len(sizes) == radius + 1 and sizes[-1] == len(rows)
     edges = ref.edge_pairs(g)
@@ -200,8 +181,9 @@ MIDDLE_WIDEST = [build_graph(3, [(0, 1)]),
 @example(MIDDLE_WIDEST, 3, False)
 def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
     interner = LabelInterner()
-    codes, types, counts, (indptr, indices) = kset_front_end(
+    codes, types, counts, (indptr, offsets) = kset_front_end(
         graphs, k, local, True, DEFAULT_MAX_SETS)
+    indices = ref.absolute_columns(indptr, offsets)
     ids = interner.intern_window(iso_key_batch(codes))[types]
     rows = np.cumsum([0] + counts).tolist()
     assert len(ids) == rows[-1] == len(indptr) - 1
@@ -212,11 +194,60 @@ def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
         # every key is interned already, so this window issues no id
         assert ids[a:b].tolist() == interner.intern_window(
             row_keys(g, sets)).tolist()
-        expected_ptr, expected_idx = per_set_csr(g, index, local)
+        expected_ptr, expected_idx = per_set_csr([g], k, local)
         assert np.array_equal(indptr[a:b + 1] - indptr[a], expected_ptr)
         # columns are stack positions: the graph's first row plus a rank
         assert np.array_equal(indices[indptr[a]:indptr[b]], a + expected_idx)
     assert kset_front_end(graphs, k, local, False, DEFAULT_MAX_SETS)[3] is None
+
+
+# a stack whose widest graph has C(60, 3) = 34,220 > 2^15 - 1 3-sets
+WIDE_PATH = [build_graph(4, [(0, 1), (1, 2)]),
+             build_graph(60, [(i, i + 1) for i in range(59)])]
+
+
+def swap_offsets_decode_to(indptr, offsets, want_ptr, want_columns):
+    """Whether a CSR of offsets from their row has an int32 row pointer
+    equal to ``want_ptr`` and decodes to the absolute ``want_columns``."""
+    assert indptr.dtype == np.int32 and np.array_equal(indptr, want_ptr)
+    return np.array_equal(ref.absolute_columns(indptr, offsets), want_columns)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(labeled_graphs(), max_size=4), st.integers(1, 3),
+       st.booleans())
+@example(MIDDLE_WIDEST, 3, False)
+@example(WIDE_PATH, 3, True)
+def test_neighbor_csr_offsets_decode_to_the_per_set_columns(graphs, k,
+                                                            local):
+    *_, (indptr, offsets) = kset_front_end(graphs, k, local, True,
+                                           DEFAULT_MAX_SETS)
+    assert swap_offsets_decode_to(indptr, offsets,
+                                  *per_set_csr(graphs, k, local))
+    # offsets span +-(C(n_max, k) - 1), picked before the build
+    widest = max((comb(g.num_vertices, k) for g in graphs), default=0)
+    assert offsets.dtype == (np.int16 if widest <= 1 << 15 else np.int32)
+
+
+@settings(max_examples=80, deadline=None)
+@given(labeled_graphs(), st.integers(1, 3), st.integers(0, 3), st.data())
+@example(WIDE_PATH[1], 3, 1, None)
+def test_swap_level_offsets_decode_to_the_per_set_columns(g, k, radius,
+                                                          data):
+    sets = KSetIndex(g.num_vertices, k).all_sets()
+    if data is not None:   # a few sets; the explicit example takes them all
+        order = data.draw(st.permutations(range(len(sets))))
+        sets = sets[order[:data.draw(st.integers(0, min(4, len(sets))))]]
+    rows, sizes, indptr, offsets = swap_levels(g, sets, radius)
+    position = {t: i for i, t in enumerate(map(tuple, rows.tolist()))}
+    swaps = [per_set_neighbors(g, t, True) for t in
+             map(tuple, rows[:sizes[-2] if radius else 0].tolist())]
+    want = [position[s] for row in swaps for s in row]
+    assert swap_offsets_decode_to(
+        indptr, offsets, np.cumsum([0] + list(map(len, swaps))),
+        np.array(want, dtype=np.int64))
+    # offsets span +-(len(rows) - 1)
+    assert offsets.dtype == (np.int16 if len(rows) <= 1 << 15 else np.int32)
 
 
 @settings(max_examples=120, deadline=None)
@@ -237,7 +268,7 @@ def test_distinct_row_iso_ids_equal_per_set_interning(graphs, k, block_rows):
     want = per_set.intern_window(
         [iso_key(per_set_iso_code(g, tuple(t))) for g in graphs
          for t in KSetIndex(g.num_vertices, k).all_sets().tolist()])
-    assert ids.dtype == np.int64 and np.array_equal(ids, want)
+    assert ids.dtype == np.int32 and np.array_equal(ids, want)
     assert len(bulk) == len(per_set)
 
 
@@ -420,7 +451,8 @@ def test_neighbor_csr_scratch_memory_is_bounded(monkeypatch, local):
     monkeypatch.setattr(kwl, "_BLOCK_ITEMS", 1 << 14)
     tracemalloc.start()
     try:
-        indptr, indices = neighbor_csr(g, index, local, sets)
+        indptr, indices = _neighbor_csr(g, index, local, sets,
+                                        np.array([0, g.num_vertices]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

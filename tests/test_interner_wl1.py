@@ -21,6 +21,10 @@ def initial_coloring(g, interner):
     return wl1_colorings(g, 0, interner)[0]
 
 
+# the one edge 0--1, its columns as offsets from their rows
+EDGE = (np.array([0, 1, 2]), ref.row_offsets([0, 1, 2], [1, 0]))
+
+
 class RecordingInterner(LabelInterner):
     """An interner that keeps the keys of its last window, in order."""
 
@@ -30,9 +34,11 @@ class RecordingInterner(LabelInterner):
 
 
 def refinement_keys(indptr, indices, labels):
-    """The keys one refinement window hands to its interner."""
+    """The keys one refinement window hands to its interner, for a CSR
+    with absolute columns."""
     interner = RecordingInterner()
-    refine_coloring_window(indptr, indices, labels, interner)
+    refine_coloring_window(indptr, ref.row_offsets(indptr, indices), labels,
+                           interner)
     return interner.keys
 
 
@@ -72,13 +78,13 @@ def test_key_batch_rows_are_a_prefix_of_the_labeled_items():
     assert refinement_keys(indptr, indices, labels) == [
         refine_key(7, (3, 9)), refine_key(3, (9,))]
     with pytest.raises(ParameterError, match="shorter than the adjacency"):
-        refine_coloring_window(indptr, indices, labels[:1], LabelInterner())
+        refine_coloring_window(indptr, ref.row_offsets(indptr, indices),
+                               labels[:1], LabelInterner())
 
 
 def test_key_batch_rejects_labels_past_the_sort_key_range():
     with pytest.raises(ParameterError):
-        refine_coloring_window(np.array([0, 1, 2]), np.array([1, 0]),
-                               np.array([0, 1 << 62]), LabelInterner())
+        refine_coloring_window(*EDGE, np.array([0, 1 << 62]), LabelInterner())
 
 
 # ids span [0, 2^31); iso-code words span the signed 64-bit range
@@ -123,14 +129,12 @@ def test_refine_key_rejects_labels_outside_the_id_range(prev, nbrs):
 
 def test_key_batch_rejects_negative_labels():
     with pytest.raises(ParameterError):
-        refine_coloring_window(np.array([0, 1, 2]), np.array([1, 0]),
-                               np.array([0, -1]), LabelInterner())
+        refine_coloring_window(*EDGE, np.array([0, -1]), LabelInterner())
 
 
 def test_key_batch_rejects_labels_past_the_id_cap():
     with pytest.raises(ParameterError):
-        refine_coloring_window(np.array([0, 1, 2]), np.array([1, 0]),
-                               np.array([0, 2 ** 31]), LabelInterner())
+        refine_coloring_window(*EDGE, np.array([0, 2 ** 31]), LabelInterner())
 
 
 def key_64(prev, nbrs) -> bytes:
@@ -161,7 +165,8 @@ def test_windows_issue_the_ids_of_the_64_bit_layout(data):
         reference = [key_64(int(words[i]), sorted(
             words[indices[indptr[i]:indptr[i + 1]]].tolist()))
             for i in range(n)]
-        ids = refine_coloring_window(indptr, indices, words, new)
+        ids = refine_coloring_window(
+            indptr, ref.row_offsets(indptr, indices), words, new)
         assert np.array_equal(ids, old.intern_window(reference))
         labels = ids
     assert len(new) == len(old)
@@ -226,9 +231,40 @@ def test_streamed_window_equals_the_concatenated_list(windows, cap):
                     streamed.intern_window(stream)
             else:
                 got = streamed.intern_window(stream)
-                assert got.dtype == want.dtype == np.int64
+                assert got.dtype == want.dtype == np.int32
                 assert got.tolist() == want.tolist()
             assert streamed._ids == listed._ids
+
+
+@given(st.lists(st.lists(st.binary(max_size=2), max_size=8), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_windows_number_fresh_keys_in_byte_order(windows):
+    # a plain dict fed each window's fresh keys in ascending order
+    interner, ids = LabelInterner(), {}
+    for keys in windows:
+        for key in sorted(set(keys) - ids.keys()):
+            ids[key] = len(ids)
+        got = interner.intern_window(iter(keys))
+        assert got.dtype == np.int32 and got.tolist() == [ids[k] for k in keys]
+    assert interner._ids == ids
+
+
+def test_a_failing_stream_leaves_the_interner_as_it_was():
+    broken, clean = LabelInterner(), LabelInterner()
+    for it in (broken, clean):
+        it.intern_window([refine_key(5, ()), refine_key(1, ())])
+
+    def stream():
+        yield refine_key(9, ())
+        yield refine_key(1, ())
+        raise ValueError("the stream broke")
+
+    with pytest.raises(ValueError, match="the stream broke"):
+        broken.intern_window(stream())
+    assert broken._ids == clean._ids and len(broken) == 2
+    keys = [refine_key(7, ()), refine_key(1, ()), refine_key(3, ())]
+    assert broken.intern_window(keys).tolist() == [3, 0, 2]
+    assert clean.intern_window(keys).tolist() == [3, 0, 2]
 
 
 def test_initial_coloring_regular_graph(tri):

@@ -1,13 +1,15 @@
+import numpy as np
 import pytest
 
 from ksetwl import (KSetIndex, LabelInterner, ParameterError,
                     ResourceLimitError, build_graph, gram_matrix)
-from ksetwl import kwl, pipeline
+from ksetwl import kwl, linalg, pipeline
 from ksetwl.pipeline import (exact_kset_run, features_from_label_arrays,
                              la_kset_run, sampled_dataset_run)
+from ksetwl.sampling import _label_sets
 
 from conftest import label_groups, scripts
-from reference import blocks_of, graph_slices
+from reference import blocks_of, graph_slices, iso_key
 
 
 def tiny_and_regular():
@@ -124,15 +126,49 @@ def test_exact_runs_cap_the_dataset_total(p4):
         la_kset_run(graphs, 2, 1, max_sets=11)
 
 
+@pytest.mark.parametrize("local", [True, False])
+def test_label_arrays_are_int32(p4, local):
+    graphs = tiny_and_regular() + [p4]
+    for labels, _ in (exact_kset_run(graphs, 2, 2, LabelInterner(),
+                                     local=local),
+                      la_kset_run(graphs, 2, 2, local=local)):
+        assert [it.dtype for it in labels] == [np.int32] * 3
+    window = LabelInterner().intern_window([iso_key(b"\x01"),
+                                            iso_key(b"\x00")])
+    assert window.dtype == np.int32 and window.tolist() == [1, 0]
+    labeled = _label_sets(p4, np.array([[0, 1], [1, 2]]), 2, LabelInterner())
+    assert labeled.dtype == np.int32 and labeled.shape == (2, 3)
+
+
+def test_label_ids_past_the_cap_are_refused_before_the_cast(monkeypatch, p4):
+    # int32 labels hold ids below _ID_CAP; iso types and linalg classes
+    # beyond it are refused as an interner refuses its ids
+    monkeypatch.setattr(kwl, "_ID_CAP", 1)
+    with pytest.raises(ResourceLimitError, match="2 distinct iso types"):
+        la_kset_run([p4], 2, 0)
+    monkeypatch.setattr(kwl, "_ID_CAP", 2)
+    monkeypatch.setattr(linalg, "_ID_CAP", 2)
+    with pytest.raises(ResourceLimitError, match="label ids stop at 2"):
+        la_kset_run([p4], 2, 1)
+
+
 def test_front_end_times_script_times_every_layer(two_triangle_dir, capsys):
     script = scripts("front_end_times")
-    assert script.main(["--dataset", two_triangle_dir, "--kernel",
-                        "kwl-global", "--k", "2", "--h", "2",
-                        "--repeats", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split("  ")[1] for line in lines[1:]] == [
-        "iso_keys", "neighbor_csr", "window_1", "window_2", "features",
-        "gram", "total", "csr_entries", "peak_rss_mb"]
-    # three 2-sets per triangle, each with k * (n - k) = 2 global swaps
-    assert lines[-2] == "12  csr_entries"
+    for mode in ("exact", "linalg"):
+        assert script.main(["--dataset", two_triangle_dir, "--kernel",
+                            "kwl-global", "--k", "2", "--h", "2", "--mode",
+                            mode, "--repeats", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[1] for line in lines[1:]] == [
+            "iso_keys", "neighbor_csr", "window_1", "window_2", "features",
+            "gram", "total", "csr_entries", "csr_mb", "traced_peak_mb",
+            "peak_rss_mb"]
+        figures = {name: float(value) for value, name in
+                   (line.split("  ") for line in lines[1:])}
+        # three 2-sets per triangle, each with k * (n - k) = 2 global swaps:
+        # an int32 row pointer over 6 rows and 12 int16 offsets
+        assert lines[-4] == "12  csr_entries"
+        assert figures["csr_mb"] == round((7 * 4 + 12 * 2) / (1 << 20), 3)
+        assert 0 < figures["traced_peak_mb"] <= figures["peak_rss_mb"]
     assert pipeline._neighbor_csr is kwl._neighbor_csr
+    assert pipeline.la_step is linalg.la_step
