@@ -15,16 +15,15 @@ raises instead of going unmeasured.  Prints one ``<median seconds>
 <layer>`` line per layer (``iso_keys``, ``neighbor_csr``, ``window_1`` ..
 ``window_h``, ``features``, ``gram`` and ``total``, the run plus features
 plus gram), then the CSR's entry count, its size in MB (row pointer plus
-offsets), the tracemalloc peak in MB of one more run, untimed, and the
-process's peak RSS in MB.  The tracemalloc peak counts what numpy and
-Python allocate, so unlike the peak RSS it does not move with heap layout
-or with what earlier runs left behind.
+offsets) and the tracemalloc peak in MB of one more run, untimed.  The
+tracemalloc peak counts what numpy and Python allocate, so unlike the
+process's peak RSS it does not move with heap layout or with what earlier
+runs left behind; the CLI manifest's ``peak_rss_mb`` gives one run's.
 """
 
 import argparse
 import contextlib
 import os
-import resource
 import statistics
 import sys
 import time
@@ -36,7 +35,6 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from ksetwl import pipeline  # noqa: E402
 from ksetwl.cli import KERNELS  # noqa: E402
 from ksetwl.features import gram_matrix  # noqa: E402
-from ksetwl.interner import LabelInterner  # noqa: E402
 from ksetwl.tu_io import parse_tu_dataset  # noqa: E402
 
 MUTAG = os.path.join(ROOT, "data", "MUTAG")
@@ -69,8 +67,7 @@ def _timed(layer, name, log):
 def run(graphs, k: int, h: int, local: bool, mode: str):
     """The label arrays and k-set counts of one exact or linalg run."""
     if mode == "exact":
-        return pipeline.exact_kset_run(graphs, k, h, LabelInterner(),
-                                       local=local)
+        return pipeline.exact_kset_run(graphs, k, h, local=local)
     return pipeline.la_kset_run(graphs, k, h, local=local)
 
 
@@ -139,8 +136,6 @@ def main(argv=None) -> int:
     print(f"{runs[0][1]}  csr_entries")
     print(f"{runs[0][2] / MB:.3f}  csr_mb")
     print(f"{traced / MB:.3f}  traced_peak_mb")
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{peak:.1f}  peak_rss_mb")
     return 0
 
 

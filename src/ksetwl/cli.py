@@ -153,17 +153,12 @@ def _compute_features(graphs, args, h_values):
     top = h_values[-1]
     k = 1 if args.kernel == "wl1" else args.k
     local = args.kernel != "kwl-global"
-    if args.mode == "exact":
-        labels, counts = exact_kset_run(graphs, k, top, LabelInterner(),
-                                        local=local, max_sets=args.max_sets)
-        # a fresh interner's windows issue only fresh, consecutive ids and
-        # use all of them: a run stopped at h has issued max + 1 ids
-        extras = [{"label_space": int(it.max()) + 1 if len(it) else 0}
-                  for it in labels]
-    else:
-        labels, counts = la_kset_run(graphs, k, top, local=local,
-                                     max_sets=args.max_sets)
-        extras = [{}] * (top + 1)
+    run = exact_kset_run if args.mode == "exact" else la_kset_run
+    labels, counts = run(graphs, k, top, local=local, max_sets=args.max_sets)
+    # exact ids are consecutive from 0 and each iteration uses all of its
+    # own: a run stopped at h has issued max + 1 ids
+    extras = [{"label_space": int(it.max(initial=-1)) + 1}
+              if args.mode == "exact" else {} for it in labels]
     features = features_from_label_arrays(labels, counts)
     del labels   # the caller's gram runs while this generator waits
     for h in h_values:

@@ -5,7 +5,7 @@ iteration 0..h, a block of three parallel arrays (graph, label, weight)
 sorted by (graph, label), one entry per label a graph holds (integer
 counts for exact runs, probability masses for sampled runs).  Kernel values
 are inner products over matching (block, label) pairs, so all graphs of one
-gram matrix must come from a single interner or linear-algebra run.
+gram matrix must come from a single exact, linear-algebra or sampled run.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Injective relabeling of structured refinement keys to compact integer ids.
 
-One LabelInterner instance spans an entire dataset run so that the label
+One LabelInterner instance spans a sampled dataset run so that the label
 counts of different graphs index the same label space.  Keys are made in
 bulk (:func:`iso_key_batch`, :func:`refine_coloring_window`) and interned a
 window at a time by :meth:`LabelInterner.intern_window`, which reads them
-as a stream into the interner's own table, with no table of its own.  Two
-key kinds
-exist, both bytes whose lexicographic order matches the natural order of
-the underlying tuples, which makes the two-phase deterministic interning
+as a stream into the interner's own table.  Two key kinds exist, both
+bytes whose lexicographic order matches the natural order of the
+underlying tuples, which makes the two-phase deterministic interning
 protocol a plain sort:
 
 * an iso key is the tag byte 0x80 followed by the canonical code of a k-set
@@ -22,11 +21,10 @@ refinement key's first byte is below 0x80 and an iso key's is 0x80: no key
 of one kind equals a key of the other, and every refinement key sorts
 before every iso key.
 
-An interner keeps the keys of every window.  One exact run never meets a
-refinement key of an earlier iteration again, but a sampled run does (its
-labels of one graph are keys the exact run of that graph also makes), and
-so does an interner shared across several runs of
-:func:`ksetwl.pipeline.exact_kset_run`: their graphs' ids must agree.
+An interner keeps the keys of every window, since a sampled run meets them
+again.  An exact run does not: a refinement key starts with a label the
+window before issued, so :func:`ksetwl.pipeline.exact_kset_run` interns
+each window into a table of its own, whose ids continue those before it.
 """
 
 from __future__ import annotations
@@ -52,15 +50,16 @@ _KEY_BLOCK_ENTRIES = 1 << 16
 class LabelInterner:
     """Global injective map from key bytes to dense label ids.
 
-    Ids are issued in interning order; the same key always returns the same
-    id within a run.  Issuing an id of ``_ID_CAP`` or above raises
-    :class:`ResourceLimitError`.
+    Ids are issued in interning order from ``first``; the same key always
+    returns the same id within a run.  A window that would issue an id of
+    ``_ID_CAP`` or above raises :class:`ResourceLimitError`.
     """
 
-    def __init__(self):
+    def __init__(self, first: int = 0):
         # a key takes the next id when first seen; its window renumbers
         # the keys it added in byte order when the stream ends
-        self._ids = defaultdict(itertools.count().__next__)
+        self._first = first
+        self._ids = defaultdict(itertools.count(first).__next__)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -79,24 +78,28 @@ class LabelInterner:
         of the order the keys were computed in.
         """
         ids = self._ids
-        issued = len(ids)
+        before = len(ids)
+        issued = self._first + before
         try:
+            # numpy 2 refuses the int32 id 2^31 as it fills; numpy 1 wraps it
             order = np.fromiter(map(ids.__getitem__, keys), dtype=np.int32)
-            if len(ids) > _ID_CAP:
-                raise ResourceLimitError(
-                    f"the run needs {len(ids)} distinct labels; label ids "
-                    f"stop at {_ID_CAP}")
-        except BaseException:
-            for key in _last_keys(ids, len(ids) - issued):
+            if self._first + len(ids) > _ID_CAP:
+                raise OverflowError
+        except BaseException as exc:
+            for key in _last_keys(ids, len(ids) - before):
                 del ids[key]
             ids.default_factory = itertools.count(issued).__next__
+            if isinstance(exc, OverflowError):
+                raise ResourceLimitError(
+                    f"the run needs more than {_ID_CAP} distinct labels; "
+                    f"label ids stop at {_ID_CAP}") from None
             raise
-        fresh = sorted(_last_keys(ids, len(ids) - issued))
+        fresh = sorted(_last_keys(ids, len(ids) - before))
         first_seen = np.fromiter(map(ids.__getitem__, fresh), dtype=np.int64,
                                  count=len(fresh))
         renumber = np.empty(len(fresh), dtype=np.int32)
-        renumber[first_seen - issued] = np.arange(issued, len(ids))
-        ids.update(zip(fresh, range(issued, len(ids))))
+        renumber[first_seen - issued] = np.arange(len(fresh)) + issued
+        ids.update(zip(fresh, range(issued, issued + len(fresh))))
         later = order >= issued
         order[later] = renumber[order[later] - issued]
         return order

@@ -1,14 +1,14 @@
 """Dataset-level runs: exact, linear-algebra, and sampled feature pipelines.
 
-Both exact and linear-algebra runs build their k-sets, iso types and swap
-neighborhoods once over the block-diagonal stack of all graphs, and return
-one label array per iteration over the stacked k-sets together with each
-graph's k-set count.  1-WL is the local k-set refinement at k = 1.  Exact
-runs advance all graphs in lockstep, one intern window per iteration
-(:func:`ksetwl.interner.refine_coloring_window`), so label ids depend only
-on the dataset and parameters.  Linear-algebra runs refine the stacked
-k-set graph and regroup values jointly, which keeps labels comparable
-across graphs without an interner.
+Exact and linear-algebra runs build their k-sets, iso types and swap
+neighborhoods once over the block-diagonal stack of all graphs, and one
+loop advances all graphs in lockstep: iteration 0 is the iso types, each
+later iteration one step over the stacked k-set graph, either an intern
+window into a table of its own
+(:func:`ksetwl.interner.refine_coloring_window`) or a joint regrouping of
+64-bit sums (:func:`ksetwl.linalg.la_step`).  So label ids depend only on
+the dataset and parameters.  1-WL is the local k-set refinement at k = 1.
+Only sampled runs keep one interner across graphs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .features import Features
-from .interner import LabelInterner, iso_key_batch, refine_coloring_window
+from .interner import LabelInterner, refine_coloring_window
 from .ksets import KSetIndex, check_order
 from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs
 from .linalg import la_step
@@ -31,14 +31,14 @@ def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int):
     """The k-set front end of a dataset run, built once over the stack of
     all graphs (:func:`ksetwl.kwl.stack_graphs`).
 
-    Returns the distinct iso codes (:func:`ksetwl.kwl.iso_keys`), the iso
-    type of every k-set, graph by graph in rank order, as its index into
-    them, the number of k-sets of each graph and, when ``csr``, one CSR of
-    their swap neighborhoods whose rows follow the types and whose entries
-    are offsets from their row to positions in the stack
-    (:func:`ksetwl.kwl._neighbor_csr`).  k and the k-sets of all graphs
-    together pass their caps before anything is built.  Colex ranks do
-    not depend on n, so one index over the widest graph serves every
+    Returns the iso type of every k-set, graph by graph in rank order, as
+    its index into the ascending distinct iso codes
+    (:func:`ksetwl.kwl.iso_keys`), the number of k-sets of each graph and,
+    when ``csr``, one CSR of their swap neighborhoods whose rows follow the
+    types and whose entries are offsets from their row to positions in the
+    stack (:func:`ksetwl.kwl._neighbor_csr`).  k and the k-sets of all
+    graphs together pass their caps before anything is built.  Colex ranks
+    do not depend on n, so one index over the widest graph serves every
     graph: graph g's k-sets are the first C(n_g, k) rows of its
     ``all_sets()``, shifted by g's vertex offset.
     """
@@ -54,54 +54,55 @@ def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int):
     widest = index.all_sets()
     sets = np.concatenate([widest[:0]] + [
         widest[:count] + offset for count, offset in zip(counts, offsets)])
-    codes, types = iso_keys(stack, sets)
-    return codes, types, counts, (
+    return iso_keys(stack, sets)[1], counts, (
         _neighbor_csr(stack, index, local, sets, offsets) if csr else None)
 
 
-def exact_kset_run(graphs, k: int, h: int, interner: LabelInterner,
-                   local: bool = True, max_sets: int = DEFAULT_MAX_SETS):
-    """k-set refinement for all graphs in lockstep.
-
-    Iteration 0 interns isomorphism-type codes of every k-set; later
-    iterations refine over local or global swap neighborhoods, one intern
-    window per iteration over the stacked k-sets of all graphs.  Returns
-    one int32 label array per iteration 0..h over the stacked k-sets, and
-    the number of k-sets of each graph; graphs with fewer than k vertices
-    have none.  At k = 1 with local swaps this is 1-WL.
-    """
+def _refinement_run(graphs, k, h, local, max_sets, step):
+    """Iteration 0 is the front end's iso types; iteration i + 1 is
+    ``step(indptr, offsets, labels)`` of iteration i over its CSR."""
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
-    codes, types, counts, csr = kset_front_end(graphs, k, local, h > 0,
-                                               max_sets)
-    # a window numbers fresh keys in byte order whatever their multiplicity;
-    # the ids replace the types, so the refinement windows hold only one
-    types = interner.intern_window(iso_key_batch(codes))[types]
+    types, counts, csr = kset_front_end(graphs, k, local, h > 0, max_sets)
     labels = [types]
     for _ in range(h):
-        labels.append(refine_coloring_window(*csr, labels[-1], interner))
+        labels.append(step(*csr, labels[-1]))
     return labels, counts
+
+
+def _window_step(indptr, offsets, labels):
+    # the ids issued so far are 0 .. labels.max(), and no key of a window
+    # recurs in a later one, so a table of its own continues from there
+    table = LabelInterner(int(labels.max(initial=-1)) + 1)
+    return refine_coloring_window(indptr, offsets, labels, table)
+
+
+def exact_kset_run(graphs, k: int, h: int, local: bool = True,
+                   max_sets: int = DEFAULT_MAX_SETS):
+    """k-set refinement for all graphs in lockstep.
+
+    Iteration 0 labels are the iso types of :func:`kset_front_end`, the ids
+    a fresh interner issues for their iso keys; each later iteration is one
+    intern window over the local or global swaps of the stacked k-sets.
+    Returns one int32 label array per iteration 0..h over the stacked
+    k-sets, with ids consecutive from 0, and the number of k-sets of each
+    graph; graphs with fewer than k vertices have none.  At k = 1 with
+    local swaps this is 1-WL.
+    """
+    return _refinement_run(graphs, k, h, local, max_sets, _window_step)
 
 
 def la_kset_run(graphs, k: int, h: int, local: bool = True,
                 max_sets: int = DEFAULT_MAX_SETS):
-    """Linear-algebra k-set refinement over the (directed) k-set graphs.
-
-    Iteration 0 labels are the iso types of :func:`kset_front_end`, whose
-    codes ascend, so they are the ids a fresh interner issues; each later
-    iteration is one :func:`ksetwl.linalg.la_step` over the stacked k-set
-    graph of all graphs: wrapping 64-bit sums of label words, numbered
-    densely in ascending value order by one ``np.unique``.  Returns what
-    :func:`exact_kset_run` returns, int32 label arrays too.  At k = 1 with
-    local swaps this is 1-WL.
+    """Linear-algebra k-set refinement: iteration 0 as in
+    :func:`exact_kset_run`, then one :func:`ksetwl.linalg.la_step` per
+    iteration over the stacked (directed) k-set graph, which numbers
+    wrapping 64-bit sums of label words densely in ascending order.
+    Returns what :func:`exact_kset_run` returns.  At k = 1 with local swaps
+    this is 1-WL.
     """
-    if h < 0:
-        raise ParameterError("iteration count h must be nonnegative")
-    _, types, counts, csr = kset_front_end(graphs, k, local, h > 0, max_sets)
-    labels = [types]
-    for _ in range(h):
-        labels.append(la_step(*csr, labels[-1])[1])
-    return labels, counts
+    return _refinement_run(graphs, k, h, local, max_sets,
+                           lambda *step: la_step(*step)[1])
 
 
 def features_from_label_arrays(labels, counts) -> Features:

@@ -12,9 +12,9 @@ labeled on the full graph from the sets within h swaps of it, those within
 j swaps first, and their swap CSR (:func:`ksetwl.kwl.swap_levels`): iso
 types over all of them, then refinement steps over ever shorter prefixes,
 the step exact runs take (:func:`ksetwl.interner.refine_coloring_window`).
-Every key is one the exact run of the same graph also makes, so a shared
-interner gives samples the exact run's label ids.  Labeling one sample
-costs a function of degree bound, k, and h only, independent of graph size.
+The interner keeps every key, so each batch, round and graph gets the ids
+earlier ones were issued.  Labeling one sample costs a function of degree
+bound, k, and h only, independent of graph size.
 """
 
 from __future__ import annotations

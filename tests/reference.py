@@ -27,11 +27,13 @@ import numpy as np
 from ksetwl.errors import GraphError, ParameterError
 from ksetwl.features import Features
 from ksetwl.graph import Graph
-from ksetwl.interner import LabelInterner, iso_key_batch
+from ksetwl.interner import (LabelInterner, iso_key_batch,
+                             refine_coloring_window)
 from ksetwl.ksets import KSetIndex
-from ksetwl.kwl import _neighbor_csr, iso_keys, swap_levels
+from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, iso_keys,
+                        stack_graphs, swap_levels)
 from ksetwl.linalg import _row_sums, splitmix64
-from ksetwl.pipeline import exact_kset_run
+from ksetwl.pipeline import exact_kset_run, kset_front_end
 from ksetwl.sampling import SampledEstimate, _draw_batch, _label_sets
 
 
@@ -419,23 +421,43 @@ def graph_slices(counts) -> list:
     return [slice(a, b) for a, b in zip(rows, rows[1:])]
 
 
-def wl1_colorings(g: Graph, h: int, interner: LabelInterner) -> list:
+def shared_exact_run(graphs, k: int, h: int, interner: LabelInterner,
+                     local: bool = True):
+    """An exact run under one persistent interner, as a sampler sharing
+    it meets the same keys: iteration 0 interns the iso keys of the
+    stacked k-sets (:func:`ksetwl.kwl.iso_keys` over
+    :func:`ksetwl.kwl.stack_graphs`), and each later iteration is one
+    refinement window into the same table.  Returns what
+    :func:`ksetwl.pipeline.exact_kset_run` returns."""
+    _, counts, csr = kset_front_end(graphs, k, local, h > 0,
+                                    DEFAULT_MAX_SETS)
+    stack, offsets = stack_graphs(graphs, k)
+    sets = np.concatenate([np.empty((0, k), dtype=np.int64)] + [
+        KSetIndex(g.num_vertices, k).all_sets() + offset
+        for g, offset in zip(graphs, offsets)])
+    codes, types = iso_keys(stack, sets)
+    labels = [interner.intern_window(iso_key_batch(codes))[types]]
+    for _ in range(h):
+        labels.append(refine_coloring_window(*csr, labels[-1], interner))
+    return labels, counts
+
+
+def wl1_colorings(g: Graph, h: int) -> list:
     """1-WL label arrays of one graph, one per iteration: local k-set
     refinement at k = 1."""
-    return exact_kset_run([g], 1, h, interner)[0]
+    return exact_kset_run([g], 1, h)[0]
 
 
 def wl1_histograms(g: Graph, h: int) -> list:
     """Per-iteration 1-WL label histograms of one graph."""
-    return [histogram(labels)
-            for labels in wl1_colorings(g, h, LabelInterner())]
+    return [histogram(labels) for labels in wl1_colorings(g, h)]
 
 
 def distinguishable(g1: Graph, g2: Graph, h: int) -> bool:
     """Do the 1-WL histograms of two graphs differ within h steps?  The
     joint partition is stable after n1 + n2 steps, so h is capped there."""
     h = min(h, g1.num_vertices + g2.num_vertices)
-    labels, counts = exact_kset_run([g1, g2], 1, h, LabelInterner())
+    labels, counts = exact_kset_run([g1, g2], 1, h)
     first, second = graph_slices(counts)
     return any(histogram(it[first]) != histogram(it[second])
                for it in labels)

@@ -181,10 +181,12 @@ MIDDLE_WIDEST = [build_graph(3, [(0, 1)]),
 @example(MIDDLE_WIDEST, 3, False)
 def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
     interner = LabelInterner()
-    codes, types, counts, (indptr, offsets) = kset_front_end(
+    ids, counts, (indptr, offsets) = kset_front_end(
         graphs, k, local, True, DEFAULT_MAX_SETS)
     indices = ref.absolute_columns(indptr, offsets)
-    ids = interner.intern_window(iso_key_batch(codes))[types]
+    # the types are the ids a fresh interner issues for their iso keys
+    assert np.array_equal(ids, ref.shared_exact_run(graphs, k, 0,
+                                                    interner)[0][0])
     rows = np.cumsum([0] + counts).tolist()
     assert len(ids) == rows[-1] == len(indptr) - 1
     assert indptr[-1] == len(indices)
@@ -198,7 +200,7 @@ def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
         assert np.array_equal(indptr[a:b + 1] - indptr[a], expected_ptr)
         # columns are stack positions: the graph's first row plus a rank
         assert np.array_equal(indices[indptr[a]:indptr[b]], a + expected_idx)
-    assert kset_front_end(graphs, k, local, False, DEFAULT_MAX_SETS)[3] is None
+    assert kset_front_end(graphs, k, local, False, DEFAULT_MAX_SETS)[2] is None
 
 
 # a stack whose widest graph has C(60, 3) = 34,220 > 2^15 - 1 3-sets
@@ -260,23 +262,20 @@ def test_distinct_row_iso_ids_equal_per_set_interning(graphs, k, block_rows):
     with pytest.MonkeyPatch.context() as patch:
         if block_rows is not None:
             patch.setattr(kwl, "_BLOCK_ITEMS", block_rows * factorial(k))
-        bulk = LabelInterner()
-        codes, types, _, _ = kset_front_end(graphs, k, True, False,
-                                            DEFAULT_MAX_SETS)
-        ids = bulk.intern_window(iso_key_batch(codes))[types]
+        ids = kset_front_end(graphs, k, True, False, DEFAULT_MAX_SETS)[0]
     per_set = LabelInterner()
     want = per_set.intern_window(
         [iso_key(per_set_iso_code(g, tuple(t))) for g in graphs
          for t in KSetIndex(g.num_vertices, k).all_sets().tolist()])
     assert ids.dtype == np.int32 and np.array_equal(ids, want)
-    assert len(bulk) == len(per_set)
+    assert int(ids.max(initial=-1)) + 1 == len(per_set)
 
 
 @settings(max_examples=80, deadline=None)
 @given(labeled_graphs(), st.integers(1, 4))
 @example(build_graph(4, [(0, 1), (2, 3)], node_labels=[-3, 2, -1, -3]), 2)
 def test_iso_codes_ascend_as_a_fresh_window_numbers_them(g, k):
-    # la_kset_run takes the iso types for iteration-0 ids without a window
+    # the front end's iso types are iteration 0 without a window
     codes, _ = iso_keys(g, KSetIndex(g.num_vertices, k).all_sets())
     rows = codes.tolist()
     assert all(a < b for a, b in zip(rows, rows[1:]))
@@ -288,10 +287,24 @@ def test_iso_codes_ascend_as_a_fresh_window_numbers_them(g, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_linalg_iteration_zero_is_the_exact_one(mutag, k, local):
     la, la_counts = la_kset_run(mutag.graphs, k, 0, local=local)
-    exact, counts = exact_kset_run(mutag.graphs, k, 0, LabelInterner(),
-                                   local=local)
+    exact, counts = exact_kset_run(mutag.graphs, k, 0, local=local)
     assert la_counts == counts and len(la) == len(exact) == 1
     assert np.array_equal(la[0], exact[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(labeled_graphs(), max_size=4), st.integers(1, 3),
+       st.booleans(), st.integers(0, 3))
+@example(MIDDLE_WIDEST, 3, False, 3)
+def test_exact_runs_issue_the_ids_of_one_persistent_interner(graphs, k, local,
+                                                             h):
+    # each window interns into a table of its own, continuing the ids
+    labels, counts = exact_kset_run(graphs, k, h, local=local)
+    want, want_counts = ref.shared_exact_run(graphs, k, h, LabelInterner(),
+                                             local=local)
+    assert counts == want_counts and len(labels) == len(want) == h + 1
+    for got, expected in zip(labels, want):
+        assert got.dtype == np.int32 and np.array_equal(got, expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,8 +319,7 @@ def test_refinement_blocks_do_not_change_labels(graphs, k, local):
         with pytest.MonkeyPatch.context() as patch:
             if entries is not None:
                 patch.setattr(interner, "_KEY_BLOCK_ENTRIES", entries)
-            runs.append(exact_kset_run(graphs, k, 3, LabelInterner(),
-                                       local=local))
+            runs.append(exact_kset_run(graphs, k, 3, local=local))
     (one, counts), (whole, _), (default, _) = runs
     assert counts == [KSetIndex(g.num_vertices, k).size for g in graphs]
     for a, b, c in zip(one, whole, default):

@@ -6,10 +6,11 @@ import time
 
 import pytest
 
-from ksetwl import LabelInterner, exact_kset_run, parse_tu_dataset
+from ksetwl import LabelInterner, parse_tu_dataset
 from ksetwl.cli import main
 
 from conftest import MUTAG_DIR, SRC_DIR
+from reference import shared_exact_run
 
 
 def run_cli(capsys, *argv):
@@ -114,7 +115,7 @@ def test_h_sweep_label_space_is_the_interner_size(tmp_path, capsys):
     graphs = parse_tu_dataset(MUTAG_DIR).graphs
     for h in range(4):
         interner = LabelInterner()
-        exact_kset_run(graphs, 2, h, interner)
+        shared_exact_run(graphs, 2, h, interner)
         manifest = json.load(open(tmp_path / f"g.h{h}.manifest.json"))
         assert manifest["label_space"] == len(interner)
 

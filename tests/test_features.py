@@ -94,7 +94,7 @@ def test_dot_two_triangles():
     from ksetwl import build_graph
     tri = lambda: build_graph(3, [(0, 1), (1, 2), (0, 2)])
     feats = features_from_label_arrays(
-        *exact_kset_run([tri(), tri()], 2, 1, LabelInterner()))
+        *exact_kset_run([tri(), tri()], 2, 1))
     assert gram_matrix(feats)[0, 1] == pytest.approx(18.0)
     assert dot(*blocks_of(feats)) == pytest.approx(18.0)
 

@@ -17,8 +17,8 @@ from reference import (graph_slices, histogram, iso_key, refine_key,
                        wl1_colorings, wl1_histograms)
 
 
-def initial_coloring(g, interner):
-    return wl1_colorings(g, 0, interner)[0]
+def initial_coloring(g):
+    return wl1_colorings(g, 0)[0]
 
 
 # the one edge 0--1, its columns as offsets from their rows
@@ -197,6 +197,15 @@ def test_label_ids_past_the_cap_exit_3(monkeypatch, tmp_path, capsys):
     assert "label ids stop at 10" in capsys.readouterr().err
 
 
+def test_the_real_id_cap_is_refused_and_leaves_the_table():
+    # the id 2^31 does not fit the window's int32 ids
+    it = LabelInterner(2 ** 31 - 1)
+    with pytest.raises(ResourceLimitError, match=f"stop at {2 ** 31}"):
+        it.intern_window([refine_key(0, ()), refine_key(1, ())])
+    assert len(it) == 0
+    assert it.intern_window([refine_key(1, ())]).tolist() == [2 ** 31 - 1]
+
+
 def test_window_order_independent_of_input_order():
     left, right = LabelInterner(), LabelInterner()
     keys = [refine_key(v, ()) for v in (9, 1, 5)]
@@ -268,37 +277,35 @@ def test_a_failing_stream_leaves_the_interner_as_it_was():
 
 
 def test_initial_coloring_regular_graph(tri):
-    col = initial_coloring(tri, LabelInterner())
+    col = initial_coloring(tri)
     assert len(set(col.tolist())) == 1
 
 
 def test_initial_coloring_by_degree(p3):
-    col = initial_coloring(p3, LabelInterner())
+    col = initial_coloring(p3)
     assert col[0] == col[2] != col[1]
 
 
 def test_initial_coloring_raw_labels():
     g = build_graph(2, [(0, 1)], node_labels=[10, 20])
-    col = initial_coloring(g, LabelInterner())
+    col = initial_coloring(g)
     assert col[0] != col[1]
 
 
 def test_one_step_on_path(p3):
-    col, nxt = wl1_colorings(p3, 1, LabelInterner())
+    col, nxt = wl1_colorings(p3, 1)
     assert len(col) == len(nxt) == 3
     assert sorted(histogram(nxt).values()) == [1.0, 2.0]
 
 
 def test_cycle_never_splits(c6):
-    it = LabelInterner()
-    cols = wl1_colorings(c6, 4, it)
+    cols = wl1_colorings(c6, 4)
     assert all(len(set(c.tolist())) == 1 for c in cols)
 
 
 def test_isolated_vertex_refines_with_empty_multiset():
     g = build_graph(1, [])
-    it = LabelInterner()
-    cols = wl1_colorings(g, 2, it)
+    cols = wl1_colorings(g, 2)
     assert all(len(c) == 1 for c in cols)
 
 
@@ -315,7 +322,7 @@ def test_path_histograms(p3):
 
 def test_regular_pair_indistinguishable(c6, two_k3):
     # both 2-regular and unlabeled: every iteration keeps one joint class
-    labels, counts = exact_kset_run([c6, two_k3], 1, 5, LabelInterner())
+    labels, counts = exact_kset_run([c6, two_k3], 1, 5)
     first, second = graph_slices(counts)
     for it in labels:
         assert histogram(it[first]) == histogram(it[second])
@@ -325,7 +332,7 @@ def test_refinement_only_splits():
     rng = np.random.default_rng(11)
     for _ in range(25):
         g = random_graph(rng, int(rng.integers(2, 12)), 0.4, labeled=bool(rng.integers(2)))
-        cols = wl1_colorings(g, 3, LabelInterner())
+        cols = wl1_colorings(g, 3)
         for prev, cur in zip(cols, cols[1:]):
             coarse = label_groups(prev.tolist())
             fine = label_groups(cur.tolist())
@@ -346,7 +353,7 @@ def test_histogram_mass_is_vertex_count():
 def test_label_ids_reproducible():
     rng = np.random.default_rng(8)
     g = random_graph(rng, 9, 0.5, labeled=True)
-    runs = [wl1_colorings(g, 4, LabelInterner()) for _ in range(2)]
+    runs = [wl1_colorings(g, 4) for _ in range(2)]
     for a, b in zip(*runs):
         assert np.array_equal(a, b)
 
@@ -371,7 +378,7 @@ def test_unlabeled_wl1_partitions_agree_with_reference():
                                float(rng.choice([0.2, 0.5, 0.8])))
                   for _ in range(int(rng.integers(1, 4)))]
         naive = ref.naive_wl1_partitions(graphs, 4)
-        hashed, counts = exact_kset_run(graphs, 1, 4, LabelInterner())
+        hashed, counts = exact_kset_run(graphs, 1, 4)
         linalg, la_counts = la_kset_run(graphs, 1, 4)
         assert la_counts == counts
         for it in range(5):

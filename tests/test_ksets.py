@@ -30,7 +30,7 @@ def test_order_cap_admits_k_up_to_seven():
 def test_exact_runs_refuse_k_nine_before_enumerating():
     g = build_graph(12, [(i, i + 1) for i in range(11)])
     with pytest.raises(ResourceLimitError, match="orderings"):
-        exact_kset_run([g], 9, 1, LabelInterner())
+        exact_kset_run([g], 9, 1)
     with pytest.raises(ResourceLimitError, match="orderings"):
         la_kset_run([g], 9, 1)
 

@@ -7,7 +7,8 @@ from ksetwl.kwl import iso_code
 
 from conftest import label_groups, local_kset_csr, random_graph
 from reference import (c_neighborhood, edge_list, global_neighbors,
-                       histogram, iso_type, local_neighbors, rank)
+                       histogram, iso_type, local_neighbors, rank,
+                       shared_exact_run)
 
 
 def test_iso_type_symmetric_triangle(tri):
@@ -117,7 +118,7 @@ def test_kset_graph_edge_count_matches_neighbor_sum(tri, e1i, p4):
 
 def test_budget_guard(p4):
     with pytest.raises(ResourceLimitError):
-        exact_kset_run([p4], 2, 1, LabelInterner(), max_sets=3)
+        exact_kset_run([p4], 2, 1, max_sets=3)
 
 
 def test_ball_radius_zero(tri):
@@ -133,26 +134,26 @@ def test_ball_covers_triangle(tri):
 
 
 def test_local_refinement_fully_symmetric(tri):
-    cols = exact_kset_run([tri], 2, 3, LabelInterner(), local=True)[0]
+    cols = exact_kset_run([tri], 2, 3, local=True)[0]
     assert all(list(histogram(c).values()) == [3.0] for c in cols)
 
 
 def test_refinement_blocks_empty_below_k():
     g = build_graph(2, [(0, 1)])
-    cols = exact_kset_run([g], 3, 2, LabelInterner())[0]
+    cols = exact_kset_run([g], 3, 2)[0]
     assert len(cols) == 3
     assert all(len(c) == 0 for c in cols)
 
 
 def test_global_refinement_splits_edge_graph(e1i):
-    cols = exact_kset_run([e1i], 2, 1, LabelInterner(), local=False)[0]
+    cols = exact_kset_run([e1i], 2, 1, local=False)[0]
     assert sorted(histogram(cols[1]).values()) == [1.0, 2.0]
 
 
 def test_global_equals_local_on_complete_graphs():
     g = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    a = exact_kset_run([g], 2, 3, LabelInterner(), local=True)[0]
-    b = exact_kset_run([g], 2, 3, LabelInterner(), local=False)[0]
+    a = exact_kset_run([g], 2, 3, local=True)[0]
+    b = exact_kset_run([g], 2, 3, local=False)[0]
     for ca, cb in zip(a, b):
         assert label_groups(ca.tolist()) == label_groups(cb.tolist())
 
@@ -164,7 +165,7 @@ def test_histogram_mass_is_set_count():
         g = random_graph(rng, n, 0.5)
         for k in (2, 3):
             size = KSetIndex(g.num_vertices, k).size
-            for c in exact_kset_run([g], k, 2, LabelInterner())[0]:
+            for c in exact_kset_run([g], k, 2)[0]:
                 assert sum(histogram(c).values()) == size
 
 
@@ -173,7 +174,7 @@ def test_partition_refines_monotonically():
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(4, 9)), 0.5)
         for local in (True, False):
-            cols = exact_kset_run([g], 2, 3, LabelInterner(), local=local)[0]
+            cols = exact_kset_run([g], 2, 3, local=local)[0]
             for prev, cur in zip(cols, cols[1:]):
                 coarse = label_groups(prev.tolist())
                 fine = label_groups(cur.tolist())
@@ -192,7 +193,7 @@ def test_features_invariant_under_vertex_permutation():
             n, [(int(perm[u]), int(perm[v])) for u, v in edge_list(g)],
             node_labels=g.node_labels[inverse].tolist())
         it = LabelInterner()
-        left = exact_kset_run([g], 2, 2, it)[0]
-        right = exact_kset_run([relabeled], 2, 2, it)[0]
+        left = shared_exact_run([g], 2, 2, it)[0]
+        right = shared_exact_run([relabeled], 2, 2, it)[0]
         for ca, cb in zip(left, right):
             assert histogram(ca) == histogram(cb)

@@ -115,7 +115,7 @@ def test_la_matches_hash_refinement_on_random_graphs():
         g = random_graph(rng, int(rng.integers(2, 12)), 0.4,
                          labeled=bool(rng.integers(2)))
         la_run = la_kset_run([g], 1, 4)[0]
-        hash_run = wl1_colorings(g, 4, LabelInterner())
+        hash_run = wl1_colorings(g, 4)
         for la_labels, coloring in zip(la_run, hash_run):
             assert (label_groups(la_labels.tolist())
                     == label_groups(coloring.tolist()))
@@ -126,7 +126,7 @@ def test_la_matches_hash_refinement_on_kset_graphs():
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(4, 10)), 0.5)
         la_run = la_kset_run([g], 2, 3)[0]
-        hash_run = exact_kset_run([g], 2, 3, LabelInterner())[0]
+        hash_run = exact_kset_run([g], 2, 3)[0]
         for la_labels, coloring in zip(la_run, hash_run):
             assert (label_groups(la_labels.tolist())
                     == label_groups(coloring.tolist()))

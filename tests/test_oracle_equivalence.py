@@ -46,7 +46,7 @@ def test_wl1_partitions_agree_with_reference():
     for _ in range(20):
         n = int(rng.integers(2, 11))
         g = random_graph(rng, n, 0.5, labeled=bool(rng.integers(2)))
-        optimized = wl1_colorings(g, 3, LabelInterner())
+        optimized = wl1_colorings(g, 3)
         naive = ref.naive_wl1_partitions([g], 3)
         for it in range(4):
             left = label_groups(optimized[it].tolist())
@@ -62,8 +62,7 @@ def test_kset_partitions_agree_with_reference():
                          labeled=bool(rng.integers(2)))
         for k in (2, 3):
             for local in (True, False):
-                optimized = exact_kset_run([g], k, 3, LabelInterner(),
-                                           local=local)[0]
+                optimized = exact_kset_run([g], k, 3, local=local)[0]
                 naive = ref.naive_kset_partitions([g], k, 3, local=local)
                 for it in range(4):
                     assert (optimized_kset_partition(g, k, optimized[it])
@@ -72,11 +71,10 @@ def test_kset_partitions_agree_with_reference():
 
 
 def test_cross_graph_consistency_matches_reference(c6, two_k3):
-    # joint naive run and shared-interner optimized run must split the same
+    # joint naive run and stacked optimized run must split the same
     # graph pairs at the same iterations
     from ksetwl.pipeline import exact_kset_run
-    interner = LabelInterner()
-    optimized, counts = exact_kset_run([c6, two_k3], 2, 2, interner)
+    optimized, counts = exact_kset_run([c6, two_k3], 2, 2)
     naive = ref.naive_kset_partitions([c6, two_k3], 2, 2, local=True)
     for it in range(3):
         opt_hists = [histogram(optimized[it][rows])

@@ -3,7 +3,7 @@ import pytest
 
 from ksetwl import (KSetIndex, LabelInterner, ParameterError,
                     ResourceLimitError, build_graph, gram_matrix)
-from ksetwl import kwl, linalg, pipeline
+from ksetwl import interner, kwl, linalg, pipeline
 from ksetwl.pipeline import (exact_kset_run, features_from_label_arrays,
                              la_kset_run, sampled_dataset_run)
 from ksetwl.sampling import _label_sets
@@ -20,7 +20,7 @@ def tiny_and_regular():
 
 def test_dataset_run_tolerates_undersized_graphs():
     feats = features_from_label_arrays(
-        *exact_kset_run(tiny_and_regular(), 3, 2, LabelInterner()))
+        *exact_kset_run(tiny_and_regular(), 3, 2))
     small, regular = blocks_of(feats)
     assert all(b == {} for b in small)
     assert all(sum(b.values()) == 4 for b in regular)  # C(4,3)
@@ -64,19 +64,35 @@ def test_exact_run_enumerates_each_graph_once(monkeypatch, c6, two_k3, p4):
         return all_sets(index)
 
     monkeypatch.setattr(KSetIndex, "all_sets", counted)
-    exact_kset_run([c6, two_k3, p4], 2, 2, LabelInterner())
+    exact_kset_run([c6, two_k3, p4], 2, 2)
     assert sizes == [6]
+
+
+def test_exact_windows_intern_into_tables_of_their_own(monkeypatch, c6,
+                                                       two_k3):
+    # window i's table starts after the ids before it and holds only its own
+    tables = []
+
+    class Recorded(LabelInterner):
+        def __init__(self, first=0):
+            super().__init__(first)
+            tables.append(self)
+
+    monkeypatch.setattr(pipeline, "LabelInterner", Recorded)
+    labels, _ = exact_kset_run([c6, two_k3], 2, 3)
+    assert len(tables) == 3
+    for table, before, after in zip(tables, labels, labels[1:]):
+        assert sorted(table._ids.values()) == np.unique(after).tolist()
+        assert after.min() == int(before.max()) + 1
 
 
 def test_dataset_run_partitions_match_single_graph_runs(c6, two_k3, p4):
     # the stacked front end labels each graph as a run on it alone would
     graphs = [c6, two_k3, build_graph(2, [(0, 1)]), p4]
     for local in (True, False):
-        labels, counts = exact_kset_run(graphs, 2, 3, LabelInterner(),
-                                        local=local)
+        labels, counts = exact_kset_run(graphs, 2, 3, local=local)
         for g, rows in zip(graphs, graph_slices(counts)):
-            alone = exact_kset_run([g], 2, 3, LabelInterner(),
-                                   local=local)[0]
+            alone = exact_kset_run([g], 2, 3, local=local)[0]
             for ca, cb in zip(labels, alone):
                 assert (label_groups(ca[rows].tolist())
                         == label_groups(cb.tolist()))
@@ -87,7 +103,7 @@ def test_feature_paths_agree_on_kernel_values(c6, two_k3):
     # yield identical gram values
     graphs = [c6, two_k3]
     hash_feats = features_from_label_arrays(
-        *exact_kset_run(graphs, 2, 2, LabelInterner()))
+        *exact_kset_run(graphs, 2, 2))
     la_feats = features_from_label_arrays(*la_kset_run(graphs, 2, 2))
     hash_gram, la_gram = gram_matrix(hash_feats), gram_matrix(la_feats)
     for i in range(2):
@@ -97,7 +113,7 @@ def test_feature_paths_agree_on_kernel_values(c6, two_k3):
 
 def test_wl1_dataset_lockstep_handles_mixed_sizes():
     graphs = [build_graph(1, []), build_graph(3, [(0, 1), (1, 2)])]
-    labels, counts = exact_kset_run(graphs, 1, 2, LabelInterner())
+    labels, counts = exact_kset_run(graphs, 1, 2)
     first, second = graph_slices(counts)
     assert [len(it[first]) for it in labels] == [1, 1, 1]
     la_labels, la_counts = la_kset_run(graphs, 1, 2)
@@ -110,7 +126,7 @@ def test_wl1_dataset_lockstep_handles_mixed_sizes():
 def test_exact_runs_refuse_huge_graphs_before_building(long_path):
     # C(200000, 4) does not even fit a 64-bit rank; the cap check comes first
     with pytest.raises(ResourceLimitError):
-        exact_kset_run([long_path], 4, 1, LabelInterner())
+        exact_kset_run([long_path], 4, 1)
     with pytest.raises(ResourceLimitError):
         la_kset_run([long_path], 4, 1)
 
@@ -118,10 +134,9 @@ def test_exact_runs_refuse_huge_graphs_before_building(long_path):
 def test_exact_runs_cap_the_dataset_total(p4):
     # each P4 has C(4, 2) = 6 pairs: two fit a cap of 12 but not one of 11
     graphs = [p4, p4]
-    assert exact_kset_run(graphs, 2, 1, LabelInterner(),
-                          max_sets=12)[1] == [6, 6]
+    assert exact_kset_run(graphs, 2, 1, max_sets=12)[1] == [6, 6]
     with pytest.raises(ResourceLimitError, match="12 2-sets in total"):
-        exact_kset_run(graphs, 2, 1, LabelInterner(), max_sets=11)
+        exact_kset_run(graphs, 2, 1, max_sets=11)
     with pytest.raises(ResourceLimitError, match="12 2-sets in total"):
         la_kset_run(graphs, 2, 1, max_sets=11)
 
@@ -129,8 +144,7 @@ def test_exact_runs_cap_the_dataset_total(p4):
 @pytest.mark.parametrize("local", [True, False])
 def test_label_arrays_are_int32(p4, local):
     graphs = tiny_and_regular() + [p4]
-    for labels, _ in (exact_kset_run(graphs, 2, 2, LabelInterner(),
-                                     local=local),
+    for labels, _ in (exact_kset_run(graphs, 2, 2, local=local),
                       la_kset_run(graphs, 2, 2, local=local)):
         assert [it.dtype for it in labels] == [np.int32] * 3
     window = LabelInterner().intern_window([iso_key(b"\x01"),
@@ -161,14 +175,14 @@ def test_front_end_times_script_times_every_layer(two_triangle_dir, capsys):
         lines = capsys.readouterr().out.splitlines()
         assert [line.split("  ")[1] for line in lines[1:]] == [
             "iso_keys", "neighbor_csr", "window_1", "window_2", "features",
-            "gram", "total", "csr_entries", "csr_mb", "traced_peak_mb",
-            "peak_rss_mb"]
+            "gram", "total", "csr_entries", "csr_mb", "traced_peak_mb"]
         figures = {name: float(value) for value, name in
                    (line.split("  ") for line in lines[1:])}
         # three 2-sets per triangle, each with k * (n - k) = 2 global swaps:
         # an int32 row pointer over 6 rows and 12 int16 offsets
-        assert lines[-4] == "12  csr_entries"
+        assert lines[-3] == "12  csr_entries"
         assert figures["csr_mb"] == round((7 * 4 + 12 * 2) / (1 << 20), 3)
-        assert 0 < figures["traced_peak_mb"] <= figures["peak_rss_mb"]
+        assert figures["traced_peak_mb"] > 0
     assert pipeline._neighbor_csr is kwl._neighbor_csr
+    assert pipeline.refine_coloring_window is interner.refine_coloring_window
     assert pipeline.la_step is linalg.la_step

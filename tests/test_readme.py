@@ -21,7 +21,9 @@ def test_library_quick_start_runs():
     labels, counts = scope["labels"], scope["counts"]
     estimate = scope["estimate"]
     # two triangles: 15 2-sets, and every block of the estimate is a
-    # probability vector over labels of the exact run
+    # probability vector over labels of the exact run: the first batch
+    # reaches every 2-set, so the sampler's own interner meets the exact
+    # run's keys window by window and issues its ids
     assert counts == [15] and [len(it) for it in labels] == [15] * 4
     assert estimate.sample_count > 0 and len(estimate.rounds) >= 1
     for exact, sampled in zip(labels, estimate_blocks(estimate)):

@@ -11,11 +11,12 @@ from ksetwl import (LabelInterner, ParameterError,
                     exact_kset_run, hoeffding_sample_size,
                     hoeffding_sample_size_dataset, make_rng,
                     massart_deviation_bound, observed_label_count)
+from ksetwl.kwl import swap_levels
 from ksetwl.sampling import _draw_batch, _rademacher_bound, _SampleLabeler
 
 from conftest import random_graph
 from reference import (estimate_blocks, histogram, local_labels, rank,
-                       sample_kset_uniform)
+                       sample_kset_uniform, shared_exact_run)
 
 # frozen by independent high-precision evaluation of the bound formulas
 SIZE_SINGLE = 26492
@@ -153,7 +154,7 @@ def test_local_labels_radius_zero_is_iso_type(p4):
     it = LabelInterner()
     labs = local_labels(p4, (0, 1), 2, 0, it)
     assert len(labs) == 1
-    full = exact_kset_run([p4], 2, 0, it)[0]
+    full = shared_exact_run([p4], 2, 0, it)[0]
     assert labs[0] == int(full[0][rank((0, 1))])
 
 
@@ -187,7 +188,7 @@ def test_local_labels_match_full_run_ids_with_shared_interner():
             continue
         h = int(rng.integers(0, 4))
         interner = LabelInterner()
-        full = exact_kset_run([g], k, h, interner)[0]
+        full = shared_exact_run([g], k, h, interner)[0]
         for _ in range(4):
             s = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
             labs = local_labels(g, s, k, h, interner)
@@ -200,7 +201,7 @@ def test_sampling_adds_no_label_to_an_exact_run(mutag):
     # made, so a shared interner does not grow
     graphs = mutag.graphs[::25]
     interner = LabelInterner()
-    exact_kset_run(graphs, 2, 3, interner)
+    shared_exact_run(graphs, 2, 3, interner)
     labels = len(interner)
     for gi, g in enumerate(graphs):
         estimate_features_fixed(g, 2, 3, 300, make_rng(gi), interner)
@@ -215,7 +216,7 @@ def test_local_labels_partition_agreement_with_fresh_interner():
     for _ in range(10):
         n = int(rng.integers(5, 12))
         g = random_graph(rng, n, 0.4)
-        full = exact_kset_run([g], 2, 2, LabelInterner())[0]
+        full = exact_kset_run([g], 2, 2)[0]
         fresh = LabelInterner()
         samples = [tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
                    for _ in range(5)]
@@ -226,6 +227,43 @@ def test_local_labels_partition_agreement_with_fresh_interner():
                     locally_equal = local[a][j] == local[b][j]
                     globally_equal = full[j][rank(a)] == full[j][rank(b)]
                     assert locally_equal == globally_equal
+
+
+@st.composite
+def bounded_degree_graphs(draw, max_degree=4):
+    """Graphs on 3..12 vertices: drawn pairs become edges in turn while
+    both ends have fewer than ``max_degree`` neighbors."""
+    n = draw(st.integers(3, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=30))
+    degrees, edges = [0] * n, set()
+    for u, v in pairs:
+        e = (min(u, v), max(u, v))
+        if u != v and e not in edges and max(degrees[u],
+                                             degrees[v]) < max_degree:
+            edges.add(e)
+            degrees[u] += 1
+            degrees[v] += 1
+    return build_graph(n, sorted(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_degree_graphs(), st.integers(2, 3), st.integers(0, 3),
+       st.data())
+def test_swap_levels_stay_within_the_per_sample_count_bound(g, k, h, data):
+    # a set has at most k * delta local candidates and k^2 * delta swaps, so
+    # a sample reaches at most sum_{j <= h} (k^2 delta)^j sets, whatever n
+    fan = k * k * int(np.diff(g.indptr).max(initial=0))
+    bound = sum(fan ** j for j in range(h + 1))
+    every = list(itertools.combinations(range(g.num_vertices), k))
+    picks = data.draw(st.lists(st.sampled_from(every), min_size=1,
+                               max_size=4, unique=True))
+    for sample in [[t] for t in picks] + [picks]:
+        rows, sizes, indptr, offsets = swap_levels(g, np.array(sample), h)
+        assert len(rows) <= len(sample) * bound
+        # the CSR rows are the sets within h - 1 swaps, each with <= fan
+        assert len(indptr) - 1 == (sizes[-2] if h else 0)
+        assert np.diff(indptr).max(initial=0) <= fan
 
 
 def test_fixed_estimate_on_triangle(tri):
@@ -298,7 +336,7 @@ def test_estimator_is_unbiased():
     # normalized histogram within three standard errors
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
     interner = LabelInterner()
-    exact = exact_kset_run([g], 2, 1, interner)[0]
+    exact = shared_exact_run([g], 2, 1, interner)[0]
     hist = histogram(exact[1])
     total = sum(hist.values())
     runs, samples = 60, 40
@@ -321,7 +359,7 @@ def test_fixed_estimate_l1_accuracy_on_benchmark_graph(mutag):
     # for this guarantee; the check uses a fixed seed)
     g = mutag.graphs[0]
     interner = LabelInterner()
-    exact = exact_kset_run([g], 2, 1, interner)[0]
+    exact = shared_exact_run([g], 2, 1, interner)[0]
     hist = histogram(exact[1])
     total = sum(hist.values())
     est = estimate_features_fixed(g, 2, 1, 2000, make_rng(70), interner)
@@ -338,7 +376,8 @@ def test_observed_label_count_is_an_exact_runs_label_space(mutag, h):
     # so the distinct (iteration, label) pairs are the manifest's
     # label_space at h
     interner = LabelInterner()
-    labels, _ = exact_kset_run(mutag.graphs, 2, h, interner)
+    shared_exact_run(mutag.graphs, 2, h, interner)
+    labels, _ = exact_kset_run(mutag.graphs, 2, h)
     count = observed_label_count(labels)
     assert count == int(labels[-1].max()) + 1 == len(interner)
 
