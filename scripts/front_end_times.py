@@ -15,7 +15,9 @@ raises instead of going unmeasured.  Prints one ``<median seconds>
 <layer>`` line per layer (``iso_keys``, ``neighbor_csr``, ``window_1`` ..
 ``window_h``, ``features``, ``gram`` and ``total``, the run plus features
 plus gram), then the CSR's entry count, its size in MB (row pointer plus
-offsets) and the tracemalloc peak in MB of one more run, untimed.  The
+offsets), the tracemalloc peak in MB of one more run, untimed, and one
+``<count>  window_<i>_labels`` line per window: the distinct labels its
+step issued, which is the size of the table an exact window builds.  The
 tracemalloc peak counts what numpy and Python allocate, so unlike the
 process's peak RSS it does not move with heap layout or with what earlier
 runs left behind; the CLI manifest's ``peak_rss_mb`` gives one run's.
@@ -28,6 +30,8 @@ import statistics
 import sys
 import time
 import tracemalloc
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -73,7 +77,8 @@ def run(graphs, k: int, h: int, local: bool, mode: str):
 
 def layer_times(graphs, k: int, h: int, local: bool, mode: str):
     """One timed run: the seconds of each layer, the CSR's entry count and
-    bytes (0 when h = 0 builds no CSR) and the gram."""
+    bytes (0 when h = 0 builds no CSR), the gram and the distinct label
+    count of each window."""
     log = []
     with contextlib.ExitStack() as stack:
         for layer, name in [*WRAPPED.items(), ("window", WINDOWS[mode])]:
@@ -85,18 +90,20 @@ def layer_times(graphs, k: int, h: int, local: bool, mode: str):
     featured = time.perf_counter()
     gram = gram_matrix(features)
     end = time.perf_counter()
-    times, windows, entries, nbytes = {}, 0, 0, 0
+    times, window_labels, entries, nbytes = {}, [], 0, 0
     for layer, seconds, result in log:
         if layer == "window":
-            windows += 1
-            layer = f"window_{windows}"
+            # la_step returns (values, labels), a refinement window labels
+            ids = result[1] if isinstance(result, tuple) else result
+            window_labels.append(len(np.unique(ids)))
+            layer = f"window_{len(window_labels)}"
         elif layer == "neighbor_csr":
             entries = len(result[1])
             nbytes = result[0].nbytes + result[1].nbytes
         times[layer] = seconds
     times.update(features=featured - ran, gram=end - featured,
                  total=end - start)
-    return times, entries, nbytes, gram
+    return times, entries, nbytes, gram, window_labels
 
 
 def traced_peak(graphs, k: int, h: int, local: bool, mode: str) -> int:
@@ -136,6 +143,8 @@ def main(argv=None) -> int:
     print(f"{runs[0][1]}  csr_entries")
     print(f"{runs[0][2] / MB:.3f}  csr_mb")
     print(f"{traced / MB:.3f}  traced_peak_mb")
+    for i, count in enumerate(runs[0][4], 1):
+        print(f"{count}  window_{i}_labels")
     return 0
 
 

@@ -1,13 +1,10 @@
 """Injective relabeling of structured refinement keys to compact integer ids.
 
-One LabelInterner instance spans a sampled dataset run so that the label
-counts of different graphs index the same label space.  Keys are made in
-bulk (:func:`iso_key_batch`, :func:`refine_coloring_window`) and interned a
-window at a time by :meth:`LabelInterner.intern_window`, which reads them
-as a stream into the interner's own table.  Two key kinds exist, both
-bytes whose lexicographic order matches the natural order of the
-underlying tuples, which makes the two-phase deterministic interning
-protocol a plain sort:
+Keys are made in bulk (:func:`iso_key_batch`, :func:`refine_coloring_window`)
+and numbered a window at a time, read as a stream into a table of the
+window's own.  Two key kinds exist, both bytes whose lexicographic order
+matches the natural order of the underlying tuples, which makes the
+two-phase deterministic interning protocol a plain sort:
 
 * an iso key is the tag byte 0x80 followed by the canonical code of a k-set
   isomorphism type (at k = 1, a vertex's node label or degree) as
@@ -16,15 +13,15 @@ protocol a plain sort:
 * a refinement key is the big-endian 32-bit words of (previous label,
   ascending neighbor labels), untagged.
 
-An interner issues ids below 2^31 and refuses to go further, so a
+Ids stay below 2^31, and a window that would go further is refused, so a
 refinement key's first byte is below 0x80 and an iso key's is 0x80: no key
 of one kind equals a key of the other, and every refinement key sorts
 before every iso key.
 
-An interner keeps the keys of every window, since a sampled run meets them
-again.  An exact run does not: a refinement key starts with a label the
-window before issued, so :func:`ksetwl.pipeline.exact_kset_run` interns
-each window into a table of its own, whose ids continue those before it.
+A refinement key starts with a label the window before issued, so no key
+of an exact run's window recurs in a later one: each window numbers its
+own keys (:func:`number_window`).  A sampled run meets keys again, and one
+:class:`LabelInterner` spans it.
 """
 
 from __future__ import annotations
@@ -47,19 +44,45 @@ _ID_CAP = 1 << 31  # label ids stay below this: 32-bit words, top bit clear
 _KEY_BLOCK_ENTRIES = 1 << 16
 
 
+def _stream_window(keys) -> tuple[dict, np.ndarray]:
+    """A window's own table of its distinct keys, each mapped to its place
+    in first-seen order, and that place for every key, as int32."""
+    table = defaultdict(itertools.count().__next__)
+    try:
+        index = np.fromiter(map(table.__getitem__, keys), dtype=np.int32)
+    except OverflowError:   # numpy 2 refuses the index 2^31; numpy 1 wraps
+        _check_cap(len(table))   # it, and the caller's check refuses that
+        raise
+    return table, index
+
+
+def _check_cap(issued: int) -> None:
+    """Refuse a window after which more than ``_ID_CAP`` ids would exist."""
+    if issued > _ID_CAP:
+        raise ResourceLimitError(
+            f"the run needs more than {_ID_CAP} distinct labels; "
+            f"label ids stop at {_ID_CAP}") from None
+
+
+def number_window(keys, first: int) -> np.ndarray:
+    """The ids of a window's keys, in input order, as int32: its distinct
+    keys take ``first``, ``first + 1``, ... in ascending byte order, and no
+    table outlives the call.  Ids reaching ``_ID_CAP`` are refused."""
+    table, index = _stream_window(keys)
+    _check_cap(first + len(table))
+    ids = np.empty(len(table), dtype=np.int32)
+    ids[np.fromiter(map(table.__getitem__, sorted(table)), dtype=np.int64,
+                    count=len(table))] = np.arange(first, first + len(table))
+    del table   # the keys go before the result is allocated
+    return ids[index]
+
+
 class LabelInterner:
-    """Global injective map from key bytes to dense label ids.
+    """Global injective map from key bytes to dense label ids, from 0: the
+    same key always returns the same id within a run."""
 
-    Ids are issued in interning order from ``first``; the same key always
-    returns the same id within a run.  A window that would issue an id of
-    ``_ID_CAP`` or above raises :class:`ResourceLimitError`.
-    """
-
-    def __init__(self, first: int = 0):
-        # a key takes the next id when first seen; its window renumbers
-        # the keys it added in byte order when the stream ends
-        self._first = first
-        self._ids = defaultdict(itertools.count(first).__next__)
+    def __init__(self):
+        self._ids = {}
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -69,46 +92,19 @@ class LabelInterner:
         then return the ids of ``keys`` in input order, as int32.
 
         ``keys`` may be any iterable, such as a lazy stream of key blocks.
-        Each fresh key enters the interner's table when first seen, under
-        the next id, and the window's fresh keys are renumbered in
-        ascending byte order once the stream ends, so the window holds no
-        table of its own.  A window refused for its ids, or whose stream
-        raises, leaves the interner as it was.  Calling this once per
-        iteration with the collected keys makes id assignment independent
-        of the order the keys were computed in.
+        Fresh keys join the table only once the stream has ended and the
+        window has passed the cap (:func:`_check_cap`), so a refused or
+        failing window leaves the interner as it was.  Calling this once
+        per iteration with the collected keys makes id assignment
+        independent of the order the keys were computed in.
         """
         ids = self._ids
-        before = len(ids)
-        issued = self._first + before
-        try:
-            # numpy 2 refuses the int32 id 2^31 as it fills; numpy 1 wraps it
-            order = np.fromiter(map(ids.__getitem__, keys), dtype=np.int32)
-            if self._first + len(ids) > _ID_CAP:
-                raise OverflowError
-        except BaseException as exc:
-            for key in _last_keys(ids, len(ids) - before):
-                del ids[key]
-            ids.default_factory = itertools.count(issued).__next__
-            if isinstance(exc, OverflowError):
-                raise ResourceLimitError(
-                    f"the run needs more than {_ID_CAP} distinct labels; "
-                    f"label ids stop at {_ID_CAP}") from None
-            raise
-        fresh = sorted(_last_keys(ids, len(ids) - before))
-        first_seen = np.fromiter(map(ids.__getitem__, fresh), dtype=np.int64,
-                                 count=len(fresh))
-        renumber = np.empty(len(fresh), dtype=np.int32)
-        renumber[first_seen - issued] = np.arange(len(fresh)) + issued
-        ids.update(zip(fresh, range(issued, issued + len(fresh))))
-        later = order >= issued
-        order[later] = renumber[order[later] - issued]
-        return order
-
-
-def _last_keys(table: dict, count: int) -> list:
-    """The ``count`` keys last added to ``table``, read from its end: a
-    shared interner holds the keys of every earlier window before them."""
-    return list(itertools.islice(reversed(table), count))
+        window, index = _stream_window(keys)
+        fresh = sorted(key for key in window if key not in ids)
+        _check_cap(len(ids) + len(fresh))
+        ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
+        return np.fromiter(map(ids.__getitem__, window), dtype=np.int32,
+                           count=len(window))[index]
 
 
 def _ragged_words(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
@@ -145,10 +141,9 @@ def _row_blocks(indptr: np.ndarray, offsets: np.ndarray):
 
 
 def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
-                           labels: np.ndarray,
-                           interner: LabelInterner) -> np.ndarray:
+                           labels: np.ndarray, window) -> np.ndarray:
     """One refinement step over every row of a CSR adjacency structure,
-    under one intern window: the new label of each row, as int32.
+    under one window: the new label of each row, as int32.
 
     Rows and columns index one item list labeled by ``labels``, whose
     first items are the rows.  Entry e of row i is the item
@@ -158,7 +153,9 @@ def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
     its (out-)neighbors.  Labels must be ids below ``_ID_CAP``.  Keys are
     built in row blocks of at most ``_KEY_BLOCK_ENTRIES`` neighbor entries
     (or one row), decoded block by block (:func:`_row_blocks`), and
-    streamed to the interner.
+    streamed to ``window``, which returns their ids: a
+    :meth:`LabelInterner.intern_window`, or :func:`number_window` with its
+    first id bound.
     """
     n = len(indptr) - 1
     if len(labels) < n:
@@ -181,4 +178,4 @@ def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
             words[np.arange(len(rows)) + (rows + 1 - a)] = neigh
             yield from _ragged_words(words, starts)
 
-    return interner.intern_window(blocks())
+    return window(blocks())

@@ -3,23 +3,24 @@
 Exact and linear-algebra runs build their k-sets, iso types and swap
 neighborhoods once over the block-diagonal stack of all graphs, and one
 loop advances all graphs in lockstep: iteration 0 is the iso types, each
-later iteration one step over the stacked k-set graph, either an intern
-window into a table of its own
-(:func:`ksetwl.interner.refine_coloring_window`) or a joint regrouping of
-64-bit sums (:func:`ksetwl.linalg.la_step`).  So label ids depend only on
-the dataset and parameters.  1-WL is the local k-set refinement at k = 1.
-Only sampled runs keep one interner across graphs.
+later iteration one step over the stacked k-set graph, either a window
+that numbers its own keys (:func:`ksetwl.interner.number_window`) or a
+joint regrouping of 64-bit sums (:func:`ksetwl.linalg.la_step`).  So label
+ids depend only on the dataset and parameters.  1-WL is the local k-set
+refinement at k = 1.  Only sampled runs keep a table, one interner across
+their graphs.
 """
 
 from __future__ import annotations
 
+import functools
 from math import comb
 
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .features import Features
-from .interner import LabelInterner, refine_coloring_window
+from .interner import LabelInterner, number_window, refine_coloring_window
 from .ksets import KSetIndex, check_order
 from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs
 from .linalg import la_step
@@ -72,9 +73,9 @@ def _refinement_run(graphs, k, h, local, max_sets, step):
 
 def _window_step(indptr, offsets, labels):
     # the ids issued so far are 0 .. labels.max(), and no key of a window
-    # recurs in a later one, so a table of its own continues from there
-    table = LabelInterner(int(labels.max(initial=-1)) + 1)
-    return refine_coloring_window(indptr, offsets, labels, table)
+    # recurs in a later one, so its own numbering continues from there
+    return refine_coloring_window(indptr, offsets, labels, functools.partial(
+        number_window, first=int(labels.max(initial=-1)) + 1))
 
 
 def exact_kset_run(graphs, k: int, h: int, local: bool = True,
@@ -83,7 +84,7 @@ def exact_kset_run(graphs, k: int, h: int, local: bool = True,
 
     Iteration 0 labels are the iso types of :func:`kset_front_end`, the ids
     a fresh interner issues for their iso keys; each later iteration is one
-    intern window over the local or global swaps of the stacked k-sets.
+    window over the local or global swaps of the stacked k-sets.
     Returns one int32 label array per iteration 0..h over the stacked
     k-sets, with ids consecutive from 0, and the number of k-sets of each
     graph; graphs with fewer than k vertices have none.  At k = 1 with
@@ -147,21 +148,21 @@ def sampled_dataset_run(graphs, k: int, h: int, seed: int,
     """
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
+    if mode not in ("sampled", "adaptive"):
+        raise ParameterError(f"unknown sampling mode: {mode!r}")
+    if mode == "sampled" and sample_count is None:
+        raise ParameterError("fixed-size sampling needs a sample count")
     estimates = []
     for gi, g in enumerate(graphs):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([int(seed), gi])))
         if mode == "sampled":
-            if sample_count is None:
-                raise ParameterError("fixed-size sampling needs a sample count")
             est = estimate_features_fixed(
                 g, k, h, sample_count, rng, interner,
                 max_total_samples=max_total_samples)
-        elif mode == "adaptive":
+        else:
             est = estimate_features_adaptive(
                 g, k, h, epsilon, delta, rng, interner,
                 max_total_samples=max_total_samples)
-        else:
-            raise ParameterError(f"unknown sampling mode: {mode!r}")
         estimates.append(est)
     return estimates

@@ -112,7 +112,7 @@ def _label_sets(g: Graph, sets: np.ndarray, h: int,
     out = [labels[:len(sets)]]
     for m in reversed(sizes[:-1]):
         labels = refine_coloring_window(indptr[:m + 1], offsets[:indptr[m]],
-                                        labels, interner)
+                                        labels, interner.intern_window)
         out.append(labels[:len(sets)])
     return np.stack(out, axis=1)
 

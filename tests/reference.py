@@ -438,7 +438,8 @@ def shared_exact_run(graphs, k: int, h: int, interner: LabelInterner,
     codes, types = iso_keys(stack, sets)
     labels = [interner.intern_window(iso_key_batch(codes))[types]]
     for _ in range(h):
-        labels.append(refine_coloring_window(*csr, labels[-1], interner))
+        labels.append(refine_coloring_window(*csr, labels[-1],
+                                             interner.intern_window))
     return labels, counts
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ksetwl import LabelInterner, build_graph
 from ksetwl.cli import main
 from ksetwl.errors import ParameterError, ResourceLimitError
-from ksetwl.interner import refine_coloring_window
+from ksetwl.interner import number_window, refine_coloring_window
 from ksetwl.pipeline import exact_kset_run, la_kset_run
 
 from conftest import MUTAG_DIR, label_groups, random_graph
@@ -38,7 +38,7 @@ def refinement_keys(indptr, indices, labels):
     with absolute columns."""
     interner = RecordingInterner()
     refine_coloring_window(indptr, ref.row_offsets(indptr, indices), labels,
-                           interner)
+                           interner.intern_window)
     return interner.keys
 
 
@@ -166,7 +166,7 @@ def test_windows_issue_the_ids_of_the_64_bit_layout(data):
             words[indices[indptr[i]:indptr[i + 1]]].tolist()))
             for i in range(n)]
         ids = refine_coloring_window(
-            indptr, ref.row_offsets(indptr, indices), words, new)
+            indptr, ref.row_offsets(indptr, indices), words, new.intern_window)
         assert np.array_equal(ids, old.intern_window(reference))
         labels = ids
     assert len(new) == len(old)
@@ -197,13 +197,23 @@ def test_label_ids_past_the_cap_exit_3(monkeypatch, tmp_path, capsys):
     assert "label ids stop at 10" in capsys.readouterr().err
 
 
-def test_the_real_id_cap_is_refused_and_leaves_the_table():
-    # the id 2^31 does not fit the window's int32 ids
-    it = LabelInterner(2 ** 31 - 1)
+def test_the_real_id_cap_is_refused_and_leaves_the_table(monkeypatch):
+    # the id 2^31 does not fit a window's int32 ids
+    keys = [refine_key(0, ()), refine_key(1, ())]
     with pytest.raises(ResourceLimitError, match=f"stop at {2 ** 31}"):
-        it.intern_window([refine_key(0, ()), refine_key(1, ())])
-    assert len(it) == 0
-    assert it.intern_window([refine_key(1, ())]).tolist() == [2 ** 31 - 1]
+        number_window(keys, 2 ** 31 - 1)
+    assert number_window(keys[1:], 2 ** 31 - 1).tolist() == [2 ** 31 - 1]
+    # a sampler window refused at the cap leaves its interner as it was
+    from ksetwl import interner
+    monkeypatch.setattr(interner, "_ID_CAP", 3)
+    it = LabelInterner()
+    it.intern_window(keys)
+    before = list(it._ids.items())
+    with pytest.raises(ResourceLimitError, match="stop at 3"):
+        it.intern_window([refine_key(1, ()), refine_key(3, ()),
+                          refine_key(2, ())])
+    assert list(it._ids.items()) == before
+    assert it.intern_window([refine_key(3, ())]).tolist() == [2]
 
 
 def test_window_order_independent_of_input_order():
@@ -256,6 +266,28 @@ def test_windows_number_fresh_keys_in_byte_order(windows):
         got = interner.intern_window(iter(keys))
         assert got.dtype == np.int32 and got.tolist() == [ids[k] for k in keys]
     assert interner._ids == ids
+
+
+@given(st.lists(WINDOW_KEYS | st.binary(max_size=2), max_size=12),
+       st.integers(1, 2 ** 31), st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_number_window_numbers_distinct_keys_in_byte_order(keys, cap, below):
+    # first lies at or just below a patched cap; the keys arrive as a
+    # stream and may repeat; the window is refused exactly where its last
+    # id would reach the cap
+    from ksetwl import interner
+    first = max(cap - below, 0)
+    distinct = sorted(set(keys))
+    want = dict(zip(distinct, range(first, first + len(distinct))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interner, "_ID_CAP", cap)
+        if first + len(distinct) > cap:
+            with pytest.raises(ResourceLimitError, match=f"stop at {cap}"):
+                number_window(iter(keys), first)
+        else:
+            got = number_window(iter(keys), first)
+            assert got.dtype == np.int32
+            assert got.tolist() == [want[key] for key in keys]
 
 
 def test_a_failing_stream_leaves_the_interner_as_it_was():

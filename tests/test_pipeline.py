@@ -42,15 +42,18 @@ def test_sampled_dataset_run_flags_undersized():
 
 
 def test_sampled_dataset_run_rejects_unknown_mode():
-    with pytest.raises(ParameterError):
-        sampled_dataset_run(tiny_and_regular(), 2, 1, seed=0,
-                            interner=LabelInterner(), mode="bootstrap")
+    # refused before the graph loop, so an empty dataset is refused too
+    for graphs in (tiny_and_regular(), []):
+        with pytest.raises(ParameterError, match="unknown sampling mode"):
+            sampled_dataset_run(graphs, 2, 1, seed=0,
+                                interner=LabelInterner(), mode="bootstrap")
 
 
 def test_fixed_mode_requires_sample_count():
-    with pytest.raises(ParameterError):
-        sampled_dataset_run(tiny_and_regular(), 2, 1, seed=0,
-                            interner=LabelInterner(), mode="sampled")
+    for graphs in (tiny_and_regular(), []):
+        with pytest.raises(ParameterError, match="needs a sample count"):
+            sampled_dataset_run(graphs, 2, 1, seed=0,
+                                interner=LabelInterner(), mode="sampled")
 
 
 def test_exact_run_enumerates_each_graph_once(monkeypatch, c6, two_k3, p4):
@@ -70,20 +73,22 @@ def test_exact_run_enumerates_each_graph_once(monkeypatch, c6, two_k3, p4):
 
 def test_exact_windows_intern_into_tables_of_their_own(monkeypatch, c6,
                                                        two_k3):
-    # window i's table starts after the ids before it and holds only its own
-    tables = []
+    # each window numbers its own keys densely after the ids before it,
+    # and an exact run constructs no interner
+    constructed = []
+    init = LabelInterner.__init__
 
-    class Recorded(LabelInterner):
-        def __init__(self, first=0):
-            super().__init__(first)
-            tables.append(self)
+    def recorded(self):
+        constructed.append(self)
+        init(self)
 
-    monkeypatch.setattr(pipeline, "LabelInterner", Recorded)
+    monkeypatch.setattr(LabelInterner, "__init__", recorded)
     labels, _ = exact_kset_run([c6, two_k3], 2, 3)
-    assert len(tables) == 3
-    for table, before, after in zip(tables, labels, labels[1:]):
-        assert sorted(table._ids.values()) == np.unique(after).tolist()
-        assert after.min() == int(before.max()) + 1
+    assert constructed == []
+    for before, after in zip(labels, labels[1:]):
+        first = int(before.max()) + 1
+        assert np.unique(after).tolist() == list(
+            range(first, int(after.max()) + 1))
 
 
 def test_dataset_run_partitions_match_single_graph_runs(c6, two_k3, p4):
@@ -175,14 +180,17 @@ def test_front_end_times_script_times_every_layer(two_triangle_dir, capsys):
         lines = capsys.readouterr().out.splitlines()
         assert [line.split("  ")[1] for line in lines[1:]] == [
             "iso_keys", "neighbor_csr", "window_1", "window_2", "features",
-            "gram", "total", "csr_entries", "csr_mb", "traced_peak_mb"]
+            "gram", "total", "csr_entries", "csr_mb", "traced_peak_mb",
+            "window_1_labels", "window_2_labels"]
         figures = {name: float(value) for value, name in
                    (line.split("  ") for line in lines[1:])}
         # three 2-sets per triangle, each with k * (n - k) = 2 global swaps:
         # an int32 row pointer over 6 rows and 12 int16 offsets
-        assert lines[-3] == "12  csr_entries"
+        assert lines[-5] == "12  csr_entries"
         assert figures["csr_mb"] == round((7 * 4 + 12 * 2) / (1 << 20), 3)
         assert figures["traced_peak_mb"] > 0
+        # every 2-set of a triangle is alike, so each window issues one label
+        assert lines[-2:] == ["1  window_1_labels", "1  window_2_labels"]
     assert pipeline._neighbor_csr is kwl._neighbor_csr
     assert pipeline.refine_coloring_window is interner.refine_coloring_window
     assert pipeline.la_step is linalg.la_step

@@ -4,7 +4,7 @@ import os
 import re
 
 from conftest import ROOT
-from reference import estimate_blocks
+from reference import estimate_blocks, shared_exact_run
 
 
 def readme_block(heading):
@@ -21,11 +21,12 @@ def test_library_quick_start_runs():
     labels, counts = scope["labels"], scope["counts"]
     estimate = scope["estimate"]
     # two triangles: 15 2-sets, and every block of the estimate is a
-    # probability vector over labels of the exact run: the first batch
-    # reaches every 2-set, so the sampler's own interner meets the exact
-    # run's keys window by window and issues its ids
+    # probability vector; an exact run under the sampler's own interner
+    # meets every key a sample met, so it holds every sampled label at
+    # its iteration
     assert counts == [15] and [len(it) for it in labels] == [15] * 4
     assert estimate.sample_count > 0 and len(estimate.rounds) >= 1
-    for exact, sampled in zip(labels, estimate_blocks(estimate)):
+    shared, _ = shared_exact_run([scope["g"]], 2, 3, scope["interner"])
+    for exact, sampled in zip(shared, estimate_blocks(estimate)):
         assert abs(sum(sampled.values()) - 1) < 1e-12
         assert set(sampled) <= set(exact.tolist())
