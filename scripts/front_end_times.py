@@ -14,17 +14,22 @@ timed by wrapping the names ``pipeline`` calls them by; a missing name
 raises instead of going unmeasured.  Prints one ``<median seconds>
 <layer>`` line per layer (``iso_keys``, ``neighbor_csr``, ``window_1`` ..
 ``window_h``, ``features``, ``gram`` and ``total``, the run plus features
-plus gram), then the CSR's entry count, its size in MB (row pointer plus
-offsets), the tracemalloc peak in MB of one more run, untimed, and one
-``<count>  window_<i>_labels`` line per window: the distinct labels its
-step issued, which is the size of the table an exact window builds.  The
-tracemalloc peak counts what numpy and Python allocate, so unlike the
-process's peak RSS it does not move with heap layout or with what earlier
+plus gram), then the CSR's entry count and its size in MB (row pointer
+plus offsets).  One more run, untimed, under tracemalloc, gives the
+run's peak in MB (``traced_peak_mb``) and each layer's peak above what
+was allocated when it was entered (``<layer>_peak_mb``).  Then come one
+``<count>  window_<i>_labels`` line per window, the distinct labels its
+step issued, and, in exact runs, one ``<count>  window_<i>_largest_table``
+line per window: the most distinct keys one ``number_window`` call of
+the window numbered, which is the largest table it held, since an exact
+window numbers its keys one run of own-label classes at a time.  The
+tracemalloc peaks count what numpy and Python allocate, so unlike the
+process's peak RSS they do not move with heap layout or with what earlier
 runs left behind; the CLI manifest's ``peak_rss_mb`` gives one run's.
 """
-
 import argparse
 import contextlib
+import functools
 import os
 import statistics
 import sys
@@ -36,7 +41,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from ksetwl import pipeline  # noqa: E402
+from ksetwl import interner, pipeline  # noqa: E402
 from ksetwl.cli import KERNELS  # noqa: E402
 from ksetwl.features import gram_matrix  # noqa: E402
 from ksetwl.tu_io import parse_tu_dataset  # noqa: E402
@@ -50,22 +55,50 @@ MB = 1 << 20
 
 
 @contextlib.contextmanager
-def _timed(layer, name, log):
-    """Record (layer, seconds, result) in ``log`` for every call pipeline
-    makes to the function ``name`` while the context is open."""
-    original = getattr(pipeline, name)
+def _wrapped(name, hook, module=pipeline):
+    """Route every call to the function ``name`` of ``module`` (the name
+    ``pipeline`` calls it by) through ``hook(original, *args)`` while the
+    context is open."""
+    original = getattr(module, name)
+    setattr(module, name, functools.partial(hook, original))
+    try:
+        yield
+    finally:
+        setattr(module, name, original)
 
-    def wrapper(*args, **kwargs):
+
+def _timed(layer, log):
+    """A hook that records (layer, seconds, result) in ``log``."""
+    def hook(original, *args, **kwargs):
         start = time.perf_counter()
         result = original(*args, **kwargs)
         log.append((layer, time.perf_counter() - start, result))
         return result
+    return hook
 
-    setattr(pipeline, name, wrapper)
-    try:
-        yield
-    finally:
-        setattr(pipeline, name, original)
+
+def _above_entry(layer, log):
+    """A hook that records (layer, bytes) in ``log``: the tracemalloc peak
+    of the call above what was allocated when it was entered.  The peak so
+    far is recorded as (None, bytes) before the call resets it."""
+    def hook(original, *args, **kwargs):
+        log.append((None, tracemalloc.get_traced_memory()[1]))
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        result = original(*args, **kwargs)
+        log.append((layer, tracemalloc.get_traced_memory()[1] - entry))
+        return result
+    return hook
+
+
+def _tables(log):
+    """A ``number_window`` hook that records ("table", distinct keys) in
+    ``log``: its ids run densely from its first."""
+    def hook(original, keys, first):
+        ids = original(keys, first)
+        log.append(("table", int(ids.max()) - first + 1 if len(ids) else 0))
+        return ids
+    return hook
 
 
 def run(graphs, k: int, h: int, local: bool, mode: str):
@@ -82,7 +115,7 @@ def layer_times(graphs, k: int, h: int, local: bool, mode: str):
     log = []
     with contextlib.ExitStack() as stack:
         for layer, name in [*WRAPPED.items(), ("window", WINDOWS[mode])]:
-            stack.enter_context(_timed(layer, name, log))
+            stack.enter_context(_wrapped(name, _timed(layer, log)))
         start = time.perf_counter()
         labels, counts = run(graphs, k, h, local, mode)
     ran = time.perf_counter()
@@ -106,16 +139,36 @@ def layer_times(graphs, k: int, h: int, local: bool, mode: str):
     return times, entries, nbytes, gram, window_labels
 
 
-def traced_peak(graphs, k: int, h: int, local: bool, mode: str) -> int:
-    """The tracemalloc peak in bytes of one unwrapped run, its features and
-    its gram."""
+def traced_peaks(graphs, k: int, h: int, local: bool, mode: str):
+    """One untimed run, its features and its gram under tracemalloc: the
+    peak in bytes, each layer's peak above entry by layer name, and the
+    largest table of each window of an exact run."""
+    log = []
     tracemalloc.start()
     try:
-        gram_matrix(pipeline.features_from_label_arrays(
-            *run(graphs, k, h, local, mode)))
-        return tracemalloc.get_traced_memory()[1]
+        with contextlib.ExitStack() as stack:
+            for layer, name in [*WRAPPED.items(), ("window", WINDOWS[mode])]:
+                stack.enter_context(_wrapped(name, _above_entry(layer, log)))
+            stack.enter_context(_wrapped("number_window", _tables(log),
+                                         interner))
+            labels, counts = run(graphs, k, h, local, mode)
+        features = _above_entry("features", log)(
+            pipeline.features_from_label_arrays, labels, counts)
+        _above_entry("gram", log)(gram_matrix, features)
+        log.append((None, tracemalloc.get_traced_memory()[1]))
     finally:
         tracemalloc.stop()
+    peaks, tables, largest = {}, [], 0
+    for layer, size in log:
+        if layer == "table":
+            largest = max(largest, size)
+        elif layer == "window":
+            tables.append(largest)
+            peaks[f"window_{len(tables)}"], largest = size, 0
+        elif layer is not None:
+            peaks[layer] = size
+    return max(size for layer, size in log if layer is None), peaks, (
+        tables if mode == "exact" else [])
 
 
 def main(argv=None) -> int:
@@ -134,7 +187,7 @@ def main(argv=None) -> int:
     local = args.kernel != "kwl-global"
     runs = [layer_times(graphs, k, args.h, local, args.mode)
             for _ in range(args.repeats)]
-    traced = traced_peak(graphs, k, args.h, local, args.mode)
+    traced, peaks, tables = traced_peaks(graphs, k, args.h, local, args.mode)
     print(f"{args.kernel} {args.mode} k={k} h={args.h}, {len(graphs)} "
           f"graphs: median of {args.repeats} in-process runs")
     for layer in runs[0][0]:
@@ -143,8 +196,12 @@ def main(argv=None) -> int:
     print(f"{runs[0][1]}  csr_entries")
     print(f"{runs[0][2] / MB:.3f}  csr_mb")
     print(f"{traced / MB:.3f}  traced_peak_mb")
+    for layer, size in peaks.items():
+        print(f"{size / MB:.3f}  {layer}_peak_mb")
     for i, count in enumerate(runs[0][4], 1):
         print(f"{count}  window_{i}_labels")
+    for i, count in enumerate(tables, 1):
+        print(f"{count}  window_{i}_largest_table")
     return 0
 
 

@@ -16,11 +16,14 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Bound on the entries of each scratch array of the gram (a dense column
-# chunk of the feature matrix, one row block of its product, one chunk of
-# holder pairs): at most max(_GRAM_CHUNK, n), so K is the only array of
-# size n^2.
+# Bound on the entries of each dense scratch array of the gram (a column
+# chunk of the feature matrix, one row block of its product): at most
+# max(_GRAM_CHUNK, n), so K is the only array of size n^2.  It sets the
+# order in which float products are added, so changing it can change the
+# last bits of a gram of masses.
 _GRAM_CHUNK = 1 << 18
+# Bound on the holder pairs added at once (:func:`_add_pairs`).
+_PAIR_CHUNK = 1 << 15
 # A label held by at most n / _GRAM_LIGHT of the n graphs adds its holder
 # pairs one by one; a label held by more is a dense column.
 _GRAM_LIGHT = 6
@@ -80,20 +83,24 @@ def gram_matrix(features: Features) -> np.ndarray:
     n = features.n
     K = np.zeros((n, n), dtype=np.float64)
     step = max(1, _GRAM_CHUNK // max(n, 1))   # chunk columns and block rows
+    scratch = _pair_scratch()
     for graph, label, weight in features.blocks:
+        # each array of the block's length is gathered for the light or
+        # the heavy entries alone, which keeps the gram's peak low
         order = np.argsort(label, kind="stable")
-        rows, labels, weights = graph[order], label[order], weight[order]
-        new = np.ones(len(labels), dtype=bool)
-        new[1:] = labels[1:] != labels[:-1]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = np.diff(label[order]) != 0
         starts = np.flatnonzero(new)
-        holders = np.diff(starts, append=len(labels))
+        holders = np.diff(starts, append=len(order))
         light = np.repeat(holders * _GRAM_LIGHT <= n, holders)
         # an entry pairs with itself and its label's later holders
-        later = np.repeat(starts + holders, holders) - np.arange(len(labels))
-        _add_pairs(K.reshape(-1), n, rows[light], weights[light],
-                   later[light])
+        later = np.repeat(starts + holders, holders) - np.arange(len(order))
+        held = order[light]
+        _add_pairs(K.reshape(-1), n, graph[held], weight[held], later[light],
+                   scratch)
+        held = order[~light]
+        rows, weights = graph[held], weight[held]
         column = np.cumsum(new[~light]) - 1
-        rows, weights = rows[~light], weights[~light]
         columns = int(column[-1]) + 1 if len(column) else 0
         cuts = np.searchsorted(column, np.arange(0, columns + step, step))
         buf = np.empty(n * min(step, columns), dtype=np.float64)
@@ -112,30 +119,53 @@ def gram_matrix(features: Features) -> np.ndarray:
     return K
 
 
+def _pair_scratch():
+    """The scratch arrays of :func:`_add_pairs`, ``_PAIR_CHUNK`` entries
+    each: int64 pair places 0, 1, ..., entries, partners and flat indices,
+    and float64 values and partner weights."""
+    ints = np.empty((4, _PAIR_CHUNK), dtype=np.int64)
+    ints[0] = np.arange(_PAIR_CHUNK)
+    return ints, np.empty((2, _PAIR_CHUNK), dtype=np.float64)
+
+
 def _add_pairs(flat: np.ndarray, n: int, rows: np.ndarray,
-               weights: np.ndarray, later: np.ndarray) -> None:
+               weights: np.ndarray, later: np.ndarray, scratch) -> None:
     """Add weights[e] * weights[p] to entry (rows[e], rows[p]) of the n x n
     matrix whose flat view is ``flat``, for every entry e and every p in
     e, e + 1, ..., e + later[e] - 1.
 
     Pairs are numbered entry by entry and added in that order, at most
-    ``_GRAM_CHUNK`` at a time.
+    ``_PAIR_CHUNK`` at a time, into the arrays of :func:`_pair_scratch`,
+    refilled in place.
     """
-    first = np.cumsum(later) - later           # each entry's first pair
-    total = int(first[-1] + later[-1]) if len(later) else 0
-    shift = first - np.arange(len(later))      # pair - shift = partner
-    for lo in range(0, total, _GRAM_CHUNK):
-        hi = min(lo + _GRAM_CHUNK, total)
+    ints, floats = scratch
+    first = np.cumsum(later)
+    total = int(first[-1]) if len(later) else 0
+    first -= later                             # each entry's first pair
+    for lo in range(0, total, _PAIR_CHUNK):
+        m = min(_PAIR_CHUNK, total - lo)
         a = int(np.searchsorted(first, lo, side="right")) - 1
-        z = int(np.searchsorted(first, hi))
-        entry = np.repeat(np.arange(a, z), np.minimum(
-            first[a:z] + later[a:z], hi) - np.maximum(first[a:z], lo))
-        partner = np.arange(lo, hi) - shift[entry]
-        index = rows[entry] * n
-        index += rows[partner]
-        values = weights[entry]
-        values *= weights[partner]
-        np.add.at(flat, index, values)
+        z = int(np.searchsorted(first, lo + m))
+        places, e, p, i = ints[:, :m]
+        v, w = floats[:, :m]
+        # a pair's entry: a, plus the later entries whose first pair it
+        # has passed
+        e.fill(0)
+        e[np.subtract(first[a + 1:z], lo, out=i[:z - a - 1])] = 1
+        np.cumsum(e, out=e)
+        e += a
+        # the partner of pair lo + j is e + (lo + j - first[e]); mode="clip"
+        # keeps np.take from buffering its out
+        np.take(first, e, out=p, mode="clip")
+        np.subtract(places, p, out=p)
+        p += lo
+        p += e
+        np.take(weights, e, out=v, mode="clip")
+        v *= np.take(weights, p, out=w, mode="clip")
+        np.take(rows, e, out=i, mode="clip")
+        i *= n
+        i += np.take(rows, p, out=e, mode="clip")
+        np.add.at(flat, i, v)
 
 
 def cosine_normalize_gram(K: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Injective relabeling of structured refinement keys to compact integer ids.
 
 Keys are made in bulk (:func:`iso_key_batch`, :func:`refine_coloring_window`)
-and numbered a window at a time, read as a stream into a table of the
-window's own.  Two key kinds exist, both bytes whose lexicographic order
+and numbered a window at a time, read as a stream into a table of their
+own.  Two key kinds exist, both bytes whose lexicographic order
 matches the natural order of the underlying tuples, which makes the
 two-phase deterministic interning protocol a plain sort:
 
@@ -20,8 +20,9 @@ before every iso key.
 
 A refinement key starts with a label the window before issued, so no key
 of an exact run's window recurs in a later one: each window numbers its
-own keys (:func:`number_window`).  A sampled run meets keys again, and one
-:class:`LabelInterner` spans it.
+own keys (:func:`number_window`), one run of whole own-label classes at a
+time, so only one run's keys are alive at once.  A sampled run meets keys
+again, and one :class:`LabelInterner` spans it.
 """
 
 from __future__ import annotations
@@ -123,21 +124,87 @@ def iso_key_batch(codes: np.ndarray) -> list[bytes]:
         words.ravel(), np.arange(len(codes)) * codes.shape[1])]
 
 
-def _row_blocks(indptr: np.ndarray, offsets: np.ndarray):
-    """Consecutive row ranges [a, b) of a CSR whose entries are offsets from
-    their own row, each holding at most ``_KEY_BLOCK_ENTRIES`` entries (or
-    one row).  Yields a, b, the row of each of the block's entries and its
-    column, row plus offset, both int64."""
-    n, a = len(indptr) - 1, 0
+def _row_blocks(indptr: np.ndarray, offsets: np.ndarray, order=None,
+                pointer=None):
+    """Consecutive places [a, b) of an order of the rows of a CSR whose
+    entries are offsets from their own row, each block holding at most
+    ``_KEY_BLOCK_ENTRIES`` entries (or one row).  The order is all rows
+    ascending by default; an ``order`` comes with its ``pointer``, the
+    entries before each of its places (:func:`_class_runs`).  Yields a,
+    b, the block's entry pointer from 0, the place in the block of each
+    entry's row and the entry's column, row plus offset."""
+    if order is None:
+        pointer = indptr
+    n, a = len(pointer) - 1, 0
     while a < n:
-        # a Python int would make searchsorted cast all of an int32 indptr
-        end = min(int(indptr[a]) + _KEY_BLOCK_ENTRIES, int(indptr[-1]))
+        # a Python int would make searchsorted cast all of an int32 pointer
+        end = min(int(pointer[a]) + _KEY_BLOCK_ENTRIES, int(pointer[-1]))
         b = max(a + 1, int(np.searchsorted(
-            indptr, indptr.dtype.type(end), side="right")) - 1)
-        rows = np.repeat(np.arange(a, b, dtype=np.int64),
-                         np.diff(indptr[a:b + 1]))
-        yield a, b, rows, rows + offsets[indptr[a]:indptr[b]]
+            pointer, pointer.dtype.type(end), side="right")) - 1)
+        bounds = pointer[a:b + 1] - pointer[a]
+        degrees = np.diff(bounds)
+        place = np.repeat(np.arange(b - a), degrees)
+        if order is None:
+            rows, steps = place + a, offsets[indptr[a]:indptr[b]]
+        else:
+            rows = np.repeat(order[a:b], degrees)
+            entries = np.repeat(indptr[order[a:b]] - bounds[:-1], degrees)
+            entries += np.arange(len(entries), dtype=entries.dtype)
+            # np.take gathers several times faster than fancy indexing
+            steps = np.take(offsets, entries)
+        yield a, b, bounds, place, rows + steps
         a = b
+
+
+def _keys(indptr, offsets, labels, span, order=None, pointer=None):
+    """The refinement keys of the rows of a CSR in an order
+    (:func:`_row_blocks`), built and streamed block by block."""
+    return itertools.chain.from_iterable(
+        _key_block(labels, span, order, *block)
+        for block in _row_blocks(indptr, offsets, order, pointer))
+
+
+def _key_block(labels, span, order, a, b, bounds, place, columns):
+    """The keys of one row block, as a list."""
+    # sort each row's neighbor labels at once by place * span + label,
+    # then lay out own and neighbor labels as one flat word array
+    base = place * span
+    neigh = np.sort(base + np.take(labels, columns)) - base
+    starts = np.arange(b - a) + bounds[:-1]
+    words = np.empty(b - a + len(place), dtype=">u4")
+    words[starts] = labels[a:b] if order is None else labels[order[a:b]]
+    words[np.arange(len(place)) + place + 1] = neigh
+    return _ragged_words(words, starts)
+
+
+def _class_runs(indptr: np.ndarray, own: np.ndarray):
+    """A stable order of the rows of a CSR by their own labels ``own``, and
+    the places [a, b) of its runs of whole classes: each run holds at most
+    ``_KEY_BLOCK_ENTRIES`` entries, or exactly one class if that class
+    holds more."""
+    n = len(own)
+    # stable by the low 16 bits of the ids, then by the high ones: numpy
+    # sorts 16-bit values by radix, several times faster than 32-bit ones
+    order = np.argsort((own & 0xFFFF).astype(np.uint16), kind="stable")
+    order = order[np.argsort((own[order] >> 16).astype(np.uint16),
+                             kind="stable")]
+    if n <= np.iinfo(np.int32).max:
+        order = order.astype(np.int32)
+    pointer = np.zeros(n + 1, dtype=indptr.dtype)
+    np.cumsum(np.diff(indptr)[order], out=pointer[1:])
+    runs, a = [], 0
+    while a < n:
+        end = min(int(pointer[a]) + _KEY_BLOCK_ENTRIES, int(pointer[-1]))
+        b = int(np.searchsorted(pointer, pointer.dtype.type(end),
+                                side="right")) - 1
+        if b < n:   # back to the start of the class the cut falls in
+            b = int(np.searchsorted(own, own[order[b]], sorter=order))
+        if b <= a:  # the run's first class alone passes the budget
+            b = int(np.searchsorted(own, own[order[a]], side="right",
+                                    sorter=order))
+        runs.append((a, b))
+        a = b
+    return order, pointer, runs
 
 
 def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
@@ -152,10 +219,18 @@ def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
     its own label ``labels[i]`` and the ascending multiset of labels over
     its (out-)neighbors.  Labels must be ids below ``_ID_CAP``.  Keys are
     built in row blocks of at most ``_KEY_BLOCK_ENTRIES`` neighbor entries
-    (or one row), decoded block by block (:func:`_row_blocks`), and
-    streamed to ``window``, which returns their ids: a
-    :meth:`LabelInterner.intern_window`, or :func:`number_window` with its
-    first id bound.
+    (or one row) (:func:`_row_blocks`).
+
+    ``window`` is a function that returns the ids of a whole key stream,
+    such as :meth:`LabelInterner.intern_window`, which is fed every row's
+    key in row order; or an int, the first id of an exact window that
+    numbers its own keys.  Such a window visits the rows in a stable
+    order of their own label, cut into runs of whole classes
+    (:func:`_class_runs`), and numbers each run by :func:`number_window`
+    from the id after the previous run's last.  A key's first word is its
+    own label, so every key of a run sorts after the keys of the runs
+    before: the ids are those of one :func:`number_window` over all rows,
+    and only one run's keys are alive at a time.
     """
     n = len(indptr) - 1
     if len(labels) < n:
@@ -165,17 +240,13 @@ def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
     span = int(labels.max()) + 1 if len(labels) else 1
     if n * span > np.iinfo(np.int64).max:
         raise ParameterError("labels too large for combined sort keys")
-
-    def blocks():
-        for a, b, rows, columns in _row_blocks(indptr, offsets):
-            # sort each row's neighbor labels at once by row * span + label,
-            # then lay out own and neighbor labels as one flat word array
-            base = rows * span
-            neigh = np.sort(base + labels[columns]) - base
-            starts = np.arange(b - a, dtype=np.int64) + indptr[a:b] - indptr[a]
-            words = np.empty(b - a + len(rows), dtype=">u4")
-            words[starts] = labels[a:b]
-            words[np.arange(len(rows)) + (rows + 1 - a)] = neigh
-            yield from _ragged_words(words, starts)
-
-    return window(blocks())
+    if callable(window):
+        return window(_keys(indptr, offsets, labels, span))
+    ids, first = np.empty(n, dtype=np.int32), window
+    order, pointer, runs = _class_runs(indptr, labels[:n])
+    for a, b in runs:
+        numbered = number_window(_keys(indptr, offsets, labels, span,
+                                       order[a:b], pointer[a:b + 1]), first)
+        ids[order[a:b]] = numbered
+        first = int(numbered.max()) + 1
+    return ids

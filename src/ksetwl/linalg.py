@@ -59,8 +59,8 @@ def la_step(indptr: np.ndarray, offsets: np.ndarray, labels: np.ndarray):
         raise ParameterError(f"labels must be ids in [0, {_ID_CAP})")
     words = splitmix64(labels)
     values = splitmix64(np.asarray(labels, dtype=np.uint64) + (1 << 32))
-    for a, b, _, columns in _row_blocks(indptr, offsets):
-        values[a:b] += _row_sums(indptr[a:b + 1] - indptr[a], words[columns])
+    for a, b, bounds, _, columns in _row_blocks(indptr, offsets):
+        values[a:b] += _row_sums(bounds, words[columns])
     distinct, dense = np.unique(values, return_inverse=True)
     if len(distinct) > _ID_CAP:
         raise ResourceLimitError(

@@ -4,23 +4,23 @@ Exact and linear-algebra runs build their k-sets, iso types and swap
 neighborhoods once over the block-diagonal stack of all graphs, and one
 loop advances all graphs in lockstep: iteration 0 is the iso types, each
 later iteration one step over the stacked k-set graph, either a window
-that numbers its own keys (:func:`ksetwl.interner.number_window`) or a
-joint regrouping of 64-bit sums (:func:`ksetwl.linalg.la_step`).  So label
-ids depend only on the dataset and parameters.  1-WL is the local k-set
-refinement at k = 1.  Only sampled runs keep a table, one interner across
-their graphs.
+that numbers its own keys one run of whole own-label classes at a time,
+so that only one run's keys are alive at once
+(:func:`ksetwl.interner.refine_coloring_window`), or a joint regrouping
+of 64-bit sums (:func:`ksetwl.linalg.la_step`).  So label ids depend only
+on the dataset and parameters.  1-WL is the local k-set refinement at
+k = 1.  Only sampled runs keep a table, one interner across their graphs.
 """
 
 from __future__ import annotations
 
-import functools
 from math import comb
 
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .features import Features
-from .interner import LabelInterner, number_window, refine_coloring_window
+from .interner import LabelInterner, refine_coloring_window
 from .ksets import KSetIndex, check_order
 from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs
 from .linalg import la_step
@@ -74,8 +74,8 @@ def _refinement_run(graphs, k, h, local, max_sets, step):
 def _window_step(indptr, offsets, labels):
     # the ids issued so far are 0 .. labels.max(), and no key of a window
     # recurs in a later one, so its own numbering continues from there
-    return refine_coloring_window(indptr, offsets, labels, functools.partial(
-        number_window, first=int(labels.max(initial=-1)) + 1))
+    return refine_coloring_window(indptr, offsets, labels,
+                                  int(labels.max(initial=-1)) + 1)
 
 
 def exact_kset_run(graphs, k: int, h: int, local: bool = True,

@@ -10,10 +10,11 @@ agreement between the two paths is meaningful evidence.
 The second part holds one-item forms that tests state their expectations
 in: vertex and edge queries on one graph, the colex rank of one k-set,
 feature vectors as per-graph lists of {label: weight} blocks and their
-inner product, one-key interning keys, one-set calls of the bulk k-set
-paths, a per-set swap CSR, conversions between absolute CSR columns and
-offsets from their row, 1-WL on one graph, a Cholesky PSD check, and
-linear-algebra refinement by the bare value sum.
+inner product, one-key interning keys, an exact window numbered over all
+its rows at once, one-set calls of the bulk k-set paths, a per-set swap
+CSR, conversions between absolute CSR columns and offsets from their row,
+1-WL on one graph, a Cholesky PSD check, and linear-algebra refinement by
+the bare value sum.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from ksetwl.errors import GraphError, ParameterError
 from ksetwl.features import Features
 from ksetwl.graph import Graph
-from ksetwl.interner import (LabelInterner, iso_key_batch,
+from ksetwl.interner import (LabelInterner, iso_key_batch, number_window,
                              refine_coloring_window)
 from ksetwl.ksets import KSetIndex
 from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, iso_keys,
@@ -326,6 +327,16 @@ def absolute_columns(indptr, offsets) -> np.ndarray:
     offset, int64."""
     rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     return rows + np.asarray(offsets, dtype=np.int64)
+
+
+def one_window_ids(indptr, offsets, labels, first: int) -> np.ndarray:
+    """The ids of an exact window as one :func:`number_window` over the
+    keys of all rows of a CSR whose entries are offsets from their row,
+    in row order, each key made by :func:`refine_key`."""
+    columns = absolute_columns(indptr, offsets)
+    return number_window([refine_key(int(labels[i]), sorted(
+        labels[columns[indptr[i]:indptr[i + 1]]].tolist()))
+        for i in range(len(indptr) - 1)], first)
 
 
 def neighbor_csr(g: Graph, index: KSetIndex, local: bool,

@@ -382,12 +382,14 @@ def test_light_and_heavy_labels_sum_like_pairwise_dots(per_graph, light,
             patch.setattr(features_mod, "_GRAM_LIGHT", light)
         if chunk is not None:
             patch.setattr(features_mod, "_GRAM_CHUNK", chunk)
+            patch.setattr(features_mod, "_PAIR_CHUNK", chunk)
         K = gram_matrix(features_of(per_graph))
     assert np.array_equal(K, pairwise_dots(per_graph))
 
 
+@pytest.mark.parametrize("pairs", [1, 5])
 @pytest.mark.parametrize("chunk", [9 * 7, 9 * 2, 1])
-def test_gram_chunks_agree_with_one_pass(monkeypatch, chunk):
+def test_gram_chunks_agree_with_one_pass(monkeypatch, chunk, pairs):
     from ksetwl import features as features_mod
     rng = np.random.default_rng(3)
     per_graph = [[{int(lab): float(rng.integers(1, 9))
@@ -396,15 +398,17 @@ def test_gram_chunks_agree_with_one_pass(monkeypatch, chunk):
     features = features_of(per_graph)
     whole = gram_matrix(features)
     monkeypatch.setattr(features_mod, "_GRAM_CHUNK", chunk)
+    monkeypatch.setattr(features_mod, "_PAIR_CHUNK", pairs)
     assert np.array_equal(gram_matrix(features), whole)
     assert np.array_equal(whole, pairwise_dots(per_graph))
 
 
 def test_gram_scratch_memory_is_bounded():
-    # Past K itself (n^2 floats), the gram's scratch arrays stay within a
-    # few chunks and the per-block entry arrays; n is large enough that a
+    # Every label here is light.  Past K itself (n^2 floats), the gram's
+    # scratch arrays stay within the six holder-pair arrays of one pair
+    # chunk and the per-block entry arrays; n is large enough that a
     # second n x n array would exceed the bound.
-    from ksetwl.features import _GRAM_CHUNK
+    from ksetwl.features import _PAIR_CHUNK
     n, universe = 1500, 120
     rng = np.random.default_rng(11)
     dense = np.zeros((n, 2 * universe))
@@ -423,7 +427,7 @@ def test_gram_scratch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert np.array_equal(K, dense @ dense.T)
-    assert peak - K.nbytes <= 8 * (4 * max(_GRAM_CHUNK, n) + 20 * 6 * n)
+    assert peak - K.nbytes <= 8 * (6 * _PAIR_CHUNK + 20 * 6 * n)
 
 
 def test_iso_key_scratch_memory_is_bounded(monkeypatch):

@@ -197,6 +197,98 @@ def test_label_ids_past_the_cap_exit_3(monkeypatch, tmp_path, capsys):
     assert "label ids stop at 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap, code", [(40, 0), (39, 3)])
+def test_a_window_whose_runs_pass_the_cap_together_exits_3(
+        monkeypatch, tmp_path, capsys, cap, code):
+    # MUTAG's 7 node labels and the 33 keys of its first 1-WL window need
+    # the ids 0..39.  One-entry runs number that window a class or so at a
+    # time, each run far below the cap: only their running total passes it
+    from ksetwl import interner
+    number_window = interner.number_window
+    firsts = []
+
+    def recording(keys, first):
+        firsts.append(first)
+        return number_window(keys, first)
+
+    monkeypatch.setattr(interner, "_ID_CAP", cap)
+    monkeypatch.setattr(interner, "_KEY_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(interner, "number_window", recording)
+    assert main(["gram", "--dataset", MUTAG_DIR, "--kernel", "wl1", "--h",
+                 "1", "--output", str(tmp_path / "gram.txt")]) == code
+    assert len(firsts) > 1 and firsts[0] == 7 and firsts == sorted(firsts)
+    if code:
+        assert f"label ids stop at {cap}" in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3, 1 << 16]),
+       st.sampled_from([1, 257, 65_537, 2 ** 24]), st.booleans())
+def test_exact_window_runs_issue_the_ids_of_one_window(seed, budget, spread,
+                                                       near_cap):
+    # a random CSR with empty rows, labeled items past the rows, ids spread
+    # over all four bytes of a word, and one class whose rows hold more
+    # entries than a run may; the window starts after the largest label or
+    # as close to the cap as its rows allow
+    from ksetwl import interner
+    rng = np.random.default_rng(seed)
+    few, big = int(rng.integers(1, 25)), budget // 64 + 2
+    degrees = np.concatenate([rng.integers(0, 5, few), np.full(big, 64)])
+    degrees[0] = 0
+    rows = len(degrees)
+    perm = rng.permutation(rows)
+    degrees = degrees[perm]
+    classes = np.concatenate([rng.integers(0, 4, few),
+                              np.full(big, rng.integers(0, 5))])[perm]
+    items = rows + int(rng.integers(0, 4))
+    labels = (np.concatenate([classes, rng.integers(0, 5, items - rows)])
+              * spread).astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(degrees)])
+    offsets = ref.row_offsets(indptr, rng.integers(0, items, indptr[-1]))
+    first = 2 ** 31 - rows if near_cap else int(labels.max()) + 1
+    want = ref.one_window_ids(indptr, offsets, labels, first)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interner, "_KEY_BLOCK_ENTRIES", budget)
+        got = refine_coloring_window(indptr, offsets, labels, first)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
+def test_exact_windows_number_one_run_of_classes_at_a_time(mutag,
+                                                          monkeypatch):
+    # each number_window call of an exact window numbers whole own-label
+    # classes, after those of the calls before, from the id after their
+    # last; no call holds more than a small share of a window's keys
+    from ksetwl import interner, pipeline
+    refine, number_window = (pipeline.refine_coloring_window,
+                             interner.number_window)
+    windows = []
+
+    def window(*args):
+        windows.append([])
+        return refine(*args)
+
+    def recording(keys, first):
+        keys = list(keys)
+        windows[-1].append((keys, first))
+        return number_window(keys, first)
+
+    monkeypatch.setattr(pipeline, "refine_coloring_window", window)
+    monkeypatch.setattr(interner, "number_window", recording)
+    labels, _ = exact_kset_run(mutag.graphs, 3, 3)
+    assert len(windows) == 3
+    for calls, before, after in zip(windows, labels, labels[1:]):
+        first, last_own = int(before.max()) + 1, b""
+        for keys, start in calls:
+            owns = {key[:4] for key in keys}
+            distinct = len(set(keys))
+            assert start == first and distinct <= len(keys)
+            assert min(owns) > last_own
+            first, last_own = first + distinct, max(owns)
+        assert first == int(after.max()) + 1
+    distinct = [len(set(keys)) for keys, _ in windows[2]]
+    assert sum(distinct) == 81_433 and max(distinct) <= 81_433 // 16
+
+
 def test_the_real_id_cap_is_refused_and_leaves_the_table(monkeypatch):
     # the id 2^31 does not fit a window's int32 ids
     keys = [refine_key(0, ()), refine_key(1, ())]

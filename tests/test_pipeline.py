@@ -173,24 +173,32 @@ def test_label_ids_past_the_cap_are_refused_before_the_cast(monkeypatch, p4):
 
 def test_front_end_times_script_times_every_layer(two_triangle_dir, capsys):
     script = scripts("front_end_times")
+    layers = ["iso_keys", "neighbor_csr", "window_1", "window_2", "features",
+              "gram"]
     for mode in ("exact", "linalg"):
         assert script.main(["--dataset", two_triangle_dir, "--kernel",
                             "kwl-global", "--k", "2", "--h", "2", "--mode",
                             mode, "--repeats", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
+        tables = ["window_1_largest_table", "window_2_largest_table"]
         assert [line.split("  ")[1] for line in lines[1:]] == [
-            "iso_keys", "neighbor_csr", "window_1", "window_2", "features",
-            "gram", "total", "csr_entries", "csr_mb", "traced_peak_mb",
-            "window_1_labels", "window_2_labels"]
+            *layers, "total", "csr_entries", "csr_mb", "traced_peak_mb",
+            *(f"{layer}_peak_mb" for layer in layers), "window_1_labels",
+            "window_2_labels", *(tables if mode == "exact" else [])]
         figures = {name: float(value) for value, name in
                    (line.split("  ") for line in lines[1:])}
         # three 2-sets per triangle, each with k * (n - k) = 2 global swaps:
         # an int32 row pointer over 6 rows and 12 int16 offsets
-        assert lines[-5] == "12  csr_entries"
+        assert figures["csr_entries"] == 12
         assert figures["csr_mb"] == round((7 * 4 + 12 * 2) / (1 << 20), 3)
         assert figures["traced_peak_mb"] > 0
-        # every 2-set of a triangle is alike, so each window issues one label
-        assert lines[-2:] == ["1  window_1_labels", "1  window_2_labels"]
+        assert all(0 <= figures[f"{layer}_peak_mb"] <= figures[
+            "traced_peak_mb"] for layer in layers)
+        # every 2-set of a triangle is alike, so each window issues one
+        # label, from one table of one key
+        assert figures["window_1_labels"] == figures["window_2_labels"] == 1
+        if mode == "exact":
+            assert figures[tables[0]] == figures[tables[1]] == 1
     assert pipeline._neighbor_csr is kwl._neighbor_csr
     assert pipeline.refine_coloring_window is interner.refine_coloring_window
     assert pipeline.la_step is linalg.la_step
