@@ -27,6 +27,7 @@ tracemalloc peaks count what numpy and Python allocate, so unlike the
 process's peak RSS they do not move with heap layout or with what earlier
 runs left behind; the CLI manifest's ``peak_rss_mb`` gives one run's.
 """
+
 import argparse
 import contextlib
 import functools

@@ -218,8 +218,8 @@ def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
     type that holds them.  Row i's key is the big-endian 32-bit words of
     its own label ``labels[i]`` and the ascending multiset of labels over
     its (out-)neighbors.  Labels must be ids below ``_ID_CAP``.  Keys are
-    built in row blocks of at most ``_KEY_BLOCK_ENTRIES`` neighbor entries
-    (or one row) (:func:`_row_blocks`).
+    built in row blocks of at most ``_KEY_BLOCK_ENTRIES`` neighbor entries,
+    or one row (:func:`_row_blocks`).
 
     ``window`` is a function that returns the ids of a whole key stream,
     such as :meth:`LabelInterner.intern_window`, which is fed every row's

@@ -387,9 +387,8 @@ def test_light_and_heavy_labels_sum_like_pairwise_dots(per_graph, light,
     assert np.array_equal(K, pairwise_dots(per_graph))
 
 
-@pytest.mark.parametrize("pairs", [1, 5])
 @pytest.mark.parametrize("chunk", [9 * 7, 9 * 2, 1])
-def test_gram_chunks_agree_with_one_pass(monkeypatch, chunk, pairs):
+def test_gram_chunks_agree_with_one_pass(monkeypatch, chunk):
     from ksetwl import features as features_mod
     rng = np.random.default_rng(3)
     per_graph = [[{int(lab): float(rng.integers(1, 9))
@@ -398,8 +397,9 @@ def test_gram_chunks_agree_with_one_pass(monkeypatch, chunk, pairs):
     features = features_of(per_graph)
     whole = gram_matrix(features)
     monkeypatch.setattr(features_mod, "_GRAM_CHUNK", chunk)
-    monkeypatch.setattr(features_mod, "_PAIR_CHUNK", pairs)
-    assert np.array_equal(gram_matrix(features), whole)
+    for pairs in (1, 5):
+        monkeypatch.setattr(features_mod, "_PAIR_CHUNK", pairs)
+        assert np.array_equal(gram_matrix(features), whole)
     assert np.array_equal(whole, pairwise_dots(per_graph))
 
 
