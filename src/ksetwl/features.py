@@ -2,10 +2,11 @@
 
 The features of n graphs are one :class:`Features`: for each refinement
 iteration 0..h, a block of three parallel arrays (graph, label, weight)
-sorted by (graph, label), one entry per label a graph holds (integer
-counts for exact runs, probability masses for sampled runs).  Kernel values
-are inner products over matching (block, label) pairs, so all graphs of one
-gram matrix must come from a single exact, linear-algebra or sampled run.
+sorted by (label, graph) as the gram reads them, one entry per label a graph
+holds (integer counts for exact runs, probability masses for sampled runs).
+Kernel values are inner products over matching (block, label) pairs, so all
+graphs of one gram matrix must come from a single exact, linear-algebra or
+sampled run.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .errors import ParameterError
 # order in which float products are added, so changing it can change the
 # last bits of a gram of masses.
 _GRAM_CHUNK = 1 << 18
-# Bound on the holder pairs added at once (:func:`_add_pairs`).
-_PAIR_CHUNK = 1 << 15
+# About the holder pairs per chunk of :func:`_add_pairs`, whose arrays then
+# take about 32 KB, below glibc's default 128 KB mmap threshold.
+_PAIR_CHUNK = 1 << 12
 # A label held by at most n / _GRAM_LIGHT of the n graphs adds its holder
 # pairs one by one; a label held by more is a dense column.
 _GRAM_LIGHT = 6
@@ -34,8 +36,8 @@ class Features:
     """Per-iteration label weights phi^0 .. phi^h of ``n`` graphs.
 
     ``blocks[i]`` is the (graph, label, weight) triple of iteration i:
-    int64 graph positions and label ids and float64 weights, sorted by
-    (graph, label).
+    int64 graph positions and label ids and float64 weights, strictly
+    ascending in (label, graph), so each graph's labels ascend as well.
     """
 
     n: int
@@ -70,8 +72,9 @@ def l1_normalize(features: Features, scope: str = "per-block") -> Features:
 def gram_matrix(features: Features) -> np.ndarray:
     """Symmetric matrix of all pairwise inner products, K = X X^T.
 
-    Each block is sorted stably by label, so by (label, graph).  A label
-    held by few graphs adds w_i w_j to K[i, j] for each pair of its holders
+    Each block must be strictly ascending in (label, graph), as
+    :class:`Features` stores it; any other block is refused.  A label held
+    by few graphs adds w_i w_j to K[i, j] for each pair of its holders
     i <= j, in chunks of pairs (:func:`_add_pairs`).  Labels held by many
     graphs are the columns of X, filled densely in bounded chunks; each
     chunk adds its products to the upper triangle of K in bounded row
@@ -83,23 +86,21 @@ def gram_matrix(features: Features) -> np.ndarray:
     n = features.n
     K = np.zeros((n, n), dtype=np.float64)
     step = max(1, _GRAM_CHUNK // max(n, 1))   # chunk columns and block rows
-    scratch = _pair_scratch()
     for graph, label, weight in features.blocks:
-        # each array of the block's length is gathered for the light or
-        # the heavy entries alone, which keeps the gram's peak low
-        order = np.argsort(label, kind="stable")
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = np.diff(label[order]) != 0
+        rise = np.diff(label)
+        if np.any(rise < 0) or np.any((rise == 0) & (np.diff(graph) <= 0)):
+            raise ParameterError(
+                "feature blocks must be strictly ascending in (label, graph)")
+        new = np.ones(len(label), dtype=bool)
+        new[1:] = rise != 0
+        del rise
         starts = np.flatnonzero(new)
-        holders = np.diff(starts, append=len(order))
+        holders = np.diff(starts, append=len(label))
         light = np.repeat(holders * _GRAM_LIGHT <= n, holders)
         # an entry pairs with itself and its label's later holders
-        later = np.repeat(starts + holders, holders) - np.arange(len(order))
-        held = order[light]
-        _add_pairs(K.reshape(-1), n, graph[held], weight[held], later[light],
-                   scratch)
-        held = order[~light]
-        rows, weights = graph[held], weight[held]
+        later = np.repeat(starts + holders, holders) - np.arange(len(label))
+        _add_pairs(K.reshape(-1), n, graph[light], weight[light], later[light])
+        rows, weights = graph[~light], weight[~light]
         column = np.cumsum(new[~light]) - 1
         columns = int(column[-1]) + 1 if len(column) else 0
         cuts = np.searchsorted(column, np.arange(0, columns + step, step))
@@ -119,53 +120,25 @@ def gram_matrix(features: Features) -> np.ndarray:
     return K
 
 
-def _pair_scratch():
-    """The scratch arrays of :func:`_add_pairs`, ``_PAIR_CHUNK`` entries
-    each: int64 pair places 0, 1, ..., entries, partners and flat indices,
-    and float64 values and partner weights."""
-    ints = np.empty((4, _PAIR_CHUNK), dtype=np.int64)
-    ints[0] = np.arange(_PAIR_CHUNK)
-    return ints, np.empty((2, _PAIR_CHUNK), dtype=np.float64)
-
-
 def _add_pairs(flat: np.ndarray, n: int, rows: np.ndarray,
-               weights: np.ndarray, later: np.ndarray, scratch) -> None:
+               weights: np.ndarray, later: np.ndarray) -> None:
     """Add weights[e] * weights[p] to entry (rows[e], rows[p]) of the n x n
     matrix whose flat view is ``flat``, for every entry e and every p in
     e, e + 1, ..., e + later[e] - 1.
 
-    Pairs are numbered entry by entry and added in that order, at most
-    ``_PAIR_CHUNK`` at a time, into the arrays of :func:`_pair_scratch`,
-    refilled in place.
+    Pairs are added entry by entry, in chunks of whole entries: from the
+    entry holding pair c * ``_PAIR_CHUNK`` to before the one holding pair
+    (c + 1) * ``_PAIR_CHUNK``, each expanded into fresh arrays.
     """
-    ints, floats = scratch
-    first = np.cumsum(later)
-    total = int(first[-1]) if len(later) else 0
-    first -= later                             # each entry's first pair
-    for lo in range(0, total, _PAIR_CHUNK):
-        m = min(_PAIR_CHUNK, total - lo)
-        a = int(np.searchsorted(first, lo, side="right")) - 1
-        z = int(np.searchsorted(first, lo + m))
-        places, e, p, i = ints[:, :m]
-        v, w = floats[:, :m]
-        # a pair's entry: a, plus the later entries whose first pair it
-        # has passed
-        e.fill(0)
-        e[np.subtract(first[a + 1:z], lo, out=i[:z - a - 1])] = 1
-        np.cumsum(e, out=e)
-        e += a
-        # the partner of pair lo + j is e + (lo + j - first[e]); mode="clip"
-        # keeps np.take from buffering its out
-        np.take(first, e, out=p, mode="clip")
-        np.subtract(places, p, out=p)
-        p += lo
-        p += e
-        np.take(weights, e, out=v, mode="clip")
-        v *= np.take(weights, p, out=w, mode="clip")
-        np.take(rows, e, out=i, mode="clip")
-        i *= n
-        i += np.take(rows, p, out=e, mode="clip")
-        np.add.at(flat, i, v)
+    first = np.cumsum(later) - later           # each entry's first pair
+    cuts = np.searchsorted(first, np.arange(0, later.sum(), _PAIR_CHUNK),
+                           side="right") - 1
+    for a, z in zip(cuts, [*cuts[1:], len(later)]):
+        e = np.repeat(np.arange(a, z), later[a:z])
+        # the partner of pair j is e + (j - first[e])
+        p = e + np.arange(first[a], first[a] + len(e))
+        p -= np.repeat(first[a:z], later[a:z])
+        np.add.at(flat, rows[e] * n + rows[p], weights[e] * weights[p])
 
 
 def cosine_normalize_gram(K: np.ndarray) -> np.ndarray:

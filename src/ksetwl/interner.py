@@ -65,6 +65,12 @@ def _check_cap(issued: int) -> None:
             f"label ids stop at {_ID_CAP}") from None
 
 
+def _check_ids(labels: np.ndarray) -> None:
+    """Refuse labels that are not ids in [0, ``_ID_CAP``)."""
+    if len(labels) and not 0 <= labels.min() <= labels.max() < _ID_CAP:
+        raise ParameterError(f"labels must be ids in [0, {_ID_CAP})")
+
+
 def number_window(keys, first: int) -> np.ndarray:
     """The ids of a window's keys, in input order, as int32: its distinct
     keys take ``first``, ``first + 1``, ... in ascending byte order, and no
@@ -235,8 +241,7 @@ def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
     n = len(indptr) - 1
     if len(labels) < n:
         raise ParameterError("label vector is shorter than the adjacency")
-    if len(labels) and not 0 <= labels.min() <= labels.max() < _ID_CAP:
-        raise ParameterError("labels must be ids in [0, 2^31)")
+    _check_ids(labels)
     span = int(labels.max()) + 1 if len(labels) else 1
     if n * span > np.iinfo(np.int64).max:
         raise ParameterError("labels too large for combined sort keys")

@@ -41,9 +41,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .graph import Graph
-from .interner import _ID_CAP, iso_key_batch
+from .interner import _check_cap, iso_key_batch
 from .ksets import _BLOCK_ITEMS, KSetIndex
 
 # Exact and linalg runs refuse graphs with more k-sets than this in total
@@ -140,8 +139,8 @@ def iso_keys(g: Graph, sets: np.ndarray):
     ascending, and each row's index into them, int32 like every label
     array.  A canonical row is fixed width, with edge label 0 where an
     edge is absent, and ``iso_key_batch`` of it is the iso tag byte, then
-    ``iso_code(g, t)``.  More than ``_ID_CAP`` distinct rows are refused,
-    as an interner would refuse their ids.
+    ``iso_code(g, t)``.  More distinct rows than label ids are refused, as
+    an interner refuses their ids (:func:`ksetwl.interner._check_cap`).
 
     Only distinct raw rows (:func:`_raw_rows`) are canonicalized: rows are
     deduplicated within each block of sets, then across the blocks'
@@ -160,10 +159,7 @@ def iso_keys(g: Graph, sets: np.ndarray):
     best = np.concatenate([_canonical_rows(block, k) for block in
                            np.split(rows, range(step, len(rows), step))])
     codes, types, _ = _unique_rows(best)
-    if len(codes) > _ID_CAP:
-        raise ResourceLimitError(
-            f"the sets have {len(codes)} distinct iso types; label ids stop "
-            f"at {_ID_CAP}")
+    _check_cap(len(codes))
     return codes, types.astype(np.int32)[where[np.concatenate(inverses)]]
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError
-from .interner import _ID_CAP, _row_blocks
+from .errors import ParameterError
+from .interner import _check_cap, _check_ids, _row_blocks
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
@@ -55,15 +55,11 @@ def la_step(indptr: np.ndarray, offsets: np.ndarray, labels: np.ndarray):
     """
     if len(labels) != len(indptr) - 1:
         raise ParameterError("label vector length does not match adjacency")
-    if len(labels) and not 0 <= labels.min() <= labels.max() < _ID_CAP:
-        raise ParameterError(f"labels must be ids in [0, {_ID_CAP})")
+    _check_ids(labels)
     words = splitmix64(labels)
     values = splitmix64(np.asarray(labels, dtype=np.uint64) + (1 << 32))
     for a, b, bounds, _, columns in _row_blocks(indptr, offsets):
         values[a:b] += _row_sums(bounds, words[columns])
     distinct, dense = np.unique(values, return_inverse=True)
-    if len(distinct) > _ID_CAP:
-        raise ResourceLimitError(
-            f"the run needs {len(distinct)} distinct labels; label ids stop "
-            f"at {_ID_CAP}")
+    _check_cap(len(distinct))
     return values, dense.astype(np.int32)

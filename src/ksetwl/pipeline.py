@@ -109,25 +109,30 @@ def la_kset_run(graphs, k: int, h: int, local: bool = True,
 def features_from_label_arrays(labels, counts) -> Features:
     """The label counts of a run given as one label array per iteration
     over the stacked k-sets of all graphs and the k-set count of each
-    graph: per iteration, one ``np.unique`` of graph * span + label."""
+    graph: per iteration, one ``np.unique`` of label * n + graph."""
     n = len(counts)
     graph = np.repeat(np.arange(n, dtype=np.int64), counts)
     blocks = []
     for stacked in labels:
-        span = int(stacked.max()) + 1 if len(stacked) else 1
-        keys, weights = np.unique(graph * span + stacked, return_counts=True)
-        blocks.append((*np.divmod(keys, span), weights.astype(np.float64)))
+        keys, weights = np.unique(stacked.astype(np.int64) * n + graph,
+                                  return_counts=True)
+        label, holder = np.divmod(keys, max(n, 1))
+        blocks.append((holder, label, weights.astype(np.float64)))
     return Features(n, blocks)
 
 
 def features_from_estimates(estimates) -> Features:
-    """The estimated masses of sampled runs, one per graph."""
+    """The estimated masses of sampled runs, one per graph, whose labels
+    ascend, so one stable sort by label orders each block."""
     n = len(estimates)
     blocks = []
     for masses in zip(*(est.masses for est in estimates)):
         labels, weights = zip(*masses)
         graph = np.repeat(np.arange(n, dtype=np.int64), list(map(len, labels)))
-        blocks.append((graph, np.concatenate(labels), np.concatenate(weights)))
+        label = np.concatenate(labels)
+        order = np.argsort(label, kind="stable")
+        blocks.append((graph[order], label[order],
+                       np.concatenate(weights)[order]))
     return Features(n, blocks)
 
 

@@ -240,11 +240,14 @@ def unrank(index: KSetIndex, r: int) -> tuple:
 
 def features_of(per_graph) -> Features:
     """The :class:`Features` of graphs given as lists of {label: weight}
-    blocks, one list per graph, all of one length."""
+    blocks, one list per graph, all of one length: each block's entries in
+    (label, graph) order."""
     blocks = []
     for b in range(len(per_graph[0]) if per_graph else 0):
-        rows = [(gi, label, weight) for gi, vector in enumerate(per_graph)
-                for label, weight in sorted(vector[b].items())]
+        rows = sorted(((gi, label, weight)
+                       for gi, vector in enumerate(per_graph)
+                       for label, weight in vector[b].items()),
+                      key=lambda row: (row[1], row[0]))
         blocks.append((np.array([r[0] for r in rows], dtype=np.int64),
                        np.array([r[1] for r in rows], dtype=np.int64),
                        np.array([r[2] for r in rows], dtype=np.float64)))

@@ -1,10 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import (LabelInterner, ParameterError, cosine_normalize_gram,
-                    gram_matrix, l1_normalize)
-from ksetwl.pipeline import exact_kset_run, features_from_label_arrays
+from ksetwl import (Features, LabelInterner, ParameterError, SampledEstimate,
+                    cosine_normalize_gram, gram_matrix, l1_normalize)
+from ksetwl.pipeline import (exact_kset_run, features_from_estimates,
+                             features_from_label_arrays)
 
 from reference import blocks_of, dot, features_of, psd_check
 
@@ -102,6 +105,56 @@ def test_dot_two_triangles():
 def test_dot_span_mismatch():
     with pytest.raises(ParameterError):
         dot([{}], [{}, {}])
+
+
+def test_gram_refuses_blocks_out_of_label_graph_order():
+    # two graphs that each hold labels 0 and 1; stored by (graph, label),
+    # a gram that trusted the order would read [[2, 0], [0, 2]]
+    graph, label = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    weight = np.ones(4)
+    with pytest.raises(ParameterError, match=r"ascending in \(label, graph"):
+        gram_matrix(Features(2, [(graph, label, weight)]))
+    # the same (label, graph) entry twice is refused as well
+    with pytest.raises(ParameterError, match=r"ascending in \(label, graph"):
+        gram_matrix(Features(1, [(graph[:2], label[:2] * 0, weight[:2])]))
+    ordered = Features(2, [(label, graph, weight)])    # (label, graph) order
+    assert gram_matrix(ordered).tolist() == [[2.0, 2.0], [2.0, 2.0]]
+
+
+# k-set counts per graph, some 0, maybe no graphs; then per iteration a
+# label for each stacked k-set
+label_runs = st.lists(st.integers(0, 5), max_size=5).flatmap(
+    lambda counts: st.tuples(st.just(counts), st.lists(
+        st.lists(st.integers(0, 9), min_size=sum(counts),
+                 max_size=sum(counts)), min_size=1, max_size=3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(label_runs)
+def test_feature_builders_store_blocks_by_label_then_graph(run):
+    counts, labels = run
+    graph = np.repeat(np.arange(len(counts)), counts).tolist()
+    want = [sorted(Counter(zip(block, graph)).items()) for block in labels]
+    held = [[Counter(lab for lab, g in zip(block, graph) if g == gi)
+             for block in labels] for gi in range(len(counts))]
+    estimates = [SampledEstimate([
+        (np.array(sorted(c), dtype=np.int64),
+         np.array([float(c[lab]) for lab in sorted(c)])) for c in blocks], 0)
+        for blocks in held]
+    exact = features_from_label_arrays(
+        [np.array(b, dtype=np.int32) for b in labels], counts)
+    sampled = features_from_estimates(estimates)
+    # without graphs no estimate gives the iteration count
+    assert len(exact.blocks) == len(labels)
+    assert len(sampled.blocks) == (len(labels) if counts else 0)
+    for features in (exact, sampled):
+        assert features.n == len(counts)
+        for (g, lab, weight), expected in zip(features.blocks, want):
+            assert g.dtype == lab.dtype == np.int64
+            assert weight.dtype == np.float64
+            # Counter keys are distinct, so equal means strictly ascending
+            assert list(zip(zip(lab.tolist(), g.tolist()),
+                            weight.tolist())) == expected
 
 
 def test_gram_single_vector():

@@ -162,11 +162,10 @@ def test_label_arrays_are_int32(p4, local):
 def test_label_ids_past_the_cap_are_refused_before_the_cast(monkeypatch, p4):
     # int32 labels hold ids below _ID_CAP; iso types and linalg classes
     # beyond it are refused as an interner refuses its ids
-    monkeypatch.setattr(kwl, "_ID_CAP", 1)
-    with pytest.raises(ResourceLimitError, match="2 distinct iso types"):
+    monkeypatch.setattr(interner, "_ID_CAP", 1)
+    with pytest.raises(ResourceLimitError, match="label ids stop at 1"):
         la_kset_run([p4], 2, 0)
-    monkeypatch.setattr(kwl, "_ID_CAP", 2)
-    monkeypatch.setattr(linalg, "_ID_CAP", 2)
+    monkeypatch.setattr(interner, "_ID_CAP", 2)
     with pytest.raises(ResourceLimitError, match="label ids stop at 2"):
         la_kset_run([p4], 2, 1)
 
