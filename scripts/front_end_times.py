@@ -6,18 +6,20 @@ Usage: python scripts/front_end_times.py [--dataset DIR] [--name NAME]
            [--repeats 5]
 
 Runs ``pipeline.exact_kset_run`` (or ``pipeline.la_kset_run`` with
-``--mode linalg``), the features and the gram of the checkout this script
-belongs to (its ``src/``) on a TU dataset, the bundled MUTAG by default,
-``--repeats`` times in this process.  The front end's iso keys, its
-neighbor CSR and every refinement window (``la_step`` in linalg runs) are
-timed by wrapping the names ``pipeline`` calls them by; a missing name
-raises instead of going unmeasured.  Prints one ``<median seconds>
-<layer>`` line per layer (``iso_keys``, ``neighbor_csr``, ``window_1`` ..
-``window_h``, ``features``, ``gram`` and ``total``, the run plus features
-plus gram), then the CSR's entry count and its size in MB (row pointer
-plus offsets).  One more run, untimed, under tracemalloc, gives the
-run's peak in MB (``traced_peak_mb``) and each layer's peak above what
-was allocated when it was entered (``<layer>_peak_mb``).  Then come one
+``--mode linalg``), the features, the gram and its libsvm write (to a
+temporary directory) of the checkout this script belongs to (its
+``src/``) on a TU dataset, the bundled MUTAG by default, ``--repeats``
+times in this process.  The front end's stacked set array, its iso keys,
+its neighbor CSR and every refinement window (``la_step`` in linalg runs)
+are timed by wrapping the names ``pipeline`` calls them by; a missing
+name raises instead of going unmeasured.  Prints one ``<median seconds>
+<layer>`` line per layer (``sets``, ``iso_keys``, ``neighbor_csr``,
+``window_1`` .. ``window_h``, ``features``, ``gram``, ``write`` and
+``total``, the run plus features plus gram plus write), then the CSR's
+entry count and its size in MB (row pointer plus offsets).  One more
+run, untimed, under tracemalloc, gives the run's peak in MB
+(``traced_peak_mb``) and each layer's peak above what was allocated
+when it was entered (``<layer>_peak_mb``).  Then come one
 ``<count>  window_<i>_labels`` line per window, the distinct labels its
 step issued, and, in exact runs, one ``<count>  window_<i>_largest_table``
 line per window: the most distinct keys one ``number_window`` call of
@@ -34,6 +36,7 @@ import functools
 import os
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -45,11 +48,12 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from ksetwl import interner, pipeline  # noqa: E402
 from ksetwl.cli import KERNELS  # noqa: E402
 from ksetwl.features import gram_matrix  # noqa: E402
-from ksetwl.tu_io import parse_tu_dataset  # noqa: E402
+from ksetwl.tu_io import parse_tu_dataset, write_gram_libsvm  # noqa: E402
 
 MUTAG = os.path.join(ROOT, "data", "MUTAG")
 # layer name -> the name pipeline calls it by
-WRAPPED = {"iso_keys": "iso_keys", "neighbor_csr": "_neighbor_csr"}
+WRAPPED = {"sets": "stacked_sets", "iso_keys": "iso_keys",
+           "neighbor_csr": "_neighbor_csr"}
 # mode -> the name pipeline calls its refinement window by
 WINDOWS = {"exact": "refine_coloring_window", "linalg": "la_step"}
 MB = 1 << 20
@@ -109,11 +113,18 @@ def run(graphs, k: int, h: int, local: bool, mode: str):
     return pipeline.la_kset_run(graphs, k, h, local=local)
 
 
-def layer_times(graphs, k: int, h: int, local: bool, mode: str):
-    """One timed run: the seconds of each layer, the CSR's entry count and
-    bytes (0 when h = 0 builds no CSR), the gram and the distinct label
-    count of each window."""
-    log = []
+def write(gram, classes) -> None:
+    """Write the gram as ``ksetwl gram`` does by default, in libsvm form,
+    to a file that is deleted afterwards."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_gram_libsvm(gram, classes, os.path.join(tmp, "gram"))
+
+
+def layer_times(ds, k: int, h: int, local: bool, mode: str):
+    """One timed run on the dataset ``ds``: the seconds of each layer, the
+    CSR's entry count and bytes (0 when h = 0 builds no CSR), the gram and
+    the distinct label count of each window."""
+    graphs, log = ds.graphs, []
     with contextlib.ExitStack() as stack:
         for layer, name in [*WRAPPED.items(), ("window", WINDOWS[mode])]:
             stack.enter_context(_wrapped(name, _timed(layer, log)))
@@ -123,6 +134,8 @@ def layer_times(graphs, k: int, h: int, local: bool, mode: str):
     features = pipeline.features_from_label_arrays(labels, counts)
     featured = time.perf_counter()
     gram = gram_matrix(features)
+    grammed = time.perf_counter()
+    write(gram, ds.class_labels)
     end = time.perf_counter()
     times, window_labels, entries, nbytes = {}, [], 0, 0
     for layer, seconds, result in log:
@@ -135,16 +148,17 @@ def layer_times(graphs, k: int, h: int, local: bool, mode: str):
             entries = len(result[1])
             nbytes = result[0].nbytes + result[1].nbytes
         times[layer] = seconds
-    times.update(features=featured - ran, gram=end - featured,
-                 total=end - start)
+    times.update(features=featured - ran, gram=grammed - featured,
+                 write=end - grammed, total=end - start)
     return times, entries, nbytes, gram, window_labels
 
 
-def traced_peaks(graphs, k: int, h: int, local: bool, mode: str):
-    """One untimed run, its features and its gram under tracemalloc: the
-    peak in bytes, each layer's peak above entry by layer name, and the
-    largest table of each window of an exact run."""
-    log = []
+def traced_peaks(ds, k: int, h: int, local: bool, mode: str):
+    """One untimed run on the dataset ``ds``, its features, its gram and
+    their write under tracemalloc: the peak in bytes, each layer's peak
+    above entry by layer name, and the largest table of each window of an
+    exact run."""
+    graphs, log = ds.graphs, []
     tracemalloc.start()
     try:
         with contextlib.ExitStack() as stack:
@@ -155,7 +169,8 @@ def traced_peaks(graphs, k: int, h: int, local: bool, mode: str):
             labels, counts = run(graphs, k, h, local, mode)
         features = _above_entry("features", log)(
             pipeline.features_from_label_arrays, labels, counts)
-        _above_entry("gram", log)(gram_matrix, features)
+        gram = _above_entry("gram", log)(gram_matrix, features)
+        _above_entry("write", log)(write, gram, ds.class_labels)
         log.append((None, tracemalloc.get_traced_memory()[1]))
     finally:
         tracemalloc.stop()
@@ -183,13 +198,13 @@ def main(argv=None) -> int:
     p.add_argument("--mode", choices=WINDOWS, default="exact")
     p.add_argument("--repeats", type=int, default=5)
     args = p.parse_args(argv)
-    graphs = parse_tu_dataset(args.dataset, args.name).graphs
+    ds = parse_tu_dataset(args.dataset, args.name)
     k = 1 if args.kernel == "wl1" else args.k
     local = args.kernel != "kwl-global"
-    runs = [layer_times(graphs, k, args.h, local, args.mode)
+    runs = [layer_times(ds, k, args.h, local, args.mode)
             for _ in range(args.repeats)]
-    traced, peaks, tables = traced_peaks(graphs, k, args.h, local, args.mode)
-    print(f"{args.kernel} {args.mode} k={k} h={args.h}, {len(graphs)} "
+    traced, peaks, tables = traced_peaks(ds, k, args.h, local, args.mode)
+    print(f"{args.kernel} {args.mode} k={k} h={args.h}, {len(ds.graphs)} "
           f"graphs: median of {args.repeats} in-process runs")
     for layer in runs[0][0]:
         median = statistics.median(times[layer] for times, *_ in runs)

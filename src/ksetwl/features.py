@@ -26,6 +26,8 @@ _GRAM_CHUNK = 1 << 18
 # About the holder pairs per chunk of :func:`_add_pairs`, whose arrays then
 # take about 32 KB, below glibc's default 128 KB mmap threshold.
 _PAIR_CHUNK = 1 << 12
+# About the entries of a block the gram reads at once, in whole labels.
+_ENTRY_CHUNK = 1 << 14
 # A label held by at most n / _GRAM_LIGHT of the n graphs adds its holder
 # pairs one by one; a label held by more is a dense column.
 _GRAM_LIGHT = 6
@@ -42,6 +44,21 @@ class Features:
 
     n: int
     blocks: list
+
+
+def stable_order(ids: np.ndarray) -> np.ndarray:
+    """The stable ascending order of an array of ids in [0, 2^31), as
+    int32 positions: one in-place sort of the words id * 2^32 + position,
+    which are distinct, so no sort needs to be stable.  numpy sorts values
+    several times faster than it argsorts them, and the words are the one
+    int64 array as long as ``ids``."""
+    if len(ids) > np.iinfo(np.int32).max:
+        return np.argsort(ids, kind="stable")
+    words = np.left_shift(ids, 32, dtype=np.int64)
+    words |= np.arange(len(ids), dtype=np.int32)
+    words.sort()
+    words &= 0xFFFFFFFF
+    return words.astype(np.int32)
 
 
 def l1_normalize(features: Features, scope: str = "per-block") -> Features:
@@ -82,36 +99,50 @@ def gram_matrix(features: Features) -> np.ndarray:
     a thread count: integer features give exact sums, float features may
     differ from a plain pairwise sum in the last bits.  Rows follow the
     graph positions.
+
+    A block is read in chunks of whole labels of about ``_ENTRY_CHUNK``
+    entries, each checked as it is read, so past K the scratch is one
+    chunk's arrays and the first entry and holder count of each label held
+    by many graphs.
     """
     n = features.n
     K = np.zeros((n, n), dtype=np.float64)
     step = max(1, _GRAM_CHUNK // max(n, 1))   # chunk columns and block rows
     for graph, label, weight in features.blocks:
-        rise = np.diff(label)
-        if np.any(rise < 0) or np.any((rise == 0) & (np.diff(graph) <= 0)):
-            raise ParameterError(
-                "feature blocks must be strictly ascending in (label, graph)")
-        new = np.ones(len(label), dtype=bool)
-        new[1:] = rise != 0
-        del rise
-        starts = np.flatnonzero(new)
-        holders = np.diff(starts, append=len(label))
-        light = np.repeat(holders * _GRAM_LIGHT <= n, holders)
-        # an entry pairs with itself and its label's later holders
-        later = np.repeat(starts + holders, holders) - np.arange(len(label))
-        _add_pairs(K.reshape(-1), n, graph[light], weight[light], later[light])
-        rows, weights = graph[~light], weight[~light]
-        column = np.cumsum(new[~light]) - 1
-        columns = int(column[-1]) + 1 if len(column) else 0
-        cuts = np.searchsorted(column, np.arange(0, columns + step, step))
-        buf = np.empty(n * min(step, columns), dtype=np.float64)
-        for lo, a, z in zip(range(0, columns, step), cuts[:-1], cuts[1:]):
-            X = buf[:n * min(step, columns - lo)].reshape(n, -1)
-            X.fill(0.0)
-            X[rows[a:z], column[a:z] - lo] = weights[a:z]
-            for r in range(0, n, step):
-                K[r:r + step, r:] += np.einsum(
-                    "ik,jk->ij", X[r:r + step], X[r:], optimize=False)
+        # the first entry and the holder count of each dense column
+        first, holders = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        a = 0
+        while a < len(label):
+            # whole labels from a: back to the start of the label the cut
+            # falls in, or on to the end of a's label if that is a's
+            z = min(a + _ENTRY_CHUNK, len(label))
+            if z < len(label):
+                z = int(np.searchsorted(label, label[z]))
+                if z <= a:
+                    z = max(a + 1, int(np.searchsorted(label, label[a],
+                                                       side="right")))
+            lo = max(a - 1, 0)   # and the pair across the cut
+            same = label[lo + 1:z] == label[lo:z - 1]
+            if (np.any(label[lo + 1:z] < label[lo:z - 1])
+                    or np.any(same & (graph[lo + 1:z] <= graph[lo:z - 1]))):
+                raise ParameterError("feature blocks must be strictly "
+                                     "ascending in (label, graph)")
+            new = np.ones(z - a, dtype=bool)
+            new[1:] = ~same[a - lo:]
+            del same
+            starts = np.flatnonzero(new)
+            count = np.diff(starts, append=z - a)
+            dense = count * _GRAM_LIGHT > n
+            first.append(starts[dense] + a)
+            holders.append(count[dense])
+            light = np.repeat(~dense, count)
+            # an entry pairs with itself and its label's later holders
+            later = np.repeat(starts + count, count) - np.arange(z - a)
+            _add_pairs(K.reshape(-1), n, graph[a:z][light],
+                       weight[a:z][light], later[light])
+            a = z
+        first, holders = np.concatenate(first), np.concatenate(holders)
+        _add_columns(K, graph, weight, first, holders, step)
     for r in range(0, n, step):                # exactly symmetric
         diagonal = K[r:r + step, r:r + step]
         lower = np.tril_indices(len(diagonal), -1)
@@ -138,7 +169,30 @@ def _add_pairs(flat: np.ndarray, n: int, rows: np.ndarray,
         # the partner of pair j is e + (j - first[e])
         p = e + np.arange(first[a], first[a] + len(e))
         p -= np.repeat(first[a:z], later[a:z])
-        np.add.at(flat, rows[e] * n + rows[p], weights[e] * weights[p])
+        # the flat index in int64: rows may be int32, and n^2 may not be
+        np.add.at(flat, rows[e].astype(np.int64) * n + rows[p],
+                  weights[e] * weights[p])
+
+
+def _add_columns(K: np.ndarray, graph: np.ndarray, weight: np.ndarray,
+                 first: np.ndarray, holders: np.ndarray, step: int) -> None:
+    """Add X X^T to the upper triangle of K, where column c of X holds the
+    weights of entries first[c] .. first[c] + holders[c] - 1 at their
+    graphs' rows: ``step`` columns at a time, each chunk in row blocks of
+    ``step`` rows."""
+    n = len(K)
+    buf = np.empty(n * min(step, len(first)), dtype=np.float64)
+    for lo in range(0, len(first), step):
+        count = holders[lo:lo + step]
+        X = buf[:n * len(count)].reshape(n, -1)
+        X.fill(0.0)
+        column = np.repeat(np.arange(len(count)), count)
+        entry = np.repeat(first[lo:lo + step] - (np.cumsum(count) - count),
+                          count) + np.arange(len(column))
+        X[graph[entry], column] = weight[entry]
+        for r in range(0, n, step):
+            K[r:r + step, r:] += np.einsum(
+                "ik,jk->ij", X[r:r + step], X[r:], optimize=False)
 
 
 def cosine_normalize_gram(K: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from collections import defaultdict
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
+from .features import stable_order
 
 _TAG_ISO = b"\x80"
 
@@ -42,7 +43,7 @@ _ID_CAP = 1 << 31  # label ids stay below this: 32-bit words, top bit clear
 
 # Bound on the neighbor entries of one block of refinement keys.  One pass
 # over a whole dataset's entries was measured slower than blocks.
-_KEY_BLOCK_ENTRIES = 1 << 16
+_KEY_BLOCK_ENTRIES = 1 << 14
 
 
 def _stream_window(keys) -> tuple[dict, np.ndarray]:
@@ -151,14 +152,16 @@ def _row_blocks(indptr: np.ndarray, offsets: np.ndarray, order=None,
         degrees = np.diff(bounds)
         place = np.repeat(np.arange(b - a), degrees)
         if order is None:
-            rows, steps = place + a, offsets[indptr[a]:indptr[b]]
+            columns = place + a
+            columns += offsets[indptr[a]:indptr[b]]
         else:
-            rows = np.repeat(order[a:b], degrees)
+            columns = np.repeat(order[a:b], degrees)
             entries = np.repeat(indptr[order[a:b]] - bounds[:-1], degrees)
             entries += np.arange(len(entries), dtype=entries.dtype)
             # np.take gathers several times faster than fancy indexing
-            steps = np.take(offsets, entries)
-        yield a, b, bounds, place, rows + steps
+            columns += np.take(offsets, entries)
+            del entries   # only the yielded arrays stay while keys are made
+        yield a, b, bounds, place, columns
         a = b
 
 
@@ -173,9 +176,12 @@ def _keys(indptr, offsets, labels, span, order=None, pointer=None):
 def _key_block(labels, span, order, a, b, bounds, place, columns):
     """The keys of one row block, as a list."""
     # sort each row's neighbor labels at once by place * span + label,
-    # then lay out own and neighbor labels as one flat word array
+    # in place, then lay out own and neighbor labels as one flat word array
     base = place * span
-    neigh = np.sort(base + np.take(labels, columns)) - base
+    neigh = np.take(labels, columns) + base
+    neigh.sort()
+    neigh -= base
+    del base
     starts = np.arange(b - a) + bounds[:-1]
     words = np.empty(b - a + len(place), dtype=">u4")
     words[starts] = labels[a:b] if order is None else labels[order[a:b]]
@@ -187,30 +193,31 @@ def _class_runs(indptr: np.ndarray, own: np.ndarray):
     """A stable order of the rows of a CSR by their own labels ``own``, and
     the places [a, b) of its runs of whole classes: each run holds at most
     ``_KEY_BLOCK_ENTRIES`` entries, or exactly one class if that class
-    holds more."""
+    holds more.  The runs are cut from the entries before each class
+    start, found once, so no array over all rows outlives the call but the
+    order."""
     n = len(own)
-    # stable by the low 16 bits of the ids, then by the high ones: numpy
-    # sorts 16-bit values by radix, several times faster than 32-bit ones
-    order = np.argsort((own & 0xFFFF).astype(np.uint16), kind="stable")
-    order = order[np.argsort((own[order] >> 16).astype(np.uint16),
-                             kind="stable")]
-    if n <= np.iinfo(np.int32).max:
-        order = order.astype(np.int32)
+    order = stable_order(own)
+    starts = np.ones(n + 1, dtype=bool)   # each class start, and n
+    held = own[order]
+    np.not_equal(held[1:], held[:-1], out=starts[1:n])
+    del held
+    starts = np.flatnonzero(starts)
+    # the degrees in that order, one gather of the row pointer at a time
     pointer = np.zeros(n + 1, dtype=indptr.dtype)
-    np.cumsum(np.diff(indptr)[order], out=pointer[1:])
-    runs, a = [], 0
-    while a < n:
-        end = min(int(pointer[a]) + _KEY_BLOCK_ENTRIES, int(pointer[-1]))
-        b = int(np.searchsorted(pointer, pointer.dtype.type(end),
+    pointer[1:] = indptr[1:][order]
+    pointer[1:] -= indptr[:-1][order]
+    np.cumsum(pointer, out=pointer)
+    before = pointer[starts].astype(np.int64)
+    del pointer
+    runs, i = [], 0
+    while i < len(starts) - 1:
+        j = int(np.searchsorted(before, before[i] + _KEY_BLOCK_ENTRIES,
                                 side="right")) - 1
-        if b < n:   # back to the start of the class the cut falls in
-            b = int(np.searchsorted(own, own[order[b]], sorter=order))
-        if b <= a:  # the run's first class alone passes the budget
-            b = int(np.searchsorted(own, own[order[a]], side="right",
-                                    sorter=order))
-        runs.append((a, b))
-        a = b
-    return order, pointer, runs
+        j = max(j, i + 1)   # the run's first class alone passes the budget
+        runs.append((int(starts[i]), int(starts[j])))
+        i = j
+    return order, runs
 
 
 def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
@@ -247,11 +254,14 @@ def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
         raise ParameterError("labels too large for combined sort keys")
     if callable(window):
         return window(_keys(indptr, offsets, labels, span))
+    order, runs = _class_runs(indptr, labels[:n])
     ids, first = np.empty(n, dtype=np.int32), window
-    order, pointer, runs = _class_runs(indptr, labels[:n])
     for a, b in runs:
-        numbered = number_window(_keys(indptr, offsets, labels, span,
-                                       order[a:b], pointer[a:b + 1]), first)
-        ids[order[a:b]] = numbered
+        rows = order[a:b]
+        pointer = np.zeros(b - a + 1, dtype=indptr.dtype)
+        np.cumsum(indptr[rows + 1] - indptr[rows], out=pointer[1:])
+        numbered = number_window(_keys(indptr, offsets, labels, span, rows,
+                                       pointer), first)
+        ids[rows] = numbered
         first = int(numbered.max()) + 1
     return ids

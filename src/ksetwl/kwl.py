@@ -102,6 +102,24 @@ def stack_graphs(graphs, k: int):
     return Graph(offsets[-1], indptr, indices, words, arc_labels), offsets
 
 
+def stacked_sets(index: KSetIndex, counts, offsets) -> np.ndarray:
+    """The k-sets of stacked graphs (:func:`stack_graphs`), graph by graph
+    in rank order, filled into one array: graph g's sets are the first
+    ``counts[g]`` rows of ``index.all_sets()`` plus g's vertex offset, since
+    colex ranks do not depend on n.  ``index`` is the widest graph's.  The
+    array is int32 while every vertex id fits, else int64."""
+    widest = index.all_sets()
+    fits = offsets[-1] <= np.iinfo(np.int32).max + 1
+    sets = np.empty((sum(counts), index.k), dtype=np.int32 if fits
+                    else np.int64)
+    row = 0
+    for count, offset in zip(counts, offsets):
+        np.add(widest[:count], offset, out=sets[row:row + count],
+               casting="unsafe")
+        row += count
+    return sets
+
+
 def _raw_rows(g: Graph, sets: np.ndarray) -> np.ndarray:
     """One row per row of ``sets``: its members' node words in set order,
     then the adjacency bits of the upper-triangle member pairs, then those
@@ -144,23 +162,29 @@ def iso_keys(g: Graph, sets: np.ndarray):
 
     Only distinct raw rows (:func:`_raw_rows`) are canonicalized: rows are
     deduplicated within each block of sets, then across the blocks'
-    distinct rows, and canonical rows once more.
+    distinct rows, and canonical rows once more.  ``sets`` may be int32 or
+    int64; each block is widened to int64, and the one array over all sets
+    is the int32 index of each set's distinct raw row.
     """
-    sets = np.asarray(sets, dtype=np.int64)
     k = sets.shape[1]
     step = max(1, _BLOCK_ITEMS // factorial(k))
-    distinct, inverses, seen = [], [], 0
-    for block in np.split(sets, range(step, len(sets), step)):
+    raw = np.empty(len(sets), dtype=np.int32 if len(sets) <= np.iinfo(
+        np.int32).max else np.intp)
+    distinct, seen = [], 0
+    # one empty block when there are no sets
+    for start in range(0, max(len(sets), 1), step):
+        block = sets[start:start + step].astype(np.int64, copy=False)
         rows, inverse, _ = _unique_rows(_raw_rows(g, block))
         distinct.append(rows)
-        inverses.append(inverse + seen)
+        raw[start:start + len(inverse)] = inverse + seen
         seen += len(rows)
     rows, where, _ = _unique_rows(np.concatenate(distinct))
     best = np.concatenate([_canonical_rows(block, k) for block in
                            np.split(rows, range(step, len(rows), step))])
     codes, types, _ = _unique_rows(best)
     _check_cap(len(codes))
-    return codes, types.astype(np.int32)[where[np.concatenate(inverses)]]
+    # compose the maps over distinct rows, then gather once over all sets
+    return codes, types.astype(np.int32)[where][raw]
 
 
 def iso_code(g: Graph, t) -> bytes:
@@ -191,8 +215,14 @@ def _local_candidates(g: Graph, sets: np.ndarray):
     ends = np.cumsum(deg)
     gather = np.arange(ends[-1] if len(ends) else 0)
     gather += np.repeat(g.indptr[members] - (ends - deg), deg)
-    cand = np.sort(owner * n + g.indices[gather])
-    owner, vertex = np.divmod(cand[np.diff(cand, prepend=-1) != 0], n)
+    cand = owner * n
+    cand += g.indices[gather]
+    cand.sort()
+    # the sort moves entries only within their owner's run, so the owners
+    # stay where they are
+    keep = np.diff(cand, prepend=-1) != 0
+    owner, vertex = owner[keep], cand[keep]
+    vertex -= owner * n
     outside = _outside(sets, owner, vertex)
     return owner[outside], vertex[outside]
 
@@ -280,6 +310,12 @@ def _neighbor_csr(g: Graph, index: KSetIndex, local: bool, sets: np.ndarray,
     that, picked before anything is allocated: int16 on MUTAG at k = 3,
     where a row then costs 2 bytes per neighbor against 4 for an absolute
     int32 position.  The row pointer is int32 while the entry count fits.
+
+    Row degrees come first, so the offsets fill slices of one array: a
+    global row of an n_g-vertex graph has k * (n_g - k) entries, and a
+    first pass over local rows finds their candidates, which wait as
+    vertex ids in their graph, in the narrowest unsigned type (one byte on
+    MUTAG), until the second pass turns them into offsets.
     """
     k = index.k
     sizes = np.diff(offsets)
@@ -290,36 +326,59 @@ def _neighbor_csr(g: Graph, index: KSetIndex, local: bool, sets: np.ndarray,
                         - offsets[widest]).ravel()
     per_set = k * (k * g.max_degree() if local else int(sizes.max(initial=0)))
     step = max(1, _BLOCK_ITEMS // max(per_set, 1))
+    starts = range(0, len(sets), step)
     dtype = _offset_dtype(max(counts, default=1) - 1)
     # a row has at most per_set entries; int32 degrees become the row
     # pointer in place
     wide = per_set > np.iinfo(np.int32).max
     degrees = np.zeros(len(sets) + 1, dtype=np.int64 if wide else np.int32)
-    blocks = []
-    for start in range(0, len(sets), step):
+    if local:
+        narrow = np.min_scalar_type(max(int(sizes.max(initial=0)) - 1, 0))
+        waiting = []
+        for start in starts:
+            block = sets[start:start + step].astype(np.int64, copy=False)
+            owner, vertex = _local_candidates(g, block)
+            vertex -= offsets[_graph_of(offsets, block)[owner]]
+            waiting.append(vertex.astype(narrow))
+            degrees[start + 1:start + 1 + len(block)] = k * np.bincount(
+                owner, minlength=len(block))
+    else:
+        degrees[1:] = np.repeat(k * (sizes - k), counts)
+    indptr = _csr_indptr(degrees)
+    columns = np.empty(int(indptr[-1]), dtype=dtype)
+    for i, start in enumerate(starts):
         block = sets[start:start + step]
-        graph = np.searchsorted(offsets, block[:, 0], side="right") - 1
+        graph = _graph_of(offsets, block)
         rows = block - offsets[graph, None]
         if local:
-            owner, vertex = _local_candidates(g, block)
-            vertex -= offsets[graph[owner]]
+            vertex, waiting[i] = waiting[i], None
+            per_row = np.diff(indptr[start:start + len(block) + 1]) // k
         else:
-            size = sizes[graph]
-            owner = np.repeat(np.arange(len(block)), size)
-            vertex = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size,
-                                                       size)
-            outside = _outside(rows, owner, vertex)
-            owner, vertex = owner[outside], vertex[outside]
-        degrees[start + 1:start + 1 + len(block)] = k * np.bincount(
-            owner, minlength=len(block))
-        # the flat table's rows are index.n entries wide
-        drops = _drop_ranks(index, rows) * index.n
-        rank = (start + np.arange(len(block)) - first[graph])[owner]
-        columns = np.empty((len(owner), k), dtype=dtype)
+            per_row = sizes[graph] - k
+            owner = np.repeat(np.arange(len(block)), sizes[graph])
+            vertex = np.arange(len(owner)) - np.repeat(
+                np.cumsum(sizes[graph]) - sizes[graph], sizes[graph])
+            vertex = vertex[_outside(rows, owner, vertex)]
+            del owner
+        # the flat table's rows are index.n entries wide; ranks fit the
+        # table's type
+        drops = _drop_ranks(index, rows)
+        drops *= index.n
+        rank = np.repeat((start + np.arange(len(block)) - first[graph]).astype(
+            table.dtype), per_row)
+        out = columns[indptr[start]:indptr[start + len(block)]].reshape(-1, k)
         for j, drop in enumerate(drops):
-            columns[:, j] = table[drop[owner] + vertex] - rank
-        blocks.append(columns.ravel())
-    return _csr_indptr(degrees), np.concatenate([np.empty(0, dtype)] + blocks)
+            flat = np.repeat(drop, per_row)
+            flat += vertex
+            np.subtract(np.take(table, flat), rank, out=out[:, j],
+                        casting="unsafe")
+        del vertex, drops, rank, flat   # before the next block's
+    return indptr, columns
+
+
+def _graph_of(offsets: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The graph of each row of a block of stacked k-sets."""
+    return np.searchsorted(offsets, block[:, 0], side="right") - 1
 
 
 def _unique_rows(a: np.ndarray):

@@ -28,10 +28,18 @@ from .interner import _check_cap, _check_ids, _row_blocks
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 of each entry of the nonnegative integer array ``x``:
     its first output from state x, in wrapping ``uint64`` arithmetic."""
-    z = np.asarray(x, dtype=np.uint64) + 0x9E3779B97F4A7C15
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-    return z ^ (z >> 31)
+    return _mix(np.array(x, dtype=np.uint64))
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64 of each state in the ``uint64`` array ``z``, in place."""
+    z += 0x9E3779B97F4A7C15
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
 
 def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -57,9 +65,27 @@ def la_step(indptr: np.ndarray, offsets: np.ndarray, labels: np.ndarray):
         raise ParameterError("label vector length does not match adjacency")
     _check_ids(labels)
     words = splitmix64(labels)
-    values = splitmix64(np.asarray(labels, dtype=np.uint64) + (1 << 32))
+    values = np.array(labels, dtype=np.uint64)
+    values += 1 << 32
+    _mix(values)
     for a, b, bounds, _, columns in _row_blocks(indptr, offsets):
         values[a:b] += _row_sums(bounds, words[columns])
-    distinct, dense = np.unique(values, return_inverse=True)
-    _check_cap(len(distinct))
-    return values, dense.astype(np.int32)
+    del words
+    return values, _dense_ranks(values)
+
+
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """The rank of each value among the distinct ``values``, ascending, as
+    int32: ``np.unique``'s inverse, without its copies of the input."""
+    order = np.argsort(values)
+    new = np.ones(len(values), dtype=bool)
+    ordered = values[order]
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    del ordered
+    ranks = np.cumsum(new, dtype=np.int32)
+    del new
+    _check_cap(int(ranks[-1]) if len(ranks) else 0)
+    ranks -= 1
+    dense = np.empty(len(values), dtype=np.int32)
+    dense[order] = ranks
+    return dense

@@ -19,10 +19,11 @@ from math import comb
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .features import Features
+from .features import Features, stable_order
 from .interner import LabelInterner, refine_coloring_window
 from .ksets import KSetIndex, check_order
-from .kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs
+from .kwl import (DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs,
+                  stacked_sets)
 from .linalg import la_step
 from .sampling import (DEFAULT_MAX_TOTAL_SAMPLES, estimate_features_adaptive,
                        estimate_features_fixed)
@@ -40,8 +41,8 @@ def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int):
     stack (:func:`ksetwl.kwl._neighbor_csr`).  k and the k-sets of all
     graphs together pass their caps before anything is built.  Colex ranks
     do not depend on n, so one index over the widest graph serves every
-    graph: graph g's k-sets are the first C(n_g, k) rows of its
-    ``all_sets()``, shifted by g's vertex offset.
+    graph: its ``all_sets()`` fill one stacked set array
+    (:func:`ksetwl.kwl.stacked_sets`), int32 while vertex ids fit.
     """
     check_order(k)
     counts = [comb(g.num_vertices, k) for g in graphs]
@@ -52,9 +53,7 @@ def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int):
             f"{max_sets}; use a sampled mode for datasets this large")
     stack, offsets = stack_graphs(graphs, k)
     index = KSetIndex(max((g.num_vertices for g in graphs), default=0), k)
-    widest = index.all_sets()
-    sets = np.concatenate([widest[:0]] + [
-        widest[:count] + offset for count, offset in zip(counts, offsets)])
+    sets = stacked_sets(index, counts, offsets)
     return iso_keys(stack, sets)[1], counts, (
         _neighbor_csr(stack, index, local, sets, offsets) if csr else None)
 
@@ -109,15 +108,27 @@ def la_kset_run(graphs, k: int, h: int, local: bool = True,
 def features_from_label_arrays(labels, counts) -> Features:
     """The label counts of a run given as one label array per iteration
     over the stacked k-sets of all graphs and the k-set count of each
-    graph: per iteration, one ``np.unique`` of label * n + graph."""
+    graph.  Per iteration, one in-place sort of the keys label * n + graph,
+    int32 while they fit, puts equal (label, graph) pairs in runs, in
+    (label, graph) order, and each run is one entry."""
     n = len(counts)
-    graph = np.repeat(np.arange(n, dtype=np.int64), counts)
     blocks = []
     for stacked in labels:
-        keys, weights = np.unique(stacked.astype(np.int64) * n + graph,
-                                  return_counts=True)
-        label, holder = np.divmod(keys, max(n, 1))
-        blocks.append((holder, label, weights.astype(np.float64)))
+        wide = (int(stacked.max(initial=-1)) + 1) * n > 1 << 31
+        key = np.multiply(stacked, n, dtype=np.int64 if wide else np.int32)
+        key += np.repeat(np.arange(n, dtype=key.dtype), counts)
+        key.sort()
+        new = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        del new
+        label, holder = np.divmod(key[starts], max(n, 1))
+        del key
+        weight = np.empty(len(starts))
+        np.subtract(starts[1:], starts[:-1], out=weight[:-1])
+        weight[-1:] = len(stacked) - starts[-1:]
+        blocks.append((holder.astype(np.int32, copy=False),
+                       label.astype(np.int32, copy=False), weight))
     return Features(n, blocks)
 
 
@@ -128,9 +139,9 @@ def features_from_estimates(estimates) -> Features:
     blocks = []
     for masses in zip(*(est.masses for est in estimates)):
         labels, weights = zip(*masses)
-        graph = np.repeat(np.arange(n, dtype=np.int64), list(map(len, labels)))
-        label = np.concatenate(labels)
-        order = np.argsort(label, kind="stable")
+        graph = np.repeat(np.arange(n, dtype=np.int32), list(map(len, labels)))
+        label = np.concatenate(labels).astype(np.int32)
+        order = stable_order(label)
         blocks.append((graph[order], label[order],
                        np.concatenate(weights)[order]))
     return Features(n, blocks)

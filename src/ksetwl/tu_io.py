@@ -23,6 +23,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import FormatError
+from .features import stable_order
 from .graph import Dataset, build_graphs
 
 _INT64 = np.iinfo(np.int64)
@@ -194,7 +195,8 @@ def parse_tu_dataset(path: str, name: str | None = None) -> Dataset:
 
 # "%.17g" % x == format(x, ".17g"): 17 significant digits, enough to
 # round-trip any 64-bit float.  Each writer formats a whole row with one
-# %-format string built once.
+# %-format string built once, and turns one row (or one graph's entries)
+# at a time into Python numbers.
 _FLOAT = "%.17g"
 
 
@@ -208,8 +210,8 @@ def write_gram_libsvm(K: np.ndarray, classes, path: str) -> None:
     row = " ".join(["%s 0:%d"] + [f"{j + 1}:{_FLOAT}"
                                   for j in range(K.shape[1])]) + "\n"
     with open(path, "w") as f:
-        for i, values in enumerate(K.tolist()):
-            f.write(row % (classes[i], i + 1, *values))
+        for i, values in enumerate(K):
+            f.write(row % (classes[i], i + 1, *values.tolist()))
 
 
 def write_gram_csv(K: np.ndarray, path: str) -> None:
@@ -217,8 +219,8 @@ def write_gram_csv(K: np.ndarray, path: str) -> None:
     K = np.asarray(K)
     row = ",".join([_FLOAT] * (K.shape[1] if K.ndim == 2 else 0)) + "\n"
     with open(path, "w") as f:
-        for values in K.tolist():
-            f.write(row % tuple(values))
+        for values in K:
+            f.write(row % tuple(values.tolist()))
 
 
 def write_features_sparse(features, classes, path: str) -> None:
@@ -232,24 +234,28 @@ def write_features_sparse(features, classes, path: str) -> None:
     """
     if len(classes) != features.n:
         raise FormatError("one class label per feature vector is required")
-    empty = np.empty(0, dtype=np.int64)
-    graphs, indices, values = [empty], [empty], [np.empty(0)]
-    offset = 0
+    # per block: its entries in graph order (labels ascend within each
+    # graph), where each graph's run starts, and the block's labels
+    blocks, offset = [], 0
     for graph, label, weight in features.blocks:
-        observed, rank = np.unique(label, return_inverse=True)
-        graphs.append(graph)
-        indices.append(rank + offset)
-        values.append(weight)
+        starts = np.zeros(features.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(graph, minlength=features.n), out=starts[1:])
+        new = np.ones(len(label), dtype=bool)
+        np.not_equal(label[1:], label[:-1], out=new[1:])
+        observed = label[new]
+        blocks.append((stable_order(graph), starts, label, weight, observed,
+                       offset))
         offset += len(observed)
-    graph = np.concatenate(graphs)
-    # blocks in turn, labels ascending within each: indices ascend
-    order = np.argsort(graph, kind="stable")
-    cuts = np.searchsorted(graph[order], np.arange(features.n + 1)).tolist()
-    indices = np.concatenate(indices)[order].tolist()
-    values = np.concatenate(values)[order].tolist()
     cell = f" %d:{_FLOAT}"
     with open(path, "w") as f:
-        for cls, a, b in zip(classes, cuts, cuts[1:]):
-            cells = indices[a:b] + values[a:b]
-            cells[::2], cells[1::2] = indices[a:b], values[a:b]
-            f.write(str(cls) + (cell * (b - a) + "\n") % tuple(cells))
+        for i, cls in enumerate(classes):
+            indices, values = [], []
+            for order, starts, label, weight, observed, offset in blocks:
+                entry = order[starts[i]:starts[i + 1]]
+                # a label's index is its rank among the block's labels
+                indices += (np.searchsorted(observed, label[entry])
+                            + offset).tolist()
+                values += weight[entry].tolist()
+            cells = indices + values
+            cells[::2], cells[1::2] = indices, values
+            f.write(str(cls) + (cell * len(indices) + "\n") % tuple(cells))

@@ -248,8 +248,8 @@ def features_of(per_graph) -> Features:
                        for gi, vector in enumerate(per_graph)
                        for label, weight in vector[b].items()),
                       key=lambda row: (row[1], row[0]))
-        blocks.append((np.array([r[0] for r in rows], dtype=np.int64),
-                       np.array([r[1] for r in rows], dtype=np.int64),
+        blocks.append((np.array([r[0] for r in rows], dtype=np.int32),
+                       np.array([r[1] for r in rows], dtype=np.int32),
                        np.array([r[2] for r in rows], dtype=np.float64)))
     return Features(len(per_graph), blocks)
 

@@ -25,7 +25,8 @@ from ksetwl import (KSetIndex, LabelInterner, build_graph, gram_matrix,
                     la_kset_run)
 from ksetwl.interner import iso_key_batch
 from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swap_table,
-                        _unique_rows, iso_code, iso_keys, swap_levels)
+                        _unique_rows, iso_code, iso_keys, stack_graphs,
+                        stacked_sets, swap_levels)
 from ksetwl.pipeline import exact_kset_run, kset_front_end
 
 from conftest import label_groups
@@ -173,10 +174,35 @@ MIDDLE_WIDEST = [build_graph(3, [(0, 1)]),
                  build_graph(5, [(0, 4), (1, 4), (2, 3)])]
 
 
+# graphs with fewer than k = 3 vertices, which have no 3-sets
+FEWER_THAN_K = [build_graph(2, [(0, 1)]), build_graph(0, []),
+                build_graph(1, [])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(labeled_graphs(), max_size=4), st.integers(1, 4))
+@example([], 3)
+@example(FEWER_THAN_K, 3)
+@example(MIDDLE_WIDEST, 3)
+def test_stacked_sets_are_each_graphs_sets_shifted(graphs, k):
+    _, offsets = stack_graphs(graphs, k)
+    index = KSetIndex(max((g.num_vertices for g in graphs), default=0), k)
+    counts = [comb(g.num_vertices, k) for g in graphs]
+    sets = stacked_sets(index, counts, offsets)
+    want = [KSetIndex(g.num_vertices, k).all_sets() + offset
+            for g, offset in zip(graphs, offsets)]
+    assert sets.dtype == np.int32 and sets.shape == (sum(counts), k)
+    assert np.array_equal(sets, np.concatenate(
+        [np.empty((0, k), dtype=np.int64)] + want))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(labeled_graphs(), max_size=4), st.integers(1, 4),
        st.booleans())
 @example([], 3, True)
+@example([], 3, False)
+@example(FEWER_THAN_K, 3, True)
+@example(FEWER_THAN_K, 3, False)
 @example(MIDDLE_WIDEST, 3, True)
 @example(MIDDLE_WIDEST, 3, False)
 def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
@@ -220,6 +246,7 @@ def swap_offsets_decode_to(indptr, offsets, want_ptr, want_columns):
        st.booleans())
 @example(MIDDLE_WIDEST, 3, False)
 @example(WIDE_PATH, 3, True)
+@example(FEWER_THAN_K + MIDDLE_WIDEST, 3, True)
 def test_neighbor_csr_offsets_decode_to_the_per_set_columns(graphs, k,
                                                             local):
     *_, (indptr, offsets) = kset_front_end(graphs, k, local, True,
@@ -373,7 +400,8 @@ mixed_counts = st.dictionaries(
 def test_light_and_heavy_labels_sum_like_pairwise_dots(per_graph, light,
                                                        chunk):
     # the split sends every label to the holder pairs (0), to dense columns
-    # (2^40), or mixes the two; one-pair or five-entry chunks cut both
+    # (2^40), or mixes the two; chunks of one or five cut entries, pairs
+    # and columns
     from ksetwl import features as features_mod
     per_graph = [[{lab: float(c) for lab, c in b.items()} for b in blocks]
                  for blocks in per_graph]
@@ -383,6 +411,7 @@ def test_light_and_heavy_labels_sum_like_pairwise_dots(per_graph, light,
         if chunk is not None:
             patch.setattr(features_mod, "_GRAM_CHUNK", chunk)
             patch.setattr(features_mod, "_PAIR_CHUNK", chunk)
+            patch.setattr(features_mod, "_ENTRY_CHUNK", chunk)
         K = gram_matrix(features_of(per_graph))
     assert np.array_equal(K, pairwise_dots(per_graph))
 
@@ -397,37 +426,89 @@ def test_gram_chunks_agree_with_one_pass(monkeypatch, chunk):
     features = features_of(per_graph)
     whole = gram_matrix(features)
     monkeypatch.setattr(features_mod, "_GRAM_CHUNK", chunk)
-    for pairs in (1, 5):
+    for pairs, entries in ((1, 1), (5, 3), (1, 40)):
         monkeypatch.setattr(features_mod, "_PAIR_CHUNK", pairs)
+        monkeypatch.setattr(features_mod, "_ENTRY_CHUNK", entries)
         assert np.array_equal(gram_matrix(features), whole)
     assert np.array_equal(whole, pairwise_dots(per_graph))
 
 
-def test_gram_scratch_memory_is_bounded():
-    # Every label here is light.  Past K itself (n^2 floats), the gram's
-    # scratch arrays stay within the six holder-pair arrays of one pair
-    # chunk and the per-block entry arrays; n is large enough that a
-    # second n x n array would exceed the bound.
-    from ksetwl.features import _PAIR_CHUNK
-    n, universe = 1500, 120
+def traced_peak(call, *args):
+    """The result of ``call(*args)`` and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_scratch_memory_is_bounded(monkeypatch):
+    # Every label here is light, and a block holds 40 entries per graph.
+    # Past K itself (n^2 floats), the gram reads a block in chunks of whole
+    # labels of about _ENTRY_CHUNK entries and adds each chunk's holder
+    # pairs in chunks of about _PAIR_CHUNK, so its scratch does not grow
+    # with the block: one int64 array over a block's 60,000 entries would
+    # take 480 kB.  The
+    # mirror of K works in blocks of at most max(_GRAM_CHUNK, n) cells.
+    from ksetwl import features as features_mod
+    monkeypatch.setattr(features_mod, "_GRAM_CHUNK", 1 << 12)
+    n, universe, held = 1500, 2000, 20
     rng = np.random.default_rng(11)
     dense = np.zeros((n, 2 * universe))
     for i in range(n):
-        dense[i, rng.choice(2 * universe, 6, replace=False)] = \
-            rng.integers(1, 5, 6)
+        dense[i, rng.choice(2 * universe, 2 * held, replace=False)] = \
+            rng.integers(1, 5, 2 * held)
     features = features_of([[{int(j): float(row[j]) for j in
                               np.flatnonzero(row[b * universe:
                                                  (b + 1) * universe])
                               + b * universe} for b in range(2)]
                             for row in dense])
-    tracemalloc.start()
-    try:
-        K = gram_matrix(features)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    K, peak = traced_peak(gram_matrix, features)
     assert np.array_equal(K, dense @ dense.T)
-    assert peak - K.nbytes <= 8 * (6 * _PAIR_CHUNK + 20 * 6 * n)
+    assert peak - K.nbytes <= 8 * (6 * features_mod._ENTRY_CHUNK
+                                   + 8 * features_mod._PAIR_CHUNK + 3 * n)
+
+
+def test_gram_dense_column_scratch_is_bounded(monkeypatch):
+    # A few labels every graph holds and many light ones.  Past K, the
+    # gram holds one chunk of entries, the first entry and holder count of
+    # each dense column, and one chunk of _GRAM_CHUNK dense cells with its
+    # product rows.
+    from ksetwl import features as features_mod
+    monkeypatch.setattr(features_mod, "_GRAM_CHUNK", 1 << 12)
+    n, universe, held, heavy = 400, 20000, 100, 60
+    rng = np.random.default_rng(12)
+    dense = np.zeros((n, universe + heavy))
+    dense[:, universe:] = 1.0
+    for i in range(n):
+        dense[i, rng.choice(universe, held, replace=False)] = \
+            rng.integers(1, 5, held)
+    features = features_of([[{int(j): float(row[j])
+                              for j in np.flatnonzero(row)}]
+                            for row in dense])
+    K, peak = traced_peak(gram_matrix, features)
+    assert np.array_equal(K, dense @ dense.T)
+    chunk = max(features_mod._GRAM_CHUNK, n)
+    assert peak - K.nbytes <= 8 * (6 * features_mod._ENTRY_CHUNK
+                                   + 8 * features_mod._PAIR_CHUNK + 2 * heavy
+                                   + 3 * chunk)
+
+
+def test_stacked_set_array_is_filled_in_place():
+    # The front end's set array of 30 graphs is int32, filled graph by
+    # graph: past it, the build holds only the widest graph's all_sets()
+    # and its unranking scratch, where one int64 copy of all sets would
+    # take 2.9 MB.
+    graphs = [build_graph(30, [(i, i + 1) for i in range(29)])] * 30
+    stack, offsets = stack_graphs(graphs, 3)
+    index = KSetIndex(30, 3)
+    counts = [index.size] * len(graphs)
+    sets, peak = traced_peak(stacked_sets, index, counts, offsets)
+    assert sets.dtype == np.int32 and len(sets) == 30 * comb(30, 3)
+    assert np.array_equal(sets[index.size:2 * index.size],
+                          index.all_sets() + 30)
+    assert peak <= sets.nbytes + 8 * (index.k + 4) * index.size
 
 
 def test_iso_key_scratch_memory_is_bounded(monkeypatch):
@@ -453,28 +534,25 @@ def test_iso_key_scratch_memory_is_bounded(monkeypatch):
 
 @pytest.mark.parametrize("local", [True, False])
 def test_neighbor_csr_scratch_memory_is_bounded(monkeypatch, local):
-    # Past the output CSR (its columns twice while the blocks are joined)
-    # and the swap table, _neighbor_csr holds one block's candidates and
-    # columns at a time; one int64 array over the 34,220 3-sets of this
-    # graph would take 274 kB.
+    # Past one copy of the output CSR, the swap table and, for local swaps,
+    # each candidate's incoming vertex as one byte (60 vertices fit uint8)
+    # between the degree pass and the fill, _neighbor_csr holds one
+    # block's candidates and offsets at a time; one int64 array over the
+    # 34,220 3-sets of this graph would take 274 kB.
     from ksetwl import kwl
     rng = np.random.default_rng(1)
     edges = [(u, v) for u in range(60) for v in range(u + 1, 60)
              if rng.random() < 0.1]
     g = build_graph(60, edges)
     index = KSetIndex(g.num_vertices, 3)
-    sets = index.all_sets()
+    sets = index.all_sets().astype(np.int32)
     monkeypatch.setattr(kwl, "_BLOCK_ITEMS", 1 << 14)
-    tracemalloc.start()
-    try:
-        indptr, indices = _neighbor_csr(g, index, local, sets,
-                                        np.array([0, g.num_vertices]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (indptr, indices), peak = traced_peak(
+        _neighbor_csr, g, index, local, sets, np.array([0, g.num_vertices]))
     assert len(indptr) == len(sets) + 1 and indptr[-1] == len(indices)
     table = comb(60, 2) * 60 * 4
-    assert peak <= (2 * indices.nbytes + indptr.nbytes + table
+    waiting = len(indices) // 3 if local else 0
+    assert peak <= (indices.nbytes + indptr.nbytes + table + waiting
                     + 16 * kwl._BLOCK_ITEMS)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -107,9 +108,14 @@ def test_dot_span_mismatch():
         dot([{}], [{}, {}])
 
 
-def test_gram_refuses_blocks_out_of_label_graph_order():
+@pytest.mark.parametrize("entries", [1, 2, 3, None])
+def test_gram_refuses_blocks_out_of_label_graph_order(monkeypatch, entries):
     # two graphs that each hold labels 0 and 1; stored by (graph, label),
-    # a gram that trusted the order would read [[2, 0], [0, 2]]
+    # a gram that trusted the order would read [[2, 0], [0, 2]].  Chunks
+    # of a few entries put the disorder at or across a cut.
+    from ksetwl import features as features_mod
+    if entries is not None:
+        monkeypatch.setattr(features_mod, "_ENTRY_CHUNK", entries)
     graph, label = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
     weight = np.ones(4)
     with pytest.raises(ParameterError, match=r"ascending in \(label, graph"):
@@ -150,11 +156,39 @@ def test_feature_builders_store_blocks_by_label_then_graph(run):
     for features in (exact, sampled):
         assert features.n == len(counts)
         for (g, lab, weight), expected in zip(features.blocks, want):
-            assert g.dtype == lab.dtype == np.int64
+            assert g.dtype == lab.dtype == np.int32
             assert weight.dtype == np.float64
             # Counter keys are distinct, so equal means strictly ascending
             assert list(zip(zip(lab.tolist(), g.tolist()),
                             weight.tolist())) == expected
+
+
+def test_label_array_features_hold_one_iteration_of_keys():
+    # Past its output, the builder holds one iteration's int32 keys
+    # (label * n + graph) over all k-sets, their graph column while the
+    # keys are made, and arrays over that iteration's entries; an int64
+    # key and graph over all k-sets would take 16 bytes per set on their
+    # own.  The last iteration's labels need an int32 key at n = 100.
+    rng = np.random.default_rng(7)
+    counts = rng.integers(0, 4000, 100).tolist()
+    sets = sum(counts)
+    labels = [rng.integers(0, top, sets).astype(np.int32)
+              for top in (50, 20000, (1 << 31) // 100)]
+    tracemalloc.start()
+    try:
+        features = features_from_label_arrays(labels, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(a.nbytes for block in features.blocks for a in block)
+    entries = max(len(graph) for graph, _, _ in features.blocks)
+    assert peak - output <= 8 * sets + 20 * entries
+    graph = np.repeat(np.arange(100), counts)
+    for (g, lab, weight), stacked in zip(features.blocks, labels):
+        keys, want = np.unique(stacked.astype(np.int64) * 100 + graph,
+                               return_counts=True)
+        assert np.array_equal(lab.astype(np.int64) * 100 + g, keys)
+        assert np.array_equal(weight, want)
 
 
 def test_gram_single_vector():

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,3 +147,41 @@ def test_exporters_byte_identical(tmp_path):
     write_gram_libsvm(K, [1, -1], a)
     write_gram_libsvm(K, [1, -1], b)
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def traced_write(write, *args):
+    """The tracemalloc peak in bytes of one writer call."""
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writers_hold_a_few_rows_past_their_input(tmp_path):
+    # Each writer turns one gram row, or one graph's entries, into Python
+    # numbers and text at a time: its peak is a few of its longest lines,
+    # where the whole gram as Python floats would take 32 bytes a cell.
+    # The sparse writer also keeps each block's int32 graph order, made
+    # one block at a time (stable_order), and where each graph's entries
+    # start in it.
+    rng = np.random.default_rng(5)
+    n = 300
+    K = rng.random((n, n))
+    classes = [1, -1] * (n // 2)
+    per_graph = [[{int(j): float(rng.integers(1, 9)) for j in
+                   rng.choice(5000, 60, replace=False)} for _ in range(2)]
+                 for _ in range(n)]
+    features = features_of(per_graph)
+    for write, args, extra in (
+            (write_gram_libsvm, (K, classes), 0),
+            (write_gram_csv, (K,), 0),
+            (write_features_sparse, (features, classes),
+             sum(4 * len(graph) + 8 * (n + 1)
+                 for graph, _, _ in features.blocks)
+             + 16 * max(len(graph) for graph, _, _ in features.blocks))):
+        path = str(tmp_path / write.__name__)
+        peak = traced_write(write, *args, path)
+        longest = max(map(len, open(path, "rb")))
+        assert peak <= extra + 8 * longest, write.__name__

@@ -172,8 +172,8 @@ def test_label_ids_past_the_cap_are_refused_before_the_cast(monkeypatch, p4):
 
 def test_front_end_times_script_times_every_layer(two_triangle_dir, capsys):
     script = scripts("front_end_times")
-    layers = ["iso_keys", "neighbor_csr", "window_1", "window_2", "features",
-              "gram"]
+    layers = ["sets", "iso_keys", "neighbor_csr", "window_1", "window_2",
+              "features", "gram", "write"]
     for mode in ("exact", "linalg"):
         assert script.main(["--dataset", two_triangle_dir, "--kernel",
                             "kwl-global", "--k", "2", "--h", "2", "--mode",
@@ -198,6 +198,7 @@ def test_front_end_times_script_times_every_layer(two_triangle_dir, capsys):
         assert figures["window_1_labels"] == figures["window_2_labels"] == 1
         if mode == "exact":
             assert figures[tables[0]] == figures[tables[1]] == 1
+    assert pipeline.stacked_sets is kwl.stacked_sets
     assert pipeline._neighbor_csr is kwl._neighbor_csr
     assert pipeline.refine_coloring_window is interner.refine_coloring_window
     assert pipeline.la_step is linalg.la_step
