@@ -38,8 +38,10 @@ class Features:
     """Per-iteration label weights phi^0 .. phi^h of ``n`` graphs.
 
     ``blocks[i]`` is the (graph, label, weight) triple of iteration i:
-    int64 graph positions and label ids and float64 weights, strictly
-    ascending in (label, graph), so each graph's labels ascend as well.
+    int32 graph positions and label ids (ids stay below 2^31) and float64
+    weights, strictly ascending in (label, graph), so each graph's labels
+    ascend as well.  Every builder, exact, linalg or sampled, stores these
+    types; the gram forms its flat indices in int64.
     """
 
     n: int

@@ -4,8 +4,8 @@ Each label id i is mapped to a fixed word H(i) = splitmix64(i), and to a
 second word H'(i) = splitmix64(i + 2^32) for an item's own label.  An
 item's next value is H'(own) plus the sum of H over its (out-)neighbors in
 ``uint64``, which wraps mod 2^64, so sums are exact and do not depend on
-the order of a row.  Regrouping equal values with one ``np.unique``
-recovers the refined partition.  The same step applies to vertex
+the order of a row.  Ranking the distinct values (one argsort) recovers
+the refined partition.  The same step applies to vertex
 adjacency (1-WL) and to the directed k-set graph (local and global k-set
 refinement).
 

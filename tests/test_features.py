@@ -108,14 +108,9 @@ def test_dot_span_mismatch():
         dot([{}], [{}, {}])
 
 
-@pytest.mark.parametrize("entries", [1, 2, 3, None])
-def test_gram_refuses_blocks_out_of_label_graph_order(monkeypatch, entries):
+def test_gram_refuses_blocks_out_of_label_graph_order():
     # two graphs that each hold labels 0 and 1; stored by (graph, label),
-    # a gram that trusted the order would read [[2, 0], [0, 2]].  Chunks
-    # of a few entries put the disorder at or across a cut.
-    from ksetwl import features as features_mod
-    if entries is not None:
-        monkeypatch.setattr(features_mod, "_ENTRY_CHUNK", entries)
+    # a gram that trusted the order would read [[2, 0], [0, 2]]
     graph, label = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
     weight = np.ones(4)
     with pytest.raises(ParameterError, match=r"ascending in \(label, graph"):
@@ -125,6 +120,24 @@ def test_gram_refuses_blocks_out_of_label_graph_order(monkeypatch, entries):
         gram_matrix(Features(1, [(graph[:2], label[:2] * 0, weight[:2])]))
     ordered = Features(2, [(label, graph, weight)])    # (label, graph) order
     assert gram_matrix(ordered).tolist() == [[2.0, 2.0], [2.0, 2.0]]
+
+
+@pytest.mark.parametrize("entries", [1, 2, 3])
+def test_gram_checks_the_order_across_entry_chunk_cuts(monkeypatch, entries):
+    # chunks of a few entries put each disorder at or across a cut
+    from ksetwl import features as features_mod
+    monkeypatch.setattr(features_mod, "_ENTRY_CHUNK", entries)
+    weight = np.ones(4)
+    for graph, label in (([0, 0, 1, 1], [0, 1, 0, 1]),     # labels fall
+                         ([0, 1, 1, 2], [0, 0, 0, 1]),     # an entry twice
+                         ([0, 1, 0, 1], [0, 0, 1, 1])):
+        block = (np.array(graph), np.array(label), weight)
+        if graph == [0, 1, 0, 1]:     # the one ordered block
+            assert gram_matrix(Features(3, [block]))[:2, :2].tolist() == [
+                [2.0, 2.0], [2.0, 2.0]]
+            continue
+        with pytest.raises(ParameterError, match=r"ascending in \(label"):
+            gram_matrix(Features(3, [block]))
 
 
 # k-set counts per graph, some 0, maybe no graphs; then per iteration a
