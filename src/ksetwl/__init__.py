@@ -12,7 +12,6 @@ from .errors import (FormatError, GraphError, KsetwlError, ParameterError,
 from .features import (Features, cosine_normalize_gram, gram_matrix,
                        l1_normalize)
 from .graph import Dataset, Graph, build_graph
-from .interner import LabelInterner
 from .ksets import KSetIndex
 from .linalg import la_step
 from .pipeline import exact_kset_run, la_kset_run
@@ -26,7 +25,7 @@ from .tu_io import (parse_tu_dataset, write_features_sparse, write_gram_csv,
 
 __all__ = [
     "Dataset", "Features", "FormatError", "Graph", "GraphError", "KSetIndex",
-    "KsetwlError", "LabelInterner", "ParameterError", "RademacherState",
+    "KsetwlError", "ParameterError", "RademacherState",
     "ResourceLimitError", "SampledEstimate", "build_graph",
     "cosine_normalize_gram", "estimate_features_adaptive",
     "estimate_features_fixed", "exact_kset_run", "gram_matrix",

@@ -22,7 +22,6 @@ from .errors import (FormatError, GraphError, KsetwlError, ParameterError,
                      ResourceLimitError)
 from .features import (Features, cosine_normalize_gram, gram_matrix,
                        l1_normalize)
-from .interner import LabelInterner
 from .kwl import DEFAULT_MAX_SETS
 from .pipeline import (exact_kset_run, features_from_estimates,
                        features_from_label_arrays, la_kset_run,
@@ -167,15 +166,18 @@ def _compute_features(graphs, args, h_values):
 
 def _sampled_features(graphs, args, h: int):
     """Sampled or adaptive estimates for one h, plus manifest extras."""
-    interner, extra, sample_count = LabelInterner(), {}, args.samples
+    extra, sample_count = {}, args.samples
     if args.mode == "sampled" and sample_count is None:
         sample_count = extra["derived_sample_count"] = hoeffding_sample_size(
             args.epsilon, args.delta, args.gamma)
     estimates = sampled_dataset_run(
-        graphs, args.k, h, seed=args.seed, interner=interner,
-        mode=args.mode, sample_count=sample_count, epsilon=args.epsilon,
-        delta=args.delta, max_total_samples=args.max_samples)
-    extra["label_space"] = len(interner)
+        graphs, args.k, h, seed=args.seed, mode=args.mode,
+        sample_count=sample_count, epsilon=args.epsilon, delta=args.delta,
+        max_total_samples=args.max_samples)
+    features = features_from_estimates(estimates)
+    # each iteration's ids number its distinct words from 0
+    extra["label_space"] = sum(int(label.max(initial=-1)) + 1
+                               for _, label, _ in features.blocks)
     extra["sample_counts"] = [est.sample_count for est in estimates]
     empty = [i for i, est in enumerate(estimates) if est.sample_count == 0]
     if empty:
@@ -183,7 +185,7 @@ def _sampled_features(graphs, args, h: int):
     if args.mode == "adaptive":
         extra["rounds"] = {str(i): est.rounds
                            for i, est in enumerate(estimates)}
-    return features_from_estimates(estimates), extra
+    return features, extra
 
 
 def _manifest(args, path: str, timings: dict, extra: dict) -> None:

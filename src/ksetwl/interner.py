@@ -1,28 +1,18 @@
-"""Injective relabeling of structured refinement keys to compact integer ids.
+"""Injective relabeling of exact refinement keys to compact integer ids.
 
-Keys are made in bulk (:func:`iso_key_batch`, :func:`refine_coloring_window`)
-and numbered a window at a time, read as a stream into a table of their
-own.  Two key kinds exist, both bytes whose lexicographic order
-matches the natural order of the underlying tuples, which makes the
-two-phase deterministic interning protocol a plain sort:
-
-* an iso key is the tag byte 0x80 followed by the canonical code of a k-set
-  isomorphism type (at k = 1, a vertex's node label or degree) as
-  sign-biased big-endian 64-bit words, fixed width: node words, adjacency
-  bits, then edge labels, edge label 0 where absent;
-* a refinement key is the big-endian 32-bit words of (previous label,
-  ascending neighbor labels), untagged.
-
-Ids stay below 2^31, and a window that would go further is refused, so a
-refinement key's first byte is below 0x80 and an iso key's is 0x80: no key
-of one kind equals a key of the other, and every refinement key sorts
-before every iso key.
+A refinement key is the big-endian 32-bit words of (own label, ascending
+neighbor labels), whose byte order is the order of those tuples.  Keys are
+made in row blocks (:func:`refine_coloring_window`) and numbered a window
+at a time (:func:`number_window`), read as a stream into a table of the
+window's own, so numbering them is a plain sort.  Ids stay below 2^31,
+and a window that would go further is refused.
 
 A refinement key starts with a label the window before issued, so no key
 of an exact run's window recurs in a later one: each window numbers its
-own keys (:func:`number_window`), one run of whole own-label classes at a
-time, so only one run's keys are alive at once.  A sampled run meets keys
-again, and one :class:`LabelInterner` spans it.
+own keys from the id after the largest label before it, one run of whole
+own-label classes at a time, so only one run's keys are alive at once.
+Sampled runs label sets by 64-bit content words instead
+(:mod:`ksetwl.sampling`) and keep no table.
 """
 
 from __future__ import annotations
@@ -35,27 +25,11 @@ import numpy as np
 from .errors import ParameterError, ResourceLimitError
 from .features import stable_order
 
-_TAG_ISO = b"\x80"
-
-_BIAS = 1 << 63  # maps signed 64-bit values onto order-preserving unsigned
-
-_ID_CAP = 1 << 31  # label ids stay below this: 32-bit words, top bit clear
+_ID_CAP = 1 << 31  # label ids stay below this: int32 labels, 32-bit words
 
 # Bound on the neighbor entries of one block of refinement keys.  One pass
 # over a whole dataset's entries was measured slower than blocks.
 _KEY_BLOCK_ENTRIES = 1 << 14
-
-
-def _stream_window(keys) -> tuple[dict, np.ndarray]:
-    """A window's own table of its distinct keys, each mapped to its place
-    in first-seen order, and that place for every key, as int32."""
-    table = defaultdict(itertools.count().__next__)
-    try:
-        index = np.fromiter(map(table.__getitem__, keys), dtype=np.int32)
-    except OverflowError:   # numpy 2 refuses the index 2^31; numpy 1 wraps
-        _check_cap(len(table))   # it, and the caller's check refuses that
-        raise
-    return table, index
 
 
 def _check_cap(issued: int) -> None:
@@ -75,8 +49,17 @@ def _check_ids(labels: np.ndarray) -> None:
 def number_window(keys, first: int) -> np.ndarray:
     """The ids of a window's keys, in input order, as int32: its distinct
     keys take ``first``, ``first + 1``, ... in ascending byte order, and no
-    table outlives the call.  Ids reaching ``_ID_CAP`` are refused."""
-    table, index = _stream_window(keys)
+    table outlives the call.  Ids reaching ``_ID_CAP`` are refused.
+
+    ``keys`` may be any iterable, such as a lazy stream of key blocks; the
+    window's table maps each distinct key to its place in first-seen order.
+    """
+    table = defaultdict(itertools.count().__next__)
+    try:
+        index = np.fromiter(map(table.__getitem__, keys), dtype=np.int32)
+    except OverflowError:   # numpy 2 refuses the index 2^31; numpy 1 wraps
+        _check_cap(len(table))   # it, and the check below refuses that
+        raise
     _check_cap(first + len(table))
     ids = np.empty(len(table), dtype=np.int32)
     ids[np.fromiter(map(table.__getitem__, sorted(table)), dtype=np.int64,
@@ -85,50 +68,12 @@ def number_window(keys, first: int) -> np.ndarray:
     return ids[index]
 
 
-class LabelInterner:
-    """Global injective map from key bytes to dense label ids, from 0: the
-    same key always returns the same id within a run."""
-
-    def __init__(self):
-        self._ids = {}
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def intern_window(self, keys) -> np.ndarray:
-        """Two-phase window: intern all fresh keys in ascending byte order,
-        then return the ids of ``keys`` in input order, as int32.
-
-        ``keys`` may be any iterable, such as a lazy stream of key blocks.
-        Fresh keys join the table only once the stream has ended and the
-        window has passed the cap (:func:`_check_cap`), so a refused or
-        failing window leaves the interner as it was.  Calling this once
-        per iteration with the collected keys makes id assignment
-        independent of the order the keys were computed in.
-        """
-        ids = self._ids
-        window, index = _stream_window(keys)
-        fresh = sorted(key for key in window if key not in ids)
-        _check_cap(len(ids) + len(fresh))
-        ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
-        return np.fromiter(map(ids.__getitem__, window), dtype=np.int32,
-                           count=len(window))[index]
-
-
 def _ragged_words(words: np.ndarray, starts: np.ndarray) -> list[bytes]:
     """The rows of a flat array of big-endian words, as bytes, where row i
     runs from ``starts[i]`` up to the next start."""
     buf = words.tobytes()
     bounds = (words.itemsize * np.asarray(starts)).tolist() + [len(buf)]
     return [buf[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
-
-
-def iso_key_batch(codes: np.ndarray) -> list[bytes]:
-    """The iso keys of the rows of a 2-D int64 array of codes, in row
-    order; ascending rows give ascending keys."""
-    words = (codes.view(np.uint64) ^ np.uint64(_BIAS)).astype(">u8")
-    return [_TAG_ISO + code for code in _ragged_words(
-        words.ravel(), np.arange(len(codes)) * codes.shape[1])]
 
 
 def _row_blocks(indptr: np.ndarray, offsets: np.ndarray, order=None,
@@ -155,17 +100,19 @@ def _row_blocks(indptr: np.ndarray, offsets: np.ndarray, order=None,
             columns = place + a
             columns += offsets[indptr[a]:indptr[b]]
         else:
-            columns = np.repeat(order[a:b], degrees)
-            entries = np.repeat(indptr[order[a:b]] - bounds[:-1], degrees)
+            # intp rows, so that no gather below copies its indices first
+            rows = order[a:b].astype(np.intp)
+            columns = np.repeat(rows, degrees)
+            entries = np.repeat(indptr[rows] - bounds[:-1], degrees)
             entries += np.arange(len(entries), dtype=entries.dtype)
             # np.take gathers several times faster than fancy indexing
             columns += np.take(offsets, entries)
-            del entries   # only the yielded arrays stay while keys are made
+            del rows, entries   # only the yielded arrays stay while keys
         yield a, b, bounds, place, columns
         a = b
 
 
-def _keys(indptr, offsets, labels, span, order=None, pointer=None):
+def _keys(indptr, offsets, labels, span, order, pointer):
     """The refinement keys of the rows of a CSR in an order
     (:func:`_row_blocks`), built and streamed block by block."""
     return itertools.chain.from_iterable(
@@ -184,7 +131,7 @@ def _key_block(labels, span, order, a, b, bounds, place, columns):
     del base
     starts = np.arange(b - a) + bounds[:-1]
     words = np.empty(b - a + len(place), dtype=">u4")
-    words[starts] = labels[a:b] if order is None else labels[order[a:b]]
+    words[starts] = labels[order[a:b]]
     words[np.arange(len(place)) + place + 1] = neigh
     return _ragged_words(words, starts)
 
@@ -221,29 +168,27 @@ def _class_runs(indptr: np.ndarray, own: np.ndarray):
 
 
 def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
-                           labels: np.ndarray, window) -> np.ndarray:
-    """One refinement step over every row of a CSR adjacency structure,
-    under one window: the new label of each row, as int32.
+                           labels: np.ndarray, first: int) -> np.ndarray:
+    """One exact refinement step over every row of a CSR adjacency
+    structure: the new label of each row, as int32, numbered from the id
+    ``first``.
 
     Rows and columns index one item list labeled by ``labels``, whose
     first items are the rows.  Entry e of row i is the item
     i + ``offsets[e]``, so offsets may be stored in any signed integer
     type that holds them.  Row i's key is the big-endian 32-bit words of
     its own label ``labels[i]`` and the ascending multiset of labels over
-    its (out-)neighbors.  Labels must be ids below ``_ID_CAP``.  Keys are
-    built in row blocks of at most ``_KEY_BLOCK_ENTRIES`` neighbor entries,
-    or one row (:func:`_row_blocks`).
+    its (out-)neighbors.  Labels must be ids below ``_ID_CAP``.
 
-    ``window`` is a function that returns the ids of a whole key stream,
-    such as :meth:`LabelInterner.intern_window`, which is fed every row's
-    key in row order; or an int, the first id of an exact window that
-    numbers its own keys.  Such a window visits the rows in a stable
-    order of their own label, cut into runs of whole classes
-    (:func:`_class_runs`), and numbers each run by :func:`number_window`
-    from the id after the previous run's last.  A key's first word is its
-    own label, so every key of a run sorts after the keys of the runs
-    before: the ids are those of one :func:`number_window` over all rows,
-    and only one run's keys are alive at a time.
+    The window visits the rows in a stable order of their own label, cut
+    into runs of whole classes (:func:`_class_runs`), builds each run's
+    keys in row blocks of at most ``_KEY_BLOCK_ENTRIES`` neighbor entries,
+    or one row (:func:`_row_blocks`), and numbers the run by
+    :func:`number_window` from the id after the previous run's last.  A
+    key's first word is its own label, so every key of a run sorts after
+    the keys of the runs before: the ids are those of one
+    :func:`number_window` over all rows, and only one run's keys are alive
+    at a time.
     """
     n = len(indptr) - 1
     if len(labels) < n:
@@ -252,10 +197,8 @@ def refine_coloring_window(indptr: np.ndarray, offsets: np.ndarray,
     span = int(labels.max()) + 1 if len(labels) else 1
     if n * span > np.iinfo(np.int64).max:
         raise ParameterError("labels too large for combined sort keys")
-    if callable(window):
-        return window(_keys(indptr, offsets, labels, span))
     order, runs = _class_runs(indptr, labels[:n])
-    ids, first = np.empty(n, dtype=np.int32), window
+    ids = np.empty(n, dtype=np.int32)
     for a, b in runs:
         rows = order[a:b]
         pointer = np.zeros(b - a + 1, dtype=indptr.dtype)

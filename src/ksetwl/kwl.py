@@ -15,7 +15,7 @@ The front end works on all k-sets at once with array operations:
 bits and edge labels in set order), deduplicates the rows exactly, and takes
 the lexicographic minimum over the k! member orderings of each distinct raw
 row only, so it returns one canonical row per iso type and an index from
-sets to rows; :func:`ksetwl.interner.iso_key_batch` makes their keys.
+sets to rows.
 :func:`_neighbor_csr` builds the swap neighborhoods: local candidates come
 from a ragged gather of member adjacency rows, and each neighbor's colex
 rank in its graph is one lookup in a swap table (:func:`_swap_table`), the
@@ -42,7 +42,7 @@ from math import comb, factorial
 import numpy as np
 
 from .graph import Graph
-from .interner import _check_cap, iso_key_batch
+from .interner import _check_cap
 from .ksets import _BLOCK_ITEMS, KSetIndex
 
 # Exact and linalg runs refuse graphs with more k-sets than this in total
@@ -156,9 +156,9 @@ def iso_keys(g: Graph, sets: np.ndarray):
     """The distinct canonical rows over the rows ``t`` of ``sets``,
     ascending, and each row's index into them, int32 like every label
     array.  A canonical row is fixed width, with edge label 0 where an
-    edge is absent, and ``iso_key_batch`` of it is the iso tag byte, then
-    ``iso_code(g, t)``.  More distinct rows than label ids are refused, as
-    an interner refuses their ids (:func:`ksetwl.interner._check_cap`).
+    edge is absent, and ``iso_code(g, t)`` lays it out as bytes.  More
+    distinct rows than label ids are refused
+    (:func:`ksetwl.interner._check_cap`).
 
     Only distinct raw rows (:func:`_raw_rows`) are canonicalized: rows are
     deduplicated within each block of sets, then across the blocks'
@@ -198,8 +198,9 @@ def iso_code(g: Graph, t) -> bytes:
     edge labels.
     """
     t = np.asarray([t], dtype=np.int64)
-    # the iso key without its tag byte
-    return iso_key_batch(_canonical_rows(_raw_rows(g, t), t.shape[1]))[0][1:]
+    row = _canonical_rows(_raw_rows(g, t), t.shape[1])[0]
+    # flipping the sign bit maps signed order onto unsigned order
+    return (row.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8").tobytes()
 
 
 def _local_candidates(g: Graph, sets: np.ndarray):

@@ -14,7 +14,9 @@ a bijection), and the own label needs no separate sort key: a labeled
 edge x--y gives its endpoints H'(x) + H(y) and H'(y) + H(x).  Two items
 with different own labels or neighbor multisets get the same value only
 when the difference of their words cancels mod 2^64; README states that
-heuristic rate.
+heuristic rate.  The sampler takes the same sum (:func:`word_sums`) over
+64-bit content words in place of ids and keeps the sums themselves as
+labels, so there an own word is not kept apart from neighbor words.
 """
 
 from __future__ import annotations
@@ -53,25 +55,35 @@ def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def la_step(indptr: np.ndarray, offsets: np.ndarray, labels: np.ndarray):
-    """One refinement step: value_i = H'(c_i) + sum of neighbor H(c_j).
-
-    ``labels`` are ids below 2^31; entry e of row i is the item
-    i + ``offsets[e]``.  Neighbor words are gathered and summed in row
-    blocks of at most ``_KEY_BLOCK_ENTRIES`` entries, as a refinement
-    window builds its keys.  Returns the ``uint64`` value vector and the
-    dense int32 labels of its distinct values, ascending.
+    """One refinement step: value_i = H'(c_i) + sum of neighbor H(c_j)
+    (:func:`word_sums`), over ids below 2^31.  Returns the ``uint64`` value
+    vector and the dense int32 labels of its distinct values, ascending.
     """
     if len(labels) != len(indptr) - 1:
         raise ParameterError("label vector length does not match adjacency")
     _check_ids(labels)
+    values = word_sums(indptr, offsets, labels)
+    return values, _dense_ranks(values)
+
+
+def word_sums(indptr: np.ndarray, offsets: np.ndarray,
+              labels: np.ndarray) -> np.ndarray:
+    """H'(own) + the sum of H over the (out-)neighbors of each row of a
+    CSR, mod 2^64, as ``uint64``: H(x) = splitmix64(x) and H'(x) =
+    splitmix64(x + 2^32), over the nonnegative integer labels of an item
+    list whose first items are the rows, read as ``uint64``.  Entry e of
+    row i is the item i + ``offsets[e]``.  Neighbor words are gathered and
+    summed in row blocks of at most ``_KEY_BLOCK_ENTRIES`` entries, as a
+    refinement window builds its keys.
+    """
     words = splitmix64(labels)
-    values = np.array(labels, dtype=np.uint64)
+    values = np.array(labels[:len(indptr) - 1], dtype=np.uint64)
     values += 1 << 32
     _mix(values)
     for a, b, bounds, _, columns in _row_blocks(indptr, offsets):
         values[a:b] += _row_sums(bounds, words[columns])
     del words
-    return values, _dense_ranks(values)
+    return values
 
 
 def _dense_ranks(values: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ so that only one run's keys are alive at once
 (:func:`ksetwl.interner.refine_coloring_window`), or a joint regrouping
 of 64-bit sums (:func:`ksetwl.linalg.la_step`).  So label ids depend only
 on the dataset and parameters.  1-WL is the local k-set refinement at
-k = 1.  Only sampled runs keep a table, one interner across their graphs.
+k = 1.  Sampled runs label sets by 64-bit content words
+(:mod:`ksetwl.sampling`), and their features number each iteration's
+words once, over all graphs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .features import Features, stable_order
-from .interner import LabelInterner, refine_coloring_window
+from .interner import _check_cap, refine_coloring_window
 from .ksets import KSetIndex, check_order
 from .kwl import (DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs,
                   stacked_sets)
@@ -81,9 +83,10 @@ def exact_kset_run(graphs, k: int, h: int, local: bool = True,
                    max_sets: int = DEFAULT_MAX_SETS):
     """k-set refinement for all graphs in lockstep.
 
-    Iteration 0 labels are the iso types of :func:`kset_front_end`, the ids
-    a fresh interner issues for their iso keys; each later iteration is one
-    window over the local or global swaps of the stacked k-sets.
+    Iteration 0 labels are the iso types of :func:`kset_front_end`, each
+    set's index into the ascending distinct iso codes; each later
+    iteration is one window over the local or global swaps of the stacked
+    k-sets.
     Returns one int32 label array per iteration 0..h over the stacked
     k-sets, with ids consecutive from 0, and the number of k-sets of each
     graph; graphs with fewer than k vertices have none.  At k = 1 with
@@ -133,14 +136,19 @@ def features_from_label_arrays(labels, counts) -> Features:
 
 
 def features_from_estimates(estimates) -> Features:
-    """The estimated masses of sampled runs, one per graph, whose labels
-    ascend, so one stable sort by label orders each block."""
+    """The estimated masses of sampled runs, one per graph.  Each
+    iteration's distinct words over all graphs take the ids 0, 1, ... in
+    ascending order (one ``np.unique``), so more than ``_ID_CAP`` of them
+    are refused; each graph's words ascend, so one stable sort by id
+    orders each block."""
     n = len(estimates)
     blocks = []
     for masses in zip(*(est.masses for est in estimates)):
-        labels, weights = zip(*masses)
-        graph = np.repeat(np.arange(n, dtype=np.int32), list(map(len, labels)))
-        label = np.concatenate(labels).astype(np.int32)
+        words, weights = zip(*masses)
+        graph = np.repeat(np.arange(n, dtype=np.int32), list(map(len, words)))
+        distinct, label = np.unique(np.concatenate(words), return_inverse=True)
+        _check_cap(len(distinct))
+        label = label.astype(np.int32)
         order = stable_order(label)
         blocks.append((graph[order], label[order],
                        np.concatenate(weights)[order]))
@@ -148,7 +156,7 @@ def features_from_estimates(estimates) -> Features:
 
 
 def sampled_dataset_run(graphs, k: int, h: int, seed: int,
-                        interner: LabelInterner, mode: str = "adaptive",
+                        mode: str = "adaptive",
                         sample_count: int | None = None,
                         epsilon: float = 0.1, delta: float = 0.1,
                         max_total_samples: int = DEFAULT_MAX_TOTAL_SAMPLES):
@@ -174,11 +182,11 @@ def sampled_dataset_run(graphs, k: int, h: int, seed: int,
             np.random.PCG64(np.random.SeedSequence([int(seed), gi])))
         if mode == "sampled":
             est = estimate_features_fixed(
-                g, k, h, sample_count, rng, interner,
+                g, k, h, sample_count, rng,
                 max_total_samples=max_total_samples)
         else:
             est = estimate_features_adaptive(
-                g, k, h, epsilon, delta, rng, interner,
+                g, k, h, epsilon, delta, rng,
                 max_total_samples=max_total_samples)
         estimates.append(est)
     return estimates

@@ -7,14 +7,16 @@ bounded as in Massart's lemma), tested at delta / 2^(i+1) in round i, drops
 below the requested error.  Both fill one label-count array per iteration.
 
 Both rely on locality: the label a k-set receives after i iterations
-depends only on the sets within i local swaps of it.  A batch of samples is
-labeled on the full graph from the sets within h swaps of it, those within
-j swaps first, and their swap CSR (:func:`ksetwl.kwl.swap_levels`): iso
-types over all of them, then refinement steps over ever shorter prefixes,
-the step exact runs take (:func:`ksetwl.interner.refine_coloring_window`).
-The interner keeps every key, so each batch, round and graph gets the ids
-earlier ones were issued.  Labeling one sample costs a function of degree
-bound, k, and h only, independent of graph size.
+depends only on the sets within i local swaps of it.  A sampled label is a
+64-bit content word, a pure function of what it labels, so every batch,
+round and graph labels alike without a shared table.  A batch of samples
+is labeled on the full graph from the sets within h swaps of it, those
+within j swaps first, and their swap CSR (:func:`ksetwl.kwl.swap_levels`):
+iteration 0 folds each set's canonical iso row into a word
+(:func:`_iso_words`), and each later iteration is the linear-algebra sum
+of words (:func:`ksetwl.linalg.word_sums`) over an ever shorter prefix.
+Labeling one sample costs a function of degree bound, k, and h only,
+independent of graph size.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .graph import Graph
-from .interner import LabelInterner, iso_key_batch, refine_coloring_window
 from .ksets import _INT64_MAX, check_order
 from .kwl import _unique_rows, iso_keys, swap_levels
+from .linalg import _mix, word_sums
 
 DEFAULT_MAX_TOTAL_SAMPLES = 10_000_000
 
@@ -100,44 +102,61 @@ def _draw_batch(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarr
     return out
 
 
-def _label_sets(g: Graph, sets: np.ndarray, h: int,
-                interner: LabelInterner) -> np.ndarray:
-    """Int32 labels of the distinct rows of ``sets`` for iterations 0..h,
-    one row each: iteration 0 interns the iso types of the sets within h
-    swaps (:func:`ksetwl.kwl.swap_levels`), iteration i refines the prefix
-    of them and of their swap CSR that holds the sets within h - i swaps."""
+def _iso_words(codes: np.ndarray) -> np.ndarray:
+    """The ``uint64`` word of each canonical row of ``codes``
+    (:func:`ksetwl.kwl.iso_keys`): splitmix64 folded over its columns,
+    w = splitmix64(w + column) from w = 0."""
+    words = np.zeros(len(codes), dtype=np.uint64)
+    for column in codes.view(np.uint64).T:
+        words += column
+        _mix(words)
+    return words
+
+
+def _label_sets(g: Graph, sets: np.ndarray, h: int) -> np.ndarray:
+    """The ``uint64`` words of the distinct rows of ``sets`` for iterations
+    0..h, one row each: iteration 0 is the iso word of each set within h
+    swaps (:func:`ksetwl.kwl.swap_levels`), iteration i sums words over the
+    prefix of them and of their swap CSR that holds the sets within h - i
+    swaps."""
     rows, sizes, indptr, offsets = swap_levels(g, sets, h)
     codes, types = iso_keys(g, rows)
-    labels = interner.intern_window(iso_key_batch(codes))[types]
-    out = [labels[:len(sets)]]
+    words = _iso_words(codes)[types]
+    out = [words[:len(sets)]]
     for m in reversed(sizes[:-1]):
-        labels = refine_coloring_window(indptr[:m + 1], offsets[:indptr[m]],
-                                        labels, interner.intern_window)
-        out.append(labels[:len(sets)])
+        words = word_sums(indptr[:m + 1], offsets[:indptr[m]], words)
+        out.append(words[:len(sets)])
     return np.stack(out, axis=1)
 
 
 class RademacherState:
-    """Label counts of the sample so far: ``counts[i][f]`` of the ``m``
-    samples carry label id f at iteration i."""
+    """Label counts of the sample so far: of the ``m`` samples,
+    ``counts[i][j]`` carry the word ``words[i][j]`` at iteration i, and
+    each ``words[i]`` ascends."""
 
     def __init__(self, iterations: int):
         self.m = 0
+        self.words = [np.zeros(0, dtype=np.uint64)] * (iterations + 1)
         self.counts = [np.zeros(0)] * (iterations + 1)
 
     def observe(self, labels, multiplicity) -> None:
         """Add multiplicity[j] samples labeled like row j of ``labels`` (one
-        column per iteration): one bincount per iteration."""
+        column of words per iteration): per iteration, one ``np.unique`` of
+        the words so far and the new ones, and one bincount."""
+        labels = np.asarray(labels, dtype=np.uint64)
         weights = np.asarray(multiplicity, dtype=np.float64)
         self.m += int(weights.sum())
-        for it, old in enumerate(self.counts):
-            new = np.bincount(labels[:, it], weights, minlength=len(old))
-            new[:len(old)] += old
-            self.counts[it] = new
+        for it, (old, counts) in enumerate(zip(self.words, self.counts)):
+            words, index = np.unique(np.concatenate([old, labels[:, it]]),
+                                     return_inverse=True)
+            self.words[it] = words
+            self.counts[it] = np.bincount(
+                index, np.concatenate([counts, weights]),
+                minlength=len(words))
 
     def masses(self) -> list[tuple]:
-        """Each iteration's observed labels, ascending, and their masses."""
-        return [(np.flatnonzero(c), c[c > 0] / self.m) for c in self.counts]
+        """Each iteration's observed words, ascending, and their masses."""
+        return [(w, c / self.m) for w, c in zip(self.words, self.counts)]
 
 
 def _rademacher_bound(counts: np.ndarray, m: int) -> float:
@@ -173,7 +192,7 @@ def massart_deviation_bound(state: RademacherState, delta: float) -> float:
     _check_probability("delta", delta, upper_inclusive=False)
     if state.m < 1:
         raise ParameterError("the deviation bound needs at least one sample")
-    counts = np.concatenate([c[c > 0] for c in state.counts])
+    counts = np.concatenate(state.counts)
     # ln 2 - ln delta stays finite where 2 / delta overflows (delta < 1e-308)
     return (2.0 * _rademacher_bound(counts, state.m)
             + 3.0 * math.sqrt((math.log(2.0) - math.log(delta))
@@ -183,7 +202,7 @@ def massart_deviation_bound(state: RademacherState, delta: float) -> float:
 @dataclass
 class SampledEstimate:
     """Estimated per-iteration mass vectors plus the run's provenance:
-    ``masses[i]`` holds iteration i's labels, ascending, and their masses."""
+    ``masses[i]`` holds iteration i's words, ascending, and their masses."""
 
     masses: list
     sample_count: int
@@ -192,12 +211,12 @@ class SampledEstimate:
 
 @dataclass
 class _SampleLabeler:
-    """Draws sample batches and memoizes labels per sampled vertex tuple."""
+    """Draws sample batches and memoizes word tuples per sampled vertex
+    tuple."""
 
     g: Graph
     k: int
     h: int
-    interner: LabelInterner
     cache: dict = field(default_factory=dict)
 
     def draw_counts(self, size: int, rng) -> tuple[list, list]:
@@ -215,18 +234,17 @@ class _SampleLabeler:
         return list(map(tuple, uniq.tolist())), counts.tolist()
 
     def labels_for(self, sets: list) -> np.ndarray:
-        """The labels of every set, one row each.  New sets are labeled as
-        one batch, whose intern windows depend only on which sets are new."""
+        """The words of every set, one row each; new sets are labeled as one
+        batch."""
         new = [s for s in sets if s not in self.cache]
         if new:
-            labeled = _label_sets(self.g, np.asarray(new), self.h,
-                                  self.interner)
+            labeled = _label_sets(self.g, np.asarray(new), self.h)
             self.cache.update(zip(new, map(tuple, labeled.tolist())))
         rows = itertools.chain.from_iterable(self.cache[s] for s in sets)
-        return np.fromiter(rows, np.int64).reshape(len(sets), self.h + 1)
+        return np.fromiter(rows, np.uint64).reshape(len(sets), self.h + 1)
 
 
-def _sample(g: Graph, k: int, h: int, rng, interner: LabelInterner, cache,
+def _sample(g: Graph, k: int, h: int, rng, cache,
             batches, max_total_samples: int, epsilon: float | None = None,
             delta: float = 0.0) -> SampledEstimate:
     """Draw ``batches`` in turn into one :class:`RademacherState`: only the
@@ -239,8 +257,7 @@ def _sample(g: Graph, k: int, h: int, rng, interner: LabelInterner, cache,
     check_order(k)
     if g.num_vertices < k:
         return SampledEstimate(RademacherState(h).masses(), 0)
-    labeler = _SampleLabeler(g, k, h, interner,
-                             {} if cache is None else cache)
+    labeler = _SampleLabeler(g, k, h, {} if cache is None else cache)
     state = RademacherState(iterations=h)
     rounds, bound = [], math.inf
     for i, batch in enumerate(batches):
@@ -274,7 +291,6 @@ def _sample(g: Graph, k: int, h: int, rng, interner: LabelInterner, cache,
 
 def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
                             rng: np.random.Generator,
-                            interner: LabelInterner,
                             cache: dict | None = None,
                             max_total_samples: int = DEFAULT_MAX_TOTAL_SAMPLES
                             ) -> SampledEstimate:
@@ -293,13 +309,12 @@ def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
             f"fixed-size sampling would draw {sample_count} samples, above "
             f"the cap of {max_total_samples}; raise the cap or lower the "
             f"sample count")
-    return _sample(g, k, h, rng, interner, cache, [sample_count],
+    return _sample(g, k, h, rng, cache, [sample_count],
                    max_total_samples)
 
 
 def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
                                delta: float, rng: np.random.Generator,
-                               interner: LabelInterner,
                                max_total_samples: int = DEFAULT_MAX_TOTAL_SAMPLES,
                                cache: dict | None = None) -> SampledEstimate:
     """Adaptive estimator: sample in doubling rounds until the deviation
@@ -313,7 +328,7 @@ def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
     """
     _check_probability("epsilon", epsilon, upper_inclusive=True)
     _check_probability("delta", delta, upper_inclusive=False)
-    return _sample(g, k, h, rng, interner, cache,
+    return _sample(g, k, h, rng, cache,
                    (100 << i for i in itertools.count()),
                    max_total_samples, epsilon, delta)
 

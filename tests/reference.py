@@ -11,10 +11,11 @@ The second part holds one-item forms that tests state their expectations
 in: vertex and edge queries on one graph, the colex rank of one k-set,
 feature vectors as per-graph lists of {label: weight} blocks and their
 inner product, one-key interning keys, an exact window numbered over all
-its rows at once, one-set calls of the bulk k-set paths, a per-set swap
-CSR, conversions between absolute CSR columns and offsets from their row,
-1-WL on one graph, a Cholesky PSD check, and linear-algebra refinement by
-the bare value sum.
+its rows at once, exact runs under a persistent dict interner and as
+sampled content words, one-set calls of the bulk k-set paths, a per-set
+swap CSR, conversions between absolute CSR columns and offsets from their
+row, 1-WL on one graph, a Cholesky PSD check, and linear-algebra
+refinement by the bare value sum.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ import numpy as np
 from ksetwl.errors import GraphError, ParameterError
 from ksetwl.features import Features
 from ksetwl.graph import Graph
-from ksetwl.interner import (LabelInterner, iso_key_batch, number_window,
-                             refine_coloring_window)
+from ksetwl.interner import number_window
 from ksetwl.ksets import KSetIndex
 from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, iso_keys,
                         stack_graphs, swap_levels)
-from ksetwl.linalg import _row_sums, splitmix64
+from ksetwl.linalg import _row_sums, splitmix64, word_sums
 from ksetwl.pipeline import exact_kset_run, kset_front_end
-from ksetwl.sampling import SampledEstimate, _draw_batch, _label_sets
+from ksetwl.sampling import (SampledEstimate, _draw_batch, _iso_words,
+                             _label_sets)
 
 
 def edge_pairs(g: Graph) -> set:
@@ -296,9 +297,11 @@ def psd_check(K: np.ndarray, jitter: float = 0.0) -> bool:
     return True
 
 
-def iso_key(code: bytes) -> bytes:
-    """The interning key of an iso code: the tag byte 0x80, then the code."""
-    return b"\x80" + code
+def iso_key(row) -> bytes:
+    """The key :func:`interned_exact_run` gives a canonical iso row: the
+    tag byte 0x80, then the row as sign-biased big-endian 64-bit words."""
+    return b"\x80" + struct.pack(f">{len(row)}Q", *(x + (1 << 63)
+                                                    for x in row))
 
 
 def refine_key(prev: int, neighbor_labels) -> bytes:
@@ -312,10 +315,11 @@ def refine_key(prev: int, neighbor_labels) -> bytes:
     return struct.pack(f">{1 + arr.size}I", prev, *arr.tolist())
 
 
-def iso_type(g: Graph, t, interner: LabelInterner) -> int:
-    """The iteration-0 label of one k-set, through the bulk key path."""
+def iso_type(g: Graph, t) -> int:
+    """The iteration-0 word a sampler gives one k-set, through the bulk
+    code path."""
     codes, index = iso_keys(g, np.asarray([t], dtype=np.int64))
-    return int(interner.intern_window(iso_key_batch(codes))[index[0]])
+    return int(_iso_words(codes)[index[0]])
 
 
 def row_offsets(indptr, columns) -> np.ndarray:
@@ -401,17 +405,15 @@ def c_neighborhood(g: Graph, t, radius: int) -> set:
                    .tolist()))
 
 
-def local_labels(g: Graph, s, k: int, h: int,
-                 interner: LabelInterner) -> tuple:
-    """Labels of the k-set ``s`` for iterations 0..h, a one-set batch of the
-    sampler: the full run's keys, so its ids under a shared interner and
-    its partition under any other."""
+def local_labels(g: Graph, s, k: int, h: int) -> tuple:
+    """Words of the k-set ``s`` for iterations 0..h, a one-set batch of the
+    sampler: those of :func:`exact_word_run` on the full graph."""
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
     s = tuple(sorted(int(v) for v in s))
     if len(set(s)) != k or not 0 <= s[0] <= s[-1] < g.num_vertices:
         raise ParameterError(f"expected a {k}-set of vertices, got {s}")
-    return tuple(_label_sets(g, np.asarray([s]), h, interner)[0].tolist())
+    return tuple(_label_sets(g, np.asarray([s]), h)[0].tolist())
 
 
 def sample_kset_uniform(g: Graph, k: int, rng) -> tuple:
@@ -435,26 +437,59 @@ def graph_slices(counts) -> list:
     return [slice(a, b) for a, b in zip(rows, rows[1:])]
 
 
-def shared_exact_run(graphs, k: int, h: int, interner: LabelInterner,
-                     local: bool = True):
-    """An exact run under one persistent interner, as a sampler sharing
-    it meets the same keys: iteration 0 interns the iso keys of the
-    stacked k-sets (:func:`ksetwl.kwl.iso_keys` over
-    :func:`ksetwl.kwl.stack_graphs`), and each later iteration is one
-    refinement window into the same table.  Returns what
-    :func:`ksetwl.pipeline.exact_kset_run` returns."""
-    _, counts, csr = kset_front_end(graphs, k, local, h > 0,
-                                    DEFAULT_MAX_SETS)
+def _stacked_codes(graphs, k: int, local: bool):
+    """The canonical iso row of each stacked k-set of ``graphs``
+    (:func:`ksetwl.kwl.iso_keys` over :func:`ksetwl.kwl.stack_graphs`),
+    the k-set count of each graph and the front end's swap CSR."""
+    _, counts, csr = kset_front_end(graphs, k, local, True, DEFAULT_MAX_SETS)
     stack, offsets = stack_graphs(graphs, k)
     sets = np.concatenate([np.empty((0, k), dtype=np.int64)] + [
         KSetIndex(g.num_vertices, k).all_sets() + offset
         for g, offset in zip(graphs, offsets)])
     codes, types = iso_keys(stack, sets)
-    labels = [interner.intern_window(iso_key_batch(codes))[types]]
+    return codes[types], counts, csr
+
+
+def interned_exact_run(graphs, k: int, h: int, local: bool = True):
+    """An exact run under one persistent interner, a plain dict from key
+    bytes to ids that gives each window's fresh keys the next ids in
+    ascending byte order.  Iteration 0's key of a set is the
+    :func:`iso_key` of its canonical iso row, each later iteration's its
+    :func:`refine_key` over the front end's CSR; the tag byte keeps the
+    two kinds apart.
+    Returns what :func:`ksetwl.pipeline.exact_kset_run` returns; the ids
+    run from 0, so the table holds ``labels[-1].max() + 1`` keys."""
+    rows, counts, (indptr, offsets) = _stacked_codes(graphs, k, local)
+    ids = {}
+
+    def window(keys):
+        for key in sorted(set(keys) - ids.keys()):
+            ids[key] = len(ids)
+        return np.array([ids[key] for key in keys], dtype=np.int32)
+
+    labels = [window(list(map(iso_key, rows.tolist())))]
+    columns = absolute_columns(indptr, offsets).tolist()
+    bounds = indptr.tolist()
     for _ in range(h):
-        labels.append(refine_coloring_window(*csr, labels[-1],
-                                             interner.intern_window))
+        prev = labels[-1].tolist()
+        labels.append(window([refine_key(prev[i], sorted(
+            prev[c] for c in columns[bounds[i]:bounds[i + 1]]))
+            for i in range(len(bounds) - 1)]))
     return labels, counts
+
+
+def exact_word_run(graphs, k: int, h: int, local: bool = True):
+    """The words a sampler gives every stacked k-set of ``graphs``, from
+    the whole run at once: iteration 0 folds each canonical iso row
+    (:func:`ksetwl.sampling._iso_words`), and each later iteration is
+    :func:`ksetwl.linalg.word_sums` over the front end's CSR.  Returns one
+    ``uint64`` array per iteration 0..h and the k-set count of each
+    graph."""
+    rows, counts, csr = _stacked_codes(graphs, k, local)
+    words = [_iso_words(rows)]
+    for _ in range(h):
+        words.append(word_sums(*csr, words[-1]))
+    return words, counts
 
 
 def wl1_colorings(g: Graph, h: int) -> list:

@@ -14,11 +14,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ksetwl import (KSetIndex, LabelInterner, build_graph,
+from ksetwl import (KSetIndex, build_graph,
                     estimate_features_adaptive, estimate_features_fixed,
                     exact_kset_run, hoeffding_sample_size,
                     hoeffding_sample_size_dataset, la_kset_run, make_rng)
-from ksetwl.features import cosine_normalize_gram, gram_matrix, l1_normalize
+from ksetwl.features import cosine_normalize_gram, gram_matrix
 from ksetwl.pipeline import features_from_label_arrays
 
 from conftest import MUTAG_DIR, SRC_DIR, label_groups, random_graph, scripts
@@ -81,11 +81,10 @@ def test_c02_local_labeling_agreement():
         g = random_graph(rng, n, float(rng.choice([0.3, 0.5, 0.7])),
                          labeled=bool(rng.integers(2)))
         full = exact_kset_run([g], k, h)[0]
-        fresh = LabelInterner()
         drawn = []
         for _ in range(4):
             s = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-            drawn.append((s, local_labels(g, s, k, h, fresh)))
+            drawn.append((s, local_labels(g, s, k, h)))
             pairs += 1
         for a, la in drawn:
             for b, lb in drawn:
@@ -136,9 +135,13 @@ def test_c04_adaptive_estimates_on_mutag(mutag):
     t0 = time.perf_counter()
     graphs = mutag.graphs
     k, h, eps, delta, seeds = 2, 2, 0.1, 0.1, 10
-    interner = LabelInterner()
-    exact = ref.blocks_of(l1_normalize(features_from_label_arrays(
-        *ref.shared_exact_run(graphs, k, h, interner, local=True))))
+    # both sides keyed by words: each graph's exact masses from the words
+    # of the whole run (whose partition equals the exact run's,
+    # test_c04_exact_word_run_partitions_like_the_exact_run)
+    words, counts = ref.exact_word_run(graphs, k, h, local=True)
+    exact = [[{word: count / len(it[rows]) for word, count in
+               histogram(it[rows]).items()} for it in words]
+             for rows in graph_slices(counts)]
     caches = [dict() for _ in graphs]
     total = 0
     failures = 0
@@ -147,7 +150,7 @@ def test_c04_adaptive_estimates_on_mutag(mutag):
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([7700 + seed, gi])))
             est = estimate_features_adaptive(
-                g, k, h, eps, delta, rng, interner, cache=caches[gi])
+                g, k, h, eps, delta, rng, cache=caches[gi])
             exact_block = exact[gi][h]
             est_block = estimate_blocks(est)[h]
             sup = max(abs(exact_block.get(lab, 0.0) - est_block.get(lab, 0.0))
@@ -160,6 +163,16 @@ def test_c04_adaptive_estimates_on_mutag(mutag):
     report("C04", ok,
            f"{total} (graph, seed) pairs, {failures} beyond sup-norm {eps} "
            f"({100 * (1 - failures / total):.1f}% within), {elapsed:.0f}s")
+
+
+def test_c04_exact_word_run_partitions_like_the_exact_run(mutag):
+    # the words C04 keys its exact masses by split the k-sets of MUTAG as
+    # the exact run's ids do, at every iteration
+    words, counts = ref.exact_word_run(mutag.graphs, 2, 2, local=True)
+    labels, want = exact_kset_run(mutag.graphs, 2, 2, local=True)
+    assert counts == want
+    for w, ids in zip(words, labels):
+        assert label_groups(w.tolist()) == label_groups(ids.tolist())
 
 
 def test_c05_constant_per_sample_cost(monkeypatch):
@@ -179,15 +192,13 @@ def test_c05_constant_per_sample_cost(monkeypatch):
     for n in (1000, 8000):
         gnx = nx.random_regular_graph(3, n, seed=99)
         g = build_graph(n, list(gnx.edges()))
-        interner = LabelInterner()
-        estimate_features_fixed(g, 2, 2, 50, make_rng(1), interner)  # warmup
+        estimate_features_fixed(g, 2, 2, 50, make_rng(1))  # warmup
         # the least of three runs, since other processes can slow any one
         seconds = []
         for _ in range(3):
             labeled.clear()
             t0 = time.perf_counter()
-            estimate_features_fixed(g, 2, 2, 1000, make_rng(2), interner,
-                                    cache={})
+            estimate_features_fixed(g, 2, 2, 1000, make_rng(2), cache={})
             seconds.append(time.perf_counter() - t0)
         sets[n] = sum(labeled)
         per_set[n] = min(seconds) / sets[n]

@@ -11,7 +11,7 @@ from conftest import ROOT
 
 EXPORTS = [
     "Dataset", "Features", "FormatError", "Graph", "GraphError", "KSetIndex",
-    "KsetwlError", "LabelInterner", "ParameterError", "RademacherState",
+    "KsetwlError", "ParameterError", "RademacherState",
     "ResourceLimitError", "SampledEstimate", "build_graph",
     "cosine_normalize_gram", "estimate_features_adaptive",
     "estimate_features_fixed", "exact_kset_run", "gram_matrix",

@@ -5,7 +5,7 @@ and dense columns) are each compared with a plain per-set (or per-pair)
 computation of the same quantity over random labeled graphs, including
 graphs with fewer than k vertices and graphs without edges.  The front end
 built once over a stack of graphs is compared with per-graph builds, and
-its iso-type ids with interning one per-set key per k-set.  Iso codes
+its iso-type ids with numbering one per-set key per k-set.  Iso codes
 ascend, so a fresh window numbers them in order, which makes a linalg
 run's iteration 0 the exact run's on MUTAG.  The lexsort
 row dedupe is compared with ``np.unique(axis=0)``, every entry of the
@@ -21,9 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ksetwl import (KSetIndex, LabelInterner, build_graph, gram_matrix,
-                    la_kset_run)
-from ksetwl.interner import iso_key_batch
+from ksetwl import KSetIndex, build_graph, gram_matrix, la_kset_run
+from ksetwl.interner import number_window
 from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swap_table,
                         _unique_rows, iso_code, iso_keys, stack_graphs,
                         stacked_sets, swap_levels)
@@ -32,10 +31,13 @@ from ksetwl.pipeline import exact_kset_run, kset_front_end
 from conftest import label_groups
 import reference as ref
 from reference import (degree, dot, edge_label, features_of, has_edge,
-                       iso_key, neighbor_csr, per_set_csr, per_set_neighbors,
-                       rank)
+                       neighbor_csr, per_set_csr, per_set_neighbors, rank)
 
-_BIAS = 1 << 63
+
+def code_bytes(code) -> bytes:
+    """An iso code's layout: its values as sign-biased big-endian 64-bit
+    words, whose byte order is the order of the tuples."""
+    return b"".join(int(x + (1 << 63)).to_bytes(8, "big") for x in code)
 
 
 def per_set_iso_code(g, t) -> bytes:
@@ -65,14 +67,15 @@ def per_set_iso_code(g, t) -> bytes:
         tup = tuple(code + elabs)
         if best is None or tup < best:
             best = tup
-    return b"".join(int(x + _BIAS).to_bytes(8, "big") for x in best)
+    return code_bytes(best)
 
 
 def row_keys(g, sets) -> list[bytes]:
-    """The keys of :func:`iso_keys` expanded to one per row of ``sets``,
-    after checking that its keys are distinct and every row has an index."""
+    """The codes of :func:`iso_keys` as bytes, expanded to one per row of
+    ``sets``, after checking that its codes are distinct and every row has
+    an index."""
     codes, index = iso_keys(g, sets)
-    keys = iso_key_batch(codes)
+    keys = list(map(code_bytes, codes.tolist()))
     assert len(set(keys)) == len(keys)
     assert index.shape == (len(sets),)
     return [keys[i] for i in index.tolist()]
@@ -97,7 +100,7 @@ def labeled_graphs(draw):
 def test_bulk_iso_keys_equal_per_set_codes(g, k):
     sets = KSetIndex(g.num_vertices, k).all_sets()
     expected = [per_set_iso_code(g, tuple(int(v) for v in t)) for t in sets]
-    assert row_keys(g, sets) == [iso_key(code) for code in expected]
+    assert row_keys(g, sets) == expected
     assert [iso_code(g, t) for t in sets] == expected
 
 
@@ -206,22 +209,18 @@ def test_stacked_sets_are_each_graphs_sets_shifted(graphs, k):
 @example(MIDDLE_WIDEST, 3, True)
 @example(MIDDLE_WIDEST, 3, False)
 def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
-    interner = LabelInterner()
     ids, counts, (indptr, offsets) = kset_front_end(
         graphs, k, local, True, DEFAULT_MAX_SETS)
     indices = ref.absolute_columns(indptr, offsets)
-    # the types are the ids a fresh interner issues for their iso keys
-    assert np.array_equal(ids, ref.shared_exact_run(graphs, k, 0,
-                                                    interner)[0][0])
+    # the types are the ids one fresh window issues for the iso codes of
+    # each graph's own build
+    assert np.array_equal(ids, number_window(
+        [key for g in graphs for key in row_keys(
+            g, KSetIndex(g.num_vertices, k).all_sets())], 0))
     rows = np.cumsum([0] + counts).tolist()
     assert len(ids) == rows[-1] == len(indptr) - 1
     assert indptr[-1] == len(indices)
     for g, a, b in zip(graphs, rows, rows[1:]):
-        index = KSetIndex(g.num_vertices, k)
-        sets = index.all_sets()
-        # every key is interned already, so this window issues no id
-        assert ids[a:b].tolist() == interner.intern_window(
-            row_keys(g, sets)).tolist()
         expected_ptr, expected_idx = per_set_csr([g], k, local)
         assert np.array_equal(indptr[a:b + 1] - indptr[a], expected_ptr)
         # columns are stack positions: the graph's first row plus a rank
@@ -290,12 +289,11 @@ def test_distinct_row_iso_ids_equal_per_set_interning(graphs, k, block_rows):
         if block_rows is not None:
             patch.setattr(kwl, "_BLOCK_ITEMS", block_rows * factorial(k))
         ids = kset_front_end(graphs, k, True, False, DEFAULT_MAX_SETS)[0]
-    per_set = LabelInterner()
-    want = per_set.intern_window(
-        [iso_key(per_set_iso_code(g, tuple(t))) for g in graphs
-         for t in KSetIndex(g.num_vertices, k).all_sets().tolist()])
+    keys = [per_set_iso_code(g, tuple(t)) for g in graphs
+            for t in KSetIndex(g.num_vertices, k).all_sets().tolist()]
+    want = number_window(keys, 0)
     assert ids.dtype == np.int32 and np.array_equal(ids, want)
-    assert int(ids.max(initial=-1)) + 1 == len(per_set)
+    assert int(ids.max(initial=-1)) + 1 == len(set(keys))
 
 
 @settings(max_examples=80, deadline=None)
@@ -306,7 +304,7 @@ def test_iso_codes_ascend_as_a_fresh_window_numbers_them(g, k):
     codes, _ = iso_keys(g, KSetIndex(g.num_vertices, k).all_sets())
     rows = codes.tolist()
     assert all(a < b for a, b in zip(rows, rows[1:]))
-    assert np.array_equal(LabelInterner().intern_window(iso_key_batch(codes)),
+    assert np.array_equal(number_window(map(code_bytes, rows), 0),
                           np.arange(len(codes)))
 
 
@@ -325,10 +323,10 @@ def test_linalg_iteration_zero_is_the_exact_one(mutag, k, local):
 @example(MIDDLE_WIDEST, 3, False, 3)
 def test_exact_runs_issue_the_ids_of_one_persistent_interner(graphs, k, local,
                                                              h):
-    # each window interns into a table of its own, continuing the ids
+    # each window numbers its keys in a table of its own, continuing the
+    # ids, as one dict kept across the windows does
     labels, counts = exact_kset_run(graphs, k, h, local=local)
-    want, want_counts = ref.shared_exact_run(graphs, k, h, LabelInterner(),
-                                             local=local)
+    want, want_counts = ref.interned_exact_run(graphs, k, h, local=local)
     assert counts == want_counts and len(labels) == len(want) == h + 1
     for got, expected in zip(labels, want):
         assert got.dtype == np.int32 and np.array_equal(got, expected)

@@ -6,11 +6,11 @@ import time
 
 import pytest
 
-from ksetwl import LabelInterner, parse_tu_dataset
+from ksetwl import parse_tu_dataset
 from ksetwl.cli import main
 
 from conftest import MUTAG_DIR, SRC_DIR
-from reference import shared_exact_run
+from reference import interned_exact_run
 
 
 def run_cli(capsys, *argv):
@@ -112,12 +112,12 @@ def test_h_sweep_label_space_is_the_interner_size(tmp_path, capsys):
         capsys, "gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local",
         "--k", "2", "--h-sweep", "0..3", "--output", str(tmp_path / "g"))
     assert code == 0, err
-    graphs = parse_tu_dataset(MUTAG_DIR).graphs
+    # a persistent interner's ids run from 0, so after iteration h its
+    # table holds the largest id of iteration h plus one keys
+    labels, _ = interned_exact_run(parse_tu_dataset(MUTAG_DIR).graphs, 2, 3)
     for h in range(4):
-        interner = LabelInterner()
-        shared_exact_run(graphs, 2, h, interner)
         manifest = json.load(open(tmp_path / f"g.h{h}.manifest.json"))
-        assert manifest["label_space"] == len(interner)
+        assert manifest["label_space"] == int(labels[h].max()) + 1
 
 
 def test_usage_error_exit_code(two_triangle_dir, tmp_path, capsys):

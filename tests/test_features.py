@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import (Features, LabelInterner, ParameterError, SampledEstimate,
+from ksetwl import (Features, ParameterError, SampledEstimate,
                     cosine_normalize_gram, gram_matrix, l1_normalize)
 from ksetwl.pipeline import (exact_kset_run, features_from_estimates,
                              features_from_label_arrays)
@@ -157,18 +157,23 @@ def test_feature_builders_store_blocks_by_label_then_graph(run):
     held = [[Counter(lab for lab, g in zip(block, graph) if g == gi)
              for block in labels] for gi in range(len(counts))]
     estimates = [SampledEstimate([
-        (np.array(sorted(c), dtype=np.int64),
+        (np.array(sorted(c), dtype=np.uint64),
          np.array([float(c[lab]) for lab in sorted(c)])) for c in blocks], 0)
         for blocks in held]
     exact = features_from_label_arrays(
         [np.array(b, dtype=np.int32) for b in labels], counts)
     sampled = features_from_estimates(estimates)
+    # sampled labels are words, numbered in ascending order per block
+    ranks = [{lab: i for i, lab in enumerate(sorted(set(block)))}
+             for block in labels]
+    numbered = [[((rank[lab], g), w) for (lab, g), w in block]
+                for rank, block in zip(ranks, want)]
     # without graphs no estimate gives the iteration count
     assert len(exact.blocks) == len(labels)
     assert len(sampled.blocks) == (len(labels) if counts else 0)
-    for features in (exact, sampled):
+    for features, blocks in ((exact, want), (sampled, numbered)):
         assert features.n == len(counts)
-        for (g, lab, weight), expected in zip(features.blocks, want):
+        for (g, lab, weight), expected in zip(features.blocks, blocks):
             assert g.dtype == lab.dtype == np.int32
             assert weight.dtype == np.float64
             # Counter keys are distinct, so equal means strictly ascending

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import LabelInterner, build_graph
+from ksetwl import build_graph, interner
 from ksetwl.cli import main
 from ksetwl.errors import ParameterError, ResourceLimitError
 from ksetwl.interner import number_window, refine_coloring_window
@@ -25,36 +25,34 @@ def initial_coloring(g):
 EDGE = (np.array([0, 1, 2]), ref.row_offsets([0, 1, 2], [1, 0]))
 
 
-class RecordingInterner(LabelInterner):
-    """An interner that keeps the keys of its last window, in order."""
-
-    def intern_window(self, keys):
-        self.keys = list(keys)
-        return super().intern_window(self.keys)
-
-
 def refinement_keys(indptr, indices, labels):
-    """The keys one refinement window hands to its interner, for a CSR
-    with absolute columns."""
-    interner = RecordingInterner()
-    refine_coloring_window(indptr, ref.row_offsets(indptr, indices), labels,
-                           interner.intern_window)
-    return interner.keys
+    """The keys one exact refinement window hands to ``number_window``, in
+    row order, for a CSR with absolute columns.  The window visits the
+    rows stably ordered by own label."""
+    keys = []
+
+    def recording(stream, first):
+        stream = list(stream)
+        keys.extend(stream)
+        return number_window(stream, first)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interner, "number_window", recording)
+        refine_coloring_window(indptr, ref.row_offsets(indptr, indices),
+                               labels, int(labels.max()) + 1)
+    order = np.argsort(labels[:len(indptr) - 1], kind="stable")
+    return [keys[i] for i in np.argsort(order).tolist()]
 
 
 def test_intern_idempotent():
-    it = LabelInterner()
-    a, = it.intern_window([refine_key(3, (1, 2))])
-    b, = it.intern_window([refine_key(3, (1, 2))])
-    assert a == b
-    assert len(it) == 1
+    # a key met twice in a window takes one id
+    a, b = number_window([refine_key(3, (1, 2))] * 2, 0)
+    assert a == b == 0
 
 
 def test_fresh_keys_get_consecutive_ids():
-    it = LabelInterner()
-    a, = it.intern_window([iso_key(b"\x05")])
-    b, = it.intern_window([iso_key(b"\x06")])
-    assert b == a + 1
+    ids = number_window([refine_key(6, ()), refine_key(5, ())], 4)
+    assert ids.tolist() == [5, 4]
 
 
 def test_unsorted_neighbor_labels_caught():
@@ -79,12 +77,12 @@ def test_key_batch_rows_are_a_prefix_of_the_labeled_items():
         refine_key(7, (3, 9)), refine_key(3, (9,))]
     with pytest.raises(ParameterError, match="shorter than the adjacency"):
         refine_coloring_window(indptr, ref.row_offsets(indptr, indices),
-                               labels[:1], LabelInterner())
+                               labels[:1], 10)
 
 
 def test_key_batch_rejects_labels_past_the_sort_key_range():
     with pytest.raises(ParameterError):
-        refine_coloring_window(*EDGE, np.array([0, 1 << 62]), LabelInterner())
+        refine_coloring_window(*EDGE, np.array([0, 1 << 62]), 0)
 
 
 # ids span [0, 2^31); iso-code words span the signed 64-bit range
@@ -95,28 +93,27 @@ WORDS = (st.integers(-3, 3) | st.integers(-2 ** 63, -2 ** 63 + 2)
 REFINEMENTS = st.tuples(LABELS, st.lists(LABELS, max_size=4).map(sorted))
 
 
-def code_bytes(words) -> bytes:
-    """An iso code: sign-biased big-endian 64-bit words."""
-    return b"".join((w + 2 ** 63).to_bytes(8, "big") for w in words)
-
-
 @given(st.lists(REFINEMENTS, min_size=1, max_size=8),
        st.lists(st.lists(WORDS, min_size=1, max_size=10), min_size=1,
                 max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_key_kinds_are_disjoint_and_ordered(refinements, codes):
+    # the refinement keys exact windows number, in the layout of
+    # refine_coloring_window, order as their tuples; the iso keys of the
+    # interned reference run order as their rows and after every
+    # refinement key
     refine = [refine_key(prev, nbrs) for prev, nbrs in refinements]
     tuples = [(prev, *nbrs) for prev, nbrs in refinements]
     for a, ta in zip(refine, tuples):
         for b, tb in zip(refine, tuples):
             assert (a < b) == (ta < tb) and (a == b) == (ta == tb)
-    iso = [iso_key(code_bytes(words)) for words in codes]
+    iso = list(map(iso_key, codes))
     for a, wa in zip(iso, codes):
         for b, wb in zip(iso, codes):
             assert (a < b) == (wa < wb) and (a == b) == (wa == wb)
     # every refinement key sorts before, and so differs from, every iso key
     assert max(refine) < min(iso)
-    window = LabelInterner().intern_window(iso + refine)
+    window = number_window(iso + refine, 0)
     assert window[len(iso):].max() < window[:len(iso)].min()
 
 
@@ -129,12 +126,12 @@ def test_refine_key_rejects_labels_outside_the_id_range(prev, nbrs):
 
 def test_key_batch_rejects_negative_labels():
     with pytest.raises(ParameterError):
-        refine_coloring_window(*EDGE, np.array([0, -1]), LabelInterner())
+        refine_coloring_window(*EDGE, np.array([0, -1]), 0)
 
 
 def test_key_batch_rejects_labels_past_the_id_cap():
     with pytest.raises(ParameterError):
-        refine_coloring_window(*EDGE, np.array([0, 2 ** 31]), LabelInterner())
+        refine_coloring_window(*EDGE, np.array([0, 2 ** 31]), 0)
 
 
 def key_64(prev, nbrs) -> bytes:
@@ -145,14 +142,12 @@ def key_64(prev, nbrs) -> bytes:
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_windows_issue_the_ids_of_the_64_bit_layout(data):
-    # a few refinement windows over random CSRs, each taking the labels the
-    # window before issued, against a reference fed the 64-bit layout
+    # a few exact refinement windows over random CSRs, each taking the
+    # labels the window before issued, against one window numbering the
+    # keys of the 64-bit layout
     n = data.draw(st.integers(1, 12))
-    new, old = LabelInterner(), LabelInterner()
-    iso = [iso_key(bytes([w])) for w in
-           data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
-    labels = new.intern_window(iso)
-    assert np.array_equal(labels, old.intern_window(iso))
+    labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                         max_size=n)))
     for _ in range(data.draw(st.integers(1, 4))):
         degrees = data.draw(st.lists(st.integers(0, 4), min_size=n,
                                      max_size=n))
@@ -162,34 +157,18 @@ def test_windows_issue_the_ids_of_the_64_bit_layout(data):
             max_size=sum(degrees))), dtype=np.int64)
         # spread the ids over the word so every byte of it takes part
         words = labels * data.draw(st.sampled_from([1, 257, 65_537, 2 ** 24]))
+        first = int(words.max()) + 1
         reference = [key_64(int(words[i]), sorted(
             words[indices[indptr[i]:indptr[i + 1]]].tolist()))
             for i in range(n)]
         ids = refine_coloring_window(
-            indptr, ref.row_offsets(indptr, indices), words, new.intern_window)
-        assert np.array_equal(ids, old.intern_window(reference))
+            indptr, ref.row_offsets(indptr, indices), words, first)
+        assert np.array_equal(ids, number_window(reference, first))
         labels = ids
-    assert len(new) == len(old)
-
-
-def test_interner_refuses_ids_past_the_cap(monkeypatch):
-    from ksetwl import interner
-    monkeypatch.setattr(interner, "_ID_CAP", 3)
-    it = LabelInterner()
-    it.intern_window([refine_key(1, ()), refine_key(0, ())])
-    # the last id below the cap
-    assert it.intern_window([refine_key(2, ())]).tolist() == [2]
-    assert it.intern_window([refine_key(0, ())]).tolist() == [0]
-    with pytest.raises(ResourceLimitError):
-        it.intern_window([iso_key(b"\x01")])
-    with pytest.raises(ResourceLimitError):
-        it.intern_window([refine_key(0, ()), iso_key(b"\x01")])
-    assert len(it) == 3
 
 
 def test_label_ids_past_the_cap_exit_3(monkeypatch, tmp_path, capsys):
     # MUTAG's 7 node labels fit a cap of 10; its first refinement does not
-    from ksetwl import interner
     monkeypatch.setattr(interner, "_ID_CAP", 10)
     code = main(["gram", "--dataset", MUTAG_DIR, "--kernel", "wl1", "--h",
                  "2", "--output", str(tmp_path / "gram.txt")])
@@ -203,8 +182,6 @@ def test_a_window_whose_runs_pass_the_cap_together_exits_3(
     # MUTAG's 7 node labels and the 33 keys of its first 1-WL window need
     # the ids 0..39.  One-entry runs number that window a class or so at a
     # time, each run far below the cap: only their running total passes it
-    from ksetwl import interner
-    number_window = interner.number_window
     firsts = []
 
     def recording(keys, first):
@@ -230,7 +207,6 @@ def test_exact_window_runs_issue_the_ids_of_one_window(seed, budget, spread,
     # over all four bytes of a word, and one class whose rows hold more
     # entries than a run may; the window starts after the largest label or
     # as close to the cap as its rows allow
-    from ksetwl import interner
     rng = np.random.default_rng(seed)
     few, big = int(rng.integers(1, 25)), budget // 64 + 2
     degrees = np.concatenate([rng.integers(0, 5, few), np.full(big, 64)])
@@ -258,9 +234,8 @@ def test_exact_windows_number_one_run_of_classes_at_a_time(mutag,
     # each number_window call of an exact window numbers whole own-label
     # classes, after those of the calls before, from the id after their
     # last; no call holds more than a small share of a window's keys
-    from ksetwl import interner, pipeline
-    refine, number_window = (pipeline.refine_coloring_window,
-                             interner.number_window)
+    from ksetwl import pipeline
+    refine = pipeline.refine_coloring_window
     windows = []
 
     def window(*args):
@@ -289,75 +264,45 @@ def test_exact_windows_number_one_run_of_classes_at_a_time(mutag,
     assert sum(distinct) == 81_433 and max(distinct) <= 81_433 // 16
 
 
-def test_the_real_id_cap_is_refused_and_leaves_the_table(monkeypatch):
-    # the id 2^31 does not fit a window's int32 ids
+def test_the_real_id_cap_is_refused_and_leaves_the_table():
+    # the id 2^31 does not fit a window's int32 ids; no table outlives a
+    # refused window, so the next one numbers as if it had not been
     keys = [refine_key(0, ()), refine_key(1, ())]
     with pytest.raises(ResourceLimitError, match=f"stop at {2 ** 31}"):
         number_window(keys, 2 ** 31 - 1)
     assert number_window(keys[1:], 2 ** 31 - 1).tolist() == [2 ** 31 - 1]
-    # a sampler window refused at the cap leaves its interner as it was
-    from ksetwl import interner
-    monkeypatch.setattr(interner, "_ID_CAP", 3)
-    it = LabelInterner()
-    it.intern_window(keys)
-    before = list(it._ids.items())
-    with pytest.raises(ResourceLimitError, match="stop at 3"):
-        it.intern_window([refine_key(1, ()), refine_key(3, ()),
-                          refine_key(2, ())])
-    assert list(it._ids.items()) == before
-    assert it.intern_window([refine_key(3, ())]).tolist() == [2]
 
 
 def test_window_order_independent_of_input_order():
-    left, right = LabelInterner(), LabelInterner()
+    # a key's id depends only on the window's set of keys
     keys = [refine_key(v, ()) for v in (9, 1, 5)]
-    left.intern_window(keys)
-    right.intern_window(reversed(keys))
-    # both interners hold every key, so these windows issue no id
-    assert left.intern_window(keys).tolist() == right.intern_window(
-        keys).tolist()
-    assert len(left) == len(right) == 3
+    left = number_window(keys, 0).tolist()
+    right = number_window(reversed(keys), 0).tolist()
+    assert left == right[::-1] == [2, 0, 1]
 
 
 WINDOW_KEYS = st.sampled_from([refine_key(v, ()) for v in range(5)]
-                              + [iso_key(bytes([w])) for w in range(3)])
+                              + [bytes([0x80, w]) for w in range(3)])
 
 
-@given(st.lists(st.lists(st.lists(WINDOW_KEYS, max_size=5), max_size=4),
-                max_size=4), st.integers(1, 9))
+@given(st.lists(st.lists(WINDOW_KEYS, max_size=5), max_size=4),
+       st.integers(1, 9), st.integers(0, 9))
 @settings(max_examples=200, deadline=None)
-def test_streamed_window_equals_the_concatenated_list(windows, cap):
-    # each window's keys arrive as a generator over chunks, duplicated
-    # within and across chunks, or not at all; ids past the cap are refused
-    from ksetwl import interner
-    streamed, listed = LabelInterner(), LabelInterner()
+def test_streamed_window_equals_the_concatenated_list(chunks, cap, first):
+    # a window's keys arrive as a generator over chunks, duplicated within
+    # and across chunks, or not at all; ids past the cap are refused
+    stream = (key for chunk in chunks for key in chunk)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(interner, "_ID_CAP", cap)
-        for chunks in windows:
-            stream = (key for chunk in chunks for key in chunk)
-            try:
-                want = listed.intern_window(list(chain.from_iterable(chunks)))
-            except ResourceLimitError:
-                with pytest.raises(ResourceLimitError):
-                    streamed.intern_window(stream)
-            else:
-                got = streamed.intern_window(stream)
-                assert got.dtype == want.dtype == np.int32
-                assert got.tolist() == want.tolist()
-            assert streamed._ids == listed._ids
-
-
-@given(st.lists(st.lists(st.binary(max_size=2), max_size=8), max_size=5))
-@settings(max_examples=200, deadline=None)
-def test_windows_number_fresh_keys_in_byte_order(windows):
-    # a plain dict fed each window's fresh keys in ascending order
-    interner, ids = LabelInterner(), {}
-    for keys in windows:
-        for key in sorted(set(keys) - ids.keys()):
-            ids[key] = len(ids)
-        got = interner.intern_window(iter(keys))
-        assert got.dtype == np.int32 and got.tolist() == [ids[k] for k in keys]
-    assert interner._ids == ids
+        try:
+            want = number_window(list(chain.from_iterable(chunks)), first)
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                number_window(stream, first)
+        else:
+            got = number_window(stream, first)
+            assert got.dtype == want.dtype == np.int32
+            assert got.tolist() == want.tolist()
 
 
 @given(st.lists(WINDOW_KEYS | st.binary(max_size=2), max_size=12),
@@ -367,7 +312,6 @@ def test_number_window_numbers_distinct_keys_in_byte_order(keys, cap, below):
     # first lies at or just below a patched cap; the keys arrive as a
     # stream and may repeat; the window is refused exactly where its last
     # id would reach the cap
-    from ksetwl import interner
     first = max(cap - below, 0)
     distinct = sorted(set(keys))
     want = dict(zip(distinct, range(first, first + len(distinct))))
@@ -380,24 +324,6 @@ def test_number_window_numbers_distinct_keys_in_byte_order(keys, cap, below):
             got = number_window(iter(keys), first)
             assert got.dtype == np.int32
             assert got.tolist() == [want[key] for key in keys]
-
-
-def test_a_failing_stream_leaves_the_interner_as_it_was():
-    broken, clean = LabelInterner(), LabelInterner()
-    for it in (broken, clean):
-        it.intern_window([refine_key(5, ()), refine_key(1, ())])
-
-    def stream():
-        yield refine_key(9, ())
-        yield refine_key(1, ())
-        raise ValueError("the stream broke")
-
-    with pytest.raises(ValueError, match="the stream broke"):
-        broken.intern_window(stream())
-    assert broken._ids == clean._ids and len(broken) == 2
-    keys = [refine_key(7, ()), refine_key(1, ()), refine_key(3, ())]
-    assert broken.intern_window(keys).tolist() == [3, 0, 2]
-    assert clean.intern_window(keys).tolist() == [3, 0, 2]
 
 
 def test_initial_coloring_regular_graph(tri):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from math import comb
 
-from ksetwl import (KSetIndex, LabelInterner, ParameterError,
-                    ResourceLimitError, build_graph)
+from ksetwl import (KSetIndex, ParameterError, ResourceLimitError,
+                    build_graph)
 from ksetwl.ksets import check_order
 from ksetwl.pipeline import exact_kset_run, la_kset_run
 

@@ -1,45 +1,39 @@
 import numpy as np
 import pytest
 
-from ksetwl import (KSetIndex, LabelInterner, ResourceLimitError,
-                    build_graph, exact_kset_run)
+from ksetwl import KSetIndex, ResourceLimitError, build_graph, exact_kset_run
 from ksetwl.kwl import iso_code
 
 from conftest import label_groups, local_kset_csr, random_graph
-from reference import (c_neighborhood, edge_list, global_neighbors,
-                       histogram, iso_type, local_neighbors, rank,
-                       shared_exact_run)
+from reference import (c_neighborhood, edge_list, exact_word_run,
+                       global_neighbors, histogram, iso_type, local_neighbors,
+                       rank)
 
 
 def test_iso_type_symmetric_triangle(tri):
-    it = LabelInterner()
-    ids = {iso_type(tri, t, it) for t in [(0, 1), (0, 2), (1, 2)]}
+    ids = {iso_type(tri, t) for t in [(0, 1), (0, 2), (1, 2)]}
     assert len(ids) == 1
 
 
 def test_iso_type_edge_vs_nonedge(e1i):
-    it = LabelInterner()
-    assert iso_type(e1i, (0, 1), it) != iso_type(e1i, (0, 2), it)
+    assert iso_type(e1i, (0, 1)) != iso_type(e1i, (0, 2))
 
 
 def test_iso_type_path_vs_disconnected_triple(p4):
     # {0,1,2} induces a 2-path, {0,1,3} an edge plus an isolated vertex
-    it = LabelInterner()
-    assert iso_type(p4, (0, 1, 2), it) != iso_type(p4, (0, 1, 3), it)
+    assert iso_type(p4, (0, 1, 2)) != iso_type(p4, (0, 1, 3))
 
 
 def test_iso_type_respects_node_labels():
     plain = build_graph(2, [(0, 1)])
     tagged = build_graph(2, [(0, 1)], node_labels=[1, 2])
-    it = LabelInterner()
-    assert iso_type(plain, (0, 1), it) != iso_type(tagged, (0, 1), it)
+    assert iso_type(plain, (0, 1)) != iso_type(tagged, (0, 1))
 
 
 def test_iso_type_respects_edge_labels():
     single = build_graph(2, [(0, 1)], node_labels=[0, 0], edge_labels=[1])
     double = build_graph(2, [(0, 1)], node_labels=[0, 0], edge_labels=[2])
-    it = LabelInterner()
-    assert iso_type(single, (0, 1), it) != iso_type(double, (0, 1), it)
+    assert iso_type(single, (0, 1)) != iso_type(double, (0, 1))
 
 
 def test_iso_code_is_host_independent(tri, two_k3):
@@ -71,11 +65,10 @@ def test_local_neighbors_need_an_incoming_edge(e1i, tri):
 
 
 def test_local_neighbors_cross_pair(two_k3):
-    it = LabelInterner()
     nbrs = local_neighbors(two_k3, (0, 3))
     assert len(nbrs) == 8
-    kinds = [iso_type(two_k3, s, it) for s in nbrs]
-    edge_type = iso_type(two_k3, (0, 1), it)
+    kinds = [iso_type(two_k3, s) for s in nbrs]
+    edge_type = iso_type(two_k3, (0, 1))
     assert sum(1 for kind in kinds if kind == edge_type) == 4
 
 
@@ -192,8 +185,7 @@ def test_features_invariant_under_vertex_permutation():
         relabeled = build_graph(
             n, [(int(perm[u]), int(perm[v])) for u, v in edge_list(g)],
             node_labels=g.node_labels[inverse].tolist())
-        it = LabelInterner()
-        left = shared_exact_run([g], 2, 2, it)[0]
-        right = shared_exact_run([relabeled], 2, 2, it)[0]
+        left = exact_word_run([g], 2, 2)[0]
+        right = exact_word_run([relabeled], 2, 2)[0]
         for ca, cb in zip(left, right):
             assert histogram(ca) == histogram(cb)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import (LabelInterner, ParameterError, build_graph,
-                    exact_kset_run, la_kset_run, la_step)
+from ksetwl import (ParameterError, build_graph, exact_kset_run,
+                    la_kset_run, la_step)
 from ksetwl.kwl import node_words
-from ksetwl.linalg import splitmix64
+from ksetwl.linalg import splitmix64, word_sums
+from ksetwl.sampling import _iso_words
 
 from conftest import label_groups, local_kset_csr, random_graph
 from reference import (local_neighbors, paper_sum_refinement, paper_sum_step,
@@ -54,6 +55,44 @@ def test_la_step_isolated_vertex():
     labels = np.array([0, 1], dtype=np.int64)
     values, _ = la_step(g.indptr, row_offsets(g.indptr, g.indices), labels)
     assert [int(v) for v in values] == [own_word(0), own_word(1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_word_sums_take_any_64_bit_words(data):
+    # rows are a prefix of the labeled items; words span all 64 bits, so
+    # an own word's + 2^32 and every sum wrap; la_step's values are the
+    # same sums over its ids
+    items = data.draw(st.integers(1, 8))
+    rows = data.draw(st.integers(0, items))
+    words = data.draw(st.lists(st.integers(0, MASK) | st.integers(
+        MASK - OWN, MASK), min_size=items, max_size=items))
+    columns = [data.draw(st.lists(st.integers(0, items - 1), max_size=4))
+               for _ in range(rows)]
+    indptr = np.cumsum([0] + list(map(len, columns)))
+    offsets = row_offsets(indptr, [c for row in columns for c in row])
+    got = word_sums(indptr, offsets, np.array(words, dtype=np.uint64))
+    assert got.dtype == np.uint64 and [int(v) for v in got] == [
+        (own_word(words[i]) + sum(H(words[c]) for c in columns[i])) & MASK
+        for i in range(rows)]
+    if rows == items:
+        ids = np.array(words) % 5
+        values, _ = la_step(indptr, offsets, ids)
+        assert np.array_equal(values, word_sums(indptr, offsets, ids))
+
+
+def test_iso_words_fold_each_row_through_splitmix64():
+    # w = splitmix64(w + x) over the row's values as 64-bit words, from 0
+    rows = np.array([[0, 0], [3, -1], [-2 ** 63, 2 ** 63 - 1], [1, 0]])
+    want = []
+    for row in rows.tolist():
+        w = 0
+        for x in row:
+            w = H((w + x) & MASK)
+        want.append(w)
+    got = _iso_words(rows)
+    assert got.dtype == np.uint64 and [int(w) for w in got] == want
+    assert len(set(want)) == len(want)
 
 
 def test_paper_mode_merges_symmetric_sum():

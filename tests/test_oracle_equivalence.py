@@ -7,7 +7,7 @@ sorted order.  Partitions (not label values) are compared.
 
 import numpy as np
 
-from ksetwl import KSetIndex, LabelInterner, exact_kset_run
+from ksetwl import KSetIndex, exact_kset_run
 
 from conftest import label_groups, random_graph
 import reference as ref

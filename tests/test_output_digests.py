@@ -39,22 +39,22 @@ PINNED = [
      "k2-exact.features"),
     ("7c95c7ddb6a8018ed549310092016b835bcac56ca6a1d332a8c1d65574cb8d6d",
      "k2-l1-block.gram"),
-    ("12e1dc18aea8b6b012b4dcf413ad130c36da7fd56b4e5b683aeafe6db969599e",
+    ("ae29568f7795d820da229b377d0c8af39fc440a8d5478ed7a4d04aee37a363c9",
      "subset-adaptive-seed5.gram"),
     ("76000", "subset-adaptive-seed5.gram.samples"),
     ("7", "subset-adaptive-seed5.gram.rounds"),
     ("703bdae7f54c1f2668e3b801e840aff437f7773d743c52e4cc0ba84fbce0f700",
      "subset-adaptive-seed5.gram.round-log"),
-    ("33e6efbcecda2458c1619ea427084670060beaddd0fccb55b5c930effd3b77fd",
+    ("0144d71a0a81b714368ee650d4ebc1e26f338cc55f94d760478ebcb9cd2d4912",
      "k2-sampled-seed9.gram"),
     ("56400", "k2-sampled-seed9.gram.samples"),
-    ("86fa5c2924d5d8e46c210a75af19ff80e01e1b8697990f1f1b21e0a43611187b",
+    ("e000337ba7d9d16a6a06fe57973de0173e3516f8c14693a105da1a4cc8ce4627",
      "k2-sampled-seed9-l1-block.features"),
     ("56400", "k2-sampled-seed9-l1-block.features.samples"),
-    ("1f06f509690347ab98e79f0842b0c5a89be4aa044c7a615f74600cdfed431913",
+    ("f624fa5b3eca33676a3893ec3c68a7d0dc105a3320bcd91aa9e14dd0c0c091c9",
      "k2-sampled-seed9-l1-full.gram"),
     ("56400", "k2-sampled-seed9-l1-full.gram.samples"),
-    ("a61d8e9b0180edfb892d8bfeba6730bc087c9a5d0e95b1ab99d712359bfacd89",
+    ("b57262a693bc01f6d785955fc303012f936a2ce7002dab97d4380febdf8a11ce",
      "k3-sampled-seed9.gram"),
     ("56400", "k3-sampled-seed9.gram.samples"),
     ("9bd951c969d9cf427d4ec59f28b8c9300438b135011fe1b52a7c4b07ce088b23",

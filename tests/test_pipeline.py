@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from ksetwl import (KSetIndex, LabelInterner, ParameterError,
-                    ResourceLimitError, build_graph, gram_matrix)
+from ksetwl import (KSetIndex, ParameterError, ResourceLimitError,
+                    SampledEstimate, build_graph, gram_matrix)
 from ksetwl import interner, kwl, linalg, pipeline
-from ksetwl.pipeline import (exact_kset_run, features_from_label_arrays,
-                             la_kset_run, sampled_dataset_run)
+from ksetwl.pipeline import (exact_kset_run, features_from_estimates,
+                             features_from_label_arrays, la_kset_run,
+                             sampled_dataset_run)
 from ksetwl.sampling import _label_sets
 
-from conftest import label_groups, scripts
-from reference import blocks_of, graph_slices, iso_key
+from conftest import MUTAG_DIR, label_groups, scripts
+from reference import blocks_of, graph_slices
 
 
 def tiny_and_regular():
@@ -36,8 +37,7 @@ def test_la_dataset_run_tolerates_undersized_graphs():
 
 def test_sampled_dataset_run_flags_undersized():
     estimates = sampled_dataset_run(tiny_and_regular(), 3, 1, seed=0,
-                                    interner=LabelInterner(), mode="adaptive",
-                                    epsilon=0.5, delta=0.2)
+                                    mode="adaptive", epsilon=0.5, delta=0.2)
     assert estimates[0].sample_count == 0 and estimates[1].sample_count > 0
 
 
@@ -45,15 +45,13 @@ def test_sampled_dataset_run_rejects_unknown_mode():
     # refused before the graph loop, so an empty dataset is refused too
     for graphs in (tiny_and_regular(), []):
         with pytest.raises(ParameterError, match="unknown sampling mode"):
-            sampled_dataset_run(graphs, 2, 1, seed=0,
-                                interner=LabelInterner(), mode="bootstrap")
+            sampled_dataset_run(graphs, 2, 1, seed=0, mode="bootstrap")
 
 
 def test_fixed_mode_requires_sample_count():
     for graphs in (tiny_and_regular(), []):
         with pytest.raises(ParameterError, match="needs a sample count"):
-            sampled_dataset_run(graphs, 2, 1, seed=0,
-                                interner=LabelInterner(), mode="sampled")
+            sampled_dataset_run(graphs, 2, 1, seed=0, mode="sampled")
 
 
 def test_exact_run_enumerates_each_graph_once(monkeypatch, c6, two_k3, p4):
@@ -71,20 +69,9 @@ def test_exact_run_enumerates_each_graph_once(monkeypatch, c6, two_k3, p4):
     assert sizes == [6]
 
 
-def test_exact_windows_intern_into_tables_of_their_own(monkeypatch, c6,
-                                                       two_k3):
-    # each window numbers its own keys densely after the ids before it,
-    # and an exact run constructs no interner
-    constructed = []
-    init = LabelInterner.__init__
-
-    def recorded(self):
-        constructed.append(self)
-        init(self)
-
-    monkeypatch.setattr(LabelInterner, "__init__", recorded)
+def test_exact_windows_intern_into_tables_of_their_own(c6, two_k3):
+    # each window numbers its own keys densely after the ids before it
     labels, _ = exact_kset_run([c6, two_k3], 2, 3)
-    assert constructed == []
     for before, after in zip(labels, labels[1:]):
         first = int(before.max()) + 1
         assert np.unique(after).tolist() == list(
@@ -152,22 +139,47 @@ def test_label_arrays_are_int32(p4, local):
     for labels, _ in (exact_kset_run(graphs, 2, 2, local=local),
                       la_kset_run(graphs, 2, 2, local=local)):
         assert [it.dtype for it in labels] == [np.int32] * 3
-    window = LabelInterner().intern_window([iso_key(b"\x01"),
-                                            iso_key(b"\x00")])
+    window = interner.number_window([b"\x01", b"\x00"], 0)
     assert window.dtype == np.int32 and window.tolist() == [1, 0]
-    labeled = _label_sets(p4, np.array([[0, 1], [1, 2]]), 2, LabelInterner())
-    assert labeled.dtype == np.int32 and labeled.shape == (2, 3)
+    # sampled labels are 64-bit words, numbered as int32 ids in features
+    labeled = _label_sets(p4, np.array([[0, 1], [1, 2]]), 2)
+    assert labeled.dtype == np.uint64 and labeled.shape == (2, 3)
 
 
 def test_label_ids_past_the_cap_are_refused_before_the_cast(monkeypatch, p4):
     # int32 labels hold ids below _ID_CAP; iso types and linalg classes
-    # beyond it are refused as an interner refuses its ids
+    # beyond it are refused as an exact window refuses its ids
     monkeypatch.setattr(interner, "_ID_CAP", 1)
     with pytest.raises(ResourceLimitError, match="label ids stop at 1"):
         la_kset_run([p4], 2, 0)
     monkeypatch.setattr(interner, "_ID_CAP", 2)
     with pytest.raises(ResourceLimitError, match="label ids stop at 2"):
         la_kset_run([p4], 2, 1)
+
+
+def test_sampled_words_past_the_cap_are_refused(monkeypatch):
+    # features number each iteration's distinct words over all graphs; two
+    # graphs' three words pass a cap of 2
+    words = [np.array([1, 5], dtype=np.uint64), np.array([5, 9],
+                                                         dtype=np.uint64)]
+    estimates = [SampledEstimate([(w, np.full(2, 0.5))], 2) for w in words]
+    monkeypatch.setattr(interner, "_ID_CAP", 3)
+    label = features_from_estimates(estimates).blocks[0][1]
+    assert label.dtype == np.int32 and label.tolist() == [0, 1, 1, 2]
+    monkeypatch.setattr(interner, "_ID_CAP", 2)
+    with pytest.raises(ResourceLimitError, match="label ids stop at 2"):
+        features_from_estimates(estimates)
+
+
+def test_sampled_words_past_the_cap_exit_3(monkeypatch, tmp_path, capsys):
+    # MUTAG's 2-sets have 36 iso types, below a cap of 100 in any batch;
+    # the sampled words of their first refinement over all graphs are not
+    from ksetwl.cli import main
+    monkeypatch.setattr(interner, "_ID_CAP", 100)
+    assert main(["gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local",
+                 "--k", "2", "--h", "1", "--mode", "sampled", "--samples",
+                 "300", "--output", str(tmp_path / "gram.txt")]) == 3
+    assert "label ids stop at 100" in capsys.readouterr().err
 
 
 def test_front_end_times_script_times_every_layer(two_triangle_dir, capsys):

@@ -3,8 +3,8 @@
 import os
 import re
 
-from conftest import ROOT
-from reference import estimate_blocks, shared_exact_run
+from conftest import ROOT, label_groups
+from reference import estimate_blocks, exact_word_run
 
 
 def readme_block(heading):
@@ -21,12 +21,12 @@ def test_library_quick_start_runs():
     labels, counts = scope["labels"], scope["counts"]
     estimate = scope["estimate"]
     # two triangles: 15 2-sets, and every block of the estimate is a
-    # probability vector; an exact run under the sampler's own interner
-    # meets every key a sample met, so it holds every sampled label at
-    # its iteration
+    # probability vector; the words of all 2-sets split them as the exact
+    # labels do, and hold every sampled word at its iteration
     assert counts == [15] and [len(it) for it in labels] == [15] * 4
     assert estimate.sample_count > 0 and len(estimate.rounds) >= 1
-    shared, _ = shared_exact_run([scope["g"]], 2, 3, scope["interner"])
-    for exact, sampled in zip(shared, estimate_blocks(estimate)):
+    words, _ = exact_word_run([scope["g"]], 2, 3)
+    for exact, word, sampled in zip(labels, words, estimate_blocks(estimate)):
+        assert label_groups(word.tolist()) == label_groups(exact.tolist())
         assert abs(sum(sampled.values()) - 1) < 1e-12
-        assert set(sampled) <= set(exact.tolist())
+        assert set(sampled) <= set(word.tolist())

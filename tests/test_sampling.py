@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import (LabelInterner, ParameterError,
-                    RademacherState, ResourceLimitError, build_graph,
+from ksetwl import (ParameterError, RademacherState, ResourceLimitError,
+                    build_graph,
                     estimate_features_adaptive, estimate_features_fixed,
                     exact_kset_run, hoeffding_sample_size,
                     hoeffding_sample_size_dataset, make_rng,
                     massart_deviation_bound, observed_label_count)
 from ksetwl.kwl import swap_levels
-from ksetwl.sampling import _draw_batch, _rademacher_bound, _SampleLabeler
+from ksetwl.sampling import (_draw_batch, _label_sets, _rademacher_bound,
+                             _SampleLabeler)
 
-from conftest import random_graph
-from reference import (estimate_blocks, histogram, local_labels, rank,
-                       sample_kset_uniform, shared_exact_run)
+from conftest import label_groups, random_graph
+from reference import (estimate_blocks, exact_word_run, histogram,
+                       interned_exact_run, iso_type, local_labels, rank,
+                       sample_kset_uniform)
 
 # frozen by independent high-precision evaluation of the bound formulas
 SIZE_SINGLE = 26492
@@ -75,7 +77,7 @@ def test_sample_size_frozen_values():
 def test_draw_counts_match_the_np_unique_formula(n, k, size, seed):
     # n^k beyond int64 (the last case) takes the row-sort path
     g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    got = _SampleLabeler(g, k, 1, LabelInterner()).draw_counts(
+    got = _SampleLabeler(g, k, 1).draw_counts(
         size, make_rng(seed))
     uniq, counts = np.unique(_draw_batch(n, k, size, make_rng(seed)), axis=0,
                              return_counts=True)
@@ -151,29 +153,27 @@ def test_uniform_draw_deterministic(tri):
 
 
 def test_local_labels_radius_zero_is_iso_type(p4):
-    it = LabelInterner()
-    labs = local_labels(p4, (0, 1), 2, 0, it)
+    labs = local_labels(p4, (0, 1), 2, 0)
     assert len(labs) == 1
-    full = shared_exact_run([p4], 2, 0, it)[0]
-    assert labs[0] == int(full[0][rank((0, 1))])
+    full = exact_word_run([p4], 2, 0)[0]
+    assert labs[0] == int(full[0][rank((0, 1))]) == iso_type(p4, (0, 1))
 
 
 def test_local_labels_reject_non_sets(p4):
     for s in [(0, 4), (-1, 2), (1, 1), (0, 1, 2)]:
         with pytest.raises(ParameterError):
-            local_labels(p4, s, 2, 1, LabelInterner())
+            local_labels(p4, s, 2, 1)
 
 
 def test_local_labels_on_detached_edge(e1i):
     # the ball of {0,1} is just itself; every iteration refines against the
     # empty multiset on the 2-vertex induced subgraph
-    it = LabelInterner()
-    labs = local_labels(e1i, (0, 1), 2, 3, it)
+    labs = local_labels(e1i, (0, 1), 2, 3)
     assert len(labs) == 4
-    assert len(set(labs)) == 4  # each refinement wraps the previous label
+    assert len(set(labs)) == 4  # each refinement re-mixes the previous word
 
 
-def test_local_labels_match_full_run_ids_with_shared_interner():
+def test_local_labels_match_full_run_words():
     rng = np.random.default_rng(41)
     # (k, edge labels): k = None draws k from {2, 3}
     cases = [(None, False)] * 15 + [(None, True)] * 6 + [(4, False)] * 4 \
@@ -187,46 +187,67 @@ def test_local_labels_match_full_run_ids_with_shared_interner():
         if n < k:
             continue
         h = int(rng.integers(0, 4))
-        interner = LabelInterner()
-        full = shared_exact_run([g], k, h, interner)[0]
+        full = exact_word_run([g], k, h)[0]
         for _ in range(4):
             s = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-            labs = local_labels(g, s, k, h, interner)
+            labs = local_labels(g, s, k, h)
             expected = [int(full[j][rank(s)]) for j in range(h + 1)]
             assert list(labs) == expected
 
 
 def test_sampling_adds_no_label_to_an_exact_run(mutag):
-    # every key the sampler interns is one the exact run of the same graph
-    # made, so a shared interner does not grow
+    # every word the sampler observes is one the exact word run of the
+    # same graphs gives, at the same iteration
     graphs = mutag.graphs[::25]
-    interner = LabelInterner()
-    shared_exact_run(graphs, 2, 3, interner)
-    labels = len(interner)
+    words = [set(it.tolist()) for it in exact_word_run(graphs, 2, 3)[0]]
     for gi, g in enumerate(graphs):
-        estimate_features_fixed(g, 2, 3, 300, make_rng(gi), interner)
-        estimate_features_adaptive(g, 2, 3, 0.1, 0.1, make_rng(gi), interner)
-    assert len(interner) == labels
+        for est in (estimate_features_fixed(g, 2, 3, 300, make_rng(gi)),
+                    estimate_features_adaptive(g, 2, 3, 0.1, 0.1,
+                                               make_rng(gi))):
+            for (seen, _), exact in zip(est.masses, words):
+                assert set(seen.tolist()) <= exact
 
 
-def test_local_labels_partition_agreement_with_fresh_interner():
-    # separate interner runs may use different ids; equality patterns must
-    # still match the full-graph refinement exactly
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        n = int(rng.integers(5, 12))
-        g = random_graph(rng, n, 0.4)
-        full = exact_kset_run([g], 2, 2)[0]
-        fresh = LabelInterner()
-        samples = [tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
-                   for _ in range(5)]
-        local = {s: local_labels(g, s, 2, 2, fresh) for s in samples}
-        for a in samples:
-            for b in samples:
-                for j in range(3):
-                    locally_equal = local[a][j] == local[b][j]
-                    globally_equal = full[j][rank(a)] == full[j][rank(b)]
-                    assert locally_equal == globally_equal
+@st.composite
+def labeled_graphs(draw):
+    """Graphs on 1..9 vertices with or without node and edge labels."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    node_labels = draw(st.none() | st.lists(st.integers(0, 2), min_size=n,
+                                            max_size=n))
+    edge_labels = draw(st.none() | st.lists(
+        st.integers(0, 2), min_size=len(edges), max_size=len(edges)))
+    return build_graph(n, edges, node_labels=node_labels,
+                       edge_labels=edge_labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(labeled_graphs(), min_size=1, max_size=3), st.integers(1, 3),
+       st.integers(0, 3), st.data())
+def test_sampled_word_partitions_equal_exact_runs(graphs, k, h, data):
+    # several graphs, each labeled in up to three batches of 1-8 sets that
+    # may share sets: at every iteration, two sampled sets share a word,
+    # across graphs and batches, exactly when the exact run over all the
+    # graphs gives them one id
+    labels, counts = exact_kset_run(graphs, k, h)
+    first = np.cumsum([0] + counts).tolist()
+    words, ids = [], []
+    for gi, g in enumerate(graphs):
+        sets = list(itertools.combinations(range(g.num_vertices), k))
+        for _ in range(data.draw(st.integers(0, 3)) if sets else 0):
+            batch = data.draw(st.lists(st.sampled_from(sets), min_size=1,
+                                       max_size=8, unique=True))
+            words.append(_label_sets(g, np.array(batch), h))
+            rows = [first[gi] + rank(t) for t in batch]
+            ids.append(np.stack([it[rows] for it in labels], axis=1))
+    if not words:
+        return
+    words, ids = np.concatenate(words), np.concatenate(ids)
+    assert words.dtype == np.uint64 and words.shape == ids.shape
+    for it in range(h + 1):
+        assert (label_groups(words[:, it].tolist())
+                == label_groups(ids[:, it].tolist()))
 
 
 @st.composite
@@ -267,7 +288,7 @@ def test_swap_levels_stay_within_the_per_sample_count_bound(g, k, h, data):
 
 
 def test_fixed_estimate_on_triangle(tri):
-    est = estimate_features_fixed(tri, 2, 2, 500, make_rng(1), LabelInterner())
+    est = estimate_features_fixed(tri, 2, 2, 500, make_rng(1))
     assert est.sample_count == 500
     for blk in estimate_blocks(est):
         assert list(blk.values()) == [1.0]
@@ -277,13 +298,11 @@ def test_fixed_estimate_equals_the_per_set_count_oracle(mutag):
     # the same seed draws the same sets; every block holds their labels'
     # counts over the sample size, in ascending label order
     g = mutag.graphs[3]
-    interner = LabelInterner()
-    est = estimate_features_fixed(g, 2, 3, 700, make_rng(11), interner)
-    sets, counts = _SampleLabeler(g, 2, 3, interner).draw_counts(
-        700, make_rng(11))
+    est = estimate_features_fixed(g, 2, 3, 700, make_rng(11))
+    sets, counts = _SampleLabeler(g, 2, 3).draw_counts(700, make_rng(11))
     want = [{} for _ in range(4)]
     for s, c in zip(sets, counts):
-        for it, lab in enumerate(local_labels(g, s, 2, 3, interner)):
+        for it, lab in enumerate(local_labels(g, s, 2, 3)):
             want[it][lab] = want[it].get(lab, 0) + c
     assert est.sample_count == 700 and est.rounds == []
     assert estimate_blocks(est) == [
@@ -292,9 +311,8 @@ def test_fixed_estimate_equals_the_per_set_count_oracle(mutag):
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda g, rng: estimate_features_fixed(g, 9, 1, 10, rng, LabelInterner()),
-    lambda g, rng: estimate_features_adaptive(g, 9, 1, 0.1, 0.1, rng,
-                                              LabelInterner())],
+    lambda g, rng: estimate_features_fixed(g, 9, 1, 10, rng),
+    lambda g, rng: estimate_features_adaptive(g, 9, 1, 0.1, 0.1, rng)],
     ids=["fixed", "adaptive"])
 def test_estimators_refuse_k_nine_before_drawing(estimate):
     class NoDraws:
@@ -306,7 +324,7 @@ def test_estimators_refuse_k_nine_before_drawing(estimate):
 
 
 def test_fixed_estimate_single_sample(p4):
-    est = estimate_features_fixed(p4, 2, 1, 1, make_rng(3), LabelInterner())
+    est = estimate_features_fixed(p4, 2, 1, 1, make_rng(3))
     for blk in estimate_blocks(est):
         assert list(blk.values()) == [1.0]
 
@@ -314,36 +332,34 @@ def test_fixed_estimate_single_sample(p4):
 def test_fixed_estimate_blocks_sum_to_one():
     rng = np.random.default_rng(44)
     g = random_graph(rng, 9, 0.5)
-    est = estimate_features_fixed(g, 2, 2, 333, make_rng(5), LabelInterner())
+    est = estimate_features_fixed(g, 2, 2, 333, make_rng(5))
     for blk in estimate_blocks(est):
         assert abs(sum(blk.values()) - 1.0) <= 1e-9
 
 
 def test_fixed_estimate_undersized_graph():
     g = build_graph(2, [(0, 1)])
-    est = estimate_features_fixed(g, 3, 2, 100, make_rng(0), LabelInterner())
+    est = estimate_features_fixed(g, 3, 2, 100, make_rng(0))
     assert est.sample_count == 0
     assert estimate_blocks(est) == [{}, {}, {}]
 
 
 def test_fixed_estimate_rejects_zero_samples(tri):
     with pytest.raises(ParameterError):
-        estimate_features_fixed(tri, 2, 1, 0, make_rng(0), LabelInterner())
+        estimate_features_fixed(tri, 2, 1, 0, make_rng(0))
 
 
 def test_estimator_is_unbiased():
     # average many independent estimates and compare to the exact
     # normalized histogram within three standard errors
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
-    interner = LabelInterner()
-    exact = shared_exact_run([g], 2, 1, interner)[0]
+    exact = exact_word_run([g], 2, 1)[0]
     hist = histogram(exact[1])
     total = sum(hist.values())
     runs, samples = 60, 40
     sums = {}
     for r in range(runs):
-        est = estimate_features_fixed(g, 2, 1, samples, make_rng(1000 + r),
-                                      interner)
+        est = estimate_features_fixed(g, 2, 1, samples, make_rng(1000 + r))
         for lab, mass in estimate_blocks(est)[1].items():
             sums[lab] = sums.get(lab, 0.0) + mass
     for lab, count in hist.items():
@@ -358,11 +374,10 @@ def test_fixed_estimate_l1_accuracy_on_benchmark_graph(mutag):
     # normalized block (the Hoeffding bound would demand far more samples
     # for this guarantee; the check uses a fixed seed)
     g = mutag.graphs[0]
-    interner = LabelInterner()
-    exact = shared_exact_run([g], 2, 1, interner)[0]
+    exact = exact_word_run([g], 2, 1)[0]
     hist = histogram(exact[1])
     total = sum(hist.values())
-    est = estimate_features_fixed(g, 2, 1, 2000, make_rng(70), interner)
+    est = estimate_features_fixed(g, 2, 1, 2000, make_rng(70))
     masses = estimate_blocks(est)[1]
     labels = set(hist) | set(masses)
     l1 = sum(abs(hist.get(l, 0.0) / total - masses.get(l, 0.0))
@@ -372,19 +387,19 @@ def test_fixed_estimate_l1_accuracy_on_benchmark_graph(mutag):
 
 @pytest.mark.parametrize("h", [0, 3])
 def test_observed_label_count_is_an_exact_runs_label_space(mutag, h):
-    # a fresh interner issues consecutive ids and no id at two iterations,
-    # so the distinct (iteration, label) pairs are the manifest's
-    # label_space at h
-    interner = LabelInterner()
-    shared_exact_run(mutag.graphs, 2, h, interner)
+    # a persistent interner issues consecutive ids and no id at two
+    # iterations, so the distinct (iteration, label) pairs are the
+    # manifest's label_space at h
+    interned, _ = interned_exact_run(mutag.graphs, 2, h)
     labels, _ = exact_kset_run(mutag.graphs, 2, h)
     count = observed_label_count(labels)
-    assert count == int(labels[-1].max()) + 1 == len(interner)
+    assert count == int(labels[-1].max()) + 1 == int(interned[-1].max()) + 1
 
 
 def test_massart_bound_frozen_example():
     state = state_of([[10], [11], [12]], [2, 1, 1])
-    assert state.m == 4 and state.counts[0][10:].tolist() == [2, 1, 1]
+    assert state.m == 4 and state.words[0].tolist() == [10, 11, 12]
+    assert state.counts[0].tolist() == [2, 1, 1]
     assert pair_counts(state).tolist() == [2, 1, 1]
     bound = massart_deviation_bound(state, 0.5)
     expected = (2 * dense_grid_rademacher([2, 1, 1], 4)
@@ -455,6 +470,28 @@ def count_states(draw):
     return state
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.tuples(
+    st.lists(st.integers(0, 3) | st.integers(2 ** 64 - 3, 2 ** 64 - 1),
+             min_size=2, max_size=2), st.integers(1, 9)), max_size=6),
+    max_size=4))
+def test_rademacher_state_counts_words_across_batches(batches):
+    # words anywhere in 64 bits, met again in later batches: each
+    # iteration holds its distinct words ascending and their total counts
+    state, want = RademacherState(iterations=1), [{}, {}]
+    for batch in batches:
+        state.observe(np.array([row for row, _ in batch], dtype=np.uint64)
+                      .reshape(-1, 2), [c for _, c in batch])
+        for row, c in batch:
+            for it, word in enumerate(row):
+                want[it][word] = want[it].get(word, 0) + c
+    assert state.m == sum(c for batch in batches for _, c in batch)
+    for words, counts, expected in zip(state.words, state.counts, want):
+        assert words.dtype == np.uint64
+        assert words.tolist() == sorted(expected)
+        assert counts.tolist() == [expected[w] for w in sorted(expected)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(count_states(), st.floats(0.001, 0.999))
 def test_bound_never_exceeds_massarts_closed_form(state, delta):
@@ -500,16 +537,14 @@ def test_rademacher_term_bounds_the_exact_average(seed):
 
 
 def test_adaptive_on_triangle_terminates_quickly(tri):
-    est = estimate_features_adaptive(tri, 2, 1, 0.5, 0.1, make_rng(2),
-                                     LabelInterner())
+    est = estimate_features_adaptive(tri, 2, 1, 0.5, 0.1, make_rng(2))
     assert len(est.rounds) <= 4
     for blk in estimate_blocks(est):
         assert list(blk.values()) == [1.0]
 
 
 def test_adaptive_doubling_totals(tri):
-    est = estimate_features_adaptive(tri, 2, 1, 0.05, 0.1, make_rng(2),
-                                     LabelInterner())
+    est = estimate_features_adaptive(tri, 2, 1, 0.05, 0.1, make_rng(2))
     for i, entry in enumerate(est.rounds):
         assert entry["batch"] == 100 * 2 ** i
         assert entry["total"] == 100 * (2 ** (i + 1) - 1)
@@ -517,8 +552,7 @@ def test_adaptive_doubling_totals(tri):
 
 
 def test_adaptive_bound_log_matches_termination(tri):
-    est = estimate_features_adaptive(tri, 2, 1, 0.3, 0.2, make_rng(8),
-                                     LabelInterner())
+    est = estimate_features_adaptive(tri, 2, 1, 0.3, 0.2, make_rng(8))
     *rest, last = est.rounds
     assert all(entry["bound"] > 0.3 for entry in rest)
     assert last["bound"] <= 0.3
@@ -526,15 +560,13 @@ def test_adaptive_bound_log_matches_termination(tri):
 
 def test_adaptive_sample_cap(tri):
     with pytest.raises(ResourceLimitError):
-        estimate_features_adaptive(tri, 2, 1, 0.001, 0.1, make_rng(0),
-                                   LabelInterner(), max_total_samples=1000)
+        estimate_features_adaptive(tri, 2, 1, 0.001, 0.1, make_rng(0), max_total_samples=1000)
 
 
 def test_adaptive_rounds_stop_before_their_delta_underflows(tri):
     # 2^-1070 * 2^-(i+1) is 0.0 from round 4; epsilon is out of reach
     with pytest.raises(ResourceLimitError) as info:
-        estimate_features_adaptive(tri, 2, 1, 0.01, 2.0 ** -1070, make_rng(0),
-                                   LabelInterner())
+        estimate_features_adaptive(tri, 2, 1, 0.01, 2.0 ** -1070, make_rng(0))
     message = str(info.value)
     assert message.startswith("adaptive sampling ran out of rounds: delta * "
                               "2^-5 is 0.0 (drawn 1500 samples in 4 rounds, "
@@ -545,8 +577,7 @@ def test_adaptive_rounds_stop_before_their_delta_underflows(tri):
 
 
 def test_adaptive_rounds_split_delta_geometrically(tri):
-    est = estimate_features_adaptive(tri, 2, 1, 0.1, 0.2, make_rng(4),
-                                     LabelInterner())
+    est = estimate_features_adaptive(tri, 2, 1, 0.1, 0.2, make_rng(4))
     deltas = [entry["delta"] for entry in est.rounds]
     assert len(deltas) > 3
     assert deltas == [0.2 * 2.0 ** -(i + 1) for i in range(len(deltas))]
@@ -560,23 +591,21 @@ def test_adaptive_rounds_split_delta_geometrically(tri):
 
 def test_adaptive_undersized_graph():
     g = build_graph(2, [(0, 1)])
-    est = estimate_features_adaptive(g, 3, 1, 0.1, 0.1, make_rng(0),
-                                     LabelInterner())
+    est = estimate_features_adaptive(g, 3, 1, 0.1, 0.1, make_rng(0))
     assert est.sample_count == 0
 
 
 def test_seed_controls_the_run(tri):
-    a = estimate_features_fixed(tri, 2, 1, 50, make_rng(1), LabelInterner())
-    b = estimate_features_fixed(tri, 2, 1, 50, make_rng(1), LabelInterner())
-    c = estimate_features_fixed(tri, 2, 1, 50, make_rng(2), LabelInterner())
+    a = estimate_features_fixed(tri, 2, 1, 50, make_rng(1))
+    b = estimate_features_fixed(tri, 2, 1, 50, make_rng(1))
+    c = estimate_features_fixed(tri, 2, 1, 50, make_rng(2))
     assert estimate_blocks(a) == estimate_blocks(b)
     assert a.sample_count == c.sample_count == 50
 
 
 def test_fixed_estimate_beyond_64_bit_ranks(long_path):
     # the memo is keyed by vertex tuple, so no rank table is ever built
-    est = estimate_features_fixed(long_path, 4, 1, 30, make_rng(0),
-                                  LabelInterner())
+    est = estimate_features_fixed(long_path, 4, 1, 30, make_rng(0))
     assert est.sample_count == 30
     for blk in estimate_blocks(est):
         assert abs(sum(blk.values()) - 1.0) <= 1e-9
@@ -584,10 +613,8 @@ def test_fixed_estimate_beyond_64_bit_ranks(long_path):
 
 def test_memo_holds_drawn_sets_as_sorted_tuples(p4):
     cache = {}
-    interner = LabelInterner()
-    est = estimate_features_fixed(p4, 2, 2, 200, make_rng(8), interner,
-                                  cache=cache)
+    est = estimate_features_fixed(p4, 2, 2, 200, make_rng(8), cache=cache)
     assert sorted(cache) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     for s, labs in cache.items():
-        assert labs == local_labels(p4, s, 2, 2, interner)
+        assert labs == local_labels(p4, s, 2, 2)
     assert sum(estimate_blocks(est)[0].values()) == pytest.approx(1.0)
