@@ -140,9 +140,7 @@ def layer_times(ds, k: int, h: int, local: bool, mode: str):
     times, window_labels, entries, nbytes = {}, [], 0, 0
     for layer, seconds, result in log:
         if layer == "window":
-            # la_step returns (values, labels), a refinement window labels
-            ids = result[1] if isinstance(result, tuple) else result
-            window_labels.append(len(np.unique(ids)))
+            window_labels.append(len(np.unique(result)))
             layer = f"window_{len(window_labels)}"
         elif layer == "neighbor_csr":
             entries = len(result[1])

@@ -30,8 +30,10 @@ are processed in bounded blocks of sets, and both run once over a whole
 dataset stacked by :func:`stack_graphs`.
 :func:`swap_levels` gives the sampling path the sets within h local swaps
 of a few sets, those within j swaps first, and the CSR of their swaps, in
-the same offset form.  Iso-type indices, like every label array, are
-int32: label ids stay below ``_ID_CAP`` = 2^31.
+the same offset form.  It and the sampler's memo deduplicate k-sets with
+one helper, :func:`_append_rows`, which keys a set by its base-n digits in
+one int64.  Iso-type indices, like every label array, are int32: label
+ids stay below ``_ID_CAP`` = 2^31.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from .graph import Graph
 from .interner import _check_cap
-from .ksets import _BLOCK_ITEMS, KSetIndex
+from .ksets import _BLOCK_ITEMS, _INT64_MAX, KSetIndex
 
 # Exact and linalg runs refuse graphs with more k-sets than this in total
 # unless overridden; the sampling estimators have no such limit.
@@ -127,7 +129,8 @@ def _raw_rows(g: Graph, sets: np.ndarray) -> np.ndarray:
     types."""
     m, k = sets.shape
     a, b = np.triu_indices(k, 1)
-    present, elabs = _edges_between(g, sets[:, a].ravel(), sets[:, b].ravel())
+    # search the larger member's row: in colex order it varies least
+    present, elabs = _edges_between(g, sets[:, b].ravel(), sets[:, a].ravel())
     return np.concatenate([node_words(g, k)[sets], present.reshape(m, len(a)),
                            elabs.reshape(m, len(a))], axis=1)
 
@@ -397,8 +400,32 @@ def _unique_rows(a: np.ndarray):
     return rows[starts], inverse, np.diff(starts, append=len(a))
 
 
+def _append_rows(rows: np.ndarray, new: np.ndarray, n: int):
+    """The distinct k-sets ``rows``, unchanged and first, then the rows of
+    ``new`` they lack, distinct and in colex order, and the position of
+    each row of ``new`` in that result; sets ascend, with ids below ``n``.
+    While n^k fits, a set's key is its base-n digits in one int64 (ascending
+    keys are colex order), else :func:`_unique_rows` sorts reversed rows."""
+    k = rows.shape[1]
+    keyed = int(n) ** k <= _INT64_MAX
+    if keyed:
+        powers = int(n) ** np.arange(k, dtype=np.int64)
+        distinct, inverse = np.unique(
+            np.concatenate([rows @ powers, new @ powers]), return_inverse=True)
+    else:   # colex order is the lexicographic order of reversed rows
+        distinct, inverse, _ = _unique_rows(
+            np.concatenate([rows, new])[:, ::-1])
+    position = np.full(len(distinct), -1)
+    position[inverse[:len(rows)]] = np.arange(len(rows))
+    added = position < 0
+    position[added] = np.arange(len(rows), len(distinct))
+    fresh = distinct[added]
+    fresh = fresh[:, None] // powers % n if keyed else fresh[:, ::-1]
+    return np.concatenate([rows, fresh]), position[inverse[len(rows):]]
+
+
 def swap_levels(g: Graph, sets: np.ndarray, radius: int):
-    """Breadth-first expansion of the distinct rows of ``sets`` over local
+    """Breadth-first expansion of the distinct rows ``sets`` over local
     swaps: the sets within ``radius`` swaps as one array ``rows``, whose
     first ``sizes[j]`` are those within j swaps (``sets`` first, in order),
     and the CSR (indptr, offsets) of the swaps of its first
@@ -406,7 +433,8 @@ def swap_levels(g: Graph, sets: np.ndarray, radius: int):
     A swap of row i is stored as the offset of its position in ``rows``
     from i, in the narrowest signed type that holds +-(len(rows) - 1), and
     the row pointer is int32 while the entry count fits.  Each level swaps
-    only its new rows and appends the sets they reach anew, ascending.
+    only its new rows and appends the sets they reach anew, in ascending
+    colex order (:func:`_append_rows`).
     """
     rows = np.asarray(sets, dtype=np.int64)
     k, sizes, expanded = rows.shape[1], [len(rows)], 0
@@ -423,16 +451,11 @@ def swap_levels(g: Graph, sets: np.ndarray, radius: int):
             left, right = swapped[:, c], swapped[:, c + 1]
             swapped[:, c], swapped[:, c + 1] = (np.minimum(left, right),
                                                 np.maximum(left, right))
-        distinct, inverse, _ = _unique_rows(np.concatenate([rows, swapped]))
-        position = np.full(len(distinct), -1)
-        position[inverse[:len(rows)]] = np.arange(len(rows))
-        fresh = position < 0
-        position[fresh] = np.arange(len(rows), len(distinct))
         degrees.append(k * np.bincount(owner, minlength=len(new)))
-        shifts.append(position[inverse[len(rows):]]
-                      - np.repeat(expanded + owner, k))
-        expanded = len(rows)
-        rows = np.concatenate([rows, distinct[fresh]])
+        first = len(rows)
+        rows, where = _append_rows(rows, swapped, g.num_vertices)
+        shifts.append(where - np.repeat(expanded + owner, k))
+        expanded = first
         sizes.append(len(rows))
     return (rows, sizes, _csr_indptr(np.concatenate(degrees)),
             np.concatenate(shifts).astype(_offset_dtype(len(rows) - 1)))

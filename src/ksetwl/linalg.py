@@ -56,14 +56,14 @@ def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def la_step(indptr: np.ndarray, offsets: np.ndarray, labels: np.ndarray):
     """One refinement step: value_i = H'(c_i) + sum of neighbor H(c_j)
-    (:func:`word_sums`), over ids below 2^31.  Returns the ``uint64`` value
-    vector and the dense int32 labels of its distinct values, ascending.
+    (:func:`word_sums`), over ids below 2^31.  Returns the dense int32
+    labels of the distinct values, ascending, as a refinement window
+    returns its labels.
     """
     if len(labels) != len(indptr) - 1:
         raise ParameterError("label vector length does not match adjacency")
     _check_ids(labels)
-    values = word_sums(indptr, offsets, labels)
-    return values, _dense_ranks(values)
+    return _dense_ranks(word_sums(indptr, offsets, labels))
 
 
 def word_sums(indptr: np.ndarray, offsets: np.ndarray,

@@ -104,8 +104,7 @@ def la_kset_run(graphs, k: int, h: int, local: bool = True,
     Returns what :func:`exact_kset_run` returns.  At k = 1 with local swaps
     this is 1-WL.
     """
-    return _refinement_run(graphs, k, h, local, max_sets,
-                           lambda *step: la_step(*step)[1])
+    return _refinement_run(graphs, k, h, local, max_sets, la_step)
 
 
 def features_from_label_arrays(labels, counts) -> Features:

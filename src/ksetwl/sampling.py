@@ -9,13 +9,17 @@ below the requested error.  Both fill one label-count array per iteration.
 Both rely on locality: the label a k-set receives after i iterations
 depends only on the sets within i local swaps of it.  A sampled label is a
 64-bit content word, a pure function of what it labels, so every batch,
-round and graph labels alike without a shared table.  A batch of samples
-is labeled on the full graph from the sets within h swaps of it, those
-within j swaps first, and their swap CSR (:func:`ksetwl.kwl.swap_levels`):
-iteration 0 folds each set's canonical iso row into a word
-(:func:`_iso_words`), and each later iteration is the linear-algebra sum
-of words (:func:`ksetwl.linalg.word_sums`) over an ever shorter prefix.
-Labeling one sample costs a function of degree bound, k, and h only,
+round and graph labels alike without a shared table.  Each estimate keeps
+one append-only table of the distinct sets drawn so far and their words; a
+round keys its draw against it by base-n digits
+(:func:`ksetwl.kwl._append_rows`, the dedupe of the swap levels too) and
+labels only the sets it adds.  Those are labeled on the full graph from
+the sets within h swaps of them, those within j swaps first, and their
+swap CSR (:func:`ksetwl.kwl.swap_levels`): iteration 0 folds each set's
+canonical iso row into a word (:func:`_iso_words`), and each later
+iteration is the linear-algebra sum of words
+(:func:`ksetwl.linalg.word_sums`) over an ever shorter prefix.  Labeling
+one sample costs a function of degree bound, k, and h only,
 independent of graph size.
 """
 
@@ -29,8 +33,8 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .graph import Graph
-from .ksets import _INT64_MAX, check_order
-from .kwl import _unique_rows, iso_keys, swap_levels
+from .ksets import check_order
+from .kwl import _append_rows, iso_keys, swap_levels
 from .linalg import _mix, word_sums
 
 DEFAULT_MAX_TOTAL_SAMPLES = 10_000_000
@@ -209,55 +213,22 @@ class SampledEstimate:
     rounds: list = field(default_factory=list)
 
 
-@dataclass
-class _SampleLabeler:
-    """Draws sample batches and memoizes word tuples per sampled vertex
-    tuple."""
-
-    g: Graph
-    k: int
-    h: int
-    cache: dict = field(default_factory=dict)
-
-    def draw_counts(self, size: int, rng) -> tuple[list, list]:
-        """Distinct drawn k-sets as vertex tuples in colex order (ascending
-        colex rank) and how often each was drawn."""
-        n = self.g.num_vertices
-        sets = _draw_batch(n, self.k, size, rng)
-        if n ** self.k <= _INT64_MAX:   # base-n keys sort in colex order
-            powers = n ** np.arange(self.k, dtype=np.int64)
-            keys, counts = np.unique(sets @ powers, return_counts=True)
-            uniq = keys[:, None] // powers % n
-        else:   # colex order is the lexicographic order of reversed rows
-            uniq, _, counts = _unique_rows(sets[:, ::-1])
-            uniq = uniq[:, ::-1]
-        return list(map(tuple, uniq.tolist())), counts.tolist()
-
-    def labels_for(self, sets: list) -> np.ndarray:
-        """The words of every set, one row each; new sets are labeled as one
-        batch."""
-        new = [s for s in sets if s not in self.cache]
-        if new:
-            labeled = _label_sets(self.g, np.asarray(new), self.h)
-            self.cache.update(zip(new, map(tuple, labeled.tolist())))
-        rows = itertools.chain.from_iterable(self.cache[s] for s in sets)
-        return np.fromiter(rows, np.uint64).reshape(len(sets), self.h + 1)
-
-
-def _sample(g: Graph, k: int, h: int, rng, cache,
-            batches, max_total_samples: int, epsilon: float | None = None,
-            delta: float = 0.0) -> SampledEstimate:
+def _sample(g: Graph, k: int, h: int, rng, batches, max_total_samples: int,
+            epsilon: float | None = None, delta: float = 0.0) -> SampledEstimate:
     """Draw ``batches`` in turn into one :class:`RademacherState`: only the
     first without ``epsilon``; with it, until the deviation bound at
     delta * 2^-(i+1) after round i is at most ``epsilon``.  A round whose
     delta is 0.0, beyond ``max_total_samples`` in total, or too large for
-    one numpy array is refused before it is drawn."""
+    one numpy array is refused before it is drawn.  Each round appends its
+    draw to one table of the distinct sets drawn so far and their words,
+    labels only the sets it adds, and observes the words it drew."""
     if h < 0:
         raise ParameterError("iteration count h must be nonnegative")
     check_order(k)
     if g.num_vertices < k:
         return SampledEstimate(RademacherState(h).masses(), 0)
-    labeler = _SampleLabeler(g, k, h, {} if cache is None else cache)
+    rows = np.empty((0, k), dtype=np.int64)
+    words = np.empty((0, h + 1), dtype=np.uint64)
     state = RademacherState(iterations=h)
     rounds, bound = [], math.inf
     for i, batch in enumerate(batches):
@@ -277,8 +248,13 @@ def _sample(g: Graph, k: int, h: int, rng, cache,
             raise ResourceLimitError(
                 f"a batch of {batch} {k}-sets is beyond any array numpy can "
                 f"allocate; lower the sample count or the cap")
-        sets, counts = labeler.draw_counts(batch, rng)
-        state.observe(labeler.labels_for(sets), counts)
+        labeled = len(rows)
+        rows, where = _append_rows(
+            rows, _draw_batch(g.num_vertices, k, batch, rng), g.num_vertices)
+        if len(rows) > labeled:   # label only the sets this round added
+            words = np.concatenate([words, _label_sets(g, rows[labeled:], h)])
+        drawn, counts = np.unique(where, return_counts=True)
+        state.observe(words[drawn], counts)
         if epsilon is None:
             break
         bound = massart_deviation_bound(state, round_delta)
@@ -291,13 +267,13 @@ def _sample(g: Graph, k: int, h: int, rng, cache,
 
 def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
                             rng: np.random.Generator,
-                            cache: dict | None = None,
                             max_total_samples: int = DEFAULT_MAX_TOTAL_SAMPLES
                             ) -> SampledEstimate:
     """Uniform fixed-size estimator of the per-iteration normalized features.
 
     Each sample adds 1/sample_count to the bucket of its label at every
-    iteration 0..h, so every block's masses sum to one.  Graphs with fewer
+    iteration 0..h, so every block's masses sum to one.  Each distinct set
+    drawn is labeled once, however often it is drawn.  Graphs with fewer
     than k vertices yield the all-zero estimate of 0 samples; every other
     run draws at least one.  A count above ``max_total_samples`` is refused
     before anything is drawn.
@@ -309,27 +285,26 @@ def estimate_features_fixed(g: Graph, k: int, h: int, sample_count: int,
             f"fixed-size sampling would draw {sample_count} samples, above "
             f"the cap of {max_total_samples}; raise the cap or lower the "
             f"sample count")
-    return _sample(g, k, h, rng, cache, [sample_count],
-                   max_total_samples)
+    return _sample(g, k, h, rng, [sample_count], max_total_samples)
 
 
 def estimate_features_adaptive(g: Graph, k: int, h: int, epsilon: float,
                                delta: float, rng: np.random.Generator,
-                               max_total_samples: int = DEFAULT_MAX_TOTAL_SAMPLES,
-                               cache: dict | None = None) -> SampledEstimate:
+                               max_total_samples: int = DEFAULT_MAX_TOTAL_SAMPLES
+                               ) -> SampledEstimate:
     """Adaptive estimator: sample in doubling rounds until the deviation
     bound (:func:`massart_deviation_bound`) drops to ``epsilon``.
 
     Round i draws 100 * 2^i fresh samples and tests the bound at
     delta / 2^(i+1).  These deltas sum to less than ``delta``, so by a
     union bound over the rounds the estimate's sup deviation is at most
-    ``epsilon`` with probability at least 1 - delta.  The sample cap stops
-    an unreachably small epsilon.
+    ``epsilon`` with probability at least 1 - delta.  The rounds share one
+    memo, so a set drawn in several rounds is labeled once.  The sample cap
+    stops an unreachably small epsilon.
     """
     _check_probability("epsilon", epsilon, upper_inclusive=True)
     _check_probability("delta", delta, upper_inclusive=False)
-    return _sample(g, k, h, rng, cache,
-                   (100 << i for i in itertools.count()),
+    return _sample(g, k, h, rng, (100 << i for i in itertools.count()),
                    max_total_samples, epsilon, delta)
 
 

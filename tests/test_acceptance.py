@@ -142,15 +142,13 @@ def test_c04_adaptive_estimates_on_mutag(mutag):
     exact = [[{word: count / len(it[rows]) for word, count in
                histogram(it[rows]).items()} for it in words]
              for rows in graph_slices(counts)]
-    caches = [dict() for _ in graphs]
     total = 0
     failures = 0
     for seed in range(seeds):
         for gi, g in enumerate(graphs):
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([7700 + seed, gi])))
-            est = estimate_features_adaptive(
-                g, k, h, eps, delta, rng, cache=caches[gi])
+            est = estimate_features_adaptive(g, k, h, eps, delta, rng)
             exact_block = exact[gi][h]
             est_block = estimate_blocks(est)[h]
             sup = max(abs(exact_block.get(lab, 0.0) - est_block.get(lab, 0.0))
@@ -198,7 +196,7 @@ def test_c05_constant_per_sample_cost(monkeypatch):
         for _ in range(3):
             labeled.clear()
             t0 = time.perf_counter()
-            estimate_features_fixed(g, 2, 2, 1000, make_rng(2), cache={})
+            estimate_features_fixed(g, 2, 2, 1000, make_rng(2))
             seconds.append(time.perf_counter() - t0)
         sets[n] = sum(labeled)
         per_set[n] = min(seconds) / sets[n]

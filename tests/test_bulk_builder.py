@@ -23,7 +23,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ksetwl import KSetIndex, build_graph, gram_matrix, la_kset_run
 from ksetwl.interner import number_window
-from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, _swap_table,
+from ksetwl.kwl import (DEFAULT_MAX_SETS, _append_rows, _neighbor_csr,
+                        _swap_table,
                         _unique_rows, iso_code, iso_keys, stack_graphs,
                         stacked_sets, swap_levels)
 from ksetwl.pipeline import exact_kset_run, kset_front_end
@@ -614,3 +615,55 @@ def test_unique_rows_match_numpy(a):
 def test_unique_rows_of_empty_single_and_equal_rows(k, m):
     for value in (0, I64.min, I64.max):
         assert_unique_rows_like_numpy(np.full((m, k), value, dtype=np.int64))
+
+
+# n = 200,000 at k = 4 (as ``long_path``): n^k passes 2^63, so no int64
+# base-n key holds a set
+WIDE_N = 200_000
+
+
+@st.composite
+def kset_tables(draw):
+    """(rows, new, n): distinct k-sets ``rows`` in any order and k-sets
+    ``new`` that repeat each other and ``rows``, over n vertices, small or
+    ``WIDE_N`` at k = 4."""
+    k = draw(st.integers(1, 4))
+    n = WIDE_N if k == 4 and draw(st.booleans()) else draw(st.integers(k, 9))
+    pool = draw(st.sets(st.integers(0, n - 1), min_size=k,
+                        max_size=min(n, 7)))
+    every = list(combinations(sorted(pool), k))
+    rows = draw(st.lists(st.sampled_from(every), max_size=8, unique=True))
+    new = draw(st.lists(st.sampled_from(every), max_size=20))
+    return (np.array(rows, dtype=np.int64).reshape(-1, k),
+            np.array(new, dtype=np.int64).reshape(-1, k), n)
+
+
+def no_rows(k):
+    return np.empty((0, k), dtype=np.int64)
+
+
+@given(kset_tables())
+@settings(max_examples=300, deadline=None)
+@example((no_rows(4), no_rows(4), WIDE_N))
+@example((no_rows(2), no_rows(2), 5))
+@example((no_rows(4), np.array([[0, 1, 2, WIDE_N - 1]] * 3), WIDE_N))
+@example((np.array([[1, 3], [0, 4]]), no_rows(2), 5))
+@example((np.array([[1, 3], [0, 4]]), np.array([[2, 3], [0, 4], [2, 3],
+                                                [0, 1]]), 5))
+@example((np.array([[WIDE_N - 4, WIDE_N - 3, WIDE_N - 2, WIDE_N - 1]]),
+          np.array([[0, 1, 2, WIDE_N - 1], [WIDE_N - 4, WIDE_N - 3,
+                                            WIDE_N - 2, WIDE_N - 1]]),
+          WIDE_N))
+def test_append_rows_keeps_rows_and_adds_the_missing_sets_in_colex_order(
+        table):
+    rows, new, n = table
+    result, where = _append_rows(rows, new, n)
+    assert result.dtype == np.int64 and result.shape[1] == rows.shape[1]
+    assert np.array_equal(result[:len(rows)], rows)
+    # colex order is the lexicographic order of reversed rows
+    kept = set(map(tuple, rows.tolist()))
+    want = [t for t in map(tuple, _unique_rows(new[:, ::-1])[0][:, ::-1]
+                           .tolist()) if t not in kept]
+    assert list(map(tuple, result[len(rows):].tolist())) == want
+    assert where.shape == (len(new),) and np.array_equal(result[where], new)
+

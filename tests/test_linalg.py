@@ -44,7 +44,8 @@ def test_label_words_known_answers():
 def test_la_step_on_uniform_path(p3):
     labels = np.zeros(3, dtype=np.int64)
     offsets = row_offsets(p3.indptr, p3.indices)
-    values, regrouped = la_step(p3.indptr, offsets, labels)
+    values = word_sums(p3.indptr, offsets, labels)
+    regrouped = la_step(p3.indptr, offsets, labels)
     assert [int(v) for v in values] == [
         (own_word(0) + k * H(0)) & MASK for k in (1, 2, 1)]
     assert regrouped[0] == regrouped[2] != regrouped[1]
@@ -53,16 +54,19 @@ def test_la_step_on_uniform_path(p3):
 def test_la_step_isolated_vertex():
     g = build_graph(2, [])
     labels = np.array([0, 1], dtype=np.int64)
-    values, _ = la_step(g.indptr, row_offsets(g.indptr, g.indices), labels)
+    offsets = row_offsets(g.indptr, g.indices)
+    values = word_sums(g.indptr, offsets, labels)
     assert [int(v) for v in values] == [own_word(0), own_word(1)]
+    # the labels rank the values: H'(1) < H'(0)
+    assert la_step(g.indptr, offsets, labels).tolist() == [1, 0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_word_sums_take_any_64_bit_words(data):
     # rows are a prefix of the labeled items; words span all 64 bits, so
-    # an own word's + 2^32 and every sum wrap; la_step's values are the
-    # same sums over its ids
+    # an own word's + 2^32 and every sum wrap; la_step ranks the same sums
+    # over its ids
     items = data.draw(st.integers(1, 8))
     rows = data.draw(st.integers(0, items))
     words = data.draw(st.lists(st.integers(0, MASK) | st.integers(
@@ -77,8 +81,9 @@ def test_word_sums_take_any_64_bit_words(data):
         for i in range(rows)]
     if rows == items:
         ids = np.array(words) % 5
-        values, _ = la_step(indptr, offsets, ids)
-        assert np.array_equal(values, word_sums(indptr, offsets, ids))
+        values = word_sums(indptr, offsets, ids)
+        ranks = np.unique(values, return_inverse=True)[1]
+        assert np.array_equal(la_step(indptr, offsets, ids), ranks)
 
 
 def test_iso_words_fold_each_row_through_splitmix64():
@@ -103,7 +108,7 @@ def test_paper_mode_merges_symmetric_sum():
     values, merged = paper_sum_step(g.indptr, g.indices, labels)
     assert values[0] == values[1]
     assert merged[0] == merged[1]
-    _, kept = la_step(g.indptr, row_offsets(g.indptr, g.indices), labels)
+    kept = la_step(g.indptr, row_offsets(g.indptr, g.indices), labels)
     assert kept[0] != kept[1]
 
 
@@ -133,9 +138,10 @@ def csr_rows(draw):
 @given(csr_rows())
 def test_la_step_ignores_column_order_within_rows(csr):
     indptr, indices, shuffled, labels = csr
-    values, regrouped = la_step(indptr, row_offsets(indptr, indices), labels)
-    values_shuffled, regrouped_shuffled = la_step(
-        indptr, row_offsets(indptr, shuffled), labels)
+    offsets = [row_offsets(indptr, c) for c in (indices, shuffled)]
+    values, values_shuffled = (word_sums(indptr, o, labels) for o in offsets)
+    regrouped, regrouped_shuffled = (la_step(indptr, o, labels)
+                                     for o in offsets)
     assert np.array_equal(values, values_shuffled)
     assert np.array_equal(regrouped, regrouped_shuffled)
 

@@ -11,11 +11,11 @@ from ksetwl import (ParameterError, RademacherState, ResourceLimitError,
                     exact_kset_run, hoeffding_sample_size,
                     hoeffding_sample_size_dataset, make_rng,
                     massart_deviation_bound, observed_label_count)
-from ksetwl.kwl import swap_levels
-from ksetwl.sampling import (_draw_batch, _label_sets, _rademacher_bound,
-                             _SampleLabeler)
+from ksetwl import kwl, sampling
+from ksetwl.kwl import _append_rows, swap_levels
+from ksetwl.sampling import _draw_batch, _label_sets, _rademacher_bound
 
-from conftest import label_groups, random_graph
+from conftest import label_groups, random_graph, scripts
 from reference import (estimate_blocks, exact_word_run, histogram,
                        interned_exact_run, iso_type, local_labels, rank,
                        sample_kset_uniform)
@@ -75,15 +75,16 @@ def test_sample_size_frozen_values():
                          [(8, 2, 500, 1), (1000, 3, 300, 2), (6, 4, 200, 3),
                           (50, 2, 1, 4), (200_000, 4, 300, 5)])
 def test_draw_counts_match_the_np_unique_formula(n, k, size, seed):
-    # n^k beyond int64 (the last case) takes the row-sort path
-    g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    got = _SampleLabeler(g, k, 1).draw_counts(
-        size, make_rng(seed))
-    uniq, counts = np.unique(_draw_batch(n, k, size, make_rng(seed)), axis=0,
-                             return_counts=True)
+    # a draw appended to an empty memo table gives its distinct sets in
+    # colex order, and their positions count the draws; n^k beyond int64
+    # (the last case) takes the row-sort path
+    drawn = _draw_batch(n, k, size, make_rng(seed))
+    rows, where = _append_rows(np.empty((0, k), dtype=np.int64), drawn, n)
+    uniq, counts = np.unique(drawn, axis=0, return_counts=True)
     order = np.lexsort(uniq.T)
-    assert got == (list(map(tuple, uniq[order].tolist())),
-                   counts[order].tolist())
+    assert np.array_equal(rows, uniq[order])
+    assert np.array_equal(np.bincount(where, minlength=len(rows)),
+                          counts[order])
 
 
 def test_sample_size_monotone_in_gamma():
@@ -299,9 +300,10 @@ def test_fixed_estimate_equals_the_per_set_count_oracle(mutag):
     # counts over the sample size, in ascending label order
     g = mutag.graphs[3]
     est = estimate_features_fixed(g, 2, 3, 700, make_rng(11))
-    sets, counts = _SampleLabeler(g, 2, 3).draw_counts(700, make_rng(11))
+    sets, counts = np.unique(_draw_batch(g.num_vertices, 2, 700, make_rng(11)),
+                             axis=0, return_counts=True)
     want = [{} for _ in range(4)]
-    for s, c in zip(sets, counts):
+    for s, c in zip(sets.tolist(), counts.tolist()):
         for it, lab in enumerate(local_labels(g, s, 2, 3)):
             want[it][lab] = want[it].get(lab, 0) + c
     assert est.sample_count == 700 and est.rounds == []
@@ -604,17 +606,61 @@ def test_seed_controls_the_run(tri):
 
 
 def test_fixed_estimate_beyond_64_bit_ranks(long_path):
-    # the memo is keyed by vertex tuple, so no rank table is ever built
+    # n^k passes 2^63, so the memo sorts rows instead of int64 keys, and no
+    # rank table is ever built
     est = estimate_features_fixed(long_path, 4, 1, 30, make_rng(0))
     assert est.sample_count == 30
     for blk in estimate_blocks(est):
         assert abs(sum(blk.values()) - 1.0) <= 1e-9
 
 
-def test_memo_holds_drawn_sets_as_sorted_tuples(p4):
-    cache = {}
-    est = estimate_features_fixed(p4, 2, 2, 200, make_rng(8), cache=cache)
-    assert sorted(cache) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for s, labs in cache.items():
-        assert labs == local_labels(p4, s, 2, 2)
-    assert sum(estimate_blocks(est)[0].values()) == pytest.approx(1.0)
+def test_adaptive_rounds_label_each_drawn_set_once(monkeypatch, mutag):
+    # one memo table serves every round: each distinct set drawn in any
+    # round is labeled exactly once, with its own words
+    g, labeled = mutag.graphs[3], []
+
+    def recorded(g, sets, h):
+        words = _label_sets(g, sets, h)
+        labeled.extend(zip(map(tuple, sets.tolist()),
+                           map(tuple, words.tolist())))
+        return words
+
+    monkeypatch.setattr(sampling, "_label_sets", recorded)
+    est = estimate_features_adaptive(g, 2, 2, 0.05, 0.1, make_rng(4))
+    assert len(est.rounds) >= 4
+    rng, drawn = make_rng(4), set()
+    for r in est.rounds:   # the estimator's draws, replayed
+        batch = _draw_batch(g.num_vertices, 2, r["batch"], rng)
+        drawn |= set(map(tuple, batch.tolist()))
+    sets = [s for s, _ in labeled]
+    assert len(sets) == len(set(sets)) and set(sets) == drawn
+    for s, words in labeled:
+        assert words == local_labels(g, s, 2, 2)
+
+
+def test_sampler_times_script_times_every_layer(capsys):
+    script = scripts("sampler_times")
+    assert script.main(["--sizes", "1000", "--samples", "40", "--repeats",
+                        "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    layers = ["estimate", "draw", "swap_levels", "iso_keys", "word_sums",
+              "other", "bound"]
+    assert lines[1] == "n=1000" and [line.split("  ")[1] for line in
+                                     lines[2:]] == [
+        *layers, "samples", "drawn_sets", "labeled_sets", "ms_per_sample",
+        "ms_per_labeled_set"]
+    figures = {name: float(value) for value, name in
+               (line.split("  ") for line in lines[2:])}
+    assert all(figures[layer] >= 0 for layer in layers)
+    # the estimate's draws, each distinct set labeled once with the sets
+    # within 2 swaps of it
+    g = script.regular_graph(1000, 0)
+    drawn = np.unique(_draw_batch(1000, 2, 40, make_rng(0)), axis=0)
+    assert figures["samples"] == 40 and figures["drawn_sets"] == len(drawn)
+    assert figures["labeled_sets"] == len(swap_levels(g, drawn, 2)[0])
+    assert np.diff(g.indptr).tolist() == [3] * 1000
+    assert figures["ms_per_sample"] > 0 and figures["ms_per_labeled_set"] > 0
+    # every wrapped name is restored
+    assert sampling.swap_levels is kwl.swap_levels
+    assert sampling.iso_keys is kwl.iso_keys
+
