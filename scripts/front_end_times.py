@@ -10,16 +10,17 @@ Runs ``pipeline.exact_kset_run`` (or ``pipeline.la_kset_run`` with
 temporary directory) of the checkout this script belongs to (its
 ``src/``) on a TU dataset, the bundled MUTAG by default, ``--repeats``
 times in this process.  The front end's stacked set array, its iso keys,
-its neighbor CSR and every refinement window (``la_step`` in linalg runs)
-are timed by wrapping the names ``pipeline`` calls them by; a missing
-name raises instead of going unmeasured.  Prints one ``<median seconds>
-<layer>`` line per layer (``sets``, ``iso_keys``, ``neighbor_csr``,
-``window_1`` .. ``window_h``, ``features``, ``gram``, ``write`` and
-``total``, the run plus features plus gram plus write), then the CSR's
-entry count and its size in MB (row pointer plus offsets).  One more
-run, untimed, under tracemalloc, gives the run's peak in MB
-(``traced_peak_mb``) and each layer's peak above what was allocated
-when it was entered (``<layer>_peak_mb``).  Then come one
+its neighbor CSR and every refinement window (in linalg runs, one
+``word_sums`` and the ``_dense_ranks`` of its words) are timed by wrapping
+the names ``pipeline`` calls them by; a missing name raises instead of
+going unmeasured.  Prints one ``<median seconds> <layer>`` line per layer
+(``sets``, ``iso_keys``, ``neighbor_csr``, ``window_1`` .. ``window_h``,
+``features``, ``gram``, ``write`` and ``total``, the run plus features
+plus gram plus write), then the CSR's entry count and its size in MB (row
+pointer plus offsets).  One more run, untimed, under tracemalloc, gives
+the run's peak in MB (``traced_peak_mb``) and each layer's peak above
+what was allocated when it was entered (``<layer>_peak_mb``; a linalg
+window's from its ``word_sums`` to its ``_dense_ranks``).  Then come one
 ``<count>  window_<i>_labels`` line per window, the distinct labels its
 step issued, and, in exact runs, one ``<count>  window_<i>_largest_table``
 line per window: the most distinct keys one ``number_window`` call of
@@ -54,8 +55,10 @@ MUTAG = os.path.join(ROOT, "data", "MUTAG")
 # layer name -> the name pipeline calls it by
 WRAPPED = {"sets": "stacked_sets", "iso_keys": "iso_keys",
            "neighbor_csr": "_neighbor_csr"}
-# mode -> the name pipeline calls its refinement window by
-WINDOWS = {"exact": "refine_coloring_window", "linalg": "la_step"}
+# mode -> the names pipeline calls one refinement window by, in call
+# order; the last one returns the window's labels
+WINDOWS = {"exact": ["refine_coloring_window"],
+           "linalg": ["word_sums", "_dense_ranks"]}
 MB = 1 << 20
 
 
@@ -82,16 +85,23 @@ def _timed(layer, log):
     return hook
 
 
-def _above_entry(layer, log):
+def _above_entry(layer, log, enter=True, leave=True):
     """A hook that records (layer, bytes) in ``log``: the tracemalloc peak
-    of the call above what was allocated when it was entered.  The peak so
-    far is recorded as (None, bytes) before the call resets it."""
+    from the last entry to the call's return above what was allocated at
+    that entry.  A call enters with ``enter``: it records the peak so far as
+    (None, bytes) and what is allocated as ("entry", bytes), and resets the
+    peak.  Without ``leave`` a call records nothing on return, so a layer
+    of several calls enters at its first and leaves at its last."""
     def hook(original, *args, **kwargs):
-        log.append((None, tracemalloc.get_traced_memory()[1]))
-        tracemalloc.reset_peak()
-        entry = tracemalloc.get_traced_memory()[0]
+        if enter:
+            log.append((None, tracemalloc.get_traced_memory()[1]))
+            tracemalloc.reset_peak()
+            log.append(("entry", tracemalloc.get_traced_memory()[0]))
         result = original(*args, **kwargs)
-        log.append((layer, tracemalloc.get_traced_memory()[1] - entry))
+        if leave:
+            entry = next(size for name, size in reversed(log)
+                         if name == "entry")
+            log.append((layer, tracemalloc.get_traced_memory()[1] - entry))
         return result
     return hook
 
@@ -124,9 +134,11 @@ def layer_times(ds, k: int, h: int, local: bool, mode: str):
     """One timed run on the dataset ``ds``: the seconds of each layer, the
     CSR's entry count and bytes (0 when h = 0 builds no CSR), the gram and
     the distinct label count of each window."""
-    graphs, log = ds.graphs, []
+    graphs, log, parts = ds.graphs, [], WINDOWS[mode]
     with contextlib.ExitStack() as stack:
-        for layer, name in [*WRAPPED.items(), ("window", WINDOWS[mode])]:
+        # the calls before a window's last are logged as layer None
+        for layer, name in [*WRAPPED.items(), *((None, n) for n in parts[:-1]),
+                            ("window", parts[-1])]:
             stack.enter_context(_wrapped(name, _timed(layer, log)))
         start = time.perf_counter()
         labels, counts = run(graphs, k, h, local, mode)
@@ -137,9 +149,13 @@ def layer_times(ds, k: int, h: int, local: bool, mode: str):
     grammed = time.perf_counter()
     write(gram, ds.class_labels)
     end = time.perf_counter()
-    times, window_labels, entries, nbytes = {}, [], 0, 0
+    times, window_labels, entries, nbytes, before = {}, [], 0, 0, 0.0
     for layer, seconds, result in log:
+        if layer is None:
+            before += seconds
+            continue
         if layer == "window":
+            seconds, before = seconds + before, 0.0
             window_labels.append(len(np.unique(result)))
             layer = f"window_{len(window_labels)}"
         elif layer == "neighbor_csr":
@@ -156,12 +172,15 @@ def traced_peaks(ds, k: int, h: int, local: bool, mode: str):
     their write under tracemalloc: the peak in bytes, each layer's peak
     above entry by layer name, and the largest table of each window of an
     exact run."""
-    graphs, log = ds.graphs, []
+    graphs, log, parts = ds.graphs, [], WINDOWS[mode]
     tracemalloc.start()
     try:
         with contextlib.ExitStack() as stack:
-            for layer, name in [*WRAPPED.items(), ("window", WINDOWS[mode])]:
+            for layer, name in WRAPPED.items():
                 stack.enter_context(_wrapped(name, _above_entry(layer, log)))
+            for name in parts:
+                stack.enter_context(_wrapped(name, _above_entry(
+                    "window", log, name == parts[0], name == parts[-1])))
             stack.enter_context(_wrapped("number_window", _tables(log),
                                          interner))
             labels, counts = run(graphs, k, h, local, mode)
@@ -179,7 +198,7 @@ def traced_peaks(ds, k: int, h: int, local: bool, mode: str):
         elif layer == "window":
             tables.append(largest)
             peaks[f"window_{len(tables)}"], largest = size, 0
-        elif layer is not None:
+        elif layer not in (None, "entry"):
             peaks[layer] = size
     return max(size for layer, size in log if layer is None), peaks, (
         tables if mode == "exact" else [])

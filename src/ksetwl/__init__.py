@@ -13,7 +13,6 @@ from .features import (Features, cosine_normalize_gram, gram_matrix,
                        l1_normalize)
 from .graph import Dataset, Graph, build_graph
 from .ksets import KSetIndex
-from .linalg import la_step
 from .pipeline import exact_kset_run, la_kset_run
 from .sampling import (SampledEstimate, estimate_features_adaptive,
                        estimate_features_fixed, hoeffding_sample_size,
@@ -30,7 +29,7 @@ __all__ = [
     "cosine_normalize_gram", "estimate_features_adaptive",
     "estimate_features_fixed", "exact_kset_run", "gram_matrix",
     "hoeffding_sample_size", "hoeffding_sample_size_dataset", "l1_normalize",
-    "la_kset_run", "la_step", "make_rng", "massart_deviation_bound",
+    "la_kset_run", "make_rng", "massart_deviation_bound",
     "observed_label_count", "parse_tu_dataset", "write_features_sparse",
     "write_gram_csv", "write_gram_libsvm",
 ]

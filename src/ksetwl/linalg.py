@@ -1,30 +1,30 @@
-"""Refinement via sparse sums of 64-bit label words.
+"""Refinement via sparse sums of 64-bit content words.
 
-Each label id i is mapped to a fixed word H(i) = splitmix64(i), and to a
-second word H'(i) = splitmix64(i + 2^32) for an item's own label.  An
-item's next value is H'(own) plus the sum of H over its (out-)neighbors in
-``uint64``, which wraps mod 2^64, so sums are exact and do not depend on
-the order of a row.  Ranking the distinct values (one argsort) recovers
-the refined partition.  The same step applies to vertex
-adjacency (1-WL) and to the directed k-set graph (local and global k-set
-refinement).
+A word is a ``uint64`` label that depends only on what it labels.
+Iteration 0 folds each canonical iso row into a word (:func:`_iso_words`).
+An item's next word is H'(own) plus the sum of H over its
+(out-)neighbors' words, with H(w) = splitmix64(w) and H'(w) =
+splitmix64(w + 2^32), in ``uint64``, which wraps mod 2^64, so sums are
+exact and do not depend on the order of a row (:func:`word_sums`).  The
+same step applies to vertex adjacency (1-WL) and to the directed k-set
+graph (local and global k-set refinement).  Linalg runs number each
+iteration's distinct words densely in ascending order (one argsort,
+:func:`_dense_ranks`) to give its int32 labels; the sampler keeps the
+words themselves.
 
-Ids are below 2^31, so no id's own word is a neighbor word (splitmix64 is
-a bijection), and the own label needs no separate sort key: a labeled
-edge x--y gives its endpoints H'(x) + H(y) and H'(y) + H(x).  Two items
-with different own labels or neighbor multisets get the same value only
-when the difference of their words cancels mod 2^64; README states that
-heuristic rate.  The sampler takes the same sum (:func:`word_sums`) over
-64-bit content words in place of ids and keeps the sums themselves as
-labels, so there an own word is not kept apart from neighbor words.
+H' keeps the own word out of the symmetric sum: a labeled edge x--y gives
+its endpoints H'(x) + H(y) and H'(y) + H(x), where a bare sum gives both
+H(x) + H(y).  Two items with different own words or neighbor multisets get
+the same word only when the difference of their words cancels mod 2^64,
+or when an own word stands in for a neighbor word 2^32 above it (H'(w) =
+H(w + 2^32)); README states these heuristic rates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
-from .interner import _check_cap, _check_ids, _row_blocks
+from .interner import _check_cap, _row_blocks
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
@@ -44,6 +44,17 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _iso_words(codes: np.ndarray) -> np.ndarray:
+    """The ``uint64`` word of each canonical row of ``codes``
+    (:func:`ksetwl.kwl.iso_keys`): splitmix64 folded over its columns,
+    w = splitmix64(w + column) from w = 0."""
+    words = np.zeros(len(codes), dtype=np.uint64)
+    for column in codes.view(np.uint64).T:
+        words += column
+        _mix(words)
+    return words
+
+
 def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per-row sums of an already-gathered ``uint64`` array (CSR layout),
     mod 2^64; an empty row sums to 0."""
@@ -54,41 +65,30 @@ def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def la_step(indptr: np.ndarray, offsets: np.ndarray, labels: np.ndarray):
-    """One refinement step: value_i = H'(c_i) + sum of neighbor H(c_j)
-    (:func:`word_sums`), over ids below 2^31.  Returns the dense int32
-    labels of the distinct values, ascending, as a refinement window
-    returns its labels.
-    """
-    if len(labels) != len(indptr) - 1:
-        raise ParameterError("label vector length does not match adjacency")
-    _check_ids(labels)
-    return _dense_ranks(word_sums(indptr, offsets, labels))
-
-
 def word_sums(indptr: np.ndarray, offsets: np.ndarray,
-              labels: np.ndarray) -> np.ndarray:
+              words: np.ndarray) -> np.ndarray:
     """H'(own) + the sum of H over the (out-)neighbors of each row of a
-    CSR, mod 2^64, as ``uint64``: H(x) = splitmix64(x) and H'(x) =
-    splitmix64(x + 2^32), over the nonnegative integer labels of an item
-    list whose first items are the rows, read as ``uint64``.  Entry e of
-    row i is the item i + ``offsets[e]``.  Neighbor words are gathered and
-    summed in row blocks of at most ``_KEY_BLOCK_ENTRIES`` entries, as a
-    refinement window builds its keys.
+    CSR, mod 2^64, as ``uint64``: H(w) = splitmix64(w) and H'(w) =
+    splitmix64(w + 2^32), over the ``uint64`` words of an item list whose
+    first items are the rows.  Entry e of row i is the item i +
+    ``offsets[e]``.  The call consumes ``words``: it takes the own sums,
+    then mixes ``words`` into H in place, so no second array of all words
+    is made.  Neighbor words are gathered and summed in row blocks of at
+    most ``_KEY_BLOCK_ENTRIES`` entries, as a refinement window builds its
+    keys.
     """
-    words = splitmix64(labels)
-    values = np.array(labels[:len(indptr) - 1], dtype=np.uint64)
-    values += 1 << 32
+    values = words[:len(indptr) - 1] + (1 << 32)
     _mix(values)
+    _mix(words)
     for a, b, bounds, _, columns in _row_blocks(indptr, offsets):
         values[a:b] += _row_sums(bounds, words[columns])
-    del words
     return values
 
 
 def _dense_ranks(values: np.ndarray) -> np.ndarray:
     """The rank of each value among the distinct ``values``, ascending, as
-    int32: ``np.unique``'s inverse, without its copies of the input."""
+    int32: ``np.unique``'s inverse, without its copies of the input.  More
+    than ``_ID_CAP`` distinct values are refused."""
     order = np.argsort(values)
     new = np.ones(len(values), dtype=bool)
     ordered = values[order]

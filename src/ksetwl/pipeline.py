@@ -1,17 +1,18 @@
 """Dataset-level runs: exact, linear-algebra, and sampled feature pipelines.
 
 Exact and linear-algebra runs build their k-sets, iso types and swap
-neighborhoods once over the block-diagonal stack of all graphs, and one
-loop advances all graphs in lockstep: iteration 0 is the iso types, each
-later iteration one step over the stacked k-set graph, either a window
-that numbers its own keys one run of whole own-label classes at a time,
-so that only one run's keys are alive at once
-(:func:`ksetwl.interner.refine_coloring_window`), or a joint regrouping
-of 64-bit sums (:func:`ksetwl.linalg.la_step`).  So label ids depend only
-on the dataset and parameters.  1-WL is the local k-set refinement at
-k = 1.  Sampled runs label sets by 64-bit content words
+neighborhoods once over the block-diagonal stack of all graphs
+(:func:`kset_front_end`), and each advances all graphs in lockstep:
+iteration 0 is the iso types, each later iteration one step over the
+stacked k-set graph.  An exact step is a window that numbers its own keys
+one run of whole own-label classes at a time, so that only one run's keys
+are alive at once (:func:`ksetwl.interner.refine_coloring_window`).  A
+linear-algebra step sums the sampler's 64-bit content words
+(:func:`ksetwl.linalg.word_sums`) and ranks them jointly.  So label ids
+depend only on the dataset and parameters.  1-WL is the local k-set
+refinement at k = 1.  Sampled runs label sets by the same words
 (:mod:`ksetwl.sampling`), and their features number each iteration's
-words once, over all graphs.
+words once, over all graphs, as a linear-algebra step ranks them.
 """
 
 from __future__ import annotations
@@ -22,30 +23,32 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .features import Features, stable_order
-from .interner import _check_cap, refine_coloring_window
+from .interner import refine_coloring_window
 from .ksets import KSetIndex, check_order
 from .kwl import (DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs,
                   stacked_sets)
-from .linalg import la_step
+from .linalg import _dense_ranks, _iso_words, word_sums
 from .sampling import (DEFAULT_MAX_TOTAL_SAMPLES, estimate_features_adaptive,
                        estimate_features_fixed)
 
 
-def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int):
-    """The k-set front end of a dataset run, built once over the stack of
-    all graphs (:func:`ksetwl.kwl.stack_graphs`).
+def kset_front_end(graphs, k: int, local: bool, h: int, max_sets: int):
+    """The k-set front end of a dataset run of ``h`` iterations, built once
+    over the stack of all graphs (:func:`ksetwl.kwl.stack_graphs`).
 
-    Returns the iso type of every k-set, graph by graph in rank order, as
-    its index into the ascending distinct iso codes
-    (:func:`ksetwl.kwl.iso_keys`), the number of k-sets of each graph and,
-    when ``csr``, one CSR of their swap neighborhoods whose rows follow the
-    types and whose entries are offsets from their row to positions in the
-    stack (:func:`ksetwl.kwl._neighbor_csr`).  k and the k-sets of all
-    graphs together pass their caps before anything is built.  Colex ranks
-    do not depend on n, so one index over the widest graph serves every
-    graph: its ``all_sets()`` fill one stacked set array
+    Returns :func:`ksetwl.kwl.iso_keys` of the stacked k-sets, graph by
+    graph in rank order: the ascending distinct canonical iso rows and each
+    set's iso type, its index into them.  Then the number of k-sets of each
+    graph and, when h > 0, one CSR of their swap neighborhoods whose rows
+    follow the types and whose entries are offsets from their row to
+    positions in the stack (:func:`ksetwl.kwl._neighbor_csr`).  h, k and
+    the k-sets of all graphs together pass their checks before anything is
+    built.  Colex ranks do not depend on n, so one index over the widest
+    graph serves every graph: its ``all_sets()`` fill one stacked set array
     (:func:`ksetwl.kwl.stacked_sets`), int32 while vertex ids fit.
     """
+    if h < 0:
+        raise ParameterError("iteration count h must be nonnegative")
     check_order(k)
     counts = [comb(g.num_vertices, k) for g in graphs]
     total = sum(counts)
@@ -56,27 +59,8 @@ def kset_front_end(graphs, k: int, local: bool, csr: bool, max_sets: int):
     stack, offsets = stack_graphs(graphs, k)
     index = KSetIndex(max((g.num_vertices for g in graphs), default=0), k)
     sets = stacked_sets(index, counts, offsets)
-    return iso_keys(stack, sets)[1], counts, (
-        _neighbor_csr(stack, index, local, sets, offsets) if csr else None)
-
-
-def _refinement_run(graphs, k, h, local, max_sets, step):
-    """Iteration 0 is the front end's iso types; iteration i + 1 is
-    ``step(indptr, offsets, labels)`` of iteration i over its CSR."""
-    if h < 0:
-        raise ParameterError("iteration count h must be nonnegative")
-    types, counts, csr = kset_front_end(graphs, k, local, h > 0, max_sets)
-    labels = [types]
-    for _ in range(h):
-        labels.append(step(*csr, labels[-1]))
-    return labels, counts
-
-
-def _window_step(indptr, offsets, labels):
-    # the ids issued so far are 0 .. labels.max(), and no key of a window
-    # recurs in a later one, so its own numbering continues from there
-    return refine_coloring_window(indptr, offsets, labels,
-                                  int(labels.max(initial=-1)) + 1)
+    return iso_keys(stack, sets), counts, (
+        _neighbor_csr(stack, index, local, sets, offsets) if h else None)
 
 
 def exact_kset_run(graphs, k: int, h: int, local: bool = True,
@@ -92,19 +76,37 @@ def exact_kset_run(graphs, k: int, h: int, local: bool = True,
     graph; graphs with fewer than k vertices have none.  At k = 1 with
     local swaps this is 1-WL.
     """
-    return _refinement_run(graphs, k, h, local, max_sets, _window_step)
+    (_, types), counts, csr = kset_front_end(graphs, k, local, h, max_sets)
+    labels = [types]
+    for _ in range(h):
+        # the ids issued so far are 0 .. labels.max(), and no key of a
+        # window recurs in a later one, so its own numbering continues
+        # from there
+        labels.append(refine_coloring_window(
+            *csr, labels[-1], int(labels[-1].max(initial=-1)) + 1))
+    return labels, counts
 
 
 def la_kset_run(graphs, k: int, h: int, local: bool = True,
                 max_sets: int = DEFAULT_MAX_SETS):
-    """Linear-algebra k-set refinement: iteration 0 as in
-    :func:`exact_kset_run`, then one :func:`ksetwl.linalg.la_step` per
-    iteration over the stacked (directed) k-set graph, which numbers
-    wrapping 64-bit sums of label words densely in ascending order.
-    Returns what :func:`exact_kset_run` returns.  At k = 1 with local swaps
-    this is 1-WL.
+    """Linear-algebra k-set refinement of the sampler's content words.
+
+    Iteration 0 labels are the iso types, as in :func:`exact_kset_run`, and
+    its words fold each set's canonical iso row
+    (:func:`ksetwl.linalg._iso_words`).  Iteration i + 1's words are one
+    :func:`ksetwl.linalg.word_sums` of iteration i's over the stacked
+    (directed) k-set graph, and its labels their dense ranks, ascending.
+    Only the current iteration's words are kept.  Returns what
+    :func:`exact_kset_run` returns.  At k = 1 with local swaps this is
+    1-WL.
     """
-    return _refinement_run(graphs, k, h, local, max_sets, la_step)
+    (codes, types), counts, csr = kset_front_end(graphs, k, local, h,
+                                                 max_sets)
+    labels, words = [types], _iso_words(codes)[types]
+    for _ in range(h):
+        words = word_sums(*csr, words)
+        labels.append(_dense_ranks(words))
+    return labels, counts
 
 
 def features_from_label_arrays(labels, counts) -> Features:
@@ -137,7 +139,8 @@ def features_from_label_arrays(labels, counts) -> Features:
 def features_from_estimates(estimates) -> Features:
     """The estimated masses of sampled runs, one per graph.  Each
     iteration's distinct words over all graphs take the ids 0, 1, ... in
-    ascending order (one ``np.unique``), so more than ``_ID_CAP`` of them
+    ascending order, as a linear-algebra run numbers its words
+    (:func:`ksetwl.linalg._dense_ranks`), so more than ``_ID_CAP`` of them
     are refused; each graph's words ascend, so one stable sort by id
     orders each block."""
     n = len(estimates)
@@ -145,9 +148,7 @@ def features_from_estimates(estimates) -> Features:
     for masses in zip(*(est.masses for est in estimates)):
         words, weights = zip(*masses)
         graph = np.repeat(np.arange(n, dtype=np.int32), list(map(len, words)))
-        distinct, label = np.unique(np.concatenate(words), return_inverse=True)
-        _check_cap(len(distinct))
-        label = label.astype(np.int32)
+        label = _dense_ranks(np.concatenate(words))
         order = stable_order(label)
         blocks.append((graph[order], label[order],
                        np.concatenate(weights)[order]))

@@ -16,11 +16,12 @@ round keys its draw against it by base-n digits
 labels only the sets it adds.  Those are labeled on the full graph from
 the sets within h swaps of them, those within j swaps first, and their
 swap CSR (:func:`ksetwl.kwl.swap_levels`): iteration 0 folds each set's
-canonical iso row into a word (:func:`_iso_words`), and each later
-iteration is the linear-algebra sum of words
-(:func:`ksetwl.linalg.word_sums`) over an ever shorter prefix.  Labeling
-one sample costs a function of degree bound, k, and h only,
-independent of graph size.
+canonical iso row into a word (:func:`ksetwl.linalg._iso_words`), and each
+later iteration is the linear-algebra sum of words
+(:func:`ksetwl.linalg.word_sums`) over an ever shorter prefix, the step a
+linear-algebra run takes over the whole graph, so a set's word is the word
+that run gives it.  Labeling one sample costs a function of degree bound,
+k, and h only, independent of graph size.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import ParameterError, ResourceLimitError
 from .graph import Graph
 from .ksets import check_order
 from .kwl import _append_rows, iso_keys, swap_levels
-from .linalg import _mix, word_sums
+from .linalg import _iso_words, word_sums
 
 DEFAULT_MAX_TOTAL_SAMPLES = 10_000_000
 
@@ -106,17 +107,6 @@ def _draw_batch(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarr
     return out
 
 
-def _iso_words(codes: np.ndarray) -> np.ndarray:
-    """The ``uint64`` word of each canonical row of ``codes``
-    (:func:`ksetwl.kwl.iso_keys`): splitmix64 folded over its columns,
-    w = splitmix64(w + column) from w = 0."""
-    words = np.zeros(len(codes), dtype=np.uint64)
-    for column in codes.view(np.uint64).T:
-        words += column
-        _mix(words)
-    return words
-
-
 def _label_sets(g: Graph, sets: np.ndarray, h: int) -> np.ndarray:
     """The ``uint64`` words of the distinct rows of ``sets`` for iterations
     0..h, one row each: iteration 0 is the iso word of each set within h
@@ -126,11 +116,12 @@ def _label_sets(g: Graph, sets: np.ndarray, h: int) -> np.ndarray:
     rows, sizes, indptr, offsets = swap_levels(g, sets, h)
     codes, types = iso_keys(g, rows)
     words = _iso_words(codes)[types]
-    out = [words[:len(sets)]]
-    for m in reversed(sizes[:-1]):
+    out = np.empty((len(sets), h + 1), dtype=np.uint64)
+    out[:, 0] = words[:len(sets)]   # a copy: word_sums mixes its input
+    for i, m in enumerate(reversed(sizes[:-1]), 1):
         words = word_sums(indptr[:m + 1], offsets[:indptr[m]], words)
-        out.append(words[:len(sets)])
-    return np.stack(out, axis=1)
+        out[:, i] = words[:len(sets)]
+    return out
 
 
 class RademacherState:

@@ -31,12 +31,10 @@ from ksetwl.features import Features
 from ksetwl.graph import Graph
 from ksetwl.interner import number_window
 from ksetwl.ksets import KSetIndex
-from ksetwl.kwl import (DEFAULT_MAX_SETS, _neighbor_csr, iso_keys,
-                        stack_graphs, swap_levels)
-from ksetwl.linalg import _row_sums, splitmix64, word_sums
+from ksetwl.kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, swap_levels
+from ksetwl.linalg import _iso_words, _row_sums, splitmix64, word_sums
 from ksetwl.pipeline import exact_kset_run, kset_front_end
-from ksetwl.sampling import (SampledEstimate, _draw_batch, _iso_words,
-                             _label_sets)
+from ksetwl.sampling import SampledEstimate, _draw_batch, _label_sets
 
 
 def edge_pairs(g: Graph) -> set:
@@ -324,7 +322,7 @@ def iso_type(g: Graph, t) -> int:
 
 def row_offsets(indptr, columns) -> np.ndarray:
     """A CSR's absolute ``columns`` as offsets from their own row, the form
-    ``refine_coloring_window`` and ``la_step`` take: column - row."""
+    ``refine_coloring_window`` and ``word_sums`` take: column - row."""
     rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     return np.asarray(columns, dtype=np.int64) - rows
 
@@ -438,15 +436,12 @@ def graph_slices(counts) -> list:
 
 
 def _stacked_codes(graphs, k: int, local: bool):
-    """The canonical iso row of each stacked k-set of ``graphs``
-    (:func:`ksetwl.kwl.iso_keys` over :func:`ksetwl.kwl.stack_graphs`),
-    the k-set count of each graph and the front end's swap CSR."""
-    _, counts, csr = kset_front_end(graphs, k, local, True, DEFAULT_MAX_SETS)
-    stack, offsets = stack_graphs(graphs, k)
-    sets = np.concatenate([np.empty((0, k), dtype=np.int64)] + [
-        KSetIndex(g.num_vertices, k).all_sets() + offset
-        for g, offset in zip(graphs, offsets)])
-    codes, types = iso_keys(stack, sets)
+    """The canonical iso row of each stacked k-set of ``graphs``, the
+    k-set count of each graph and the swap CSR, from
+    :func:`ksetwl.pipeline.kset_front_end` (at h = 1, which builds the
+    CSR)."""
+    (codes, types), counts, csr = kset_front_end(graphs, k, local, 1,
+                                                 DEFAULT_MAX_SETS)
     return codes[types], counts, csr
 
 
@@ -481,14 +476,14 @@ def interned_exact_run(graphs, k: int, h: int, local: bool = True):
 def exact_word_run(graphs, k: int, h: int, local: bool = True):
     """The words a sampler gives every stacked k-set of ``graphs``, from
     the whole run at once: iteration 0 folds each canonical iso row
-    (:func:`ksetwl.sampling._iso_words`), and each later iteration is
+    (:func:`ksetwl.linalg._iso_words`), and each later iteration is
     :func:`ksetwl.linalg.word_sums` over the front end's CSR.  Returns one
     ``uint64`` array per iteration 0..h and the k-set count of each
     graph."""
     rows, counts, csr = _stacked_codes(graphs, k, local)
     words = [_iso_words(rows)]
     for _ in range(h):
-        words.append(word_sums(*csr, words[-1]))
+        words.append(word_sums(*csr, words[-1].copy()))
     return words, counts
 
 

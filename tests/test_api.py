@@ -16,7 +16,7 @@ EXPORTS = [
     "cosine_normalize_gram", "estimate_features_adaptive",
     "estimate_features_fixed", "exact_kset_run", "gram_matrix",
     "hoeffding_sample_size", "hoeffding_sample_size_dataset", "l1_normalize",
-    "la_kset_run", "la_step", "make_rng", "massart_deviation_bound",
+    "la_kset_run", "make_rng", "massart_deviation_bound",
     "observed_label_count", "parse_tu_dataset", "write_features_sparse",
     "write_gram_csv", "write_gram_libsvm",
 ]
@@ -41,7 +41,8 @@ def test_exports_and_readme_names_exist():
     assert sorted(ksetwl.__all__) == EXPORTS
     with open(os.path.join(ROOT, "README.md")) as f:
         names = set(re.findall(r"\bksetwl(?:\.\w+)+", f.read()))
-    assert {"ksetwl.interner.refine_coloring_window", "ksetwl.linalg.la_step",
+    assert {"ksetwl.interner.refine_coloring_window",
+            "ksetwl.linalg.word_sums",
             "ksetwl.sampling.observed_label_count"} <= names
     missing = []
     for name in sorted(names):

@@ -210,8 +210,8 @@ def test_stacked_sets_are_each_graphs_sets_shifted(graphs, k):
 @example(MIDDLE_WIDEST, 3, True)
 @example(MIDDLE_WIDEST, 3, False)
 def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
-    ids, counts, (indptr, offsets) = kset_front_end(
-        graphs, k, local, True, DEFAULT_MAX_SETS)
+    (_, ids), counts, (indptr, offsets) = kset_front_end(
+        graphs, k, local, 1, DEFAULT_MAX_SETS)
     indices = ref.absolute_columns(indptr, offsets)
     # the types are the ids one fresh window issues for the iso codes of
     # each graph's own build
@@ -226,7 +226,7 @@ def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
         assert np.array_equal(indptr[a:b + 1] - indptr[a], expected_ptr)
         # columns are stack positions: the graph's first row plus a rank
         assert np.array_equal(indices[indptr[a]:indptr[b]], a + expected_idx)
-    assert kset_front_end(graphs, k, local, False, DEFAULT_MAX_SETS)[2] is None
+    assert kset_front_end(graphs, k, local, 0, DEFAULT_MAX_SETS)[2] is None
 
 
 # a stack whose widest graph has C(60, 3) = 34,220 > 2^15 - 1 3-sets
@@ -249,7 +249,7 @@ def swap_offsets_decode_to(indptr, offsets, want_ptr, want_columns):
 @example(FEWER_THAN_K + MIDDLE_WIDEST, 3, True)
 def test_neighbor_csr_offsets_decode_to_the_per_set_columns(graphs, k,
                                                             local):
-    *_, (indptr, offsets) = kset_front_end(graphs, k, local, True,
+    *_, (indptr, offsets) = kset_front_end(graphs, k, local, 1,
                                            DEFAULT_MAX_SETS)
     assert swap_offsets_decode_to(indptr, offsets,
                                   *per_set_csr(graphs, k, local))
@@ -289,7 +289,7 @@ def test_distinct_row_iso_ids_equal_per_set_interning(graphs, k, block_rows):
     with pytest.MonkeyPatch.context() as patch:
         if block_rows is not None:
             patch.setattr(kwl, "_BLOCK_ITEMS", block_rows * factorial(k))
-        ids = kset_front_end(graphs, k, True, False, DEFAULT_MAX_SETS)[0]
+        ids = kset_front_end(graphs, k, True, 0, DEFAULT_MAX_SETS)[0][1]
     keys = [per_set_iso_code(g, tuple(t)) for g in graphs
             for t in KSetIndex(g.num_vertices, k).all_sets().tolist()]
     want = number_window(keys, 0)

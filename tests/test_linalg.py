@@ -1,19 +1,17 @@
-"""Linear-algebra refinement: the splitmix64 label words, the wrapping
-word-sum step and its partitions against hash refinement."""
+"""Linear-algebra refinement: the splitmix64 words, the wrapping word-sum
+step, its dense ranks and its partitions against hash refinement."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetwl import (ParameterError, build_graph, exact_kset_run,
-                    la_kset_run, la_step)
+from ksetwl import build_graph, exact_kset_run, la_kset_run
 from ksetwl.kwl import node_words
-from ksetwl.linalg import splitmix64, word_sums
-from ksetwl.sampling import _iso_words
+from ksetwl.linalg import _dense_ranks, _iso_words, splitmix64, word_sums
 
 from conftest import label_groups, local_kset_csr, random_graph
-from reference import (local_neighbors, paper_sum_refinement, paper_sum_step,
-                       row_offsets, wl1_colorings)
+from reference import (exact_word_run, local_neighbors, paper_sum_refinement,
+                       paper_sum_step, row_offsets, wl1_colorings)
 
 MASK = (1 << 64) - 1
 OWN = 1 << 32
@@ -32,7 +30,7 @@ def own_word(i: int) -> int:
 
 
 def test_label_words_known_answers():
-    # linalg label ids follow these words: pin H(0), H(1) and H'(0)
+    # linalg label ids follow the order of words: pin H(0), H(1) and H'(0)
     words = splitmix64(np.array([0, 1, OWN], dtype=np.int64))
     assert words.dtype == np.uint64
     assert [int(w) for w in words] == [
@@ -42,10 +40,10 @@ def test_label_words_known_answers():
 
 
 def test_la_step_on_uniform_path(p3):
-    labels = np.zeros(3, dtype=np.int64)
+    words = np.zeros(3, dtype=np.uint64)
     offsets = row_offsets(p3.indptr, p3.indices)
-    values = word_sums(p3.indptr, offsets, labels)
-    regrouped = la_step(p3.indptr, offsets, labels)
+    values = word_sums(p3.indptr, offsets, words)
+    regrouped = _dense_ranks(values)
     assert [int(v) for v in values] == [
         (own_word(0) + k * H(0)) & MASK for k in (1, 2, 1)]
     assert regrouped[0] == regrouped[2] != regrouped[1]
@@ -53,20 +51,20 @@ def test_la_step_on_uniform_path(p3):
 
 def test_la_step_isolated_vertex():
     g = build_graph(2, [])
-    labels = np.array([0, 1], dtype=np.int64)
+    words = np.array([0, 1], dtype=np.uint64)
     offsets = row_offsets(g.indptr, g.indices)
-    values = word_sums(g.indptr, offsets, labels)
+    values = word_sums(g.indptr, offsets, words)
     assert [int(v) for v in values] == [own_word(0), own_word(1)]
     # the labels rank the values: H'(1) < H'(0)
-    assert la_step(g.indptr, offsets, labels).tolist() == [1, 0]
+    assert _dense_ranks(values).tolist() == [1, 0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_word_sums_take_any_64_bit_words(data):
     # rows are a prefix of the labeled items; words span all 64 bits, so
-    # an own word's + 2^32 and every sum wrap; la_step ranks the same sums
-    # over its ids
+    # an own word's + 2^32 and every sum wrap; the call mixes its input to
+    # H in place, and a linalg step's labels rank the sums ascending
     items = data.draw(st.integers(1, 8))
     rows = data.draw(st.integers(0, items))
     words = data.draw(st.lists(st.integers(0, MASK) | st.integers(
@@ -75,15 +73,15 @@ def test_word_sums_take_any_64_bit_words(data):
                for _ in range(rows)]
     indptr = np.cumsum([0] + list(map(len, columns)))
     offsets = row_offsets(indptr, [c for row in columns for c in row])
-    got = word_sums(indptr, offsets, np.array(words, dtype=np.uint64))
+    consumed = np.array(words, dtype=np.uint64)
+    got = word_sums(indptr, offsets, consumed)
     assert got.dtype == np.uint64 and [int(v) for v in got] == [
         (own_word(words[i]) + sum(H(words[c]) for c in columns[i])) & MASK
         for i in range(rows)]
-    if rows == items:
-        ids = np.array(words) % 5
-        values = word_sums(indptr, offsets, ids)
-        ranks = np.unique(values, return_inverse=True)[1]
-        assert np.array_equal(la_step(indptr, offsets, ids), ranks)
+    assert [int(w) for w in consumed] == list(map(H, words))
+    ranks = _dense_ranks(got)
+    assert ranks.dtype == np.int32 and np.array_equal(
+        ranks, np.unique(got, return_inverse=True)[1])
 
 
 def test_iso_words_fold_each_row_through_splitmix64():
@@ -108,40 +106,35 @@ def test_paper_mode_merges_symmetric_sum():
     values, merged = paper_sum_step(g.indptr, g.indices, labels)
     assert values[0] == values[1]
     assert merged[0] == merged[1]
-    kept = la_step(g.indptr, row_offsets(g.indptr, g.indices), labels)
+    kept = word_sums(g.indptr, row_offsets(g.indptr, g.indices),
+                     labels.astype(np.uint64))
     assert kept[0] != kept[1]
-
-
-def test_la_step_rejects_labels_outside_the_id_range(p3):
-    for bad in ([0, -1, 0], [0, 1 << 31, 0]):
-        with pytest.raises(ParameterError):
-            la_step(p3.indptr, row_offsets(p3.indptr, p3.indices),
-                    np.array(bad, dtype=np.int64))
 
 
 @st.composite
 def csr_rows(draw):
-    """A CSR over n items with labels below 4, and a permutation of the
+    """A CSR over n items with words below 4, and a permutation of the
     columns within each of its rows."""
     n = draw(st.integers(1, 12))
     rows = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=8),
                          min_size=n, max_size=n))
     shuffled = [draw(st.permutations(row)) for row in rows]
-    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n,
-                                    max_size=n)), dtype=np.int64)
+    words = np.array(draw(st.lists(st.integers(0, 3), min_size=n,
+                                   max_size=n)), dtype=np.uint64)
     indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.int64)
     flat = [np.array(sum(r, []), dtype=np.int64) for r in (rows, shuffled)]
-    return indptr, *flat, labels
+    return indptr, *flat, words
 
 
 @settings(max_examples=100, deadline=None)
 @given(csr_rows())
 def test_la_step_ignores_column_order_within_rows(csr):
-    indptr, indices, shuffled, labels = csr
+    indptr, indices, shuffled, words = csr
     offsets = [row_offsets(indptr, c) for c in (indices, shuffled)]
-    values, values_shuffled = (word_sums(indptr, o, labels) for o in offsets)
-    regrouped, regrouped_shuffled = (la_step(indptr, o, labels)
-                                     for o in offsets)
+    values, values_shuffled = (word_sums(indptr, o, words.copy())
+                               for o in offsets)
+    regrouped, regrouped_shuffled = map(_dense_ranks,
+                                        (values, values_shuffled))
     assert np.array_equal(values, values_shuffled)
     assert np.array_equal(regrouped, regrouped_shuffled)
 
@@ -203,3 +196,18 @@ def test_joint_la_labels_are_cross_graph_consistent(c6, two_k3):
         # both graphs are 2-regular: one joint class across all 12 vertices
         joint = set(labels[it].tolist())
         assert len(joint) == 1
+
+
+@pytest.mark.parametrize("k,h,local", [(1, 5, True), (2, 3, True),
+                                       (2, 3, False), (3, 3, True),
+                                       (3, 3, False)])
+def test_la_labels_rank_the_sampler_words_on_mutag(mutag, k, h, local):
+    # iteration 0 is the exact run's iso types; each later iteration ranks
+    # the words a sampler gives the same sets, ascending
+    labels, counts = la_kset_run(mutag.graphs, k, h, local)
+    words, word_counts = exact_word_run(mutag.graphs, k, h, local)
+    exact, exact_counts = exact_kset_run(mutag.graphs, k, 0, local)
+    assert counts == word_counts == exact_counts and len(labels) == h + 1
+    assert np.array_equal(labels[0], exact[0])
+    for it in range(1, h + 1):
+        assert np.array_equal(labels[it], _dense_ranks(words[it]))

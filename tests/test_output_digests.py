@@ -59,11 +59,11 @@ PINNED = [
     ("56400", "k3-sampled-seed9.gram.samples"),
     ("9bd951c969d9cf427d4ec59f28b8c9300438b135011fe1b52a7c4b07ce088b23",
      "k2-exact-messy.features"),
-    ("278491281ddb2563705f76672560a507bc473117f07d61161f126ed14655892a",
+    ("417e654fe1ad54d2c2aaeab8908a8711b845c5091af9da16f3eec5e63a850c5b",
      "k3-linalg.features"),
-    ("af8456c5e9c9b35b981519ad47f11243f8a4f8c2fe5cb979e7f54cd38ce9b5f8",
+    ("a057ec3a3e4d895a30b278625c752dabbdd60567a2f8839222db0047c159c65a",
      "k3-global-linalg.features"),
-    ("c62e59377d1ff07d5c92997473453d4448d3c7554d0181b1e0aa719ef22711d4",
+    ("8829ee984f00c30ca50c970dd6a9a2a8e02bb4dcf4b8e3aed0c3c57c2ba5ec68",
      "wl1-h5-linalg.features"),
 ]
 

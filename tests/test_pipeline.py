@@ -213,4 +213,5 @@ def test_front_end_times_script_times_every_layer(two_triangle_dir, capsys):
     assert pipeline.stacked_sets is kwl.stacked_sets
     assert pipeline._neighbor_csr is kwl._neighbor_csr
     assert pipeline.refine_coloring_window is interner.refine_coloring_window
-    assert pipeline.la_step is linalg.la_step
+    assert pipeline.word_sums is linalg.word_sums
+    assert pipeline._dense_ranks is linalg._dense_ranks
