@@ -10,25 +10,25 @@ Runs ``pipeline.exact_kset_run`` (or ``pipeline.la_kset_run`` with
 temporary directory) of the checkout this script belongs to (its
 ``src/``) on a TU dataset, the bundled MUTAG by default, ``--repeats``
 times in this process.  The front end's stacked set array, its iso keys,
-its neighbor CSR and every refinement window (in linalg runs, one
-``word_sums`` and the ``_dense_ranks`` of its words) are timed by wrapping
-the names ``pipeline`` calls them by; a missing name raises instead of
-going unmeasured.  Prints one ``<median seconds> <layer>`` line per layer
-(``sets``, ``iso_keys``, ``neighbor_csr``, ``window_1`` .. ``window_h``,
-``features``, ``gram``, ``write`` and ``total``, the run plus features
-plus gram plus write), then the CSR's entry count and its size in MB (row
-pointer plus offsets).  One more run, untimed, under tracemalloc, gives
-the run's peak in MB (``traced_peak_mb``) and each layer's peak above
-what was allocated when it was entered (``<layer>_peak_mb``; a linalg
-window's from its ``word_sums`` to its ``_dense_ranks``).  Then come one
-``<count>  window_<i>_labels`` line per window, the distinct labels its
-step issued, and, in exact runs, one ``<count>  window_<i>_largest_table``
-line per window: the most distinct keys one ``number_window`` call of
-the window numbered, which is the largest table it held, since an exact
-window numbers its keys one run of own-label classes at a time.  The
-tracemalloc peaks count what numpy and Python allocate, so unlike the
-process's peak RSS they do not move with heap layout or with what earlier
-runs left behind; the CLI manifest's ``peak_rss_mb`` gives one run's.
+its neighbor CSR and every refinement window (one ``word_sums``, the
+``_dense_ranks`` of its words and, in exact runs, the exactness check
+``_split_collisions``) are timed by wrapping the names ``pipeline`` calls
+them by; a missing name raises instead of going unmeasured.  Prints one
+``<median seconds> <layer>`` line per layer (``sets``, ``iso_keys``,
+``neighbor_csr``, ``window_1`` .. ``window_h``, ``features``, ``gram``,
+``write`` and ``total``, the run plus features plus gram plus write), then
+the CSR's entry count and its size in MB (row pointer plus offsets).  One
+more run, untimed, under tracemalloc, gives the run's peak in MB
+(``traced_peak_mb``) and each layer's peak above what was allocated when
+it was entered (``<layer>_peak_mb``; a window's from its ``word_sums`` to
+its last call).  Then come one ``<count>  window_<i>_labels`` line per
+window, the distinct labels its step issued, and, in exact runs, one
+``<count>  window_<i>_compared`` line per window: the rows the check
+compared with another row of their class, those of every class of more
+than one row.  The tracemalloc peaks count what numpy and Python
+allocate, so unlike the process's peak RSS they do not move with heap
+layout or with what earlier runs left behind; the CLI manifest's
+``peak_rss_mb`` gives one run's.
 """
 
 import argparse
@@ -46,7 +46,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from ksetwl import interner, pipeline  # noqa: E402
+from ksetwl import pipeline  # noqa: E402
 from ksetwl.cli import KERNELS  # noqa: E402
 from ksetwl.features import gram_matrix  # noqa: E402
 from ksetwl.tu_io import parse_tu_dataset, write_gram_libsvm  # noqa: E402
@@ -57,22 +57,21 @@ WRAPPED = {"sets": "stacked_sets", "iso_keys": "iso_keys",
            "neighbor_csr": "_neighbor_csr"}
 # mode -> the names pipeline calls one refinement window by, in call
 # order; the last one returns the window's labels
-WINDOWS = {"exact": ["refine_coloring_window"],
+WINDOWS = {"exact": ["word_sums", "_dense_ranks", "_split_collisions"],
            "linalg": ["word_sums", "_dense_ranks"]}
 MB = 1 << 20
 
 
 @contextlib.contextmanager
-def _wrapped(name, hook, module=pipeline):
-    """Route every call to the function ``name`` of ``module`` (the name
-    ``pipeline`` calls it by) through ``hook(original, *args)`` while the
-    context is open."""
-    original = getattr(module, name)
-    setattr(module, name, functools.partial(hook, original))
+def _wrapped(name, hook):
+    """Route every call to the function ``name`` of ``pipeline`` through
+    ``hook(original, *args)`` while the context is open."""
+    original = getattr(pipeline, name)
+    setattr(pipeline, name, functools.partial(hook, original))
     try:
         yield
     finally:
-        setattr(module, name, original)
+        setattr(pipeline, name, original)
 
 
 def _timed(layer, log):
@@ -106,16 +105,6 @@ def _above_entry(layer, log, enter=True, leave=True):
     return hook
 
 
-def _tables(log):
-    """A ``number_window`` hook that records ("table", distinct keys) in
-    ``log``: its ids run densely from its first."""
-    def hook(original, keys, first):
-        ids = original(keys, first)
-        log.append(("table", int(ids.max()) - first + 1 if len(ids) else 0))
-        return ids
-    return hook
-
-
 def run(graphs, k: int, h: int, local: bool, mode: str):
     """The label arrays and k-set counts of one exact or linalg run."""
     if mode == "exact":
@@ -132,8 +121,9 @@ def write(gram, classes) -> None:
 
 def layer_times(ds, k: int, h: int, local: bool, mode: str):
     """One timed run on the dataset ``ds``: the seconds of each layer, the
-    CSR's entry count and bytes (0 when h = 0 builds no CSR), the gram and
-    the distinct label count of each window."""
+    CSR's entry count and bytes (0 when h = 0 builds no CSR), the gram,
+    and the distinct labels and the rows in classes of more than one row of
+    each window."""
     graphs, log, parts = ds.graphs, [], WINDOWS[mode]
     with contextlib.ExitStack() as stack:
         # the calls before a window's last are logged as layer None
@@ -149,14 +139,17 @@ def layer_times(ds, k: int, h: int, local: bool, mode: str):
     grammed = time.perf_counter()
     write(gram, ds.class_labels)
     end = time.perf_counter()
-    times, window_labels, entries, nbytes, before = {}, [], 0, 0, 0.0
+    times, window_labels, compared = {}, [], []
+    entries, nbytes, before = 0, 0, 0.0
     for layer, seconds, result in log:
         if layer is None:
             before += seconds
             continue
         if layer == "window":
             seconds, before = seconds + before, 0.0
-            window_labels.append(len(np.unique(result)))
+            sizes = np.bincount(result)
+            window_labels.append(len(sizes))
+            compared.append(int(sizes[sizes > 1].sum()))
             layer = f"window_{len(window_labels)}"
         elif layer == "neighbor_csr":
             entries = len(result[1])
@@ -164,14 +157,13 @@ def layer_times(ds, k: int, h: int, local: bool, mode: str):
         times[layer] = seconds
     times.update(features=featured - ran, gram=grammed - featured,
                  write=end - grammed, total=end - start)
-    return times, entries, nbytes, gram, window_labels
+    return times, entries, nbytes, gram, window_labels, compared
 
 
 def traced_peaks(ds, k: int, h: int, local: bool, mode: str):
     """One untimed run on the dataset ``ds``, its features, its gram and
-    their write under tracemalloc: the peak in bytes, each layer's peak
-    above entry by layer name, and the largest table of each window of an
-    exact run."""
+    their write under tracemalloc: the peak in bytes and each layer's peak
+    above entry by layer name."""
     graphs, log, parts = ds.graphs, [], WINDOWS[mode]
     tracemalloc.start()
     try:
@@ -181,8 +173,6 @@ def traced_peaks(ds, k: int, h: int, local: bool, mode: str):
             for name in parts:
                 stack.enter_context(_wrapped(name, _above_entry(
                     "window", log, name == parts[0], name == parts[-1])))
-            stack.enter_context(_wrapped("number_window", _tables(log),
-                                         interner))
             labels, counts = run(graphs, k, h, local, mode)
         features = _above_entry("features", log)(
             pipeline.features_from_label_arrays, labels, counts)
@@ -191,17 +181,14 @@ def traced_peaks(ds, k: int, h: int, local: bool, mode: str):
         log.append((None, tracemalloc.get_traced_memory()[1]))
     finally:
         tracemalloc.stop()
-    peaks, tables, largest = {}, [], 0
+    peaks, windows = {}, 0
     for layer, size in log:
-        if layer == "table":
-            largest = max(largest, size)
-        elif layer == "window":
-            tables.append(largest)
-            peaks[f"window_{len(tables)}"], largest = size, 0
+        if layer == "window":
+            windows += 1
+            peaks[f"window_{windows}"] = size
         elif layer not in (None, "entry"):
             peaks[layer] = size
-    return max(size for layer, size in log if layer is None), peaks, (
-        tables if mode == "exact" else [])
+    return max(size for layer, size in log if layer is None), peaks
 
 
 def main(argv=None) -> int:
@@ -220,7 +207,7 @@ def main(argv=None) -> int:
     local = args.kernel != "kwl-global"
     runs = [layer_times(ds, k, args.h, local, args.mode)
             for _ in range(args.repeats)]
-    traced, peaks, tables = traced_peaks(ds, k, args.h, local, args.mode)
+    traced, peaks = traced_peaks(ds, k, args.h, local, args.mode)
     print(f"{args.kernel} {args.mode} k={k} h={args.h}, {len(ds.graphs)} "
           f"graphs: median of {args.repeats} in-process runs")
     for layer in runs[0][0]:
@@ -233,8 +220,9 @@ def main(argv=None) -> int:
         print(f"{size / MB:.3f}  {layer}_peak_mb")
     for i, count in enumerate(runs[0][4], 1):
         print(f"{count}  window_{i}_labels")
-    for i, count in enumerate(tables, 1):
-        print(f"{count}  window_{i}_largest_table")
+    if args.mode == "exact":
+        for i, count in enumerate(runs[0][5], 1):
+            print(f"{count}  window_{i}_compared")
     return 0
 
 

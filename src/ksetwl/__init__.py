@@ -1,8 +1,8 @@
 """Weisfeiler-Lehman graph kernels over vertices and k-sets.
 
-Exact computation (hash-based or sparse linear algebra) and sampled
-estimation with distribution-free error bounds, for graph classification
-pipelines that consume precomputed kernel matrices.
+Exact computation (sparse sums of 64-bit content words, checked exact or
+not) and sampled estimation with distribution-free error bounds, for
+graph classification pipelines that consume precomputed kernel matrices.
 """
 
 __version__ = "0.1.0"

@@ -154,14 +154,18 @@ def _compute_features(graphs, args, h_values):
     local = args.kernel != "kwl-global"
     run = exact_kset_run if args.mode == "exact" else la_kset_run
     labels, counts = run(graphs, k, top, local=local, max_sets=args.max_sets)
-    # exact ids are consecutive from 0 and each iteration uses all of its
-    # own: a run stopped at h has issued max + 1 ids
-    extras = [{"label_space": int(it.max(initial=-1)) + 1}
-              if args.mode == "exact" else {} for it in labels]
     features = features_from_label_arrays(labels, counts)
     del labels   # the caller's gram runs while this generator waits
     for h in h_values:
-        yield h, Features(features.n, features.blocks[:h + 1]), extras[h]
+        blocks = features.blocks[:h + 1]
+        yield h, Features(features.n, blocks), {
+            "label_space": _label_space(blocks)}
+
+
+def _label_space(blocks) -> int:
+    """The distinct labels of feature blocks summed over the blocks: each
+    iteration's ids run from 0, so its count is its largest id plus 1."""
+    return sum(int(label.max(initial=-1)) + 1 for _, label, _ in blocks)
 
 
 def _sampled_features(graphs, args, h: int):
@@ -175,9 +179,7 @@ def _sampled_features(graphs, args, h: int):
         sample_count=sample_count, epsilon=args.epsilon, delta=args.delta,
         max_total_samples=args.max_samples)
     features = features_from_estimates(estimates)
-    # each iteration's ids number its distinct words from 0
-    extra["label_space"] = sum(int(label.max(initial=-1)) + 1
-                               for _, label, _ in features.blocks)
+    extra["label_space"] = _label_space(features.blocks)
     extra["sample_counts"] = [est.sample_count for est in estimates]
     empty = [i for i, est in enumerate(estimates) if est.sample_count == 0]
     if empty:

@@ -44,7 +44,7 @@ from math import comb, factorial
 import numpy as np
 
 from .graph import Graph
-from .interner import _check_cap
+from .linalg import _check_cap
 from .ksets import _BLOCK_ITEMS, _INT64_MAX, KSetIndex
 
 # Exact and linalg runs refuse graphs with more k-sets than this in total
@@ -161,7 +161,7 @@ def iso_keys(g: Graph, sets: np.ndarray):
     array.  A canonical row is fixed width, with edge label 0 where an
     edge is absent, and ``iso_code(g, t)`` lays it out as bytes.  More
     distinct rows than label ids are refused
-    (:func:`ksetwl.interner._check_cap`).
+    (:func:`ksetwl.linalg._check_cap`).
 
     Only distinct raw rows (:func:`_raw_rows`) are canonicalized: rows are
     deduplicated within each block of sets, then across the blocks'

@@ -4,13 +4,12 @@ Exact and linear-algebra runs build their k-sets, iso types and swap
 neighborhoods once over the block-diagonal stack of all graphs
 (:func:`kset_front_end`), and each advances all graphs in lockstep:
 iteration 0 is the iso types, each later iteration one step over the
-stacked k-set graph.  An exact step is a window that numbers its own keys
-one run of whole own-label classes at a time, so that only one run's keys
-are alive at once (:func:`ksetwl.interner.refine_coloring_window`).  A
-linear-algebra step sums the sampler's 64-bit content words
-(:func:`ksetwl.linalg.word_sums`) and ranks them jointly.  So label ids
-depend only on the dataset and parameters.  1-WL is the local k-set
-refinement at k = 1.  Sampled runs label sets by the same words
+stacked k-set graph.  A step sums the sampler's 64-bit content words
+(:func:`ksetwl.linalg.word_sums`) and ranks them jointly, and an exact
+step then proves its classes exact, splitting any whose words collided
+(:func:`ksetwl.linalg._split_collisions`).  So label ids depend only on
+the dataset and parameters.  1-WL is the local k-set refinement at
+k = 1.  Sampled runs label sets by the same words
 (:mod:`ksetwl.sampling`), and their features number each iteration's
 words once, over all graphs, as a linear-algebra step ranks them.
 """
@@ -23,11 +22,10 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .features import Features, stable_order
-from .interner import refine_coloring_window
 from .ksets import KSetIndex, check_order
 from .kwl import (DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, stack_graphs,
                   stacked_sets)
-from .linalg import _dense_ranks, _iso_words, word_sums
+from .linalg import _dense_ranks, _iso_words, _split_collisions, word_sums
 from .sampling import (DEFAULT_MAX_TOTAL_SAMPLES, estimate_features_adaptive,
                        estimate_features_fixed)
 
@@ -63,50 +61,51 @@ def kset_front_end(graphs, k: int, local: bool, h: int, max_sets: int):
         _neighbor_csr(stack, index, local, sets, offsets) if h else None)
 
 
+def _word_run(graphs, k: int, h: int, local: bool, max_sets: int,
+              exact: bool):
+    """The loop of :func:`exact_kset_run` and :func:`la_kset_run`, which
+    differ only by the exactness check."""
+    (codes, types), counts, csr = kset_front_end(graphs, k, local, h,
+                                                 max_sets)
+    labels, words = [types], _iso_words(codes)[types]
+    for i in range(h):
+        words = word_sums(*csr, words)
+        ranks = _dense_ranks(words)
+        if i + 1 == h:
+            del words   # the last check runs without them
+        labels.append(_split_collisions(*csr, labels[-1], ranks) if exact
+                      else ranks)
+    return labels, counts
+
+
 def exact_kset_run(graphs, k: int, h: int, local: bool = True,
                    max_sets: int = DEFAULT_MAX_SETS):
     """k-set refinement for all graphs in lockstep.
 
     Iteration 0 labels are the iso types of :func:`kset_front_end`, each
-    set's index into the ascending distinct iso codes; each later
-    iteration is one window over the local or global swaps of the stacked
-    k-sets.
+    set's index into the ascending distinct iso codes, and its words fold
+    each set's canonical iso row (:func:`ksetwl.linalg._iso_words`).
+    Iteration i + 1's words are one :func:`ksetwl.linalg.word_sums` of
+    iteration i's over the stacked (directed) k-set graph of local or
+    global swaps, and its labels their dense ranks, ascending, proved
+    exact by :func:`ksetwl.linalg._split_collisions`.  Only the current
+    iteration's words are kept.
     Returns one int32 label array per iteration 0..h over the stacked
-    k-sets, with ids consecutive from 0, and the number of k-sets of each
-    graph; graphs with fewer than k vertices have none.  At k = 1 with
-    local swaps this is 1-WL.
+    k-sets, each with ids consecutive from 0, and the number of k-sets of
+    each graph; graphs with fewer than k vertices have none.  At k = 1
+    with local swaps this is 1-WL.
     """
-    (_, types), counts, csr = kset_front_end(graphs, k, local, h, max_sets)
-    labels = [types]
-    for _ in range(h):
-        # the ids issued so far are 0 .. labels.max(), and no key of a
-        # window recurs in a later one, so its own numbering continues
-        # from there
-        labels.append(refine_coloring_window(
-            *csr, labels[-1], int(labels[-1].max(initial=-1)) + 1))
-    return labels, counts
+    return _word_run(graphs, k, h, local, max_sets, True)
 
 
 def la_kset_run(graphs, k: int, h: int, local: bool = True,
                 max_sets: int = DEFAULT_MAX_SETS):
-    """Linear-algebra k-set refinement of the sampler's content words.
-
-    Iteration 0 labels are the iso types, as in :func:`exact_kset_run`, and
-    its words fold each set's canonical iso row
-    (:func:`ksetwl.linalg._iso_words`).  Iteration i + 1's words are one
-    :func:`ksetwl.linalg.word_sums` of iteration i's over the stacked
-    (directed) k-set graph, and its labels their dense ranks, ascending.
-    Only the current iteration's words are kept.  Returns what
-    :func:`exact_kset_run` returns.  At k = 1 with local swaps this is
-    1-WL.
+    """Linear-algebra k-set refinement of the sampler's content words:
+    :func:`exact_kset_run` without its exactness check, so two sets whose
+    words collide share a label.  Returns what :func:`exact_kset_run`
+    returns.
     """
-    (codes, types), counts, csr = kset_front_end(graphs, k, local, h,
-                                                 max_sets)
-    labels, words = [types], _iso_words(codes)[types]
-    for _ in range(h):
-        words = word_sums(*csr, words)
-        labels.append(_dense_ranks(words))
-    return labels, counts
+    return _word_run(graphs, k, h, local, max_sets, False)
 
 
 def features_from_label_arrays(labels, counts) -> Features:

@@ -10,8 +10,8 @@ agreement between the two paths is meaningful evidence.
 The second part holds one-item forms that tests state their expectations
 in: vertex and edge queries on one graph, the colex rank of one k-set,
 feature vectors as per-graph lists of {label: weight} blocks and their
-inner product, one-key interning keys, an exact window numbered over all
-its rows at once, exact runs under a persistent dict interner and as
+inner product, one-key interning keys and their numbering in ascending
+order, exact runs under a persistent dict interner and as
 sampled content words, one-set calls of the bulk k-set paths, a per-set
 swap CSR, conversions between absolute CSR columns and offsets from their
 row, 1-WL on one graph, a Cholesky PSD check, and linear-algebra
@@ -29,7 +29,6 @@ import numpy as np
 from ksetwl.errors import GraphError, ParameterError
 from ksetwl.features import Features
 from ksetwl.graph import Graph
-from ksetwl.interner import number_window
 from ksetwl.ksets import KSetIndex
 from ksetwl.kwl import DEFAULT_MAX_SETS, _neighbor_csr, iso_keys, swap_levels
 from ksetwl.linalg import _iso_words, _row_sums, splitmix64, word_sums
@@ -137,7 +136,9 @@ def naive_kset_partitions(graphs, k: int, h: int, local: bool) -> list:
     """k-set refinement over several graphs jointly.
 
     Returns, per iteration 0..h, a dict (graph_idx, frozenset) -> dense
-    label, using either the local or the global neighborhood rule.
+    label, using either the local or the global neighborhood rule.  At
+    k = 1 a vertex of an unlabeled graph starts from its degree, as in
+    :func:`naive_wl1_partitions`.
     """
     edge_sets = [edge_pairs(g) for g in graphs]
     sets_of = [
@@ -147,7 +148,11 @@ def naive_kset_partitions(graphs, k: int, h: int, local: bool) -> list:
     keys = {}
     for gi, g in enumerate(graphs):
         for s in sets_of[gi]:
-            keys[(gi, s)] = naive_iso_class(g, s, edge_sets[gi])
+            if k == 1 and g.node_labels is None:   # degree as node label
+                keys[(gi, s)] = ((sum(1 for e in edge_sets[gi]
+                                      if e[0] in s),), ())
+            else:
+                keys[(gi, s)] = naive_iso_class(g, s, edge_sets[gi])
     current = _compress(keys)
     out = [current]
     for _ in range(h):
@@ -322,7 +327,7 @@ def iso_type(g: Graph, t) -> int:
 
 def row_offsets(indptr, columns) -> np.ndarray:
     """A CSR's absolute ``columns`` as offsets from their own row, the form
-    ``refine_coloring_window`` and ``word_sums`` take: column - row."""
+    ``word_sums`` and the exactness check take: column - row."""
     rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     return np.asarray(columns, dtype=np.int64) - rows
 
@@ -334,14 +339,12 @@ def absolute_columns(indptr, offsets) -> np.ndarray:
     return rows + np.asarray(offsets, dtype=np.int64)
 
 
-def one_window_ids(indptr, offsets, labels, first: int) -> np.ndarray:
-    """The ids of an exact window as one :func:`number_window` over the
-    keys of all rows of a CSR whose entries are offsets from their row,
-    in row order, each key made by :func:`refine_key`."""
-    columns = absolute_columns(indptr, offsets)
-    return number_window([refine_key(int(labels[i]), sorted(
-        labels[columns[indptr[i]:indptr[i + 1]]].tolist()))
-        for i in range(len(indptr) - 1)], first)
+def number_keys(keys, first: int = 0) -> np.ndarray:
+    """The ids of ``keys`` in input order, as int32: the distinct keys take
+    ``first``, ``first + 1``, ... in ascending order."""
+    keys = list(keys)
+    ids = {key: i for i, key in enumerate(sorted(set(keys)), first)}
+    return np.array([ids[key] for key in keys], dtype=np.int32)
 
 
 def neighbor_csr(g: Graph, index: KSetIndex, local: bool,

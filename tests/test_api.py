@@ -41,7 +41,7 @@ def test_exports_and_readme_names_exist():
     assert sorted(ksetwl.__all__) == EXPORTS
     with open(os.path.join(ROOT, "README.md")) as f:
         names = set(re.findall(r"\bksetwl(?:\.\w+)+", f.read()))
-    assert {"ksetwl.interner.refine_coloring_window",
+    assert {"ksetwl.linalg._split_collisions",
             "ksetwl.linalg.word_sums",
             "ksetwl.sampling.observed_label_count"} <= names
     missing = []

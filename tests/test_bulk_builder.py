@@ -7,7 +7,9 @@ graphs with fewer than k vertices and graphs without edges.  The front end
 built once over a stack of graphs is compared with per-graph builds, and
 its iso-type ids with numbering one per-set key per k-set.  Iso codes
 ascend, so a fresh window numbers them in order, which makes a linalg
-run's iteration 0 the exact run's on MUTAG.  The lexsort
+run's iteration 0 the exact run's on MUTAG.  Exact runs partition as one
+persistent interner does, also under weak word mixers whose collisions
+their check must split.  The lexsort
 row dedupe is compared with ``np.unique(axis=0)``, every entry of the
 swap table with the rank of its set, and the sampler's swap levels with a
 breadth-first search over naive swaps and with rows of the front end's CSR.
@@ -22,7 +24,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ksetwl import KSetIndex, build_graph, gram_matrix, la_kset_run
-from ksetwl.interner import number_window
 from ksetwl.kwl import (DEFAULT_MAX_SETS, _append_rows, _neighbor_csr,
                         _swap_table,
                         _unique_rows, iso_code, iso_keys, stack_graphs,
@@ -215,7 +216,7 @@ def test_stacked_front_end_equals_per_graph_builds(graphs, k, local):
     indices = ref.absolute_columns(indptr, offsets)
     # the types are the ids one fresh window issues for the iso codes of
     # each graph's own build
-    assert np.array_equal(ids, number_window(
+    assert np.array_equal(ids, ref.number_keys(
         [key for g in graphs for key in row_keys(
             g, KSetIndex(g.num_vertices, k).all_sets())], 0))
     rows = np.cumsum([0] + counts).tolist()
@@ -292,7 +293,7 @@ def test_distinct_row_iso_ids_equal_per_set_interning(graphs, k, block_rows):
         ids = kset_front_end(graphs, k, True, 0, DEFAULT_MAX_SETS)[0][1]
     keys = [per_set_iso_code(g, tuple(t)) for g in graphs
             for t in KSetIndex(g.num_vertices, k).all_sets().tolist()]
-    want = number_window(keys, 0)
+    want = ref.number_keys(keys)
     assert ids.dtype == np.int32 and np.array_equal(ids, want)
     assert int(ids.max(initial=-1)) + 1 == len(set(keys))
 
@@ -305,7 +306,7 @@ def test_iso_codes_ascend_as_a_fresh_window_numbers_them(g, k):
     codes, _ = iso_keys(g, KSetIndex(g.num_vertices, k).all_sets())
     rows = codes.tolist()
     assert all(a < b for a, b in zip(rows, rows[1:]))
-    assert np.array_equal(number_window(map(code_bytes, rows), 0),
+    assert np.array_equal(ref.number_keys(map(code_bytes, rows)),
                           np.arange(len(codes)))
 
 
@@ -322,29 +323,66 @@ def test_linalg_iteration_zero_is_the_exact_one(mutag, k, local):
 @given(st.lists(labeled_graphs(), max_size=4), st.integers(1, 3),
        st.booleans(), st.integers(0, 3))
 @example(MIDDLE_WIDEST, 3, False, 3)
-def test_exact_runs_issue_the_ids_of_one_persistent_interner(graphs, k, local,
-                                                             h):
-    # each window numbers its keys in a table of its own, continuing the
-    # ids, as one dict kept across the windows does
+def test_exact_runs_partition_like_one_persistent_interner(graphs, k, local,
+                                                           h):
+    # each iteration's classes are those of one dict of exact keys kept
+    # across the windows, and its ids those of the linalg run
     labels, counts = exact_kset_run(graphs, k, h, local=local)
+    la, _ = la_kset_run(graphs, k, h, local=local)
     want, want_counts = ref.interned_exact_run(graphs, k, h, local=local)
     assert counts == want_counts and len(labels) == len(want) == h + 1
-    for got, expected in zip(labels, want):
-        assert got.dtype == np.int32 and np.array_equal(got, expected)
+    for got, linalg, expected in zip(labels, la, want):
+        assert got.dtype == np.int32 and np.array_equal(got, linalg)
+        assert label_groups(got.tolist()) == label_groups(expected.tolist())
+
+
+def identity_mix(z):
+    return z
+
+
+def two_bit_mix(z):
+    z &= 3
+    return z
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(labeled_graphs(), max_size=3), st.integers(1, 3),
+       st.booleans(), st.sampled_from([identity_mix, two_bit_mix]))
+@example([], 3, True, two_bit_mix)
+@example(FEWER_THAN_K, 3, False, two_bit_mix)
+@example(FEWER_THAN_K + MIDDLE_WIDEST, 2, True, identity_mix)
+def test_exact_runs_split_word_collisions(graphs, k, local, mix):
+    # a weak mixer gives distinct keys one word; the exactness check splits
+    # their classes, so every iteration partitions like the naive oracle
+    from ksetwl import linalg
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_mix", mix)
+        labels, counts = exact_kset_run(graphs, k, 3, local=local)
+    naive = ref.naive_kset_partitions(graphs, k, 3, local)
+    sets = [frozenset(t) for g in graphs
+            for t in KSetIndex(g.num_vertices, k).all_sets().tolist()]
+    graph = np.repeat(np.arange(len(graphs)), counts).tolist()
+    for got, want in zip(labels, naive):
+        assert got.dtype == np.int32
+        assert sorted(set(got.tolist())) == list(range(len(want) and
+                                                       max(want.values()) + 1))
+        assert label_groups(dict(zip(zip(graph, sets), got.tolist()))) == (
+            label_groups(want))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(labeled_graphs(), min_size=1, max_size=3), st.integers(1, 3),
        st.booleans())
 def test_refinement_blocks_do_not_change_labels(graphs, k, local):
-    # a block of one neighbor entry puts each row with neighbors in a block
-    # of its own; 2^30 entries put every row of these graphs in one block
-    from ksetwl import interner
+    # a block of one neighbor entry, or a check chunk of one row, puts each
+    # row in a block of its own; 2^30 put every row of these graphs in one
+    from ksetwl import linalg
     runs = []
-    for entries in (1, 1 << 30, None):
+    for size in (1, 1 << 30, None):
         with pytest.MonkeyPatch.context() as patch:
-            if entries is not None:
-                patch.setattr(interner, "_KEY_BLOCK_ENTRIES", entries)
+            if size is not None:
+                patch.setattr(linalg, "_KEY_BLOCK_ENTRIES", size)
+                patch.setattr(linalg, "_CHECK_ROWS", size)
             runs.append(exact_kset_run(graphs, k, 3, local=local))
     (one, counts), (whole, _), (default, _) = runs
     assert counts == [KSetIndex(g.num_vertices, k).size for g in graphs]

@@ -102,22 +102,24 @@ def test_h_sweep_equals_separate_runs(tmp_path, capsys, command, config,
         got = json.load(open(swept + ".manifest.json"))
         want = json.load(open(single + ".manifest.json"))
         assert got["h"] == h
-        assert ("label_space" in got) == ("exact" in config)
-        assert got.get("label_space") == want.get("label_space")
+        assert got["label_space"] == want["label_space"]
 
 
 def test_h_sweep_label_space_is_the_interner_size(tmp_path, capsys):
-    # the manifest counts the ids a run stopped at h has issued
-    code, _, err = run_cli(
-        capsys, "gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local",
-        "--k", "2", "--h-sweep", "0..3", "--output", str(tmp_path / "g"))
-    assert code == 0, err
-    # a persistent interner's ids run from 0, so after iteration h its
-    # table holds the largest id of iteration h plus one keys
+    # the manifest counts the distinct labels of iterations 0..h, in exact
+    # and linalg runs alike; a persistent interner's ids run from 0 and no
+    # id serves two iterations, so after iteration h its table holds the
+    # largest id of iteration h plus one keys
     labels, _ = interned_exact_run(parse_tu_dataset(MUTAG_DIR).graphs, 2, 3)
-    for h in range(4):
-        manifest = json.load(open(tmp_path / f"g.h{h}.manifest.json"))
-        assert manifest["label_space"] == int(labels[h].max()) + 1
+    for mode in ("exact", "linalg"):
+        code, _, err = run_cli(
+            capsys, "gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local",
+            "--k", "2", "--mode", mode, "--h-sweep", "0..3", "--output",
+            str(tmp_path / mode))
+        assert code == 0, err
+        for h in range(4):
+            manifest = json.load(open(tmp_path / f"{mode}.h{h}.manifest.json"))
+            assert manifest["label_space"] == int(labels[h].max()) + 1
 
 
 def test_usage_error_exit_code(two_triangle_dir, tmp_path, capsys):

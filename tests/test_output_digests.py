@@ -13,7 +13,7 @@ from conftest import scripts
 PINNED = [
     ("190ce76eafbce48d2657e63944a874e93b2b9ae5614344d7761dd7178c0daabf",
      "k3-exact.gram"),
-    ("cf3528e7f8af2757c59ae06a25ce4eade27a24ad928d0c6bc5666cd8dd3ef387",
+    ("417e654fe1ad54d2c2aaeab8908a8711b845c5091af9da16f3eec5e63a850c5b",
      "k3-exact.features"),
     ("c48bc45438ae9b292f43d5fabaabb95d0964d38c3f1f6870f8592952f0d76234",
      "k2-linalg.gram"),
@@ -21,11 +21,11 @@ PINNED = [
      "k3-linalg.gram"),
     ("417fe5db360ba127cf68f8feb01c70003b082969a578d2d67ec150fe7962cfc8",
      "wl1-h5.gram"),
-    ("82737ff9f37903ad260838aaef8197c0609665e7230d50912e1e0d85a1126c36",
+    ("8829ee984f00c30ca50c970dd6a9a2a8e02bb4dcf4b8e3aed0c3c57c2ba5ec68",
      "wl1-h5.features"),
     ("417fe5db360ba127cf68f8feb01c70003b082969a578d2d67ec150fe7962cfc8",
      "wl1-h5-linalg.gram"),
-    ("6afcd175da172cce603abde7ee73a9c0df8f44f78806daef8b11a341b5ec75c2",
+    ("04b6ad392ecbd560f8452764610cfa1e85b8749a62274288548c7d6d7c9bb123",
      "wl1-h5-unlabeled.features"),
     ("13ca91ec385ae75d90a6fe642f965a367c8226f27865b1869471cb6bc9462670",
      "k2-global.gram"),
@@ -35,9 +35,9 @@ PINNED = [
      "k3-global.gram"),
     ("b277f63bfbc4b16bbdb9dec29dead0eb7f990b66dfc3f6b525ee3c60e3272273",
      "k3-global-linalg.gram"),
-    ("9bd951c969d9cf427d4ec59f28b8c9300438b135011fe1b52a7c4b07ce088b23",
+    ("9b107179cff98e65e6bba23fde3cabe55beacbdcf2dc59c48ec5e12d11b4234f",
      "k2-exact.features"),
-    ("7c95c7ddb6a8018ed549310092016b835bcac56ca6a1d332a8c1d65574cb8d6d",
+    ("81750fa3929131943def60ae566b50283c93c5835df13a13f7f391b4504779c4",
      "k2-l1-block.gram"),
     ("ae29568f7795d820da229b377d0c8af39fc440a8d5478ed7a4d04aee37a363c9",
      "subset-adaptive-seed5.gram"),
@@ -57,7 +57,7 @@ PINNED = [
     ("b57262a693bc01f6d785955fc303012f936a2ce7002dab97d4380febdf8a11ce",
      "k3-sampled-seed9.gram"),
     ("56400", "k3-sampled-seed9.gram.samples"),
-    ("9bd951c969d9cf427d4ec59f28b8c9300438b135011fe1b52a7c4b07ce088b23",
+    ("9b107179cff98e65e6bba23fde3cabe55beacbdcf2dc59c48ec5e12d11b4234f",
      "k2-exact-messy.features"),
     ("417e654fe1ad54d2c2aaeab8908a8711b845c5091af9da16f3eec5e63a850c5b",
      "k3-linalg.features"),

@@ -3,14 +3,14 @@ import pytest
 
 from ksetwl import (KSetIndex, ParameterError, ResourceLimitError,
                     SampledEstimate, build_graph, gram_matrix)
-from ksetwl import interner, kwl, linalg, pipeline
+from ksetwl import kwl, linalg, pipeline
 from ksetwl.pipeline import (exact_kset_run, features_from_estimates,
                              features_from_label_arrays, la_kset_run,
                              sampled_dataset_run)
 from ksetwl.sampling import _label_sets
 
 from conftest import MUTAG_DIR, label_groups, scripts
-from reference import blocks_of, graph_slices
+from reference import blocks_of, exact_word_run, graph_slices
 
 
 def tiny_and_regular():
@@ -70,12 +70,14 @@ def test_exact_run_enumerates_each_graph_once(monkeypatch, c6, two_k3, p4):
 
 
 def test_exact_windows_intern_into_tables_of_their_own(c6, two_k3):
-    # each window numbers its own keys densely after the ids before it
-    labels, _ = exact_kset_run([c6, two_k3], 2, 3)
-    for before, after in zip(labels, labels[1:]):
-        first = int(before.max()) + 1
-        assert np.unique(after).tolist() == list(
-            range(first, int(after.max()) + 1))
+    # each window numbers its own classes densely from 0, whatever the ids
+    # before it, in the ascending order of the sampler's words
+    graphs = [c6, two_k3, build_graph(3, [(0, 1)])]
+    labels, _ = exact_kset_run(graphs, 2, 3)
+    words, _ = exact_word_run(graphs, 2, 3)
+    for it, word in zip(labels[1:], words[1:]):
+        assert np.unique(it).tolist() == list(range(int(it.max()) + 1))
+        assert np.array_equal(it, np.unique(word, return_inverse=True)[1])
 
 
 def test_dataset_run_partitions_match_single_graph_runs(c6, two_k3, p4):
@@ -139,22 +141,23 @@ def test_label_arrays_are_int32(p4, local):
     for labels, _ in (exact_kset_run(graphs, 2, 2, local=local),
                       la_kset_run(graphs, 2, 2, local=local)):
         assert [it.dtype for it in labels] == [np.int32] * 3
-    window = interner.number_window([b"\x01", b"\x00"], 0)
-    assert window.dtype == np.int32 and window.tolist() == [1, 0]
+    ranks = linalg._dense_ranks(np.array([5, 3], dtype=np.uint64))
+    assert ranks.dtype == np.int32 and ranks.tolist() == [1, 0]
     # sampled labels are 64-bit words, numbered as int32 ids in features
     labeled = _label_sets(p4, np.array([[0, 1], [1, 2]]), 2)
     assert labeled.dtype == np.uint64 and labeled.shape == (2, 3)
 
 
 def test_label_ids_past_the_cap_are_refused_before_the_cast(monkeypatch, p4):
-    # int32 labels hold ids below _ID_CAP; iso types and linalg classes
-    # beyond it are refused as an exact window refuses its ids
-    monkeypatch.setattr(interner, "_ID_CAP", 1)
+    # int32 labels hold ids below _ID_CAP; iso types and the classes of an
+    # iteration beyond it are refused, in exact and linalg runs alike
+    monkeypatch.setattr(linalg, "_ID_CAP", 1)
     with pytest.raises(ResourceLimitError, match="label ids stop at 1"):
         la_kset_run([p4], 2, 0)
-    monkeypatch.setattr(interner, "_ID_CAP", 2)
-    with pytest.raises(ResourceLimitError, match="label ids stop at 2"):
-        la_kset_run([p4], 2, 1)
+    monkeypatch.setattr(linalg, "_ID_CAP", 2)
+    for run in (exact_kset_run, la_kset_run):
+        with pytest.raises(ResourceLimitError, match="label ids stop at 2"):
+            run([p4], 2, 1)
 
 
 def test_sampled_words_past_the_cap_are_refused(monkeypatch):
@@ -163,10 +166,10 @@ def test_sampled_words_past_the_cap_are_refused(monkeypatch):
     words = [np.array([1, 5], dtype=np.uint64), np.array([5, 9],
                                                          dtype=np.uint64)]
     estimates = [SampledEstimate([(w, np.full(2, 0.5))], 2) for w in words]
-    monkeypatch.setattr(interner, "_ID_CAP", 3)
+    monkeypatch.setattr(linalg, "_ID_CAP", 3)
     label = features_from_estimates(estimates).blocks[0][1]
     assert label.dtype == np.int32 and label.tolist() == [0, 1, 1, 2]
-    monkeypatch.setattr(interner, "_ID_CAP", 2)
+    monkeypatch.setattr(linalg, "_ID_CAP", 2)
     with pytest.raises(ResourceLimitError, match="label ids stop at 2"):
         features_from_estimates(estimates)
 
@@ -175,7 +178,7 @@ def test_sampled_words_past_the_cap_exit_3(monkeypatch, tmp_path, capsys):
     # MUTAG's 2-sets have 36 iso types, below a cap of 100 in any batch;
     # the sampled words of their first refinement over all graphs are not
     from ksetwl.cli import main
-    monkeypatch.setattr(interner, "_ID_CAP", 100)
+    monkeypatch.setattr(linalg, "_ID_CAP", 100)
     assert main(["gram", "--dataset", MUTAG_DIR, "--kernel", "kwl-local",
                  "--k", "2", "--h", "1", "--mode", "sampled", "--samples",
                  "300", "--output", str(tmp_path / "gram.txt")]) == 3
@@ -191,11 +194,11 @@ def test_front_end_times_script_times_every_layer(two_triangle_dir, capsys):
                             "kwl-global", "--k", "2", "--h", "2", "--mode",
                             mode, "--repeats", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        tables = ["window_1_largest_table", "window_2_largest_table"]
+        compared = ["window_1_compared", "window_2_compared"]
         assert [line.split("  ")[1] for line in lines[1:]] == [
             *layers, "total", "csr_entries", "csr_mb", "traced_peak_mb",
             *(f"{layer}_peak_mb" for layer in layers), "window_1_labels",
-            "window_2_labels", *(tables if mode == "exact" else [])]
+            "window_2_labels", *(compared if mode == "exact" else [])]
         figures = {name: float(value) for value, name in
                    (line.split("  ") for line in lines[1:])}
         # three 2-sets per triangle, each with k * (n - k) = 2 global swaps:
@@ -206,12 +209,12 @@ def test_front_end_times_script_times_every_layer(two_triangle_dir, capsys):
         assert all(0 <= figures[f"{layer}_peak_mb"] <= figures[
             "traced_peak_mb"] for layer in layers)
         # every 2-set of a triangle is alike, so each window issues one
-        # label, from one table of one key
+        # label, and the check compares all six rows of its one class
         assert figures["window_1_labels"] == figures["window_2_labels"] == 1
         if mode == "exact":
-            assert figures[tables[0]] == figures[tables[1]] == 1
+            assert figures[compared[0]] == figures[compared[1]] == 6
     assert pipeline.stacked_sets is kwl.stacked_sets
     assert pipeline._neighbor_csr is kwl._neighbor_csr
-    assert pipeline.refine_coloring_window is interner.refine_coloring_window
+    assert pipeline._split_collisions is linalg._split_collisions
     assert pipeline.word_sums is linalg.word_sums
     assert pipeline._dense_ranks is linalg._dense_ranks

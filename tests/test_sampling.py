@@ -389,13 +389,14 @@ def test_fixed_estimate_l1_accuracy_on_benchmark_graph(mutag):
 
 @pytest.mark.parametrize("h", [0, 3])
 def test_observed_label_count_is_an_exact_runs_label_space(mutag, h):
-    # a persistent interner issues consecutive ids and no id at two
-    # iterations, so the distinct (iteration, label) pairs are the
-    # manifest's label_space at h
+    # each iteration's ids run from 0, so the distinct (iteration, label)
+    # pairs are the manifest's label_space at h, the sum of each
+    # iteration's distinct labels, and a persistent interner's table size
     interned, _ = interned_exact_run(mutag.graphs, 2, h)
     labels, _ = exact_kset_run(mutag.graphs, 2, h)
     count = observed_label_count(labels)
-    assert count == int(labels[-1].max()) + 1 == int(interned[-1].max()) + 1
+    assert count == sum(int(it.max()) + 1 for it in labels) == (
+        int(interned[-1].max()) + 1) == (15_863 if h else 36)
 
 
 def test_massart_bound_frozen_example():
