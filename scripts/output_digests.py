@@ -15,7 +15,10 @@ Running the script on two checkouts and diffing the lines tells whether a
 change keeps every output byte-identical, and what sampling cost.  The
 messy copy's features must have the digest of ``k2-exact.features``.  The
 two l1-normalized sampled outputs are the only ones whose bytes depend on
-the order in which each graph's float masses are added up.
+the order in which each graph's float masses are added up.  The one
+``--h-sweep`` run, ``k2-sampled-seed9.gram`` at h = 2..3, prints only the
+digest of the output its name ends in, ``.h3``, which must equal that of
+``k2-sampled-seed9.gram``.
 """
 
 import hashlib
@@ -75,6 +78,9 @@ RUNS = (
       "--mode", "linalg")),
     ("wl1-h5-linalg.features", "MUTAG",
      ("features", *WL1, "--mode", "linalg")),
+    ("k2-sampled-seed9-sweep.gram.h3", "MUTAG",
+     ("gram", "--kernel", "kwl-local", "--k", "2", "--h-sweep", "2..3",
+      *SAMPLED)),
 )
 
 
@@ -153,13 +159,17 @@ def main_digests() -> int:
         for name, dataset, argv in RUNS:
             out = os.path.join(tmp, name)
             command, *rest = argv
+            sweep = "--h-sweep" in rest   # it writes <output>.h<h> per h
             code = main([command, "--dataset", datasets[dataset], *rest,
-                         "--output", out])
+                         "--output", out.rpartition(".h")[0] if sweep
+                         else out])
             if code != 0:
                 print(f"{name}: ksetwl exited {code}", file=sys.stderr)
                 return code
             with open(out, "rb") as f:
                 print(f"{hashlib.sha256(f.read()).hexdigest()}  {name}")
+            if sweep:
+                continue
             with open(out + ".manifest.json") as f:
                 manifest = json.load(f)
             if "sample_counts" in manifest:

@@ -58,9 +58,9 @@ def regular_graph(n: int, seed: int):
     while True:
         rng.shuffle(stubs)
         pairs = np.sort(stubs.reshape(-1, 2), axis=1)
-        keys = pairs[:, 0] * n + pairs[:, 1]
-        if np.all(pairs[:, 0] < pairs[:, 1]) and len(np.unique(keys)) == len(
-                keys):
+        # a sort finds repeats many times faster than a bare np.unique
+        keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+        if np.all(pairs[:, 0] < pairs[:, 1]) and np.all(keys[1:] > keys[:-1]):
             break
     return build_graph(n, pairs, node_labels=rng.integers(0, NODE_LABELS, n))
 

@@ -140,36 +140,31 @@ def _validate_mode(args) -> None:
 def _compute_features(graphs, args, h_values):
     """Yield (h, features, manifest extras) for each h of ``h_values``.
 
-    Exact and linalg labels of iterations 0..h do not depend on later
-    iterations, so those modes run once at the largest h and cut each output
-    from the first h + 1 feature blocks.  Sampling stops by a rule that
-    depends on h, so sampled and adaptive modes run once per h.
+    Labels of iterations 0..h depend on no later iteration, and a fixed
+    sample is drawn alike at every h, so each mode but adaptive runs once
+    at the largest h and cuts each output from the first h + 1 feature
+    blocks.  Adaptive rounds stop by a rule that depends on h.
     """
-    if args.mode in ("sampled", "adaptive"):
-        for h in h_values:
-            yield (h, *_sampled_features(graphs, args, h))
-        return
-    top = h_values[-1]
-    k = 1 if args.kernel == "wl1" else args.k
-    local = args.kernel != "kwl-global"
-    run = exact_kset_run if args.mode == "exact" else la_kset_run
-    labels, counts = run(graphs, k, top, local=local, max_sets=args.max_sets)
-    features = features_from_label_arrays(labels, counts)
-    del labels   # the caller's gram runs while this generator waits
-    for h in h_values:
-        blocks = features.blocks[:h + 1]
-        yield h, Features(features.n, blocks), {
-            "label_space": _label_space(blocks)}
+    adaptive = args.mode == "adaptive"
+    for top in (h_values if adaptive else h_values[-1:]):
+        features, extra = _run_features(graphs, args, top)
+        for h in ([top] if adaptive else h_values):
+            blocks = features.blocks[:h + 1]
+            # each iteration's ids run from 0 to its label count - 1
+            space = sum(int(label.max(initial=-1)) + 1
+                        for _, label, _ in blocks)
+            yield h, Features(features.n, blocks), {"label_space": space,
+                                                    **extra}
 
 
-def _label_space(blocks) -> int:
-    """The distinct labels of feature blocks summed over the blocks: each
-    iteration's ids run from 0, so its count is its largest id plus 1."""
-    return sum(int(label.max(initial=-1)) + 1 for _, label, _ in blocks)
-
-
-def _sampled_features(graphs, args, h: int):
-    """Sampled or adaptive estimates for one h, plus manifest extras."""
+def _run_features(graphs, args, h: int):
+    """The features of one run of ``h`` iterations, plus manifest extras."""
+    if args.mode in ("exact", "linalg"):
+        run = exact_kset_run if args.mode == "exact" else la_kset_run
+        labels, counts = run(graphs, 1 if args.kernel == "wl1" else args.k,
+                             h, local=args.kernel != "kwl-global",
+                             max_sets=args.max_sets)
+        return features_from_label_arrays(labels, counts), {}
     extra, sample_count = {}, args.samples
     if args.mode == "sampled" and sample_count is None:
         sample_count = extra["derived_sample_count"] = hoeffding_sample_size(
@@ -178,8 +173,6 @@ def _sampled_features(graphs, args, h: int):
         graphs, args.k, h, seed=args.seed, mode=args.mode,
         sample_count=sample_count, epsilon=args.epsilon, delta=args.delta,
         max_total_samples=args.max_samples)
-    features = features_from_estimates(estimates)
-    extra["label_space"] = _label_space(features.blocks)
     extra["sample_counts"] = [est.sample_count for est in estimates]
     empty = [i for i, est in enumerate(estimates) if est.sample_count == 0]
     if empty:
@@ -187,7 +180,7 @@ def _sampled_features(graphs, args, h: int):
     if args.mode == "adaptive":
         extra["rounds"] = {str(i): est.rounds
                            for i, est in enumerate(estimates)}
-    return features, extra
+    return features_from_estimates(estimates), extra
 
 
 def _manifest(args, path: str, timings: dict, extra: dict) -> None:

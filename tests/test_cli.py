@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from ksetwl import parse_tu_dataset
+from ksetwl import cli, parse_tu_dataset
 from ksetwl.cli import main
+from ksetwl.pipeline import sampled_dataset_run
 
 from conftest import MUTAG_DIR, SRC_DIR
 from reference import interned_exact_run
@@ -79,17 +80,17 @@ def test_h_sweep_writes_one_output_per_h(two_triangle_dir, tmp_path, capsys):
         assert os.path.exists(f"{out_path}.h{h}.manifest.json")
 
 
-@pytest.mark.parametrize("command, config, sweep", [
-    ("gram", ("--kernel", "wl1", "--mode", "exact"), (0, 3)),
-    ("gram", ("--kernel", "kwl-local", "--k", "2", "--mode", "exact"), (0, 2)),
-    ("features", ("--kernel", "kwl-local", "--k", "2", "--mode", "exact",
-                  "--normalize", "l1-block"), (1, 2)),
-    ("gram", ("--kernel", "kwl-local", "--k", "2", "--mode", "linalg"), (0, 2)),
-])
-def test_h_sweep_equals_separate_runs(tmp_path, capsys, command, config,
-                                      sweep):
-    lo, hi = sweep
-    base = [command, "--dataset", MUTAG_DIR, *config]
+SAMPLED = ("--kernel", "kwl-local", "--k", "2", "--mode", "sampled",
+           "--samples", "300", "--seed", "9")
+ADAPTIVE = ("--kernel", "kwl-local", "--k", "2", "--mode", "adaptive",
+            "--epsilon", "0.4", "--delta", "0.1", "--seed", "3")
+SWEPT_KEYS = ("label_space", "sample_counts", "derived_sample_count",
+              "rounds")
+
+
+def assert_sweep_equals_separate_runs(capsys, tmp_path, base, lo, hi):
+    """A sweep over lo..hi writes, for each h, the bytes and the manifest
+    counts of the single run at h."""
     code, _, err = run_cli(capsys, *base, "--h-sweep", f"{lo}..{hi}",
                            "--output", str(tmp_path / "sweep"))
     assert code == 0, err
@@ -102,7 +103,56 @@ def test_h_sweep_equals_separate_runs(tmp_path, capsys, command, config,
         got = json.load(open(swept + ".manifest.json"))
         want = json.load(open(single + ".manifest.json"))
         assert got["h"] == h
-        assert got["label_space"] == want["label_space"]
+        for key in SWEPT_KEYS:
+            assert got.get(key) == want.get(key), key
+
+
+@pytest.mark.parametrize("command, config, sweep", [
+    ("gram", ("--kernel", "wl1", "--mode", "exact"), (0, 3)),
+    ("gram", ("--kernel", "kwl-local", "--k", "2", "--mode", "exact"), (0, 2)),
+    ("features", ("--kernel", "kwl-local", "--k", "2", "--mode", "exact",
+                  "--normalize", "l1-block"), (1, 2)),
+    ("gram", ("--kernel", "kwl-local", "--k", "2", "--mode", "linalg"), (0, 2)),
+    ("gram", SAMPLED, (0, 3)),
+    ("features", (*SAMPLED, "--normalize", "l1-block"), (1, 3)),
+    ("gram", ("--kernel", "kwl-local", "--k", "2", "--mode", "sampled",
+              "--gamma", "2", "--epsilon", "0.2", "--delta", "0.1",
+              "--seed", "4", "--normalize", "l1-full"), (0, 2)),
+])
+def test_h_sweep_equals_separate_runs(tmp_path, capsys, command, config,
+                                      sweep):
+    assert_sweep_equals_separate_runs(
+        capsys, tmp_path, [command, "--dataset", MUTAG_DIR, *config], *sweep)
+
+
+def test_adaptive_h_sweep_equals_separate_runs(two_triangle_dir, tmp_path,
+                                               capsys):
+    assert_sweep_equals_separate_runs(
+        capsys, tmp_path, ["gram", "--dataset", two_triangle_dir, *ADAPTIVE],
+        0, 2)
+
+
+@pytest.mark.parametrize("config, sweep, runs", [
+    (SAMPLED, "0..3", [3]),
+    (ADAPTIVE, "0..2", [0, 1, 2]),
+], ids=["sampled", "adaptive"])
+def test_h_sweep_runs_the_sampler_once_unless_adaptive(
+        two_triangle_dir, tmp_path, capsys, monkeypatch, config, sweep, runs):
+    # a fixed-size sample draws the same sets at every h, so one run at the
+    # largest h serves the whole sweep; adaptive rounds stop by a bound that
+    # depends on h
+    calls = []
+
+    def counted(graphs, k, h, **kwargs):
+        calls.append(h)
+        return sampled_dataset_run(graphs, k, h, **kwargs)
+
+    monkeypatch.setattr(cli, "sampled_dataset_run", counted)
+    code, _, err = run_cli(
+        capsys, "gram", "--dataset", two_triangle_dir, *config,
+        "--h-sweep", sweep, "--output", str(tmp_path / "sweep"))
+    assert code == 0, err
+    assert calls == runs
 
 
 def test_h_sweep_label_space_is_the_interner_size(tmp_path, capsys):

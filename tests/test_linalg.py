@@ -39,7 +39,7 @@ def test_label_words_known_answers():
     assert [int(w) for w in splitmix64(np.array(ids))] == list(map(H, ids))
 
 
-def test_la_step_on_uniform_path(p3):
+def test_word_sums_and_ranks_on_uniform_path(p3):
     words = np.zeros(3, dtype=np.uint64)
     offsets = row_offsets(p3.indptr, p3.indices)
     values = word_sums(p3.indptr, offsets, words)
@@ -49,7 +49,7 @@ def test_la_step_on_uniform_path(p3):
     assert regrouped[0] == regrouped[2] != regrouped[1]
 
 
-def test_la_step_isolated_vertex():
+def test_word_sums_and_ranks_on_isolated_vertices():
     g = build_graph(2, [])
     words = np.array([0, 1], dtype=np.uint64)
     offsets = row_offsets(g.indptr, g.indices)
@@ -128,7 +128,7 @@ def csr_rows(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(csr_rows())
-def test_la_step_ignores_column_order_within_rows(csr):
+def test_word_sums_and_ranks_ignore_column_order_within_rows(csr):
     indptr, indices, shuffled, words = csr
     offsets = [row_offsets(indptr, c) for c in (indices, shuffled)]
     values, values_shuffled = (word_sums(indptr, o, words.copy())

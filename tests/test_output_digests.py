@@ -3,7 +3,8 @@
 The script runs the CLI on exact, linalg, wl1, global, normalized, sampled
 and adaptive configurations of the bundled MUTAG and of three copies made
 from it, and prints each output's SHA-256 plus the sample and round counts
-of the sampled runs.  A change to any of these lines is a change to the
+of the sampled runs; the last output of one sampled ``--h-sweep`` must be
+the single run's.  A change to any of these lines is a change to the
 program's outputs, and belongs in CHANGES.md with its reason.
 """
 
@@ -65,6 +66,8 @@ PINNED = [
      "k3-global-linalg.features"),
     ("8829ee984f00c30ca50c970dd6a9a2a8e02bb4dcf4b8e3aed0c3c57c2ba5ec68",
      "wl1-h5-linalg.features"),
+    ("0144d71a0a81b714368ee650d4ebc1e26f338cc55f94d760478ebcb9cd2d4912",
+     "k2-sampled-seed9-sweep.gram.h3"),
 ]
 
 
@@ -72,3 +75,7 @@ def test_standard_outputs_keep_their_digests(capsys):
     assert scripts("output_digests").main_digests() == 0
     lines = capsys.readouterr().out.splitlines()
     assert [tuple(line.split("  ")) for line in lines] == PINNED
+    # a sweep's last output is the single run at its h
+    digests = {name: digest for digest, name in PINNED}
+    assert digests["k2-sampled-seed9-sweep.gram.h3"] == digests[
+        "k2-sampled-seed9.gram"]

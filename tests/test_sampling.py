@@ -312,6 +312,23 @@ def test_fixed_estimate_equals_the_per_set_count_oracle(mutag):
     assert all(list(blk) == sorted(blk) for blk in estimate_blocks(est))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_fixed_estimate_at_h_is_a_prefix_of_any_longer_run(mutag, k):
+    # the draw does not depend on h and iteration i's words on no later
+    # iteration, so one run at the largest h serves a whole sweep
+    graphs = [mutag.graphs[i] for i in (0, 7, 50, 120)]
+    for seed, g in enumerate([*graphs, build_graph(k - 1, [])]):
+        longest = estimate_features_fixed(g, k, 4, 200, make_rng(seed))
+        for h in range(4):
+            est = estimate_features_fixed(g, k, h, 200, make_rng(seed))
+            assert est.sample_count == longest.sample_count
+            assert len(est.masses) == h + 1
+            for (words, mass), (top_words, top_mass) in zip(est.masses,
+                                                            longest.masses):
+                assert np.array_equal(words, top_words)
+                assert np.array_equal(mass, top_mass)
+
+
 @pytest.mark.parametrize("estimate", [
     lambda g, rng: estimate_features_fixed(g, 9, 1, 10, rng),
     lambda g, rng: estimate_features_adaptive(g, 9, 1, 0.1, 0.1, rng)],
